@@ -1,24 +1,18 @@
-//! The virtual-time event queue.
+//! The virtual-time event queue, and the timed heap entry both runtimes
+//! queue their work in.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use hope_types::{Envelope, ProcessId, VirtualTime};
+use hope_types::{ProcessId, VirtualTime};
+
+use crate::link::LinkWork;
 
 /// What happens when an event fires.
 #[derive(Debug)]
 pub(crate) enum EventKind {
-    /// A message arrives at its destination. `copy` records how this
-    /// particular on-the-wire copy came to exist (original transmission,
-    /// fault-injected duplicate, or sublayer retransmission) so dedup
-    /// suppressions can be attributed; it is accounting metadata only and
-    /// deliberately excluded from scheduling descriptions and content
-    /// hashes — two copies of one message stay interchangeable to the
-    /// model checker.
-    Deliver {
-        env: Envelope,
-        copy: crate::reliable::CopyKind,
-    },
+    /// Link-layer work: a message arrival or a retransmission timer.
+    Link(LinkWork),
     /// A process finishes a compute step (or starts for the first time).
     Wake(ProcessId),
     /// A scheduled fault takes the process down until `up_at` (see
@@ -32,43 +26,40 @@ pub(crate) enum EventKind {
     },
     /// A crashed process comes back up and recovers.
     Restart(ProcessId),
-    /// A reliable-delivery retransmission timer fires for `(link, seq)`;
-    /// `attempt` counts prior (re)transmissions of that envelope.
-    Retransmit {
-        link: crate::reliable::LinkId,
-        seq: u64,
-        attempt: u32,
-    },
 }
 
-/// A scheduled event. Ordering is `(time, tie)` where `tie` is a global
-/// monotone counter, which makes pops — and therefore whole runs —
-/// deterministic.
+/// A work item due at `time` on clock `T` (virtual time in the
+/// simulator, `Instant` on the threaded runtime's shards). Ordering is
+/// `(time, tie)` where `tie` is a runtime-global monotone counter, which
+/// makes pops deterministic and, on the shards, shard-count-independent.
 #[derive(Debug)]
-pub(crate) struct Event {
-    pub time: VirtualTime,
+pub(crate) struct Timed<T, W> {
+    pub time: T,
     pub tie: u64,
-    pub kind: EventKind,
+    pub work: W,
 }
 
-impl PartialEq for Event {
+/// A scheduled simulator event.
+pub(crate) type Event = Timed<VirtualTime, EventKind>;
+
+impl<T: Ord, W> PartialEq for Timed<T, W> {
     fn eq(&self, other: &Self) -> bool {
         self.time == other.time && self.tie == other.tie
     }
 }
 
-impl Eq for Event {}
+impl<T: Ord, W> Eq for Timed<T, W> {}
 
-impl PartialOrd for Event {
+impl<T: Ord, W> PartialOrd for Timed<T, W> {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
-impl Ord for Event {
+impl<T: Ord, W> Ord for Timed<T, W> {
     fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest event pops first.
-        (other.time, other.tie).cmp(&(self.time, self.tie))
+        // BinaryHeap is a max-heap; invert so the earliest item pops first.
+        (&other.time, other.tie).cmp(&(&self.time, self.tie))
     }
 }
 
@@ -84,10 +75,10 @@ impl EventQueue {
         EventQueue::default()
     }
 
-    pub fn push(&mut self, time: VirtualTime, kind: EventKind) {
+    pub fn push(&mut self, time: VirtualTime, work: EventKind) {
         let tie = self.next_tie;
         self.next_tie += 1;
-        self.heap.push(Event { time, tie, kind });
+        self.heap.push(Event { time, tie, work });
     }
 
     pub fn pop(&mut self) -> Option<Event> {
@@ -139,10 +130,7 @@ mod tests {
     fn pid_of(kind: &EventKind) -> u64 {
         match kind {
             EventKind::Wake(p) => p.as_raw(),
-            EventKind::Deliver { .. }
-            | EventKind::Crash { .. }
-            | EventKind::Restart(_)
-            | EventKind::Retransmit { .. } => unreachable!(),
+            EventKind::Link(_) | EventKind::Crash { .. } | EventKind::Restart(_) => unreachable!(),
         }
     }
 
@@ -153,7 +141,7 @@ mod tests {
         q.push(VirtualTime::from_nanos(10), wake(1));
         q.push(VirtualTime::from_nanos(20), wake(2));
         let order: Vec<u64> = std::iter::from_fn(|| q.pop())
-            .map(|e| pid_of(&e.kind))
+            .map(|e| pid_of(&e.work))
             .collect();
         assert_eq!(order, vec![1, 2, 3]);
     }
@@ -166,7 +154,7 @@ mod tests {
             q.push(t, wake(p));
         }
         let order: Vec<u64> = std::iter::from_fn(|| q.pop())
-            .map(|e| pid_of(&e.kind))
+            .map(|e| pid_of(&e.work))
             .collect();
         assert_eq!(order, (0..10).collect::<Vec<_>>());
     }
@@ -178,11 +166,11 @@ mod tests {
             q.push(VirtualTime::from_nanos(p * 10), wake(p));
         }
         let taken = q.take_tie(2).expect("tie 2 is queued");
-        assert_eq!(pid_of(&taken.kind), 2);
+        assert_eq!(pid_of(&taken.work), 2);
         assert_eq!(q.take_tie(2), None, "already removed");
         assert_eq!(q.take_tie(99), None, "never existed");
         let rest: Vec<u64> = std::iter::from_fn(|| q.pop())
-            .map(|e| pid_of(&e.kind))
+            .map(|e| pid_of(&e.work))
             .collect();
         assert_eq!(rest, vec![0, 1, 3], "ordering of the rest is preserved");
     }

@@ -64,6 +64,7 @@ mod actor;
 mod control;
 mod event;
 mod fault;
+mod link;
 mod net;
 mod reliable;
 mod runtime;

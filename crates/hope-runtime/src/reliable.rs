@@ -28,9 +28,10 @@
 //! [`FaultPlan::rto`](crate::FaultPlan::rto) is only the starting point;
 //! [`backoff_nanos`] then doubles the adapted value per failed attempt.
 //!
-//! The state machine lives here, runtime-agnostic; the virtual-time
-//! simulator and the wall-clock threaded runtime both drive it from their
-//! own schedulers.
+//! This module holds the per-link *state*; the steps that use it between
+//! a send and a mailbox — for both the virtual-time simulator and the
+//! wall-clock threaded runtime — are the link pipeline (`link.rs`). The
+//! TCP transport drives the same state from its connection supervisors.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -40,7 +41,7 @@ use hope_types::{Envelope, IdoSet, ProcessId, SetCoding, TagDecoder, TagEncoder}
 pub type LinkId = (ProcessId, ProcessId);
 
 /// How one on-the-wire copy of an envelope came to exist — the provenance
-/// both runtimes thread through to delivery so receiver-side dedup can
+/// the link pipeline threads through to delivery so receiver-side dedup can
 /// attribute each suppression to its actual cause instead of lumping
 /// fault-injected wire duplicates together with the sublayer's own
 /// retransmissions.
@@ -282,18 +283,6 @@ impl ReliableState {
             .insert(((envelope.src, envelope.dst), envelope.seq), envelope);
     }
 
-    /// Processes an ack for `seq` on `link`; returns true if a pending
-    /// envelope was retired (false for duplicate/stale acks). Takes no
-    /// RTT sample — use [`acknowledge_at`](ReliableState::acknowledge_at)
-    /// when the receive time is known.
-    pub fn acknowledge(&mut self, link: LinkId, seq: u64) -> bool {
-        self.retransmitted.remove(&(link, seq));
-        if let Some(enc) = self.tag_enc.get_mut(&link) {
-            enc.on_ack(seq);
-        }
-        self.pending.remove(&(link, seq)).is_some()
-    }
-
     /// Processes an ack observed at `now_nanos`: retires the pending
     /// envelope and, if the sequence number was never retransmitted
     /// (Karn's rule), feeds `now - sent_at` to the link's RTT estimator.
@@ -470,35 +459,6 @@ pub fn backoff_nanos(rto_nanos: u64, attempt: u32) -> u64 {
     rto_nanos.saturating_mul(1u64.checked_shl(attempt).unwrap_or(u64::MAX))
 }
 
-/// Verdict of the shadow-codec check at delivery (see
-/// [`check_decoded_tag`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TagCheck {
-    /// The wire decode agreed with the typed tag, or the envelope carried
-    /// no coded tag.
-    Ok,
-    /// The delta referenced a base the receiver lost (e.g. to a crash);
-    /// the typed tag stands in and the link self-heals via `Full`.
-    LostBase,
-    /// The wire decode produced a *different* set than the typed tag — a
-    /// codec divergence. The caller must count it, force a `Full` resync
-    /// on the link, and deliver the typed tag.
-    Mismatch,
-}
-
-/// Compares the wire-side tag decode against the authoritative typed tag.
-/// Both runtimes route every delivery through this so release builds get
-/// the same divergence detection debug builds used to get from a
-/// `debug_assert!` (which silently delivered mis-decoded tags in release).
-pub fn check_decoded_tag(decode: TagDecode, typed: &IdoSet) -> TagCheck {
-    match decode {
-        TagDecode::Decoded(tag) if tag == *typed => TagCheck::Ok,
-        TagDecode::Decoded(_) => TagCheck::Mismatch,
-        TagDecode::LostBase => TagCheck::LostBase,
-        TagDecode::Uncoded => TagCheck::Ok,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -532,9 +492,10 @@ mod tests {
         let mut st = ReliableState::new();
         st.track(env(1, 2, 1));
         assert!(st.unacked((p(1), p(2)), 1).is_some());
-        assert!(st.acknowledge((p(1), p(2)), 1));
+        assert!(st.acknowledge_at((p(1), p(2)), 1, 0).retired);
         assert!(st.unacked((p(1), p(2)), 1).is_none());
-        assert!(!st.acknowledge((p(1), p(2)), 1), "duplicate ack is a no-op");
+        let again = st.acknowledge_at((p(1), p(2)), 1, 0);
+        assert!(!again.retired, "duplicate ack is a no-op");
         assert_eq!(st.in_flight(), 0);
     }
 
@@ -719,7 +680,7 @@ mod tests {
         assert_eq!(st.decode_tag(link, seq), TagDecode::Uncoded);
         // Once the first frame is acked, growth ships as a delta.
         st.track(env(1, 2, seq));
-        st.acknowledge(link, seq);
+        st.acknowledge_at(link, seq, 0);
         let mut bigger = tag.clone();
         bigger.insert(hope_types::AidId::from_raw(p(10)));
         let seq2 = st.assign_seq(link);
@@ -743,7 +704,7 @@ mod tests {
         assert!(st.accept(link, seq1), "first delivery before the crash");
         assert_eq!(st.decode_tag(link, seq1), TagDecode::Decoded(tag.clone()));
         st.track(env(1, 2, seq1));
-        st.acknowledge(link, seq1);
+        st.acknowledge_at(link, seq1, 0);
         // A second frame is encoded (as a delta against seq1) but the
         // receiver crashes before it arrives.
         let seq2 = st.assign_seq(link);
@@ -787,30 +748,6 @@ mod tests {
         assert_eq!(backoff_nanos(1_000, 10), 1_024_000);
         assert_eq!(backoff_nanos(u64::MAX, 3), u64::MAX);
         assert_eq!(backoff_nanos(1, 64), u64::MAX, "shift overflow saturates");
-    }
-
-    #[test]
-    fn tag_check_classifies_every_decode_outcome() {
-        let typed: IdoSet = [hope_types::AidId::from_raw(p(7))].into_iter().collect();
-        let other: IdoSet = [hope_types::AidId::from_raw(p(8))].into_iter().collect();
-        assert_eq!(
-            check_decoded_tag(TagDecode::Decoded(typed.clone()), &typed),
-            TagCheck::Ok
-        );
-        assert_eq!(
-            check_decoded_tag(TagDecode::Decoded(other), &typed),
-            TagCheck::Mismatch
-        );
-        assert_eq!(
-            check_decoded_tag(TagDecode::LostBase, &typed),
-            TagCheck::LostBase
-        );
-        assert_eq!(check_decoded_tag(TagDecode::Uncoded, &typed), TagCheck::Ok);
-        assert_eq!(
-            check_decoded_tag(TagDecode::Decoded(IdoSet::default()), &IdoSet::default()),
-            TagCheck::Ok,
-            "empty set agreement is still agreement"
-        );
     }
 
     #[test]

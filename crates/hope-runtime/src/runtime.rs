@@ -2,25 +2,23 @@
 
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use crossbeam::channel::{bounded, Receiver, Sender};
 use parking_lot::Mutex;
 
 use hope_types::{
-    full_set_wire_len, Envelope, HopeError, HopeMessage, Payload, ProcessId, TraceEventKind,
-    VirtualDuration, VirtualTime,
+    Envelope, HopeError, HopeMessage, Payload, ProcessId, TraceEventKind, VirtualTime,
 };
 
 use crate::actor::Actor;
 use crate::control::ControlHandler;
 use crate::event::{EventKind, EventQueue};
-use crate::fault::{FaultModel, FaultPlan, WireFate};
+use crate::fault::{FaultModel, FaultPlan};
+use crate::link::{Link, LinkWork, Outbound};
 use crate::net::{LatencyModel, NetworkConfig};
-use crate::reliable::{
-    backoff_nanos, check_decoded_tag, CopyKind, LinkId, ReliableState, TagCheck,
-};
+use crate::reliable::{CopyKind, ReliableState};
 use crate::stats::{MessageStats, PartyKind, RunReport};
 use crate::sysapi::{Received, SysApi};
 use crate::threadproc::{Resume, Shared, SpawnKind, SpawnRequest, ThreadCtx, YieldMsg};
@@ -54,7 +52,7 @@ struct ThreadedEntry {
     pid: ProcessId,
     name: String,
     shared: Arc<Mutex<Shared>>,
-    resume_tx: Sender<Resume>,
+    resume_tx: SyncSender<Resume>,
     yield_rx: Receiver<YieldMsg>,
     join: Option<JoinHandle<()>>,
     control: Option<Box<dyn ControlHandler>>,
@@ -170,14 +168,10 @@ impl RuntimeBuilder {
         }
         let mut queue = EventQueue::new();
         let reliable = self.reliable || self.faults.is_some();
-        let (rto_nanos, max_retransmits) = self
-            .faults
-            .as_ref()
-            .map(|p| (p.retransmit_timeout().as_nanos(), p.retransmit_cap()))
-            .unwrap_or_else(|| {
-                let d = FaultPlan::default();
-                (d.retransmit_timeout().as_nanos(), d.retransmit_cap())
-            });
+        let default_plan = FaultPlan::default();
+        let timing = self.faults.as_ref().unwrap_or(&default_plan);
+        let rto_nanos = timing.retransmit_timeout().as_nanos();
+        let max_retransmits = timing.retransmit_cap();
         let fault = self.faults.map(|plan| {
             for c in plan.crashes() {
                 let up_at = c.at + c.down_for;
@@ -209,7 +203,6 @@ impl RuntimeBuilder {
                 None
             },
             down: BTreeMap::new(),
-            rto_nanos,
             max_retransmits,
             tracer: self.tracer.unwrap_or_default(),
         }
@@ -237,7 +230,6 @@ pub struct SimRuntime {
     rel: Option<ReliableState>,
     /// Crashed processes: raw pid -> restart time (for wake deferral).
     down: BTreeMap<u64, VirtualTime>,
-    rto_nanos: u64,
     max_retransmits: u32,
     /// Causal-trace collector for wire events (disabled unless enabled by
     /// the owner; recording is a single atomic load when off).
@@ -428,7 +420,7 @@ impl SimRuntime {
             debug_assert!(ev.time >= self.clock, "virtual time must be monotone");
             self.clock = ev.time;
             self.events_processed += 1;
-            self.dispatch(ev.kind);
+            self.dispatch(ev.work);
         }
         self.report(hit_limit)
     }
@@ -442,10 +434,13 @@ impl SimRuntime {
                 Some(&up_at) => self.queue.push(up_at, EventKind::Wake(pid)),
                 None => self.wake(pid),
             },
-            EventKind::Deliver { env, copy } => self.deliver(env, copy),
+            EventKind::Link(LinkWork::Deliver { env, copy }) => self.deliver(env, copy),
+            EventKind::Link(LinkWork::Retransmit { link, seq, attempt }) => {
+                let cap = self.max_retransmits;
+                self.step(self.clock, |l, out| l.timer(link, seq, attempt, cap, out));
+            }
             EventKind::Crash { pid, up_at } => self.crash(pid, up_at),
             EventKind::Restart(pid) => self.restart(pid),
-            EventKind::Retransmit { link, seq, attempt } => self.retransmit(link, seq, attempt),
         }
     }
 
@@ -468,7 +463,7 @@ impl SimRuntime {
         let mut pending: Vec<crate::sched::PendingEvent> = self
             .queue
             .iter()
-            .filter(|e| self.schedulable(&e.kind))
+            .filter(|e| self.schedulable(&e.work))
             .map(crate::sched::describe)
             .collect();
         pending.sort_by_key(|p| (p.time, p.tie));
@@ -490,7 +485,7 @@ impl SimRuntime {
             .expect("pending events are queued");
         self.clock = self.clock.max(ev.time);
         self.events_processed += 1;
-        self.dispatch(ev.kind);
+        self.dispatch(ev.work);
         true
     }
 
@@ -632,8 +627,10 @@ impl SimRuntime {
             }
             SpawnKind::Threaded { control, body } => {
                 let shared = Shared::new();
-                let (resume_tx, resume_rx) = bounded::<Resume>(0);
-                let (yield_tx, yield_rx) = bounded::<YieldMsg>(0);
+                // Zero capacity: every resume/yield is a rendezvous, which
+                // is what keeps exactly one side running at a time.
+                let (resume_tx, resume_rx) = sync_channel::<Resume>(0);
+                let (yield_tx, yield_rx) = sync_channel::<YieldMsg>(0);
                 let thread_shared = shared.clone();
                 let seed = self.seed;
                 let thread_name = format!("hope-{}-{}", pid.as_raw(), req.name);
@@ -667,6 +664,29 @@ impl SimRuntime {
         pid
     }
 
+    /// Runs one link-pipeline step at `now` on this runtime's state, then
+    /// queues what it asked for, in the order asked (event ties follow it).
+    fn step<R>(
+        &mut self,
+        now: VirtualTime,
+        f: impl FnOnce(&mut Link<'_>, &mut Outbound) -> R,
+    ) -> R {
+        let mut out = Outbound::default();
+        let mut link = Link {
+            now,
+            rel: self.rel.as_mut(),
+            stats: &mut self.stats,
+            latency: &mut *self.latency,
+            fault: self.fault.as_mut(),
+            tracer: &self.tracer,
+        };
+        let result = f(&mut link, &mut out);
+        for (delay, work) in out.into_iter().flatten() {
+            self.queue.push(now + delay, EventKind::Link(work));
+        }
+        result
+    }
+
     fn schedule_send(
         &mut self,
         src: ProcessId,
@@ -674,80 +694,7 @@ impl SimRuntime {
         payload: Payload,
         sent_at: VirtualTime,
     ) {
-        let mut env = Envelope {
-            src,
-            dst,
-            sent_at,
-            seq: 0,
-            payload,
-        };
-        // Reliable sublayer: sequence the envelope, buffer it for
-        // retransmission and arm the first timer. Acks stay unsequenced
-        // (no ack-of-ack regress) and unbuffered: a lost ack is recovered
-        // by the data retransmit it would have suppressed.
-        if let Some(rel) = self.rel.as_mut() {
-            if !matches!(env.payload, Payload::Ack { .. }) {
-                let link: LinkId = (src, dst);
-                env.seq = rel.assign_seq(link);
-                rel.track(env.clone());
-                // Piggybacked dependency tags travel delta-coded against
-                // the last set acked on this link; the typed envelope still
-                // carries the full tag in memory, so this is the wire-cost
-                // model (accounted in LinkStats) plus an end-to-end check
-                // at delivery.
-                if let Payload::User(m) = &env.payload {
-                    let coding = rel.encode_tag(link, env.seq, &m.tag);
-                    self.stats
-                        .link_mut()
-                        .record_tag(full_set_wire_len(&m.tag), &coding);
-                }
-                // The first timer uses the link's adapted RTO (the
-                // configured rto until samples arrive).
-                let rto = rel.rto_for(link);
-                self.queue.push(
-                    sent_at + VirtualDuration::from_nanos(rto),
-                    EventKind::Retransmit {
-                        link,
-                        seq: env.seq,
-                        attempt: 0,
-                    },
-                );
-            }
-        }
-        if !matches!(env.payload, Payload::Ack { .. }) {
-            self.tracer
-                .record(src, sent_at, TraceEventKind::Send { dst, seq: env.seq });
-        }
-        self.transmit(env, sent_at, CopyKind::Original);
-    }
-
-    /// Puts one envelope on the wire: consults the fault model, then
-    /// schedules delivery (and possibly a duplicate) with sampled latency.
-    /// `copy` records this transmission's provenance; a fault-injected
-    /// extra copy is always tagged [`CopyKind::WireDup`].
-    fn transmit(&mut self, env: Envelope, at: VirtualTime, copy: CopyKind) {
-        let fate = match self.fault.as_mut() {
-            Some(model) => model.wire_fate(),
-            None => WireFate::CLEAN,
-        };
-        if !fate.deliver {
-            self.stats.link_mut().fault_dropped += 1;
-            return;
-        }
-        if fate.duplicate {
-            let extra = self.latency.sample(env.src, env.dst, at);
-            self.stats.link_mut().duplicated += 1;
-            self.queue.push(
-                at + extra,
-                EventKind::Deliver {
-                    env: env.clone(),
-                    copy: CopyKind::WireDup,
-                },
-            );
-        }
-        let latency = self.latency.sample(env.src, env.dst, at);
-        self.queue
-            .push(at + latency, EventKind::Deliver { env, copy });
+        self.step(sent_at, |link, out| link.send(src, dst, payload, out));
     }
 
     fn crash(&mut self, pid: ProcessId, up_at: VirtualTime) {
@@ -819,46 +766,6 @@ impl SimRuntime {
         }
     }
 
-    fn retransmit(&mut self, link: LinkId, seq: u64, attempt: u32) {
-        let env = match self.rel.as_ref().and_then(|rel| rel.unacked(link, seq)) {
-            Some(env) => env.clone(),
-            None => return, // acked in the meantime: timer expires silently
-        };
-        if attempt >= self.max_retransmits {
-            if let Some(rel) = self.rel.as_mut() {
-                rel.abandon(link, seq);
-            }
-            self.stats.link_mut().abandoned += 1;
-            return;
-        }
-        self.stats.link_mut().retransmits += 1;
-        self.tracer.record(
-            link.0,
-            self.clock,
-            TraceEventKind::Retransmit { dst: link.1, seq },
-        );
-        let next = attempt + 1;
-        let rto = self
-            .rel
-            .as_ref()
-            .map_or(self.rto_nanos, |r| r.rto_for(link));
-        if let Some(rel) = self.rel.as_mut() {
-            rel.mark_retransmitted(link, seq);
-        }
-        let link_stats = self.stats.link_mut();
-        link_stats.max_retransmit_attempt = link_stats.max_retransmit_attempt.max(next as u64);
-        let delay = backoff_nanos(rto, next);
-        self.queue.push(
-            self.clock + VirtualDuration::from_nanos(delay),
-            EventKind::Retransmit {
-                link,
-                seq,
-                attempt: next,
-            },
-        );
-        self.transmit(env, self.clock, CopyKind::Retransmit);
-    }
-
     fn wake(&mut self, pid: ProcessId) {
         let idx = pid.as_raw() as usize;
         let runnable = matches!(
@@ -873,87 +780,23 @@ impl SimRuntime {
 
     fn deliver(&mut self, env: Envelope, copy: CopyKind) {
         let idx = env.dst.as_raw() as usize;
-        if idx >= self.procs.len() {
-            self.stats.link_mut().unroutable += 1;
-            self.stats.record_dropped();
+        let down = self.down.contains_key(&env.dst.as_raw());
+        let route =
+            (idx < self.procs.len()).then(|| (self.party_kind(env.src), self.party_kind(env.dst)));
+        let samples = self.stats.link().rtt_samples;
+        let deliver = self.step(self.clock, |link, out| {
+            link.arrive(&env, copy, down, route, out)
+        });
+        // `srtt_nanos` is the mean across sampled links *at the last
+        // sample*, so it is refreshed per sample here (the threaded
+        // runtime recomputes it from its stripes at report time).
+        if self.stats.link().rtt_samples != samples {
+            let srtt = self.rel.as_ref().map_or(0, ReliableState::mean_srtt_nanos);
+            self.stats.link_mut().srtt_nanos = srtt;
+        }
+        if !deliver {
             return;
         }
-        // A crashed destination's wire is dead: nothing arrives, nothing
-        // is acked (the sender's retransmits carry the message past the
-        // down window).
-        if self.down.contains_key(&env.dst.as_raw()) {
-            self.stats.link_mut().crash_dropped += 1;
-            return;
-        }
-        // Link-layer ack: retire the sender's retransmit buffer entry and
-        // stop — acks never reach a process.
-        if let Payload::Ack { seq } = env.payload {
-            self.stats.link_mut().acks += 1;
-            if let Some(rel) = self.rel.as_mut() {
-                let out = rel.acknowledge_at((env.dst, env.src), seq, self.clock.as_nanos());
-                if out.rtt_sample_nanos.is_some() {
-                    let srtt = rel.mean_srtt_nanos();
-                    let link_stats = self.stats.link_mut();
-                    link_stats.rtt_samples += 1;
-                    link_stats.srtt_nanos = srtt;
-                }
-            }
-            return;
-        }
-        // Reliable data envelope: ack every arrival (a duplicate usually
-        // means the first ack was lost), deliver only the first.
-        if env.seq > 0 && self.rel.is_some() {
-            self.schedule_send(env.dst, env.src, Payload::Ack { seq: env.seq }, self.clock);
-            let first = self
-                .rel
-                .as_mut()
-                .expect("checked above")
-                .accept((env.src, env.dst), env.seq);
-            if !first {
-                self.stats.link_mut().record_dedup(copy);
-                return;
-            }
-            // Reconstruct the delta-coded dependency tag and check it
-            // against the typed tag the in-memory envelope carries. The
-            // typed tag is authoritative either way; a mismatch means the
-            // link's codec pair diverged, so it is counted, traced, and
-            // the codec is reset to `Full` rather than trusted further.
-            if let Payload::User(m) = &env.payload {
-                let rel = self.rel.as_mut().expect("checked above");
-                match check_decoded_tag(rel.decode_tag((env.src, env.dst), env.seq), &m.tag) {
-                    TagCheck::Mismatch => {
-                        rel.force_tag_resync((env.src, env.dst));
-                        self.stats.link_mut().tag_decode_mismatch += 1;
-                        self.tracer.record(
-                            env.dst,
-                            self.clock,
-                            TraceEventKind::TagDecodeMismatch {
-                                src: env.src,
-                                seq: env.seq,
-                            },
-                        );
-                    }
-                    TagCheck::LostBase => self.stats.link_mut().tag_resyncs += 1,
-                    TagCheck::Ok => {}
-                }
-            }
-        }
-        let kind: &'static str = match &env.payload {
-            Payload::User(_) => "User",
-            Payload::Hope(m) => m.kind(),
-            Payload::Ack { .. } => unreachable!("acks are consumed above"),
-        };
-        let from = self.party_kind(env.src);
-        let to = self.party_kind(env.dst);
-        self.stats.record(kind, from, to);
-        self.tracer.record(
-            env.dst,
-            self.clock,
-            TraceEventKind::Deliver {
-                src: env.src,
-                seq: env.seq,
-            },
-        );
         if let Some(trace) = self.trace.as_mut() {
             trace.record(self.clock, env.src, env.dst, &env.payload);
         }
@@ -966,7 +809,7 @@ impl SimRuntime {
             ProcSlot::Threaded(_) => match env.payload {
                 Payload::User(msg) => self.deliver_user(idx, env.src, msg),
                 Payload::Hope(hope) => self.dispatch_control(env.dst, env.src, hope),
-                Payload::Ack { .. } => unreachable!("acks are consumed above"),
+                Payload::Ack { .. } => unreachable!("acks are consumed by the link layer"),
             },
         }
     }
@@ -1138,7 +981,7 @@ impl Drop for SimRuntime {
     }
 }
 
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {

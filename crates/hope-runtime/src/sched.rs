@@ -14,6 +14,7 @@ use std::hash::{Hash, Hasher};
 use hope_types::{Envelope, Payload, ProcessId, VirtualTime};
 
 use crate::event::{Event, EventKind};
+use crate::link::LinkWork;
 
 /// What a queued event will do when fired, as visible to an external
 /// scheduling strategy. Identity-level only — payload contents are folded
@@ -98,9 +99,9 @@ pub trait SchedulePolicy {
 
 /// Builds the external-scheduler view of one queued event.
 pub(crate) fn describe(ev: &Event) -> PendingEvent {
-    let desc = match &ev.kind {
+    let desc = match &ev.work {
         // `copy` is accounting metadata, invisible to schedulers.
-        EventKind::Deliver { env, .. } => EventDesc::Deliver {
+        EventKind::Link(LinkWork::Deliver { env, .. }) => EventDesc::Deliver {
             src: env.src,
             dst: env.dst,
             kind: payload_kind(&env.payload),
@@ -108,7 +109,7 @@ pub(crate) fn describe(ev: &Event) -> PendingEvent {
         EventKind::Wake(pid) => EventDesc::Wake(*pid),
         EventKind::Crash { pid, .. } => EventDesc::Crash(*pid),
         EventKind::Restart(pid) => EventDesc::Restart(*pid),
-        EventKind::Retransmit { link, seq, .. } => EventDesc::Retransmit {
+        EventKind::Link(LinkWork::Retransmit { link, seq, .. }) => EventDesc::Retransmit {
             src: link.0,
             dst: link.1,
             seq: *seq,
@@ -122,7 +123,9 @@ pub(crate) fn describe(ev: &Event) -> PendingEvent {
     }
 }
 
-fn payload_kind(payload: &Payload) -> &'static str {
+/// The Table 1 / scheduler name of a payload: "User", "Ack", or the HOPE
+/// message kind.
+pub(crate) fn payload_kind(payload: &Payload) -> &'static str {
     match payload {
         Payload::User(_) => "User",
         Payload::Hope(m) => m.kind(),
@@ -135,10 +138,10 @@ fn payload_kind(payload: &Payload) -> &'static str {
 pub(crate) fn content_hash(ev: &Event) -> u64 {
     let mut h = std::collections::hash_map::DefaultHasher::new();
     ev.time.as_nanos().hash(&mut h);
-    match &ev.kind {
+    match &ev.work {
         // `copy` is deliberately not hashed: two in-flight copies of one
         // message are interchangeable regardless of how they arose.
-        EventKind::Deliver { env, .. } => {
+        EventKind::Link(LinkWork::Deliver { env, .. }) => {
             0u8.hash(&mut h);
             hash_envelope(env, &mut h);
         }
@@ -155,7 +158,7 @@ pub(crate) fn content_hash(ev: &Event) -> u64 {
             3u8.hash(&mut h);
             pid.as_raw().hash(&mut h);
         }
-        EventKind::Retransmit { link, seq, attempt } => {
+        EventKind::Link(LinkWork::Retransmit { link, seq, attempt }) => {
             4u8.hash(&mut h);
             link.0.as_raw().hash(&mut h);
             link.1.as_raw().hash(&mut h);

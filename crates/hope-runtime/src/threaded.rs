@@ -52,21 +52,19 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use hope_types::{
-    full_set_wire_len, Envelope, Payload, ProcessId, TraceEventKind, VirtualDuration, VirtualTime,
-};
+use hope_types::{Envelope, Payload, ProcessId, TraceEventKind, VirtualDuration, VirtualTime};
 
 use crate::actor::{Actor, ActorApi};
 use crate::control::{ControlApi, ControlHandler};
-use crate::fault::{FaultModel, FaultPlan, WireFate};
+use crate::event::Timed;
+use crate::fault::{FaultModel, FaultPlan};
+use crate::link::{state_link, Link, LinkWork, Outbound, StatsSink};
 use crate::net::{LatencyModel, NetworkConfig};
-use crate::reliable::{
-    backoff_nanos, check_decoded_tag, CopyKind, LinkId, ReliableState, TagCheck,
-};
+use crate::reliable::{CopyKind, LinkId, ReliableState};
 use crate::shard::{shard_of, Doorbell, TableReader, VersionedTable};
 use crate::spsc;
 use crate::stats::{MessageStats, PartyKind, RunReport};
@@ -92,45 +90,17 @@ const PARK_BACKSTOP: Duration = Duration::from_millis(5);
 
 /// What a scheduled shard work item does when it comes due.
 enum Work {
-    /// Deliver one envelope; `copy` is its provenance (accounting only).
-    Deliver(Envelope, CopyKind),
-    /// Reliable-sublayer retransmission timer for `(link, seq)`.
-    Retransmit {
-        link: LinkId,
-        seq: u64,
-        attempt: u32,
-    },
+    /// Link-layer work: a message arrival or a retransmission timer.
+    Link(LinkWork),
     /// Take a process down until `up_at` (fault injection).
     Crash { pid: ProcessId, up_at: Instant },
     /// Bring a crashed process back up and run its recovery hook.
     Restart(ProcessId),
 }
 
-/// A shard work item scheduled for a wall-clock instant.
-struct Scheduled {
-    due: Instant,
-    seq: u64,
-    work: Work,
-}
-
-impl PartialEq for Scheduled {
-    fn eq(&self, other: &Self) -> bool {
-        self.due == other.due && self.seq == other.seq
-    }
-}
-impl Eq for Scheduled {}
-impl PartialOrd for Scheduled {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Scheduled {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Min-heap by due time; the global sequence number breaks ties in
-        // schedule order, shard-count-independently.
-        (other.due, other.seq).cmp(&(self.due, self.seq))
-    }
-}
+/// A shard work item scheduled for a wall-clock instant; `tie` is the
+/// runtime-global schedule counter (`Inner::seq`).
+type Scheduled = Timed<Instant, Work>;
 
 /// Per-threaded-process shared state.
 struct ProcShared {
@@ -179,6 +149,17 @@ impl ProcShared {
         let mut spill = self.spill.lock();
         spill.push_back(item);
         self.spilled.store(true, Ordering::Release);
+    }
+
+    /// Rings the process after mail was pushed or a poke was set. It now
+    /// has work it has not seen, so it stops counting as idle here, on the
+    /// shard, before the batch's `in_flight` decrement: its own thread
+    /// clears the flag only once it is scheduled again, and a quiescence
+    /// sample landing in between would find nothing in flight and
+    /// everyone idle in the middle of a run.
+    fn rouse(&self) {
+        self.idle.store(false, Ordering::Release);
+        self.bell.notify();
     }
 }
 
@@ -246,6 +227,19 @@ struct Lane {
     stats: Arc<Mutex<MessageStats>>,
 }
 
+/// A lane's statistics as lent to one link-pipeline step: locked on
+/// first use, held to the end of the step.
+struct LaneStats<'a> {
+    lane: &'a Mutex<MessageStats>,
+    held: Option<MutexGuard<'a, MessageStats>>,
+}
+
+impl StatsSink for LaneStats<'_> {
+    fn stats(&mut self) -> &mut MessageStats {
+        self.held.get_or_insert_with(|| self.lane.lock())
+    }
+}
+
 impl Lane {
     /// Hands one work item to shard `ix`: wait-free ring push on the fast
     /// path, mutex overflow when the ring is full, then the doorbell.
@@ -310,7 +304,13 @@ struct Inner {
 
 impl Inner {
     fn now(&self) -> VirtualTime {
-        VirtualTime::from_nanos(self.start.elapsed().as_nanos().min(u64::MAX as u128) as u64)
+        self.virt(Instant::now())
+    }
+
+    /// `at` on the runtime's virtual axis: nanoseconds since start.
+    fn virt(&self, at: Instant) -> VirtualTime {
+        let since = at.saturating_duration_since(self.start);
+        VirtualTime::from_nanos(since.as_nanos().min(u64::MAX as u128) as u64)
     }
 
     /// The reliable-state stripe owning `link`, when the sublayer is on.
@@ -349,241 +349,102 @@ impl Inner {
     fn shard_for(&self, work: &Work) -> usize {
         let n = self.shards.len();
         match work {
-            Work::Deliver(env, _) => shard_of(env.dst, n),
-            Work::Retransmit { link, .. } => shard_of(link.1, n),
-            Work::Crash { pid, .. } => shard_of(*pid, n),
-            Work::Restart(pid) => shard_of(*pid, n),
+            Work::Link(LinkWork::Deliver { env, .. }) => shard_of(env.dst, n),
+            Work::Link(LinkWork::Retransmit { link, .. }) => shard_of(link.1, n),
+            Work::Crash { pid, .. } | Work::Restart(pid) => shard_of(*pid, n),
         }
     }
 
     /// Hands one work item to its owning shard; `in_flight` counts every
     /// queued item (deliveries *and* timers) so quiescence waits for the
     /// reliable sublayer to settle.
-    fn schedule(&self, lane: &mut Lane, due: Instant, work: Work) {
+    fn schedule(&self, lane: &mut Lane, time: Instant, work: Work) {
         self.in_flight.fetch_add(1, Ordering::AcqRel);
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
+        let tie = self.seq.fetch_add(1, Ordering::Relaxed);
         let ix = self.shard_for(&work);
-        lane.push(&self.shards, ix, Scheduled { due, seq, work });
+        lane.push(&self.shards, ix, Scheduled { time, tie, work });
     }
 
     /// Laneless scheduling for threads that never send in volume (the
     /// builder arming crash timers): straight to the overflow queue.
-    fn schedule_external(&self, due: Instant, work: Work) {
+    fn schedule_external(&self, time: Instant, work: Work) {
         self.in_flight.fetch_add(1, Ordering::AcqRel);
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
+        let tie = self.seq.fetch_add(1, Ordering::Relaxed);
         let shard = &self.shards[self.shard_for(&work)];
         shard
             .overflow
             .lock()
-            .push_back(Scheduled { due, seq, work });
+            .push_back(Scheduled { time, tie, work });
         shard.overflowed.store(true, Ordering::Release);
         shard.bell.notify();
+    }
+
+    /// Runs one link-pipeline step for `link` on `lane` at one clock
+    /// reading, then schedules what it asked for. The link's stripe and the
+    /// lane's stats are held for the step only — never across the ring
+    /// pushes — and a step takes exactly one stripe: the ack it may emit is
+    /// unsequenced, so it needs no state of the reverse link (two links
+    /// can share a stripe).
+    fn step<R>(
+        &self,
+        lane: &mut Lane,
+        link: LinkId,
+        f: impl FnOnce(&mut Link<'_>, &mut Outbound) -> R,
+    ) -> R {
+        let at = Instant::now();
+        let mut out = Outbound::default();
+        let result = {
+            let mut rel = self.rel_stripe(link).map(|stripe| stripe.lock());
+            let mut stats = LaneStats {
+                lane: &lane.stats,
+                held: None,
+            };
+            let mut link = Link {
+                now: self.virt(at),
+                rel: rel.as_deref_mut(),
+                stats: &mut stats,
+                latency: &mut *lane.latency,
+                fault: lane.fault.as_mut(),
+                tracer: &self.tracer,
+            };
+            f(&mut link, &mut out)
+        };
+        for (delay, work) in out.iter_mut().filter_map(Option::take) {
+            self.schedule(lane, at + Duration::from(delay), Work::Link(work));
+        }
+        result
     }
 
     fn send(&self, lane: &mut Lane, src: ProcessId, dst: ProcessId, payload: Payload) {
         if self.shutdown.load(Ordering::Acquire) {
             return;
         }
-        let mut envelope = Envelope {
-            src,
-            dst,
-            sent_at: self.now(),
-            seq: 0,
-            payload,
-        };
-        // Reliable sublayer: sequence, buffer for retransmission, arm the
-        // first timer. Acks stay unsequenced and unbuffered. Only this
-        // link's stripe is locked, and never across the schedule calls.
-        if !matches!(envelope.payload, Payload::Ack { .. }) {
-            if let Some(stripe) = self.rel_stripe((src, dst)) {
-                let link: LinkId = (src, dst);
-                let mut rel = stripe.lock();
-                envelope.seq = rel.assign_seq(link);
-                rel.track(envelope.clone());
-                // Dependency tags travel delta-coded against the last set
-                // acked on this link (see SimRuntime::schedule_send).
-                let tag_accounting = match &envelope.payload {
-                    Payload::User(m) => Some((
-                        full_set_wire_len(&m.tag),
-                        rel.encode_tag(link, envelope.seq, &m.tag),
-                    )),
-                    _ => None,
-                };
-                // First timer on the link's adapted RTO (configured rto
-                // until round-trip samples arrive).
-                let rto = Duration::from_nanos(rel.rto_for(link));
-                drop(rel);
-                if let Some((full, coding)) = tag_accounting {
-                    lane.stats.lock().link_mut().record_tag(full, &coding);
-                }
-                self.schedule(
-                    lane,
-                    Instant::now() + rto,
-                    Work::Retransmit {
-                        link,
-                        seq: envelope.seq,
-                        attempt: 0,
-                    },
-                );
-            }
-        }
-        if !matches!(envelope.payload, Payload::Ack { .. }) {
-            self.tracer.record(
-                src,
-                envelope.sent_at,
-                TraceEventKind::Send {
-                    dst,
-                    seq: envelope.seq,
-                },
-            );
-        }
-        self.transmit(lane, envelope, CopyKind::Original);
-    }
-
-    /// Puts one envelope on the wire: the lane's fault model first, then
-    /// its latency model. A fault-injected extra copy is always tagged
-    /// [`CopyKind::WireDup`].
-    fn transmit(&self, lane: &mut Lane, envelope: Envelope, copy: CopyKind) {
-        let fate = match lane.fault.as_mut() {
-            Some(model) => model.wire_fate(),
-            None => WireFate::CLEAN,
-        };
-        if !fate.deliver {
-            lane.stats.lock().link_mut().fault_dropped += 1;
-            return;
-        }
-        if fate.duplicate {
-            let extra = lane.latency.sample(envelope.src, envelope.dst, self.now());
-            lane.stats.lock().link_mut().duplicated += 1;
-            self.schedule(
-                lane,
-                Instant::now() + Duration::from(extra),
-                Work::Deliver(envelope.clone(), CopyKind::WireDup),
-            );
-        }
-        let latency = lane.latency.sample(envelope.src, envelope.dst, self.now());
-        self.schedule(
-            lane,
-            Instant::now() + Duration::from(latency),
-            Work::Deliver(envelope, copy),
-        );
+        self.step(lane, (src, dst), |link, out| {
+            link.send(src, dst, payload, out)
+        });
     }
 
     /// Shard-side delivery of one due envelope.
     fn deliver(self: &Arc<Self>, sctx: &mut ShardCtx, envelope: Envelope, copy: CopyKind) {
-        // Crashed destination: the wire is dead until restart. The crash
-        // window lives on this shard (the destination's owner), so the
-        // check is a local map lookup.
-        if sctx.down.contains_key(&envelope.dst.as_raw()) {
-            sctx.lane.stats.lock().link_mut().crash_dropped += 1;
-            return;
-        }
-        // Link-layer ack: retire the retransmit buffer entry; never
-        // delivered to a process.
-        if let Payload::Ack { seq } = envelope.payload {
-            sctx.lane.stats.lock().link_mut().acks += 1;
-            if let Some(stripe) = self.rel_stripe((envelope.dst, envelope.src)) {
-                let out = stripe.lock().acknowledge_at(
-                    (envelope.dst, envelope.src),
-                    seq,
-                    self.now().as_nanos(),
-                );
-                if out.rtt_sample_nanos.is_some() {
-                    // srtt_nanos is recomputed from the reliable stripes
-                    // at report time; merging per-lane means would skew.
-                    sctx.lane.stats.lock().link_mut().rtt_samples += 1;
-                }
-            }
-            return;
-        }
-        // Reliable data envelope: ack every arrival, deliver only the
-        // first copy.
-        if envelope.seq > 0 {
-            if let Some(stripe) = self.rel_stripe((envelope.src, envelope.dst)) {
-                let first = stripe
-                    .lock()
-                    .accept((envelope.src, envelope.dst), envelope.seq);
-                self.send(
-                    &mut sctx.lane,
-                    envelope.dst,
-                    envelope.src,
-                    Payload::Ack { seq: envelope.seq },
-                );
-                if !first {
-                    sctx.lane.stats.lock().link_mut().record_dedup(copy);
-                    return;
-                }
-                // Reconstruct the delta-coded dependency tag and check it
-                // against the typed tag the in-memory envelope carries.
-                // On divergence the typed tag is delivered, the mismatch
-                // is counted and traced, and the link codec is forced back
-                // to `Full` (see SimRuntime::deliver).
-                if let Payload::User(m) = &envelope.payload {
-                    let verdict = {
-                        let mut rel = stripe.lock();
-                        let verdict = check_decoded_tag(
-                            rel.decode_tag((envelope.src, envelope.dst), envelope.seq),
-                            &m.tag,
-                        );
-                        if verdict == TagCheck::Mismatch {
-                            rel.force_tag_resync((envelope.src, envelope.dst));
-                        }
-                        verdict
-                    };
-                    match verdict {
-                        TagCheck::Mismatch => {
-                            sctx.lane.stats.lock().link_mut().tag_decode_mismatch += 1;
-                            self.tracer.record(
-                                envelope.dst,
-                                self.now(),
-                                TraceEventKind::TagDecodeMismatch {
-                                    src: envelope.src,
-                                    seq: envelope.seq,
-                                },
-                            );
-                        }
-                        TagCheck::LostBase => {
-                            sctx.lane.stats.lock().link_mut().tag_resyncs += 1;
-                        }
-                        TagCheck::Ok => {}
-                    }
-                }
-            }
-        }
-        let kind: &'static str = match &envelope.payload {
-            Payload::User(_) => "User",
-            Payload::Hope(m) => m.kind(),
-            Payload::Ack { .. } => unreachable!("acks are consumed above"),
+        // The crash window lives on this shard (the destination's owner),
+        // so the down check is a local map lookup; one version-validated
+        // table read covers routing and Table 1 party classification for
+        // both endpoints.
+        let down = sctx.down.contains_key(&envelope.dst.as_raw());
+        let procs = sctx.reader.get(&self.procs);
+        let party = |pid: ProcessId| match procs.get(pid.as_raw() as usize).map(Arc::as_ref) {
+            Some(Slot::Actor { .. }) => PartyKind::Aid,
+            _ => PartyKind::User,
         };
-        // One version-validated read covers routing and Table 1 party
-        // classification for both endpoints.
-        let (from, to, slot) = {
-            let procs = sctx.reader.get(&self.procs);
-            let pk = |pid: ProcessId| match procs.get(pid.as_raw() as usize).map(Arc::as_ref) {
-                Some(Slot::Actor { .. }) => PartyKind::Aid,
-                _ => PartyKind::User,
-            };
-            (
-                pk(envelope.src),
-                pk(envelope.dst),
-                procs.get(envelope.dst.as_raw() as usize).cloned(),
-            )
-        };
-        let Some(slot) = slot else {
-            let mut stats = sctx.lane.stats.lock();
-            stats.link_mut().unroutable += 1;
-            stats.record_dropped();
+        let slot = procs.get(envelope.dst.as_raw() as usize);
+        let route = slot.map(|_| (party(envelope.src), party(envelope.dst)));
+        let deliver = self.step(&mut sctx.lane, state_link(&envelope), |link, out| {
+            link.arrive(&envelope, copy, down, route, out)
+        });
+        let (true, Some(slot)) = (deliver, slot) else {
             return;
         };
-        sctx.lane.stats.lock().record(kind, from, to);
-        self.tracer.record(
-            envelope.dst,
-            self.now(),
-            TraceEventKind::Deliver {
-                src: envelope.src,
-                seq: envelope.seq,
-            },
-        );
+        let slot = slot.clone();
         match slot.as_ref() {
             Slot::Gone => {
                 sctx.lane.stats.lock().record_dropped();
@@ -615,7 +476,7 @@ impl Inner {
                         src: envelope.src,
                         msg,
                     });
-                    shared.bell.notify();
+                    shared.rouse();
                 }
                 Payload::Hope(hope) => {
                     let wake = {
@@ -635,10 +496,10 @@ impl Inner {
                     };
                     if wake {
                         shared.control_poke.store(true, Ordering::Release);
-                        shared.bell.notify();
+                        shared.rouse();
                     }
                 }
-                Payload::Ack { .. } => unreachable!("acks are consumed above"),
+                Payload::Ack { .. } => unreachable!("acks are consumed by the link layer"),
             },
             Slot::Gateway { sink, .. } => {
                 sink(envelope);
@@ -715,55 +576,9 @@ impl Inner {
             };
             if wake {
                 shared.control_poke.store(true, Ordering::Release);
-                shared.bell.notify();
+                shared.rouse();
             }
         }
-    }
-
-    /// Retransmission timer: resend if still unacked, rearm with doubled
-    /// delay, abandon past the cap.
-    fn retransmit(self: &Arc<Self>, sctx: &mut ShardCtx, link: LinkId, seq: u64, attempt: u32) {
-        let Some(stripe) = self.rel_stripe(link) else {
-            return;
-        };
-        let envelope = match stripe.lock().unacked(link, seq) {
-            Some(env) => env.clone(),
-            None => return, // acked in the meantime
-        };
-        if attempt >= self.max_retransmits {
-            stripe.lock().abandon(link, seq);
-            sctx.lane.stats.lock().link_mut().abandoned += 1;
-            return;
-        }
-        let rto = {
-            let mut rel = stripe.lock();
-            rel.mark_retransmitted(link, seq);
-            rel.rto_for(link)
-        };
-        {
-            let mut stats = sctx.lane.stats.lock();
-            let link_stats = stats.link_mut();
-            link_stats.retransmits += 1;
-            link_stats.max_retransmit_attempt =
-                link_stats.max_retransmit_attempt.max((attempt + 1) as u64);
-        }
-        self.tracer.record(
-            link.0,
-            self.now(),
-            TraceEventKind::Retransmit { dst: link.1, seq },
-        );
-        let next = attempt + 1;
-        let delay = Duration::from_nanos(backoff_nanos(rto, next));
-        self.schedule(
-            &mut sctx.lane,
-            Instant::now() + delay,
-            Work::Retransmit {
-                link,
-                seq,
-                attempt: next,
-            },
-        );
-        self.transmit(&mut sctx.lane, envelope, CopyKind::Retransmit);
     }
 
     /// Merges every lane's statistics and recomputes the reliable-layer
@@ -851,14 +666,16 @@ fn shard_main(inner: Arc<Inner>, ix: usize) {
         // Process everything due.
         let mut processed = 0u64;
         while let Some(next) = heap.peek() {
-            if next.due > Instant::now() {
+            if next.time > Instant::now() {
                 break;
             }
             let item = heap.pop().expect("peeked");
             match item.work {
-                Work::Deliver(envelope, copy) => inner.deliver(&mut sctx, envelope, copy),
-                Work::Retransmit { link, seq, attempt } => {
-                    inner.retransmit(&mut sctx, link, seq, attempt);
+                Work::Link(LinkWork::Deliver { env, copy }) => inner.deliver(&mut sctx, env, copy),
+                Work::Link(LinkWork::Retransmit { link, seq, attempt }) => {
+                    inner.step(&mut sctx.lane, link, |l, out| {
+                        l.timer(link, seq, attempt, inner.max_retransmits, out)
+                    });
                 }
                 Work::Crash { pid, up_at } => inner.crash(&mut sctx, pid, up_at),
                 Work::Restart(pid) => inner.restart(&mut sctx, pid),
@@ -873,7 +690,7 @@ fn shard_main(inner: Arc<Inner>, ix: usize) {
         }
         let wait = match heap.peek() {
             Some(next) => next
-                .due
+                .time
                 .saturating_duration_since(Instant::now())
                 .min(PARK_BACKSTOP),
             None => PARK_BACKSTOP,
@@ -1167,14 +984,10 @@ impl ThreadedRuntimeBuilder {
             }
         }
         let reliable = self.reliable || self.faults.is_some();
-        let (rto, max_retransmits) = self
-            .faults
-            .as_ref()
-            .map(|p| (Duration::from(p.retransmit_timeout()), p.retransmit_cap()))
-            .unwrap_or_else(|| {
-                let d = FaultPlan::default();
-                (Duration::from(d.retransmit_timeout()), d.retransmit_cap())
-            });
+        let default_plan = FaultPlan::default();
+        let timing = self.faults.as_ref().unwrap_or(&default_plan);
+        let rto_nanos = timing.retransmit_timeout().as_nanos();
+        let max_retransmits = timing.retransmit_cap();
         let start = Instant::now();
         let crashes: Vec<_> = self
             .faults
@@ -1189,7 +1002,6 @@ impl ThreadedRuntimeBuilder {
                     .unwrap_or(1)
             })
             .max(1);
-        let rto_nanos = rto.as_nanos().min(u64::MAX as u128) as u64;
         let inner = Arc::new(Inner {
             procs: VersionedTable::new(),
             shards: (0..nshards).map(|_| Arc::new(ShardHandle::new())).collect(),
@@ -1316,13 +1128,7 @@ impl ThreadedRuntime {
                 let result =
                     std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(&mut ctx)));
                 if let Err(payload) = result {
-                    let msg = if let Some(s) = payload.downcast_ref::<&str>() {
-                        (*s).to_string()
-                    } else if let Some(s) = payload.downcast_ref::<String>() {
-                        s.clone()
-                    } else {
-                        "non-string panic payload".to_string()
-                    };
+                    let msg = crate::runtime::panic_message(payload.as_ref());
                     *thread_shared.panic.lock() = Some(msg);
                 }
                 thread_shared.done.store(true, Ordering::Release);
@@ -1370,8 +1176,12 @@ impl ThreadedRuntime {
     pub fn inject(&self, envelope: Envelope) {
         let mut envelope = envelope;
         envelope.seq = 0;
+        let work = LinkWork::Deliver {
+            env: envelope,
+            copy: CopyKind::Original,
+        };
         self.inner
-            .schedule_external(Instant::now(), Work::Deliver(envelope, CopyKind::Original));
+            .schedule_external(Instant::now(), Work::Link(work));
     }
 
     /// Spawns a threaded user process; its body starts running at once.
@@ -1388,13 +1198,18 @@ impl ThreadedRuntime {
     }
 
     /// Waits (wall clock) until the system has been quiescent — no
-    /// messages in flight and every process idle or finished — for
-    /// `grace`, or until `timeout` elapses. Returns the run report.
+    /// messages in flight, every process idle or finished, and nothing
+    /// scheduled in between — for `grace`, or until `timeout` elapses.
+    /// Returns the run report.
     pub fn run_until_quiescent(&self, grace: Duration, timeout: Duration) -> RunReport {
         let deadline = Instant::now() + timeout;
-        let mut quiet_since: Option<Instant> = None;
+        // Start of the current quiet interval and the schedule counter
+        // then: two quiet samples bracket a quiet interval only if no work
+        // item was scheduled between them.
+        let mut quiet_since: Option<(Instant, u64)> = None;
         let mut hit_timeout = true;
         while Instant::now() < deadline {
+            let scheduled = self.inner.seq.load(Ordering::Acquire);
             let in_flight = self.inner.in_flight.load(Ordering::Acquire);
             let procs = self.inner.procs.snapshot();
             let all_idle = procs.iter().all(|slot| match slot.as_ref() {
@@ -1404,10 +1219,14 @@ impl ThreadedRuntime {
                 }
             });
             if in_flight == 0 && all_idle {
-                let since = *quiet_since.get_or_insert_with(Instant::now);
-                if since.elapsed() >= grace {
-                    hit_timeout = false;
-                    break;
+                match quiet_since {
+                    Some((since, at)) if at == scheduled => {
+                        if since.elapsed() >= grace {
+                            hit_timeout = false;
+                            break;
+                        }
+                    }
+                    _ => quiet_since = Some((Instant::now(), scheduled)),
                 }
             } else {
                 quiet_since = None;

@@ -9,9 +9,9 @@
 //! be written as ordinary blocking Rust.
 
 use std::collections::VecDeque;
+use std::sync::mpsc::{Receiver, SyncSender};
 use std::sync::Arc;
 
-use crossbeam::channel::{Receiver, Sender};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -88,7 +88,7 @@ pub(crate) struct ThreadCtx {
     pid: ProcessId,
     shared: Arc<Mutex<Shared>>,
     resume_rx: Receiver<Resume>,
-    yield_tx: Sender<YieldMsg>,
+    yield_tx: SyncSender<YieldMsg>,
     rng: StdRng,
     /// False once the runtime side has gone away.
     alive: bool,
@@ -99,7 +99,7 @@ impl ThreadCtx {
         pid: ProcessId,
         shared: Arc<Mutex<Shared>>,
         resume_rx: Receiver<Resume>,
-        yield_tx: Sender<YieldMsg>,
+        yield_tx: SyncSender<YieldMsg>,
         seed: u64,
     ) -> Self {
         ThreadCtx {
