@@ -85,8 +85,8 @@ pub use net::{
     NodeDirectory,
 };
 pub use reliable::{
-    AckOutcome, CopyKind, LinkId, ReliableState, RttEstimator, TagDecode, WALL_RTO_MAX_NANOS,
-    WALL_RTO_MIN_NANOS,
+    AckOutcome, CopyKind, LinkId, LinkRecord, ReliableState, RttEstimator, TagDecode,
+    WALL_RTO_MAX_NANOS, WALL_RTO_MIN_NANOS,
 };
 pub use runtime::{ProcessStatus, RuntimeBuilder, SimRuntime};
 pub use sched::{EventDesc, PendingEvent, SchedulePolicy};

@@ -10,10 +10,12 @@
 //! queue, thread or lock and allocates nothing of its own. [`SimRuntime`](crate::SimRuntime) and
 //! [`ThreadedRuntime`](crate::ThreadedRuntime) are its two drivers: each
 //! lends it a clock reading and the state it borrows for one step (the
-//! reliable sublayer, a statistics sink, latency and fault models, the
-//! tracer), turns the returned delays into pushes on its own queue, and
-//! keeps what is genuinely its own — process slots, mailboxes, crash
-//! windows, shards.
+//! reliable sublayer's record for the step's link, a statistics sink,
+//! latency and fault models, the tracer), turns the returned delays into
+//! pushes on its own queue, and keeps what is genuinely its own — process
+//! slots, mailboxes, crash windows, shards.
+//! A step touches one link's reliable state, so the driver looks that
+//! [`LinkRecord`] up once and no sublayer call in here names a link.
 //!
 //! The simulator defines the behaviour: `hope-check` state counts and
 //! trace bytes per seed depend on the order of random draws (a
@@ -28,7 +30,7 @@ use hope_types::{
 
 use crate::fault::{FaultModel, WireFate};
 use crate::net::LatencyModel;
-use crate::reliable::{backoff_nanos, CopyKind, LinkId, ReliableState, TagDecode};
+use crate::reliable::{backoff_nanos, CopyKind, LinkId, LinkRecord, TagDecode};
 use crate::stats::{MessageStats, PartyKind};
 
 /// A link-layer work item a driver queues until it comes due.
@@ -73,8 +75,8 @@ impl StatsSink for MessageStats {
     }
 }
 
-/// The link whose reliable state an arriving envelope touches: acks
-/// retire an entry of the reverse (data) link.
+/// The link whose record an arriving envelope touches: acks retire an
+/// entry of the reverse (data) link.
 pub(crate) fn state_link(env: &Envelope) -> LinkId {
     match env.payload {
         Payload::Ack { .. } => (env.dst, env.src),
@@ -86,9 +88,10 @@ pub(crate) fn state_link(env: &Envelope) -> LinkId {
 pub(crate) struct Link<'a> {
     /// The driver's clock reading for this step.
     pub now: VirtualTime,
-    /// Reliable-sublayer state covering the step's link; `None` when the
-    /// sublayer is off.
-    pub rel: Option<&'a mut ReliableState>,
+    /// The reliable sublayer's record for the step's link — `(src, dst)`
+    /// for a send, [`state_link`] for an arrival, the timer's own link;
+    /// `None` when the sublayer is off.
+    pub rel: Option<&'a mut LinkRecord>,
     pub stats: &'a mut dyn StatsSink,
     pub latency: &'a mut dyn LatencyModel,
     /// `None` on a fault-free wire.
@@ -111,27 +114,27 @@ impl Link<'_> {
         // suppressed) and untraced.
         if !matches!(env.payload, Payload::Ack { .. }) {
             if let Some(rel) = self.rel.as_deref_mut() {
-                let link: LinkId = (src, dst);
-                env.seq = rel.assign_seq(link);
-                rel.track(env.clone());
+                env.seq = rel.assign_seq();
                 // Piggybacked dependency tags travel delta-coded against
                 // the last set acked on this link; the typed envelope still
                 // carries the full tag in memory, so this is the wire-cost
                 // model (accounted in LinkStats) plus an end-to-end check
-                // at delivery.
+                // at delivery, where the first copy takes the coding.
+                let mut coding = None;
                 if let Payload::User(m) = &env.payload {
-                    let coding = rel.encode_tag(link, env.seq, &m.tag);
+                    let coding = coding.insert(rel.encode_tag(env.seq, &m.tag));
                     self.stats
                         .stats()
                         .link_mut()
-                        .record_tag(full_set_wire_len(&m.tag), &coding);
+                        .record_tag(full_set_wire_len(&m.tag), coding);
                 }
+                rel.track(env.clone(), coding);
                 // The first timer uses the link's adapted RTO (the
                 // configured rto until samples arrive).
                 out[0] = Some((
-                    VirtualDuration::from_nanos(rel.rto_for(link)),
+                    VirtualDuration::from_nanos(rel.rto_nanos()),
                     LinkWork::Retransmit {
-                        link,
+                        link: (src, dst),
                         seq: env.seq,
                         attempt: 0,
                     },
@@ -190,13 +193,12 @@ impl Link<'_> {
             self.stats.stats().link_mut().crash_dropped += 1;
             return false;
         }
-        let link = state_link(env);
         // Link-layer ack: retire the sender's retransmit buffer entry and
         // stop — acks never reach a process.
         if let Payload::Ack { seq } = env.payload {
             self.stats.stats().link_mut().acks += 1;
             if let Some(rel) = self.rel.as_deref_mut() {
-                let acked = rel.acknowledge_at(link, seq, self.now.as_nanos());
+                let acked = rel.acknowledge_at(seq, self.now.as_nanos());
                 if acked.rtt_sample_nanos.is_some() {
                     self.stats.stats().link_mut().rtt_samples += 1;
                 }
@@ -211,7 +213,7 @@ impl Link<'_> {
         if env.seq > 0 && self.rel.is_some() {
             self.send(env.dst, env.src, Payload::Ack { seq: env.seq }, out);
             let rel = self.rel.as_deref_mut().expect("checked above");
-            if !rel.accept(link, env.seq) {
+            if !rel.accept(env.seq) {
                 self.stats.stats().link_mut().record_dedup(copy);
                 return false;
             }
@@ -221,9 +223,9 @@ impl Link<'_> {
             // link's codec pair diverged, so it is counted, traced, and
             // the codec is reset to `Full` rather than trusted further.
             if let Payload::User(m) = &env.payload {
-                match rel.decode_tag(link, env.seq) {
+                match rel.decode_tag(env.seq) {
                     TagDecode::Decoded(tag) if tag != m.tag => {
-                        rel.force_tag_resync(link);
+                        rel.force_tag_resync();
                         self.stats.stats().link_mut().tag_decode_mismatch += 1;
                         self.tracer.record(
                             env.dst,
@@ -272,18 +274,18 @@ impl Link<'_> {
         let Some(rel) = self.rel.as_deref_mut() else {
             return;
         };
-        let Some(env) = rel.unacked(link, seq) else {
+        let Some(env) = rel.unacked(seq) else {
             return; // acked in the meantime: timer expires silently
         };
         if attempt >= max_retransmits {
-            rel.abandon(link, seq);
+            rel.abandon(seq);
             self.stats.stats().link_mut().abandoned += 1;
             return;
         }
         let env = env.clone();
         let next = attempt + 1;
-        let rto = rel.rto_for(link);
-        rel.mark_retransmitted(link, seq);
+        let rto = rel.rto_nanos();
+        rel.mark_retransmitted(seq);
         let link_stats = self.stats.stats().link_mut();
         link_stats.retransmits += 1;
         link_stats.max_retransmit_attempt = link_stats.max_retransmit_attempt.max(next as u64);
@@ -308,6 +310,7 @@ impl Link<'_> {
 mod tests {
     use super::*;
     use crate::fault::FaultPlan;
+    use crate::reliable::ReliableState;
     use crate::stats::LinkStats;
     use hope_types::{AidId, DepTag, HopeMessage, UserMessage};
 
@@ -370,7 +373,8 @@ mod tests {
             payload: Payload,
         ) -> Outbound {
             let mut out = Outbound::default();
-            self.at(now_us).send(src, dst, payload, &mut out);
+            self.at(now_us, (src, dst))
+                .send(src, dst, payload, &mut out);
             out
         }
 
@@ -383,7 +387,9 @@ mod tests {
             route: Option<(PartyKind, PartyKind)>,
         ) -> (Outbound, bool) {
             let mut out = Outbound::default();
-            let deliver = self.at(now_us).arrive(env, copy, down, route, &mut out);
+            let deliver = self
+                .at(now_us, state_link(env))
+                .arrive(env, copy, down, route, &mut out);
             (out, deliver)
         }
 
@@ -396,14 +402,16 @@ mod tests {
             cap: u32,
         ) -> Outbound {
             let mut out = Outbound::default();
-            self.at(now_us).timer(link, seq, attempt, cap, &mut out);
+            self.at(now_us, link)
+                .timer(link, seq, attempt, cap, &mut out);
             out
         }
 
-        fn at(&mut self, now_us: u64) -> Link<'_> {
+        /// What a driver does per step: one clock reading, one record.
+        fn at(&mut self, now_us: u64, link: LinkId) -> Link<'_> {
             Link {
                 now: us(now_us),
-                rel: self.rel.as_mut(),
+                rel: self.rel.as_mut().map(|rel| rel.link_mut(link)),
                 stats: &mut self.stats,
                 latency: &mut self.latency,
                 fault: self.fault.as_mut(),
@@ -623,7 +631,7 @@ mod tests {
             assert_eq!(rig.delta(), delta, "seq {seq}");
             assert!(rig.rel().unacked((p(1), p(2)), seq).is_none());
         }
-        assert_eq!(rig.rel().srtt_for((p(1), p(2))), Some(300_000));
+        assert_eq!(rig.rel().mean_srtt_nanos(), 300_000, "one sampled link");
         // A second copy of an ack is counted and changes nothing.
         let again = Envelope {
             src: p(2),

@@ -44,7 +44,9 @@ use hope_types::net::{
 use hope_types::{Envelope, HopeError, Payload, ProcessId, UserMessage, VirtualTime};
 
 use crate::net::supervisor::{BackoffPolicy, HeartbeatPolicy};
-use crate::reliable::{ReliableState, WALL_RTO_MAX_NANOS, WALL_RTO_MIN_NANOS};
+use crate::reliable::{
+    backoff_nanos, LinkId, ReliableState, WALL_RTO_MAX_NANOS, WALL_RTO_MIN_NANOS,
+};
 use crate::stats::LinkStats;
 
 /// Static cluster membership: every node's id and socket address.
@@ -203,6 +205,7 @@ struct Peer {
 }
 
 /// Per-seq retransmission bookkeeping, supervisor-local.
+#[derive(Default)]
 struct Retry {
     next_nanos: u64,
     attempt: u64,
@@ -274,7 +277,9 @@ impl NetTransport {
                 conn: Mutex::new(None),
             });
             let (sh, pr) = (Arc::clone(&shared), Arc::clone(&peer));
-            threads.push(std::thread::spawn(move || supervise(sh, pr, cmd_rx)));
+            threads.push(std::thread::spawn(move || {
+                Supervisor::new(sh, pr).run(cmd_rx)
+            }));
             peers.insert(node, peer);
         }
 
@@ -556,289 +561,227 @@ enum DialError {
 
 /// The per-peer supervisor: owns the link state machine and all socket
 /// writes for this peer.
-fn supervise(shared: Arc<Shared>, peer: Arc<Peer>, cmd_rx: Receiver<Cmd>) {
-    let tick = Duration::from_nanos(shared.cfg.tick_nanos);
-    let i_dial = shared.cfg.node < peer.node;
-    let link = (node_pid(shared.cfg.node), node_pid(peer.node));
-    let mut outstanding: BTreeMap<u64, Retry> = BTreeMap::new();
-    let mut conn: Option<TcpStream> = None;
-    let mut generation: u64 = 0;
-    let mut attempt: u32 = 0;
-    let mut next_dial: u64 = 0;
-    let mut last_tx: u64 = 0;
-    let mut ever_connected = false;
+struct Supervisor {
+    shared: Arc<Shared>,
+    peer: Arc<Peer>,
+    /// This node's data link to the peer in the reliable sublayer.
+    link: LinkId,
+    conn: Option<TcpStream>,
+    /// Counts adopted connections, so a dead reader's `Closed` cannot
+    /// take down its successor.
+    generation: u64,
+    outstanding: BTreeMap<u64, Retry>,
+    /// Consecutive failed connections: the backoff exponent.
+    attempt: u32,
+    next_dial: u64,
+    last_tx: u64,
+    ever_connected: bool,
+}
 
-    'outer: loop {
-        // Drain commands; block at most one tick so timers keep firing.
-        let mut first = Some(cmd_rx.recv_timeout(tick));
-        loop {
-            let cmd = match first.take() {
-                Some(Ok(c)) => c,
-                Some(Err(RecvTimeoutError::Timeout)) => break,
-                Some(Err(RecvTimeoutError::Disconnected)) => break 'outer,
-                None => match cmd_rx.try_recv() {
-                    Ok(c) => c,
-                    Err(_) => break,
-                },
-            };
-            match cmd {
-                Cmd::Send(seq) => {
-                    outstanding.insert(
-                        seq,
-                        Retry {
-                            next_nanos: 0,
-                            attempt: 0,
-                            transmitted: false,
-                        },
-                    );
-                }
-                Cmd::Acked(seq) => {
-                    outstanding.remove(&seq);
-                }
-                Cmd::ReplyAck(seq) => {
-                    if let Some(stream) = conn.as_mut() {
-                        let frame =
-                            Frame::new(FrameKind::Ack, Bytes::from(seq.to_le_bytes().to_vec()));
-                        if stream.write_all(&frame.encode()).is_err() {
-                            drop_link(&shared, &peer, &mut conn, &mut next_dial, &mut attempt);
-                        } else {
-                            last_tx = shared.now_nanos();
+impl Supervisor {
+    fn new(shared: Arc<Shared>, peer: Arc<Peer>) -> Supervisor {
+        Supervisor {
+            link: (node_pid(shared.cfg.node), node_pid(peer.node)),
+            shared,
+            peer,
+            conn: None,
+            generation: 0,
+            outstanding: BTreeMap::new(),
+            attempt: 0,
+            next_dial: 0,
+            last_tx: 0,
+            ever_connected: false,
+        }
+    }
+
+    fn run(mut self, cmd_rx: Receiver<Cmd>) {
+        let tick = Duration::from_nanos(self.shared.cfg.tick_nanos);
+        let i_dial = self.shared.cfg.node < self.peer.node;
+
+        'outer: loop {
+            // Drain commands; block at most one tick so timers keep firing.
+            let mut first = Some(cmd_rx.recv_timeout(tick));
+            loop {
+                let cmd = match first.take() {
+                    Some(Ok(c)) => c,
+                    Some(Err(RecvTimeoutError::Timeout)) => break,
+                    Some(Err(RecvTimeoutError::Disconnected)) => break 'outer,
+                    None => match cmd_rx.try_recv() {
+                        Ok(c) => c,
+                        Err(_) => break,
+                    },
+                };
+                match cmd {
+                    Cmd::Send(seq) => {
+                        self.outstanding.insert(seq, Retry::default());
+                    }
+                    Cmd::Acked(seq) => {
+                        self.outstanding.remove(&seq);
+                    }
+                    Cmd::ReplyAck(seq) => {
+                        let seq = Bytes::from(seq.to_le_bytes().to_vec());
+                        self.write(Frame::new(FrameKind::Ack, seq));
+                    }
+                    Cmd::SendPong => {
+                        self.write(Frame::new(FrameKind::Pong, Bytes::new()));
+                    }
+                    Cmd::Socket(stream, carry) => self.adopt(stream, carry),
+                    Cmd::Closed(gen) => {
+                        if gen == self.generation {
+                            self.drop_link();
                         }
                     }
-                }
-                Cmd::SendPong => {
-                    if let Some(stream) = conn.as_mut() {
-                        let frame = Frame::new(FrameKind::Pong, Bytes::new());
-                        if stream.write_all(&frame.encode()).is_err() {
-                            drop_link(&shared, &peer, &mut conn, &mut next_dial, &mut attempt);
-                        } else {
-                            last_tx = shared.now_nanos();
-                        }
-                    }
-                }
-                Cmd::Socket(stream, carry) => {
-                    adopt(
-                        &shared,
-                        &peer,
-                        stream,
-                        carry,
-                        &mut conn,
-                        &mut generation,
-                        &mut outstanding,
-                        &mut ever_connected,
-                        &mut attempt,
-                        link,
-                    );
-                    last_tx = shared.now_nanos();
-                }
-                Cmd::Closed(gen) => {
-                    if gen == generation && conn.is_some() {
-                        drop_link(&shared, &peer, &mut conn, &mut next_dial, &mut attempt);
-                    }
-                }
-                Cmd::Shutdown => break 'outer,
-            }
-        }
-        if shared.shutdown.load(Ordering::Acquire) {
-            break;
-        }
-        let now = shared.now_nanos();
-
-        if conn.is_none() && i_dial && now >= next_dial && !peer_rejected(&peer) {
-            match handshake_dial(&shared, &peer) {
-                Ok((stream, carry)) => {
-                    adopt(
-                        &shared,
-                        &peer,
-                        stream,
-                        carry,
-                        &mut conn,
-                        &mut generation,
-                        &mut outstanding,
-                        &mut ever_connected,
-                        &mut attempt,
-                        link,
-                    );
-                    last_tx = shared.now_nanos();
-                }
-                Err(DialError::Rejected(reason)) => {
-                    shared.stats.lock().unwrap().handshake_rejected += 1;
-                    *peer.rejected.lock().unwrap() = Some(reason);
-                }
-                Err(DialError::Io) => {
-                    shared.stats.lock().unwrap().link_down_events += 1;
-                    next_dial = now + shared.cfg.backoff.delay_nanos(attempt);
-                    attempt = attempt.saturating_add(1);
+                    Cmd::Shutdown => break 'outer,
                 }
             }
-        }
+            if self.shared.shutdown.load(Ordering::Acquire) {
+                break;
+            }
+            let now = self.shared.now_nanos();
 
-        if conn.is_some() {
+            let dial_due = self.conn.is_none() && i_dial && now >= self.next_dial;
+            if dial_due && self.peer.rejected.lock().unwrap().is_none() {
+                match handshake_dial(&self.shared, &self.peer) {
+                    Ok((stream, carry)) => self.adopt(stream, carry),
+                    Err(DialError::Rejected(reason)) => {
+                        self.shared.stats.lock().unwrap().handshake_rejected += 1;
+                        *self.peer.rejected.lock().unwrap() = Some(reason);
+                    }
+                    Err(DialError::Io) => self.link_down(now),
+                }
+            }
+
             // Death check first: a silent peer means the socket is lies.
-            let heard = peer.last_heard.load(Ordering::Acquire);
-            if shared.cfg.heartbeat.link_dead(now, heard) {
-                if let Some(stream) = conn.as_ref() {
+            if let Some(stream) = self.conn.as_ref() {
+                let heard = self.peer.last_heard.load(Ordering::Acquire);
+                if self.shared.cfg.heartbeat.link_dead(now, heard) {
                     let _ = stream.shutdown(Shutdown::Both);
-                }
-                drop_link(&shared, &peer, &mut conn, &mut next_dial, &mut attempt);
-            }
-        }
-        if let Some(stream) = conn.as_mut() {
-            if shared.cfg.heartbeat.ping_due(now, last_tx) {
-                let frame = Frame::new(FrameKind::Ping, Bytes::new());
-                if stream.write_all(&frame.encode()).is_err() {
-                    drop_link(&shared, &peer, &mut conn, &mut next_dial, &mut attempt);
-                } else {
-                    last_tx = now;
+                    self.drop_link();
                 }
             }
-        }
-        if conn.is_some() {
-            transmit_due(
-                &shared,
-                &peer,
-                &mut conn,
-                &mut outstanding,
-                link,
-                &mut last_tx,
-                &mut next_dial,
-                &mut attempt,
-            );
-        }
-    }
-
-    if let Some(stream) = conn.as_ref() {
-        let _ = stream.shutdown(Shutdown::Both);
-    }
-}
-
-fn peer_rejected(peer: &Peer) -> bool {
-    peer.rejected.lock().unwrap().is_some()
-}
-
-/// Marks the link down and schedules the next dial.
-fn drop_link(
-    shared: &Shared,
-    peer: &Peer,
-    conn: &mut Option<TcpStream>,
-    next_dial: &mut u64,
-    attempt: &mut u32,
-) {
-    if conn.take().is_some() {
-        peer.up.store(false, Ordering::Release);
-        *peer.conn.lock().unwrap() = None;
-        shared.stats.lock().unwrap().link_down_events += 1;
-        *next_dial = shared.now_nanos() + shared.cfg.backoff.delay_nanos(*attempt);
-        *attempt = attempt.saturating_add(1);
-    }
-}
-
-/// Adopts a freshly handshaken connection: spawns its reader, marks the
-/// link up, and schedules every outstanding envelope for (re)transmit.
-#[allow(clippy::too_many_arguments)]
-fn adopt(
-    shared: &Arc<Shared>,
-    peer: &Arc<Peer>,
-    stream: TcpStream,
-    carry: FrameReader,
-    conn: &mut Option<TcpStream>,
-    generation: &mut u64,
-    outstanding: &mut BTreeMap<u64, Retry>,
-    ever_connected: &mut bool,
-    attempt: &mut u32,
-    link: (ProcessId, ProcessId),
-) {
-    if let Some(old) = conn.take() {
-        let _ = old.shutdown(Shutdown::Both);
-    }
-    *generation += 1;
-    let gen = *generation;
-    let reader_stream = match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    };
-    *peer.conn.lock().unwrap() = Some(match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    });
-    peer.last_heard.store(shared.now_nanos(), Ordering::Release);
-    peer.up.store(true, Ordering::Release);
-    peer.parked_now.store(0, Ordering::Relaxed);
-    if *ever_connected {
-        shared.stats.lock().unwrap().reconnects += 1;
-    }
-    *ever_connected = true;
-    *attempt = 0;
-    // Anything transmitted on the dead connection may or may not have
-    // arrived; resend it all (dedup suppresses survivors) and exclude
-    // the ambiguous acks from RTT sampling (Karn's rule).
-    {
-        let mut rel = shared.reliable.lock().unwrap();
-        for (seq, retry) in outstanding.iter_mut() {
-            retry.next_nanos = 0;
-            if retry.transmitted {
-                rel.mark_retransmitted(link, *seq);
+            if self.conn.is_some() && self.shared.cfg.heartbeat.ping_due(now, self.last_tx) {
+                self.write(Frame::new(FrameKind::Ping, Bytes::new()));
+            }
+            if self.conn.is_some() {
+                self.transmit_due();
             }
         }
-    }
-    *conn = Some(stream);
-    let (sh, pr, tx) = (Arc::clone(shared), Arc::clone(peer), peer.cmd_tx.clone());
-    std::thread::spawn(move || read_loop(sh, pr, reader_stream, carry, gen, tx));
-}
 
-/// Transmits every outstanding envelope whose timer is due; doubles the
-/// per-envelope backoff off the link's adaptive RTO.
-#[allow(clippy::too_many_arguments)]
-fn transmit_due(
-    shared: &Shared,
-    peer: &Peer,
-    conn: &mut Option<TcpStream>,
-    outstanding: &mut BTreeMap<u64, Retry>,
-    link: (ProcessId, ProcessId),
-    last_tx: &mut u64,
-    next_dial: &mut u64,
-    attempt: &mut u32,
-) {
-    let now = shared.now_nanos();
-    let mut acked = Vec::new();
-    let mut frames: Vec<(u64, Bytes)> = Vec::new();
-    {
-        let mut rel = shared.reliable.lock().unwrap();
-        let rto = rel.rto_for(link);
-        for (&seq, retry) in outstanding.iter_mut() {
-            if retry.next_nanos > now {
-                continue;
-            }
-            let Some(envelope) = rel.unacked(link, seq) else {
-                acked.push(seq);
-                continue;
-            };
-            let payload = envelope.encode();
-            frames.push((seq, Bytes::from(payload.to_vec())));
-            let was_retransmit = retry.transmitted;
-            retry.transmitted = true;
-            retry.next_nanos = now
-                + crate::reliable::backoff_nanos(rto, retry.attempt.min(u32::MAX as u64) as u32);
-            retry.attempt += 1;
-            if was_retransmit {
-                rel.mark_retransmitted(link, seq);
-                let mut stats = shared.stats.lock().unwrap();
-                stats.retransmits += 1;
-                stats.max_retransmit_attempt = stats.max_retransmit_attempt.max(retry.attempt - 1);
-            }
+        if let Some(stream) = self.conn.as_ref() {
+            let _ = stream.shutdown(Shutdown::Both);
         }
     }
-    for seq in acked {
-        outstanding.remove(&seq);
-    }
-    for (_, payload) in frames {
-        let Some(stream) = conn.as_mut() else { return };
-        let frame = Frame::new(FrameKind::Data, payload);
+
+    /// Writes one frame on the current connection; a failed write drops
+    /// the link. Returns whether the frame went out.
+    fn write(&mut self, frame: Frame) -> bool {
+        let Some(stream) = self.conn.as_mut() else {
+            return false;
+        };
         if stream.write_all(&frame.encode()).is_err() {
-            drop_link(shared, peer, conn, next_dial, attempt);
-            return;
+            self.drop_link();
+            return false;
         }
-        *last_tx = shared.now_nanos();
+        self.last_tx = self.shared.now_nanos();
+        true
+    }
+
+    /// Counts a failed connection and schedules the next dial, backing
+    /// off from `now`.
+    fn link_down(&mut self, now: u64) {
+        self.shared.stats.lock().unwrap().link_down_events += 1;
+        self.next_dial = now + self.shared.cfg.backoff.delay_nanos(self.attempt);
+        self.attempt = self.attempt.saturating_add(1);
+    }
+
+    /// Marks the link down (if it was up) and schedules the next dial.
+    fn drop_link(&mut self) {
+        if self.conn.take().is_some() {
+            self.peer.up.store(false, Ordering::Release);
+            *self.peer.conn.lock().unwrap() = None;
+            self.link_down(self.shared.now_nanos());
+        }
+    }
+
+    /// Adopts a freshly handshaken connection: spawns its reader, marks
+    /// the link up, and schedules every outstanding envelope for
+    /// (re)transmit.
+    fn adopt(&mut self, stream: TcpStream, carry: FrameReader) {
+        if let Some(old) = self.conn.take() {
+            let _ = old.shutdown(Shutdown::Both);
+        }
+        self.generation += 1;
+        let gen = self.generation;
+        let (Ok(reader_stream), Ok(peer_handle)) = (stream.try_clone(), stream.try_clone()) else {
+            return;
+        };
+        let (shared, peer) = (&self.shared, &self.peer);
+        *peer.conn.lock().unwrap() = Some(peer_handle);
+        peer.last_heard.store(shared.now_nanos(), Ordering::Release);
+        peer.up.store(true, Ordering::Release);
+        peer.parked_now.store(0, Ordering::Relaxed);
+        if self.ever_connected {
+            shared.stats.lock().unwrap().reconnects += 1;
+        }
+        self.ever_connected = true;
+        self.attempt = 0;
+        // Anything transmitted on the dead connection may or may not have
+        // arrived; resend it all (dedup suppresses survivors) and exclude
+        // the ambiguous acks from RTT sampling (Karn's rule).
+        {
+            let mut rel = shared.reliable.lock().unwrap();
+            let record = rel.link_mut(self.link);
+            for (seq, retry) in self.outstanding.iter_mut() {
+                retry.next_nanos = 0;
+                if retry.transmitted {
+                    record.mark_retransmitted(*seq);
+                }
+            }
+        }
+        self.conn = Some(stream);
+        self.last_tx = shared.now_nanos();
+        let (sh, pr, tx) = (Arc::clone(shared), Arc::clone(peer), peer.cmd_tx.clone());
+        std::thread::spawn(move || read_loop(sh, pr, reader_stream, carry, gen, tx));
+    }
+
+    /// Transmits every outstanding envelope whose timer is due; doubles
+    /// the per-envelope backoff off the link's adaptive RTO.
+    fn transmit_due(&mut self) {
+        let now = self.shared.now_nanos();
+        let mut frames = Vec::new();
+        {
+            let mut rel = self.shared.reliable.lock().unwrap();
+            let record = rel.link_mut(self.link);
+            let rto = record.rto_nanos();
+            self.outstanding.retain(|&seq, retry| {
+                if retry.next_nanos > now {
+                    return true;
+                }
+                let Some(envelope) = record.unacked(seq) else {
+                    return false; // acked in the meantime
+                };
+                let payload = Bytes::from(envelope.encode().to_vec());
+                frames.push(Frame::new(FrameKind::Data, payload));
+                let was_retransmit = retry.transmitted;
+                retry.transmitted = true;
+                retry.next_nanos =
+                    now + backoff_nanos(rto, retry.attempt.min(u32::MAX as u64) as u32);
+                retry.attempt += 1;
+                if was_retransmit {
+                    record.mark_retransmitted(seq);
+                    let mut stats = self.shared.stats.lock().unwrap();
+                    stats.retransmits += 1;
+                    stats.max_retransmit_attempt =
+                        stats.max_retransmit_attempt.max(retry.attempt - 1);
+                }
+                true
+            });
+        }
+        for frame in frames {
+            if !self.write(frame) {
+                return;
+            }
+        }
     }
 }
 

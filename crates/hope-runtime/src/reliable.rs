@@ -28,10 +28,11 @@
 //! [`FaultPlan::rto`](crate::FaultPlan::rto) is only the starting point;
 //! [`backoff_nanos`] then doubles the adapted value per failed attempt.
 //!
-//! This module holds the per-link *state*; the steps that use it between
-//! a send and a mailbox — for both the virtual-time simulator and the
-//! wall-clock threaded runtime — are the link pipeline (`link.rs`). The
-//! TCP transport drives the same state from its connection supervisors.
+//! This module holds the *state*, one [`LinkRecord`] per directed link;
+//! the steps that use it between a send and a mailbox — in the simulator
+//! and the threaded runtime alike — are the link pipeline (`link.rs`),
+//! which borrows the one record a step touches. The TCP transport
+//! drives the same records from its connection supervisors.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -198,32 +199,167 @@ pub struct AckOutcome {
     pub rtt_sample_nanos: Option<u64>,
 }
 
-/// The shared reliable-delivery state machine for one runtime: sender-side
-/// sequencing and retransmit buffers, receiver-side dedup windows, and
-/// per-link RTT estimators driving the adaptive retransmission timeout.
+/// One retransmit-buffer entry. What is only meaningful while the
+/// envelope is unacknowledged lives and dies with it.
+#[derive(Debug)]
+struct Pending {
+    env: Envelope,
+    /// Karn's rule: a copy was resent (or parked), so the ack is ambiguous.
+    retransmitted: bool,
+    /// What the frame carries in place of the full tag. Retransmissions
+    /// resend the same coding; the first delivered copy takes it.
+    coding: Option<SetCoding>,
+}
+
+/// Everything the reliable sublayer knows about one directed link: the
+/// sender half (sequencing, retransmit buffer, RTT estimator, tag
+/// encoder) and the receiver half (dedup window, tag decoder). A link
+/// pipeline step borrows exactly one of these.
+#[derive(Debug)]
+pub struct LinkRecord {
+    next_seq: u64,
+    pending: BTreeMap<u64, Pending>,
+    rtt: RttEstimator,
+    enc: TagEncoder,
+    seen: SeqWindow,
+    dec: TagDecoder,
+}
+
+impl LinkRecord {
+    fn new(rtt: RttEstimator) -> Self {
+        LinkRecord {
+            next_seq: 0,
+            pending: BTreeMap::new(),
+            rtt,
+            enc: TagEncoder::default(),
+            seen: SeqWindow::default(),
+            dec: TagDecoder::default(),
+        }
+    }
+
+    /// Allocates the next sequence number (1-based; 0 is the sublayer-off
+    /// sentinel on [`Envelope::seq`]).
+    pub fn assign_seq(&mut self) -> u64 {
+        self.next_seq += 1;
+        self.next_seq
+    }
+
+    /// Sender side of the dependency-tag codec: encodes `tag` for the
+    /// envelope carrying `seq` — a delta against the last set the peer
+    /// acknowledged when one is usable, the full set otherwise. Hand the
+    /// coding to [`LinkRecord::track`] so delivery (including of a later
+    /// retransmitted copy) can reconstruct it.
+    pub fn encode_tag(&mut self, seq: u64, tag: &IdoSet) -> SetCoding {
+        self.enc.encode(seq, tag)
+    }
+
+    /// Buffers `envelope` for retransmission until acknowledged, with the
+    /// tag coding its frame carries, if any. The envelope must already
+    /// carry its assigned `seq`.
+    pub fn track(&mut self, envelope: Envelope, coding: Option<SetCoding>) {
+        debug_assert!(envelope.seq > 0, "track() needs a sequenced envelope");
+        let entry = Pending {
+            env: envelope,
+            retransmitted: false,
+            coding,
+        };
+        self.pending.insert(entry.env.seq, entry);
+    }
+
+    /// Processes an ack observed at `now_nanos`: retires the pending
+    /// envelope and, if the sequence number was never retransmitted
+    /// (Karn's rule), feeds `now - sent_at` to the RTT estimator.
+    pub fn acknowledge_at(&mut self, seq: u64, now_nanos: u64) -> AckOutcome {
+        self.enc.on_ack(seq);
+        let entry = self.pending.remove(&seq);
+        let rtt_sample_nanos = entry
+            .as_ref()
+            .filter(|entry| !entry.retransmitted)
+            .map(|entry| now_nanos.saturating_sub(entry.env.sent_at.as_nanos()));
+        if let Some(sample) = rtt_sample_nanos {
+            self.rtt.observe(sample);
+        }
+        AckOutcome {
+            retired: entry.is_some(),
+            rtt_sample_nanos,
+        }
+    }
+
+    /// Marks the unacknowledged `seq` as retransmitted so a later ack for
+    /// it takes no RTT sample (Karn's rule).
+    pub fn mark_retransmitted(&mut self, seq: u64) {
+        if let Some(entry) = self.pending.get_mut(&seq) {
+            entry.retransmitted = true;
+        }
+    }
+
+    /// The adaptive retransmission timeout in nanoseconds (the initial
+    /// RTO until samples arrive).
+    pub fn rto_nanos(&self) -> u64 {
+        self.rtt.rto_nanos()
+    }
+
+    /// The still-unacknowledged envelope for `seq`, if any — what a
+    /// retransmit timer should resend.
+    pub fn unacked(&self, seq: u64) -> Option<&Envelope> {
+        self.pending.get(&seq).map(|entry| &entry.env)
+    }
+
+    /// Drops the retransmit buffer entry after the retry cap; returns true
+    /// if it was still pending (i.e. the message is now known lost). The
+    /// receiver half records the sequence number as observed: nothing
+    /// will fill that gap, and an open gap would keep every later arrival
+    /// in the window's out-of-order set forever.
+    pub fn abandon(&mut self, seq: u64) -> bool {
+        let lost = self.pending.remove(&seq).is_some();
+        if lost {
+            self.seen.observe(seq);
+        }
+        lost
+    }
+
+    /// Receiver-side dedup: records the arrival of `seq` and returns true
+    /// iff it should be delivered (first arrival).
+    pub fn accept(&mut self, seq: u64) -> bool {
+        self.seen.observe(seq)
+    }
+
+    /// Receiver side of the dependency-tag codec: takes the in-transit
+    /// coding for `seq` and reconstructs the tag it carried. Call only
+    /// for the first delivered copy of a sequence number.
+    pub fn decode_tag(&mut self, seq: u64) -> TagDecode {
+        let Some(coding) = self.pending.get_mut(&seq).and_then(|e| e.coding.take()) else {
+            return TagDecode::Uncoded;
+        };
+        let decoded = self.dec.decode(seq, &coding);
+        decoded.map_or(TagDecode::LostBase, TagDecode::Decoded)
+    }
+
+    /// Discards the dependency-tag codec state in both directions,
+    /// forcing the next encoded tag on the link to ship `Full`. Used when
+    /// a delivery observes a wire-decoded tag that disagrees with the
+    /// typed tag it shadowed: the codec pair has diverged, so trusting
+    /// any further delta against its bases would compound the corruption.
+    pub fn force_tag_resync(&mut self) {
+        self.enc.reset();
+        self.dec.reset();
+        for entry in self.pending.values_mut() {
+            entry.coding = None;
+        }
+    }
+}
+
+/// The reliable-delivery state for one runtime (or one stripe of it): a
+/// [`LinkRecord`] per directed link, created on first use.
 ///
-/// All maps are ordered so iteration (and therefore simulator behaviour)
+/// The map is ordered so iteration (and therefore simulator behaviour)
 /// is deterministic.
 #[derive(Debug)]
 pub struct ReliableState {
-    next_seq: BTreeMap<LinkId, u64>,
-    pending: BTreeMap<(LinkId, u64), Envelope>,
-    seen: BTreeMap<LinkId, SeqWindow>,
-    rtt: BTreeMap<LinkId, RttEstimator>,
-    retransmitted: BTreeSet<(LinkId, u64)>,
-    /// Sender-side dependency-tag codecs, one per outgoing link.
-    tag_enc: BTreeMap<LinkId, TagEncoder>,
-    /// Receiver-side dependency-tag codecs, one per incoming link.
-    tag_dec: BTreeMap<LinkId, TagDecoder>,
-    /// Codings on the wire: what the frame for `(link, seq)` carries in
-    /// place of the full tag. Retransmissions resend the same coding;
-    /// the first delivered copy consumes it.
-    tag_in_transit: BTreeMap<(LinkId, u64), SetCoding>,
-    initial_rto: u64,
-    /// Explicit `[min, max]` RTO clamp for new per-link estimators; when
-    /// absent, estimators use the virtual-clock derivation
-    /// (`[initial/8, initial·64]`).
-    rto_bounds: Option<(u64, u64)>,
+    links: BTreeMap<LinkId, LinkRecord>,
+    /// The estimator a new (or crash-reset) link starts from: it carries
+    /// the initial RTO and the clamp band.
+    fresh_rtt: RttEstimator,
 }
 
 impl Default for ReliableState {
@@ -240,19 +376,12 @@ impl ReliableState {
     }
 
     /// Fresh state whose per-link estimators start (and stay clamped
-    /// around) `initial_rto_nanos`.
+    /// around) `initial_rto_nanos`: the virtual-clock derivation
+    /// `[initial/8, initial·64]`.
     pub fn with_rto(initial_rto_nanos: u64) -> Self {
         ReliableState {
-            next_seq: BTreeMap::new(),
-            pending: BTreeMap::new(),
-            seen: BTreeMap::new(),
-            rtt: BTreeMap::new(),
-            retransmitted: BTreeSet::new(),
-            tag_enc: BTreeMap::new(),
-            tag_dec: BTreeMap::new(),
-            tag_in_transit: BTreeMap::new(),
-            initial_rto: initial_rto_nanos.max(1),
-            rto_bounds: None,
+            links: BTreeMap::new(),
+            fresh_rtt: RttEstimator::new(initial_rto_nanos),
         }
     }
 
@@ -261,93 +390,69 @@ impl ReliableState {
     /// (see [`WALL_RTO_MIN_NANOS`] / [`WALL_RTO_MAX_NANOS`]), where the
     /// virtual-clock derivation would allow microsecond timers.
     pub fn with_rto_bounds(initial_rto_nanos: u64, min_nanos: u64, max_nanos: u64) -> Self {
-        let mut state = ReliableState::with_rto(initial_rto_nanos);
-        let min = min_nanos.max(1);
-        state.rto_bounds = Some((min, max_nanos.max(min)));
-        state
+        ReliableState {
+            links: BTreeMap::new(),
+            fresh_rtt: RttEstimator::with_bounds(initial_rto_nanos, min_nanos, max_nanos),
+        }
     }
 
-    /// Allocates the next sequence number for `link` (1-based; 0 is the
-    /// sublayer-off sentinel on [`Envelope::seq`]).
+    /// The record for `link`, created on first use. This is the one
+    /// lookup a link pipeline step makes; the methods below that take a
+    /// `LinkId` are the same lookup followed by one record call.
+    pub fn link_mut(&mut self, link: LinkId) -> &mut LinkRecord {
+        let fresh = || LinkRecord::new(self.fresh_rtt);
+        self.links.entry(link).or_insert_with(fresh)
+    }
+
+    /// See [`LinkRecord::assign_seq`].
     pub fn assign_seq(&mut self, link: LinkId) -> u64 {
-        let next = self.next_seq.entry(link).or_insert(0);
-        *next += 1;
-        *next
+        self.link_mut(link).assign_seq()
     }
 
-    /// Buffers `envelope` for retransmission until acknowledged. The
-    /// envelope must already carry its assigned `seq`.
+    /// Buffers `envelope` (no tag coding) on its `(src, dst)` link; see
+    /// [`LinkRecord::track`].
     pub fn track(&mut self, envelope: Envelope) {
-        debug_assert!(envelope.seq > 0, "track() needs a sequenced envelope");
-        self.pending
-            .insert(((envelope.src, envelope.dst), envelope.seq), envelope);
+        self.link_mut((envelope.src, envelope.dst))
+            .track(envelope, None);
     }
 
-    /// Processes an ack observed at `now_nanos`: retires the pending
-    /// envelope and, if the sequence number was never retransmitted
-    /// (Karn's rule), feeds `now - sent_at` to the link's RTT estimator.
+    /// See [`LinkRecord::acknowledge_at`].
     pub fn acknowledge_at(&mut self, link: LinkId, seq: u64, now_nanos: u64) -> AckOutcome {
-        let was_retransmitted = self.retransmitted.remove(&(link, seq));
-        if let Some(enc) = self.tag_enc.get_mut(&link) {
-            enc.on_ack(seq);
-        }
-        let Some(envelope) = self.pending.remove(&(link, seq)) else {
-            return AckOutcome {
-                retired: false,
-                rtt_sample_nanos: None,
-            };
-        };
-        let sample =
-            (!was_retransmitted).then(|| now_nanos.saturating_sub(envelope.sent_at.as_nanos()));
-        if let Some(s) = sample {
-            let initial = self.initial_rto;
-            let bounds = self.rto_bounds;
-            self.rtt
-                .entry(link)
-                .or_insert_with(|| match bounds {
-                    Some((min, max)) => RttEstimator::with_bounds(initial, min, max),
-                    None => RttEstimator::new(initial),
-                })
-                .observe(s);
-        }
-        AckOutcome {
-            retired: true,
-            rtt_sample_nanos: sample,
-        }
+        self.link_mut(link).acknowledge_at(seq, now_nanos)
     }
 
-    /// Marks `(link, seq)` as retransmitted so a later ack for it takes
-    /// no RTT sample (Karn's rule).
+    /// See [`LinkRecord::mark_retransmitted`].
     pub fn mark_retransmitted(&mut self, link: LinkId, seq: u64) {
-        self.retransmitted.insert((link, seq));
+        self.link_mut(link).mark_retransmitted(seq);
     }
 
-    /// The adaptive retransmission timeout for `link` in nanoseconds:
-    /// the link's estimator if it has seen samples, else the initial RTO.
+    /// The adaptive retransmission timeout for `link` in nanoseconds
+    /// (the initial RTO for a link with no samples, or never used).
     pub fn rto_for(&self, link: LinkId) -> u64 {
-        let fallback = match self.rto_bounds {
-            Some((min, max)) => self.initial_rto.clamp(min, max),
-            None => self.initial_rto,
-        };
-        self.rtt.get(&link).map_or(fallback, |e| e.rto_nanos())
+        let rec = self.links.get(&link);
+        rec.map_or(&self.fresh_rtt, |rec| &rec.rtt).rto_nanos()
     }
 
-    /// The smoothed RTT for `link`, if the estimator has samples.
-    pub fn srtt_for(&self, link: LinkId) -> Option<u64> {
-        self.rtt
-            .get(&link)
-            .filter(|e| e.samples() > 0)
-            .map(|e| e.srtt_nanos())
+    /// See [`LinkRecord::unacked`].
+    pub fn unacked(&self, link: LinkId, seq: u64) -> Option<&Envelope> {
+        self.links.get(&link)?.unacked(seq)
+    }
+
+    /// See [`LinkRecord::accept`].
+    pub fn accept(&mut self, link: LinkId, seq: u64) -> bool {
+        self.link_mut(link).accept(seq)
+    }
+
+    /// Number of envelopes awaiting acknowledgement, over all links.
+    pub fn in_flight(&self) -> usize {
+        self.links.values().map(|rec| rec.pending.len()).sum()
     }
 
     /// Mean smoothed RTT across links with at least one sample (0 if
     /// none) — the aggregate surfaced in `LinkStats`.
     pub fn mean_srtt_nanos(&self) -> u64 {
         let (sum, links) = self.srtt_totals();
-        if links == 0 {
-            return 0;
-        }
-        sum / links
+        sum.checked_div(links).unwrap_or(0)
     }
 
     /// `(sum of per-link SRTTs, number of links with samples)` — the raw
@@ -355,101 +460,46 @@ impl ReliableState {
     /// instances can combine them into one mean without losing the
     /// per-stripe link counts.
     pub fn srtt_totals(&self) -> (u64, u64) {
-        self.rtt
-            .values()
-            .filter(|e| e.samples() > 0)
-            .fold((0u64, 0u64), |(sum, n), e| {
-                (sum.saturating_add(e.srtt_nanos()), n + 1)
-            })
+        let sampled = self.links.values().filter(|rec| rec.rtt.samples() > 0);
+        sampled.fold((0, 0), |(sum, n), rec| {
+            (sum.saturating_add(rec.rtt.srtt_nanos()), n + 1)
+        })
     }
 
-    /// The still-unacknowledged envelope for `(link, seq)`, if any — what a
-    /// retransmit timer should resend.
-    pub fn unacked(&self, link: LinkId, seq: u64) -> Option<&Envelope> {
-        self.pending.get(&(link, seq))
-    }
-
-    /// Drops the retransmit buffer entry after the retry cap; returns true
-    /// if it was still pending (i.e. the message is now known lost).
-    pub fn abandon(&mut self, link: LinkId, seq: u64) -> bool {
-        self.retransmitted.remove(&(link, seq));
-        self.tag_in_transit.remove(&(link, seq));
-        self.pending.remove(&(link, seq)).is_some()
-    }
-
-    /// Receiver-side dedup: records the arrival of `seq` on `link` and
-    /// returns true iff it should be delivered (first arrival).
-    pub fn accept(&mut self, link: LinkId, seq: u64) -> bool {
-        self.seen.entry(link).or_default().observe(seq)
-    }
-
-    /// Number of envelopes awaiting acknowledgement (diagnostics).
-    pub fn in_flight(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// Sender side of the dependency-tag codec: encodes `tag` for the
-    /// envelope carrying `seq` on `link` — a delta against the last set
-    /// the peer acknowledged when one is usable, the full set otherwise —
-    /// and records the coding as in transit so delivery (including of a
-    /// later retransmitted copy) can reconstruct it.
-    pub fn encode_tag(&mut self, link: LinkId, seq: u64, tag: &IdoSet) -> SetCoding {
-        let coding = self.tag_enc.entry(link).or_default().encode(seq, tag);
-        self.tag_in_transit.insert((link, seq), coding.clone());
-        coding
-    }
-
-    /// Receiver side of the dependency-tag codec: consumes the in-transit
-    /// coding for `(link, seq)` and reconstructs the tag it carried. Call
-    /// only for the first delivered copy of a sequence number.
-    pub fn decode_tag(&mut self, link: LinkId, seq: u64) -> TagDecode {
-        let Some(coding) = self.tag_in_transit.remove(&(link, seq)) else {
-            return TagDecode::Uncoded;
-        };
-        match self.tag_dec.entry(link).or_default().decode(seq, &coding) {
-            Some(set) => TagDecode::Decoded(set),
-            None => TagDecode::LostBase,
-        }
-    }
-
-    /// Discards the dependency-tag codec state for `link` in both
-    /// directions, forcing the next encoded tag on the link to ship
-    /// `Full`. Used when a delivery observes a wire-decoded tag that
-    /// disagrees with the typed tag it shadowed: the codec pair has
-    /// diverged, so trusting any further delta against its bases would
-    /// compound the corruption.
-    pub fn force_tag_resync(&mut self, link: LinkId) {
-        self.tag_enc.remove(&link);
-        self.tag_dec.remove(&link);
-        self.tag_in_transit.retain(|(l, _), _| *l != link);
-    }
-
-    /// Drops the link state a crash of `pid` genuinely loses, and nothing
+    /// Resets the link state a crash of `pid` genuinely loses, and nothing
     /// more:
     ///
-    /// * RTT estimators for links touching `pid` — link-quality estimates
+    /// * RTT estimators of links touching `pid` — link-quality estimates
     ///   are in-memory and a restarted process re-learns them;
-    /// * Karn markers for `pid`'s outgoing links — ambiguous-sample
+    /// * Karn markers on `pid`'s outgoing links — ambiguous-sample
     ///   bookkeeping tied to those estimators;
-    /// * dependency-tag codec state for links touching `pid`, in both
+    /// * dependency-tag codec state of links touching `pid`, in both
     ///   directions — a sender's "the peer holds my acked base" belief is
     ///   void once the peer restarts, so the next send is forced `Full`
     ///   (the codec's resync path).
     ///
-    /// Deliberately survives: `next_seq` (reusing sequence numbers would
-    /// alias distinct messages in the dedup windows), `seen` (clearing a
-    /// window would let a stale pre-crash packet re-deliver, breaking
-    /// exactly-once), and `pending` (the retransmit buffer is the only
-    /// thing that carries an unacked message past the down window —
-    /// crash-recovery replay re-executes sends' effects locally but does
-    /// not put them back on the wire).
+    /// Deliberately survives: sequence counters (reusing sequence numbers
+    /// would alias distinct messages in the dedup windows), dedup windows
+    /// (clearing one would let a stale pre-crash packet re-deliver,
+    /// breaking exactly-once), and the retransmit buffers with the
+    /// codings in them (the buffer is the only thing that carries an
+    /// unacked message past the down window — crash-recovery replay
+    /// re-executes sends' effects locally but does not put them back on
+    /// the wire).
     pub fn on_crash(&mut self, pid: ProcessId) {
-        self.rtt.retain(|link, _| link.0 != pid && link.1 != pid);
-        self.retransmitted.retain(|(link, _)| link.0 != pid);
-        self.tag_enc
-            .retain(|link, _| link.0 != pid && link.1 != pid);
-        self.tag_dec
-            .retain(|link, _| link.0 != pid && link.1 != pid);
+        for (link, rec) in &mut self.links {
+            if link.0 != pid && link.1 != pid {
+                continue;
+            }
+            rec.rtt = self.fresh_rtt;
+            rec.enc.reset();
+            rec.dec.reset();
+            if link.0 == pid {
+                for entry in rec.pending.values_mut() {
+                    entry.retransmitted = false;
+                }
+            }
+        }
     }
 }
 
@@ -466,6 +516,27 @@ mod tests {
 
     fn p(n: u64) -> ProcessId {
         ProcessId::from_raw(n)
+    }
+
+    const LINK: LinkId = (ProcessId::from_raw(1), ProcessId::from_raw(2));
+
+    fn one_aid_tag(aid: u64) -> IdoSet {
+        [hope_types::AidId::from_raw(p(aid))].into_iter().collect()
+    }
+
+    fn srtt(st: &ReliableState, link: LinkId) -> Option<u64> {
+        let rtt = st.links.get(&link).map(|rec| rec.rtt);
+        rtt.filter(|rtt| rtt.samples() > 0)
+            .map(|rtt| rtt.srtt_nanos())
+    }
+
+    /// Sequences, codes and buffers one tagged envelope on 1->2, as
+    /// `Link::send` does; returns its seq and the coding put on the wire.
+    fn send_tagged(rec: &mut LinkRecord, tag: &IdoSet) -> (u64, SetCoding) {
+        let seq = rec.assign_seq();
+        let coding = rec.encode_tag(seq, tag);
+        rec.track(env(1, 2, seq), Some(coding.clone()));
+        (seq, coding)
     }
 
     fn env(src: u64, dst: u64, seq: u64) -> Envelope {
@@ -517,7 +588,7 @@ mod tests {
         for seq in (1..=100).rev() {
             assert!(st.accept(link, seq));
         }
-        let window = st.seen.get(&link).unwrap();
+        let window = &st.links[&link].seen;
         assert_eq!(window.prefix, 100);
         assert!(window.beyond.is_empty(), "no stragglers retained");
     }
@@ -526,8 +597,35 @@ mod tests {
     fn abandon_reports_whether_message_was_lost() {
         let mut st = ReliableState::new();
         st.track(env(1, 2, 5));
-        assert!(st.abandon((p(1), p(2)), 5));
-        assert!(!st.abandon((p(1), p(2)), 5));
+        assert!(st.link_mut(LINK).abandon(5));
+        assert!(!st.link_mut(LINK).abandon(5));
+        assert_eq!(st.in_flight(), 0);
+    }
+
+    #[test]
+    fn abandoned_seq_leaves_no_gap_in_the_dedup_window() {
+        // The bound on the out-of-order set: it holds only sequence
+        // numbers above a gap that can still fill. An abandoned one never
+        // will, so it must not hold 10 000 later arrivals hostage.
+        let mut st = ReliableState::new();
+        let tag = one_aid_tag(9);
+        let rec = st.link_mut(LINK);
+        let first = rec.assign_seq();
+        assert!(rec.accept(first));
+        let (lost, _) = send_tagged(rec, &tag);
+        assert!(rec.abandon(lost));
+        assert_eq!(
+            rec.decode_tag(lost),
+            TagDecode::Uncoded,
+            "coding went with it"
+        );
+        for _ in 0..10_000 {
+            let seq = rec.assign_seq();
+            assert!(rec.accept(seq));
+        }
+        assert_eq!(rec.seen.prefix, 10_002);
+        assert!(rec.seen.beyond.is_empty(), "nothing waits on the lost seq");
+        assert!(!rec.accept(lost), "a stale copy of it is suppressed");
     }
 
     #[test]
@@ -629,14 +727,14 @@ mod tests {
         let out = st.acknowledge_at(link, 1, 2_000_000);
         assert!(out.retired);
         assert_eq!(out.rtt_sample_nanos, Some(2_000_000));
-        assert_eq!(st.srtt_for(link), Some(2_000_000));
+        assert_eq!(srtt(&st, link), Some(2_000_000));
         // Karn's rule: a retransmitted seq yields no sample.
         st.track(env(1, 2, 2));
         st.mark_retransmitted(link, 2);
         let out = st.acknowledge_at(link, 2, 9_000_000);
         assert!(out.retired);
         assert_eq!(out.rtt_sample_nanos, None);
-        assert_eq!(st.srtt_for(link), Some(2_000_000), "estimator untouched");
+        assert_eq!(srtt(&st, link), Some(2_000_000), "estimator untouched");
     }
 
     #[test]
@@ -667,26 +765,27 @@ mod tests {
     #[test]
     fn tag_codec_round_trips_through_link_state() {
         let mut st = ReliableState::new();
-        let link = (p(1), p(2));
-        let tag: IdoSet = [hope_types::AidId::from_raw(p(9))].into_iter().collect();
-        let seq = st.assign_seq(link);
-        let coding = st.encode_tag(link, seq, &tag);
+        let rec = st.link_mut(LINK);
+        let tag = one_aid_tag(9);
+        let (seq, coding) = send_tagged(rec, &tag);
         assert!(
             matches!(coding, SetCoding::Full { .. }),
             "no acked base yet"
         );
-        assert_eq!(st.decode_tag(link, seq), TagDecode::Decoded(tag.clone()));
+        assert_eq!(rec.decode_tag(seq), TagDecode::Decoded(tag.clone()));
         // A later duplicate copy of the same seq finds the coding consumed.
-        assert_eq!(st.decode_tag(link, seq), TagDecode::Uncoded);
+        assert_eq!(rec.decode_tag(seq), TagDecode::Uncoded);
         // Once the first frame is acked, growth ships as a delta.
-        st.track(env(1, 2, seq));
-        st.acknowledge_at(link, seq, 0);
+        rec.acknowledge_at(seq, 0);
         let mut bigger = tag.clone();
         bigger.insert(hope_types::AidId::from_raw(p(10)));
-        let seq2 = st.assign_seq(link);
-        let coding = st.encode_tag(link, seq2, &bigger);
+        let (seq2, coding) = send_tagged(rec, &bigger);
         assert!(matches!(coding, SetCoding::Delta { base_seq, .. } if base_seq == seq));
-        assert_eq!(st.decode_tag(link, seq2), TagDecode::Decoded(bigger));
+        assert_eq!(rec.decode_tag(seq2), TagDecode::Decoded(bigger));
+        // An ack retires the coding with the entry it rides in.
+        let (seq3, _) = send_tagged(rec, &tag);
+        rec.acknowledge_at(seq3, 0);
+        assert_eq!(rec.decode_tag(seq3), TagDecode::Uncoded);
     }
 
     #[test]
@@ -697,31 +796,28 @@ mod tests {
         // suppressed, and the codec — whose state the crash *does* lose —
         // must degrade to LostBase instead of panicking.
         let mut st = ReliableState::new();
-        let link = (p(1), p(2));
-        let tag: IdoSet = [hope_types::AidId::from_raw(p(7))].into_iter().collect();
-        let seq1 = st.assign_seq(link);
-        st.encode_tag(link, seq1, &tag);
-        assert!(st.accept(link, seq1), "first delivery before the crash");
-        assert_eq!(st.decode_tag(link, seq1), TagDecode::Decoded(tag.clone()));
-        st.track(env(1, 2, seq1));
-        st.acknowledge_at(link, seq1, 0);
+        let tag = one_aid_tag(7);
+        let rec = st.link_mut(LINK);
+        let (seq1, _) = send_tagged(rec, &tag);
+        assert!(rec.accept(seq1), "first delivery before the crash");
+        assert_eq!(rec.decode_tag(seq1), TagDecode::Decoded(tag.clone()));
+        rec.acknowledge_at(seq1, 0);
         // A second frame is encoded (as a delta against seq1) but the
         // receiver crashes before it arrives.
-        let seq2 = st.assign_seq(link);
-        let coding = st.encode_tag(link, seq2, &tag);
+        let (seq2, coding) = send_tagged(rec, &tag);
         assert!(matches!(coding, SetCoding::Delta { .. }));
         st.on_crash(p(2));
+        let rec = st.link_mut(LINK);
         // Stale copy of seq1 after restart: still deduplicated.
-        assert!(!st.accept(link, seq1), "exactly-once survives the crash");
+        assert!(!rec.accept(seq1), "exactly-once survives the crash");
         // The in-flight delta's base is gone on the restarted side.
-        assert!(st.accept(link, seq2));
-        assert_eq!(st.decode_tag(link, seq2), TagDecode::LostBase);
+        assert!(rec.accept(seq2));
+        assert_eq!(rec.decode_tag(seq2), TagDecode::LostBase);
         // Post-restart traffic resynchronizes with a Full coding.
-        let seq3 = st.assign_seq(link);
-        let coding = st.encode_tag(link, seq3, &tag);
+        let (seq3, coding) = send_tagged(rec, &tag);
         assert!(matches!(coding, SetCoding::Full { .. }));
-        assert!(st.accept(link, seq3));
-        assert_eq!(st.decode_tag(link, seq3), TagDecode::Decoded(tag));
+        assert!(rec.accept(seq3));
+        assert_eq!(rec.decode_tag(seq3), TagDecode::Decoded(tag));
     }
 
     #[test]
@@ -732,10 +828,10 @@ mod tests {
         st.track(env(1, 2, 1));
         st.acknowledge_at(link, 1, 1_000_000);
         assert_eq!(st.assign_seq(link), 2);
-        assert!(st.srtt_for(link).is_some());
+        assert!(srtt(&st, link).is_some());
         st.track(env(1, 2, 2));
         st.on_crash(p(2));
-        assert_eq!(st.srtt_for(link), None, "estimator is volatile");
+        assert_eq!(srtt(&st, link), None, "estimator is volatile");
         assert_eq!(st.rto_for(link), 5_000_000, "back to the initial rto");
         assert!(st.unacked(link, 2).is_some(), "retransmit buffer survives");
         assert_eq!(st.assign_seq(link), 3, "sequence numbers never restart");
@@ -753,28 +849,25 @@ mod tests {
     #[test]
     fn force_tag_resync_ships_full_and_forgets_in_transit() {
         let mut st = ReliableState::new();
-        let link = (p(1), p(2));
-        let tag: IdoSet = [hope_types::AidId::from_raw(p(9))].into_iter().collect();
+        let rec = st.link_mut(LINK);
+        let tag = one_aid_tag(9);
         // Establish an acked base so the next coding would be a delta.
-        let seq1 = st.assign_seq(link);
-        st.encode_tag(link, seq1, &tag);
-        assert!(st.accept(link, seq1));
-        assert_eq!(st.decode_tag(link, seq1), TagDecode::Decoded(tag.clone()));
-        st.tag_enc.get_mut(&link).unwrap().on_ack(seq1);
-        let seq2 = st.assign_seq(link);
-        let coding = st.encode_tag(link, seq2, &tag);
+        let (seq1, _) = send_tagged(rec, &tag);
+        assert!(rec.accept(seq1));
+        assert_eq!(rec.decode_tag(seq1), TagDecode::Decoded(tag.clone()));
+        rec.enc.on_ack(seq1);
+        let (seq2, coding) = send_tagged(rec, &tag);
         assert!(matches!(coding, SetCoding::Delta { .. }));
 
-        st.force_tag_resync(link);
+        rec.force_tag_resync();
         // The in-transit coding for seq2 is gone: its delivery falls back
         // to the typed tag instead of decoding against a purged base.
-        assert!(st.accept(link, seq2));
-        assert_eq!(st.decode_tag(link, seq2), TagDecode::Uncoded);
+        assert!(rec.accept(seq2));
+        assert_eq!(rec.decode_tag(seq2), TagDecode::Uncoded);
         // And the next send re-establishes the codec with a Full coding.
-        let seq3 = st.assign_seq(link);
-        let coding = st.encode_tag(link, seq3, &tag);
+        let (seq3, coding) = send_tagged(rec, &tag);
         assert!(matches!(coding, SetCoding::Full { .. }));
-        assert!(st.accept(link, seq3));
-        assert_eq!(st.decode_tag(link, seq3), TagDecode::Decoded(tag));
+        assert!(rec.accept(seq3));
+        assert_eq!(rec.decode_tag(seq3), TagDecode::Decoded(tag));
     }
 }

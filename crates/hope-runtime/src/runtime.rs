@@ -16,9 +16,9 @@ use crate::actor::Actor;
 use crate::control::ControlHandler;
 use crate::event::{EventKind, EventQueue};
 use crate::fault::{FaultModel, FaultPlan};
-use crate::link::{Link, LinkWork, Outbound};
+use crate::link::{state_link, Link, LinkWork, Outbound};
 use crate::net::{LatencyModel, NetworkConfig};
-use crate::reliable::{CopyKind, ReliableState};
+use crate::reliable::{CopyKind, LinkId, ReliableState};
 use crate::stats::{MessageStats, PartyKind, RunReport};
 use crate::sysapi::{Received, SysApi};
 use crate::threadproc::{Resume, Shared, SpawnKind, SpawnRequest, ThreadCtx, YieldMsg};
@@ -437,7 +437,9 @@ impl SimRuntime {
             EventKind::Link(LinkWork::Deliver { env, copy }) => self.deliver(env, copy),
             EventKind::Link(LinkWork::Retransmit { link, seq, attempt }) => {
                 let cap = self.max_retransmits;
-                self.step(self.clock, |l, out| l.timer(link, seq, attempt, cap, out));
+                self.step(self.clock, link, |l, out| {
+                    l.timer(link, seq, attempt, cap, out)
+                });
             }
             EventKind::Crash { pid, up_at } => self.crash(pid, up_at),
             EventKind::Restart(pid) => self.restart(pid),
@@ -664,17 +666,19 @@ impl SimRuntime {
         pid
     }
 
-    /// Runs one link-pipeline step at `now` on this runtime's state, then
-    /// queues what it asked for, in the order asked (event ties follow it).
+    /// Runs one link-pipeline step for `link` at `now` on this runtime's
+    /// state — the step's one lookup by link is here — then queues what it
+    /// asked for, in the order asked (event ties follow it).
     fn step<R>(
         &mut self,
         now: VirtualTime,
+        link: LinkId,
         f: impl FnOnce(&mut Link<'_>, &mut Outbound) -> R,
     ) -> R {
         let mut out = Outbound::default();
         let mut link = Link {
             now,
-            rel: self.rel.as_mut(),
+            rel: self.rel.as_mut().map(|rel| rel.link_mut(link)),
             stats: &mut self.stats,
             latency: &mut *self.latency,
             fault: self.fault.as_mut(),
@@ -694,7 +698,9 @@ impl SimRuntime {
         payload: Payload,
         sent_at: VirtualTime,
     ) {
-        self.step(sent_at, |link, out| link.send(src, dst, payload, out));
+        self.step(sent_at, (src, dst), |link, out| {
+            link.send(src, dst, payload, out)
+        });
     }
 
     fn crash(&mut self, pid: ProcessId, up_at: VirtualTime) {
@@ -784,7 +790,7 @@ impl SimRuntime {
         let route =
             (idx < self.procs.len()).then(|| (self.party_kind(env.src), self.party_kind(env.dst)));
         let samples = self.stats.link().rtt_samples;
-        let deliver = self.step(self.clock, |link, out| {
+        let deliver = self.step(self.clock, state_link(&env), |link, out| {
             link.arrive(&env, copy, down, route, out)
         });
         // `srtt_nanos` is the mean across sampled links *at the last

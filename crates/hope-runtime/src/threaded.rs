@@ -401,7 +401,7 @@ impl Inner {
             };
             let mut link = Link {
                 now: self.virt(at),
-                rel: rel.as_deref_mut(),
+                rel: rel.as_mut().map(|stripe| stripe.link_mut(link)),
                 stats: &mut stats,
                 latency: &mut *lane.latency,
                 fault: lane.fault.as_mut(),
