@@ -82,7 +82,7 @@ pub use control::{ControlApi, ControlHandler, NullControl};
 pub use fault::{CrashPoint, FaultModel, FaultPlan, StorageFaultPlan, WireFate};
 pub use net::{
     BackoffPolicy, HeartbeatPolicy, LatencyModel, NetConfig, NetTransport, NetworkConfig,
-    NodeDirectory,
+    NodeDirectory, PeerMachine, PeerOutput,
 };
 pub use reliable::{
     AckOutcome, CopyKind, LinkId, LinkRecord, ReliableState, RttEstimator, TagDecode,

@@ -7,13 +7,15 @@
 //! [`ReliableState::on_crash`] itself — and every step *reports* what to
 //! schedule next, as [`LinkWork`] items at delays relative to the `now`
 //! it was given, in a fixed-size [`Outbound`]. The module owns no clock,
-//! queue, thread or lock and allocates nothing of its own. [`SimRuntime`](crate::SimRuntime) and
-//! [`ThreadedRuntime`](crate::ThreadedRuntime) are its two drivers: each
+//! queue, thread or lock and allocates nothing of its own. [`SimRuntime`](crate::SimRuntime),
+//! [`ThreadedRuntime`](crate::ThreadedRuntime) and the socket transport's
+//! [`PeerMachine`](crate::PeerMachine) are its three drivers: each
 //! lends it a clock reading and the state it borrows for one step (the
 //! reliable sublayer's record for the step's link, a statistics sink,
 //! latency and fault models, the tracer), turns the returned delays into
 //! pushes on its own queue, and keeps what is genuinely its own — process
-//! slots, mailboxes, crash windows, shards.
+//! slots, mailboxes, crash windows, shards; connections, backoff,
+//! heartbeats.
 //! A step touches one link's reliable state, so the driver looks that
 //! [`LinkRecord`] up once and no sublayer call in here names a link.
 //!
@@ -629,7 +631,7 @@ mod tests {
             let (out, delivered) = rig.arrive(300, &ack, CopyKind::Original, false, USERS);
             assert_eq!((shape(&out).len(), delivered), (0, false), "acks stop here");
             assert_eq!(rig.delta(), delta, "seq {seq}");
-            assert!(rig.rel().unacked((p(1), p(2)), seq).is_none());
+            assert!(rig.rel().link_mut((p(1), p(2))).unacked(seq).is_none());
         }
         assert_eq!(rig.rel().mean_srtt_nanos(), 300_000, "one sampled link");
         // A second copy of an ack is counted and changes nothing.
@@ -796,7 +798,7 @@ mod tests {
         };
         assert_eq!(rig.delta(), abandoned);
         assert!(
-            rig.rel().unacked(link, seq).is_none(),
+            rig.rel().link_mut(link).unacked(seq).is_none(),
             "buffer entry dropped"
         );
         // A timer outliving its envelope (acked or abandoned) is silent,
@@ -824,14 +826,18 @@ mod tests {
         let link = (p(1), p(2));
         let mut rig = Rig::new(true, None);
         let first = round_trip(&mut rig, 0, &[9]);
-        assert_ne!(rig.rel().rto_for(link), RTO_US * 1_000, "rto adapted");
+        assert_ne!(
+            rig.rel().link_mut(link).rto_nanos(),
+            RTO_US * 1_000,
+            "rto adapted"
+        );
         // The second message ships as a delta against the acked base; the
         // receiver crashes while it is in flight.
         let (second, copy) = wire_copy(rig.send(10, p(1), p(2), user(&[9])));
         assert_eq!(rig.delta().tags_delta, 1);
         rig.rel().on_crash(p(2));
         assert_eq!(
-            rig.rel().rto_for(link),
+            rig.rel().link_mut(link).rto_nanos(),
             RTO_US * 1_000,
             "estimator forgotten"
         );

@@ -2,27 +2,25 @@
 //!
 //! Two very different things live here on purpose. [`latency`] is the
 //! simulator's view of a network — a pluggable delay distribution the
-//! deterministic runtime samples per message. [`tcp`] is the real thing:
-//! a length-prefixed framed stream transport over TCP sockets, with the
-//! connection-lifecycle machinery real sockets demand (handshakes,
-//! reconnect with capped backoff, heartbeats, bounded parking while a
-//! peer is away). [`supervisor`] holds the pure policy pieces of that
-//! lifecycle — backoff and heartbeat arithmetic — kept free of IO so they
-//! unit-test without sockets.
+//! deterministic runtime samples per message. The other two are the real
+//! thing, split at the syscall. [`supervisor`] is everything a node
+//! decides about its link to one peer — reconnect backoff, heartbeats,
+//! bounded parking while the peer is away, and the link pipeline
+//! (`link.rs`) for sequencing, acks, dedup and retransmission — as a
+//! state machine that does no IO. [`tcp`] is the driver that runs it
+//! over length-prefixed framed TCP streams: listener, handshakes, one
+//! writer and one reader per peer.
 //!
-//! The layering mirrors the in-process runtimes: the reliable sublayer
-//! ([`crate::ReliableState`]) still owns sequencing, dedup and RTT
-//! estimation; TCP only replaces the wire underneath it. TCP already
-//! guarantees in-order delivery *within* one connection, so the reliable
-//! layer's job here is the gaps *between* connections: a send parked
-//! during an outage is retransmitted after reconnect, and the receiver's
-//! dedup window (which survives the flap) suppresses any copy the old
-//! connection managed to deliver.
+//! TCP orders bytes *within* one connection, so the reliable layer's job
+//! here is the gaps *between* connections: what was parked or in flight
+//! at a cut is retransmitted after reconnect, and the receiver's dedup
+//! window (which survives the flap) suppresses whatever the old
+//! connection did deliver.
 
 mod latency;
 pub mod supervisor;
 pub mod tcp;
 
 pub use latency::{LatencyModel, NetworkConfig};
-pub use supervisor::{BackoffPolicy, HeartbeatPolicy};
+pub use supervisor::{BackoffPolicy, HeartbeatPolicy, PeerMachine, PeerOutput};
 pub use tcp::{NetConfig, NetTransport, NodeDirectory};

@@ -31,8 +31,9 @@
 //! This module holds the *state*, one [`LinkRecord`] per directed link;
 //! the steps that use it between a send and a mailbox — in the simulator
 //! and the threaded runtime alike — are the link pipeline (`link.rs`),
-//! which borrows the one record a step touches. The TCP transport
-//! drives the same records from its connection supervisors.
+//! which borrows the one record a step touches. The TCP transport's
+//! peer machine (`net/supervisor.rs`) owns its two records outright and
+//! lends them to the same pipeline.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -226,7 +227,7 @@ pub struct LinkRecord {
 }
 
 impl LinkRecord {
-    fn new(rtt: RttEstimator) -> Self {
+    pub(crate) fn new(rtt: RttEstimator) -> Self {
         LinkRecord {
             next_seq: 0,
             pending: BTreeMap::new(),
@@ -303,6 +304,21 @@ impl LinkRecord {
     /// retransmit timer should resend.
     pub fn unacked(&self, seq: u64) -> Option<&Envelope> {
         self.pending.get(&seq).map(|entry| &entry.env)
+    }
+
+    /// The unacknowledged sequence numbers, ascending.
+    pub fn unacked_seqs(&self) -> impl Iterator<Item = u64> + '_ {
+        self.pending.keys().copied()
+    }
+
+    /// Number of envelopes awaiting acknowledgement.
+    pub fn in_flight(&self) -> usize {
+        self.pending.len()
+    }
+
+    /// The smoothed round-trip time, once the link has a sample.
+    pub fn srtt_nanos(&self) -> Option<u64> {
+        (self.rtt.samples() > 0).then(|| self.rtt.srtt_nanos())
     }
 
     /// Drops the retransmit buffer entry after the retry cap; returns true
@@ -385,17 +401,6 @@ impl ReliableState {
         }
     }
 
-    /// Fresh state whose per-link estimators clamp their RTO to
-    /// `[min_nanos, max_nanos]` — the band real-socket transports need
-    /// (see [`WALL_RTO_MIN_NANOS`] / [`WALL_RTO_MAX_NANOS`]), where the
-    /// virtual-clock derivation would allow microsecond timers.
-    pub fn with_rto_bounds(initial_rto_nanos: u64, min_nanos: u64, max_nanos: u64) -> Self {
-        ReliableState {
-            links: BTreeMap::new(),
-            fresh_rtt: RttEstimator::with_bounds(initial_rto_nanos, min_nanos, max_nanos),
-        }
-    }
-
     /// The record for `link`, created on first use. This is the one
     /// lookup a link pipeline step makes; the methods below that take a
     /// `LinkId` are the same lookup followed by one record call.
@@ -421,23 +426,6 @@ impl ReliableState {
         self.link_mut(link).acknowledge_at(seq, now_nanos)
     }
 
-    /// See [`LinkRecord::mark_retransmitted`].
-    pub fn mark_retransmitted(&mut self, link: LinkId, seq: u64) {
-        self.link_mut(link).mark_retransmitted(seq);
-    }
-
-    /// The adaptive retransmission timeout for `link` in nanoseconds
-    /// (the initial RTO for a link with no samples, or never used).
-    pub fn rto_for(&self, link: LinkId) -> u64 {
-        let rec = self.links.get(&link);
-        rec.map_or(&self.fresh_rtt, |rec| &rec.rtt).rto_nanos()
-    }
-
-    /// See [`LinkRecord::unacked`].
-    pub fn unacked(&self, link: LinkId, seq: u64) -> Option<&Envelope> {
-        self.links.get(&link)?.unacked(seq)
-    }
-
     /// See [`LinkRecord::accept`].
     pub fn accept(&mut self, link: LinkId, seq: u64) -> bool {
         self.link_mut(link).accept(seq)
@@ -445,7 +433,7 @@ impl ReliableState {
 
     /// Number of envelopes awaiting acknowledgement, over all links.
     pub fn in_flight(&self) -> usize {
-        self.links.values().map(|rec| rec.pending.len()).sum()
+        self.links.values().map(LinkRecord::in_flight).sum()
     }
 
     /// Mean smoothed RTT across links with at least one sample (0 if
@@ -460,10 +448,8 @@ impl ReliableState {
     /// instances can combine them into one mean without losing the
     /// per-stripe link counts.
     pub fn srtt_totals(&self) -> (u64, u64) {
-        let sampled = self.links.values().filter(|rec| rec.rtt.samples() > 0);
-        sampled.fold((0, 0), |(sum, n), rec| {
-            (sum.saturating_add(rec.rtt.srtt_nanos()), n + 1)
-        })
+        let sampled = self.links.values().filter_map(LinkRecord::srtt_nanos);
+        sampled.fold((0, 0), |(sum, n), srtt| (sum.saturating_add(srtt), n + 1))
     }
 
     /// Resets the link state a crash of `pid` genuinely loses, and nothing
@@ -525,9 +511,7 @@ mod tests {
     }
 
     fn srtt(st: &ReliableState, link: LinkId) -> Option<u64> {
-        let rtt = st.links.get(&link).map(|rec| rec.rtt);
-        rtt.filter(|rtt| rtt.samples() > 0)
-            .map(|rtt| rtt.srtt_nanos())
+        st.links.get(&link).and_then(LinkRecord::srtt_nanos)
     }
 
     /// Sequences, codes and buffers one tagged envelope on 1->2, as
@@ -562,9 +546,9 @@ mod tests {
     fn ack_retires_pending_exactly_once() {
         let mut st = ReliableState::new();
         st.track(env(1, 2, 1));
-        assert!(st.unacked((p(1), p(2)), 1).is_some());
+        assert!(st.link_mut(LINK).unacked(1).is_some());
         assert!(st.acknowledge_at((p(1), p(2)), 1, 0).retired);
-        assert!(st.unacked((p(1), p(2)), 1).is_none());
+        assert!(st.link_mut(LINK).unacked(1).is_none());
         let again = st.acknowledge_at((p(1), p(2)), 1, 0);
         assert!(!again.retired, "duplicate ack is a no-op");
         assert_eq!(st.in_flight(), 0);
@@ -695,19 +679,22 @@ mod tests {
     }
 
     #[test]
-    fn state_with_rto_bounds_applies_band_to_new_links() {
-        let mut st = ReliableState::with_rto_bounds(5_000_000, 1_000_000, 2_000_000_000);
-        let link = (p(1), p(2));
-        assert_eq!(st.rto_for(link), 5_000_000, "initial inside band");
-        st.track(env(1, 2, 1));
+    fn wall_clock_record_holds_its_rto_inside_the_band() {
+        // The record a socket peer owns: no map around it.
+        let mut rec = LinkRecord::new(RttEstimator::for_wall_clock(5_000_000));
+        assert_eq!(rec.rto_nanos(), 5_000_000, "initial inside band");
         // An instant (0 ns) ack would push an unbounded estimator's RTO
         // toward zero; the band holds it at the floor.
-        st.acknowledge_at(link, 1, 0);
-        for seq in 2..=20 {
-            st.track(env(1, 2, seq));
-            st.acknowledge_at(link, seq, 0);
+        for seq in 1..=20 {
+            rec.track(env(1, 2, seq), None);
+            rec.acknowledge_at(seq, 0);
         }
-        assert_eq!(st.rto_for(link), 1_000_000, "held at the wall floor");
+        assert_eq!(
+            rec.rto_nanos(),
+            WALL_RTO_MIN_NANOS,
+            "held at the wall floor"
+        );
+        assert_eq!((rec.in_flight(), rec.srtt_nanos()), (0, Some(0)));
     }
 
     #[test]
@@ -730,7 +717,7 @@ mod tests {
         assert_eq!(srtt(&st, link), Some(2_000_000));
         // Karn's rule: a retransmitted seq yields no sample.
         st.track(env(1, 2, 2));
-        st.mark_retransmitted(link, 2);
+        st.link_mut(link).mark_retransmitted(2);
         let out = st.acknowledge_at(link, 2, 9_000_000);
         assert!(out.retired);
         assert_eq!(out.rtt_sample_nanos, None);
@@ -738,16 +725,26 @@ mod tests {
     }
 
     #[test]
-    fn rto_for_adapts_from_initial_to_measured() {
+    fn rto_adapts_from_initial_to_measured() {
         let mut st = ReliableState::with_rto(5_000_000);
         let link = (p(1), p(2));
-        assert_eq!(st.rto_for(link), 5_000_000, "no samples: initial rto");
+        assert_eq!(
+            st.link_mut(link).rto_nanos(),
+            5_000_000,
+            "no samples: initial rto"
+        );
         for seq in 1..=20 {
             st.track(env(1, 2, seq));
             st.acknowledge_at(link, seq, 1_000_000);
         }
-        assert!(st.rto_for(link) < 5_000_000, "rto adapted downward");
-        assert!(st.rto_for(link) >= 625_000, "but not below initial/8");
+        assert!(
+            st.link_mut(link).rto_nanos() < 5_000_000,
+            "rto adapted downward"
+        );
+        assert!(
+            st.link_mut(link).rto_nanos() >= 625_000,
+            "but not below initial/8"
+        );
         assert!(st.mean_srtt_nanos() > 0);
     }
 
@@ -832,8 +829,15 @@ mod tests {
         st.track(env(1, 2, 2));
         st.on_crash(p(2));
         assert_eq!(srtt(&st, link), None, "estimator is volatile");
-        assert_eq!(st.rto_for(link), 5_000_000, "back to the initial rto");
-        assert!(st.unacked(link, 2).is_some(), "retransmit buffer survives");
+        assert_eq!(
+            st.link_mut(link).rto_nanos(),
+            5_000_000,
+            "back to the initial rto"
+        );
+        assert!(
+            st.link_mut(link).unacked(2).is_some(),
+            "retransmit buffer survives"
+        );
         assert_eq!(st.assign_seq(link), 3, "sequence numbers never restart");
     }
 
