@@ -23,6 +23,11 @@
 //! randomness and spawning must go through `ProcessCtx`. Capturing
 //! mutable external state is safe only if the closure never reads what it
 //! wrote on a previous (rolled-back) execution.
+//!
+//! Every logged primitive opens with one private replay gate: while
+//! replaying it counts one `replayed_ops` and hands back the logged result,
+//! it panics with `ReplayDiverged` when the log holds another op (or none),
+//! and it never calls `check_rollback` — a primitive that must, does so.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -61,6 +66,16 @@ pub struct Delivery {
     pub channel: u32,
     /// The payload.
     pub data: Bytes,
+}
+
+impl Delivery {
+    fn of(src: ProcessId, msg: UserMessage) -> Self {
+        Delivery {
+            src,
+            channel: msg.channel,
+            data: msg.data,
+        }
+    }
 }
 
 /// The context of a running HOPE user process. See the [module
@@ -107,15 +122,10 @@ impl<'a> ProcessCtx<'a> {
     /// stale reply from a helper spawned by the discarded execution cannot
     /// alias the new channel and be consumed as if it answered the new call.
     pub fn channel_seq(&mut self) -> u32 {
-        if self.log.is_replaying() {
-            self.metrics.replayed_ops.fetch_add(1, Ordering::Relaxed);
-            let value = match self.log.replay_next("ChannelSeq", |op| match op {
-                Op::ChannelSeq { value } => Some(*value),
-                _ => None,
-            }) {
-                Ok(v) => v,
-                Err(e) => self.diverge(e),
-            };
+        if let Some(value) = self.replayed("ChannelSeq", |op| match op {
+            Op::ChannelSeq { value } => Some(*value),
+            _ => None,
+        }) {
             // Self-heal the persistent counter past the replayed value so a
             // later live allocation cannot collide with it (relevant after
             // crash recovery, where the counter restarts at zero but the
@@ -221,14 +231,15 @@ impl<'a> ProcessCtx<'a> {
         tag.iter().copied().find(|a| state.known_denied.contains(a))
     }
 
-    /// Accounts for one proactively cancelled doomed interval (a tagged
-    /// message discarded before its implicit guess could open one).
-    fn discard_doomed(&mut self, aid: AidId) {
+    /// Accounts for one proactively cancelled doomed interval: a tagged
+    /// `message` discarded before its implicit guess could open one, or an
+    /// explicit guess resolved on the spot.
+    fn discard_doomed(&mut self, aid: AidId, message: bool) {
         self.metrics
             .cancelled_intervals
             .fetch_add(1, Ordering::Relaxed);
         self.lib.lock().spec.count_cancelled();
-        self.trace(TraceEventKind::CancelDoomed { aid, message: true });
+        self.trace(TraceEventKind::CancelDoomed { aid, message });
     }
 
     /// Registers interval `iid` with every assumption in `members` by
@@ -246,8 +257,55 @@ impl<'a> ProcessCtx<'a> {
         }
     }
 
-    fn diverge(&self, err: hope_types::HopeError) -> ! {
-        std::panic::panic_any(err.to_string());
+    /// The replay gate (contract in the module docs). `None` when live;
+    /// while replaying, what `pick` extracts from the logged op once it
+    /// recognises it as the `what` the body is issuing now.
+    #[inline]
+    fn replayed<T>(&mut self, what: &str, pick: impl FnOnce(&Op) -> Option<T>) -> Option<T> {
+        if !self.log.is_replaying() {
+            return None;
+        }
+        self.metrics.replayed_ops.fetch_add(1, Ordering::Relaxed);
+        match self.log.replay_next(what, pick) {
+            Ok(logged) => Some(logged),
+            Err(err) => std::panic::panic_any(err.to_string()),
+        }
+    }
+
+    /// The receive-side implicit guess: a message logged at `op` whose
+    /// `tag` is not empty opens an interval dependent on every assumption
+    /// in it, before user code sees the message.
+    fn open_implicit(&mut self, op: usize, tag: &IdoSet) {
+        if tag.is_empty() {
+            return;
+        }
+        self.metrics
+            .implicit_guesses
+            .fetch_add(tag.len() as u64, Ordering::Relaxed);
+        let (iid, delta) = {
+            let mut lib = self.lib.lock();
+            let iid = lib
+                .history
+                .open_interval(IntervalOrigin::ImplicitReceive { op }, tag.iter().copied());
+            let pos = lib.history.intervals().len() - 1;
+            // Delta registration: only tag members this process is not
+            // already registered for (DESIGN.md S7).
+            let delta: IdoSet = tag
+                .iter()
+                .filter(|y| !lib.history.held_before(pos, y))
+                .copied()
+                .collect();
+            (iid, delta)
+        };
+        self.register_guesses(iid, &delta);
+        self.trace(TraceEventKind::IntervalOpen {
+            interval: iid,
+            implicit: true,
+        });
+        self.trace(TraceEventKind::ImplicitGuess {
+            new_aids: delta.len() as u64,
+            interval: iid,
+        });
     }
 
     // ------------------------------------------------------------------
@@ -259,15 +317,11 @@ impl<'a> ProcessCtx<'a> {
     /// time). The AID starts `Cold`; no dependency is created until
     /// someone [`guess`](ProcessCtx::guess)es it.
     pub fn aid_init(&mut self) -> AidId {
-        if self.log.is_replaying() {
-            self.metrics.replayed_ops.fetch_add(1, Ordering::Relaxed);
-            return match self.log.replay_next("AidInit", |op| match op {
-                Op::AidInit { aid } => Some(*aid),
-                _ => None,
-            }) {
-                Ok(aid) => aid,
-                Err(e) => self.diverge(e),
-            };
+        if let Some(aid) = self.replayed("AidInit", |op| match op {
+            Op::AidInit { aid } => Some(*aid),
+            _ => None,
+        }) {
+            return aid;
         }
         self.check_rollback();
         let metrics = self.metrics.clone();
@@ -285,15 +339,9 @@ impl<'a> ProcessCtx<'a> {
     /// whose lifetime you do not control; pair with
     /// [`aid_release`](ProcessCtx::aid_release).
     pub fn aid_retain(&mut self, aid: AidId) {
-        if self.log.is_replaying() {
-            self.metrics.replayed_ops.fetch_add(1, Ordering::Relaxed);
-            match self.log.replay_next("AidRetain", |op| match op {
-                Op::AidRetain { aid: a } if *a == aid => Some(()),
-                _ => None,
-            }) {
-                Ok(()) => return,
-                Err(e) => self.diverge(e),
-            }
+        let same = |op: &Op| matches!(op, Op::AidRetain { aid: a } if *a == aid).then_some(());
+        if self.replayed("AidRetain", same).is_some() {
+            return;
         }
         self.check_rollback();
         self.log.record(Op::AidRetain { aid });
@@ -310,15 +358,9 @@ impl<'a> ProcessCtx<'a> {
     /// Releases are immediate and are not undone by rollback — release
     /// from definite code.
     pub fn aid_release(&mut self, aid: AidId) {
-        if self.log.is_replaying() {
-            self.metrics.replayed_ops.fetch_add(1, Ordering::Relaxed);
-            match self.log.replay_next("AidRelease", |op| match op {
-                Op::AidRelease { aid: a } if *a == aid => Some(()),
-                _ => None,
-            }) {
-                Ok(()) => return,
-                Err(e) => self.diverge(e),
-            }
+        let same = |op: &Op| matches!(op, Op::AidRelease { aid: a } if *a == aid).then_some(());
+        if self.replayed("AidRelease", same).is_some() {
+            return;
         }
         self.check_rollback();
         self.log.record(Op::AidRelease { aid });
@@ -349,15 +391,11 @@ impl<'a> ProcessCtx<'a> {
     /// eventually resolved, exactly the contract of
     /// [`await_definite`](ProcessCtx::await_definite).
     pub fn guess(&mut self, aid: AidId) -> bool {
-        if self.log.is_replaying() {
-            self.metrics.replayed_ops.fetch_add(1, Ordering::Relaxed);
-            return match self.log.replay_next("Guess", |op| match op {
-                Op::Guess { aid: a, outcome } if *a == aid => Some(*outcome),
-                _ => None,
-            }) {
-                Ok(outcome) => outcome,
-                Err(e) => self.diverge(e),
-            };
+        if let Some(outcome) = self.replayed("Guess", |op| match op {
+            Op::Guess { aid: a, outcome } if *a == aid => Some(*outcome),
+            _ => None,
+        }) {
+            return outcome;
         }
         self.check_rollback();
         // Adaptive speculation control (DESIGN.md §9); every gate is a
@@ -375,18 +413,11 @@ impl<'a> ProcessCtx<'a> {
             // doomed on arrival of its own registration. Resolve on the
             // spot with the outcome the rollback would have produced.
             self.metrics.guesses.fetch_add(1, Ordering::Relaxed);
-            self.metrics
-                .cancelled_intervals
-                .fetch_add(1, Ordering::Relaxed);
-            self.lib.lock().spec.count_cancelled();
             self.log.record(Op::Guess {
                 aid,
                 outcome: false,
             });
-            self.trace(TraceEventKind::CancelDoomed {
-                aid,
-                message: false,
-            });
+            self.discard_doomed(aid, false);
             return false;
         }
         if let Some(max_depth) = max_depth {
@@ -466,15 +497,9 @@ impl<'a> ProcessCtx<'a> {
     /// contract; the violation is counted in
     /// [`HopeMetrics::aid_contract_violations`] rather than aborting.
     pub fn affirm(&mut self, aid: AidId) {
-        if self.log.is_replaying() {
-            self.metrics.replayed_ops.fetch_add(1, Ordering::Relaxed);
-            match self.log.replay_next("Affirm", |op| match op {
-                Op::Affirm { aid: a } if *a == aid => Some(()),
-                _ => None,
-            }) {
-                Ok(()) => return,
-                Err(e) => self.diverge(e),
-            }
+        let same = |op: &Op| matches!(op, Op::Affirm { aid: a } if *a == aid).then_some(());
+        if self.replayed("Affirm", same).is_some() {
+            return;
         }
         self.check_rollback();
         self.metrics.affirms.fetch_add(1, Ordering::Relaxed);
@@ -508,15 +533,9 @@ impl<'a> ProcessCtx<'a> {
     /// is held in the interval's `IHD` set until the interval finalizes
     /// (paper, footnote 1).
     pub fn deny(&mut self, aid: AidId) {
-        if self.log.is_replaying() {
-            self.metrics.replayed_ops.fetch_add(1, Ordering::Relaxed);
-            match self.log.replay_next("Deny", |op| match op {
-                Op::Deny { aid: a } if *a == aid => Some(()),
-                _ => None,
-            }) {
-                Ok(()) => return,
-                Err(e) => self.diverge(e),
-            }
+        let same = |op: &Op| matches!(op, Op::Deny { aid: a } if *a == aid).then_some(());
+        if self.replayed("Deny", same).is_some() {
+            return;
         }
         self.check_rollback();
         self.metrics.denies.fetch_add(1, Ordering::Relaxed);
@@ -549,15 +568,11 @@ impl<'a> ProcessCtx<'a> {
     /// The deny is always sent immediately (buffering a self-targeting
     /// deny would deadlock).
     pub fn free_of(&mut self, aid: AidId) -> bool {
-        if self.log.is_replaying() {
-            self.metrics.replayed_ops.fetch_add(1, Ordering::Relaxed);
-            return match self.log.replay_next("FreeOf", |op| match op {
-                Op::FreeOf { aid: a, outcome } if *a == aid => Some(*outcome),
-                _ => None,
-            }) {
-                Ok(outcome) => outcome,
-                Err(e) => self.diverge(e),
-            };
+        if let Some(outcome) = self.replayed("FreeOf", |op| match op {
+            Op::FreeOf { aid: a, outcome } if *a == aid => Some(*outcome),
+            _ => None,
+        }) {
+            return outcome;
         }
         self.check_rollback();
         self.metrics.free_ofs.fetch_add(1, Ordering::Relaxed);
@@ -603,15 +618,12 @@ impl<'a> ProcessCtx<'a> {
     /// current dependency set. The receiver implicitly guesses every AID
     /// in the tag before its user code sees the message.
     pub fn send(&mut self, dst: ProcessId, channel: u32, data: Bytes) {
-        if self.log.is_replaying() {
-            self.metrics.replayed_ops.fetch_add(1, Ordering::Relaxed);
-            match self.log.replay_next("Send", |op| match op {
-                Op::Send { dst: d, channel: c } if *d == dst && *c == channel => Some(()),
-                _ => None,
-            }) {
-                Ok(()) => return, // already sent on the original execution
-                Err(e) => self.diverge(e),
-            }
+        let same = |op: &Op| {
+            matches!(op, Op::Send { dst: d, channel: c } if *d == dst && *c == channel)
+                .then_some(())
+        };
+        if self.replayed("Send", same).is_some() {
+            return; // already sent on the original execution
         }
         self.check_rollback();
         let tag = self.lib.lock().history.current_deps().clone();
@@ -629,22 +641,12 @@ impl<'a> ProcessCtx<'a> {
     /// where the process will roll back to — the stale message is
     /// discarded and the receive blocks again for a fresh one.
     pub fn receive(&mut self, channel: Option<u32>) -> Delivery {
-        if self.log.is_replaying() {
-            self.metrics.replayed_ops.fetch_add(1, Ordering::Relaxed);
-            let (src, msg) = match self.log.replay_next("Receive", |op| match op {
-                Op::Receive { src, msg } if channel.is_none_or(|c| c == msg.channel) => {
-                    Some((*src, msg.clone()))
-                }
-                _ => None,
-            }) {
-                Ok(v) => v,
-                Err(e) => self.diverge(e),
-            };
-            return Delivery {
-                src,
-                channel: msg.channel,
-                data: msg.data,
-            };
+        let wanted = |msg: &UserMessage| channel.is_none_or(|c| c == msg.channel);
+        if let Some(delivery) = self.replayed("Receive", |op| match op {
+            Op::Receive { src, msg } if wanted(msg) => Some(Delivery::of(*src, msg.clone())),
+            _ => None,
+        }) {
+            return delivery;
         }
         self.check_rollback();
         loop {
@@ -657,58 +659,22 @@ impl<'a> ProcessCtx<'a> {
                     }
                     std::panic::panic_any(ShutdownSignal);
                 }
-                Some(received) => {
-                    let src = received.src;
-                    let msg = received.msg;
+                Some(hope_runtime::Received { src, msg }) => {
                     // Doomed-interval cancellation: a tag naming an AID this
                     // process has already seen denied would open an interval
                     // guaranteed to roll back. Discard the message before
                     // guessing (it is never logged, so replay is unaffected)
                     // and block for the next one.
                     if let Some(doomed) = self.doomed_aid(&msg.tag) {
-                        self.discard_doomed(doomed);
+                        self.discard_doomed(doomed, true);
                         continue;
                     }
                     let op = self.log.record(Op::Receive {
                         src,
                         msg: msg.clone(),
                     });
-                    if !msg.tag.is_empty() {
-                        self.metrics
-                            .implicit_guesses
-                            .fetch_add(msg.tag.len() as u64, Ordering::Relaxed);
-                        let (iid, delta) = {
-                            let mut lib = self.lib.lock();
-                            let iid = lib.history.open_interval(
-                                IntervalOrigin::ImplicitReceive { op },
-                                msg.tag.iter().copied(),
-                            );
-                            let pos = lib.history.intervals().len() - 1;
-                            // Delta registration: only tag members this process
-                            // is not already registered for (DESIGN.md S7).
-                            let delta: IdoSet = msg
-                                .tag
-                                .iter()
-                                .filter(|y| !lib.history.held_before(pos, y))
-                                .copied()
-                                .collect();
-                            (iid, delta)
-                        };
-                        self.register_guesses(iid, &delta);
-                        self.trace(TraceEventKind::IntervalOpen {
-                            interval: iid,
-                            implicit: true,
-                        });
-                        self.trace(TraceEventKind::ImplicitGuess {
-                            new_aids: delta.len() as u64,
-                            interval: iid,
-                        });
-                    }
-                    return Delivery {
-                        src,
-                        channel: msg.channel,
-                        data: msg.data,
-                    };
+                    self.open_implicit(op, &msg.tag);
+                    return Delivery::of(src, msg);
                 }
             }
         }
@@ -718,20 +684,17 @@ impl<'a> ProcessCtx<'a> {
     /// queued. Tagged messages create implicit guesses exactly like
     /// [`receive`](ProcessCtx::receive).
     pub fn try_receive(&mut self, channel: Option<u32>) -> Option<Delivery> {
-        if self.log.is_replaying() {
-            self.metrics.replayed_ops.fetch_add(1, Ordering::Relaxed);
-            let result = match self.log.replay_next("TryReceive", |op| match op {
-                Op::TryReceive { result } => Some(result.clone()),
-                _ => None,
-            }) {
-                Ok(r) => r,
-                Err(e) => self.diverge(e),
-            };
-            return result.map(|(src, msg)| Delivery {
-                src,
-                channel: msg.channel,
-                data: msg.data,
-            });
+        // A logged `None` matches any filter; a logged message must pass
+        // the caller's, exactly as in `receive`.
+        let wanted = |msg: &UserMessage| channel.is_none_or(|c| c == msg.channel);
+        if let Some(result) = self.replayed("TryReceive", |op| match op {
+            Op::TryReceive { result: None } => Some(None),
+            Op::TryReceive {
+                result: Some((src, msg)),
+            } if wanted(msg) => Some(Some(Delivery::of(*src, msg.clone()))),
+            _ => None,
+        }) {
+            return result;
         }
         self.check_rollback();
         let result = loop {
@@ -743,7 +706,7 @@ impl<'a> ProcessCtx<'a> {
                     // only ever records deliveries that opened (or skipped
                     // opening) an interval for real.
                     if let Some(doomed) = self.doomed_aid(&r.msg.tag) {
-                        self.discard_doomed(doomed);
+                        self.discard_doomed(doomed, true);
                         continue;
                     }
                     break Some((r.src, r.msg));
@@ -755,41 +718,8 @@ impl<'a> ProcessCtx<'a> {
             result: result.clone(),
         });
         result.map(|(src, msg)| {
-            if !msg.tag.is_empty() {
-                self.metrics
-                    .implicit_guesses
-                    .fetch_add(msg.tag.len() as u64, Ordering::Relaxed);
-                let (iid, delta) = {
-                    let mut lib = self.lib.lock();
-                    let iid = lib.history.open_interval(
-                        IntervalOrigin::ImplicitReceive { op },
-                        msg.tag.iter().copied(),
-                    );
-                    let pos = lib.history.intervals().len() - 1;
-                    // Delta registration: see `receive`.
-                    let delta: IdoSet = msg
-                        .tag
-                        .iter()
-                        .filter(|y| !lib.history.held_before(pos, y))
-                        .copied()
-                        .collect();
-                    (iid, delta)
-                };
-                self.register_guesses(iid, &delta);
-                self.trace(TraceEventKind::IntervalOpen {
-                    interval: iid,
-                    implicit: true,
-                });
-                self.trace(TraceEventKind::ImplicitGuess {
-                    new_aids: delta.len() as u64,
-                    interval: iid,
-                });
-            }
-            Delivery {
-                src,
-                channel: msg.channel,
-                data: msg.data,
-            }
+            self.open_implicit(op, &msg.tag);
+            Delivery::of(src, msg)
         })
     }
 
@@ -799,15 +729,9 @@ impl<'a> ProcessCtx<'a> {
 
     /// Spends `dur` of virtual compute time.
     pub fn compute(&mut self, dur: VirtualDuration) {
-        if self.log.is_replaying() {
-            self.metrics.replayed_ops.fetch_add(1, Ordering::Relaxed);
-            match self.log.replay_next("Compute", |op| match op {
-                Op::Compute { dur: d } if *d == dur => Some(()),
-                _ => None,
-            }) {
-                Ok(()) => return, // the time was already spent
-                Err(e) => self.diverge(e),
-            }
+        let same = |op: &Op| matches!(op, Op::Compute { dur: d } if *d == dur).then_some(());
+        if self.replayed("Compute", same).is_some() {
+            return; // the time was already spent
         }
         self.check_rollback();
         self.log.record(Op::Compute { dur });
@@ -819,15 +743,11 @@ impl<'a> ProcessCtx<'a> {
     /// during re-execution (rollback does not rewind the clock, exactly as
     /// a restored process image would keep its old time reads).
     pub fn now(&mut self) -> VirtualTime {
-        if self.log.is_replaying() {
-            self.metrics.replayed_ops.fetch_add(1, Ordering::Relaxed);
-            return match self.log.replay_next("Now", |op| match op {
-                Op::Now { value } => Some(*value),
-                _ => None,
-            }) {
-                Ok(v) => v,
-                Err(e) => self.diverge(e),
-            };
+        if let Some(value) = self.replayed("Now", |op| match op {
+            Op::Now { value } => Some(*value),
+            _ => None,
+        }) {
+            return value;
         }
         let value = self.sys.now();
         self.log.record(Op::Now { value });
@@ -836,15 +756,11 @@ impl<'a> ProcessCtx<'a> {
 
     /// Deterministic random value (stable across re-executions).
     pub fn random(&mut self) -> u64 {
-        if self.log.is_replaying() {
-            self.metrics.replayed_ops.fetch_add(1, Ordering::Relaxed);
-            return match self.log.replay_next("Random", |op| match op {
-                Op::Random { value } => Some(*value),
-                _ => None,
-            }) {
-                Ok(v) => v,
-                Err(e) => self.diverge(e),
-            };
+        if let Some(value) = self.replayed("Random", |op| match op {
+            Op::Random { value } => Some(*value),
+            _ => None,
+        }) {
+            return value;
         }
         let value = self.sys.random_u64();
         self.log.record(Op::Random { value });
@@ -860,15 +776,9 @@ impl<'a> ProcessCtx<'a> {
     /// resolved at all, this waits forever (the same contract as a
     /// blocked `receive`).
     pub fn await_definite(&mut self) {
-        if self.log.is_replaying() {
-            self.metrics.replayed_ops.fetch_add(1, Ordering::Relaxed);
-            match self.log.replay_next("Barrier", |op| match op {
-                Op::Barrier => Some(()),
-                _ => None,
-            }) {
-                Ok(()) => return,
-                Err(e) => self.diverge(e),
-            }
+        let same = |op: &Op| matches!(op, Op::Barrier).then_some(());
+        if self.replayed("Barrier", same).is_some() {
+            return;
         }
         self.check_rollback();
         loop {
@@ -903,15 +813,11 @@ impl<'a> ProcessCtx<'a> {
     where
         F: Fn(&mut ProcessCtx<'_>) + Send + 'static,
     {
-        if self.log.is_replaying() {
-            self.metrics.replayed_ops.fetch_add(1, Ordering::Relaxed);
-            return match self.log.replay_next("SpawnUser", |op| match op {
-                Op::SpawnUser { pid } => Some(*pid),
-                _ => None,
-            }) {
-                Ok(pid) => pid,
-                Err(e) => self.diverge(e),
-            };
+        if let Some(pid) = self.replayed("SpawnUser", |op| match op {
+            Op::SpawnUser { pid } => Some(*pid),
+            _ => None,
+        }) {
+            return pid;
         }
         self.check_rollback();
         let (config, registry) = {

@@ -1,14 +1,22 @@
 //! The HOPE environment: wires user processes, their HOPElibs and AID
-//! processes onto the runtime (the overall structure of the paper's
-//! Figure 3).
+//! processes onto a runtime (the overall structure of the paper's
+//! Figure 3). There is one front end, [`Env<R>`](Env) built by
+//! [`EnvBuilder<R>`](EnvBuilder): what does not touch the runtime lives in
+//! one shared `impl<R>` block, and each runtime — the virtual-time
+//! [`SimRuntime`] and the wall-clock [`ThreadedRuntime`] — adds its own
+//! knobs, `build`, `spawn_user` and run methods in a block of its own.
 
+use std::marker::PhantomData;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
+use std::time::Duration;
 
 use parking_lot::Mutex;
 
-use hope_runtime::{ControlHandler, FaultPlan, NetworkConfig, RunReport, SimRuntime, SysApi};
+use hope_runtime::{
+    ControlHandler, FaultPlan, NetworkConfig, RunReport, SimRuntime, SysApi, ThreadedRuntime,
+};
 use hope_types::{
     BlameKey, ProcessId, SpecPolicy, SpecSnapshot, TraceCollector, TraceEventKind, VirtualTime,
     WastedWork,
@@ -26,15 +34,19 @@ use crate::replay::{Op, ReplayLog};
 /// and on every rollback-driven re-execution (hence `Fn`, not `FnOnce`).
 pub type UserBody = Box<dyn Fn(&mut ProcessCtx<'_>) + Send>;
 
+/// One user process's HOPElib state, shared by its `Control` handler, its
+/// thread body and the environment's observers.
+type SharedLib = Arc<Mutex<LibState>>;
+
 /// The pieces a runtime needs to host one HOPE user process.
 pub(crate) type UserProcessParts = (
-    Arc<Mutex<LibState>>,
+    SharedLib,
     Box<dyn ControlHandler>,
     hope_runtime::ProcessBody,
 );
 
 /// Builds the control handler and thread body for one HOPE user process.
-/// Used by [`HopeEnv::spawn_user`] and by
+/// Used by the environment's `spawn_user` and by
 /// [`ProcessCtx::spawn_user`](crate::ProcessCtx::spawn_user).
 pub(crate) fn make_user_process(
     config: HopeConfig,
@@ -84,7 +96,7 @@ fn install_silent_signal_hook() {
 /// definite (a finished-but-speculative process can still be rolled back).
 fn run_user_body(
     sys: &mut dyn SysApi,
-    lib: &Arc<Mutex<LibState>>,
+    lib: &SharedLib,
     metrics: Arc<HopeMetrics>,
     registry: Option<Arc<StoreRegistry>>,
     body: UserBody,
@@ -107,17 +119,11 @@ fn run_user_body(
         match outcome {
             Ok(()) => match linger(sys, lib) {
                 LingerOutcome::Definite | LingerOutcome::Shutdown => return,
-                LingerOutcome::Rollback => {
-                    if !perform_rollback(sys, lib, &mut log, &metrics) {
-                        return;
-                    }
-                }
+                LingerOutcome::Rollback => perform_rollback(sys, lib, &mut log, &metrics),
             },
             Err(payload) => {
                 if payload.is::<RollbackSignal>() {
-                    if !perform_rollback(sys, lib, &mut log, &metrics) {
-                        return;
-                    }
+                    perform_rollback(sys, lib, &mut log, &metrics);
                 } else if payload.is::<ShutdownSignal>() {
                     return;
                 } else {
@@ -131,7 +137,7 @@ fn run_user_body(
 
 /// After the body returns, wait until every interval is definite (or a
 /// rollback arrives, or the runtime stops).
-fn linger(sys: &mut dyn SysApi, lib: &Arc<Mutex<LibState>>) -> LingerOutcome {
+fn linger(sys: &mut dyn SysApi, lib: &SharedLib) -> LingerOutcome {
     loop {
         {
             let state = lib.lock();
@@ -157,15 +163,16 @@ fn linger(sys: &mut dyn SysApi, lib: &Arc<Mutex<LibState>>) -> LingerOutcome {
 }
 
 /// Applies a pending rollback: truncate the history, retract speculative
-/// affirms per policy, rewind the operation log, and signal the caller to
-/// re-execute. Returns `false` when the rollback is stale (nothing to do
-/// and nothing live), which lets the caller keep its previous course.
+/// affirms per policy and rewind the operation log; the caller then
+/// re-executes the body. A stale rollback (nothing pending, or nothing
+/// live at its floor) only rewinds: the log replays to its end,
+/// reproducing the current state.
 fn perform_rollback(
     sys: &mut dyn SysApi,
-    lib: &Arc<Mutex<LibState>>,
+    lib: &SharedLib,
     log: &mut ReplayLog,
     metrics: &Arc<HopeMetrics>,
-) -> bool {
+) {
     // Post-crash recovery: rebuild the op log from the durable store
     // before unwinding. The in-memory log conveniently survived the crash
     // in these runtimes; a real process image would not, so when storage
@@ -179,10 +186,8 @@ fn perform_rollback(
     let (discarded, cause, crash_recovery, guess_policy) = {
         let mut state = lib.lock();
         let Some(pending) = state.pending_rollback.take() else {
-            // Spurious wakeup: continue re-execution anyway (the log is
-            // simply replayed to its end, reproducing the current state).
             log.rewind();
-            return true;
+            return;
         };
         let target = state
             .history
@@ -192,7 +197,7 @@ fn perform_rollback(
             .map(|r| r.id);
         let Some(target) = target else {
             log.rewind();
-            return true;
+            return;
         };
         let retract = state.config().retract_policy;
         let guess_policy = state.config().guess_rollback;
@@ -220,7 +225,7 @@ fn perform_rollback(
     };
     if discarded.is_empty() {
         log.rewind();
-        return true;
+        return;
     }
     metrics
         .rollbacks
@@ -354,10 +359,11 @@ fn perform_rollback(
     if !requeue.is_empty() {
         sys.requeue_front(requeue);
     }
-    true
 }
 
-/// Builds a [`HopeEnv`].
+/// Builds an [`Env`] on runtime `R`. One impl block holds everything the
+/// two runtimes share; [`HopeEnvBuilder`] and [`ThreadedHopeEnvBuilder`]
+/// each add the knobs of their own runtime and `build`.
 ///
 /// # Examples
 ///
@@ -372,41 +378,53 @@ fn perform_rollback(
 ///     .build();
 /// # let _ = env;
 /// ```
-#[derive(Debug)]
-pub struct HopeEnvBuilder {
+pub struct EnvBuilder<R> {
     seed: u64,
     network: NetworkConfig,
     config: HopeConfig,
-    max_events: u64,
-    trace_capacity: usize,
     faults: Option<FaultPlan>,
     durable: Option<DurableConfig>,
     reliable: bool,
+    /// [`SimRuntime`] only; unset = the runtime builder's own default.
+    max_events: Option<u64>,
+    /// [`SimRuntime`] only.
+    trace_capacity: usize,
+    /// [`ThreadedRuntime`] only; unset = the runtime builder's own default.
+    shards: Option<usize>,
+    runtime: PhantomData<fn() -> R>,
 }
 
-impl Default for HopeEnvBuilder {
-    fn default() -> Self {
-        HopeEnvBuilder {
+/// Builds a [`HopeEnv`] (the virtual-time simulator).
+pub type HopeEnvBuilder = EnvBuilder<SimRuntime>;
+/// Builds a [`ThreadedHopeEnv`] (OS threads, wall-clock time).
+pub type ThreadedHopeEnvBuilder = EnvBuilder<ThreadedRuntime>;
+
+impl<R> EnvBuilder<R> {
+    fn new(network: NetworkConfig) -> Self {
+        EnvBuilder {
             seed: 0,
-            network: NetworkConfig::default(),
+            network,
             config: HopeConfig::new(),
-            max_events: 50_000_000,
-            trace_capacity: 0,
             faults: None,
             durable: None,
             reliable: false,
+            max_events: None,
+            trace_capacity: 0,
+            shards: None,
+            runtime: PhantomData,
         }
     }
-}
 
-impl HopeEnvBuilder {
-    /// Seed for all deterministic randomness.
+    /// Seed for all deterministic randomness (per-process RNGs, latency
+    /// jitter, fault decisions).
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
         self
     }
 
-    /// Network latency configuration.
+    /// Network latency configuration. The simulator defaults to
+    /// [`NetworkConfig::default`]; the threaded runtime, where latency
+    /// elapses in wall time, to [`NetworkConfig::local`].
     pub fn network(mut self, network: NetworkConfig) -> Self {
         self.network = network;
         self
@@ -436,12 +454,6 @@ impl HopeEnvBuilder {
         self
     }
 
-    /// Behaviour of a rolled-back `guess` (see [`GuessRollbackPolicy`]).
-    pub fn guess_rollback(mut self, policy: GuessRollbackPolicy) -> Self {
-        self.config.guess_rollback = policy;
-        self
-    }
-
     /// Speculation-control policy (DESIGN.md §9). Defaults to
     /// [`SpecPolicy::AlwaysOptimistic`], the paper's unconditional guess.
     ///
@@ -458,21 +470,8 @@ impl HopeEnvBuilder {
         self
     }
 
-    /// Event-count safety valve.
-    pub fn max_events(mut self, max_events: u64) -> Self {
-        self.max_events = max_events;
-        self
-    }
-
-    /// Keep a bounded delivery trace (see
-    /// [`SimRuntime::trace`](hope_runtime::SimRuntime::trace)); 0 = off.
-    pub fn trace(mut self, capacity: usize) -> Self {
-        self.trace_capacity = capacity;
-        self
-    }
-
     /// Forces the reliable-delivery sublayer on even with a lossless wire
-    /// (implied by [`HopeEnvBuilder::faults`]). Benchmarks use this to
+    /// (implied by [`EnvBuilder::faults`]). Benchmarks use this to
     /// account per-link sequencing, acks and dependency-tag wire coding
     /// without also paying for injected faults.
     pub fn reliable(mut self, on: bool) -> Self {
@@ -482,7 +481,8 @@ impl HopeEnvBuilder {
 
     /// Injects runtime faults (drops, duplicates, crash/restarts) per
     /// `plan`; enables the reliable-delivery sublayer and HOPElib crash
-    /// recovery via operation-log replay.
+    /// recovery via operation-log replay. On the threaded runtime crash
+    /// times are wall-clock offsets from startup.
     pub fn faults(mut self, plan: FaultPlan) -> Self {
         self.faults = Some(plan);
         self
@@ -498,53 +498,127 @@ impl HopeEnvBuilder {
         self
     }
 
-    /// Builds the environment.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the configured [`SpecPolicy`] is invalid (it can reach
-    /// the builder unvalidated through [`HopeEnvBuilder::config`]).
-    pub fn build(self) -> HopeEnv {
-        if let Err(e) = self.config.spec_policy.validate() {
+    /// The runtime-independent part of `build`: validates the policy,
+    /// creates the shared metrics and the store registry, and wraps the
+    /// runtime that `start` builds from this builder and the tracer every
+    /// layer records into.
+    fn build_on(self, start: impl FnOnce(Self, Arc<TraceCollector>) -> R) -> Env<R> {
+        let config = self.config;
+        if let Err(e) = config.spec_policy.validate() {
             panic!("{e}");
         }
         let metrics = Arc::new(HopeMetrics::new());
-        let mut builder = SimRuntime::builder()
-            .seed(self.seed)
-            .network(self.network)
-            .max_events(self.max_events)
-            .trace(self.trace_capacity)
-            .tracer(metrics.tracer.clone())
-            .reliable(self.reliable);
         let storage = self
             .faults
             .as_ref()
             .and_then(|plan| plan.storage_plan().copied());
-        if let Some(plan) = self.faults {
-            builder = builder.faults(plan);
-        }
         let registry = self
             .durable
-            .map(|config| Arc::new(StoreRegistry::new(config, storage, self.seed)));
-        HopeEnv {
-            rt: builder.build(),
-            config: self.config,
+            .map(|durable| Arc::new(StoreRegistry::new(durable, storage, self.seed)));
+        Env {
+            rt: start(self, metrics.tracer.clone()),
+            config,
             metrics,
-            libs: Vec::new(),
+            libs: Mutex::new(Vec::new()),
             registry,
         }
     }
 }
 
-/// A complete HOPE environment: the simulated runtime plus the shared
-/// algorithm configuration and metrics. See the crate docs for an example.
-pub struct HopeEnv {
-    rt: SimRuntime,
+impl EnvBuilder<SimRuntime> {
+    /// Event-count safety valve.
+    pub fn max_events(mut self, max_events: u64) -> Self {
+        self.max_events = Some(max_events);
+        self
+    }
+
+    /// Keep a bounded delivery trace (see
+    /// [`SimRuntime::trace`](hope_runtime::SimRuntime::trace)); 0 = off.
+    pub fn trace(mut self, capacity: usize) -> Self {
+        self.trace_capacity = capacity;
+        self
+    }
+
+    /// Builds the environment.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the configured [`SpecPolicy`] is invalid (it can reach
+    /// the builder unvalidated through [`EnvBuilder::config`]).
+    pub fn build(self) -> HopeEnv {
+        self.build_on(|b, tracer| {
+            let mut rt = SimRuntime::builder()
+                .seed(b.seed)
+                .network(b.network)
+                .trace(b.trace_capacity)
+                .tracer(tracer)
+                .reliable(b.reliable);
+            if let Some(n) = b.max_events {
+                rt = rt.max_events(n);
+            }
+            if let Some(plan) = b.faults {
+                rt = rt.faults(plan);
+            }
+            rt.build()
+        })
+    }
+}
+
+impl EnvBuilder<ThreadedRuntime> {
+    /// Number of delivery shards for the underlying runtime (DESIGN.md
+    /// §10). Defaults to the machine's available parallelism; outcomes
+    /// are shard-count independent.
+    pub fn shards(mut self, n: usize) -> Self {
+        self.shards = Some(n);
+        self
+    }
+
+    /// Builds and starts the environment.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the configured [`SpecPolicy`] is invalid (it can reach
+    /// the builder unvalidated through [`EnvBuilder::config`]).
+    pub fn build(self) -> ThreadedHopeEnv {
+        self.build_on(|b, tracer| {
+            let mut rt = ThreadedRuntime::builder()
+                .seed(b.seed)
+                .network(b.network)
+                .tracer(tracer)
+                .reliable(b.reliable);
+            if let Some(n) = b.shards {
+                rt = rt.shards(n);
+            }
+            if let Some(plan) = b.faults {
+                rt = rt.faults(plan);
+            }
+            rt.build()
+        })
+    }
+}
+
+/// A complete HOPE environment on runtime `R`: the runtime plus the shared
+/// algorithm configuration, metrics and the HOPElibs of its top-level user
+/// processes. One impl block holds everything that does not drive the
+/// runtime; [`HopeEnv`] and [`ThreadedHopeEnv`] add spawning and running.
+/// See the crate docs for an example.
+pub struct Env<R> {
+    rt: R,
     config: HopeConfig,
     metrics: Arc<HopeMetrics>,
-    libs: Vec<(ProcessId, String, Arc<Mutex<LibState>>)>,
+    libs: Mutex<Vec<(ProcessId, String, SharedLib)>>,
     registry: Option<Arc<StoreRegistry>>,
 }
+
+/// The environment on the deterministic virtual-time simulator.
+pub type HopeEnv = Env<SimRuntime>;
+/// The environment on the wall-clock threaded runtime: same programming
+/// model, but user processes are genuinely concurrent OS threads that
+/// start executing as soon as they are spawned, `compute` really sleeps
+/// and network latency elapses in wall time. Validates that the algorithm
+/// — wait-freedom included — does not depend on the simulator's
+/// cooperative scheduling.
+pub type ThreadedHopeEnv = Env<ThreadedRuntime>;
 
 /// Outcome of [`HopeEnv::run`].
 #[derive(Debug, Clone)]
@@ -562,90 +636,83 @@ impl HopeReport {
     }
 }
 
-impl HopeEnv {
-    /// Starts configuring an environment.
-    pub fn builder() -> HopeEnvBuilder {
-        HopeEnvBuilder::default()
-    }
-
-    /// Default environment (LAN latency, Algorithm 2, seed 0).
-    pub fn new() -> Self {
-        HopeEnvBuilder::default().build()
-    }
-
-    /// Spawns a HOPE user process. `body` may be re-executed after
-    /// rollbacks; see [`ProcessCtx`] for the determinism contract.
-    pub fn spawn_user<F>(&mut self, name: &str, body: F) -> ProcessId
-    where
-        F: Fn(&mut ProcessCtx<'_>) + Send + 'static,
-    {
-        let (lib, control, runner) = make_user_process(
+impl<R> Env<R> {
+    /// Builds the pieces of a user process running `body`; the caller
+    /// spawns them on its runtime and [`track`](Env::track)s the result.
+    fn make_user(&self, body: UserBody) -> UserProcessParts {
+        make_user_process(
             self.config,
             self.metrics.clone(),
             self.registry.clone(),
-            Box::new(body),
-        );
-        let pid = self.rt.spawn_threaded(name, Some(control), runner);
-        self.libs.push((pid, name.to_string(), lib));
+            body,
+        )
+    }
+
+    fn track(&self, pid: ProcessId, name: &str, lib: SharedLib) -> ProcessId {
+        self.libs.lock().push((pid, name.to_string(), lib));
         pid
     }
 
-    /// Aggregate durable-store counters, when the environment was built
-    /// with [`durable`](HopeEnvBuilder::durable) storage.
-    pub fn store_stats(&self) -> Option<DurableSnapshot> {
-        self.registry.as_ref().map(|r| r.snapshot())
+    /// The HOPElib of a top-level user process (spawned via `spawn_user`
+    /// on the environment; children spawned by
+    /// [`ProcessCtx::spawn_user`] are not tracked).
+    fn lib_of(&self, pid: ProcessId) -> Option<SharedLib> {
+        let libs = self.libs.lock();
+        let (_, _, lib) = libs.iter().find(|(p, _, _)| *p == pid)?;
+        Some(lib.clone())
     }
 
-    /// A snapshot of a process's interval history (processes spawned via
-    /// [`HopeEnv::spawn_user`] only; children spawned by
-    /// [`ProcessCtx::spawn_user`] are not tracked here).
+    /// Decorates a runtime report with the HOPE-level counters.
+    fn report(&self, mut run: RunReport) -> HopeReport {
+        let hope = self.metrics.snapshot();
+        run.attribution = self.metrics.attribution();
+        run.cancelled_intervals = hope.cancelled_intervals;
+        HopeReport { run, hope }
+    }
+
+    /// Pids of the top-level user processes (spawned via `spawn_user` on
+    /// the environment; children spawned by
+    /// [`ProcessCtx::spawn_user`](crate::ProcessCtx::spawn_user) are not
+    /// tracked — here or by any `*_of` observer below).
+    pub fn user_pids(&self) -> Vec<ProcessId> {
+        self.libs.lock().iter().map(|(p, _, _)| *p).collect()
+    }
+
+    /// A snapshot of a tracked process's interval history.
     pub fn history_of(&self, pid: ProcessId) -> Option<Vec<crate::interval::IntervalRecord>> {
-        self.libs
-            .iter()
-            .find(|(p, _, _)| *p == pid)
-            .map(|(_, _, lib)| lib.lock().history.intervals().to_vec())
+        self.lib_of(pid)
+            .map(|lib| lib.lock().history.intervals().to_vec())
     }
 
-    /// Processes (pid, name) that still hold speculative intervals.
+    /// Tracked processes (pid, name) that still hold speculative intervals.
     pub fn speculative_processes(&self) -> Vec<(ProcessId, String)> {
         self.libs
+            .lock()
             .iter()
             .filter(|(_, _, lib)| !lib.lock().history.fully_definite())
             .map(|(p, n, _)| (*p, n.clone()))
             .collect()
     }
 
-    /// A snapshot of a process's speculation-control state (EWMAs, flips,
-    /// cancellations). Tracked for [`HopeEnv::spawn_user`] processes only,
-    /// like [`history_of`](HopeEnv::history_of).
+    /// A snapshot of a tracked process's speculation-control state (EWMAs,
+    /// flips, cancellations).
     pub fn spec_of(&self, pid: ProcessId) -> Option<SpecSnapshot> {
-        self.libs
-            .iter()
-            .find(|(p, _, _)| *p == pid)
-            .map(|(_, _, lib)| lib.lock().spec_snapshot())
+        self.lib_of(pid).map(|lib| lib.lock().spec_snapshot())
     }
 
-    /// Runs to quiescence and reports.
-    pub fn run(&mut self) -> HopeReport {
-        let mut run = self.rt.run();
-        let hope = self.metrics.snapshot();
-        run.attribution = self.metrics.attribution();
-        run.cancelled_intervals = hope.cancelled_intervals;
-        HopeReport { run, hope }
+    /// The not-yet-executed rollback of a tracked process. Outer `None`
+    /// means the pid is not a tracked user process.
+    pub fn pending_rollback_of(
+        &self,
+        pid: ProcessId,
+    ) -> Option<Option<crate::hopelib::PendingRollback>> {
+        self.lib_of(pid).map(|lib| lib.lock().pending_rollback)
     }
 
-    /// Runs until `deadline` (later events stay queued).
-    pub fn run_until(&mut self, deadline: VirtualTime) -> HopeReport {
-        let mut run = self.rt.run_until(deadline);
-        let hope = self.metrics.snapshot();
-        run.attribution = self.metrics.attribution();
-        run.cancelled_intervals = hope.cancelled_intervals;
-        HopeReport { run, hope }
-    }
-
-    /// Current virtual time.
-    pub fn now(&self) -> VirtualTime {
-        self.rt.now()
+    /// Aggregate durable-store counters, when the environment was built
+    /// with [`durable`](EnvBuilder::durable) storage.
+    pub fn store_stats(&self) -> Option<DurableSnapshot> {
+        self.registry.as_ref().map(|r| r.snapshot())
     }
 
     /// Turns on causal trace collection with a ring of `capacity` events
@@ -661,12 +728,12 @@ impl HopeEnv {
         self.metrics.tracer.clone()
     }
 
-    /// The shared metrics handle.
+    /// HOPE metrics so far.
     pub fn metrics(&self) -> MetricsSnapshot {
         self.metrics.snapshot()
     }
 
-    /// The live metrics behind [`metrics`](HopeEnv::metrics) snapshots.
+    /// The live metrics behind [`metrics`](Env::metrics) snapshots.
     /// For observers that must read counters after the environment itself
     /// has been moved (e.g. the model checker's replay trace dump).
     pub fn hope_metrics(&self) -> Arc<HopeMetrics> {
@@ -678,24 +745,49 @@ impl HopeEnv {
         self.config
     }
 
-    /// Pids of the top-level user processes (spawned via
-    /// [`HopeEnv::spawn_user`]; children spawned by
-    /// [`ProcessCtx::spawn_user`](crate::ProcessCtx::spawn_user) are not
-    /// tracked).
-    pub fn user_pids(&self) -> Vec<ProcessId> {
-        self.libs.iter().map(|(p, _, _)| *p).collect()
+    /// Read-only access to the underlying runtime.
+    pub fn runtime(&self) -> &R {
+        &self.rt
+    }
+}
+
+impl Env<SimRuntime> {
+    /// Starts configuring an environment.
+    pub fn builder() -> HopeEnvBuilder {
+        EnvBuilder::new(NetworkConfig::default())
     }
 
-    /// The not-yet-executed rollback of a tracked user process. Outer
-    /// `None` means the pid is not a tracked user process.
-    pub fn pending_rollback_of(
-        &self,
-        pid: ProcessId,
-    ) -> Option<Option<crate::hopelib::PendingRollback>> {
-        self.libs
-            .iter()
-            .find(|(p, _, _)| *p == pid)
-            .map(|(_, _, lib)| lib.lock().pending_rollback)
+    /// Default environment (LAN latency, Algorithm 2, seed 0).
+    pub fn new() -> Self {
+        Self::builder().build()
+    }
+
+    /// Spawns a HOPE user process. `body` may be re-executed after
+    /// rollbacks; see [`ProcessCtx`] for the determinism contract.
+    pub fn spawn_user<F>(&mut self, name: &str, body: F) -> ProcessId
+    where
+        F: Fn(&mut ProcessCtx<'_>) + Send + 'static,
+    {
+        let (lib, control, runner) = self.make_user(Box::new(body));
+        let pid = self.rt.spawn_threaded(name, Some(control), runner);
+        self.track(pid, name, lib)
+    }
+
+    /// Runs to quiescence and reports.
+    pub fn run(&mut self) -> HopeReport {
+        let run = self.rt.run();
+        self.report(run)
+    }
+
+    /// Runs until `deadline` (later events stay queued).
+    pub fn run_until(&mut self, deadline: VirtualTime) -> HopeReport {
+        let run = self.rt.run_until(deadline);
+        self.report(run)
+    }
+
+    /// Current virtual time.
+    pub fn now(&self) -> VirtualTime {
+        self.rt.now()
     }
 
     /// Snapshots every live AID state machine (garbage-collected AIDs are
@@ -722,7 +814,7 @@ impl HopeEnv {
         use std::hash::{Hash, Hasher};
         let mut h = std::collections::hash_map::DefaultHasher::new();
         self.rt.state_hash().hash(&mut h);
-        for (pid, _, lib) in &self.libs {
+        for (pid, _, lib) in self.libs.lock().iter() {
             pid.as_raw().hash(&mut h);
             let state = lib.lock();
             state.history.intervals().hash(&mut h);
@@ -736,15 +828,34 @@ impl HopeEnv {
     pub fn runtime_mut(&mut self) -> &mut SimRuntime {
         &mut self.rt
     }
+}
 
-    /// Read-only access to the underlying runtime.
-    pub fn runtime(&self) -> &SimRuntime {
-        &self.rt
+impl Default for Env<SimRuntime> {
+    fn default() -> Self {
+        HopeEnv::new()
     }
 }
 
-impl Default for HopeEnv {
-    fn default() -> Self {
-        HopeEnv::new()
+impl Env<ThreadedRuntime> {
+    /// Starts configuring an environment.
+    pub fn builder() -> ThreadedHopeEnvBuilder {
+        EnvBuilder::new(NetworkConfig::local())
+    }
+
+    /// Spawns a HOPE user process (it begins running immediately).
+    pub fn spawn_user<F>(&self, name: &str, body: F) -> ProcessId
+    where
+        F: Fn(&mut ProcessCtx<'_>) + Send + 'static,
+    {
+        let (lib, control, runner) = self.make_user(Box::new(body));
+        let pid = self.rt.spawn_threaded(name, Some(control), runner);
+        self.track(pid, name, lib)
+    }
+
+    /// Waits until the system has been quiescent for `grace` (or
+    /// `timeout` elapses) and reports. `hit_event_limit` in the report
+    /// means the timeout fired first.
+    pub fn run_until_quiescent(&self, grace: Duration, timeout: Duration) -> RunReport {
+        self.report(self.rt.run_until_quiescent(grace, timeout)).run
     }
 }

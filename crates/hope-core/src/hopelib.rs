@@ -69,7 +69,7 @@ pub struct LibState {
     config: HopeConfig,
     metrics: Arc<HopeMetrics>,
     /// This process's durable op-log store, when the environment was
-    /// built with [`durable`](crate::HopeEnvBuilder::durable) storage.
+    /// built with [`durable`](crate::EnvBuilder::durable) storage.
     store: Option<StoreHandle>,
     /// The environment's store registry, inherited by spawned children.
     registry: Option<Arc<StoreRegistry>>,

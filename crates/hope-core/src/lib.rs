@@ -56,9 +56,11 @@
 //!   messages (Algorithm 1, and Algorithm 2's cycle detection, Fig. 15),
 //! * [`replay`] — checkpoint/rollback by deterministic re-execution
 //!   (substitute for the paper's UNIX process checkpointing),
-//! * [`ctx`] / [`env` (module)](crate::env) — the user programming interface and the
-//!   environment gluing everything onto
-//!   [`hope_runtime`]'s simulated distributed system.
+//! * [`ctx`] — the user programming interface,
+//! * [`env` (module)](crate::env) — the one front end gluing everything
+//!   onto a [`hope_runtime`] runtime: [`Env<R>`](Env) and its
+//!   [`EnvBuilder<R>`](EnvBuilder), aliased as [`HopeEnv`] on the
+//!   virtual-time simulator and [`ThreadedHopeEnv`] on OS threads.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -72,7 +74,6 @@ pub mod hopelib;
 pub mod interval;
 pub mod metrics;
 pub mod replay;
-pub mod threaded_env;
 
 pub use aid::{AidActor, AidMachine, AidState};
 pub use config::{DenyPolicy, GuessRollbackPolicy, HopeConfig, RetractPolicy};
@@ -80,12 +81,13 @@ pub use ctx::{Delivery, ProcessCtx};
 pub use durable::{
     DurableConfig, DurableSnapshot, DurableStore, StoreHandle, StoreRegistry, SyncPolicy,
 };
-pub use env::{HopeEnv, HopeEnvBuilder, HopeReport};
+pub use env::{
+    Env, EnvBuilder, HopeEnv, HopeEnvBuilder, HopeReport, ThreadedHopeEnv, ThreadedHopeEnvBuilder,
+};
 pub use hopelib::{LibControl, LibState, PendingRollback};
 pub use interval::{History, IntervalOrigin, IntervalRecord};
 pub use metrics::{HopeMetrics, MetricsSnapshot};
 pub use replay::{LogSink, LogSource, Op, ReplayLog};
-pub use threaded_env::{ThreadedHopeEnv, ThreadedHopeEnvBuilder};
 
 // Speculation-control vocabulary (DESIGN.md §9), re-exported so callers
 // configuring a policy need only this crate.

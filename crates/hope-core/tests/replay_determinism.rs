@@ -5,7 +5,7 @@
 use std::sync::{Arc, Mutex};
 
 use bytes::Bytes;
-use hope_core::HopeEnv;
+use hope_core::{HopeEnv, ProcessCtx};
 use hope_types::{AidId, ProcessId, VirtualDuration};
 
 fn encode_aid(aid: AidId) -> Bytes {
@@ -70,32 +70,50 @@ fn clock_reads_replay_their_original_values() {
 fn nondeterministic_bodies_are_detected_as_divergence() {
     // A body that branches on external mutable state violates the replay
     // contract; the divergence must surface as a process panic, not
-    // silent corruption.
-    let mut env = HopeEnv::builder().seed(5).build();
-    let flip = Arc::new(Mutex::new(0u32));
-    let f = flip.clone();
-    env.spawn_user("bad", move |ctx| {
-        let x = ctx.aid_init();
-        let mut count = f.lock().unwrap();
-        *count += 1;
-        let second_run = *count > 1;
-        drop(count);
-        if second_run {
-            // Diverge: perform a different operation sequence on replay.
-            let _ = ctx.random();
-        }
-        if ctx.guess(x) {
-            ctx.deny(x);
-            ctx.compute(VirtualDuration::from_millis(1));
-        }
-    });
-    let report = env.run();
-    assert_eq!(report.run.panics.len(), 1, "divergence must be reported");
-    assert!(
-        report.run.panics[0].1.contains("replay diverged"),
-        "got: {}",
-        report.run.panics[0].1
-    );
+    // silent corruption. Each input is the part of a body that differs
+    // between the first execution and the re-execution (`second_run`).
+    type Diverge = fn(&mut ProcessCtx<'_>, bool);
+    let inputs: [(&str, Diverge); 2] = [
+        ("a different operation sequence", |ctx, second_run| {
+            if second_run {
+                let _ = ctx.random();
+            }
+        }),
+        // The re-execution polls another channel than the one whose
+        // message the log holds: it must not be handed that message.
+        ("try_receive on another channel", |ctx, second_run| {
+            let me = ctx.pid();
+            ctx.send(me, 1, Bytes::from_static(b"queued"));
+            ctx.compute(VirtualDuration::from_millis(50));
+            let polled = ctx.try_receive(Some(if second_run { 2 } else { 1 }));
+            assert!(polled.is_some(), "the first execution finds the message");
+        }),
+    ];
+    for (what, diverge) in inputs {
+        println!("input: {what}");
+        let mut env = HopeEnv::builder().seed(5).build();
+        let flip = Arc::new(Mutex::new(0u32));
+        let f = flip.clone();
+        env.spawn_user("bad", move |ctx| {
+            let x = ctx.aid_init();
+            let mut count = f.lock().unwrap();
+            *count += 1;
+            let second_run = *count > 1;
+            drop(count);
+            diverge(ctx, second_run);
+            if ctx.guess(x) {
+                ctx.deny(x);
+                ctx.compute(VirtualDuration::from_millis(1));
+            }
+        });
+        let report = env.run();
+        assert_eq!(report.run.panics.len(), 1, "divergence must be reported");
+        assert!(
+            report.run.panics[0].1.contains("replay diverged"),
+            "got: {}",
+            report.run.panics[0].1
+        );
+    }
 }
 
 #[test]

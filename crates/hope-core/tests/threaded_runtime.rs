@@ -6,7 +6,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use hope_core::ThreadedHopeEnv;
+use hope_core::{DenyPolicy, ThreadedHopeEnv};
 use hope_runtime::NetworkConfig;
 use hope_types::{AidId, ProcessId, VirtualDuration};
 
@@ -220,4 +220,97 @@ fn many_guessers_race_one_resolver() {
     assert!(!report.hit_event_limit);
     assert!(report.blocked.is_empty(), "{:?}", report.blocked);
     assert_eq!(*count.lock().unwrap(), 8);
+}
+
+#[test]
+fn buffered_denies_wait_for_the_enclosing_affirm_on_threads() {
+    // A shared policy setter turned on the threaded runtime: with
+    // DenyPolicy::Buffered the speculative deny(z) stays in the denier's
+    // IHD set until affirm(x) finalizes the interval, so the victim cannot
+    // roll back before the denier announced the affirm — whatever the
+    // thread timing. (Under the default Immediate policy the deny lands
+    // during the 30 ms compute and the order below is reversed.)
+    let env = ThreadedHopeEnv::builder()
+        .seed(7)
+        .deny_policy(DenyPolicy::Buffered)
+        .build();
+    assert_eq!(env.config().deny_policy, DenyPolicy::Buffered);
+    let log = Arc::new(Mutex::new(Vec::new()));
+    let lv = log.clone();
+    let victim = env.spawn_user("victim", move |ctx| {
+        let m = ctx.receive(None);
+        let z = decode_aid(&m.data);
+        if !ctx.guess(z) {
+            lv.lock().unwrap().push("victim rolled back");
+        }
+    });
+    let ld = log.clone();
+    env.spawn_user("denier", move |ctx| {
+        let x = ctx.aid_init();
+        let z = ctx.aid_init();
+        ctx.send(victim, 0, encode_aid(z));
+        if ctx.guess(x) {
+            ctx.deny(z);
+            ctx.compute(VirtualDuration::from_millis(30));
+            ld.lock().unwrap().push("affirming x");
+            ctx.affirm(x);
+        }
+    });
+    let report = env.run_until_quiescent(GRACE, TIMEOUT);
+    assert!(report.panics.is_empty(), "{:?}", report.panics);
+    assert!(!report.hit_event_limit);
+    assert_eq!(
+        log.lock().unwrap().as_slice(),
+        &["affirming x", "victim rolled back"],
+        "the buffered deny lands, and only after the affirm"
+    );
+}
+
+#[test]
+fn reliable_without_a_fault_plan_runs_the_sublayer() {
+    // `reliable(true)` alone (no faults) must switch sequencing and acks
+    // on; the threaded front end had no way to ask for that before.
+    let env = ThreadedHopeEnv::builder().seed(8).reliable(true).build();
+    let sink = env.spawn_user("sink", |ctx| {
+        let _ = ctx.receive(None);
+    });
+    env.spawn_user("source", move |ctx| {
+        ctx.send(sink, 0, Bytes::from_static(b"x"));
+    });
+    let report = env.run_until_quiescent(GRACE, TIMEOUT);
+    assert!(report.panics.is_empty(), "{:?}", report.panics);
+    assert!(report.blocked.is_empty(), "{:?}", report.blocked);
+    assert!(report.stats.link().acks > 0, "{:?}", report.stats.link());
+
+    let plain = ThreadedHopeEnv::builder().seed(8).build();
+    let report = plain.run_until_quiescent(GRACE, TIMEOUT);
+    assert_eq!(
+        report.stats.link().acks,
+        0,
+        "the sublayer is off by default"
+    );
+}
+
+#[test]
+fn introspection_answers_for_a_threaded_top_level_process() {
+    // history_of / speculative_processes / user_pids live in the shared
+    // front end; they used to exist on the simulator only.
+    let env = ThreadedHopeEnv::builder().seed(9).build();
+    let holder = env.spawn_user("holder", |ctx| {
+        let x = ctx.aid_init();
+        let _ = ctx.guess(x); // nobody resolves x: stays speculative
+    });
+    let plain = env.spawn_user("plain", |_ctx| {});
+    let report = env.run_until_quiescent(GRACE, TIMEOUT);
+    assert!(report.panics.is_empty(), "{:?}", report.panics);
+    assert_eq!(env.user_pids(), vec![holder, plain]);
+    assert_eq!(
+        env.speculative_processes(),
+        vec![(holder, "holder".to_string())]
+    );
+    let history = env.history_of(holder).expect("tracked");
+    assert_eq!(history.len(), 2, "root + the guess interval: {history:?}");
+    assert!(history[0].definite && !history[1].definite);
+    assert_eq!(env.history_of(plain).expect("tracked").len(), 1);
+    assert!(env.history_of(ProcessId::from_raw(9_999)).is_none());
 }

@@ -29,6 +29,8 @@ use hope_types::{HopeError, ProcessId, VirtualDuration, VirtualTime};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use crate::reliable::ReliableState;
+
 /// A scheduled crash of one process: at `at`, the process's links go dead
 /// (every delivery to it is dropped and nothing is acknowledged); at
 /// `at + down_for` it restarts and its HOPElib recovers by replaying the
@@ -319,6 +321,28 @@ impl FaultPlan {
             rng: StdRng::seed_from_u64(seed ^ 0x6661_756c_7473_2121),
             plan: self,
         }
+    }
+
+    /// The prologue both runtime builders share. Validates `faults`
+    /// (panicking with the typed [`HopeError::InvalidFaultPlan`]
+    /// rendering) and decides the reliable-delivery sublayer: on when
+    /// `forced` or implied by a plan, with the RTO and retransmit cap of
+    /// the plan, or of the default plan without one. Returns a constructor
+    /// of the sublayer's state (the threaded runtime makes one per stripe)
+    /// and the cap.
+    pub(crate) fn sublayer(
+        faults: Option<&FaultPlan>,
+        forced: bool,
+    ) -> (Option<impl Fn() -> ReliableState>, u32) {
+        if let Some(Err(err)) = faults.map(FaultPlan::validate) {
+            panic!("{err}");
+        }
+        let default_plan = FaultPlan::default();
+        let timing = faults.unwrap_or(&default_plan);
+        let rto_nanos = timing.retransmit_timeout().as_nanos();
+        let on = forced || faults.is_some();
+        let make = on.then_some(move || ReliableState::with_rto(rto_nanos));
+        (make, timing.retransmit_cap())
     }
 }
 

@@ -161,17 +161,8 @@ impl RuntimeBuilder {
     /// [`FaultPlan::validate`] — NaN or out-of-range rates, a
     /// non-positive rto, or overlapping crash windows for one process.
     pub fn build(self) -> SimRuntime {
-        if let Some(plan) = &self.faults {
-            if let Err(err) = plan.validate() {
-                panic!("{err}");
-            }
-        }
+        let (make_rel, max_retransmits) = FaultPlan::sublayer(self.faults.as_ref(), self.reliable);
         let mut queue = EventQueue::new();
-        let reliable = self.reliable || self.faults.is_some();
-        let default_plan = FaultPlan::default();
-        let timing = self.faults.as_ref().unwrap_or(&default_plan);
-        let rto_nanos = timing.retransmit_timeout().as_nanos();
-        let max_retransmits = timing.retransmit_cap();
         let fault = self.faults.map(|plan| {
             for c in plan.crashes() {
                 let up_at = c.at + c.down_for;
@@ -197,11 +188,7 @@ impl RuntimeBuilder {
                 None
             },
             fault,
-            rel: if reliable {
-                Some(ReliableState::with_rto(rto_nanos))
-            } else {
-                None
-            },
+            rel: make_rel.map(|make| make()),
             down: BTreeMap::new(),
             max_retransmits,
             tracer: self.tracer.unwrap_or_default(),

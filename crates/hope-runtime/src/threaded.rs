@@ -978,16 +978,7 @@ impl ThreadedRuntimeBuilder {
     /// Panics with the typed `HopeError::InvalidFaultPlan` rendering if
     /// the fault plan fails [`FaultPlan::validate`].
     pub fn build(self) -> ThreadedRuntime {
-        if let Some(plan) = &self.faults {
-            if let Err(err) = plan.validate() {
-                panic!("{err}");
-            }
-        }
-        let reliable = self.reliable || self.faults.is_some();
-        let default_plan = FaultPlan::default();
-        let timing = self.faults.as_ref().unwrap_or(&default_plan);
-        let rto_nanos = timing.retransmit_timeout().as_nanos();
-        let max_retransmits = timing.retransmit_cap();
+        let (make_rel, max_retransmits) = FaultPlan::sublayer(self.faults.as_ref(), self.reliable);
         let start = Instant::now();
         let crashes: Vec<_> = self
             .faults
@@ -1014,11 +1005,7 @@ impl ThreadedRuntimeBuilder {
             shutdown: AtomicBool::new(false),
             start,
             seed: self.seed,
-            rel: reliable.then(|| {
-                (0..REL_STRIPES)
-                    .map(|_| Mutex::new(ReliableState::with_rto(rto_nanos)))
-                    .collect()
-            }),
+            rel: make_rel.map(|make| (0..REL_STRIPES).map(|_| Mutex::new(make())).collect()),
             max_retransmits,
             mailbox_capacity: self.mailbox_capacity,
             tracer: self.tracer.unwrap_or_default(),
