@@ -425,13 +425,7 @@ impl<'a> ProcessCtx<'a> {
             // arbitrarily deep rollback cascade, so wait for the
             // unaffirmed chain to drain below the cap first.
             let below_cap = move |state: &LibState| {
-                state
-                    .history
-                    .intervals()
-                    .iter()
-                    .filter(|r| !r.definite)
-                    .count()
-                    < max_depth as usize
+                state.history.live().iter().filter(|r| !r.definite).count() < max_depth as usize
             };
             if !below_cap(&self.lib.lock()) {
                 self.trace(TraceEventKind::SpecWait {

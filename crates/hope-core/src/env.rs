@@ -191,7 +191,7 @@ fn perform_rollback(
         };
         let target = state
             .history
-            .intervals()
+            .live()
             .iter()
             .find(|r| r.id.index() >= pending.floor && !r.definite)
             .map(|r| r.id);
@@ -664,7 +664,7 @@ impl<R> Env<R> {
 
     /// Decorates a runtime report with the HOPE-level counters.
     fn report(&self, mut run: RunReport) -> HopeReport {
-        let hope = self.metrics.snapshot();
+        let hope = self.metrics();
         run.attribution = self.metrics.attribution();
         run.cancelled_intervals = hope.cancelled_intervals;
         HopeReport { run, hope }
@@ -730,7 +730,14 @@ impl<R> Env<R> {
 
     /// HOPE metrics so far.
     pub fn metrics(&self) -> MetricsSnapshot {
-        self.metrics.snapshot()
+        let mut hope = self.metrics.snapshot();
+        hope.history_visits = self
+            .libs
+            .lock()
+            .iter()
+            .map(|(_, _, lib)| lib.lock().history.visits())
+            .sum();
+        hope
     }
 
     /// The live metrics behind [`metrics`](Env::metrics) snapshots.

@@ -147,7 +147,7 @@ impl LibState {
     /// floor a post-crash recovery must reach.
     pub fn definite_floor_op(&self) -> Option<usize> {
         self.history
-            .intervals()
+            .live()
             .iter()
             .find(|rec| !rec.definite)
             .map(|rec| match rec.origin {
@@ -396,7 +396,7 @@ impl LibState {
     pub fn begin_crash_recovery(&mut self, api: &mut dyn ControlApi) -> bool {
         let floor = self
             .history
-            .intervals()
+            .live()
             .iter()
             .find(|rec| !rec.definite)
             .map(|rec| rec.id.index());
@@ -426,6 +426,9 @@ impl LibState {
     /// and a wake so a lingering process can observe definiteness.
     pub fn finalize_ready(&mut self, api: &mut dyn ControlApi) {
         let floor = self.pending_rollback.map(|p| p.floor);
+        // Finalization only touches the live window, so the finalized
+        // records are found again from where it began — no id lookup.
+        let first_live = self.history.intervals().len() - self.history.live().len();
         let done = self.history.finalize_ready(floor);
         if done.is_empty() {
             return;
@@ -438,17 +441,19 @@ impl LibState {
         self.metrics
             .finalized_intervals
             .fetch_add(done.len() as u64, Ordering::Relaxed);
+        // One clock reading for the whole batch.
+        let now = api.now();
         if self.spec.is_active() {
             // Finalization is the affirm-side observation of the deny-rate
             // EWMA: every assumption this interval was *opened on* (its
             // trigger set) paid off — the speculation completed without a
             // rollback. The deny side is observed in `perform_rollback`,
             // the live attribution path.
-            let now = api.now();
+            let mut records = self.history.intervals()[first_live..].iter();
             let affirmed: Vec<AidId> = done
                 .iter()
-                .filter_map(|(iid, _, _)| self.history.get(*iid))
-                .flat_map(|rec| rec.trigger.iter().copied().collect::<Vec<_>>())
+                .filter_map(|(iid, _, _)| records.find(|rec| rec.id == *iid))
+                .flat_map(|rec| rec.trigger.iter().copied())
                 .collect();
             for aid in affirmed {
                 self.observe_resolution(aid, false, now);
@@ -457,7 +462,7 @@ impl LibState {
         for (iid, iha, ihd) in done {
             self.metrics.tracer.record(
                 self.pid,
-                api.now(),
+                now,
                 hope_types::TraceEventKind::IntervalFinalized { interval: iid },
             );
             for &y in iha.iter() {

@@ -22,9 +22,42 @@
 //! holding an AID is its registrant, which preserves every rollback floor
 //! because rolling back the registrant also discards all later intervals.
 //!
+//! # Cost: what is live, not what came before
+//!
+//! Finalization is oldest-first and a commit point (§5, Fig. 11), so the
+//! definite intervals of a history are a *prefix* that no protocol step
+//! consults again. [`History`] keeps that prefix — [`History::intervals`]
+//! still returns every record, because `Env::history_of`, `state_hash` and
+//! the `hope-check` oracles read definite records; dropping them belongs
+//! to ROADMAP 3(f)'s bounds audit — but no query walks it:
+//!
+//! * one cursor, `live_from`, is a *lower bound* of the live window:
+//!   every record before it is definite. [`History::finalize_ready`]
+//!   advances it, [`History::truncate_from`] clamps it. Records at or
+//!   after it may still be definite (callers holding
+//!   [`History::get_mut`] can flip the flag by hand), so every
+//!   live-window scan keeps its own `!definite` test. Flipping a record
+//!   *before* the cursor back to speculative is not supported — nothing
+//!   un-commits a finalized interval.
+//! * **O(log n)** in all records ever kept: lookups by id —
+//!   [`History::get`], [`History::get_mut`], `position_of` and with them
+//!   `truncate_from` — binary-search the monotone, never-reused
+//!   [`IntervalId::index`], for live, definite and stale ids alike.
+//! * **O(live window)**: `held_before` (newest-first, so a member the
+//!   predecessor already holds answers in one step),
+//!   [`History::fully_definite`], [`History::finalize_ready`], and any
+//!   outside scan, which reads [`History::live`].
+//! * **O(1)**: [`History::current`], [`History::current_deps`],
+//!   [`History::open_interval`].
+//!
+//! [`History::visits`] counts the records those queries examine — a
+//! deterministic probe of local bookkeeping work (experiment E5b), which
+//! message counts alone cannot see.
+//!
 //! [`DenyPolicy`]: crate::config::DenyPolicy
 //! [`IdSet`]: hope_types::IdSet
 
+use std::cell::Cell;
 use std::fmt;
 
 use hope_types::{AidId, IdoSet, IntervalId, ProcessId};
@@ -122,6 +155,12 @@ pub struct History {
     process: ProcessId,
     intervals: Vec<IntervalRecord>,
     next_index: u32,
+    /// Lower bound of the live window: every record before this position
+    /// is definite (module docs).
+    live_from: usize,
+    /// Records examined by queries so far; a `Cell` only because queries
+    /// take `&self` — the history is always behind its HOPElib's lock.
+    visits: Cell<u64>,
 }
 
 impl History {
@@ -131,6 +170,8 @@ impl History {
             process,
             intervals: vec![IntervalRecord::root(process)],
             next_index: 1,
+            live_from: 1,
+            visits: Cell::new(0),
         }
     }
 
@@ -139,9 +180,30 @@ impl History {
         self.process
     }
 
-    /// All live intervals, oldest first.
+    /// Every interval not rolled back, oldest first — the definite prefix
+    /// included.
     pub fn intervals(&self) -> &[IntervalRecord] {
         &self.intervals
+    }
+
+    /// The live window: the suffix of [`intervals`](History::intervals)
+    /// that can still hold speculative records, oldest first. Everything
+    /// before it is definite; records inside it may be too, so scans keep
+    /// their `!definite` test.
+    pub fn live(&self) -> &[IntervalRecord] {
+        &self.intervals[self.live_from..]
+    }
+
+    /// Records examined by this history's queries since it was created:
+    /// binary-search probes of the id lookups plus the live-window records
+    /// walked by `held_before`, [`fully_definite`](History::fully_definite)
+    /// and [`finalize_ready`](History::finalize_ready).
+    pub fn visits(&self) -> u64 {
+        self.visits.get()
+    }
+
+    fn visit(&self, records: usize) {
+        self.visits.set(self.visits.get() + records as u64);
     }
 
     /// Mutable access to the live intervals (protocol handlers apply a
@@ -151,19 +213,32 @@ impl History {
         &mut self.intervals
     }
 
-    /// Position of a live interval in the history, oldest first.
-    pub(crate) fn position_of(&self, id: IntervalId) -> Option<usize> {
-        self.intervals.iter().position(|r| r.id == id)
+    /// Position of an interval in the history, oldest first, by binary
+    /// search on the monotone interval index.
+    pub fn position_of(&self, id: IntervalId) -> Option<usize> {
+        let mut probes = 0;
+        let found = self.intervals.binary_search_by(|r| {
+            probes += 1;
+            r.id.index().cmp(&id.index())
+        });
+        self.visit(probes);
+        found.ok().filter(|&pos| self.intervals[pos].id == id)
     }
 
     /// True when a live interval strictly older than position `pos` holds
     /// `y` in its IDO — i.e. this process is already registered with `y`
     /// at a rollback floor at or below `pos`, so acquiring `y` at `pos`
     /// needs no new `Guess` (delta registration, DESIGN.md S7).
-    pub(crate) fn held_before(&self, pos: usize, y: &AidId) -> bool {
-        self.intervals[..pos]
+    pub fn held_before(&self, pos: usize, y: &AidId) -> bool {
+        // Newest first: inheritance makes the predecessor the likeliest
+        // holder, and which holder answers does not matter.
+        let window = &self.intervals[self.live_from.min(pos)..pos];
+        let hit = window
             .iter()
-            .any(|r| !r.definite && r.ido.contains(y))
+            .rev()
+            .position(|r| !r.definite && r.ido.contains(y));
+        self.visit(hit.map_or(window.len(), |steps| steps + 1));
+        hit.is_some()
     }
 
     /// The youngest (current) interval.
@@ -176,19 +251,22 @@ impl History {
         self.intervals.last_mut().expect("history never empty")
     }
 
-    /// Looks up a live interval by id.
+    /// Looks up an interval by id (`None` once rolled back).
     pub fn get(&self, id: IntervalId) -> Option<&IntervalRecord> {
-        self.intervals.iter().find(|r| r.id == id)
+        self.position_of(id).map(|pos| &self.intervals[pos])
     }
 
     /// Mutable lookup by id.
     pub fn get_mut(&mut self, id: IntervalId) -> Option<&mut IntervalRecord> {
-        self.intervals.iter_mut().find(|r| r.id == id)
+        self.position_of(id).map(|pos| &mut self.intervals[pos])
     }
 
-    /// True if every live interval is definite.
+    /// True if every interval is definite.
     pub fn fully_definite(&self) -> bool {
-        self.intervals.iter().all(|r| r.definite)
+        let live = self.live();
+        let speculative = live.iter().position(|r| !r.definite);
+        self.visit(speculative.map_or(live.len(), |steps| steps + 1));
+        speculative.is_none()
     }
 
     /// The cumulative dependency set of the process right now (the tag to
@@ -237,14 +315,11 @@ impl History {
     /// Interval indices are *not* reused afterwards, so protocol messages
     /// addressed to discarded intervals are recognizably stale.
     pub fn truncate_from(&mut self, id: IntervalId) -> Result<Vec<IntervalRecord>, TruncateError> {
-        let pos = self
-            .intervals
-            .iter()
-            .position(|r| r.id == id)
-            .ok_or(TruncateError::UnknownInterval)?;
+        let pos = self.position_of(id).ok_or(TruncateError::UnknownInterval)?;
         if pos == 0 {
             return Err(TruncateError::RootInterval);
         }
+        self.live_from = self.live_from.min(pos);
         Ok(self.intervals.split_off(pos))
     }
 
@@ -258,22 +333,28 @@ impl History {
         rollback_floor: Option<u32>,
     ) -> Vec<(IntervalId, IdoSet, IdoSet)> {
         let mut out = Vec::new();
-        let mut prev_definite = true;
-        for rec in &mut self.intervals {
+        // Everything before the cursor is definite, so the walk starts
+        // there and the cursor moves to wherever it stops: the first
+        // record left speculative, or the end.
+        let live = &mut self.intervals[self.live_from..];
+        let mut walked = live.len();
+        for (offset, rec) in live.iter_mut().enumerate() {
             if rec.definite {
-                prev_definite = true;
                 continue;
             }
             let doomed = rollback_floor.is_some_and(|f| rec.id.index() >= f);
-            if !prev_definite || doomed || !rec.ido.is_empty() {
+            if doomed || !rec.ido.is_empty() {
+                walked = offset;
                 break;
             }
             rec.definite = true;
             let iha = std::mem::take(&mut rec.iha);
             let ihd = std::mem::take(&mut rec.ihd);
             out.push((rec.id, iha, ihd));
-            prev_definite = true;
         }
+        let examined = (walked + 1).min(live.len());
+        self.visit(examined);
+        self.live_from += walked;
         out
     }
 }

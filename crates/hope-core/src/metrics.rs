@@ -91,6 +91,14 @@ pub struct MetricsSnapshot {
     pub crash_recoveries: u64,
     /// See [`HopeMetrics::cancelled_intervals`].
     pub cancelled_intervals: u64,
+    /// Interval records examined by the history queries of the
+    /// environment's top-level user processes
+    /// ([`History::visits`](crate::History::visits) summed): local
+    /// bookkeeping work, which no message count shows. A plain count kept
+    /// inside each history, so it is filled in by
+    /// [`Env::metrics`](crate::Env::metrics) and run reports and reads 0
+    /// in a bare [`HopeMetrics::snapshot`].
+    pub history_visits: u64,
     /// See [`HopeMetrics::attribution`].
     pub attribution: RollbackAttribution,
 }
@@ -135,6 +143,7 @@ impl HopeMetrics {
             aids_collected: self.aids_collected.load(Ordering::Relaxed),
             crash_recoveries: self.crash_recoveries.load(Ordering::Relaxed),
             cancelled_intervals: self.cancelled_intervals.load(Ordering::Relaxed),
+            history_visits: 0,
             attribution: self.attribution(),
         }
     }

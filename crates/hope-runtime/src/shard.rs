@@ -23,20 +23,32 @@ pub(crate) fn shard_of(pid: ProcessId, shards: usize) -> usize {
 
 /// A park/wake rendezvous whose *wake* side is wait-free in the common
 /// case: `notify` is one acquire load when the target is running, and
-/// only touches the park mutex when the target has actually declared
-/// itself parked (in which case the mutex is held for the duration of a
-/// condvar signal, never across work).
+/// only the *first* notifier of a park touches the park mutex (held for
+/// the duration of a condvar signal, never across work) — the doorbell
+/// rings once per park, however many senders arrive before the sleeper
+/// is scheduled.
 ///
 /// The lost-wakeup race is closed by ordering, not by locking the fast
 /// path: the sleeper sets `parked` *before* its final re-check of the
 /// work source, and the waker publishes work *before* loading `parked`.
 /// Whichever order the race resolves in, either the sleeper sees the
 /// work or the waker sees the parked flag.
+///
+/// A notifier that finds `rung` already set relies on the one who set
+/// it: that one is committed to taking the mutex and signalling, and the
+/// sleeper holds the mutex from before `parked` is visible until it is
+/// inside the condvar wait, so the signal cannot fall into the gap. A
+/// `rung` left set after its park ended (the notifier swapped it in just
+/// as the sleeper timed out) is stale: it costs the *next* `park_for`
+/// one immediate return — after which the caller re-checks its work
+/// source as it does after every return — and never a lost wake.
 #[derive(Debug, Default)]
 pub(crate) struct Doorbell {
     parked: AtomicBool,
-    /// Wake requests that arrived while the sleeper was committing to
-    /// sleep; checked under the park mutex so none can be lost.
+    /// Set by the first notifier of a park and cleared by the sleeper:
+    /// both the "someone is already ringing" latch for later notifiers
+    /// and the wake request a sleeper committing to sleep checks under
+    /// the park mutex so none can be lost.
     rung: AtomicBool,
     mutex: Mutex<()>,
     condvar: Condvar,
@@ -46,9 +58,8 @@ impl Doorbell {
     /// Wakes the sleeper if it is (or is about to be) parked. Publish
     /// the work *before* calling this.
     pub fn notify(&self) {
-        if self.parked.load(Ordering::Acquire) {
+        if self.parked.load(Ordering::Acquire) && !self.rung.swap(true, Ordering::AcqRel) {
             let _guard = self.mutex.lock();
-            self.rung.store(true, Ordering::Release);
             self.condvar.notify_all();
         }
     }
@@ -65,8 +76,8 @@ impl Doorbell {
             return;
         }
         self.condvar.wait_for(&mut guard, timeout);
-        self.rung.store(false, Ordering::Release);
         self.parked.store(false, Ordering::Release);
+        self.rung.store(false, Ordering::Release);
     }
 }
 
@@ -194,6 +205,139 @@ mod tests {
         work.store(true, Ordering::Release);
         bell.notify();
         t.join().unwrap();
+    }
+
+    #[test]
+    fn doorbell_rings_once_per_park() {
+        let bell = Arc::new(Doorbell::default());
+        // A sleeper that has committed to sleep but is not inside the wait
+        // yet: the mutex held, `parked` visible.
+        let commit = bell.mutex.lock();
+        bell.parked.store(true, Ordering::SeqCst);
+        let notifier = |bell: &Arc<Doorbell>| {
+            let bell = bell.clone();
+            std::thread::spawn(move || bell.notify())
+        };
+        let first = notifier(&bell);
+        while !bell.rung.load(Ordering::Acquire) {
+            std::thread::yield_now();
+        }
+        // The first notifier is now queued on the mutex. A second one must
+        // rely on it and return at once — not queue up behind it.
+        let second = notifier(&bell);
+        let start = std::time::Instant::now();
+        while !second.is_finished() {
+            assert!(
+                start.elapsed() < Duration::from_secs(5),
+                "the second notifier queued up behind the first"
+            );
+            std::thread::yield_now();
+        }
+        assert!(
+            !first.is_finished(),
+            "the first notifier waits for the sleeper to reach the condvar"
+        );
+        drop(commit);
+        first.join().unwrap();
+        second.join().unwrap();
+        // That park never slept, so its ring is stale: the next park
+        // returns once without sleeping, the one after sleeps.
+        bell.parked.store(false, Ordering::Release);
+        let start = std::time::Instant::now();
+        bell.park_for(Duration::from_secs(5), || false);
+        assert!(start.elapsed() < Duration::from_secs(1), "stale ring");
+        let start = std::time::Instant::now();
+        bell.park_for(Duration::from_millis(30), || false);
+        assert!(
+            start.elapsed() >= Duration::from_millis(30),
+            "a stale ring is spent by one return"
+        );
+    }
+
+    #[test]
+    fn doorbell_two_notifies_wake_a_sleeper_once() {
+        let bell = Arc::new(Doorbell::default());
+        let b = bell.clone();
+        let sleeper = std::thread::spawn(move || {
+            let start = std::time::Instant::now();
+            b.park_for(Duration::from_secs(5), || false);
+            let woken_after = start.elapsed();
+            // Nobody rings from here on: of the next two parks at most one
+            // may return early (the second notifier's ring, if it raced
+            // the wake-up and went stale).
+            let early = (0..2)
+                .filter(|_| {
+                    let start = std::time::Instant::now();
+                    b.park_for(Duration::from_millis(30), || false);
+                    start.elapsed() < Duration::from_millis(30)
+                })
+                .count();
+            (woken_after, early)
+        });
+        while !bell.parked.load(Ordering::Acquire) {
+            std::thread::yield_now();
+        }
+        bell.notify();
+        bell.notify();
+        let (woken_after, early) = sleeper.join().unwrap();
+        assert!(woken_after < Duration::from_secs(1), "{woken_after:?}");
+        assert!(early <= 1, "{early} spurious returns after one park");
+    }
+
+    #[test]
+    fn doorbell_stress_loses_no_wake() {
+        // Eight notifiers race for the same parks: each publishes one item,
+        // rings, and waits for the sleeper to consume it, so the sleeper
+        // parks between bursts and every park is contended. A lost wake
+        // shows as a park that ran into the 5 ms backstop.
+        const NOTIFIERS: u64 = 8;
+        const RINGS: u64 = 10_000;
+        const BACKSTOP: Duration = Duration::from_millis(5);
+        let bell = Arc::new(Doorbell::default());
+        let published = Arc::new(AtomicU64::new(0));
+        let consumed = Arc::new(AtomicU64::new(0));
+        let notifiers: Vec<_> = (0..NOTIFIERS)
+            .map(|_| {
+                let (bell, published, consumed) =
+                    (bell.clone(), published.clone(), consumed.clone());
+                std::thread::spawn(move || {
+                    for _ in 0..RINGS {
+                        let mine = published.fetch_add(1, Ordering::SeqCst) + 1;
+                        bell.notify();
+                        while consumed.load(Ordering::Acquire) < mine {
+                            std::thread::yield_now();
+                        }
+                    }
+                })
+            })
+            .collect();
+        let started = std::time::Instant::now();
+        let (mut parks, mut backstops) = (0u64, 0u64);
+        loop {
+            let seen = published.load(Ordering::Acquire);
+            if seen > consumed.load(Ordering::Relaxed) {
+                consumed.store(seen, Ordering::Release);
+                continue;
+            }
+            if seen == NOTIFIERS * RINGS {
+                break;
+            }
+            assert!(started.elapsed() < Duration::from_secs(120), "stuck");
+            let start = std::time::Instant::now();
+            bell.park_for(BACKSTOP, || published.load(Ordering::Acquire) > seen);
+            parks += 1;
+            backstops += u64::from(start.elapsed() >= BACKSTOP);
+        }
+        for t in notifiers {
+            t.join().unwrap();
+        }
+        assert_eq!(consumed.load(Ordering::Acquire), NOTIFIERS * RINGS);
+        // A late wake-up on a busy box also reads as a backstop; lost
+        // wakes would come in hundreds.
+        assert!(
+            backstops <= 40,
+            "{backstops} of {parks} parks ran into the backstop"
+        );
     }
 
     #[test]

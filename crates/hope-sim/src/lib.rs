@@ -9,7 +9,7 @@
 //! | [`printer`]    | F1/F2 | Figures 1–2: the print-server call-streaming transformation |
 //! | [`chain`]      | E3    | the "up to 70 % RPC improvement" claim (companion paper \[11\]) |
 //! | [`waitfree`]   | E4    | §5's wait-free design criterion |
-//! | [`quadratic`]  | E5    | §6's "quadratic in the number of intervals and AIDs" |
+//! | [`quadratic`]  | E5, E5b | §6's "quadratic in the number of intervals and AIDs"; §5's commit point: local work per tagged receive flat in settled history |
 //! | [`rings`]      | F13/F14 | interference cycles and Algorithm 2's detection |
 //! | [`rollback`]   | E6    | rollback/replay cost vs. speculation depth |
 //! | [`scientific`] | E7    | optimistic convergence detection (\[6\]: scientific programming) |

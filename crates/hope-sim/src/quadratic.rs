@@ -10,6 +10,16 @@
 //! earliest holder of an assumption registers, a `Replace` is applied to
 //! the registrant and every later holder locally, and the same sweep
 //! must come out linear — N `Guess` and N `Replace` messages.
+//!
+//! E5b — local bookkeeping vs. what came before. Message counts say
+//! nothing about the work a HOPElib does *between* messages: a history
+//! query that walks every interval the process ever opened sends exactly
+//! as many messages as one that walks the live ones. The second sweep
+//! therefore counts [`History::visits`](hope_core::History::visits): after
+//! N settled rounds of depth-8 speculation, what does one more round cost
+//! per tagged receive? The paper's answer (§5: finalize is a commit
+//! point; nothing behind it is consulted again) is "the same as after
+//! none".
 
 use bytes::Bytes;
 use hope_core::HopeEnv;
@@ -85,6 +95,118 @@ pub fn measure(depth: u32, seed: u64) -> QuadraticResult {
     }
 }
 
+/// Guesses per E5b round, one tagged message after each: the speculation
+/// depth, and the tagged receives of a round.
+pub const LOCAL_DEPTH: u32 = 8;
+
+const CH_AIDS: u32 = 0;
+const CH_DATA: u32 = 1;
+const CH_DONE: u32 = 2;
+
+/// Measured local bookkeeping for one amount of settled history.
+#[derive(Debug, Clone, Copy)]
+pub struct LocalWorkResult {
+    /// Rounds that ran — and became definite at both ends — before the
+    /// measured one.
+    pub settled_rounds: u32,
+    /// Tagged messages received in the measured round.
+    pub tagged_receives: u64,
+    /// Interval records examined by history queries in the measured round,
+    /// both processes together.
+    pub history_visits: u64,
+}
+
+impl LocalWorkResult {
+    /// The E5b figure: records examined per tagged receive.
+    pub fn visits_per_receive(&self) -> f64 {
+        self.history_visits as f64 / self.tagged_receives as f64
+    }
+}
+
+/// `history_visits` after `rounds` whole rounds: the producer stacks
+/// [`LOCAL_DEPTH`] guesses with a tagged message after each, the consumer
+/// affirms them all, and neither starts the next round before both are
+/// definite again.
+fn visits_after(rounds: u32, seed: u64) -> u64 {
+    let mut env = HopeEnv::builder()
+        .seed(seed)
+        .network(NetworkConfig::lan())
+        .build();
+    let consumer = env.spawn_user("consumer", move |ctx| {
+        for _ in 0..rounds {
+            let first = ctx.receive(Some(CH_AIDS));
+            for _ in 0..LOCAL_DEPTH {
+                let _ = ctx.receive(Some(CH_DATA));
+            }
+            for aid in decode_aids(&first.data) {
+                ctx.affirm(aid);
+            }
+            ctx.await_definite();
+            ctx.send(first.src, CH_DONE, Bytes::new());
+        }
+    });
+    env.spawn_user("producer", move |ctx| {
+        for _ in 0..rounds {
+            let aids: Vec<AidId> = (0..LOCAL_DEPTH).map(|_| ctx.aid_init()).collect();
+            ctx.send(consumer, CH_AIDS, encode_aids(&aids));
+            for &aid in &aids {
+                let _ = ctx.guess(aid);
+                ctx.send(consumer, CH_DATA, Bytes::new());
+            }
+            ctx.await_definite();
+            let _ = ctx.receive(Some(CH_DONE));
+        }
+    });
+    let report = env.run();
+    assert!(report.is_clean(), "{:?}", report.run.panics);
+    assert!(
+        report.run.blocked.is_empty(),
+        "every round must settle: {:?}",
+        report.run.blocked
+    );
+    assert_eq!(report.hope.rollbacks, 0, "nothing is denied");
+    report.hope.history_visits
+}
+
+/// One measured round after `settled_rounds` settled ones. The simulator
+/// is deterministic per seed, so the measured round is the difference
+/// between a run of `settled_rounds + 1` rounds and a run of
+/// `settled_rounds`.
+pub fn measure_local(settled_rounds: u32, seed: u64) -> LocalWorkResult {
+    LocalWorkResult {
+        settled_rounds,
+        tagged_receives: u64::from(LOCAL_DEPTH),
+        history_visits: visits_after(settled_rounds + 1, seed) - visits_after(settled_rounds, seed),
+    }
+}
+
+/// Runs [`measure_local`] across a sweep of settled history.
+pub fn local_sweep_results(settled: &[u32], seed: u64) -> Vec<LocalWorkResult> {
+    settled.iter().map(|&n| measure_local(n, seed)).collect()
+}
+
+/// Tabulates E5b: flat when history queries stay off the definite prefix.
+pub fn local_table(results: &[LocalWorkResult]) -> crate::table::Table {
+    let mut table = crate::table::Table::new(
+        "E5b: local bookkeeping vs. settled history (depth-8 rounds, §5 commit point)",
+        &[
+            "settled rounds N",
+            "tagged receives",
+            "history visits",
+            "visits/receive",
+        ],
+    );
+    for r in results {
+        table.row(&[
+            format!("{}", r.settled_rounds),
+            format!("{}", r.tagged_receives),
+            format!("{}", r.history_visits),
+            format!("{:.1}", r.visits_per_receive()),
+        ]);
+    }
+    table
+}
+
 /// Runs [`measure`] across a depth sweep and returns the raw per-depth
 /// results (the perf-baseline JSON wants numbers, not a rendered table).
 pub fn sweep_results(depths: &[u32], seed: u64) -> Vec<QuadraticResult> {
@@ -147,6 +269,19 @@ mod tests {
         // Guess, one Affirm and one Replace per assumption).
         assert_eq!(a.total_hope, 12);
         assert_eq!(b.total_hope, 48);
+    }
+
+    #[test]
+    fn local_work_does_not_grow_with_settled_history() {
+        let (fresh, aged) = (measure_local(1, 1), measure_local(16, 1));
+        assert_eq!(fresh.tagged_receives, u64::from(LOCAL_DEPTH));
+        assert!(fresh.history_visits > 0);
+        // 16x the definite prefix: binary-search probes may add a few
+        // visits, a front scan would add hundreds.
+        assert!(
+            aged.history_visits < fresh.history_visits * 3 / 2,
+            "{fresh:?} -> {aged:?}"
+        );
     }
 
     #[test]
