@@ -1,19 +1,43 @@
-//! Durable perf baselines: `BENCH_*.json` files at the repository root.
+//! The committed ledger: `BENCH_*.json` files at the repository root.
 //!
-//! Each perf bin renders its headline numbers into the workspace's tiny
-//! JSON subset (string scalars only — see `hope_sim::json`) and writes
-//! them next to the sources, so a regression shows up as a diff in
-//! review and CI can gate on it. The gate compares only *deterministic*
-//! metrics (message counts, bytes on the wire, fitted exponents):
-//! wall-clock figures are recorded for the humans but never gated,
-//! because CI machines are not the machine that wrote the baseline.
+//! A gated experiment renders its headline cells into the workspace's
+//! tiny JSON subset (string scalars only — see `hope_sim::json`) and
+//! writes them next to the sources, so a change shows up as a diff in
+//! review and CI can gate on it. Every cell is deterministic — counts,
+//! bytes, virtual time, outcomes, fitted exponents — so a committed file
+//! is reproducible byte-for-byte on any machine; anything measured with
+//! a stopwatch belongs to `perfbench`, not here.
 
 use std::path::PathBuf;
 
 use hope_sim::json::Value;
+use hope_sim::table::Table;
+
+/// How a gated cell is held against its committed value.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Gate {
+    /// An outcome (entries committed, violations, convergence): must be
+    /// exactly the committed value — fewer entries is as wrong as more.
+    Equal,
+    /// A cost (messages, bytes, virtual time, exponent): may not exceed
+    /// [`COST_FACTOR`]× the committed value.
+    Cost,
+}
+
+/// Regression factor tolerated on a [`Gate::Cost`] cell.
+pub const COST_FACTOR: f64 = 2.0;
+
+/// An experiment's committed file and the cells of it that are gated.
+#[derive(Debug, Clone, Copy)]
+pub struct Baseline {
+    /// File name at the repository root.
+    pub file: &'static str,
+    /// Top-level keys compared by [`gate`], each with its rule.
+    pub gated: &'static [(&'static str, Gate)],
+}
 
 /// The workspace root (where `BENCH_*.json` lives), resolved from this
-/// crate's manifest so the bins work from any working directory.
+/// crate's manifest so the driver works from any working directory.
 pub fn repo_root() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("../..")
@@ -21,15 +45,28 @@ pub fn repo_root() -> PathBuf {
         .expect("workspace root exists")
 }
 
-/// Builds a flat JSON object from `(key, value)` pairs; every scalar is
-/// a string because that is the subset `hope_sim::json` speaks.
-pub fn obj(fields: &[(&str, String)]) -> Value {
-    Value::Object(
-        fields
-            .iter()
-            .map(|(k, v)| ((*k).to_string(), Value::String(v.clone())))
-            .collect(),
-    )
+/// A string scalar — the only scalar the committed files hold.
+pub fn s(v: impl ToString) -> Value {
+    Value::String(v.to_string())
+}
+
+/// Builds a JSON object, keeping the given key order.
+pub fn obj(fields: Vec<(&str, Value)>) -> Value {
+    Value::Object(fields.into_iter().map(|(k, v)| (k.into(), v)).collect())
+}
+
+/// Renders the scalar cells of `cells` as a two-column table, in order
+/// (the `bench` label and row arrays are left to the caller's tables).
+pub fn cells_table(title: &str, cells: &Value) -> Table {
+    let mut table = Table::new(title, &["cell", "value"]);
+    if let Value::Object(fields) = cells {
+        for (key, value) in fields.iter().filter(|(key, _)| key != "bench") {
+            if let Some(text) = value.as_str() {
+                table.row(&[key.as_str(), text]);
+            }
+        }
+    }
+    table
 }
 
 /// Least-squares slope of `ln(y)` against `ln(x)` — the growth exponent
@@ -59,19 +96,7 @@ pub fn fit_exponent(points: &[(f64, f64)]) -> f64 {
     }
 }
 
-/// The `p`-th percentile (nearest-rank on a zero-based index) of an
-/// unsorted sample set; 0 for an empty set.
-pub fn percentile(samples: &[u64], p: f64) -> u64 {
-    if samples.is_empty() {
-        return 0;
-    }
-    let mut sorted = samples.to_vec();
-    sorted.sort_unstable();
-    let ix = ((sorted.len() - 1) as f64 * p / 100.0).round() as usize;
-    sorted[ix.min(sorted.len() - 1)]
-}
-
-/// Loads a previously committed baseline, if any.
+/// Loads a committed baseline, if the file exists and parses.
 pub fn load(file_name: &str) -> Option<Value> {
     let text = std::fs::read_to_string(repo_root().join(file_name)).ok()?;
     hope_sim::json::from_str(&text).ok()
@@ -86,57 +111,72 @@ pub fn store(file_name: &str, value: &Value) {
     println!("wrote {}", path.display());
 }
 
-/// Compares the new run against the stored baseline on the named keys
-/// (top-level, numeric-string values): each must stay within `factor`×
-/// of the baseline. Returns human-readable violations; an absent
-/// baseline or an unparsable key gates nothing (first run, new field).
-pub fn gate(baseline: &Value, fresh: &Value, keys: &[&str], factor: f64) -> Vec<String> {
+/// Holds the fresh run against the committed baseline on the gated keys
+/// and returns human-readable violations. A gated key that is missing or
+/// unreadable on either side is itself a violation: a renamed cell must
+/// not silently un-gate itself.
+pub fn gate(baseline: &Value, fresh: &Value, gated: &[(&str, Gate)]) -> Vec<String> {
     let mut violations = Vec::new();
-    for key in keys {
-        let old: f64 = match baseline[*key].as_str().and_then(|s| s.parse().ok()) {
-            Some(v) => v,
-            None => continue,
+    for &(key, rule) in gated {
+        let (old, new) = (baseline[key].as_str(), fresh[key].as_str());
+        let (Some(old), Some(new)) = (old, new) else {
+            let side = if old.is_none() {
+                "the committed baseline"
+            } else {
+                "the fresh run"
+            };
+            violations.push(format!("{key}: gated cell missing from {side}"));
+            continue;
         };
-        let new: f64 = match fresh[*key].as_str().and_then(|s| s.parse().ok()) {
-            Some(v) => v,
-            None => continue,
-        };
-        if new > old * factor {
-            violations.push(format!(
-                "{key}: {new} exceeds {factor}x the committed baseline {old}"
-            ));
+        match rule {
+            Gate::Equal if new != old => {
+                violations.push(format!("{key}: {new} differs from the committed {old}"));
+            }
+            Gate::Equal => {}
+            Gate::Cost => match (old.parse::<f64>(), new.parse::<f64>()) {
+                (Ok(old), Ok(new)) if new > old * COST_FACTOR => violations.push(format!(
+                    "{key}: {new} exceeds {COST_FACTOR}x the committed baseline {old}"
+                )),
+                (Ok(_), Ok(_)) => {}
+                _ => violations.push(format!(
+                    "{key}: cost cell is not a number (committed {old:?}, fresh {new:?})"
+                )),
+            },
         }
     }
     violations
 }
 
-/// Shared tail of every perf bin: in check mode (`HOPE_BENCH_CHECK=1`,
-/// the CI perf-smoke job) compare `fresh` against the committed baseline
-/// and exit nonzero on a regression, leaving the tree clean; otherwise
-/// refresh the committed file.
-pub fn finish(file_name: &str, fresh: &Value, gated_keys: &[&str], factor: f64) {
-    if std::env::var("HOPE_BENCH_CHECK").as_deref() == Ok("1") {
-        let Some(baseline) = load(file_name) else {
-            eprintln!("perf-smoke: no committed {file_name} to check against");
-            std::process::exit(1);
-        };
-        let violations = gate(&baseline, fresh, gated_keys, factor);
-        if violations.is_empty() {
-            println!("perf-smoke: {file_name} within {factor}x of baseline");
-        } else {
-            for v in &violations {
-                eprintln!("perf-smoke regression in {file_name}: {v}");
-            }
-            std::process::exit(1);
-        }
+/// The tail of every gated experiment: under `--check` compare `fresh`
+/// against the committed file, leaving the tree clean; otherwise rewrite
+/// the file. Returns the violations (or the missing-file error) to fail
+/// the run with.
+pub fn settle(baseline: &Baseline, fresh: &Value, check: bool) -> Result<(), Vec<String>> {
+    if !check {
+        store(baseline.file, fresh);
+        return Ok(());
+    }
+    let file = baseline.file;
+    let committed = load(file).ok_or_else(|| vec![format!("no committed {file} to check")])?;
+    let violations = gate(&committed, fresh, baseline.gated);
+    if violations.is_empty() {
+        println!("perf-smoke: {file} holds against the committed baseline");
+        Ok(())
     } else {
-        store(file_name, fresh);
+        Err(violations
+            .into_iter()
+            .map(|v| format!("regression in {file}: {v}"))
+            .collect())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn cells(fields: &[(&str, &str)]) -> Value {
+        obj(fields.iter().map(|&(k, v)| (k, s(v))).collect())
+    }
 
     #[test]
     fn exponent_of_linear_data_is_one() {
@@ -151,22 +191,44 @@ mod tests {
     }
 
     #[test]
-    fn percentiles_pick_expected_ranks() {
-        let samples: Vec<u64> = (1..=101).collect();
-        assert_eq!(percentile(&samples, 50.0), 51);
-        assert_eq!(percentile(&samples, 99.0), 100);
-        assert_eq!(percentile(&samples, 100.0), 101);
-        assert_eq!(percentile(&[], 50.0), 0);
+    fn cost_cells_fail_only_beyond_the_factor() {
+        let gated = [("a", Gate::Cost), ("b", Gate::Cost)];
+        let old = cells(&[("a", "100"), ("b", "10")]);
+        assert!(gate(&old, &cells(&[("a", "150"), ("b", "20")]), &gated).is_empty());
+        assert!(gate(&old, &cells(&[("a", "3"), ("b", "0")]), &gated).is_empty());
+        assert_eq!(
+            gate(&old, &cells(&[("a", "201"), ("b", "10")]), &gated).len(),
+            1
+        );
     }
 
     #[test]
-    fn gate_flags_only_regressions_beyond_factor() {
-        let old = obj(&[("a", "100".into()), ("b", "10".into())]);
-        let ok = obj(&[("a", "150".into()), ("b", "20".into())]);
-        assert!(gate(&old, &ok, &["a", "b"], 2.0).is_empty());
-        let bad = obj(&[("a", "201".into()), ("b", "10".into())]);
-        assert_eq!(gate(&old, &bad, &["a", "b"], 2.0).len(), 1);
-        // Missing keys gate nothing.
-        assert!(gate(&old, &obj(&[]), &["a"], 2.0).is_empty());
+    fn a_missing_gated_key_is_a_violation_on_either_side() {
+        let gated = [("a", Gate::Cost)];
+        let has = cells(&[("a", "100")]);
+        let renamed = cells(&[("a_total", "100")]);
+        assert_eq!(gate(&has, &renamed, &gated).len(), 1, "fresh side");
+        assert_eq!(gate(&renamed, &has, &gated).len(), 1, "committed side");
+    }
+
+    #[test]
+    fn an_unparsable_cost_cell_is_a_violation() {
+        let gated = [("a", Gate::Cost)];
+        let old = cells(&[("a", "100")]);
+        assert_eq!(gate(&old, &cells(&[("a", "fast")]), &gated).len(), 1);
+        assert_eq!(gate(&cells(&[("a", "n/a")]), &old, &gated).len(), 1);
+    }
+
+    #[test]
+    fn outcome_cells_must_match_exactly() {
+        let gated = [("entries_total", Gate::Equal), ("converged", Gate::Equal)];
+        let old = cells(&[("entries_total", "900"), ("converged", "true")]);
+        assert!(gate(&old, &old.clone(), &gated).is_empty());
+        // Entries lost: lower is not better.
+        let lost = cells(&[("entries_total", "899"), ("converged", "true")]);
+        assert_eq!(gate(&old, &lost, &gated).len(), 1);
+        // A cell that is not a number is gated all the same.
+        let diverged = cells(&[("entries_total", "900"), ("converged", "false")]);
+        assert_eq!(gate(&old, &diverged, &gated).len(), 1);
     }
 }

@@ -1,0 +1,87 @@
+//! `hope-bench <name> [--fast] [--json] [--check] [path]`, `all`, `list`.
+
+use std::process::ExitCode;
+
+use hope_bench::{baseline, cluster, find, run_all, Opts, EXPERIMENTS};
+
+fn usage(problem: &str) -> ExitCode {
+    eprintln!("hope-bench: {problem}");
+    eprintln!("usage: hope-bench <name> [--fast] [--json] [--check] [path]");
+    eprintln!("       hope-bench all [--fast] [--json]");
+    eprintln!("       hope-bench list");
+    eprintln!("  --fast   reduced parameter set (never touches a BENCH_*.json)");
+    eprintln!("  --json   append each table's JSON rendering");
+    eprintln!("  --check  compare against the committed BENCH_*.json instead of rewriting it");
+    ExitCode::from(2)
+}
+
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let Some((name, rest)) = args.split_first() else {
+        return usage("no experiment named");
+    };
+    if name == cluster::NODE_SUBCOMMAND {
+        let Some((id, addrs)) = rest.split_first() else {
+            return usage("cluster-node takes <id> <addr>...");
+        };
+        cluster::run_node(id.parse().expect("node id"), addrs);
+    }
+
+    let (mut fast, mut json, mut check, mut path) = (false, false, false, None);
+    for arg in rest {
+        match arg.as_str() {
+            "--fast" => fast = true,
+            "--json" => json = true,
+            "--check" => check = true,
+            flag if flag.starts_with('-') => return usage(&format!("unknown flag {flag}")),
+            _ if path.is_some() => return usage(&format!("unexpected argument {arg}")),
+            _ => path = Some(arg.clone()),
+        }
+    }
+
+    match name.as_str() {
+        "list" | "all" if check || path.is_some() => {
+            usage(&format!("{name} takes neither --check nor a path"))
+        }
+        "list" => {
+            for e in EXPERIMENTS {
+                let file = e.baseline.map_or("-", |b| b.file);
+                println!("{:<11} {:<18} {file}", e.id, e.name);
+            }
+            ExitCode::SUCCESS
+        }
+        "all" => {
+            run_all(fast, json);
+            ExitCode::SUCCESS
+        }
+        _ => {
+            let Some(experiment) = find(name) else {
+                return usage(&format!("unknown experiment {name} (try `list`)"));
+            };
+            if path.is_some() && !experiment.takes_path {
+                return usage(&format!("{name} takes no path"));
+            }
+            if check && (fast || experiment.baseline.is_none()) {
+                return usage(&format!(
+                    "--check needs a gated experiment's full run; `{name}{}` has no committed cells",
+                    if fast { " --fast" } else { "" }
+                ));
+            }
+            let report = (experiment.run)(&Opts { fast, path });
+            report.print(json);
+            if let Some(committed) = experiment.baseline.filter(|_| !fast) {
+                let cells = report
+                    .cells
+                    .as_ref()
+                    .expect("a gated full run yields cells");
+                if let Err(problems) = baseline::settle(&committed, cells, check) {
+                    for problem in problems {
+                        eprintln!("perf-smoke: {problem}");
+                    }
+                    return ExitCode::FAILURE;
+                }
+            }
+            ExitCode::SUCCESS
+        }
+    }
+}

@@ -1,0 +1,285 @@
+//! The experiment table: one row per EXPERIMENTS.md section, in the
+//! order `all` prints them. Each row's full and `--fast` parameter sets
+//! live here and nowhere else.
+
+use hope_sim::chaos::ChaosConfig;
+use hope_sim::disk_chaos::DiskChaosConfig;
+use hope_sim::scientific::SolverConfig;
+use hope_sim::soak::SoakConfig;
+use hope_sim::{chain, chaos, disk_chaos, printer, protocol, replication, rings, rollback};
+use hope_sim::{scientific, soak, trace_export, waitfree};
+use hope_types::VirtualDuration as D;
+
+use crate::baseline::{cells_table, obj, s, Baseline, Gate};
+use crate::{ablation_policies, adaptive, cluster, quadratic, throughput, trace_demo};
+use crate::{Experiment, Opts, Report};
+
+/// A row `all` includes: one of the simulator sweeps EXPERIMENTS.md
+/// tabulates.
+const fn sweep(id: &'static str, name: &'static str, run: fn(&Opts) -> Report) -> Experiment {
+    Experiment {
+        id,
+        name,
+        in_all: true,
+        takes_path: false,
+        baseline: None,
+        run,
+    }
+}
+
+/// A row that runs only under its own name.
+const fn alone(id: &'static str, name: &'static str, run: fn(&Opts) -> Report) -> Experiment {
+    Experiment {
+        in_all: false,
+        ..sweep(id, name, run)
+    }
+}
+
+fn micros(latencies: &[u64]) -> Vec<D> {
+    latencies.iter().map(|&us| D::from_micros(us)).collect()
+}
+
+/// Every experiment the driver knows.
+pub static EXPERIMENTS: &[Experiment] = &[
+    sweep("T1", "table1", |_| {
+        protocol::table_1(&protocol::run_canonical(1)).into()
+    }),
+    sweep("F1/F2", "fig1_fig2", |o| {
+        // µs one way: LAN, 1 ms, WAN, and the paper's 30 ms round trip.
+        let latencies = micros(if o.fast {
+            &[10_000]
+        } else {
+            &[100, 1_000, 10_000, 15_000]
+        });
+        let iterations = if o.fast { 3 } else { 10 };
+        printer::sweep(&latencies, &[0.0, 0.01, 0.1, 0.5, 1.0], iterations, 42).into()
+    }),
+    sweep("E3", "rpc_improvement", |o| {
+        let depths: &[u32] = if o.fast { &[2, 4] } else { &[1, 2, 3, 4, 6, 8] };
+        chain::sweep(depths, &[1.0, 0.9, 0.5, 0.0], 42).into()
+    }),
+    sweep("E4", "waitfree", |o| {
+        let latencies = micros(if o.fast {
+            &[100, 10_000, 100_000]
+        } else {
+            &[1, 100, 1_000, 10_000, 15_000, 100_000]
+        });
+        waitfree::sweep(&latencies, 42).into()
+    }),
+    Experiment {
+        baseline: Some(Baseline {
+            file: "BENCH_quadratic.json",
+            gated: &[
+                ("fitted_exponent", Gate::Cost),
+                ("total_hope_messages_at_max_depth", Gate::Cost),
+                ("guess_messages_at_max_depth", Gate::Cost),
+                ("history_visits_at_max_settled", Gate::Cost),
+            ],
+        }),
+        ..sweep("E5/E5b", "quadratic", quadratic::run)
+    },
+    sweep("F13/F14", "fig14_cycles", |o| {
+        let sizes: &[u32] = if o.fast {
+            &[2, 4]
+        } else {
+            &[2, 3, 4, 6, 8, 12, 16, 24, 32]
+        };
+        rings::sweep(sizes, 42).into()
+    }),
+    sweep("E6", "rollback_depth", |o| {
+        let depths: &[u32] = if o.fast {
+            &[2, 8]
+        } else {
+            &[1, 2, 4, 8, 16, 32]
+        };
+        rollback::sweep(depths, 8, 42).into()
+    }),
+    sweep("E7", "scientific", |o| {
+        let cfg = SolverConfig {
+            workers: if o.fast { 2 } else { 4 },
+            iterations_to_converge: if o.fast { 5 } else { 20 },
+            ..SolverConfig::default()
+        };
+        // (compute µs, latency µs): LAN to transcontinental, then tiny
+        // iterations under huge latency.
+        let ratios: &[(u64, u64)] = if o.fast {
+            &[(2_000, 5_000)]
+        } else {
+            &[
+                (2_000, 100),
+                (2_000, 1_000),
+                (2_000, 5_000),
+                (2_000, 15_000),
+                (500, 15_000),
+            ]
+        };
+        scientific::sweep(cfg, ratios).into()
+    }),
+    sweep("E8", "replication", |o| {
+        let replicas: &[u32] = if o.fast { &[2, 4] } else { &[1, 2, 4, 8, 16] };
+        replication::sweep(replicas, D::from_millis(2), 42).into()
+    }),
+    sweep("E9", "soak", |o| {
+        let accuracies: &[f64] = if o.fast {
+            &[1.0, 0.5]
+        } else {
+            &[1.0, 0.95, 0.9, 0.7, 0.5, 0.0]
+        };
+        let cfg = SoakConfig {
+            clients: if o.fast { 3 } else { 8 },
+            calls_per_client: if o.fast { 4 } else { 10 },
+            ..SoakConfig::default()
+        };
+        soak::sweep(accuracies, cfg).into()
+    }),
+    sweep("E-chaos", "chaos", run_chaos),
+    Experiment {
+        baseline: Some(Baseline {
+            file: "BENCH_throughput.json",
+            gated: &[
+                ("registrations", Gate::Cost),
+                ("total_hope_messages", Gate::Cost),
+                ("tag_bytes_wire", Gate::Cost),
+                ("guess_p99_virtual_ns", Gate::Cost),
+            ],
+        }),
+        ..alone("E-perf", "throughput", throughput::run)
+    },
+    Experiment {
+        // The cells where a regression would erase the headline: the
+        // adaptive column at both ends of the sweep, and the optimistic
+        // low-deny cell (the fast path the controller must not tax). The
+        // optimistic high-deny cell is the *problem* being measured.
+        baseline: Some(Baseline {
+            file: "BENCH_adaptive.json",
+            gated: &[
+                ("adaptive_50_virtual_micros", Gate::Cost),
+                ("adaptive_50_rollbacks", Gate::Cost),
+                ("adaptive_900_virtual_micros", Gate::Cost),
+                ("adaptive_900_rollbacks", Gate::Cost),
+                ("optimistic_50_virtual_micros", Gate::Cost),
+            ],
+        }),
+        ..alone("E-adaptive", "adaptive", adaptive::run)
+    },
+    alone("E-disk", "disk_chaos", run_disk_chaos),
+    Experiment {
+        takes_path: true,
+        ..alone("E-trace", "trace", run_trace)
+    },
+    alone("Ablations", "ablation_policies", ablation_policies::run),
+    alone("Demo", "trace_demo", trace_demo::run),
+    Experiment {
+        baseline: Some(Baseline {
+            file: "BENCH_cluster.json",
+            gated: &[
+                ("entries_total", Gate::Equal),
+                ("frontier_violations", Gate::Equal),
+                ("healed_entries_total", Gate::Equal),
+                ("converged", Gate::Equal),
+            ],
+        }),
+        ..alone("E-cluster", "cluster", cluster::run)
+    },
+];
+
+/// E-chaos: the simulator sweep, then (full set only) the same workload
+/// on the threaded runtime at 1, 2 and 4 shards — the shard count is a
+/// performance knob, never a semantics knob (DESIGN.md §10), so every
+/// row must commit the fault-free outcome. Their link counters depend
+/// on thread timing; only `correct=true` is stable.
+fn run_chaos(o: &Opts) -> Report {
+    let rates: &[f64] = if o.fast {
+        &[0.15]
+    } else {
+        &[0.0, 0.05, 0.15, 0.25]
+    };
+    let table = chaos::sweep(rates, ChaosConfig::default());
+    let shard_counts: &[usize] = if o.fast { &[] } else { &[1, 2, 4] };
+    let mut notes = Vec::new();
+    for &shards in shard_counts {
+        let t = chaos::run_threaded(ChaosConfig {
+            shards: Some(shards),
+            ..ChaosConfig::default()
+        });
+        assert!(t.matches_fault_free, "shards={shards} must be correct");
+        notes.push(format!(
+            "threaded shards={shards}: correct={} finalized={} rollbacks={} recoveries={} ({})",
+            t.matches_fault_free, t.finalized, t.rollbacks, t.crash_recoveries, t.link
+        ));
+    }
+    Report::new(table, notes)
+}
+
+/// E-disk: the drop-rate sweep, a many-seed soak and one threaded run.
+/// Every run must recover the longest valid prefix, reach the definite
+/// frontier recorded at crash time and commit the fault-free totals
+/// (Theorem 5.1); checkpoint GC must keep live WAL segments bounded.
+fn run_disk_chaos(o: &Opts) -> Report {
+    let cfg = DiskChaosConfig::default();
+    let (per_row, rates, seeds): (u64, &[f64], u64) = if o.fast {
+        (8, &[0.15], 64)
+    } else {
+        (64, &[0.0, 0.05, 0.15, 0.25], 1000)
+    };
+    let table = disk_chaos::sweep(per_row, rates, cfg);
+
+    let out = disk_chaos::soak(seeds, cfg);
+    assert_eq!(out.runs, out.correct, "Theorem 5.1 violation in soak");
+    assert_eq!(out.frontier_violations, 0, "frontier equivalence violated");
+    let t = disk_chaos::run_threaded(cfg);
+    assert!(t.matches_fault_free, "threaded run diverged");
+    let notes = vec![
+        format!(
+            "soak: runs={} correct={} recoveries={} corrupt={} disk-faults={} \
+             frontier-violations={} gc-segments={} max-live-segments={}",
+            out.runs,
+            out.correct,
+            out.recoveries,
+            out.corrupt_recoveries,
+            out.faults_injected,
+            out.frontier_violations,
+            out.gc_segments,
+            out.max_live_segments
+        ),
+        format!(
+            "threaded: correct={} finalized={} rollbacks={} recoveries={} \
+             store-recoveries={} frontier-violations={}",
+            t.matches_fault_free,
+            t.finalized,
+            t.rollbacks,
+            t.crash_recoveries,
+            t.store.store.recoveries,
+            t.store.frontier_violations
+        ),
+    ];
+    Report::new(table, notes)
+}
+
+/// E-trace: runs the faulted chain scenario with the causal tracer on,
+/// validates the Chrome trace-event export against the structural schema
+/// and only then writes it (`BENCH_trace.json` unless a path is given).
+/// Open the file in `chrome://tracing` or Perfetto's legacy loader.
+fn run_trace(o: &Opts) -> Report {
+    let out = o.path.as_deref().unwrap_or("BENCH_trace.json");
+    let (result, trace) = chaos::run_chain_traced(ChaosConfig::default(), 1 << 16);
+    trace_export::validate_chrome_trace(&trace).expect("exported trace must satisfy the schema");
+    let events = match trace.get("traceEvents") {
+        hope_sim::json::Value::Array(events) => events.len(),
+        _ => unreachable!("validated trace has a traceEvents array"),
+    };
+    std::fs::write(out, hope_sim::json::to_string_pretty(&trace)).expect("write trace artifact");
+    let dropped = trace["otherData"]["dropped_events"].as_i64().unwrap_or(0);
+    cells_table(
+        "E-trace: Chrome trace-event export of the faulted chain run",
+        &obj(vec![
+            ("file", s(out)),
+            ("events", s(events)),
+            ("dropped", s(dropped)),
+            ("rollbacks", s(result.rollbacks)),
+            ("recoveries", s(result.crash_recoveries)),
+            ("correct", s(result.matches_fault_free)),
+        ]),
+    )
+    .into()
+}

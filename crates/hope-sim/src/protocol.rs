@@ -5,28 +5,11 @@
 //! runtime's per-(type, from, to) counters and printed in the layout of
 //! the paper's Table 1.
 
-use bytes::Bytes;
 use hope_core::HopeEnv;
 use hope_runtime::{MessageStats, NetworkConfig, PartyKind};
-use hope_types::{AidId, ProcessId, VirtualDuration};
+use hope_types::VirtualDuration;
 
-fn encode_aids(aids: &[AidId]) -> Bytes {
-    let mut out = Vec::with_capacity(aids.len() * 8);
-    for aid in aids {
-        out.extend_from_slice(&aid.process().as_raw().to_le_bytes());
-    }
-    Bytes::from(out)
-}
-
-fn decode_aids(data: &[u8]) -> Vec<AidId> {
-    data.chunks_exact(8)
-        .map(|c| {
-            let mut raw = [0u8; 8];
-            raw.copy_from_slice(c);
-            AidId::from_raw(ProcessId::from_raw(u64::from_le_bytes(raw)))
-        })
-        .collect()
-}
+use crate::{decode_aids, encode_aids};
 
 /// Runs the canonical protocol workload and returns the message counters.
 pub fn run_canonical(seed: u64) -> MessageStats {

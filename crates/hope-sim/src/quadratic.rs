@@ -24,7 +24,9 @@
 use bytes::Bytes;
 use hope_core::HopeEnv;
 use hope_runtime::NetworkConfig;
-use hope_types::{AidId, ProcessId, VirtualDuration};
+use hope_types::{AidId, VirtualDuration};
+
+use crate::{decode_aids, encode_aids};
 
 /// Measured message counts for one depth.
 #[derive(Debug, Clone, Copy)]
@@ -37,24 +39,6 @@ pub struct QuadraticResult {
     pub replace_messages: u64,
     /// Total HOPE protocol messages.
     pub total_hope: u64,
-}
-
-fn encode_aids(aids: &[AidId]) -> Bytes {
-    let mut out = Vec::with_capacity(aids.len() * 8);
-    for aid in aids {
-        out.extend_from_slice(&aid.process().as_raw().to_le_bytes());
-    }
-    Bytes::from(out)
-}
-
-fn decode_aids(data: &[u8]) -> Vec<AidId> {
-    data.chunks_exact(8)
-        .map(|c| {
-            let mut raw = [0u8; 8];
-            raw.copy_from_slice(c);
-            AidId::from_raw(ProcessId::from_raw(u64::from_le_bytes(raw)))
-        })
-        .collect()
 }
 
 /// One guesser stacks `depth` nested guesses; a definite resolver then

@@ -6,10 +6,11 @@
 //! the cycle (Figure 14) and every interval finalizes; Algorithm 1
 //! "bounces" Replace messages around the ring forever.
 
-use bytes::Bytes;
 use hope_core::HopeEnv;
 use hope_runtime::NetworkConfig;
-use hope_types::{AidId, ProcessId, VirtualDuration, VirtualTime};
+use hope_types::{AidId, VirtualDuration, VirtualTime};
+
+use crate::{decode_aids, encode_aids};
 
 /// Outcome of one ring run.
 #[derive(Debug, Clone, Copy)]
@@ -26,24 +27,6 @@ pub struct RingResult {
     pub cycles_broken: u64,
     /// Virtual time at the end of the run.
     pub finished_at: VirtualTime,
-}
-
-pub(crate) fn encode_aids(aids: &[AidId]) -> Bytes {
-    let mut out = Vec::with_capacity(aids.len() * 8);
-    for aid in aids {
-        out.extend_from_slice(&aid.process().as_raw().to_le_bytes());
-    }
-    Bytes::from(out)
-}
-
-pub(crate) fn decode_aids(data: &[u8]) -> Vec<AidId> {
-    data.chunks_exact(8)
-        .map(|c| {
-            let mut raw = [0u8; 8];
-            raw.copy_from_slice(c);
-            AidId::from_raw(ProcessId::from_raw(u64::from_le_bytes(raw)))
-        })
-        .collect()
 }
 
 /// Runs a mutual-affirm ring of size `n`. `cycle_detection = false`

@@ -12,7 +12,7 @@ use hope_core::{DurableConfig, HopeEnv, SpecPolicy, SyncPolicy};
 use hope_runtime::{FaultPlan, NetworkConfig, StorageFaultPlan};
 use hope_types::{AidId, ProcessId, VirtualDuration, VirtualTime};
 
-use crate::rings::{decode_aids, encode_aids};
+use crate::{decode_aids, encode_aids};
 
 /// Builds (without running) a mutual-affirm ring of size `n`, the paper's
 /// F13 interference cycle: process *i* guesses AID *i* and affirms AID
