@@ -60,12 +60,7 @@ pub(crate) fn run(_: &Opts) -> Report {
         ("Deny (conservative)", RetractPolicy::Deny),
     ] {
         let (rollbacks, violations, clean) = affirm_retract_run(policy);
-        t.row(&[
-            name.to_string(),
-            rollbacks.to_string(),
-            violations.to_string(),
-            clean.to_string(),
-        ]);
+        t.row(&[&name, &rollbacks, &violations, &clean]);
     }
     report.push(t, Vec::new());
 
@@ -81,12 +76,7 @@ pub(crate) fn run(_: &Opts) -> Report {
         ("streaming, boundary hit", run_streaming(boundary_hit)),
         ("sequential, boundary hit", run_sequential(boundary_hit)),
     ] {
-        t2.row(&[
-            variant.to_string(),
-            format!("{}", r.worker_time),
-            r.rollbacks.to_string(),
-            r.final_line.to_string(),
-        ]);
+        t2.row(&[&variant, &r.worker_time, &r.rollbacks, &r.final_line]);
     }
     report.push(t2, Vec::new());
     report

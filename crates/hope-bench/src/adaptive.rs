@@ -58,12 +58,12 @@ pub(crate) fn run(o: &Opts) -> Report {
                 ..ContentionConfig::default()
             });
             table.row(&[
-                name.to_string(),
-                format!("{:.1}%", deny_permille as f64 / 10.0),
-                format!("{:.1}", r.throughput),
-                format!("{}", r.rollbacks),
-                format!("{}", r.cancelled_intervals),
-                format!("{}", r.wasted_ops),
+                &name,
+                &format_args!("{:.1}%", deny_permille as f64 / 10.0),
+                &format_args!("{:.1}", r.throughput),
+                &r.rollbacks,
+                &r.cancelled_intervals,
+                &r.wasted_ops,
             ]);
             cells.push((name, deny_permille, r));
         }

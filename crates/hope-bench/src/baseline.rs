@@ -62,7 +62,7 @@ pub fn cells_table(title: &str, cells: &Value) -> Table {
     if let Value::Object(fields) = cells {
         for (key, value) in fields.iter().filter(|(key, _)| key != "bench") {
             if let Some(text) = value.as_str() {
-                table.row(&[key.as_str(), text]);
+                table.row(&[key, &text]);
             }
         }
     }

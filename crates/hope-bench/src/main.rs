@@ -40,9 +40,8 @@ fn main() -> ExitCode {
     }
 
     match name.as_str() {
-        "list" | "all" if check || path.is_some() => {
-            usage(&format!("{name} takes neither --check nor a path"))
-        }
+        "list" if !rest.is_empty() => usage("list takes no flag and no argument"),
+        "all" if check || path.is_some() => usage("all takes neither --check nor a path"),
         "list" => {
             for e in EXPERIMENTS {
                 let file = e.baseline.map_or("-", |b| b.file);

@@ -32,13 +32,7 @@ pub(crate) fn run(_: &Opts) -> Report {
         &["t", "from", "to", "kind", "message"],
     );
     for e in env.runtime().trace().expect("tracing enabled").events() {
-        table.row(&[
-            e.at.to_string(),
-            e.src.to_string(),
-            e.dst.to_string(),
-            e.kind.to_string(),
-            e.detail.clone(),
-        ]);
+        table.row(&[&e.at, &e.src, &e.dst, &e.kind, &e.detail]);
     }
     Report::new(table, vec![format!("metrics: {}", report.hope)])
 }

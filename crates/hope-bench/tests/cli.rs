@@ -34,6 +34,9 @@ fn unknown_subcommands_and_flags_are_usage_errors() {
     assert_usage_error(&["table1", "--check"]);
     assert_usage_error(&["quadratic", "--fast", "--check"]);
     assert_usage_error(&["all", "--check"]);
+    // `list` has no variants: a flag it would ignore is a mistake.
+    assert_usage_error(&["list", "--fast"]);
+    assert_usage_error(&["list", "--json"]);
 }
 
 #[test]

@@ -27,12 +27,13 @@ use hope_check::{
     dfs, random_walk, shrink, ConvergenceOracle, CrashRecoveryOracle, DemoOrderOracle, DfsConfig,
     Oracle, SafetyOracle, WaitFreedomOracle, WalkConfig,
 };
-use hope_core::{HopeEnv, SpecPolicy};
-use hope_sim::scenarios;
+use hope_core::HopeEnv;
+use hope_core::SpecPolicy::{self, Pessimistic};
+use hope_sim::scenarios::{chaos_ring, deny_storm, disk_ring, ring};
 
 struct Scenario {
     name: &'static str,
-    build: Box<dyn Fn() -> HopeEnv>,
+    build: fn(u64) -> HopeEnv,
     /// Algorithm 1 scenarios are *expected* to livelock.
     expect_livelock: bool,
     /// Convergence is only promised when no message can be lost for good.
@@ -40,52 +41,66 @@ struct Scenario {
     has_crashes: bool,
 }
 
-fn scenario(name: &str, seed: u64) -> Option<Scenario> {
-    // The storm scenarios use a threshold low enough that a single denied
-    // observation throttles the process, so the checker explores the
-    // parked-guess wake paths, not just unthrottled optimism.
-    let adaptive = || SpecPolicy::adaptive(0.1, 4, 0.05).expect("valid checker policy");
-    let (label, build): (&'static str, Box<dyn Fn() -> HopeEnv>) = match name {
-        "ring2" => ("ring2", Box::new(move || scenarios::ring(2, true, seed))),
-        "ring3" => ("ring3", Box::new(move || scenarios::ring(3, true, seed))),
-        "ring2-alg1" => (
-            "ring2-alg1",
-            Box::new(move || scenarios::ring(2, false, seed)),
-        ),
-        "ring3-alg1" => (
-            "ring3-alg1",
-            Box::new(move || scenarios::ring(3, false, seed)),
-        ),
-        "chaos2" => ("chaos2", Box::new(move || scenarios::chaos_ring(2, seed))),
-        "chaos3" => ("chaos3", Box::new(move || scenarios::chaos_ring(3, seed))),
-        "disk2" => ("disk2", Box::new(move || scenarios::disk_ring(2, seed))),
-        "disk3" => ("disk3", Box::new(move || scenarios::disk_ring(3, seed))),
-        "storm2-adaptive" => (
-            "storm2-adaptive",
-            Box::new(move || scenarios::deny_storm(2, adaptive(), seed)),
-        ),
-        "storm3-adaptive" => (
-            "storm3-adaptive",
-            Box::new(move || scenarios::deny_storm(3, adaptive(), seed)),
-        ),
-        "storm2-pessimistic" => (
-            "storm2-pessimistic",
-            Box::new(move || scenarios::deny_storm(2, SpecPolicy::Pessimistic, seed)),
-        ),
-        "storm3-pessimistic" => (
-            "storm3-pessimistic",
-            Box::new(move || scenarios::deny_storm(3, SpecPolicy::Pessimistic, seed)),
-        ),
-        _ => return None,
-    };
-    let alg1 = name.ends_with("-alg1");
-    let chaos = name.starts_with("chaos") || name.starts_with("disk");
-    Some(Scenario {
-        name: label,
+/// The storm scenarios use a threshold low enough that a single denied
+/// observation throttles the process, so the checker explores the
+/// parked-guess wake paths, not just unthrottled optimism.
+fn adaptive() -> SpecPolicy {
+    SpecPolicy::adaptive(0.1, 4, 0.05).expect("valid checker policy")
+}
+
+/// Name, builder from a seed, then `expect_livelock`, `lossless` and
+/// `has_crashes`: a [`Scenario`], one line each.
+type Row = (&'static str, fn(u64) -> HopeEnv, bool, bool, bool);
+
+static SCENARIOS: &[Row] = &[
+    ("ring2", |seed| ring(2, true, seed), false, true, false),
+    ("ring3", |seed| ring(3, true, seed), false, true, false),
+    ("ring2-alg1", |seed| ring(2, false, seed), true, true, false),
+    ("ring3-alg1", |seed| ring(3, false, seed), true, true, false),
+    ("chaos2", |seed| chaos_ring(2, seed), false, false, true),
+    ("chaos3", |seed| chaos_ring(3, seed), false, false, true),
+    ("disk2", |seed| disk_ring(2, seed), false, false, true),
+    ("disk3", |seed| disk_ring(3, seed), false, false, true),
+    (
+        "storm2-adaptive",
+        |s| deny_storm(2, adaptive(), s),
+        false,
+        true,
+        false,
+    ),
+    (
+        "storm3-adaptive",
+        |s| deny_storm(3, adaptive(), s),
+        false,
+        true,
+        false,
+    ),
+    (
+        "storm2-pessimistic",
+        |s| deny_storm(2, Pessimistic, s),
+        false,
+        true,
+        false,
+    ),
+    (
+        "storm3-pessimistic",
+        |s| deny_storm(3, Pessimistic, s),
+        false,
+        true,
+        false,
+    ),
+];
+
+fn scenario(name: &str) -> Result<Scenario, String> {
+    let row = SCENARIOS.iter().find(|row| row.0 == name);
+    let &(name, build, expect_livelock, lossless, has_crashes) =
+        row.ok_or_else(|| format!("unknown scenario {name}"))?;
+    Ok(Scenario {
+        name,
         build,
-        expect_livelock: alg1,
-        lossless: !chaos,
-        has_crashes: chaos,
+        expect_livelock,
+        lossless,
+        has_crashes,
     })
 }
 
@@ -121,7 +136,7 @@ fn fmt_decisions(d: &[u32]) -> String {
 fn cmd_explore(args: &[String]) -> Result<(), String> {
     let name = args.first().ok_or("explore needs a scenario")?;
     let seed = num(args, "--seed", 1);
-    let s = scenario(name, seed).ok_or_else(|| format!("unknown scenario {name}"))?;
+    let s = scenario(name)?;
     let cfg = DfsConfig {
         max_states: num(args, "--max-states", 200_000) as usize,
         max_schedule_steps: num(args, "--max-steps", 2_000),
@@ -129,7 +144,7 @@ fn cmd_explore(args: &[String]) -> Result<(), String> {
     };
     let mut oracles = oracles_for(&s, cfg.max_schedule_steps);
     let start = Instant::now();
-    let report = dfs(&|| (s.build)(), &mut oracles, &cfg);
+    let report = dfs(&|| (s.build)(seed), &mut oracles, &cfg);
     println!(
         "explore {}: {} branch states, {} terminal states, {} replays, {} steps, {:.2?}",
         s.name,
@@ -187,7 +202,7 @@ fn cmd_explore(args: &[String]) -> Result<(), String> {
 fn cmd_walk(args: &[String]) -> Result<(), String> {
     let name = args.first().ok_or("walk needs a scenario")?;
     let seed = num(args, "--seed", 1);
-    let s = scenario(name, seed).ok_or_else(|| format!("unknown scenario {name}"))?;
+    let s = scenario(name)?;
     let cfg = WalkConfig {
         schedules: num(args, "--schedules", 100),
         max_schedule_steps: num(args, "--max-steps", 10_000),
@@ -195,7 +210,7 @@ fn cmd_walk(args: &[String]) -> Result<(), String> {
     };
     let mut oracles = oracles_for(&s, cfg.max_schedule_steps);
     let start = Instant::now();
-    let report = random_walk(&|| (s.build)(), &mut oracles, &cfg);
+    let report = random_walk(&|| (s.build)(seed), &mut oracles, &cfg);
     println!(
         "walk {}: {} schedules ({} terminal, {} abandoned), {} steps, {} distinct terminal states, {:.2?}",
         s.name,
@@ -234,7 +249,7 @@ fn cmd_walk(args: &[String]) -> Result<(), String> {
 fn cmd_replay(args: &[String]) -> Result<(), String> {
     let name = args.first().ok_or("replay needs a scenario")?;
     let seed = num(args, "--seed", 1);
-    let s = scenario(name, seed).ok_or_else(|| format!("unknown scenario {name}"))?;
+    let s = scenario(name)?;
     let decisions: Vec<u32> = flag(args, "--decisions")
         .map(|v| {
             v.split(',')
@@ -261,7 +276,7 @@ fn cmd_replay(args: &[String]) -> Result<(), String> {
     > = std::cell::RefCell::new(None);
     let out = hope_check::explore::replay(
         &|| {
-            let env = (s.build)();
+            let env = (s.build)(seed);
             if trace_out.is_some() {
                 env.enable_tracing(1 << 16);
                 *handles.borrow_mut() = Some((env.tracer(), env.hope_metrics()));
@@ -303,7 +318,7 @@ fn cmd_replay(args: &[String]) -> Result<(), String> {
 /// counterexample pipeline. Prints the minimal replayable seed + decisions.
 fn cmd_shrink_demo(args: &[String]) -> Result<(), String> {
     let seed = num(args, "--seed", 42);
-    let build_env = || scenarios::ring(2, true, seed);
+    let build_env = || ring(2, true, seed);
     let build: &dyn Fn() -> HopeEnv = &build_env;
     let mut oracles: Vec<Box<dyn Oracle>> = vec![Box::new(DemoOrderOracle)];
     let walk = random_walk(
@@ -426,14 +441,15 @@ fn main() -> ExitCode {
         "replay" => cmd_replay(&rest),
         "shrink-demo" => cmd_shrink_demo(&rest),
         "--help" | "-h" | "help" => {
+            let names: Vec<&str> = SCENARIOS.iter().map(|row| row.0).collect();
             println!(
                 "usage: hope-check [ci|explore|walk|replay|shrink-demo] [scenario] [flags]\n\
-                 scenarios: ring2 ring3 ring2-alg1 ring3-alg1 chaos2 chaos3 disk2 disk3\n\
-                 \x20          storm2-adaptive storm3-adaptive storm2-pessimistic storm3-pessimistic\n\
+                 scenarios: {}\n\
                  flags: --seed N --decisions 1,0,2 --schedules N --max-states N --max-steps N\n\
                  \x20      --walk-seed N --no-sleep --demo-oracle --trace out.json (replay only)\n\
                  \x20      --expect-states N (explore) --expect-terminals N (walk): fail unless\n\
-                 \x20      the explored state counts equal the pinned values"
+                 \x20      the explored state counts equal the pinned values",
+                names.join(" ")
             );
             Ok(())
         }

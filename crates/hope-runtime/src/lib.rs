@@ -89,7 +89,7 @@ pub use reliable::{
     WALL_RTO_MAX_NANOS, WALL_RTO_MIN_NANOS,
 };
 pub use runtime::{ProcessStatus, RuntimeBuilder, SimRuntime};
-pub use sched::{EventDesc, PendingEvent, SchedulePolicy};
+pub use sched::{EventDesc, PendingEvent};
 pub use stats::{LinkStats, MessageStats, PartyKind, RunReport};
 pub use sysapi::{ProcessBody, Received, SysApi};
 pub use threaded::{ThreadedRuntime, ThreadedRuntimeBuilder};

@@ -478,31 +478,6 @@ impl SimRuntime {
         true
     }
 
-    /// Runs under an external [`SchedulePolicy`](crate::SchedulePolicy)
-    /// until quiescence, the event limit, or the policy declining to
-    /// choose. Out-of-range choices stop the run like a decline.
-    pub fn run_scheduled(&mut self, policy: &mut dyn crate::sched::SchedulePolicy) -> RunReport {
-        let mut hit_limit = false;
-        loop {
-            let pending = self.pending_events();
-            if pending.is_empty() {
-                break;
-            }
-            if self.events_processed >= self.max_events {
-                hit_limit = true;
-                break;
-            }
-            let chosen = policy.choose(self.clock, &pending);
-            match chosen {
-                Some(n) if n < pending.len() => {
-                    self.step_chosen(n);
-                }
-                _ => break,
-            }
-        }
-        self.report(hit_limit)
-    }
-
     /// The report [`SimRuntime::run`] would return right now, without
     /// processing anything. Lets checkers inspect blocked processes and
     /// statistics between externally scheduled steps.

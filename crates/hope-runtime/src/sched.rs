@@ -4,9 +4,10 @@
 //! [`SimRuntime::run`](crate::SimRuntime::run) fires events in virtual-time
 //! order, which explores exactly one interleaving per seed. The scheduled
 //! mode instead exposes every *schedulable* queued event as a
-//! [`PendingEvent`] and lets an external [`SchedulePolicy`] pick which one
-//! fires next, regardless of its timestamp (the clock is clamped monotone,
-//! so an event chosen "out of order" simply fires late). Exhaustive and
+//! [`PendingEvent`] and lets an external strategy pick which one fires
+//! next ([`SimRuntime::step_chosen`](crate::SimRuntime::step_chosen)),
+//! regardless of its timestamp (the clock is clamped monotone, so an
+//! event chosen "out of order" simply fires late). Exhaustive and
 //! randomized checkers in `hope-check` are built on this hook.
 
 use std::hash::{Hash, Hasher};
@@ -70,7 +71,7 @@ impl EventDesc {
     }
 }
 
-/// One schedulable event, as presented to a [`SchedulePolicy`].
+/// One schedulable event, as presented to an external scheduler.
 #[derive(Debug, Clone)]
 pub struct PendingEvent {
     /// The virtual time the event was scheduled for (advisory in scheduled
@@ -85,16 +86,6 @@ pub struct PendingEvent {
     /// endpoints, sequence numbers, payload bytes). Two queued events with
     /// equal hashes are interchangeable for state-fingerprinting purposes.
     pub content_hash: u64,
-}
-
-/// An external strategy driving
-/// [`SimRuntime::run_scheduled`](crate::SimRuntime::run_scheduled).
-pub trait SchedulePolicy {
-    /// Picks the index (into `candidates`) of the event to fire next, or
-    /// `None` to stop the run with events still queued. `candidates` is
-    /// never empty and is sorted by `(time, tie)`, so `Some(0)` reproduces
-    /// the default virtual-time order.
-    fn choose(&mut self, now: VirtualTime, candidates: &[PendingEvent]) -> Option<usize>;
 }
 
 /// Builds the external-scheduler view of one queued event.

@@ -13,11 +13,13 @@
 
 use std::sync::{Arc, Mutex};
 
-use bytes::Bytes;
-use hope_core::{HopeEnv, HopeReport};
+use hope_core::{HopeEnv, HopeReport, ProcessCtx};
 use hope_rpc::{RpcClient, RpcServer, StreamingClient};
 use hope_runtime::NetworkConfig;
-use hope_types::{VirtualDuration, VirtualTime};
+use hope_types::{ProcessId, VirtualDuration, VirtualTime};
+
+use crate::harness::run_settled;
+use crate::{decode_u64s, encode_u64s};
 
 /// The stage function every server applies: a cheap, deterministic mix so
 /// each call's argument genuinely depends on the previous reply.
@@ -72,21 +74,37 @@ pub struct ChainResult {
     pub rollbacks: u64,
 }
 
-fn encode_u64(v: u64) -> Bytes {
-    Bytes::from(v.to_le_bytes().to_vec())
-}
-
-fn decode_u64(data: &[u8]) -> u64 {
-    u64::from_le_bytes(data[..8].try_into().expect("u64 payload"))
-}
-
-fn spawn_stage_server(env: &mut HopeEnv, service: VirtualDuration) -> hope_types::ProcessId {
-    env.spawn_user("stage", move |ctx| {
+/// Spawns an open-loop server that applies [`stage_fn`] to each request
+/// after `service` of compute (shared with the soak workload).
+pub(crate) fn spawn_stage_server(
+    env: &mut HopeEnv,
+    name: &str,
+    service: VirtualDuration,
+) -> ProcessId {
+    env.spawn_user(name, move |ctx| {
         RpcServer::serve(ctx, move |ctx, _method, body| {
             ctx.compute(service);
-            encode_u64(stage_fn(decode_u64(body)))
+            encode_u64s(&[stage_fn(decode_u64s(body)[0])])
         });
     })
+}
+
+/// One streamed call of `stage_fn(value)` under an oracle predictor
+/// degraded to `accuracy`: the coin comes from the context so it replays
+/// deterministically. Returns the committed reply.
+pub(crate) fn streamed_call(
+    ctx: &mut ProcessCtx<'_>,
+    server: ProcessId,
+    value: u64,
+    accuracy: f64,
+) -> u64 {
+    let correct = stage_fn(value);
+    let coin = (ctx.random() as f64) / (u64::MAX as f64);
+    let predicted = if coin < accuracy { correct } else { !correct };
+    let (request, predicted) = (encode_u64s(&[value]), encode_u64s(&[predicted]));
+    let promise = StreamingClient::call(ctx, server, 0, request, predicted);
+    let (reply, _was_predicted) = promise.redeem(ctx);
+    decode_u64s(&reply)[0]
 }
 
 /// The reference value the chain must produce.
@@ -98,80 +116,29 @@ pub fn expected_value(depth: u32) -> u64 {
     v
 }
 
-/// Runs the chain with plain synchronous RPC (the baseline).
-pub fn run_sequential(cfg: ChainConfig) -> ChainResult {
-    let mut env = HopeEnv::builder()
-        .seed(cfg.seed)
-        .network(NetworkConfig::constant(cfg.latency))
-        .build();
-    let server = spawn_stage_server(&mut env, cfg.service);
+/// Spawns the stage server (pid 0) and a client (pid 1) that makes `depth`
+/// dependent calls through `call`, runs to quiescence — the stage server
+/// is an open-loop `serve` and lingers in `receive` — and reads off the
+/// client's committed completion.
+fn run_chain(
+    mut env: HopeEnv,
+    cfg: ChainConfig,
+    call: impl Fn(&mut ProcessCtx<'_>, ProcessId, u64) -> u64 + Send + 'static,
+) -> (ChainResult, HopeReport) {
+    let server = spawn_stage_server(&mut env, "stage", cfg.service);
     let out = Arc::new(Mutex::new((VirtualTime::ZERO, 0u64)));
     let o = out.clone();
-    let depth = cfg.depth;
-    let local_work = cfg.local_work;
     env.spawn_user("client", move |ctx| {
         let mut value = 1u64;
-        for _ in 0..depth {
-            ctx.compute(local_work);
-            let reply = RpcClient::call(ctx, server, 0, encode_u64(value));
-            value = decode_u64(&reply);
+        for _ in 0..cfg.depth {
+            ctx.compute(cfg.local_work);
+            value = call(ctx, server, value);
         }
         if !ctx.is_replaying() {
             *o.lock().unwrap() = (ctx.now(), value);
         }
     });
-    let report = env.run();
-    assert!(report.is_clean(), "{:?}", report.run.panics);
-    let (t, value) = *out.lock().unwrap();
-    ChainResult {
-        client_time: t.saturating_duration_since(VirtualTime::ZERO),
-        quiescent: report.run.now,
-        value,
-        rollbacks: report.hope.rollbacks,
-    }
-}
-
-/// Runs the chain with optimistic call streaming and an `accuracy`-grade
-/// predictor.
-pub fn run_streaming(cfg: ChainConfig) -> ChainResult {
-    let env = HopeEnv::builder()
-        .seed(cfg.seed)
-        .network(NetworkConfig::constant(cfg.latency))
-        .build();
-    run_streaming_in(env, cfg).0
-}
-
-/// Runs the streaming chain in a caller-built environment, also handing
-/// back the full [`HopeReport`] (the chaos workload uses this to add
-/// fault injection and read the link-layer counters). Spawn order is
-/// part of the contract: the stage server first, then the client.
-pub fn run_streaming_in(mut env: HopeEnv, cfg: ChainConfig) -> (ChainResult, HopeReport) {
-    let server = spawn_stage_server(&mut env, cfg.service);
-    let out = Arc::new(Mutex::new((VirtualTime::ZERO, 0u64)));
-    let o = out.clone();
-    let depth = cfg.depth;
-    let local_work = cfg.local_work;
-    let accuracy = cfg.accuracy;
-    env.spawn_user("client", move |ctx| {
-        let mut value = 1u64;
-        for _ in 0..depth {
-            ctx.compute(local_work);
-            // An oracle predictor degraded to the requested accuracy: the
-            // coin comes from the context so it replays deterministically.
-            let correct = stage_fn(value);
-            let coin = (ctx.random() as f64) / (u64::MAX as f64);
-            let predicted = if coin < accuracy { correct } else { !correct };
-            let promise =
-                StreamingClient::call(ctx, server, 0, encode_u64(value), encode_u64(predicted));
-            let (reply, _was_predicted) = promise.redeem(ctx);
-            value = decode_u64(&reply);
-        }
-        if !ctx.is_replaying() {
-            *o.lock().unwrap() = (ctx.now(), value);
-        }
-    });
-    let report = env.run();
-    assert!(report.is_clean(), "{:?}", report.run.panics);
+    let report = run_settled(&mut env, &["stage"]);
     let (t, value) = *out.lock().unwrap();
     let result = ChainResult {
         client_time: t.saturating_duration_since(VirtualTime::ZERO),
@@ -180,6 +147,38 @@ pub fn run_streaming_in(mut env: HopeEnv, cfg: ChainConfig) -> (ChainResult, Hop
         rollbacks: report.hope.rollbacks,
     };
     (result, report)
+}
+
+fn plain_env(cfg: ChainConfig) -> HopeEnv {
+    HopeEnv::builder()
+        .seed(cfg.seed)
+        .network(NetworkConfig::constant(cfg.latency))
+        .build()
+}
+
+/// Runs the chain with plain synchronous RPC (the baseline).
+pub fn run_sequential(cfg: ChainConfig) -> ChainResult {
+    let call = |ctx: &mut ProcessCtx<'_>, server, value| {
+        decode_u64s(&RpcClient::call(ctx, server, 0, encode_u64s(&[value])))[0]
+    };
+    run_chain(plain_env(cfg), cfg, call).0
+}
+
+/// Runs the chain with optimistic call streaming and an `accuracy`-grade
+/// predictor.
+pub fn run_streaming(cfg: ChainConfig) -> ChainResult {
+    run_streaming_in(plain_env(cfg), cfg).0
+}
+
+/// Runs the streaming chain in a caller-built environment, also handing
+/// back the full [`HopeReport`] (the chaos workload uses this to add
+/// fault injection and read the link-layer counters). Spawn order is
+/// part of the contract: the stage server first, then the client.
+pub fn run_streaming_in(env: HopeEnv, cfg: ChainConfig) -> (ChainResult, HopeReport) {
+    let accuracy = cfg.accuracy;
+    run_chain(env, cfg, move |ctx, server, value| {
+        streamed_call(ctx, server, value, accuracy)
+    })
 }
 
 /// Sweeps chain depth × predictor accuracy, reporting the RPC improvement
@@ -215,12 +214,12 @@ pub fn sweep(depths: &[u32], accuracies: &[f64], seed: u64) -> crate::table::Tab
             let s = seq.quiescent.as_secs_f64() * 1e3;
             let t = stream.quiescent.as_secs_f64() * 1e3;
             table.row(&[
-                format!("{depth}"),
-                format!("{accuracy:.2}"),
-                format!("{s:.3}ms"),
-                format!("{t:.3}ms"),
-                format!("{:.1}%", (1.0 - t / s.max(1e-12)) * 100.0),
-                format!("{}", stream.rollbacks),
+                &depth,
+                &format_args!("{accuracy:.2}"),
+                &format_args!("{s:.3}ms"),
+                &format_args!("{t:.3}ms"),
+                &format_args!("{:.1}%", (1.0 - t / s.max(1e-12)) * 100.0),
+                &stream.rollbacks,
             ]);
         }
     }

@@ -18,12 +18,15 @@
 
 use std::sync::{Arc, Mutex};
 
-use hope_core::{HopeEnv, HopeReport, SpecPolicy, ThreadedHopeEnv};
+use hope_core::env::UserBody;
+use hope_core::{HopeEnv, HopeReport, ProcessCtx, SpecPolicy, ThreadedHopeEnv};
 use hope_runtime::{FaultPlan, LinkStats, NetworkConfig};
 use hope_types::{ProcessId, VirtualDuration, VirtualTime};
 
 use crate::chain::{self, ChainConfig};
+use crate::harness::{lossy_plan, run_settled_threaded};
 use crate::replication::{self, ReplicationConfig};
+use crate::{decode_aids, encode_u64s};
 
 /// Parameters of one chaos run.
 #[derive(Debug, Clone, Copy)]
@@ -82,40 +85,40 @@ pub struct ChaosResult {
     pub quiescent: VirtualTime,
 }
 
-fn fault_plan(cfg: ChaosConfig, victim: ProcessId, crash_at: VirtualTime) -> FaultPlan {
-    let mut plan = FaultPlan::new()
-        .drop_rate(cfg.drop_rate)
-        .duplicate_rate(cfg.duplicate_rate)
-        .seed(cfg.seed)
-        // Keep the retransmit timer comfortably above one round trip so
-        // retransmissions come from real drops, not impatience.
-        .rto(VirtualDuration::from_millis(5));
-    if cfg.crash {
-        plan = plan.crash(victim, crash_at, VirtualDuration::from_millis(2));
-    }
-    plan
+/// The simulator scenarios' plan. Both spawn their server first (pid 0)
+/// and the process that speculates second: pid 1 crashes (if the run
+/// crashes at all) 3 ms in — while its first calls are in flight — for
+/// 2 ms.
+fn fault_plan(cfg: ChaosConfig) -> FaultPlan {
+    let crash = (
+        ProcessId::from_raw(1),
+        VirtualTime::from_nanos(3_000_000),
+        VirtualDuration::from_millis(2),
+    );
+    // Keep the retransmit timer comfortably above one round trip so
+    // retransmissions come from real drops, not impatience.
+    let rto = VirtualDuration::from_millis(5);
+    lossy_plan(
+        cfg.drop_rate,
+        cfg.duplicate_rate,
+        cfg.seed,
+        rto,
+        cfg.crash.then_some(crash),
+    )
 }
 
-/// Asserts the safety outcomes common to both scenarios and packages the
-/// counters. `lingering` names processes allowed to stay blocked in
-/// `receive` at quiescence (open-loop servers); everything else must have
-/// finalized its intervals and exited.
-fn check(report: &HopeReport, lingering: &[&str], matches_fault_free: bool) -> ChaosResult {
-    assert!(report.is_clean(), "{:?}", report.run.panics);
-    let stuck: Vec<_> = report
-        .run
-        .blocked
-        .iter()
-        .filter(|(_, name)| !lingering.contains(&name.as_str()))
-        .collect();
-    assert!(
-        stuck.is_empty(),
-        "every process must finalize its intervals and exit: {stuck:?}"
-    );
-    assert!(
-        matches_fault_free,
-        "the faulted run must commit the fault-free outcome"
-    );
+fn faulted_env(cfg: ChaosConfig, latency: VirtualDuration) -> HopeEnv {
+    HopeEnv::builder()
+        .seed(cfg.seed)
+        .network(NetworkConfig::constant(latency))
+        .faults(fault_plan(cfg))
+        .spec_policy(cfg.policy)
+        .build()
+}
+
+/// Packages the counters of a settled run (the workload's own
+/// `run_settled` has already held it to "everyone finalized and exited").
+fn outcome(report: &HopeReport, matches_fault_free: bool) -> ChaosResult {
     ChaosResult {
         matches_fault_free,
         finalized: report.hope.finalized_intervals,
@@ -124,6 +127,16 @@ fn check(report: &HopeReport, lingering: &[&str], matches_fault_free: bool) -> C
         link: *report.run.stats.link(),
         quiescent: report.run.now,
     }
+}
+
+/// [`outcome`] for the simulator scenarios, whose committed result is
+/// deterministic and so must equal the fault-free run's.
+fn check(report: &HopeReport, matches_fault_free: bool) -> ChaosResult {
+    assert!(
+        matches_fault_free,
+        "the faulted run must commit the fault-free outcome"
+    );
+    outcome(report, matches_fault_free)
 }
 
 /// Runs E8 replication under faults: racing replicas, an owner
@@ -144,21 +157,9 @@ pub fn run_replication(cfg: ChaosConfig) -> ChaosResult {
     // idempotent, so exactly-once under mid-speculation crashes is the
     // application's burden, not the sublayer's (the chain and threaded
     // scenarios exercise mid-speculation recovery instead).
-    let plan = fault_plan(
-        cfg,
-        ProcessId::from_raw(1),
-        VirtualTime::from_nanos(3_000_000),
-    );
-    let env = HopeEnv::builder()
-        .seed(cfg.seed)
-        .network(NetworkConfig::constant(rep.latency))
-        .faults(plan)
-        .spec_policy(cfg.policy)
-        .build();
-    let (faulted, report) = replication::run_in(env, rep);
+    let (faulted, report) = replication::run_in(faulted_env(cfg, rep.latency), rep);
     check(
         &report,
-        &[],
         faulted.value == reference.value && faulted.version == reference.version,
     )
 }
@@ -195,24 +196,13 @@ fn run_chain_inner(
     let reference = chain::run_streaming(chain_cfg);
     // Spawn order is the stage server (pid 0), then the client (pid 1):
     // crash the client while calls are in flight.
-    let plan = fault_plan(
-        cfg,
-        ProcessId::from_raw(1),
-        VirtualTime::from_nanos(3_000_000),
-    );
-    let env = HopeEnv::builder()
-        .seed(cfg.seed)
-        .network(NetworkConfig::constant(chain_cfg.latency))
-        .faults(plan)
-        .spec_policy(cfg.policy)
-        .build();
+    let env = faulted_env(cfg, chain_cfg.latency);
     if let Some(capacity) = trace_capacity {
         env.enable_tracing(capacity);
     }
     let tracer = env.tracer();
     let (faulted, report) = chain::run_streaming_in(env, chain_cfg);
-    // The stage server is an open-loop `serve` and lingers in `receive`.
-    let result = check(&report, &["stage"], faulted.value == reference.value);
+    let result = check(&report, faulted.value == reference.value);
     let trace = trace_capacity.map(|_| {
         crate::trace_export::chrome_trace(
             &tracer.drain(),
@@ -223,76 +213,79 @@ fn run_chain_inner(
     (result, trace)
 }
 
+/// Spawns the guess/affirm race through `spawn` — whichever runtime is
+/// behind it: guessers `g0..n` first (so `g0` is pid 0), then the
+/// `owner`, who mints one assumption, sends it to every guesser (followed
+/// by `payload_tail`, for a caller whose rounds carry more than the AID),
+/// computes for 3 ms and affirms it. Each guesser guesses the assumption,
+/// waits until that is definite and adds itself to the returned tally.
+pub(crate) fn spawn_race(
+    mut spawn: impl FnMut(&str, UserBody) -> ProcessId,
+    guessers: u32,
+    payload_tail: &[u64],
+) -> Arc<Mutex<u32>> {
+    let tally = Arc::new(Mutex::new(0u32));
+    let mut pids = Vec::new();
+    for i in 0..guessers {
+        let tally = tally.clone();
+        let body = move |ctx: &mut ProcessCtx<'_>| {
+            let m = ctx.receive(None);
+            let x = decode_aids(&m.data)[0];
+            let _ = ctx.guess(x);
+            ctx.await_definite();
+            if !ctx.is_replaying() {
+                *tally.lock().unwrap() += 1;
+            }
+        };
+        pids.push(spawn(&format!("g{i}"), Box::new(body)));
+    }
+    let payload_tail = payload_tail.to_vec();
+    let owner = move |ctx: &mut ProcessCtx<'_>| {
+        let x = ctx.aid_init();
+        let mut words = vec![x.process().as_raw()];
+        words.extend_from_slice(&payload_tail);
+        let payload = encode_u64s(&words);
+        for &g in &pids {
+            ctx.send(g, 0, payload.clone());
+        }
+        ctx.compute(VirtualDuration::from_millis(3));
+        ctx.affirm(x);
+    };
+    spawn("owner", Box::new(owner));
+    tally
+}
+
 /// Runs a guess/affirm race on the wall-clock [`ThreadedHopeEnv`] under
 /// faults: `replicas` guessers speculate on one owner's assumption while
 /// the wire drops and duplicates, and (optionally) one guesser crashes.
 /// Crash times in the plan are wall-clock offsets from startup.
 pub fn run_threaded(cfg: ChaosConfig) -> ChaosResult {
-    use bytes::Bytes;
-    use std::time::Duration;
-
-    let mut plan = FaultPlan::new()
-        .drop_rate(cfg.drop_rate)
-        .duplicate_rate(cfg.duplicate_rate)
-        .seed(cfg.seed)
-        // Wall-clock rto: keep it small so retransmits resolve quickly.
-        .rto(VirtualDuration::from_millis(2));
-    if cfg.crash {
-        // Guessers are spawned first: pid 0 is `g0`.
-        plan = plan.crash(
-            ProcessId::from_raw(0),
-            VirtualTime::from_nanos(5_000_000),
-            VirtualDuration::from_millis(5),
-        );
-    }
+    // Guessers are spawned first: pid 0 is `g0`.
+    let crash = (
+        ProcessId::from_raw(0),
+        VirtualTime::from_nanos(5_000_000),
+        VirtualDuration::from_millis(5),
+    );
+    // Wall-clock rto: keep it small so retransmits resolve quickly.
+    let rto = VirtualDuration::from_millis(2);
     let mut env_builder = ThreadedHopeEnv::builder()
         .seed(cfg.seed)
-        .faults(plan)
+        .faults(lossy_plan(
+            cfg.drop_rate,
+            cfg.duplicate_rate,
+            cfg.seed,
+            rto,
+            cfg.crash.then_some(crash),
+        ))
         .spec_policy(cfg.policy);
     if let Some(n) = cfg.shards {
         env_builder = env_builder.shards(n);
     }
     let env = env_builder.build();
-    let count = Arc::new(Mutex::new(0u32));
-    let mut guessers = Vec::new();
-    for i in 0..cfg.replicas {
-        let count = count.clone();
-        let pid = env.spawn_user(&format!("g{i}"), move |ctx| {
-            let m = ctx.receive(None);
-            let x = hope_types::AidId::from_raw(ProcessId::from_raw(u64::from_le_bytes(
-                m.data[..8].try_into().unwrap(),
-            )));
-            let _ = ctx.guess(x);
-            ctx.await_definite();
-            if !ctx.is_replaying() {
-                *count.lock().unwrap() += 1;
-            }
-        });
-        guessers.push(pid);
-    }
-    env.spawn_user("owner", move |ctx| {
-        let x = ctx.aid_init();
-        let payload = Bytes::copy_from_slice(&x.process().as_raw().to_le_bytes());
-        for &g in &guessers {
-            ctx.send(g, 0, payload.clone());
-        }
-        ctx.compute(VirtualDuration::from_millis(3));
-        ctx.affirm(x);
-    });
-    let report = env.run_until_quiescent(Duration::from_millis(50), Duration::from_secs(30));
-    assert!(report.panics.is_empty(), "{:?}", report.panics);
-    assert!(!report.hit_event_limit, "must reach quiescence");
-    assert!(report.blocked.is_empty(), "{:?}", report.blocked);
-    let done = *count.lock().unwrap();
-    let hope = env.metrics();
-    ChaosResult {
-        matches_fault_free: done == cfg.replicas,
-        finalized: hope.finalized_intervals,
-        rollbacks: hope.rollbacks,
-        crash_recoveries: hope.crash_recoveries,
-        link: *report.stats.link(),
-        quiescent: report.now,
-    }
+    let tally = spawn_race(|name, body| env.spawn_user(name, body), cfg.replicas, &[]);
+    let report = run_settled_threaded(&env);
+    let done = *tally.lock().unwrap();
+    outcome(&report, done == cfg.replicas)
 }
 
 /// Sweeps drop rate over both simulator scenarios and tabulates the
@@ -321,14 +314,14 @@ pub fn sweep(drop_rates: &[f64], cfg_base: ChaosConfig) -> crate::table::Table {
             ("chain", run_chain(cfg)),
         ] {
             table.row(&[
-                name.to_string(),
-                format!("{drop_rate:.2}"),
-                format!("{}", r.finalized),
-                format!("{}", r.rollbacks),
-                format!("{}", r.crash_recoveries),
-                format!("{}", r.link.retransmits),
-                format!("{}", r.link.dedup_dropped),
-                format!("{}", r.matches_fault_free),
+                &name,
+                &format_args!("{drop_rate:.2}"),
+                &r.finalized,
+                &r.rollbacks,
+                &r.crash_recoveries,
+                &r.link.retransmits,
+                &r.link.dedup_dropped,
+                &r.matches_fault_free,
             ]);
         }
     }
@@ -415,6 +408,20 @@ mod tests {
             matches!(trace["otherData"]["attribution"], Value::Array(ref rows) if !rows.is_empty()),
             "rollbacks must be attributed in the artifact"
         );
+    }
+
+    /// The race is written against "something that can spawn a user
+    /// process": the same text settles on the simulator, with the payload
+    /// tail riding along unread.
+    #[test]
+    fn the_race_runs_on_the_simulator_too() {
+        let mut env = HopeEnv::builder().seed(3).build();
+        let tally = spawn_race(|name, body| env.spawn_user(name, body), 3, &[0xfeed]);
+        let report = crate::harness::run_settled(&mut env, &[]);
+        assert_eq!(*tally.lock().unwrap(), 3);
+        assert_eq!(report.hope.rollbacks, 0);
+        let names: Vec<_> = env.user_pids().into_iter().map(|p| p.as_raw()).collect();
+        assert_eq!(names, [0, 1, 2, 3], "g0..g2 then the owner");
     }
 
     #[test]

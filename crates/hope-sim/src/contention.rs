@@ -24,7 +24,10 @@ use bytes::Bytes;
 
 use hope_core::{HopeEnv, SpecPolicy};
 use hope_runtime::NetworkConfig;
-use hope_types::{AidId, ProcessId, VirtualDuration, VirtualTime};
+use hope_types::{VirtualDuration, VirtualTime};
+
+use crate::harness::run_settled;
+use crate::{aid_of, decode_u64s, encode_u64s, splitmix64};
 
 /// Request channel: `(worker, round, aid)` triples for the resolver.
 const CH_REQUEST: u32 = 0;
@@ -93,33 +96,16 @@ pub struct ContentionResult {
     pub wasted_ops: u64,
 }
 
-/// The deterministic deny decision for `(worker, round)`: a splitmix64
-/// finalizer over the seed and coordinates, reduced to permille. Workers
-/// and the resolver never communicate about it — the resolver computes
-/// it on receipt, tests and reports recompute it independently.
+/// The deterministic deny decision for `(worker, round)`: [`splitmix64`]
+/// over the seed and coordinates, reduced to permille. Workers and the
+/// resolver never communicate about it — the resolver computes it on
+/// receipt, tests and reports recompute it independently.
 pub fn denied(seed: u64, worker: u32, round: u32, deny_permille: u32) -> bool {
-    let mut z = seed
-        .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-        .wrapping_add((u64::from(worker) << 32) | u64::from(round));
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^= z >> 31;
+    let z = splitmix64(
+        seed.wrapping_mul(0x9e37_79b9_7f4a_7c15)
+            .wrapping_add((u64::from(worker) << 32) | u64::from(round)),
+    );
     (z % 1000) < u64::from(deny_permille)
-}
-
-fn encode_request(worker: u32, round: u32, aid: AidId) -> Bytes {
-    let mut buf = Vec::with_capacity(16);
-    buf.extend_from_slice(&worker.to_le_bytes());
-    buf.extend_from_slice(&round.to_le_bytes());
-    buf.extend_from_slice(&aid.process().as_raw().to_le_bytes());
-    Bytes::from(buf)
-}
-
-fn decode_request(data: &[u8]) -> (u32, u32, AidId) {
-    let worker = u32::from_le_bytes(data[0..4].try_into().unwrap());
-    let round = u32::from_le_bytes(data[4..8].try_into().unwrap());
-    let raw = u64::from_le_bytes(data[8..16].try_into().unwrap());
-    (worker, round, AidId::from_raw(ProcessId::from_raw(raw)))
 }
 
 /// Builds the environment without running it: one resolver/worker pair per
@@ -142,7 +128,9 @@ pub fn build(cfg: ContentionConfig) -> HopeEnv {
             let m = ctx.receive(None);
             match m.channel {
                 CH_REQUEST => {
-                    let (worker, round, aid) = decode_request(&m.data);
+                    let request = decode_u64s(&m.data);
+                    let (worker, round) = (request[0] as u32, request[1] as u32);
+                    let aid = aid_of(request[2]);
                     // Resolve from a definite state: an affirm issued from
                     // an interval tainted by a pending assumption would be
                     // retracted when that assumption dies (A_IDO
@@ -166,7 +154,8 @@ pub fn build(cfg: ContentionConfig) -> HopeEnv {
         env.spawn_user(&format!("worker-{w}"), move |ctx| {
             for round in 0..cfg.rounds {
                 let aid = ctx.aid_init();
-                ctx.send(resolver, CH_REQUEST, encode_request(w, round, aid));
+                let request = [w.into(), round.into(), aid.process().as_raw()];
+                ctx.send(resolver, CH_REQUEST, encode_u64s(&request));
                 if ctx.guess(aid) {
                     // Optimistic branch: heavy work, streamed in chunks so
                     // a late deny leaves tagged in-flight progress for the
@@ -190,13 +179,7 @@ pub fn build(cfg: ContentionConfig) -> HopeEnv {
 /// Runs one configuration to quiescence.
 pub fn run(cfg: ContentionConfig) -> ContentionResult {
     let mut env = build(cfg);
-    let report = env.run();
-    assert!(report.is_clean(), "{:?}", report.run.panics);
-    assert!(
-        report.run.blocked.is_empty(),
-        "no process may stay blocked: {:?}",
-        report.run.blocked
-    );
+    let report = run_settled(&mut env, &[]);
     let committed = u64::from(cfg.workers) * u64::from(cfg.rounds);
     let denied_rounds = (0..cfg.workers)
         .flat_map(|w| (0..cfg.rounds).map(move |r| (w, r)))
@@ -220,40 +203,6 @@ pub fn run(cfg: ContentionConfig) -> ContentionResult {
     }
 }
 
-/// Sweeps the deny rate under each policy and tabulates throughput,
-/// rollbacks and cancellations.
-pub fn sweep(deny_permilles: &[u32], policies: &[(&str, SpecPolicy)]) -> crate::table::Table {
-    let mut table = crate::table::Table::new(
-        "E-adaptive: throughput under contention, by speculation policy",
-        &[
-            "policy",
-            "deny",
-            "rounds/s",
-            "rollbacks",
-            "cancelled",
-            "wasted_ops",
-        ],
-    );
-    for &deny_permille in deny_permilles {
-        for &(name, policy) in policies {
-            let r = run(ContentionConfig {
-                deny_permille,
-                policy,
-                ..ContentionConfig::default()
-            });
-            table.row(&[
-                name.to_string(),
-                format!("{:.1}%", deny_permille as f64 / 10.0),
-                format!("{:.1}", r.throughput),
-                format!("{}", r.rollbacks),
-                format!("{}", r.cancelled_intervals),
-                format!("{}", r.wasted_ops),
-            ]);
-        }
-    }
-    table
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -274,6 +223,24 @@ mod tests {
     fn deny_hash_matches_requested_rate_roughly() {
         let hits = (0..10_000).filter(|&i| denied(1, i, 0, 300)).count();
         assert!((2_700..3_300).contains(&hits), "{hits}");
+    }
+
+    /// Bit `r` of row `w` is `denied(seed, w, r, 300)`. The cells of
+    /// `BENCH_adaptive.json` hang off these verdicts: a change to the
+    /// pre-mix here or to the shared `splitmix64` moves them.
+    #[test]
+    fn deny_verdicts_are_pinned() {
+        let grid = |seed| -> [u8; 4] {
+            std::array::from_fn(|w| {
+                (0..8).fold(0u8, |row, r| {
+                    row | (u8::from(denied(seed, w as u32, r, 300)) << r)
+                })
+            })
+        };
+        assert_eq!(grid(0), [0x31, 0x0a, 0x41, 0x25]);
+        assert_eq!(grid(1), [0x0c, 0x2b, 0xc1, 0x5a]);
+        assert_eq!(grid(7), [0x4a, 0xa5, 0x33, 0x0a]);
+        assert_eq!(grid(42), [0x8a, 0x09, 0x14, 0x87]);
     }
 
     #[test]

@@ -21,10 +21,13 @@
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
-use bytes::Bytes;
-use hope_core::{DurableConfig, DurableSnapshot, HopeEnv, SyncPolicy, ThreadedHopeEnv};
+use hope_core::{DurableConfig, DurableSnapshot, HopeEnv, HopeReport, SyncPolicy, ThreadedHopeEnv};
 use hope_runtime::{FaultPlan, NetworkConfig, StorageFaultPlan};
-use hope_types::{AidId, ProcessId, VirtualDuration, VirtualTime};
+use hope_types::{ProcessId, VirtualDuration, VirtualTime};
+
+use crate::chaos::spawn_race;
+use crate::harness::{lossy_plan, run_settled, run_settled_threaded};
+use crate::{aid_of, decode_u64s, encode_u64s, splitmix64};
 
 /// Parameters of one disk-chaos run.
 #[derive(Debug, Clone, Copy)]
@@ -79,15 +82,14 @@ pub struct DiskChaosResult {
     pub quiescent: VirtualTime,
 }
 
-/// SplitMix64 finalizer: the deterministic per-round value stream.
+/// The deterministic per-round value stream: [`splitmix64`] over this
+/// workload's own pre-mix of `(a, b)`.
 fn mix(a: u64, b: u64) -> u64 {
-    let mut z = a
-        .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-        .wrapping_add(b)
-        .wrapping_add(0x243f_6a88_85a3_08d3);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
+    splitmix64(
+        a.wrapping_mul(0x9e37_79b9_7f4a_7c15)
+            .wrapping_add(b)
+            .wrapping_add(0x243f_6a88_85a3_08d3),
+    )
 }
 
 /// Whether the owner affirms round `r` (¾ of rounds) or denies it.
@@ -100,21 +102,6 @@ fn expected_total(seed: u64, rounds: u32) -> u64 {
     (0..rounds)
         .filter(|&r| keep(seed, r))
         .fold(0u64, |acc, r| acc.wrapping_add(mix(seed, r as u64)))
-}
-
-fn round_payload(aid: AidId, value: u64) -> Bytes {
-    let mut data = Vec::with_capacity(16);
-    data.extend_from_slice(&aid.process().as_raw().to_le_bytes());
-    data.extend_from_slice(&value.to_le_bytes());
-    Bytes::from(data)
-}
-
-fn parse_round(data: &[u8]) -> (AidId, u64) {
-    let aid = AidId::from_raw(ProcessId::from_raw(u64::from_le_bytes(
-        data[..8].try_into().expect("8-byte aid"),
-    )));
-    let value = u64::from_le_bytes(data[8..16].try_into().expect("8-byte value"));
-    (aid, value)
 }
 
 /// The storage-fault mix injected at crash time: most crash images tear
@@ -131,6 +118,47 @@ fn durable_config(cfg: DiskChaosConfig) -> DurableConfig {
         segment_bytes: cfg.segment_bytes,
         checkpoint_every: cfg.checkpoint_every,
         sync_policy: SyncPolicy::Visible,
+    }
+}
+
+/// The wire and crash faults of one run plus the storage-fault mix:
+/// `w0`/`g0` (pid 0, spawned first) crashes at `crash_at` for `down_for`,
+/// disk fault and all.
+fn fault_plan(
+    cfg: DiskChaosConfig,
+    rto: VirtualDuration,
+    crash_at: VirtualTime,
+    down_for: VirtualDuration,
+) -> FaultPlan {
+    let crash = (ProcessId::from_raw(0), crash_at, down_for);
+    lossy_plan(
+        cfg.drop_rate,
+        cfg.duplicate_rate,
+        cfg.seed,
+        rto,
+        cfg.crash.then_some(crash),
+    )
+    .storage(storage_plan())
+}
+
+/// Packages a settled run, holding its store to frontier equivalence.
+fn outcome(
+    report: &HopeReport,
+    store: Option<DurableSnapshot>,
+    matches_fault_free: bool,
+) -> DiskChaosResult {
+    let store = store.expect("durable storage configured");
+    assert_eq!(
+        store.frontier_violations, 0,
+        "recovery fell short of the definite frontier: {store:?}"
+    );
+    DiskChaosResult {
+        matches_fault_free,
+        finalized: report.hope.finalized_intervals,
+        rollbacks: report.hope.rollbacks,
+        crash_recoveries: report.hope.crash_recoveries,
+        store,
+        quiescent: report.run.now,
     }
 }
 
@@ -158,7 +186,8 @@ fn spawn_ledger(env: &mut HopeEnv, cfg: DiskChaosConfig) -> Arc<Mutex<BTreeMap<u
                 }
                 seen[r] = true;
                 remaining -= 1;
-                let (aid, value) = parse_round(&m.data);
+                let round = decode_u64s(&m.data);
+                let (aid, value) = (aid_of(round[0]), round[1]);
                 if ctx.guess(aid) {
                     // Optimistically fold the round in; a deny rolls this
                     // interval back and the replayed guess excludes it.
@@ -182,7 +211,7 @@ fn spawn_ledger(env: &mut HopeEnv, cfg: DiskChaosConfig) -> Arc<Mutex<BTreeMap<u
     env.spawn_user("owner", move |ctx| {
         for r in 0..rounds {
             let x = ctx.aid_init();
-            let payload = round_payload(x, mix(seed, r as u64));
+            let payload = encode_u64s(&[x.process().as_raw(), mix(seed, r as u64)]);
             for &w in &worker_pids {
                 ctx.send(w, r, payload.clone());
             }
@@ -201,20 +230,12 @@ fn spawn_ledger(env: &mut HopeEnv, cfg: DiskChaosConfig) -> Arc<Mutex<BTreeMap<u
 /// worker, and the configured storage-fault mix; checks every committed
 /// total against the closed-form expectation.
 pub fn run_ledger(cfg: DiskChaosConfig) -> DiskChaosResult {
-    let mut plan = FaultPlan::new()
-        .drop_rate(cfg.drop_rate)
-        .duplicate_rate(cfg.duplicate_rate)
-        .seed(cfg.seed)
-        .rto(VirtualDuration::from_millis(5))
-        .storage(storage_plan());
-    if cfg.crash {
-        // Workers are spawned first: crash w0 mid-run, disk fault and all.
-        plan = plan.crash(
-            ProcessId::from_raw(0),
-            VirtualTime::from_nanos(3_000_000),
-            VirtualDuration::from_millis(2),
-        );
-    }
+    let plan = fault_plan(
+        cfg,
+        VirtualDuration::from_millis(5),
+        VirtualTime::from_nanos(3_000_000),
+        VirtualDuration::from_millis(2),
+    );
     let mut env = HopeEnv::builder()
         .seed(cfg.seed)
         .network(NetworkConfig::constant(VirtualDuration::from_millis(1)))
@@ -222,18 +243,7 @@ pub fn run_ledger(cfg: DiskChaosConfig) -> DiskChaosResult {
         .durable(durable_config(cfg))
         .build();
     let totals = spawn_ledger(&mut env, cfg);
-    let report = env.run();
-    assert!(report.is_clean(), "{:?}", report.run.panics);
-    assert!(
-        report.run.blocked.is_empty(),
-        "every process must finalize and exit: {:?}",
-        report.run.blocked
-    );
-    let store = env.store_stats().expect("durable storage configured");
-    assert_eq!(
-        store.frontier_violations, 0,
-        "recovery fell short of the definite frontier: {store:?}"
-    );
+    let report = run_settled(&mut env, &[]);
     let want = expected_total(cfg.seed, cfg.rounds);
     let totals = totals.lock().unwrap();
     let matches_fault_free =
@@ -242,87 +252,33 @@ pub fn run_ledger(cfg: DiskChaosConfig) -> DiskChaosResult {
         matches_fault_free,
         "committed totals {totals:?} != expected {want} (Theorem 5.1 violation)"
     );
-    DiskChaosResult {
-        matches_fault_free,
-        finalized: report.hope.finalized_intervals,
-        rollbacks: report.hope.rollbacks,
-        crash_recoveries: report.hope.crash_recoveries,
-        store,
-        quiescent: report.run.now,
-    }
+    outcome(&report, env.store_stats(), matches_fault_free)
 }
 
-/// Runs the guess/affirm ledger on the wall-clock [`ThreadedHopeEnv`]
+/// Runs the guess/affirm race on the wall-clock [`ThreadedHopeEnv`]
 /// with durable stores and a crashing guesser whose disk image takes a
 /// storage fault. Crash times are wall-clock offsets from startup.
 pub fn run_threaded(cfg: DiskChaosConfig) -> DiskChaosResult {
-    use std::time::Duration;
-
-    let mut plan = FaultPlan::new()
-        .drop_rate(cfg.drop_rate)
-        .duplicate_rate(cfg.duplicate_rate)
-        .seed(cfg.seed)
-        .rto(VirtualDuration::from_millis(2))
-        .storage(storage_plan());
-    if cfg.crash {
-        // 1.5 ms into the run: inside the owner's 3 ms speculation window,
-        // so the crashed guesser is holding a speculative interval and must
-        // recover it from the (storage-faulted) durable log.
-        plan = plan.crash(
-            ProcessId::from_raw(0),
-            VirtualTime::from_nanos(1_500_000),
-            VirtualDuration::from_millis(5),
-        );
-    }
+    // 1.5 ms into the run: inside the owner's 3 ms speculation window,
+    // so the crashed guesser is holding a speculative interval and must
+    // recover it from the (storage-faulted) durable log.
+    let plan = fault_plan(
+        cfg,
+        VirtualDuration::from_millis(2),
+        VirtualTime::from_nanos(1_500_000),
+        VirtualDuration::from_millis(5),
+    );
     let env = ThreadedHopeEnv::builder()
         .seed(cfg.seed)
         .faults(plan)
         .durable(durable_config(cfg))
         .build();
-    let count = Arc::new(Mutex::new(0u32));
-    let mut guessers = Vec::new();
-    for i in 0..cfg.workers {
-        let count = count.clone();
-        let pid = env.spawn_user(&format!("g{i}"), move |ctx| {
-            let m = ctx.receive(None);
-            let (x, _) = parse_round(&m.data);
-            let _ = ctx.guess(x);
-            ctx.await_definite();
-            if !ctx.is_replaying() {
-                *count.lock().unwrap() += 1;
-            }
-        });
-        guessers.push(pid);
-    }
-    let seed = cfg.seed;
-    env.spawn_user("owner", move |ctx| {
-        let x = ctx.aid_init();
-        let payload = round_payload(x, mix(seed, 0));
-        for &g in &guessers {
-            ctx.send(g, 0, payload.clone());
-        }
-        ctx.compute(VirtualDuration::from_millis(3));
-        ctx.affirm(x);
-    });
-    let report = env.run_until_quiescent(Duration::from_millis(50), Duration::from_secs(30));
-    assert!(report.panics.is_empty(), "{:?}", report.panics);
-    assert!(!report.hit_event_limit, "must reach quiescence");
-    assert!(report.blocked.is_empty(), "{:?}", report.blocked);
-    let store = env.store_stats().expect("durable storage configured");
-    assert_eq!(
-        store.frontier_violations, 0,
-        "recovery fell short of the definite frontier: {store:?}"
-    );
-    let done = *count.lock().unwrap();
-    let hope = env.metrics();
-    DiskChaosResult {
-        matches_fault_free: done == cfg.workers,
-        finalized: hope.finalized_intervals,
-        rollbacks: hope.rollbacks,
-        crash_recoveries: hope.crash_recoveries,
-        store,
-        quiescent: report.now,
-    }
+    // A round on this wire is `(aid, value)`; the race reads only the aid.
+    let spawn = |name: &str, body| env.spawn_user(name, body);
+    let tally = spawn_race(spawn, cfg.workers, &[mix(cfg.seed, 0)]);
+    let report = run_settled_threaded(&env);
+    let done = *tally.lock().unwrap();
+    outcome(&report, env.store_stats(), done == cfg.workers)
 }
 
 /// Aggregate outcome of a multi-seed soak.
@@ -395,15 +351,15 @@ pub fn sweep(
             },
         );
         table.row(&[
-            format!("{drop_rate:.2}"),
-            format!("{}", out.runs),
-            format!("{}", out.correct),
-            format!("{}", out.recoveries),
-            format!("{}", out.corrupt_recoveries),
-            format!("{}", out.faults_injected),
-            format!("{}", out.frontier_violations),
-            format!("{}", out.gc_segments),
-            format!("{}", out.max_live_segments),
+            &format_args!("{drop_rate:.2}"),
+            &out.runs,
+            &out.correct,
+            &out.recoveries,
+            &out.corrupt_recoveries,
+            &out.faults_injected,
+            &out.frontier_violations,
+            &out.gc_segments,
+            &out.max_live_segments,
         ]);
     }
     table
@@ -412,6 +368,18 @@ pub fn sweep(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Every affirm/deny decision, round value and committed total of
+    /// E-disk hangs off these: a change to the pre-mix here or to the
+    /// shared `splitmix64` moves them.
+    #[test]
+    fn round_stream_is_pinned() {
+        let kept: Vec<bool> = (0..8).map(|r| keep(1, r)).collect();
+        let want = [false, true, true, false, true, false, false, true];
+        assert_eq!(kept, want);
+        assert_eq!(mix(1, 0), 0x2cb0_f69f_4abe_a221);
+        assert_eq!(expected_total(1, 8), 0x1e1b_8d46_edfe_8b19);
+    }
 
     #[test]
     fn ledger_commits_fault_free_totals_with_a_corrupt_disk() {

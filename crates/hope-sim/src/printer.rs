@@ -26,7 +26,10 @@ use bytes::Bytes;
 use hope_core::{HopeEnv, ProcessCtx};
 use hope_rpc::{RpcClient, RpcServer};
 use hope_runtime::NetworkConfig;
-use hope_types::{VirtualDuration, VirtualTime};
+use hope_types::{ProcessId, VirtualDuration, VirtualTime};
+
+use crate::harness::run_settled;
+use crate::{decode_u64s, encode_u64s};
 
 /// Print-server method: append a line, reply with the new line number.
 pub const METHOD_PRINT: u32 = 1;
@@ -87,12 +90,9 @@ pub struct PrinterResult {
     pub final_line: u32,
 }
 
-fn encode_u32(v: u32) -> Bytes {
-    Bytes::from(v.to_le_bytes().to_vec())
-}
-
-fn decode_u32(data: &[u8]) -> u32 {
-    u32::from_le_bytes(data[..4].try_into().expect("u32 reply"))
+/// The line number in a print-server reply.
+fn reply_line(reply: &[u8]) -> u32 {
+    decode_u64s(reply)[0] as u32
 }
 
 fn spawn_print_server(
@@ -119,13 +119,18 @@ fn spawn_print_server(
             if !ctx.is_replaying() {
                 *fl.lock().unwrap() = line;
             }
-            encode_u32(line)
+            encode_u64s(&[line.into()])
         });
     })
 }
 
-/// Figure 1: the untransformed worker — three synchronous calls.
-pub fn run_sequential(cfg: PrinterConfig) -> PrinterResult {
+/// Runs `worker` against a fresh print server (pid 0; an open-loop
+/// `serve`, so it lingers in `receive`) and reads off the committed
+/// completion time and the server's final line.
+fn run_worker(
+    cfg: PrinterConfig,
+    worker: impl Fn(&mut ProcessCtx<'_>, ProcessId) + Send + 'static,
+) -> PrinterResult {
     let mut env = HopeEnv::builder()
         .seed(cfg.seed)
         .network(NetworkConfig::constant(cfg.latency))
@@ -134,27 +139,13 @@ pub fn run_sequential(cfg: PrinterConfig) -> PrinterResult {
     let server = spawn_print_server(&mut env, cfg, final_line.clone());
     let worker_done = Arc::new(Mutex::new(VirtualTime::ZERO));
     let done = worker_done.clone();
-    let page_size = cfg.page_size;
     env.spawn_user("worker", move |ctx| {
-        // S1
-        let reply = RpcClient::call(ctx, server, METHOD_PRINT, Bytes::new());
-        let line = decode_u32(&reply);
-        // S2
-        if line >= page_size {
-            let _ = RpcClient::call(ctx, server, METHOD_NEWPAGE, Bytes::new());
-        }
-        // S3
-        let _ = RpcClient::call(ctx, server, METHOD_PRINT, Bytes::new());
+        worker(ctx, server);
         if !ctx.is_replaying() {
             *done.lock().unwrap() = ctx.now();
         }
     });
-    let report = env.run();
-    assert!(
-        report.is_clean(),
-        "printer run failed: {:?}",
-        report.run.panics
-    );
+    let report = run_settled(&mut env, &["print-server"]);
     let worker_time = worker_done
         .lock()
         .unwrap()
@@ -170,43 +161,25 @@ pub fn run_sequential(cfg: PrinterConfig) -> PrinterResult {
     }
 }
 
+/// Figure 1: the untransformed worker — three synchronous calls.
+pub fn run_sequential(cfg: PrinterConfig) -> PrinterResult {
+    run_worker(cfg, move |ctx, server| {
+        // S1
+        let reply = RpcClient::call(ctx, server, METHOD_PRINT, Bytes::new());
+        // S2
+        if reply_line(&reply) >= cfg.page_size {
+            let _ = RpcClient::call(ctx, server, METHOD_NEWPAGE, Bytes::new());
+        }
+        // S3
+        let _ = RpcClient::call(ctx, server, METHOD_PRINT, Bytes::new());
+    })
+}
+
 /// Figure 2: the call-streaming worker with its WorryWart verifier.
 pub fn run_streaming(cfg: PrinterConfig) -> PrinterResult {
-    let mut env = HopeEnv::builder()
-        .seed(cfg.seed)
-        .network(NetworkConfig::constant(cfg.latency))
-        .build();
-    let final_line = Arc::new(Mutex::new(0));
-    let server = spawn_print_server(&mut env, cfg, final_line.clone());
-    let worker_done = Arc::new(Mutex::new(VirtualTime::ZERO));
-    let done = worker_done.clone();
-    let page_size = cfg.page_size;
-    let local_work = cfg.local_work;
-    env.spawn_user("worker", move |ctx| {
-        streaming_worker(ctx, server, page_size, local_work);
-        if !ctx.is_replaying() {
-            *done.lock().unwrap() = ctx.now();
-        }
-    });
-    let report = env.run();
-    assert!(
-        report.is_clean(),
-        "printer run failed: {:?}",
-        report.run.panics
-    );
-    let worker_time = worker_done
-        .lock()
-        .unwrap()
-        .saturating_duration_since(VirtualTime::ZERO);
-    let final_line = *final_line.lock().unwrap();
-    PrinterResult {
-        worker_time,
-        quiescent: report.run.now,
-        rollbacks: report.hope.rollbacks,
-        hope_messages: report.run.stats.total_hope(),
-        user_messages: report.run.stats.count_kind("User"),
-        final_line,
-    }
+    run_worker(cfg, move |ctx, server| {
+        streaming_worker(ctx, server, cfg.page_size, cfg.local_work)
+    })
 }
 
 /// The Figure 2 worker body, reusable from examples. `local_work` models
@@ -250,7 +223,7 @@ fn streaming_print_s1(
     ctx.spawn_user("worrywart", move |wctx| {
         // S1: the real print call.
         let reply = RpcClient::call(wctx, server, METHOD_PRINT, Bytes::new());
-        let line = decode_u32(&reply);
+        let line = reply_line(&reply);
         // §3.1: if S3 overtook S1, our reply was tainted by the worker's
         // Order-tagged message; deny Order to force corrective rollbacks.
         let _ = wctx.free_of(order);
@@ -310,12 +283,12 @@ pub fn sweep(
             let seq_mean = crate::table::mean(&seq);
             let stream_mean = crate::table::mean(&stream);
             table.row(&[
-                format!("{latency}"),
-                format!("{p:.2}"),
-                format!("{seq_mean:.3}ms"),
-                format!("{stream_mean:.3}ms"),
-                format!("{:.2}x", seq_mean / stream_mean.max(1e-9)),
-                format!("{:.2}", rolls as f64 / iterations as f64),
+                &latency,
+                &format_args!("{p:.2}"),
+                &format_args!("{seq_mean:.3}ms"),
+                &format_args!("{stream_mean:.3}ms"),
+                &format_args!("{:.2}x", seq_mean / stream_mean.max(1e-9)),
+                &format_args!("{:.2}", rolls as f64 / iterations as f64),
             ]);
         }
     }

@@ -9,6 +9,7 @@ use hope_core::HopeEnv;
 use hope_runtime::{MessageStats, NetworkConfig, PartyKind};
 use hope_types::VirtualDuration;
 
+use crate::harness::run_settled;
 use crate::{decode_aids, encode_aids};
 
 /// Runs the canonical protocol workload and returns the message counters.
@@ -40,9 +41,7 @@ pub fn run_canonical(seed: u64) -> MessageStats {
             ctx.compute(VirtualDuration::from_millis(5));
         }
     });
-    let report = env.run();
-    assert!(report.run.panics.is_empty(), "{:?}", report.run.panics);
-    report.run.stats
+    run_settled(&mut env, &[]).run.stats
 }
 
 /// Formats message counters in the paper's Table 1 layout.
@@ -84,13 +83,7 @@ pub fn table_1(stats: &MessageStats) -> crate::table::Table {
         ),
     ];
     for (kind, from, to, meaning) in rows {
-        table.row(&[
-            kind.to_string(),
-            from.to_string(),
-            to.to_string(),
-            meaning.to_string(),
-            stats.count(kind, from, to).to_string(),
-        ]);
+        table.row(&[&kind, &from, &to, &meaning, &stats.count(kind, from, to)]);
     }
     table
 }

@@ -26,6 +26,7 @@ use hope_core::HopeEnv;
 use hope_runtime::NetworkConfig;
 use hope_types::{AidId, VirtualDuration};
 
+use crate::harness::run_settled;
 use crate::{decode_aids, encode_aids};
 
 /// Measured message counts for one depth.
@@ -64,13 +65,7 @@ pub fn measure(depth: u32, seed: u64) -> QuadraticResult {
             let _ = ctx.guess(aid);
         }
     });
-    let report = env.run();
-    assert!(report.is_clean(), "{:?}", report.run.panics);
-    assert!(
-        report.run.blocked.is_empty(),
-        "all intervals must finalize: {:?}",
-        report.run.blocked
-    );
+    let report = run_settled(&mut env, &[]);
     QuadraticResult {
         depth,
         guess_messages: report.run.stats.count_kind("Guess"),
@@ -141,13 +136,7 @@ fn visits_after(rounds: u32, seed: u64) -> u64 {
             let _ = ctx.receive(Some(CH_DONE));
         }
     });
-    let report = env.run();
-    assert!(report.is_clean(), "{:?}", report.run.panics);
-    assert!(
-        report.run.blocked.is_empty(),
-        "every round must settle: {:?}",
-        report.run.blocked
-    );
+    let report = run_settled(&mut env, &[]);
     assert_eq!(report.hope.rollbacks, 0, "nothing is denied");
     report.hope.history_visits
 }
@@ -182,10 +171,10 @@ pub fn local_table(results: &[LocalWorkResult]) -> crate::table::Table {
     );
     for r in results {
         table.row(&[
-            format!("{}", r.settled_rounds),
-            format!("{}", r.tagged_receives),
-            format!("{}", r.history_visits),
-            format!("{:.1}", r.visits_per_receive()),
+            &r.settled_rounds,
+            &r.tagged_receives,
+            &r.history_visits,
+            &format_args!("{:.1}", r.visits_per_receive()),
         ]);
     }
     table
@@ -213,11 +202,11 @@ pub fn sweep(depths: &[u32], seed: u64) -> crate::table::Table {
     for r in sweep_results(depths, seed) {
         let depth = r.depth;
         table.row(&[
-            format!("{depth}"),
-            format!("{}", r.guess_messages),
-            format!("{}", r.replace_messages),
-            format!("{}", r.total_hope),
-            format!("{:.1}", r.total_hope as f64 / depth.max(1) as f64),
+            &depth,
+            &r.guess_messages,
+            &r.replace_messages,
+            &r.total_hope,
+            &format_args!("{:.1}", r.total_hope as f64 / depth.max(1) as f64),
         ]);
     }
     table

@@ -12,10 +12,13 @@
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::Bytes;
 use hope_core::{HopeEnv, HopeReport};
 use hope_runtime::NetworkConfig;
-use hope_types::{AidId, ProcessId, VirtualDuration, VirtualTime};
+use hope_types::{VirtualDuration, VirtualTime};
+
+use crate::harness::run_settled;
+use crate::{aid_of, decode_u64s, encode_u64s};
 
 const CH_CHECK: u32 = 10;
 const CH_GET: u32 = 11;
@@ -58,12 +61,6 @@ pub struct ReplicationResult {
     pub rollbacks: u64,
 }
 
-fn decode_u64s(data: &[u8]) -> Vec<u64> {
-    data.chunks_exact(8)
-        .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
-        .collect()
-}
-
 /// Runs `replicas` racing single-update replicas against one owner.
 pub fn run(cfg: ReplicationConfig) -> ReplicationResult {
     let env = HopeEnv::builder()
@@ -91,7 +88,7 @@ pub fn run_in(mut env: HopeEnv, cfg: ReplicationConfig) -> (ReplicationResult, H
             match msg.channel {
                 CH_CHECK => {
                     let f = decode_u64s(&msg.data);
-                    let aid = AidId::from_raw(ProcessId::from_raw(f[0]));
+                    let aid = aid_of(f[0]);
                     if f[1] == version {
                         value += f[2];
                         version += 1;
@@ -102,10 +99,7 @@ pub fn run_in(mut env: HopeEnv, cfg: ReplicationConfig) -> (ReplicationResult, H
                     }
                 }
                 CH_GET => {
-                    let mut b = BytesMut::with_capacity(16);
-                    b.put_u64_le(version);
-                    b.put_u64_le(value);
-                    ctx.send(msg.src, CH_SNAP, b.freeze());
+                    ctx.send(msg.src, CH_SNAP, encode_u64s(&[version, value]));
                 }
                 _ => {}
             }
@@ -118,35 +112,26 @@ pub fn run_in(mut env: HopeEnv, cfg: ReplicationConfig) -> (ReplicationResult, H
     for w in 0..cfg.replicas as u64 {
         let progress = progress.clone();
         let delta = w + 1;
-        env.spawn_user(&format!("replica-{w}"), move |ctx| {
+        env.spawn_user(&format!("replica-{w}"), move |ctx| loop {
             ctx.send(owner, CH_GET, Bytes::new());
             let snap = ctx.receive(Some(CH_SNAP));
-            let mut version = decode_u64s(&snap.data)[0];
-            loop {
-                let fresh = ctx.aid_init();
-                let mut b = BytesMut::with_capacity(24);
-                b.put_u64_le(fresh.process().as_raw());
-                b.put_u64_le(version);
-                b.put_u64_le(delta);
-                ctx.send(owner, CH_CHECK, b.freeze());
-                if ctx.guess(fresh) {
-                    // Optimistic result available right here.
-                    if !ctx.is_replaying() {
-                        progress.lock().unwrap().insert(w, ctx.now());
-                    }
-                    // Commit barrier: only report fully-validated below.
-                    ctx.await_definite();
-                    return;
+            let version = decode_u64s(&snap.data)[0];
+            let fresh = ctx.aid_init();
+            let check = [fresh.process().as_raw(), version, delta];
+            ctx.send(owner, CH_CHECK, encode_u64s(&check));
+            if ctx.guess(fresh) {
+                // Optimistic result available right here.
+                if !ctx.is_replaying() {
+                    progress.lock().unwrap().insert(w, ctx.now());
                 }
-                ctx.send(owner, CH_GET, Bytes::new());
-                let snap = ctx.receive(Some(CH_SNAP));
-                version = decode_u64s(&snap.data)[0];
+                // Commit barrier: only report fully-validated below.
+                ctx.await_definite();
+                break;
             }
+            // Denied (a stale version): refetch and retry.
         });
     }
-    let report = env.run();
-    assert!(report.is_clean(), "{:?}", report.run.panics);
-    assert!(report.run.blocked.is_empty(), "{:?}", report.run.blocked);
+    let report = run_settled(&mut env, &[]);
     let (version, value) = *owner_final.lock().unwrap();
     let optimistic_done = progress
         .lock()
@@ -186,11 +171,11 @@ pub fn sweep(replica_counts: &[u32], latency: VirtualDuration, seed: u64) -> cra
         let r = run(cfg);
         let expected: u64 = (1..=replicas as u64).sum();
         table.row(&[
-            format!("{replicas}"),
-            format!("{:.3}ms", r.optimistic_done.as_secs_f64() * 1e3),
-            format!("{:.3}ms", r.committed.as_secs_f64() * 1e3),
-            format!("{}", r.rollbacks),
-            format!("{}", r.value == expected && r.version == replicas as u64),
+            &replicas,
+            &format_args!("{:.3}ms", r.optimistic_done.as_secs_f64() * 1e3),
+            &format_args!("{:.3}ms", r.committed.as_secs_f64() * 1e3),
+            &r.rollbacks,
+            &(r.value == expected && r.version == replicas as u64),
         ]);
     }
     table

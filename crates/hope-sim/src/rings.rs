@@ -8,7 +8,7 @@
 
 use hope_core::HopeEnv;
 use hope_runtime::NetworkConfig;
-use hope_types::{AidId, VirtualDuration, VirtualTime};
+use hope_types::{AidId, ProcessId, VirtualDuration, VirtualTime};
 
 use crate::{decode_aids, encode_aids};
 
@@ -29,6 +29,45 @@ pub struct RingResult {
     pub finished_at: VirtualTime,
 }
 
+/// Spawns the mutual-affirm ring on `env`: `ring-0..n` in that order
+/// (so `ring-i` is pid *i*), then the `coordinator` that mints one AID
+/// per process and broadcasts the list. Process *i* guesses AID *i* and,
+/// inside that guess, affirms AID *(i+1) mod n*; with `tail_compute` it
+/// then logs one `compute` of that length. This is the only text of the
+/// program: F14 prints it and `hope-check` pins its state counts on it.
+pub fn spawn_ring(
+    env: &mut HopeEnv,
+    n: usize,
+    tail_compute: Option<VirtualDuration>,
+) -> Vec<ProcessId> {
+    assert!(n >= 2, "a ring needs at least two processes");
+    let ring: Vec<ProcessId> = (0..n)
+        .map(|i| {
+            env.spawn_user(&format!("ring-{i}"), move |ctx| {
+                let m = ctx.receive(None);
+                let aids = decode_aids(&m.data);
+                let mine = aids[i];
+                let next = aids[(i + 1) % aids.len()];
+                if ctx.guess(mine) {
+                    ctx.affirm(next);
+                }
+                if let Some(length) = tail_compute {
+                    ctx.compute(length);
+                }
+            })
+        })
+        .collect();
+    let pids = ring.clone();
+    env.spawn_user("coordinator", move |ctx| {
+        let aids: Vec<AidId> = (0..pids.len()).map(|_| ctx.aid_init()).collect();
+        let payload = encode_aids(&aids);
+        for &p in &pids {
+            ctx.send(p, 0, payload.clone());
+        }
+    });
+    ring
+}
+
 /// Runs a mutual-affirm ring of size `n`. `cycle_detection = false`
 /// reproduces Algorithm 1 (bounded by `max_events`).
 pub fn run_ring(n: u32, cycle_detection: bool, max_events: u64, seed: u64) -> RingResult {
@@ -38,26 +77,9 @@ pub fn run_ring(n: u32, cycle_detection: bool, max_events: u64, seed: u64) -> Ri
         .cycle_detection(cycle_detection)
         .max_events(max_events)
         .build();
-    let mut pids = Vec::new();
-    for i in 0..n as usize {
-        let pid = env.spawn_user(&format!("ring-{i}"), move |ctx| {
-            let m = ctx.receive(None);
-            let aids = decode_aids(&m.data);
-            let mine = aids[i];
-            let next = aids[(i + 1) % aids.len()];
-            if ctx.guess(mine) {
-                ctx.affirm(next);
-            }
-        });
-        pids.push(pid);
-    }
-    env.spawn_user("coordinator", move |ctx| {
-        let aids: Vec<AidId> = (0..pids.len()).map(|_| ctx.aid_init()).collect();
-        let payload = encode_aids(&aids);
-        for &p in &pids {
-            ctx.send(p, 0, payload.clone());
-        }
-    });
+    spawn_ring(&mut env, n as usize, None);
+    // Not `run_settled`: Algorithm 1's livelock is a result to report
+    // (`converged: false`), not a failure to assert on.
     let report = env.run();
     assert!(report.run.panics.is_empty(), "{:?}", report.run.panics);
     RingResult {
@@ -89,16 +111,13 @@ pub fn sweep(sizes: &[u32], seed: u64) -> crate::table::Table {
         let alg2 = run_ring(n, true, 5_000_000, seed);
         let alg1 = run_ring(n, false, 20_000 * n as u64, seed);
         table.row(&[
-            format!("{n}"),
-            format!("{}", alg2.converged),
-            format!("{}", alg2.hope_messages),
-            format!(
-                "{}",
-                VirtualDuration::from_nanos(alg2.finished_at.as_nanos())
-            ),
-            format!("{}", alg2.cycles_broken),
-            format!("{}", alg1.converged),
-            format!("{}", alg1.hope_messages),
+            &n,
+            &alg2.converged,
+            &alg2.hope_messages,
+            &VirtualDuration::from_nanos(alg2.finished_at.as_nanos()),
+            &alg2.cycles_broken,
+            &alg1.converged,
+            &alg1.hope_messages,
         ]);
     }
     table

@@ -11,6 +11,7 @@ use hope_core::HopeEnv;
 use hope_runtime::NetworkConfig;
 use hope_types::{AidId, VirtualDuration};
 
+use crate::harness::run_settled;
 use crate::{decode_aids, encode_aids};
 
 /// Measured rollback cost at one depth.
@@ -56,8 +57,7 @@ pub fn measure(depth: u32, ops_per_interval: u32, seed: u64) -> RollbackResult {
             }
         }
     });
-    let report = env.run();
-    assert!(report.is_clean(), "{:?}", report.run.panics);
+    let report = run_settled(&mut env, &[]);
     RollbackResult {
         depth,
         rollbacks: report.hope.rollbacks,
@@ -74,12 +74,7 @@ pub fn sweep(depths: &[u32], ops_per_interval: u32, seed: u64) -> crate::table::
     );
     for &depth in depths {
         let r = measure(depth, ops_per_interval, seed);
-        table.row(&[
-            format!("{depth}"),
-            format!("{}", r.rollbacks),
-            format!("{}", r.replayed_ops),
-            format!("{}", r.reexecutions),
-        ]);
+        table.row(&[&depth, &r.rollbacks, &r.replayed_ops, &r.reexecutions]);
     }
     table
 }

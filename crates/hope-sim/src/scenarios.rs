@@ -8,11 +8,37 @@
 //! the way. Scenario builders return an un-run [`HopeEnv`]; the checker
 //! drives it step by step through the runtime's scheduler hook.
 
-use hope_core::{DurableConfig, HopeEnv, SpecPolicy, SyncPolicy};
-use hope_runtime::{FaultPlan, NetworkConfig, StorageFaultPlan};
+use hope_core::{DurableConfig, HopeEnv, HopeEnvBuilder, SpecPolicy, SyncPolicy};
+use hope_runtime::{FaultPlan, NetworkConfig};
 use hope_types::{AidId, ProcessId, VirtualDuration, VirtualTime};
 
+use crate::rings::spawn_ring;
 use crate::{decode_aids, encode_aids};
+
+/// What every checker scenario is built on: a zero-latency network,
+/// Algorithm 2 and a generous event limit.
+fn checker_env(seed: u64) -> HopeEnvBuilder {
+    HopeEnv::builder()
+        .seed(seed)
+        .network(NetworkConfig::constant(VirtualDuration::ZERO))
+        .cycle_detection(true)
+        .max_events(1_000_000)
+}
+
+/// The crash rings' plan: ring-0 (pid 0, the first spawn) crashes and
+/// restarts at virtual time zero over a lossless wire. Retransmits are
+/// capped at 6 so a random walk can abandon a message for good.
+fn crash_ring_0(seed: u64) -> FaultPlan {
+    FaultPlan::new()
+        .seed(seed)
+        .crash(
+            ProcessId::from_raw(0),
+            VirtualTime::ZERO,
+            VirtualDuration::ZERO,
+        )
+        .rto(VirtualDuration::from_millis(5))
+        .max_retransmits(6)
+}
 
 /// Builds (without running) a mutual-affirm ring of size `n`, the paper's
 /// F13 interference cycle: process *i* guesses AID *i* and affirms AID
@@ -20,33 +46,8 @@ use crate::{decode_aids, encode_aids};
 /// schedule must converge with all intervals finalized; under Algorithm 1
 /// the ring livelocks (§5.3).
 pub fn ring(n: usize, cycle_detection: bool, seed: u64) -> HopeEnv {
-    assert!(n >= 2, "a ring needs at least two processes");
-    let mut env = HopeEnv::builder()
-        .seed(seed)
-        .network(NetworkConfig::constant(VirtualDuration::ZERO))
-        .cycle_detection(cycle_detection)
-        .max_events(1_000_000)
-        .build();
-    let mut pids = Vec::new();
-    for i in 0..n {
-        let pid = env.spawn_user(&format!("ring-{i}"), move |ctx| {
-            let m = ctx.receive(None);
-            let aids = decode_aids(&m.data);
-            let mine = aids[i];
-            let next = aids[(i + 1) % aids.len()];
-            if ctx.guess(mine) {
-                ctx.affirm(next);
-            }
-        });
-        pids.push(pid);
-    }
-    env.spawn_user("coordinator", move |ctx| {
-        let aids: Vec<AidId> = (0..pids.len()).map(|_| ctx.aid_init()).collect();
-        let payload = encode_aids(&aids);
-        for &p in &pids {
-            ctx.send(p, 0, payload.clone());
-        }
-    });
+    let mut env = checker_env(seed).cycle_detection(cycle_detection).build();
+    spawn_ring(&mut env, n, None);
     env
 }
 
@@ -58,41 +59,9 @@ pub fn ring(n: usize, cycle_detection: bool, seed: u64) -> HopeEnv {
 /// good), convergence is *not* guaranteed here — safety and crash-recovery
 /// equivalence are.
 pub fn chaos_ring(n: usize, seed: u64) -> HopeEnv {
-    assert!(n >= 2, "a ring needs at least two processes");
-    let victim = ProcessId::from_raw(0); // ring-0: first spawn below
-    let plan = FaultPlan::new()
-        .seed(seed)
-        .crash(victim, VirtualTime::ZERO, VirtualDuration::ZERO)
-        .rto(VirtualDuration::from_millis(5))
-        .max_retransmits(6);
-    let mut env = HopeEnv::builder()
-        .seed(seed)
-        .network(NetworkConfig::constant(VirtualDuration::ZERO))
-        .cycle_detection(true)
-        .max_events(1_000_000)
-        .faults(plan)
-        .build();
-    let mut pids = Vec::new();
-    for i in 0..n {
-        let pid = env.spawn_user(&format!("ring-{i}"), move |ctx| {
-            let m = ctx.receive(None);
-            let aids = decode_aids(&m.data);
-            let mine = aids[i];
-            let next = aids[(i + 1) % aids.len()];
-            if ctx.guess(mine) {
-                ctx.affirm(next);
-            }
-        });
-        pids.push(pid);
-    }
-    assert_eq!(pids[0], victim, "crash plan must target ring-0");
-    env.spawn_user("coordinator", move |ctx| {
-        let aids: Vec<AidId> = (0..pids.len()).map(|_| ctx.aid_init()).collect();
-        let payload = encode_aids(&aids);
-        for &p in &pids {
-            ctx.send(p, 0, payload.clone());
-        }
-    });
+    let mut env = checker_env(seed).faults(crash_ring_0(seed)).build();
+    let ring = spawn_ring(&mut env, n, None);
+    assert_eq!(ring[0].as_raw(), 0, "crash plan must target ring-0");
     env
 }
 
@@ -109,13 +78,7 @@ pub fn chaos_ring(n: usize, seed: u64) -> HopeEnv {
 /// `Replace`/`Rollback` that resolves their parked guess.
 pub fn deny_storm(n: usize, policy: SpecPolicy, seed: u64) -> HopeEnv {
     assert!(n >= 2, "a storm ring needs at least two processes");
-    let mut env = HopeEnv::builder()
-        .seed(seed)
-        .network(NetworkConfig::constant(VirtualDuration::ZERO))
-        .cycle_detection(true)
-        .max_events(1_000_000)
-        .spec_policy(policy)
-        .build();
+    let mut env = checker_env(seed).spec_policy(policy).build();
     let mut pids = Vec::new();
     for i in 0..n {
         let pid = env.spawn_user(&format!("storm-{i}"), move |ctx| {
@@ -153,56 +116,19 @@ pub fn deny_storm(n: usize, policy: SpecPolicy, seed: u64) -> HopeEnv {
 /// crash-recovery equivalence must hold on every schedule; convergence is
 /// not promised (a schedule can still lose every copy of a message).
 pub fn disk_ring(n: usize, seed: u64) -> HopeEnv {
-    assert!(n >= 2, "a ring needs at least two processes");
-    let victim = ProcessId::from_raw(0); // ring-0: first spawn below
-    let plan = FaultPlan::new()
-        .seed(seed)
-        .crash(victim, VirtualTime::ZERO, VirtualDuration::ZERO)
-        .rto(VirtualDuration::from_millis(5))
-        .max_retransmits(6)
-        .storage(
-            StorageFaultPlan::default()
-                .torn_final_record(0.4)
-                .lost_sync_window(0.3)
-                .bit_flip(0.2),
-        );
-    let mut env = HopeEnv::builder()
-        .seed(seed)
-        .network(NetworkConfig::constant(VirtualDuration::ZERO))
-        .cycle_detection(true)
-        .max_events(1_000_000)
-        .faults(plan)
+    let mut env = checker_env(seed)
+        .faults(crash_ring_0(seed).storage(crate::disk_chaos::storage_plan()))
         .durable(DurableConfig {
             segment_bytes: 128,
             checkpoint_every: 4,
             sync_policy: SyncPolicy::Visible,
         })
         .build();
-    let mut pids = Vec::new();
-    for i in 0..n {
-        let pid = env.spawn_user(&format!("ring-{i}"), move |ctx| {
-            let m = ctx.receive(None);
-            let aids = decode_aids(&m.data);
-            let mine = aids[i];
-            let next = aids[(i + 1) % aids.len()];
-            if ctx.guess(mine) {
-                ctx.affirm(next);
-            }
-            // Zero-duration local work: logs a non-visible op without
-            // advancing the virtual clock, so the WAL keeps an unsynced
-            // tail for the storage fault to corrupt.
-            ctx.compute(VirtualDuration::ZERO);
-        });
-        pids.push(pid);
-    }
-    assert_eq!(pids[0], victim, "crash plan must target ring-0");
-    env.spawn_user("coordinator", move |ctx| {
-        let aids: Vec<AidId> = (0..pids.len()).map(|_| ctx.aid_init()).collect();
-        let payload = encode_aids(&aids);
-        for &p in &pids {
-            ctx.send(p, 0, payload.clone());
-        }
-    });
+    // Zero-duration local work: logs a non-visible op without advancing
+    // the virtual clock, so the WAL keeps an unsynced tail for the
+    // storage fault to corrupt.
+    let ring = spawn_ring(&mut env, n, Some(VirtualDuration::ZERO));
+    assert_eq!(ring[0].as_raw(), 0, "crash plan must target ring-0");
     env
 }
 

@@ -17,10 +17,13 @@
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::Bytes;
 use hope_core::HopeEnv;
 use hope_runtime::NetworkConfig;
-use hope_types::{AidId, ProcessId, VirtualDuration, VirtualTime};
+use hope_types::{AidId, VirtualDuration, VirtualTime};
+
+use crate::harness::run_settled;
+use crate::{aid_of, decode_u64s, encode_u64s};
 
 const CH_CHECK: u32 = 30;
 const CH_VERDICT: u32 = 31;
@@ -64,12 +67,9 @@ pub struct SolverResult {
     pub final_iteration: u32,
 }
 
+/// A convergence check: `(aid or 0, worker, iteration)`.
 fn encode_check(aid: Option<AidId>, worker: u64, iter: u32) -> Bytes {
-    let mut b = BytesMut::with_capacity(20);
-    b.put_u64_le(aid.map_or(0, |a| a.process().as_raw()));
-    b.put_u64_le(worker);
-    b.put_u32_le(iter);
-    b.freeze()
+    encode_u64s(&[aid.map_or(0, |a| a.process().as_raw()), worker, iter.into()])
 }
 
 /// Runs the solver. `optimistic = false` waits for the master's verdict
@@ -87,11 +87,11 @@ pub fn run_solver(cfg: SolverConfig, optimistic: bool) -> SolverResult {
         let mut finished = 0u32;
         while finished < workers {
             let msg = ctx.receive(Some(CH_CHECK));
-            let aid_raw = u64::from_le_bytes(msg.data[..8].try_into().unwrap());
-            let iter = u32::from_le_bytes(msg.data[16..20].try_into().unwrap());
+            let check = decode_u64s(&msg.data);
+            let (aid_raw, iter) = (check[0], check[2] as u32);
             let converged = iter + 1 >= k;
             if aid_raw != 0 {
-                let aid = AidId::from_raw(ProcessId::from_raw(aid_raw));
+                let aid = aid_of(aid_raw);
                 if converged {
                     ctx.deny(aid);
                     finished += 1;
@@ -139,13 +139,7 @@ pub fn run_solver(cfg: SolverConfig, optimistic: bool) -> SolverResult {
             }
         });
     }
-    let report = env.run();
-    assert!(report.is_clean(), "{:?}", report.run.panics);
-    assert!(
-        report.run.blocked.is_empty(),
-        "solver must terminate: {:?}",
-        report.run.blocked
-    );
+    let report = run_settled(&mut env, &[]);
     let finals = finals.lock().unwrap();
     assert_eq!(finals.len(), cfg.workers as usize);
     let mut iterations: Vec<u32> = finals.values().map(|(i, _)| *i).collect();
@@ -189,16 +183,17 @@ pub fn sweep(cfg_base: SolverConfig, ratios: &[(u64, u64)]) -> crate::table::Tab
         let sync = run_solver(cfg, false);
         let optimistic = run_solver(cfg, true);
         assert_eq!(sync.final_iteration, optimistic.final_iteration);
+        let (s, t) = (
+            sync.completion.as_secs_f64(),
+            optimistic.completion.as_secs_f64(),
+        );
         table.row(&[
-            format!("{}", cfg.compute),
-            format!("{}", cfg.latency),
-            format!("{:.3}ms", sync.completion.as_secs_f64() * 1e3),
-            format!("{:.3}ms", optimistic.completion.as_secs_f64() * 1e3),
-            format!(
-                "{:.2}x",
-                sync.completion.as_secs_f64() / optimistic.completion.as_secs_f64().max(1e-12)
-            ),
-            format!("{}", optimistic.rollbacks),
+            &cfg.compute,
+            &cfg.latency,
+            &format_args!("{:.3}ms", s * 1e3),
+            &format_args!("{:.3}ms", t * 1e3),
+            &format_args!("{:.2}x", s / t.max(1e-12)),
+            &optimistic.rollbacks,
         ]);
     }
     table

@@ -7,11 +7,12 @@
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
-use bytes::Bytes;
 use hope_core::HopeEnv;
-use hope_rpc::{RpcServer, StreamingClient};
 use hope_runtime::NetworkConfig;
 use hope_types::{VirtualDuration, VirtualTime};
+
+use crate::chain::{spawn_stage_server, stage_fn, streamed_call};
+use crate::harness::run_settled;
 
 /// Parameters of one soak run.
 #[derive(Debug, Clone, Copy)]
@@ -60,11 +61,6 @@ pub struct SoakResult {
     pub all_correct: bool,
 }
 
-/// Stage function (same as the chain workload's, re-exported shape).
-fn mix(x: u64) -> u64 {
-    crate::chain::stage_fn(x)
-}
-
 /// Runs the soak. Each client chains `calls_per_client` dependent calls
 /// through its round-robin server with an accuracy-degraded predictor.
 pub fn run(cfg: SoakConfig) -> SoakResult {
@@ -72,17 +68,12 @@ pub fn run(cfg: SoakConfig) -> SoakResult {
         .seed(cfg.seed)
         .network(NetworkConfig::uniform(cfg.latency_min, cfg.latency_max))
         .build();
-    let mut servers = Vec::new();
-    for s in 0..cfg.servers {
-        let pid = env.spawn_user(&format!("server-{s}"), |ctx| {
-            RpcServer::serve(ctx, |ctx, _method, body| {
-                ctx.compute(VirtualDuration::from_micros(20));
-                let x = u64::from_le_bytes(body[..8].try_into().unwrap());
-                Bytes::from(mix(x).to_le_bytes().to_vec())
-            });
-        });
-        servers.push(pid);
-    }
+    let server_names: Vec<String> = (0..cfg.servers).map(|s| format!("server-{s}")).collect();
+    let service = VirtualDuration::from_micros(20);
+    let servers: Vec<_> = server_names
+        .iter()
+        .map(|name| spawn_stage_server(&mut env, name, service))
+        .collect();
     // Keyed by client, last write wins: a rollback arriving after the body
     // finished re-executes it, and the re-execution's record supersedes.
     let latencies: Arc<Mutex<BTreeMap<u32, Vec<f64>>>> = Arc::new(Mutex::new(BTreeMap::new()));
@@ -98,7 +89,7 @@ pub fn run(cfg: SoakConfig) -> SoakResult {
             let expected = {
                 let mut v = value;
                 for _ in 0..calls {
-                    v = mix(v);
+                    v = stage_fn(v);
                 }
                 v
             };
@@ -106,18 +97,7 @@ pub fn run(cfg: SoakConfig) -> SoakResult {
             for _ in 0..calls {
                 ctx.compute(VirtualDuration::from_micros(50));
                 let start = ctx.now();
-                let truth = mix(value);
-                let coin = (ctx.random() as f64) / (u64::MAX as f64);
-                let predicted = if coin < accuracy { truth } else { !truth };
-                let promise = StreamingClient::call(
-                    ctx,
-                    server,
-                    0,
-                    Bytes::from(value.to_le_bytes().to_vec()),
-                    Bytes::from(predicted.to_le_bytes().to_vec()),
-                );
-                let (reply, _) = promise.redeem(ctx);
-                value = u64::from_le_bytes(reply[..8].try_into().unwrap());
+                value = streamed_call(ctx, server, value, accuracy);
                 let elapsed = ctx.now() - start;
                 if !ctx.is_replaying() {
                     my_latencies.push(elapsed.as_millis_f64());
@@ -129,8 +109,9 @@ pub fn run(cfg: SoakConfig) -> SoakResult {
             }
         });
     }
-    let report = env.run();
-    assert!(report.is_clean(), "{:?}", report.run.panics);
+    // The servers are open-loop `serve`s and linger in `receive`.
+    let lingering: Vec<&str> = server_names.iter().map(String::as_str).collect();
+    let report = run_settled(&mut env, &lingering);
     let call_latencies_ms: Vec<f64> = latencies
         .lock()
         .unwrap()
@@ -160,12 +141,12 @@ pub fn sweep(accuracies: &[f64], cfg_base: SoakConfig) -> crate::table::Table {
         });
         let p = |q| crate::table::percentile(&r.call_latencies_ms, q);
         table.row(&[
-            format!("{accuracy:.2}"),
-            format!("{:.3}ms", p(0.5)),
-            format!("{:.3}ms", p(0.9)),
-            format!("{:.3}ms", p(0.99)),
-            format!("{}", r.rollbacks),
-            format!("{}", r.all_correct),
+            &format_args!("{accuracy:.2}"),
+            &format_args!("{:.3}ms", p(0.5)),
+            &format_args!("{:.3}ms", p(0.9)),
+            &format_args!("{:.3}ms", p(0.99)),
+            &r.rollbacks,
+            &r.all_correct,
         ]);
     }
     table

@@ -3,15 +3,16 @@
 use crate::json;
 use std::fmt;
 
-/// A printable results table. Cells are strings; numeric formatting is the
-/// producer's job (keeps units explicit in the output).
+/// A printable results table. A row takes values and renders each with
+/// its `Display`; a cell that needs a unit or a precision passes a
+/// `format_args!` (keeps units explicit in the output).
 ///
 /// # Examples
 ///
 /// ```
 /// use hope_sim::table::Table;
 /// let mut t = Table::new("Demo", &["n", "time"]);
-/// t.row(&["1", "2.0ms"]);
+/// t.row(&[&1, &format_args!("{:.1}ms", 2.0)]);
 /// let text = t.to_string();
 /// assert!(text.contains("Demo"));
 /// assert!(text.contains("2.0ms"));
@@ -41,14 +42,14 @@ impl Table {
     /// # Panics
     ///
     /// Panics if the cell count does not match the header count.
-    pub fn row(&mut self, cells: &[impl AsRef<str>]) {
+    pub fn row(&mut self, cells: &[&dyn fmt::Display]) {
         assert_eq!(
             cells.len(),
             self.headers.len(),
             "row width must match headers"
         );
         self.rows
-            .push(cells.iter().map(|c| c.as_ref().to_string()).collect());
+            .push(cells.iter().map(|c| c.to_string()).collect());
     }
 
     /// The table as a JSON array of objects keyed by header.
@@ -134,8 +135,8 @@ mod tests {
     #[test]
     fn renders_title_headers_rows() {
         let mut t = Table::new("T", &["a", "bee"]);
-        t.row(&["1", "2"]);
-        t.row(&["333", "4"]);
+        t.row(&[&"1", &"2"]);
+        t.row(&[&"333", &"4"]);
         let text = t.to_string();
         assert!(text.contains("== T =="));
         assert!(text.contains("bee"));
@@ -146,13 +147,13 @@ mod tests {
     #[should_panic(expected = "row width")]
     fn rejects_mismatched_rows() {
         let mut t = Table::new("T", &["a", "b"]);
-        t.row(&["only one"]);
+        t.row(&[&"only one"]);
     }
 
     #[test]
     fn json_round_trips() {
         let mut t = Table::new("T", &["k", "v"]);
-        t.row(&["x", "1"]);
+        t.row(&[&"x", &"1"]);
         let json = t.to_json();
         let parsed = crate::json::from_str(&json).unwrap();
         assert_eq!(parsed[0]["k"], "x");

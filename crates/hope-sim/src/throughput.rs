@@ -12,12 +12,12 @@
 
 use std::sync::{Arc, Mutex};
 
-use bytes::Bytes;
 use hope_core::{HopeEnv, HopeReport};
 use hope_runtime::NetworkConfig;
 use hope_types::{AidId, VirtualDuration};
 
-use crate::{decode_aids, encode_aids};
+use crate::harness::run_settled;
+use crate::{decode_aids, encode_aids, encode_u64s};
 
 /// Parameters of one streaming run.
 #[derive(Debug, Clone, Copy)]
@@ -88,7 +88,7 @@ pub fn run(cfg: ThroughputConfig, trace_capacity: Option<usize>) -> ThroughputRe
                 let cost = ctx.now().as_nanos() - before.as_nanos();
                 guess_samples.lock().unwrap().push(cost as f64);
             }
-            ctx.send(consumer, 0, Bytes::from(i.to_le_bytes().to_vec()));
+            ctx.send(consumer, 0, encode_u64s(&[i]));
             // Pace the stream so link acks flow back between sends: an
             // unpaced burst outruns every ack and the tag codec would
             // (correctly, but uninterestingly) ship nothing but `Full`.
@@ -96,13 +96,7 @@ pub fn run(cfg: ThroughputConfig, trace_capacity: Option<usize>) -> ThroughputRe
         }
     });
 
-    let report = env.run();
-    assert!(report.is_clean(), "{:?}", report.run.panics);
-    assert!(
-        report.run.blocked.is_empty(),
-        "every interval must finalize: {:?}",
-        report.run.blocked
-    );
+    let report = run_settled(&mut env, &[]);
     let guess_virtual_ns = std::mem::take(&mut *guess_ns.lock().unwrap());
     let affirm_virtual_ns = std::mem::take(&mut *affirm_ns.lock().unwrap());
     ThroughputResult {

@@ -14,6 +14,8 @@ use hope_rpc::{RpcClient, RpcServer};
 use hope_runtime::NetworkConfig;
 use hope_types::VirtualDuration;
 
+use crate::harness::run_settled;
+
 /// Measured costs at one latency point.
 #[derive(Debug, Clone, Copy)]
 pub struct WaitfreeResult {
@@ -53,8 +55,7 @@ pub fn measure(latency: VirtualDuration, seed: u64) -> WaitfreeResult {
             *o.lock().unwrap() = (t1 - t0, t2 - t1);
         }
     });
-    let report = env.run();
-    assert!(report.is_clean(), "{:?}", report.run.panics);
+    run_settled(&mut env, &["echo"]);
     let (primitive_cost, rpc_cost) = *out.lock().unwrap();
     WaitfreeResult {
         latency,
@@ -71,11 +72,7 @@ pub fn sweep(latencies: &[VirtualDuration], seed: u64) -> crate::table::Table {
     );
     for &latency in latencies {
         let r = measure(latency, seed);
-        table.row(&[
-            format!("{latency}"),
-            format!("{}", r.primitive_cost),
-            format!("{}", r.rpc_cost),
-        ]);
+        table.row(&[&latency, &r.primitive_cost, &r.rpc_cost]);
     }
     table
 }
