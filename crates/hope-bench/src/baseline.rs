@@ -96,6 +96,16 @@ pub fn fit_exponent(points: &[(f64, f64)]) -> f64 {
     }
 }
 
+/// Fits the growth exponent of `points` and holds it under `ceiling`.
+pub fn fit_below(points: Vec<(f64, f64)>, ceiling: f64, regression: &str) -> f64 {
+    let exponent = fit_exponent(&points);
+    assert!(
+        exponent < ceiling,
+        "{regression}: fitted exponent {exponent:.3} >= {ceiling} over {points:?}"
+    );
+    exponent
+}
+
 /// Loads a committed baseline, if the file exists and parses.
 pub fn load(file_name: &str) -> Option<Value> {
     let text = std::fs::read_to_string(repo_root().join(file_name)).ok()?;

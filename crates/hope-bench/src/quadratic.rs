@@ -14,7 +14,7 @@
 use hope_sim::json::Value;
 use hope_sim::quadratic::{local_sweep_results, local_table, sweep, sweep_results};
 
-use crate::baseline::{fit_exponent, obj, s};
+use crate::baseline::{fit_below, obj, s};
 use crate::{Opts, Report};
 
 const DEPTHS: [u32; 7] = [1, 2, 4, 8, 16, 32, 64];
@@ -23,16 +23,6 @@ const SEED: u64 = 42;
 const EXPONENT_CEILING: f64 = 1.5;
 const SETTLED_ROUNDS: [u32; 4] = [1, 4, 16, 64];
 const LOCAL_EXPONENT_CEILING: f64 = 0.2;
-
-/// Fits the growth exponent of `points` and holds it under `ceiling`.
-fn fit_below(points: Vec<(f64, f64)>, ceiling: f64, regression: &str) -> f64 {
-    let exponent = fit_exponent(&points);
-    assert!(
-        exponent < ceiling,
-        "{regression}: fitted exponent {exponent:.3} >= {ceiling} over {points:?}"
-    );
-    exponent
-}
 
 pub(crate) fn run(o: &Opts) -> Report {
     if o.fast {

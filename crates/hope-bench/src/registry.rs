@@ -10,7 +10,7 @@ use hope_sim::{chain, chaos, disk_chaos, printer, protocol, replication, rings, 
 use hope_sim::{scientific, soak, trace_export, waitfree};
 use hope_types::VirtualDuration as D;
 
-use crate::baseline::{cells_table, obj, s, Baseline, Gate};
+use crate::baseline::{cells_table, fit_below, obj, s, Baseline, Gate};
 use crate::{ablation_policies, adaptive, cluster, quadratic, throughput, trace_demo};
 use crate::{Experiment, Opts, Report};
 
@@ -86,14 +86,7 @@ pub static EXPERIMENTS: &[Experiment] = &[
         };
         rings::sweep(sizes, 42).into()
     }),
-    sweep("E6", "rollback_depth", |o| {
-        let depths: &[u32] = if o.fast {
-            &[2, 8]
-        } else {
-            &[1, 2, 4, 8, 16, 32]
-        };
-        rollback::sweep(depths, 8, 42).into()
-    }),
+    sweep("E6/E6b", "rollback_depth", run_rollback_depth),
     sweep("E7", "scientific", |o| {
         let cfg = SolverConfig {
             workers: if o.fast { 2 } else { 4 },
@@ -147,9 +140,10 @@ pub static EXPERIMENTS: &[Experiment] = &[
     },
     Experiment {
         // The cells where a regression would erase the headline: the
-        // adaptive column at both ends of the sweep, and the optimistic
-        // low-deny cell (the fast path the controller must not tax). The
-        // optimistic high-deny cell is the *problem* being measured.
+        // adaptive column at both ends of the sweep, the optimistic
+        // low-deny cell (the fast path the controller must not tax), and
+        // the optimistic high-deny cell — a deny paid for once per queued
+        // message again (E6b) would multiply it a thousandfold.
         baseline: Some(Baseline {
             file: "BENCH_adaptive.json",
             gated: &[
@@ -158,6 +152,8 @@ pub static EXPERIMENTS: &[Experiment] = &[
                 ("adaptive_900_virtual_micros", Gate::Cost),
                 ("adaptive_900_rollbacks", Gate::Cost),
                 ("optimistic_50_virtual_micros", Gate::Cost),
+                ("optimistic_900_virtual_micros", Gate::Cost),
+                ("optimistic_900_rollbacks", Gate::Cost),
             ],
         }),
         ..alone("E-adaptive", "adaptive", adaptive::run)
@@ -182,6 +178,49 @@ pub static EXPERIMENTS: &[Experiment] = &[
         ..alone("E-cluster", "cluster", cluster::run)
     },
 ];
+
+/// E6, then (full set only — a fit needs the range) E6b: one deny with a
+/// tagged backlog queued behind it at another process costs one rollback
+/// there, whatever the backlog (DESIGN.md S8). Re-executions and HOPE
+/// messages must fit an exponent < 0.2 against the backlog and interval
+/// rollbacks < 1.2; receiving every doomed message again fits ≈ 1 and
+/// ≈ 2. The last table is information for ROADMAP 1(b), ungated.
+fn run_rollback_depth(o: &Opts) -> Report {
+    const SEED: u64 = 42;
+    if o.fast {
+        return rollback::sweep(&[2, 8], 8, SEED).into();
+    }
+    let mut report = Report::from(rollback::sweep(&[1, 2, 4, 8, 16, 32], 8, SEED));
+    let results: Vec<_> = [4, 16, 64, 256]
+        .iter()
+        .map(|&backlog| rollback::measure_backlog(backlog, SEED))
+        .collect();
+    let fit = |what: &str, ceiling: f64, of: fn(&rollback::BacklogResult) -> u64| {
+        let points = results
+            .iter()
+            .map(|r| (f64::from(r.backlog), of(r) as f64))
+            .collect();
+        let regression =
+            format!("a deny is paid for per queued message again ({what} vs. backlog)");
+        let exponent = fit_below(points, ceiling, &regression);
+        format!("{what} {exponent:.3} (ceiling {ceiling})")
+    };
+    let exponents = format!(
+        "fitted growth exponents vs. backlog: {}, {}, {}",
+        fit("re-executions", 0.2, |r| r.reexecutions),
+        fit("HOPE msgs", 0.2, |r| r.hope_messages),
+        fit("rollbacks", 1.2, |r| r.rollbacks),
+    );
+    report.push(
+        rollback::backlog_table(&results),
+        vec![exponents, String::new()],
+    );
+    report.push(
+        rollback::settled_table(&[1, 4, 16, 64], 8, SEED),
+        Vec::new(),
+    );
+    report
+}
 
 /// E-chaos: the simulator sweep, then (full set only) the same workload
 /// on the threaded runtime at 1, 2 and 4 shards — the shard count is a

@@ -16,7 +16,8 @@
 //!   world; a schedule is a list of decisions taken at branch points.
 //! * [`oracle`] — invariant oracles checked after every step and at every
 //!   terminal state: Theorem 5.1 safety, Algorithm 2 convergence,
-//!   wait-freedom step bounds, and crash-recovery equivalence.
+//!   wait-freedom step bounds, crash-recovery equivalence, and committed
+//!   outcomes equal to the never-speculating run's.
 //! * [`explore`] — bounded exhaustive DFS over delivery orders with
 //!   state-hash deduplication, on-path cycle detection (the §5.3 livelock
 //!   witness) and a sleep-set-style reduction for commuting deliveries.
@@ -44,8 +45,8 @@ pub mod world;
 
 pub use explore::{dfs, Counterexample, DfsConfig, DfsReport};
 pub use oracle::{
-    ConvergenceOracle, CrashRecoveryOracle, DemoOrderOracle, Oracle, SafetyOracle, Violation,
-    WaitFreedomOracle,
+    CommittedOutcomeOracle, ConvergenceOracle, CrashRecoveryOracle, DemoOrderOracle, Oracle,
+    SafetyOracle, Violation, WaitFreedomOracle,
 };
 pub use random::{random_walk, WalkConfig, WalkReport};
 pub use shrink::{shrink, ShrinkReport};

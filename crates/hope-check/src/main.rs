@@ -16,7 +16,10 @@
 //! durable op-logs whose crash images take seeded storage faults),
 //! `storm2-adaptive`, `storm3-adaptive`, `storm2-pessimistic`,
 //! `storm3-pessimistic` (a ring plus a persistently denied AID under the
-//! DESIGN.md §9 speculation-control policies).
+//! DESIGN.md §9 speculation-control policies), `doomed-optimistic`,
+//! `doomed-adaptive`, `doomed-pessimistic` (a denied assumption with a
+//! tagged stream queued behind it, DESIGN.md S8; committed outcomes are
+//! held to the pessimistic run's).
 //! Everything is deterministic given the flags; all run within a small
 //! fixed budget (see EXPERIMENTS.md E-check).
 
@@ -24,21 +27,27 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use hope_check::{
-    dfs, random_walk, shrink, ConvergenceOracle, CrashRecoveryOracle, DemoOrderOracle, DfsConfig,
-    Oracle, SafetyOracle, WaitFreedomOracle, WalkConfig,
+    dfs, random_walk, shrink, CommittedOutcomeOracle, ConvergenceOracle, CrashRecoveryOracle,
+    DemoOrderOracle, DfsConfig, Oracle, SafetyOracle, WaitFreedomOracle, WalkConfig,
 };
 use hope_core::HopeEnv;
-use hope_core::SpecPolicy::{self, Pessimistic};
-use hope_sim::scenarios::{chaos_ring, deny_storm, disk_ring, ring};
+use hope_core::SpecPolicy::{self, AlwaysOptimistic, Pessimistic};
+use hope_sim::scenarios::{chaos_ring, deny_storm, disk_ring, doomed_stream, ring};
+
+/// Builds a scenario from a seed.
+type Builder = fn(u64) -> HopeEnv;
 
 struct Scenario {
     name: &'static str,
-    build: fn(u64) -> HopeEnv,
+    build: Builder,
     /// Algorithm 1 scenarios are *expected* to livelock.
     expect_livelock: bool,
     /// Convergence is only promised when no message can be lost for good.
     lossless: bool,
     has_crashes: bool,
+    /// The same program under a policy that never runs ahead, for
+    /// scenarios whose processes report what they committed.
+    reference: Option<Builder>,
 }
 
 /// The storm scenarios use a threshold low enough that a single denied
@@ -50,7 +59,7 @@ fn adaptive() -> SpecPolicy {
 
 /// Name, builder from a seed, then `expect_livelock`, `lossless` and
 /// `has_crashes`: a [`Scenario`], one line each.
-type Row = (&'static str, fn(u64) -> HopeEnv, bool, bool, bool);
+type Row = (&'static str, Builder, bool, bool, bool);
 
 static SCENARIOS: &[Row] = &[
     ("ring2", |seed| ring(2, true, seed), false, true, false),
@@ -91,7 +100,37 @@ static SCENARIOS: &[Row] = &[
     ),
 ];
 
+/// [`doomed_stream`] under the policy that never runs ahead.
+const DOOMED_NEVER_AHEAD: Builder = |s| doomed_stream(Pessimistic, s);
+
+/// Scenarios whose processes report what they committed (lossless,
+/// crash-free): name, builder, and the same program under a policy that
+/// never runs ahead — its `reference`.
+static COMMITTING: &[(&str, Builder, Builder)] = &[
+    (
+        "doomed-optimistic",
+        |s| doomed_stream(AlwaysOptimistic, s),
+        DOOMED_NEVER_AHEAD,
+    ),
+    (
+        "doomed-adaptive",
+        |s| doomed_stream(adaptive(), s),
+        DOOMED_NEVER_AHEAD,
+    ),
+    ("doomed-pessimistic", DOOMED_NEVER_AHEAD, DOOMED_NEVER_AHEAD),
+];
+
 fn scenario(name: &str) -> Result<Scenario, String> {
+    if let Some(&(name, build, reference)) = COMMITTING.iter().find(|row| row.0 == name) {
+        return Ok(Scenario {
+            name,
+            build,
+            expect_livelock: false,
+            lossless: true,
+            has_crashes: false,
+            reference: Some(reference),
+        });
+    }
     let row = SCENARIOS.iter().find(|row| row.0 == name);
     let &(name, build, expect_livelock, lossless, has_crashes) =
         row.ok_or_else(|| format!("unknown scenario {name}"))?;
@@ -101,10 +140,11 @@ fn scenario(name: &str) -> Result<Scenario, String> {
         expect_livelock,
         lossless,
         has_crashes,
+        reference: None,
     })
 }
 
-fn oracles_for(s: &Scenario, max_steps: u64) -> Vec<Box<dyn Oracle>> {
+fn oracles_for(s: &Scenario, seed: u64, max_steps: u64) -> Vec<Box<dyn Oracle>> {
     let mut set: Vec<Box<dyn Oracle>> = vec![Box::new(SafetyOracle)];
     if s.lossless && !s.expect_livelock {
         set.push(Box::new(ConvergenceOracle));
@@ -112,6 +152,11 @@ fn oracles_for(s: &Scenario, max_steps: u64) -> Vec<Box<dyn Oracle>> {
     }
     if s.has_crashes {
         set.push(Box::new(CrashRecoveryOracle::default()));
+    }
+    if let Some(reference) = s.reference {
+        set.push(Box::new(CommittedOutcomeOracle::from_reference(reference(
+            seed,
+        ))));
     }
     set
 }
@@ -142,7 +187,7 @@ fn cmd_explore(args: &[String]) -> Result<(), String> {
         max_schedule_steps: num(args, "--max-steps", 2_000),
         sleep_sets: !args.iter().any(|a| a == "--no-sleep"),
     };
-    let mut oracles = oracles_for(&s, cfg.max_schedule_steps);
+    let mut oracles = oracles_for(&s, seed, cfg.max_schedule_steps);
     let start = Instant::now();
     let report = dfs(&|| (s.build)(seed), &mut oracles, &cfg);
     println!(
@@ -208,7 +253,7 @@ fn cmd_walk(args: &[String]) -> Result<(), String> {
         max_schedule_steps: num(args, "--max-steps", 10_000),
         seed: num(args, "--walk-seed", seed),
     };
-    let mut oracles = oracles_for(&s, cfg.max_schedule_steps);
+    let mut oracles = oracles_for(&s, seed, cfg.max_schedule_steps);
     let start = Instant::now();
     let report = random_walk(&|| (s.build)(seed), &mut oracles, &cfg);
     println!(
@@ -258,7 +303,7 @@ fn cmd_replay(args: &[String]) -> Result<(), String> {
                 .collect()
         })
         .unwrap_or_default();
-    let mut oracles = oracles_for(&s, u64::MAX);
+    let mut oracles = oracles_for(&s, seed, u64::MAX);
     // Counterexamples found by shrink-demo fire the deliberately broken
     // ordering oracle; opt into it to reproduce them.
     if args.iter().any(|a| a == "--demo-oracle") {
@@ -422,7 +467,14 @@ fn cmd_ci(args: &[String]) -> Result<(), String> {
         "--walk-seed".into(),
         "17".into(),
     ])?;
-    // 7. The counterexample pipeline end-to-end.
+    // 7. A denied assumption with a tagged stream queued behind it
+    //    (DESIGN.md S8), exhaustively under all three policies: what the
+    //    processes report as committed must be what the pessimistic run
+    //    reports, on every schedule.
+    for &(name, ..) in COMMITTING {
+        cmd_explore(&[name.into(), "--seed".into(), "1".into()])?;
+    }
+    // 8. The counterexample pipeline end-to-end.
     cmd_shrink_demo(&["--seed".into(), "42".into()])?;
     println!("ci suite passed in {:.2?}", start.elapsed());
     Ok(())
@@ -441,7 +493,8 @@ fn main() -> ExitCode {
         "replay" => cmd_replay(&rest),
         "shrink-demo" => cmd_shrink_demo(&rest),
         "--help" | "-h" | "help" => {
-            let names: Vec<&str> = SCENARIOS.iter().map(|row| row.0).collect();
+            let names = SCENARIOS.iter().map(|row| row.0);
+            let names: Vec<&str> = names.chain(COMMITTING.iter().map(|row| row.0)).collect();
             println!(
                 "usage: hope-check [ci|explore|walk|replay|shrink-demo] [scenario] [flags]\n\
                  scenarios: {}\n\

@@ -11,13 +11,17 @@
 //!   step bound: a livelocking protocol exceeds any bound.
 //! * [`CrashRecoveryOracle`] — §4.3 recovery: a crash/replay cycle must
 //!   preserve the definite frontier that existed when the crash fired.
+//! * [`CommittedOutcomeOracle`] — reversibility: what a scenario reports
+//!   as committed equals what it reports when it never speculates.
 //! * [`DemoOrderOracle`] — *intentionally broken*, asserting a property
 //!   the protocol never promises; used to exercise the shrinker.
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use hope_core::AidState;
+use bytes::Bytes;
+use hope_core::{AidState, HopeEnv};
 use hope_runtime::{EventDesc, PendingEvent};
+use hope_sim::scenarios::ledger_of;
 use hope_types::{AidId, IntervalId, ProcessId};
 
 use crate::world::WorldView;
@@ -275,6 +279,61 @@ impl Oracle for CrashRecoveryOracle {
             }
         }
         Ok(())
+    }
+}
+
+/// Reversibility (Theorem 5.1 read as causal consistency): speculate,
+/// deny and re-execute in any order, and what the scenario's processes
+/// report to the outside world — its `Ledger` — is what the same program
+/// reports under a policy that never runs ahead. Reports must come from
+/// definite state, so one that carries a dependency tag is a violation at
+/// the step it arrives.
+#[derive(Debug)]
+pub struct CommittedOutcomeOracle {
+    reference: Vec<(u32, Bytes)>,
+}
+
+impl CommittedOutcomeOracle {
+    /// Takes the reference outcome from `env` — the scenario built under
+    /// the never-speculating policy — by running it in default order.
+    pub fn from_reference(mut env: HopeEnv) -> Self {
+        let report = env.run();
+        assert!(report.is_clean(), "{:?}", report.run.panics);
+        let ledger = ledger_of(&env).expect("a reference scenario reports to a ledger");
+        assert!(!ledger.tainted(), "the reference reported speculatively");
+        CommittedOutcomeOracle {
+            reference: ledger.committed().to_vec(),
+        }
+    }
+}
+
+impl Oracle for CommittedOutcomeOracle {
+    fn name(&self) -> &'static str {
+        "committed-outcome"
+    }
+
+    fn check_step(&mut self, view: &WorldView) -> Result<(), Violation> {
+        if view.ledger.as_ref().is_some_and(|ledger| ledger.tainted()) {
+            return Err(violation(
+                self.name(),
+                "a process reported an outcome from a speculative interval".into(),
+            ));
+        }
+        Ok(())
+    }
+
+    fn check_terminal(&mut self, view: &WorldView) -> Result<(), Violation> {
+        let committed = view.ledger.as_ref().map(|l| l.committed());
+        if committed == Some(&self.reference[..]) {
+            return Ok(());
+        }
+        Err(violation(
+            self.name(),
+            format!(
+                "committed {committed:?}, but without speculation the program commits {:?}",
+                self.reference
+            ),
+        ))
     }
 }
 

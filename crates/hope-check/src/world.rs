@@ -4,6 +4,7 @@
 
 use hope_core::{AidMachine, HopeEnv, IntervalRecord, MetricsSnapshot};
 use hope_runtime::{PendingEvent, RunReport};
+use hope_sim::scenarios::{ledger_of, Ledger};
 use hope_types::{AidId, ProcessId};
 
 /// One environment under checker control. The checker never calls
@@ -35,6 +36,9 @@ pub struct WorldView {
     /// Tracked user processes with a rollback accepted but not yet
     /// executed by the user thread.
     pub rollbacks_pending: Vec<ProcessId>,
+    /// What the scenario's processes have reported as committed so far,
+    /// for scenarios that report to a [`Ledger`].
+    pub ledger: Option<Ledger>,
 }
 
 impl RtWorld {
@@ -92,6 +96,7 @@ impl RtWorld {
             histories,
             aids: self.env.aid_machines(),
             rollbacks_pending,
+            ledger: ledger_of(&self.env),
         }
     }
 

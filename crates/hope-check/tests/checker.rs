@@ -5,9 +5,10 @@
 
 use hope_check::explore::{replay, ReplayEnd};
 use hope_check::{
-    dfs, random_walk, shrink, ConvergenceOracle, CrashRecoveryOracle, DemoOrderOracle, DfsConfig,
-    Oracle, SafetyOracle, WaitFreedomOracle, WalkConfig,
+    dfs, random_walk, shrink, CommittedOutcomeOracle, ConvergenceOracle, CrashRecoveryOracle,
+    DemoOrderOracle, DfsConfig, Oracle, SafetyOracle, WaitFreedomOracle, WalkConfig,
 };
+use hope_core::SpecPolicy;
 use hope_sim::scenarios;
 
 fn full_oracles() -> Vec<Box<dyn Oracle>> {
@@ -150,6 +151,33 @@ fn chaos_walks_preserve_safety_and_crash_recovery() {
     );
     assert!(report.violation.is_none(), "{:?}", report.violation);
     assert!(report.terminal_runs > 0);
+}
+
+/// The doomed stream under unconditional optimism commits what it
+/// commits when it never speculates (the exhaustive version is the CI
+/// job's), and a program that reports something else is caught.
+#[test]
+fn committed_outcomes_are_held_to_the_never_speculating_run() {
+    let reference = || -> Box<dyn Oracle> {
+        let pessimistic = scenarios::doomed_stream(SpecPolicy::Pessimistic, 1);
+        Box::new(CommittedOutcomeOracle::from_reference(pessimistic))
+    };
+    let walk = WalkConfig {
+        schedules: 40,
+        max_schedule_steps: 2_000,
+        seed: 3,
+    };
+    let build = || scenarios::doomed_stream(SpecPolicy::AlwaysOptimistic, 1);
+    let mut oracles = full_oracles();
+    oracles.push(reference());
+    let report = random_walk(&build, &mut oracles, &walk);
+    assert!(report.violation.is_none(), "{:?}", report.violation);
+    assert_eq!(report.terminal_runs, 40, "every schedule must quiesce");
+
+    let silent = || scenarios::ring(2, true, 1);
+    let report = random_walk(&silent, &mut [reference()], &walk);
+    let caught = report.violation.expect("a ring reports nothing");
+    assert_eq!(caught.violation.oracle, "committed-outcome");
 }
 
 #[test]

@@ -220,12 +220,12 @@ impl<'a> ProcessCtx<'a> {
 
     /// Returns an AID from `tag` that this process has already observed
     /// being denied, if any. A message carrying such a tag is *doomed*:
-    /// receiving it would open an interval whose rollback is certain.
-    /// Only consulted when an adaptive/pessimistic policy is active —
-    /// the default optimistic path never inspects `known_denied`.
+    /// receiving it would open an interval whose rollback is certain, and
+    /// its sender has been unwound past the send. The one place a doomed
+    /// message is dropped, under every policy (DESIGN.md S8).
     fn doomed_aid(&self, tag: &IdoSet) -> Option<AidId> {
         let state = self.lib.lock();
-        if !state.spec.is_active() || state.known_denied.is_empty() {
+        if state.known_denied.is_empty() {
             return None;
         }
         tag.iter().copied().find(|a| state.known_denied.contains(a))
@@ -379,16 +379,20 @@ impl<'a> ProcessCtx<'a> {
     /// holds the optimistic algorithm, the `false` branch the pessimistic
     /// one.
     ///
+    /// A guess on an AID this process has already been told is denied (a
+    /// caused rollback named it) returns `false` immediately, without
+    /// opening an interval — the outcome the rollback would have produced
+    /// (DESIGN.md S8).
+    ///
     /// Under [`SpecPolicy::Adaptive`](hope_types::SpecPolicy) or
     /// [`SpecPolicy::Pessimistic`](hope_types::SpecPolicy) this primitive
-    /// deliberately trades its wait-freedom for bounded waste: a guess on
-    /// an AID known to be denied returns `false` immediately without
-    /// opening an interval; a guess past the configured speculation depth
-    /// waits for the chain to drain; and a guess while throttled (or
-    /// always, under `Pessimistic`) opens its interval but then waits for
-    /// the assumption to resolve before continuing — the pessimistic
-    /// regime. Progress is still guaranteed whenever the assumption is
-    /// eventually resolved, exactly the contract of
+    /// deliberately trades its wait-freedom for bounded waste: a guess
+    /// past the configured speculation depth waits for the chain to
+    /// drain; and a guess while throttled (or always, under
+    /// `Pessimistic`) opens its interval but then waits for the
+    /// assumption to resolve before continuing — the pessimistic regime.
+    /// Progress is still guaranteed whenever the assumption is eventually
+    /// resolved, exactly the contract of
     /// [`await_definite`](ProcessCtx::await_definite).
     pub fn guess(&mut self, aid: AidId) -> bool {
         if let Some(outcome) = self.replayed("Guess", |op| match op {
@@ -398,17 +402,11 @@ impl<'a> ProcessCtx<'a> {
             return outcome;
         }
         self.check_rollback();
-        // Adaptive speculation control (DESIGN.md §9); every gate is a
-        // no-op under the default AlwaysOptimistic policy.
-        let (spec_active, known_denied, max_depth) = {
+        let (known_denied, max_depth) = {
             let state = self.lib.lock();
-            (
-                state.spec.is_active(),
-                state.is_known_denied(&aid),
-                state.spec.max_depth(),
-            )
+            (state.is_known_denied(&aid), state.spec.max_depth())
         };
-        if spec_active && known_denied {
+        if known_denied {
             // The AID is provably False: an interval opened on it would be
             // doomed on arrival of its own registration. Resolve on the
             // spot with the outcome the rollback would have produced.
@@ -420,6 +418,8 @@ impl<'a> ProcessCtx<'a> {
             self.discard_doomed(aid, false);
             return false;
         }
+        // Speculation control (DESIGN.md §9) governs only waiting; both
+        // gates are no-ops under the default AlwaysOptimistic policy.
         if let Some(max_depth) = max_depth {
             // Bounded speculation depth: a deny storm must not build an
             // arbitrarily deep rollback cascade, so wait for the
@@ -695,10 +695,8 @@ impl<'a> ProcessCtx<'a> {
             let received = self.sys.try_receive(channel);
             match received {
                 Some(r) => {
-                    // Doomed-interval cancellation: see `receive`. The
-                    // discarded message is never logged, so the op stream
-                    // only ever records deliveries that opened (or skipped
-                    // opening) an interval for real.
+                    // Doomed-interval cancellation, as in `receive`: never
+                    // logged, so the op records only real deliveries.
                     if let Some(doomed) = self.doomed_aid(&r.msg.tag) {
                         self.discard_doomed(doomed, true);
                         continue;

@@ -344,8 +344,10 @@ fn perform_rollback(
     }
     // Restore messages consumed inside the discarded region to the mailbox
     // in their original order (a process-image restore would restore the
-    // input queue). Tainted survivors are filtered out naturally when
-    // re-received: their implicit guess hits a False AID.
+    // input queue). Tainted survivors are dropped when re-received:
+    // `handle_rollback` latched the cause before this thread unwound, so
+    // `receive`'s known-denied gate sees them (DESIGN.md S8). One whose
+    // tag names only *other* assumptions is received as usual.
     let requeue: Vec<hope_runtime::Received> = removed
         .into_iter()
         .filter_map(|op| match op {

@@ -80,15 +80,15 @@ pub struct LibState {
     pub(crate) next_channel_seq: u32,
     /// Adaptive speculation control (DESIGN.md §9): the per-process
     /// deny-rate EWMA controller fed from the rollback-attribution path
-    /// and interval finalization. Inert under
-    /// [`SpecPolicy::AlwaysOptimistic`](hope_types::SpecPolicy).
+    /// and interval finalization. Observes nothing under `AlwaysOptimistic`
+    /// (only its count of cancellations, which every policy makes, moves).
     pub(crate) spec: SpecController,
-    /// AIDs this process has *proof* are denied: every `Rollback` message
-    /// carries its cause only when the AID resolved `False`, so members
-    /// are definitively dead. Used for early doomed-interval cancellation:
-    /// a tagged message intersecting this set is discarded before its
+    /// AIDs this process has *proof* are denied: a `Rollback` carries its
+    /// cause only when the AID resolved `False`, which is absorbing, so
+    /// members are definitively dead. Under every policy (DESIGN.md S8) a
+    /// tagged message intersecting this set is dropped before its
     /// implicit interval opens, and a `guess` on a member short-circuits
-    /// to `false`. Only populated while the controller is active.
+    /// to `false`.
     pub(crate) known_denied: IdoSet,
     /// True while the user thread is parked in a speculation-control wait
     /// (pessimistic-regime or depth gate). `Control` then wakes the
@@ -101,7 +101,10 @@ pub struct LibState {
 
 /// Members [`LibState::known_denied`] may hold before the oldest (lowest
 /// AID — creation order) is dropped; dead assumptions lose cancellation
-/// value with age, and the set must not grow with run length.
+/// value with age, and the set must not grow with run length. The set is
+/// an optimisation: losing a member — or all of it, as a real crash
+/// would — is always safe, because whatever it would have dropped is
+/// received, registers with the `False` AID and is rolled back instead.
 const KNOWN_DENIED_CAP: usize = 4096;
 
 impl LibState {
@@ -195,9 +198,6 @@ impl LibState {
     /// send a caused `Rollback`). Bounded: the oldest member is dropped
     /// past [`KNOWN_DENIED_CAP`].
     pub(crate) fn note_denied(&mut self, aid: AidId) {
-        if !self.spec.is_active() {
-            return;
-        }
         self.known_denied.insert(aid);
         if self.known_denied.len() > KNOWN_DENIED_CAP {
             let oldest = self.known_denied.as_slice()[0];
@@ -276,8 +276,9 @@ impl LibState {
         api: &mut dyn ControlApi,
     ) {
         // A caused Rollback is proof of a deny: `AidMachine` attaches the
-        // cause only from its `False` state. Latch it for early
-        // cancellation even when the message is otherwise stale.
+        // cause only from its `False` state. Latch it even when the message
+        // is otherwise stale, and before the wake below: the re-execution
+        // it triggers must already drop what the rollback requeues.
         if let Some(c) = cause {
             self.note_denied(c);
         }
@@ -626,6 +627,27 @@ mod tests {
         assert_eq!(lib.pending_rollback, None);
         assert_eq!(lib.metrics().late_rollbacks.load(Ordering::Relaxed), 1);
         assert_eq!(api.wakes, 0);
+    }
+
+    /// Every caused rollback latches its cause under the default policy,
+    /// stale or not, and the set stops at its cap by forgetting the
+    /// oldest assumption.
+    #[test]
+    fn known_denied_latches_every_cause_and_evicts_the_lowest_at_the_cap() {
+        let mut lib = bound_lib();
+        let mut api = FakeApi::default();
+        for n in 0..=KNOWN_DENIED_CAP as u64 {
+            let stale = HopeMessage::Rollback {
+                iid: IntervalId::new(pid(1), 77),
+                cause: Some(aid(n)),
+            };
+            lib.handle_control(aid(n).process(), stale, &mut api);
+        }
+        assert_eq!(lib.known_denied.len(), KNOWN_DENIED_CAP);
+        assert!(!lib.is_known_denied(&aid(0)), "the lowest is gone");
+        assert!(lib.is_known_denied(&aid(1)));
+        assert!(lib.is_known_denied(&aid(KNOWN_DENIED_CAP as u64)));
+        assert_eq!(lib.pending_rollback, None, "a stale rollback only latches");
     }
 
     #[test]

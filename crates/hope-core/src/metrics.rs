@@ -44,8 +44,7 @@ pub struct HopeMetrics {
     pub crash_recoveries: AtomicU64,
     /// Doomed speculative intervals cancelled *before* they ran: stale
     /// tagged messages discarded pre-receive and guesses on known-denied
-    /// AIDs short-circuited to `false` (adaptive speculation control,
-    /// DESIGN.md §9). Zero under `SpecPolicy::AlwaysOptimistic`.
+    /// AIDs short-circuited to `false` (DESIGN.md S8; every policy).
     pub cancelled_intervals: AtomicU64,
     /// Per-cause rollback attribution: which deny (or crash) wasted how
     /// much work. Charged at rollback time by the environment loop; only

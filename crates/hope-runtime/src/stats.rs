@@ -350,10 +350,10 @@ pub struct RunReport {
     /// runtimes report an empty table; the HOPE environments fill it from
     /// their metrics before handing the report to callers.
     pub attribution: hope_types::RollbackAttribution,
-    /// Doomed intervals proactively cancelled by adaptive speculation
-    /// control (messages discarded pre-guess plus guesses short-circuited
-    /// on known-denied AIDs). Like `attribution`, the bare runtimes report
-    /// zero; the HOPE environments fill it from their metrics.
+    /// Doomed intervals proactively cancelled (messages discarded
+    /// pre-guess plus guesses short-circuited on known-denied AIDs). Like
+    /// `attribution`, the bare runtimes report zero; the HOPE environments
+    /// fill it from their metrics.
     pub cancelled_intervals: u64,
 }
 

@@ -11,7 +11,7 @@
 //! | [`waitfree`]   | E4    | §5's wait-free design criterion |
 //! | [`quadratic`]  | E5, E5b | §6's "quadratic in the number of intervals and AIDs"; §5's commit point: local work per tagged receive flat in settled history |
 //! | [`rings`]      | F13/F14 | interference cycles and Algorithm 2's detection |
-//! | [`rollback`]   | E6    | rollback/replay cost vs. speculation depth |
+//! | [`rollback`]   | E6, E6b | rollback/replay cost vs. speculation depth; one deny vs. the tagged backlog queued behind it |
 //! | [`scientific`] | E7    | optimistic convergence detection (\[6\]: scientific programming) |
 //! | [`replication`] | E8   | optimistic replication conflict churn (\[5\]) |
 //! | [`soak`]       | E9    | mixed load: latency percentiles under rollback pressure |

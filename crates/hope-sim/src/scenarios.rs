@@ -8,12 +8,15 @@
 //! the way. Scenario builders return an un-run [`HopeEnv`]; the checker
 //! drives it step by step through the runtime's scheduler hook.
 
+use std::hash::{Hash, Hasher};
+
+use bytes::Bytes;
 use hope_core::{DurableConfig, HopeEnv, HopeEnvBuilder, SpecPolicy, SyncPolicy};
-use hope_runtime::{FaultPlan, NetworkConfig};
-use hope_types::{AidId, ProcessId, VirtualDuration, VirtualTime};
+use hope_runtime::{Actor, ActorApi, FaultPlan, NetworkConfig};
+use hope_types::{AidId, Envelope, Payload, ProcessId, VirtualDuration, VirtualTime};
 
 use crate::rings::spawn_ring;
-use crate::{decode_aids, encode_aids};
+use crate::{aid_of, decode_aids, decode_u64s, encode_aids, encode_u64s};
 
 /// What every checker scenario is built on: a zero-latency network,
 /// Algorithm 2 and a generous event limit.
@@ -106,6 +109,134 @@ pub fn deny_storm(n: usize, policy: SpecPolicy, seed: u64) -> HopeEnv {
     env
 }
 
+/// The world outside the computation: an actor that keeps every user
+/// message sent to it. A scenario's processes report what they committed
+/// to it — from definite state, as output must be (paper §3) — and the
+/// checker compares that across schedules and policies.
+#[derive(Debug, Default, Clone)]
+pub struct Ledger {
+    entries: Vec<(u32, Bytes)>,
+    tainted: bool,
+}
+
+impl Ledger {
+    /// The `(channel, payload)` of every message received, sorted: who
+    /// reported first is up to the schedule, what was reported is not.
+    pub fn committed(&self) -> &[(u32, Bytes)] {
+        &self.entries
+    }
+
+    /// True if any report carried a dependency tag, i.e. was sent from a
+    /// speculative interval.
+    pub fn tainted(&self) -> bool {
+        self.tainted
+    }
+}
+
+impl Actor for Ledger {
+    fn on_message(&mut self, envelope: Envelope, _api: &mut dyn ActorApi) {
+        if let Payload::User(msg) = envelope.payload {
+            self.tainted |= !msg.tag.is_empty();
+            let entry = (msg.channel, msg.data);
+            let at = self.entries.partition_point(|held| held <= &entry);
+            self.entries.insert(at, entry);
+        }
+    }
+
+    fn describe(&self) -> String {
+        "ledger".to_string()
+    }
+
+    fn state_hash(&self) -> u64 {
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        (&self.entries, self.tainted).hash(&mut h);
+        h.finish()
+    }
+
+    fn as_any(&self) -> Option<&dyn std::any::Any> {
+        Some(self)
+    }
+}
+
+const CH_REQUEST: u32 = 0;
+const CH_PROGRESS: u32 = 1;
+const CH_DONE: u32 = 2;
+/// Ledger channel of the worker's branch vector (progress payloads are
+/// reported on [`CH_PROGRESS`]).
+const CH_BRANCHES: u32 = 3;
+
+/// A denied assumption with a tagged stream queued behind it — the
+/// receive side of DESIGN.md S8, which `deny_storm` (guesses only) never
+/// reaches. The worker runs two rounds of `aid_init` / request / `guess` /
+/// two progress messages and settles after each; the resolver denies
+/// round 0 and affirms round 1, then takes the progress it is told to
+/// expect. Round 0's progress carries the doomed AID and is still queued
+/// by then: the first copy the resolver consumes rolls it back, the
+/// second must be dropped on sight — or, where the checker delivers it
+/// late, rolled back in its turn. Both processes report what they
+/// committed to a [`Ledger`]: the branch vector `[false, true]` and round
+/// 1's two progress payloads, on every schedule and under every policy.
+///
+/// The checker does not keep a link FIFO, so the resolver reads by
+/// channel: a verdict must not wait on a message tagged with the
+/// assumption it decides.
+pub fn doomed_stream(policy: SpecPolicy, seed: u64) -> HopeEnv {
+    let mut env = checker_env(seed).spec_policy(policy).build();
+    let ledger = env
+        .runtime_mut()
+        .spawn_actor("ledger", Box::new(Ledger::default()));
+    let resolver = env.spawn_user("resolver", move |ctx| {
+        for _ in 0..2 {
+            let request = decode_u64s(&ctx.receive(Some(CH_REQUEST)).data);
+            ctx.await_definite();
+            if request[0] == 0 {
+                ctx.deny(aid_of(request[1]));
+            } else {
+                ctx.affirm(aid_of(request[1]));
+            }
+        }
+        let expected = decode_u64s(&ctx.receive(Some(CH_DONE)).data)[0];
+        let progress: Vec<Bytes> = (0..expected)
+            .map(|_| ctx.receive(Some(CH_PROGRESS)).data)
+            .collect();
+        ctx.await_definite();
+        for payload in progress {
+            ctx.send(ledger, CH_PROGRESS, payload);
+        }
+    });
+    env.spawn_user("worker", move |ctx| {
+        let mut branches = Vec::new();
+        for round in 0..2 {
+            let aid = ctx.aid_init();
+            let request = [round, aid.process().as_raw()];
+            ctx.send(resolver, CH_REQUEST, encode_u64s(&request));
+            let taken = ctx.guess(aid);
+            if taken {
+                for k in 0..2 {
+                    ctx.send(resolver, CH_PROGRESS, encode_u64s(&[round, k]));
+                }
+            }
+            branches.push(u64::from(taken));
+            ctx.await_definite();
+        }
+        let sent = 2 * branches.iter().sum::<u64>();
+        ctx.send(resolver, CH_DONE, encode_u64s(&[sent]));
+        ctx.send(ledger, CH_BRANCHES, encode_u64s(&branches));
+    });
+    env
+}
+
+/// A snapshot of `env`'s [`Ledger`], if the scenario has one.
+pub fn ledger_of(env: &HopeEnv) -> Option<Ledger> {
+    let rt = env.runtime();
+    rt.actor_pids().into_iter().find_map(|pid| {
+        rt.actor_ref(pid)?
+            .as_any()?
+            .downcast_ref::<Ledger>()
+            .cloned()
+    })
+}
+
 /// The chaos ring with **durable op-logs and storage faults**: every
 /// process journals to a segmented WAL, and ring-0's crash image takes a
 /// seeded storage fault (torn final record, lost fsync window, or bit
@@ -165,6 +296,29 @@ mod tests {
                 let history = env.history_of(pid).expect("tracked");
                 assert!(history.iter().all(|r| r.definite), "{policy:?}");
             }
+        }
+    }
+
+    #[test]
+    fn doomed_stream_commits_the_same_outcome_under_every_policy() {
+        let committed = vec![
+            (CH_PROGRESS, encode_u64s(&[1, 0])),
+            (CH_PROGRESS, encode_u64s(&[1, 1])),
+            (CH_BRANCHES, encode_u64s(&[0, 1])),
+        ];
+        let policies = [
+            SpecPolicy::AlwaysOptimistic,
+            SpecPolicy::adaptive(0.1, 4, 0.05).unwrap(),
+            SpecPolicy::Pessimistic,
+        ];
+        for policy in policies {
+            let mut env = doomed_stream(policy, 1);
+            let report = env.run();
+            assert!(report.is_clean(), "{policy:?}: {:?}", report.run.panics);
+            assert!(report.run.blocked.is_empty(), "{policy:?}");
+            let ledger = ledger_of(&env).expect("the scenario has a ledger");
+            assert!(!ledger.tainted(), "{policy:?}");
+            assert_eq!(ledger.committed(), committed, "{policy:?}");
         }
     }
 

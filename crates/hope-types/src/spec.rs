@@ -16,6 +16,12 @@
 //! pessimistic transactional memory — and leaves it again once the EWMA
 //! recovers below `threshold - hysteresis`.
 //!
+//! A policy governs *waiting* and nothing else. Acting on an assumption
+//! already proven `False` — dropping a message tagged with it, answering
+//! a guess of it with `false` — is not a policy matter: every process
+//! does it under every policy (DESIGN.md S8). The controller only keeps
+//! the count.
+//!
 //! All arithmetic is integer Q16 fixed point ([`SPEC_EWMA_ONE`] = 1.0) so
 //! the simulated and threaded runtimes agree bit-for-bit per seed; no
 //! float ever enters the hot path.
@@ -40,9 +46,8 @@ pub const SPEC_PER_AID_CAP: usize = 1024;
 /// When (and whether) `guess` speculates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SpecPolicy {
-    /// The paper's behaviour: every guess eagerly returns `true`. The
-    /// controller is inert and the guess path is byte-for-byte the
-    /// pre-controller one.
+    /// The paper's behaviour: every guess eagerly returns `true` and
+    /// nothing ever waits. The controller observes nothing.
     #[default]
     AlwaysOptimistic,
     /// Closed-loop throttling. Guesses are optimistic until the observed
@@ -238,7 +243,8 @@ pub struct SpecSnapshot {
     pub flips: u64,
     /// Doomed speculative work cancelled early by this process: stale
     /// tagged messages discarded before opening an interval, plus guesses
-    /// on known-denied AIDs short-circuited to `false`.
+    /// on known-denied AIDs short-circuited to `false`. Counted under
+    /// every policy.
     pub cancelled: u64,
     /// AIDs currently tracked in the per-AID table.
     pub tracked_aids: u64,
@@ -274,9 +280,8 @@ impl SpecController {
         self.policy
     }
 
-    /// True when the controller can ever change behaviour — callers skip
-    /// all bookkeeping under [`SpecPolicy::AlwaysOptimistic`] so the
-    /// default guess path stays byte-identical to the pre-controller one.
+    /// True when the controller can ever make a guess wait — callers skip
+    /// the deny-rate bookkeeping under [`SpecPolicy::AlwaysOptimistic`].
     pub fn is_active(&self) -> bool {
         self.policy != SpecPolicy::AlwaysOptimistic
     }
