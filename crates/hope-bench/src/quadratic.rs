@@ -8,11 +8,17 @@
 //! interval a process ever opened, so a second sweep counts the records
 //! history queries examine in one depth-8 round after N settled ones.
 //! Per tagged receive that must be flat in N (exponent < 0.2; a scan from
-//! the front fits ≈ 1). A fit needs the full range, so `--fast` prints
-//! the E5 table alone.
+//! the front fits ≈ 1). Nor can they show a `Replace` that deep-copies
+//! the dependency set of every live interval it reaches: a third sweep
+//! grows the live window at 8 distinct sets and counts those copies
+//! (`ido_unshares`), which must be flat in the holder count (exponent
+//! < 0.2; one copy per holder fits ≈ 1). A fit needs the full range, so
+//! `--fast` prints the E5 table alone.
 
 use hope_sim::json::Value;
-use hope_sim::quadratic::{local_sweep_results, local_table, sweep, sweep_results};
+use hope_sim::quadratic::{
+    holders_table, local_sweep_results, local_table, measure_holders, sweep, sweep_results,
+};
 
 use crate::baseline::{fit_below, obj, s};
 use crate::{Opts, Report};
@@ -23,6 +29,8 @@ const SEED: u64 = 42;
 const EXPONENT_CEILING: f64 = 1.5;
 const SETTLED_ROUNDS: [u32; 4] = [1, 4, 16, 64];
 const LOCAL_EXPONENT_CEILING: f64 = 0.2;
+/// Tagged messages per guess: 8 to 512 live intervals at the consumer.
+const PER_GUESS: [u32; 4] = [1, 4, 16, 64];
 
 pub(crate) fn run(o: &Opts) -> Report {
     if o.fast {
@@ -59,8 +67,32 @@ pub(crate) fn run(o: &Opts) -> Report {
     );
     report.push(
         local_table(&local),
+        vec![
+            format!(
+                "fitted growth exponent of visits/receive: {local_exponent:.3} \
+                 (ceiling {LOCAL_EXPONENT_CEILING})"
+            ),
+            String::new(),
+        ],
+    );
+
+    let holders: Vec<_> = PER_GUESS
+        .iter()
+        .map(|&per_guess| measure_holders(per_guess, SEED))
+        .collect();
+    let unshare_exponent = fit_below(
+        holders
+            .iter()
+            .map(|r| (f64::from(r.live_intervals), r.ido_unshares as f64))
+            .collect(),
+        LOCAL_EXPONENT_CEILING,
+        "a Replace deep-copies the IDO of every holder again (ido unshares vs. live \
+         intervals)",
+    );
+    report.push(
+        holders_table(&holders),
         vec![format!(
-            "fitted growth exponent of visits/receive: {local_exponent:.3} \
+            "fitted growth exponent of ido unshares: {unshare_exponent:.3} \
              (ceiling {LOCAL_EXPONENT_CEILING})"
         )],
     );

@@ -6,8 +6,8 @@ use hope_sim::chaos::ChaosConfig;
 use hope_sim::disk_chaos::DiskChaosConfig;
 use hope_sim::scientific::SolverConfig;
 use hope_sim::soak::SoakConfig;
-use hope_sim::{chain, chaos, disk_chaos, printer, protocol, replication, rings, rollback};
-use hope_sim::{scientific, soak, trace_export, waitfree};
+use hope_sim::{chain, chaos, disk_chaos, link_budget, printer, protocol, replication, rings};
+use hope_sim::{rollback, scientific, soak, trace_export, waitfree};
 use hope_types::VirtualDuration as D;
 
 use crate::baseline::{cells_table, fit_below, obj, s, Baseline, Gate};
@@ -126,6 +126,7 @@ pub static EXPERIMENTS: &[Experiment] = &[
         soak::sweep(accuracies, cfg).into()
     }),
     sweep("E-chaos", "chaos", run_chaos),
+    sweep("E-link", "link_budget", run_link_budget),
     Experiment {
         baseline: Some(Baseline {
             file: "BENCH_throughput.json",
@@ -248,6 +249,68 @@ fn run_chaos(o: &Opts) -> Report {
         ));
     }
     Report::new(table, notes)
+}
+
+/// E-link: the reliable sublayer costs per link, not per message. One
+/// burst on one link, every fired event classified. Fault-free: at most
+/// 1.4 link events, 0.25 acks and 0.05 timer fires per message and no
+/// retransmission (an ack and a timer per message is 3.0 / 1.0 / 1.0).
+/// With one copy in ten dropped: every message delivered exactly once,
+/// none abandoned, and the link settled within twice the virtual time a
+/// timer per message took (those times, for this seed, are the table
+/// below). See EXPERIMENTS.md E-link.
+fn run_link_budget(o: &Opts) -> Report {
+    const SEED: u64 = 42;
+    /// `(messages, ns to settle with a timer per message)` at drop 0.1.
+    const PER_MESSAGE_TIMERS_SETTLED: [(u64, u64); 3] =
+        [(64, 13_750_000), (256, 8_750_000), (1024, 13_750_000)];
+    let sizes = if o.fast {
+        &PER_MESSAGE_TIMERS_SETTLED[1..2]
+    } else {
+        &PER_MESSAGE_TIMERS_SETTLED[..]
+    };
+    let clean: Vec<_> = sizes
+        .iter()
+        .map(|&(n, _)| link_budget::measure(n, 0.0, SEED))
+        .collect();
+    for r in &clean {
+        assert_eq!(r.delivered, r.messages, "{r:?}");
+        assert_eq!((r.retransmits, r.abandoned), (0, 0), "{r:?}");
+        assert!(
+            r.events_per_message() <= 1.4
+                && r.acks_per_message() <= 0.25
+                && r.timers_per_message() <= 0.05,
+            "the sublayer costs per message again: {r:?}"
+        );
+    }
+    let lossy: Vec<_> = sizes
+        .iter()
+        .map(|&(n, _)| link_budget::measure(n, 0.1, SEED))
+        .collect();
+    for (r, &(_, before)) in lossy.iter().zip(sizes) {
+        assert_eq!(r.delivered, r.messages, "exactly once: {r:?}");
+        assert_eq!(r.abandoned, 0, "{r:?}");
+        assert!(
+            r.settled_at.as_nanos() <= 2 * before,
+            "slower to settle than a timer per message by more than 2x ({before} ns): {r:?}"
+        );
+    }
+    let mut report = Report::default();
+    report.push(
+        link_budget::table(
+            "E-link: link-layer events per message, one burst on one fault-free link",
+            &clean,
+        ),
+        vec![String::new()],
+    );
+    report.push(
+        link_budget::table(
+            "E-link: the same burst with one copy in ten dropped",
+            &lossy,
+        ),
+        Vec::new(),
+    );
+    report
 }
 
 /// E-disk: the drop-rate sweep, a many-seed soak and one threaded run.

@@ -335,16 +335,41 @@ impl LibState {
             return;
         }
         let mut cycles_broken = 0u64;
+        let mut ido_unshares = 0u64;
+        // The last holder substituted element by element: its sets before
+        // and after, and the cycles it broke. Holders inherit their sets
+        // from their predecessors, so they come in runs of equal
+        // `(ido, udo)`, and a holder equal to that one *before* is equal
+        // to it *after*: every decision below reads only the holder's own
+        // two sets, except `held_before` — and whatever the earlier holder
+        // acquired, it now holds at a lower position, so no `Guess` is
+        // sent for the later one either way. Taking clones of the result
+        // keeps the run sharing one storage instead of un-sharing every
+        // member of it.
+        struct Substituted {
+            before: (IdoSet, IdoSet),
+            after: (IdoSet, IdoSet),
+            cycles_broken: u64,
+        }
+        let mut last: Option<Substituted> = None;
         for pos in target..self.history.intervals().len() {
-            {
-                let rec = &self.history.intervals()[pos];
-                // The registrant applies the substitution unconditionally;
-                // later intervals only when they inherited the sender.
-                if rec.definite || (pos > target && !rec.ido.contains(&sender)) {
+            let rec = &self.history.intervals()[pos];
+            // The registrant applies the substitution unconditionally;
+            // later intervals only when they inherited the sender.
+            if rec.definite || (pos > target && !rec.ido.contains(&sender)) {
+                continue;
+            }
+            if let Some(run) = &last {
+                if rec.ido == run.before.0 && rec.udo == run.before.1 {
+                    let rec = &mut self.history.intervals_mut()[pos];
+                    (rec.ido, rec.udo) = run.after.clone();
+                    cycles_broken += run.cycles_broken;
                     continue;
                 }
             }
-            let pos_iid = self.history.intervals()[pos].id;
+            let before = (rec.ido.clone(), rec.udo.clone());
+            let cycles_before = cycles_broken;
+            let pos_iid = rec.id;
             for &y in replacement.iter() {
                 let rec = &self.history.intervals()[pos];
                 if cycle_detection && rec.udo.contains(&y) {
@@ -370,7 +395,19 @@ impl LibState {
             let rec = &mut self.history.intervals_mut()[pos];
             rec.ido.remove(&sender);
             rec.udo.insert(sender);
+            // A set on the heap that no longer shares `before`'s storage
+            // was deep-copied to be changed.
+            let on_heap = before.0.shares_storage(&before.0);
+            ido_unshares += u64::from(on_heap && !rec.ido.shares_storage(&before.0));
+            last = Some(Substituted {
+                before,
+                after: (rec.ido.clone(), rec.udo.clone()),
+                cycles_broken: cycles_broken - cycles_before,
+            });
         }
+        self.metrics
+            .ido_unshares
+            .fetch_add(ido_unshares, Ordering::Relaxed);
         if cycles_broken > 0 {
             self.metrics
                 .cycles_broken
@@ -754,6 +791,70 @@ mod tests {
             matches!(guesses[0].1, HopeMessage::Guess { iid } if iid == a),
             "the earliest acquiring interval is the registrant"
         );
+    }
+
+    /// Holders come in runs of equal sets (a receive with nothing new in
+    /// its tag inherits its predecessor's). The substitution is worked
+    /// out once per run and shared, and the result is what working it out
+    /// per holder gives.
+    #[test]
+    fn replace_is_applied_once_per_run_of_equal_holders() {
+        const RUN: usize = 50;
+        let mut lib = bound_lib();
+        // Three runs: {1..5}, {1..6}, {1..7} — on the heap, past the
+        // inline tier.
+        let mut holders = Vec::new();
+        for (op, fresh) in [(0, 5), (1, 6), (2, 7)] {
+            let origin = IntervalOrigin::ExplicitGuess { op };
+            let first = if op == 0 { 1..=5 } else { fresh..=fresh };
+            holders.push(lib.history.open_interval(origin, first.map(aid)));
+            for _ in 1..RUN {
+                let origin = IntervalOrigin::ImplicitReceive { op };
+                holders.push(lib.history.open_interval(origin, []));
+            }
+        }
+        let mut api = FakeApi::default();
+        let replace = |lib: &mut LibState, api: &mut FakeApi, sender: u64, ido: &[u64]| {
+            let ido = ido.iter().map(|&n| aid(n)).collect();
+            let iid = holders[0];
+            lib.handle_control(
+                aid(sender).process(),
+                HopeMessage::Replace { iid, ido },
+                api,
+            );
+        };
+        // 1 -> {8, 9}: every holder has 1; 8 and 9 are new to all.
+        replace(&mut lib, &mut api, 1, &[8, 9]);
+        let unshares = |lib: &LibState| lib.metrics().ido_unshares.load(Ordering::Relaxed);
+        assert_eq!(unshares(&lib), 3, "one deep copy per run, not per holder");
+        for (at, iid) in holders.iter().enumerate() {
+            let rec = lib.history.get(*iid).unwrap();
+            let mut want: Vec<u64> = (2..=5 + (at / RUN) as u64).collect();
+            want.extend([8, 9]);
+            let want: IdoSet = want.into_iter().map(aid).collect();
+            assert_eq!(rec.ido, want, "holder {at}");
+            assert_eq!(rec.udo.as_slice(), &[aid(1)], "holder {at}");
+            let head = lib.history.get(holders[at / RUN * RUN]).unwrap();
+            assert!(
+                rec.ido.shares_storage(&head.ido),
+                "holder {at} shares its run's set"
+            );
+        }
+        let guesses = |api: &FakeApi| {
+            let to = api.sent.iter().filter_map(|(to, m)| {
+                matches!(m, HopeMessage::Guess { iid } if *iid == holders[0]).then_some(*to)
+            });
+            to.collect::<Vec<_>>()
+        };
+        let registered = [aid(8).process(), aid(9).process()];
+        assert_eq!(guesses(&api), registered, "by the first holder only");
+        // 8 -> {1}: 1 is in every UDO, so each holder breaks the cycle.
+        api.sent.clear();
+        replace(&mut lib, &mut api, 8, &[1]);
+        let broken = lib.metrics().cycles_broken.load(Ordering::Relaxed);
+        assert_eq!(broken, 3 * RUN as u64, "counted per holder all the same");
+        assert_eq!(guesses(&api), [], "nothing acquired");
+        assert_eq!(unshares(&lib), 6);
     }
 
     #[test]

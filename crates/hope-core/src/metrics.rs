@@ -37,6 +37,10 @@ pub struct HopeMetrics {
     pub aid_contract_violations: AtomicU64,
     /// Dependencies discarded by Algorithm 2's UDO cycle detection.
     pub cycles_broken: AtomicU64,
+    /// Deep copies of a shared `IDO` made by `Replace` handling: local
+    /// bookkeeping work, which no message count shows. One per run of
+    /// equal holders, not one per holder (E5b).
+    pub ido_unshares: AtomicU64,
     /// AID processes garbage-collected by reference counting.
     pub aids_collected: AtomicU64,
     /// Crash recoveries performed: restarts that discarded speculative
@@ -84,6 +88,8 @@ pub struct MetricsSnapshot {
     pub aid_contract_violations: u64,
     /// See [`HopeMetrics::cycles_broken`].
     pub cycles_broken: u64,
+    /// See [`HopeMetrics::ido_unshares`].
+    pub ido_unshares: u64,
     /// See [`HopeMetrics::aids_collected`].
     pub aids_collected: u64,
     /// See [`HopeMetrics::crash_recoveries`].
@@ -139,6 +145,7 @@ impl HopeMetrics {
             late_rollbacks: self.late_rollbacks.load(Ordering::Relaxed),
             aid_contract_violations: self.aid_contract_violations.load(Ordering::Relaxed),
             cycles_broken: self.cycles_broken.load(Ordering::Relaxed),
+            ido_unshares: self.ido_unshares.load(Ordering::Relaxed),
             aids_collected: self.aids_collected.load(Ordering::Relaxed),
             crash_recoveries: self.crash_recoveries.load(Ordering::Relaxed),
             cancelled_intervals: self.cancelled_intervals.load(Ordering::Relaxed),

@@ -21,8 +21,8 @@
 //!   latency was avoided.
 //! * **Fault injection** ([`FaultPlan`]) makes the wire lossy — seeded
 //!   drops, duplicates and scheduled crash/restarts — and enables the
-//!   reliable-delivery sublayer (per-link sequencing, acks, retransmission
-//!   with backoff, receiver dedup) that restores the lossless contract the
+//!   reliable-delivery sublayer (per-link sequencing, cumulative acks, one
+//!   retransmit timer per link, receiver dedup) that restores the lossless contract the
 //!   protocol assumes. Off by default; fault-free runs are untouched.
 //!
 //! The runtime is quiescence-driven: [`SimRuntime::run`] processes events in
@@ -85,8 +85,8 @@ pub use net::{
     NodeDirectory, PeerMachine, PeerOutput,
 };
 pub use reliable::{
-    AckOutcome, CopyKind, LinkId, LinkRecord, ReliableState, RttEstimator, TagDecode,
-    WALL_RTO_MAX_NANOS, WALL_RTO_MIN_NANOS,
+    AckOutcome, AckPlan, CopyKind, LinkId, LinkRecord, Overdue, ReliableState, RttEstimator,
+    TagDecode, ACK_EVERY, WALL_RTO_MAX_NANOS, WALL_RTO_MIN_NANOS,
 };
 pub use runtime::{ProcessStatus, RuntimeBuilder, SimRuntime};
 pub use sched::{EventDesc, PendingEvent};

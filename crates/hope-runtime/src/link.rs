@@ -2,12 +2,12 @@
 //! process's `send` and the destination's mailbox, written once as a
 //! sans-IO state machine.
 //!
-//! Four inputs drive it — [`Link::send`], [`Link::arrive`],
-//! [`Link::timer`] and a crash, which is
+//! Five inputs drive it — [`Link::send`], [`Link::arrive`],
+//! [`Link::timer`], [`Link::ack_due`] and a crash, which is
 //! [`ReliableState::on_crash`] itself — and every step *reports* what to
 //! schedule next, as [`LinkWork`] items at delays relative to the `now`
-//! it was given, in a fixed-size [`Outbound`]. The module owns no clock,
-//! queue, thread or lock and allocates nothing of its own. [`SimRuntime`](crate::SimRuntime),
+//! it was given, appended to the driver's [`Outbound`]. The module owns
+//! no clock, queue, thread or lock and allocates nothing of its own. [`SimRuntime`](crate::SimRuntime),
 //! [`ThreadedRuntime`](crate::ThreadedRuntime) and the socket transport's
 //! [`PeerMachine`](crate::PeerMachine) are its three drivers: each
 //! lends it a clock reading and the state it borrows for one step (the
@@ -18,6 +18,10 @@
 //! heartbeats.
 //! A step touches one link's reliable state, so the driver looks that
 //! [`LinkRecord`] up once and no sublayer call in here names a link.
+//!
+//! The sublayer's cost is per link, not per message: a link has at most
+//! one retransmit timer and one delayed-ack timer queued at its driver,
+//! and an ack is cumulative, so in-order arrivals share one.
 //!
 //! The simulator defines the behaviour: `hope-check` state counts and
 //! trace bytes per seed depend on the order of random draws (a
@@ -32,7 +36,7 @@ use hope_types::{
 
 use crate::fault::{FaultModel, WireFate};
 use crate::net::LatencyModel;
-use crate::reliable::{backoff_nanos, CopyKind, LinkId, LinkRecord, TagDecode};
+use crate::reliable::{AckPlan, CopyKind, LinkId, LinkRecord, Overdue, TagDecode};
 use crate::stats::{MessageStats, PartyKind};
 
 /// A link-layer work item a driver queues until it comes due.
@@ -46,22 +50,22 @@ pub(crate) enum LinkWork {
     /// descriptions and content hashes — two copies of one message stay
     /// interchangeable to the model checker.
     Deliver { env: Envelope, copy: CopyKind },
-    /// A reliable-delivery retransmission timer fires for `(link, seq)`:
-    /// feed it to [`Link::timer`]. `attempt` counts prior
-    /// retransmissions of that envelope.
-    Retransmit {
-        link: LinkId,
-        seq: u64,
-        attempt: u32,
-    },
+    /// The retransmission timer of `link` fires: feed it to
+    /// [`Link::timer`]. A link has at most one queued.
+    Retransmit { link: LinkId },
+    /// The delayed-ack timer of `link` (the data link: the ack travels
+    /// the other way) fires: feed it to [`Link::ack_due`]. A link has at
+    /// most one queued.
+    AckDue { link: LinkId },
 }
 
 /// What one pipeline step asks its driver to schedule, as delays from
-/// the step's `now`, in push order: retransmit timer, fault-injected
-/// duplicate, the copy itself. Unused slots are `None`. The driver hands
-/// each step an all-`None` value to fill in place — 360 bytes that the
-/// per-message paths would otherwise copy several times per step.
-pub(crate) type Outbound = [Option<(VirtualDuration, LinkWork)>; 3];
+/// the step's `now`, in push order. A send or an arrival adds at most
+/// three items (timer, fault-injected duplicate, the copy itself); a
+/// fired retransmit timer adds the copies of everything overdue. The
+/// driver owns the buffer and hands it over empty, so a step allocates
+/// nothing once it has grown.
+pub(crate) type Outbound = Vec<(VirtualDuration, LinkWork)>;
 
 /// Where a step counts. The simulator lends its `MessageStats` directly;
 /// the threaded runtime lends a handle that takes the lane's stats lock
@@ -77,8 +81,8 @@ impl StatsSink for MessageStats {
     }
 }
 
-/// The link whose record an arriving envelope touches: acks retire an
-/// entry of the reverse (data) link.
+/// The link whose record an arriving envelope touches: acks retire
+/// entries of the reverse (data) link.
 pub(crate) fn state_link(env: &Envelope) -> LinkId {
     match env.payload {
         Payload::Ack { .. } => (env.dst, env.src),
@@ -91,7 +95,7 @@ pub(crate) struct Link<'a> {
     /// The driver's clock reading for this step.
     pub now: VirtualTime,
     /// The reliable sublayer's record for the step's link — `(src, dst)`
-    /// for a send, [`state_link`] for an arrival, the timer's own link;
+    /// for a send, [`state_link`] for an arrival, a timer's own link;
     /// `None` when the sublayer is off.
     pub rel: Option<&'a mut LinkRecord>,
     pub stats: &'a mut dyn StatsSink,
@@ -131,16 +135,14 @@ impl Link<'_> {
                         .record_tag(full_set_wire_len(&m.tag), coding);
                 }
                 rel.track(env.clone(), coding);
-                // The first timer uses the link's adapted RTO (the
-                // configured rto until samples arrive).
-                out[0] = Some((
-                    VirtualDuration::from_nanos(rel.rto_nanos()),
-                    LinkWork::Retransmit {
-                        link: (src, dst),
-                        seq: env.seq,
-                        attempt: 0,
-                    },
-                ));
+                // A send that finds the link's timer running adds nothing
+                // to the driver's queue; one that does not starts it at
+                // the adapted RTO (the configured rto until samples
+                // arrive).
+                if rel.arm_timer() {
+                    let rto = VirtualDuration::from_nanos(rel.rto_nanos());
+                    out.push((rto, LinkWork::Retransmit { link: (src, dst) }));
+                }
             }
             self.tracer
                 .record(src, self.now, TraceEventKind::Send { dst, seq: env.seq });
@@ -168,18 +170,18 @@ impl Link<'_> {
                 env: env.clone(),
                 copy: CopyKind::WireDup,
             };
-            out[1] = Some((extra, dup));
+            out.push((extra, dup));
         }
         let latency = self.latency.sample(env.src, env.dst, self.now);
-        out[2] = Some((latency, LinkWork::Deliver { env, copy }));
+        out.push((latency, LinkWork::Deliver { env, copy }));
     }
 
     /// A due [`LinkWork::Deliver`]. `down` says the destination is inside
     /// a crash window; `route` carries the Table 1 party kinds of source
     /// and destination, `None` when the destination was never spawned.
-    /// Puts the ack to schedule, if any, in `out` and returns whether the
-    /// envelope is to be handed to the destination process (`false`: the
-    /// link layer consumed it).
+    /// Puts the ack (or the delayed-ack timer) to schedule, if any, in
+    /// `out` and returns whether the envelope is to be handed to the
+    /// destination process (`false`: the link layer consumed it).
     pub fn arrive(
         &mut self,
         env: &Envelope,
@@ -195,8 +197,8 @@ impl Link<'_> {
             self.stats.stats().link_mut().crash_dropped += 1;
             return false;
         }
-        // Link-layer ack: retire the sender's retransmit buffer entry and
-        // stop — acks never reach a process.
+        // Link-layer ack: retire the sender's retransmit buffer up to it
+        // and stop — acks never reach a process.
         if let Payload::Ack { seq } = env.payload {
             self.stats.stats().link_mut().acks += 1;
             if let Some(rel) = self.rel.as_deref_mut() {
@@ -207,15 +209,27 @@ impl Link<'_> {
             }
             return false;
         }
-        // Reliable data envelope: ack every arrival (a duplicate usually
-        // means the first ack was lost), deliver only the first. This
-        // runs before the destination lookup: an envelope for a process
-        // that never existed is still acked once, so its sender stops
+        // Reliable data envelope: deliver only the first copy, and
+        // acknowledge as the record plans — at once for a duplicate (the
+        // ack that covered it was probably lost) or an arrival past a
+        // gap, otherwise with its in-order neighbours. This runs before
+        // the destination lookup: an envelope for a process that never
+        // existed is still acknowledged, so its sender stops
         // retransmitting instead of running to the cap.
         if env.seq > 0 && self.rel.is_some() {
-            self.send(env.dst, env.src, Payload::Ack { seq: env.seq }, out);
             let rel = self.rel.as_deref_mut().expect("checked above");
-            if !rel.accept(env.seq) {
+            let first = rel.accept(env.seq);
+            let (plan, delay) = (rel.ack_plan(env.seq, first), rel.ack_delay_nanos());
+            let link = (env.src, env.dst);
+            match plan {
+                AckPlan::Now => self.ack(link, out),
+                AckPlan::Arm => {
+                    let delay = VirtualDuration::from_nanos(delay);
+                    out.push((delay, LinkWork::AckDue { link }));
+                }
+                AckPlan::Wait => {}
+            }
+            if !first {
                 self.stats.stats().link_mut().record_dedup(copy);
                 return false;
             }
@@ -224,6 +238,7 @@ impl Link<'_> {
             // typed tag is authoritative either way; a mismatch means the
             // link's codec pair diverged, so it is counted, traced, and
             // the codec is reset to `Full` rather than trusted further.
+            let rel = self.rel.as_deref_mut().expect("checked above");
             if let Payload::User(m) = &env.payload {
                 match rel.decode_tag(env.seq) {
                     TagDecode::Decoded(tag) if tag != m.tag => {
@@ -263,48 +278,62 @@ impl Link<'_> {
         true
     }
 
-    /// A due [`LinkWork::Retransmit`]: resend if still unacked and rearm
-    /// with doubled delay, abandon at `max_retransmits`.
-    pub fn timer(
-        &mut self,
-        link: LinkId,
-        seq: u64,
-        attempt: u32,
-        max_retransmits: u32,
-        out: &mut Outbound,
-    ) {
-        let Some(rel) = self.rel.as_deref_mut() else {
-            return;
-        };
-        let Some(env) = rel.unacked(seq) else {
-            return; // acked in the meantime: timer expires silently
-        };
-        if attempt >= max_retransmits {
-            rel.abandon(seq);
-            self.stats.stats().link_mut().abandoned += 1;
-            return;
+    /// Sends the cumulative ack of data link `link` back to its sender.
+    fn ack(&mut self, link: LinkId, out: &mut Outbound) {
+        let rel = self.rel.as_deref_mut().expect("acks need the sublayer");
+        let seq = rel.take_ack();
+        self.send(link.1, link.0, Payload::Ack { seq }, out);
+    }
+
+    /// A due [`LinkWork::AckDue`]: acknowledges what arrived on `link`
+    /// since the last ack, if anything did.
+    pub fn ack_due(&mut self, link: LinkId, out: &mut Outbound) {
+        if self.rel.as_deref_mut().is_some_and(LinkRecord::ack_due) {
+            self.ack(link, out);
         }
-        let env = env.clone();
-        let next = attempt + 1;
-        let rto = rel.rto_nanos();
-        rel.mark_retransmitted(seq);
-        let link_stats = self.stats.stats().link_mut();
-        link_stats.retransmits += 1;
-        link_stats.max_retransmit_attempt = link_stats.max_retransmit_attempt.max(next as u64);
-        self.tracer.record(
-            link.0,
-            self.now,
-            TraceEventKind::Retransmit { dst: link.1, seq },
-        );
-        out[0] = Some((
-            VirtualDuration::from_nanos(backoff_nanos(rto, next)),
-            LinkWork::Retransmit {
-                link,
-                seq,
-                attempt: next,
-            },
-        ));
-        self.wire(env, CopyKind::Retransmit, out);
+    }
+
+    /// A due [`LinkWork::Retransmit`]: resends every envelope of `link`
+    /// that is past its deadline, oldest first, abandoning those already
+    /// resent `max_retransmits` times, and starts the timer again for the
+    /// earliest deadline left — or not at all, with nothing unacked.
+    pub fn timer(&mut self, link: LinkId, max_retransmits: u32, out: &mut Outbound) {
+        self.resend(link, max_retransmits, false, out);
+    }
+
+    /// The wire `link`'s copies were on is gone (a connection died and
+    /// its successor is up): every unacknowledged envelope goes out
+    /// again, oldest first, and the timer starts over.
+    pub fn rewire(&mut self, link: LinkId, out: &mut Outbound) {
+        self.resend(link, u32::MAX, true, out);
+    }
+
+    fn resend(&mut self, link: LinkId, max_retransmits: u32, everything: bool, out: &mut Outbound) {
+        // The record is lent back once the copies are on the wire.
+        let Some(rel) = self.rel.take() else {
+            return;
+        };
+        let now = self.now;
+        let next = rel.retransmit_due(now.as_nanos(), max_retransmits, everything, |due| {
+            let link_stats = self.stats.stats().link_mut();
+            match due {
+                Overdue::Abandoned => link_stats.abandoned += 1,
+                Overdue::Resend { env, attempt } => {
+                    link_stats.retransmits += 1;
+                    link_stats.max_retransmit_attempt =
+                        link_stats.max_retransmit_attempt.max(u64::from(attempt));
+                    let (dst, seq) = (link.1, env.seq);
+                    self.tracer
+                        .record(link.0, now, TraceEventKind::Retransmit { dst, seq });
+                    self.wire(env.clone(), CopyKind::Retransmit, out);
+                }
+            }
+        });
+        self.rel = Some(rel);
+        if let Some(delay) = next {
+            let delay = VirtualDuration::from_nanos(delay);
+            out.push((delay, LinkWork::Retransmit { link }));
+        }
     }
 }
 
@@ -312,11 +341,14 @@ impl Link<'_> {
 mod tests {
     use super::*;
     use crate::fault::FaultPlan;
-    use crate::reliable::ReliableState;
+    use crate::reliable::{ReliableState, ACK_EVERY};
     use crate::stats::LinkStats;
     use hope_types::{AidId, DepTag, HopeMessage, UserMessage};
 
     const RTO_US: u64 = 5_000;
+    /// The delayed-ack timer: a quarter of the estimator's floor, itself
+    /// an eighth of the initial RTO.
+    const ACK_DELAY_US: u64 = RTO_US / 8 / 4;
 
     fn p(n: u64) -> ProcessId {
         ProcessId::from_raw(n)
@@ -354,6 +386,8 @@ mod tests {
         tracer: TraceCollector,
     }
 
+    const LINK: LinkId = (ProcessId::from_raw(1), ProcessId::from_raw(2));
+
     impl Rig {
         fn new(reliable: bool, plan: Option<FaultPlan>) -> Rig {
             let tracer = TraceCollector::new();
@@ -374,7 +408,7 @@ mod tests {
             dst: ProcessId,
             payload: Payload,
         ) -> Outbound {
-            let mut out = Outbound::default();
+            let mut out = Outbound::new();
             self.at(now_us, (src, dst))
                 .send(src, dst, payload, &mut out);
             out
@@ -388,24 +422,24 @@ mod tests {
             down: bool,
             route: Option<(PartyKind, PartyKind)>,
         ) -> (Outbound, bool) {
-            let mut out = Outbound::default();
+            let mut out = Outbound::new();
             let deliver = self
                 .at(now_us, state_link(env))
                 .arrive(env, copy, down, route, &mut out);
             (out, deliver)
         }
 
-        fn timer(
-            &mut self,
-            now_us: u64,
-            link: LinkId,
-            seq: u64,
-            attempt: u32,
-            cap: u32,
-        ) -> Outbound {
-            let mut out = Outbound::default();
-            self.at(now_us, link)
-                .timer(link, seq, attempt, cap, &mut out);
+        /// The retransmit timer of 1->2 fires.
+        fn timer(&mut self, now_us: u64, cap: u32) -> Outbound {
+            let mut out = Outbound::new();
+            self.at(now_us, LINK).timer(LINK, cap, &mut out);
+            out
+        }
+
+        /// The delayed-ack timer of 1->2 fires.
+        fn ack_due(&mut self, now_us: u64) -> Outbound {
+            let mut out = Outbound::new();
+            self.at(now_us, LINK).ack_due(LINK, &mut out);
             out
         }
 
@@ -433,20 +467,31 @@ mod tests {
         fn rel(&mut self) -> &mut ReliableState {
             self.rel.as_mut().expect("sublayer on")
         }
+
+        /// Sends `n` untagged messages 1->2 at `now_us` and returns their
+        /// wire copies.
+        fn burst(&mut self, now_us: u64, n: usize) -> Vec<Envelope> {
+            let sent = (0..n).map(|_| wire_copy(self.send(now_us, p(1), p(2), user(&[]))).0);
+            sent.collect()
+        }
     }
 
     /// One line per returned work item: what, for whom, after how long.
     fn shape(out: &Outbound) -> Vec<String> {
         out.iter()
-            .flatten()
             .map(|(delay, work)| {
                 let after = delay.as_nanos() / 1_000;
                 match work {
-                    LinkWork::Retransmit { link, seq, attempt } => format!(
-                        "timer {}->{} seq={seq} attempt={attempt} +{after}us",
-                        link.0.as_raw(),
-                        link.1.as_raw()
-                    ),
+                    LinkWork::Retransmit { link } => {
+                        format!("timer {}->{} +{after}us", link.0.as_raw(), link.1.as_raw())
+                    }
+                    LinkWork::AckDue { link } => {
+                        format!(
+                            "ack-due {}->{} +{after}us",
+                            link.0.as_raw(),
+                            link.1.as_raw()
+                        )
+                    }
                     LinkWork::Deliver { env, copy } => {
                         let what = match env.payload {
                             Payload::Ack { seq } => format!("ack={seq}"),
@@ -467,10 +512,9 @@ mod tests {
     /// itself, after any duplicate).
     fn wire_copy(out: Outbound) -> (Envelope, CopyKind) {
         out.into_iter()
-            .flatten()
             .filter_map(|(_, work)| match work {
                 LinkWork::Deliver { env, copy } => Some((env, copy)),
-                LinkWork::Retransmit { .. } => None,
+                LinkWork::Retransmit { .. } | LinkWork::AckDue { .. } => None,
             })
             .last()
             .expect("step put a copy on the wire")
@@ -479,7 +523,7 @@ mod tests {
     const USERS: Option<(PartyKind, PartyKind)> = Some((PartyKind::User, PartyKind::User));
 
     #[test]
-    fn send_returns_timer_then_duplicate_then_original() {
+    fn first_send_arms_the_link_timer_then_duplicate_then_original() {
         let one_full_tag = LinkStats {
             tag_bytes_full: 12,
             tag_bytes_wire: 13,
@@ -506,14 +550,11 @@ mod tests {
                 traced: true,
             },
             Case {
-                name: "sublayer on: sequenced, tag accounted, first timer at the rto",
+                name: "sublayer on: sequenced, tag accounted, link timer at the rto",
                 reliable: true,
                 plan: None,
                 payload: user(&[9]),
-                out: &[
-                    "timer 1->2 seq=1 attempt=0 +5000us",
-                    "deliver 1->2 seq=1 Original +1us",
-                ],
+                out: &["timer 1->2 +5000us", "deliver 1->2 seq=1 Original +1us"],
                 delta: one_full_tag,
                 traced: true,
             },
@@ -522,10 +563,7 @@ mod tests {
                 reliable: true,
                 plan: None,
                 payload: Payload::Hope(HopeMessage::Retain),
-                out: &[
-                    "timer 1->2 seq=1 attempt=0 +5000us",
-                    "deliver 1->2 seq=1 Original +1us",
-                ],
+                out: &["timer 1->2 +5000us", "deliver 1->2 seq=1 Original +1us"],
                 delta: LinkStats::default(),
                 traced: true,
             },
@@ -534,7 +572,7 @@ mod tests {
                 reliable: true,
                 plan: Some(FaultPlan::new().drop_rate(1.0)),
                 payload: user(&[9]),
-                out: &["timer 1->2 seq=1 attempt=0 +5000us"],
+                out: &["timer 1->2 +5000us"],
                 delta: LinkStats {
                     fault_dropped: 1,
                     ..one_full_tag
@@ -547,7 +585,7 @@ mod tests {
                 plan: Some(FaultPlan::new().duplicate_rate(1.0)),
                 payload: user(&[9]),
                 out: &[
-                    "timer 1->2 seq=1 attempt=0 +5000us",
+                    "timer 1->2 +5000us",
                     "deliver 1->2 seq=1 WireDup +1us",
                     "deliver 1->2 seq=1 Original +2us",
                 ],
@@ -558,7 +596,7 @@ mod tests {
                 traced: true,
             },
             Case {
-                name: "acks are unsequenced, unbuffered and untraced",
+                name: "acks are unsequenced, unbuffered, untimed and untraced",
                 reliable: true,
                 plan: None,
                 payload: Payload::Ack { seq: 4 },
@@ -583,75 +621,122 @@ mod tests {
     }
 
     #[test]
-    fn first_arrival_is_acked_counted_and_handed_over() {
+    fn a_send_that_finds_the_timer_running_returns_none() {
         let mut rig = Rig::new(true, None);
-        let (env, copy) = wire_copy(rig.send(0, p(1), p(2), user(&[9])));
+        let first = rig.send(0, p(1), p(2), user(&[]));
+        assert_eq!(shape(&first).len(), 2, "timer + copy");
+        for seq in 2..=4 {
+            let out = rig.send(seq, p(1), p(2), user(&[]));
+            let copy = format!("deliver 1->2 seq={seq} Original +{seq}us");
+            assert_eq!(shape(&out), [copy], "the link's one timer is running");
+        }
+        // The reverse link is another link, with a timer of its own.
+        let back = rig.send(5, p(2), p(1), user(&[]));
+        assert_eq!(shape(&back)[0], "timer 2->1 +5000us");
+    }
+
+    #[test]
+    fn in_order_arrivals_share_an_ack() {
+        let mut rig = Rig::new(true, None);
+        let n = ACK_EVERY as usize;
+        let burst = rig.burst(0, 2 * n + 1);
         let route = Some((PartyKind::User, PartyKind::Aid));
         rig.delta();
         rig.traced();
-        let (out, delivered) = rig.arrive(1, &env, copy, false, route);
-        assert_eq!(shape(&out), ["deliver 2->1 ack=1 Original +2us"]);
-        assert!(delivered);
-        assert_eq!(rig.delta(), LinkStats::default());
-        assert_eq!(rig.stats.count("User", PartyKind::User, PartyKind::Aid), 1);
-        let deliver = TraceEventKind::Deliver { src: p(1), seq: 1 };
-        assert_eq!(rig.traced(), [deliver]);
+        for (i, env) in burst.iter().enumerate() {
+            let (out, delivered) = rig.arrive(10, env, CopyKind::Original, false, route);
+            assert!(delivered, "seq {}", env.seq);
+            let expect = match i {
+                // The first arrival owed an ack starts the link's one
+                // delayed-ack timer; the rest ride on it ...
+                0 => vec![format!("ack-due 1->2 +{ACK_DELAY_US}us")],
+                // ... until ACK_EVERY of them are owed: one ack for all.
+                i if (i + 1) % n == 0 => {
+                    let sample = 2 * n + 1 + (i + 1) / n;
+                    vec![format!("deliver 2->1 ack={} Original +{sample}us", i + 1)]
+                }
+                _ => vec![],
+            };
+            assert_eq!(shape(&out), expect, "arrival {}", i + 1);
+        }
+        assert_eq!(rig.delta(), LinkStats::default(), "nothing the link counts");
+        let delivered = rig.stats.count("User", PartyKind::User, PartyKind::Aid);
+        assert_eq!(delivered, 2 * n as u64 + 1);
+        assert_eq!(rig.traced().len(), 2 * n + 1, "one Deliver each");
+        // The timer finds the last arrival still owed one.
+        let out = rig.ack_due(10 + ACK_DELAY_US);
+        assert_eq!(shape(&out).len(), 1);
+        let (ack, _) = wire_copy(out);
+        assert_eq!(
+            ack.payload,
+            Payload::Ack {
+                seq: 2 * n as u64 + 1
+            }
+        );
+        // The next owed arrival starts the timer again.
+        let next = rig.burst(20, 1);
+        let (out, _) = rig.arrive(30, &next[0], CopyKind::Original, false, route);
+        assert_eq!(shape(&out), [format!("ack-due 1->2 +{ACK_DELAY_US}us")]);
     }
 
     #[test]
-    fn ack_retires_and_samples_rtt_unless_retransmitted() {
+    fn ack_due_with_nothing_owed_is_silent() {
         let mut rig = Rig::new(true, None);
-        for (seq, retransmitted, delta) in [
-            (
-                1,
-                false,
-                LinkStats {
-                    acks: 1,
-                    rtt_samples: 1,
-                    ..LinkStats::default()
-                },
-            ),
-            // Karn's rule: the ack of a retransmitted seq is ambiguous.
-            (
-                2,
-                true,
-                LinkStats {
-                    acks: 1,
-                    ..LinkStats::default()
-                },
-            ),
-        ] {
-            let (data, copy) = wire_copy(rig.send(0, p(1), p(2), user(&[])));
-            if retransmitted {
-                let out = rig.timer(RTO_US, (p(1), p(2)), seq, 0, 8);
-                assert_eq!(shape(&out).len(), 2, "rearmed timer + resent copy");
-            }
-            let (ack, _) = wire_copy(rig.arrive(100, &data, copy, false, USERS).0);
-            rig.delta();
-            let (out, delivered) = rig.arrive(300, &ack, CopyKind::Original, false, USERS);
-            assert_eq!((shape(&out).len(), delivered), (0, false), "acks stop here");
-            assert_eq!(rig.delta(), delta, "seq {seq}");
-            assert!(rig.rel().link_mut((p(1), p(2))).unacked(seq).is_none());
+        let n = ACK_EVERY as usize;
+        let burst = rig.burst(0, n);
+        for env in &burst {
+            rig.arrive(10, env, CopyKind::Original, false, USERS);
         }
-        assert_eq!(rig.rel().mean_srtt_nanos(), 300_000, "one sampled link");
-        // A second copy of an ack is counted and changes nothing.
-        let again = Envelope {
+        // The n-th arrival took everything owed with it; the timer the
+        // first one started outlives that ack.
+        rig.delta();
+        assert_eq!(shape(&rig.ack_due(10 + ACK_DELAY_US)).len(), 0);
+        assert_eq!(rig.delta(), LinkStats::default());
+        let mut off = Rig::new(false, None);
+        assert_eq!(shape(&off.ack_due(0)).len(), 0);
+    }
+
+    #[test]
+    fn an_ack_retires_everything_up_to_it_and_samples_the_newest_fresh_entry() {
+        let mut rig = Rig::new(true, None);
+        // Seqs 1..=3 at 0/100/200 us; the timer resends seq 1 only.
+        for at in [0, 100, 200] {
+            rig.send(at, p(1), p(2), user(&[]));
+        }
+        assert_eq!(shape(&rig.timer(RTO_US + 50, 8)).len(), 2, "copy + timer");
+        rig.delta();
+        let ack = |seq| Envelope {
             src: p(2),
             dst: p(1),
-            sent_at: us(100),
+            sent_at: us(0),
             seq: 0,
-            payload: Payload::Ack { seq: 1 },
+            payload: Payload::Ack { seq },
         };
-        rig.arrive(400, &again, CopyKind::WireDup, false, USERS);
-        let acks = LinkStats {
+        // Karn's rule: seq 1 was resent, so its ack is ambiguous.
+        let (out, delivered) = rig.arrive(6_000, &ack(1), CopyKind::Original, false, USERS);
+        assert_eq!((shape(&out).len(), delivered), (0, false), "acks stop here");
+        let one_ack = LinkStats {
             acks: 1,
             ..LinkStats::default()
         };
-        assert_eq!(rig.delta(), acks);
+        assert_eq!(rig.delta(), one_ack);
+        assert_eq!(rig.rel().in_flight(), 2);
+        // One ack for 2 and 3: both go, the newer one is the sample.
+        rig.arrive(6_500, &ack(3), CopyKind::Original, false, USERS);
+        let sampled = LinkStats {
+            rtt_samples: 1,
+            ..one_ack
+        };
+        assert_eq!(rig.delta(), sampled);
+        assert_eq!(rig.rel().in_flight(), 0);
+        assert_eq!(rig.rel().mean_srtt_nanos(), 6_300_000, "6500 - 200 us");
+        // An ack that says nothing new is counted and changes nothing.
+        rig.arrive(6_600, &ack(2), CopyKind::WireDup, false, USERS);
+        assert_eq!(rig.delta(), one_ack);
     }
 
     #[test]
-    fn duplicate_arrival_is_acked_again_and_attributed_to_its_copy() {
+    fn duplicate_arrival_is_acked_at_once_and_attributed_to_its_copy() {
         for (copy, delta) in [
             (
                 CopyKind::Original,
@@ -686,7 +771,7 @@ mod tests {
             let (out, delivered) = rig.arrive(2, &env, copy, false, USERS);
             assert_eq!(
                 shape(&out),
-                ["deliver 2->1 ack=1 Original +3us"],
+                ["deliver 2->1 ack=1 Original +2us"],
                 "{copy:?}"
             );
             assert!(!delivered, "{copy:?}");
@@ -694,6 +779,27 @@ mod tests {
             assert_eq!(rig.traced(), [], "a suppressed copy is not a delivery");
             assert_eq!(rig.stats.total(), 1, "Table 1 counts the first copy only");
         }
+    }
+
+    #[test]
+    fn an_arrival_past_a_gap_is_acked_at_once_with_what_is_contiguous() {
+        let mut rig = Rig::new(true, None);
+        let burst = rig.burst(0, 4);
+        // 1 arrives, 2 is missing: 3 and 4 each tell the sender so.
+        let (out, _) = rig.arrive(10, &burst[0], CopyKind::Original, false, USERS);
+        assert_eq!(shape(&out), [format!("ack-due 1->2 +{ACK_DELAY_US}us")]);
+        for (env, sample) in [(&burst[2], 5), (&burst[3], 6)] {
+            let (out, delivered) = rig.arrive(11, env, CopyKind::Original, false, USERS);
+            assert!(delivered, "delivered on arrival: the link does not reorder");
+            let ack = format!("deliver 2->1 ack=1 Original +{sample}us");
+            assert_eq!(shape(&out), [ack]);
+        }
+        // The gap fills: an in-order arrival again, owed with the rest.
+        let (out, delivered) = rig.arrive(12, &burst[1], CopyKind::Retransmit, false, USERS);
+        assert!(delivered);
+        assert_eq!(shape(&out).len(), 0, "rides on the running timer");
+        let (ack, _) = wire_copy(rig.ack_due(10 + ACK_DELAY_US));
+        assert_eq!(ack.payload, Payload::Ack { seq: 4 });
     }
 
     #[test]
@@ -721,11 +827,11 @@ mod tests {
                 dropped: 0,
             },
             Case {
-                name: "never-spawned destination, sublayer on: acked once, then unroutable",
+                name: "never-spawned destination, sublayer on: owed an ack, then unroutable",
                 reliable: true,
                 down: false,
                 route: None,
-                out: &["deliver 2->1 ack=1 Original +2us"],
+                out: &["ack-due 1->2 +156us"],
                 delta: LinkStats {
                     unroutable: 1,
                     ..LinkStats::default()
@@ -761,73 +867,343 @@ mod tests {
     }
 
     #[test]
-    fn timer_retransmits_with_backoff_then_abandons_at_the_cap() {
-        const CAP: u32 = 3;
-        let link = (p(1), p(2));
+    fn timer_resends_what_is_overdue_oldest_first_and_rearms_at_the_earliest_deadline() {
         let mut rig = Rig::new(true, None);
-        let out = rig.send(0, p(1), p(2), user(&[]));
-        let Some((_, LinkWork::Retransmit { seq, attempt, .. })) = out[0] else {
-            panic!("send arms the first timer");
-        };
+        // Seqs 1..=3 sent 1 ms apart; the timer runs from the first.
+        for at in [0, 1_000, 2_000] {
+            rig.send(at, p(1), p(2), user(&[]));
+        }
         rig.delta();
         rig.traced();
-        let mut now = 0;
-        for attempt in attempt..CAP {
-            now += RTO_US << attempt;
-            let out = rig.timer(now, link, seq, attempt, CAP);
-            let next = attempt + 1;
-            let rearmed = format!("timer 1->2 seq=1 attempt={next} +{}us", RTO_US << next);
-            let resent = format!("deliver 1->2 seq=1 Retransmit +{}us", next + 1);
-            assert_eq!(shape(&out), [rearmed, resent]);
+        // At 6.2 ms seqs 1 and 2 are past the 5 ms rto, seq 3 is not: it
+        // is the earliest deadline left (7 ms), ahead of the resent two
+        // (6.2 + 10 ms).
+        let out = rig.timer(6_200, 8);
+        assert_eq!(
+            shape(&out),
+            [
+                "deliver 1->2 seq=1 Retransmit +4us",
+                "deliver 1->2 seq=2 Retransmit +5us",
+                "timer 1->2 +800us",
+            ]
+        );
+        let delta = LinkStats {
+            retransmits: 2,
+            max_retransmit_attempt: 1,
+            ..LinkStats::default()
+        };
+        assert_eq!(rig.delta(), delta);
+        let resent = |seq| TraceEventKind::Retransmit { dst: p(2), seq };
+        assert_eq!(rig.traced(), [resent(1), resent(2)]);
+        // A fire with nothing overdue only rearms.
+        assert_eq!(shape(&rig.timer(6_500, 8)), ["timer 1->2 +500us"]);
+        assert_eq!(rig.delta(), LinkStats::default());
+    }
+
+    #[test]
+    fn timer_with_nothing_pending_disarms_and_the_next_send_arms_it_again() {
+        let mut rig = Rig::new(true, None);
+        let (env, copy) = wire_copy(rig.send(0, p(1), p(2), user(&[])));
+        let (dup_ack, _) = {
+            rig.arrive(1, &env, copy, false, USERS);
+            wire_copy(rig.arrive(2, &env, CopyKind::WireDup, false, USERS).0)
+        };
+        rig.arrive(3, &dup_ack, CopyKind::Original, false, USERS);
+        assert_eq!(rig.rel().in_flight(), 0);
+        rig.delta();
+        assert_eq!(shape(&rig.timer(RTO_US, 8)).len(), 0, "disarmed");
+        assert_eq!(rig.delta(), LinkStats::default());
+        let out = rig.send(RTO_US + 1, p(1), p(2), user(&[]));
+        assert!(shape(&out)[0].starts_with("timer 1->2 +"), "armed again");
+        // With the sublayer off a timer is silent.
+        let mut off = Rig::new(false, None);
+        assert_eq!(shape(&off.timer(0, 8)).len(), 0);
+    }
+
+    #[test]
+    fn each_entry_backs_off_then_is_abandoned_at_the_cap() {
+        const CAP: u32 = 3;
+        let mut rig = Rig::new(true, None);
+        let out = rig.send(0, p(1), p(2), user(&[]));
+        let (delay, LinkWork::Retransmit { .. }) = &out[0] else {
+            panic!("send arms the timer");
+        };
+        let mut now = delay.as_nanos() / 1_000;
+        rig.delta();
+        rig.traced();
+        for attempt in 1..=CAP {
+            let out = rig.timer(now, CAP);
+            let resent = format!("deliver 1->2 seq=1 Retransmit +{}us", attempt + 1);
+            let rearmed = format!("timer 1->2 +{}us", RTO_US << attempt);
+            assert_eq!(shape(&out), [resent, rearmed]);
             let delta = LinkStats {
                 retransmits: 1,
-                max_retransmit_attempt: next as u64,
+                max_retransmit_attempt: u64::from(attempt),
                 ..LinkStats::default()
             };
             assert_eq!(rig.delta(), delta);
-            assert_eq!(
-                rig.traced(),
-                [TraceEventKind::Retransmit { dst: p(2), seq }]
-            );
+            let resent = TraceEventKind::Retransmit { dst: p(2), seq: 1 };
+            assert_eq!(rig.traced(), [resent]);
+            now += RTO_US << attempt;
         }
-        let out = rig.timer(now + (RTO_US << CAP), link, seq, CAP, CAP);
-        assert_eq!(shape(&out).len(), 0, "nothing rearmed, nothing resent");
+        // A second entry, sent late, is not dragged along by the first.
+        rig.send(now - 1, p(1), p(2), user(&[]));
+        rig.delta();
+        let out = rig.timer(now, CAP);
+        assert_eq!(shape(&out), [format!("timer 1->2 +{}us", RTO_US - 1)]);
         let abandoned = LinkStats {
             abandoned: 1,
             ..LinkStats::default()
         };
         assert_eq!(rig.delta(), abandoned);
         assert!(
-            rig.rel().link_mut(link).unacked(seq).is_none(),
+            rig.rel().link_mut(LINK).unacked(1).is_none(),
             "buffer entry dropped"
         );
-        // A timer outliving its envelope (acked or abandoned) is silent,
-        // as is any timer when the sublayer is off.
-        assert_eq!(shape(&rig.timer(now, link, seq, 0, CAP)).len(), 0);
-        assert_eq!(rig.delta(), LinkStats::default());
-        let mut off = Rig::new(false, None);
-        assert_eq!(shape(&off.timer(0, link, seq, 0, CAP)).len(), 0);
+        assert!(rig.rel().link_mut(LINK).unacked(2).is_some());
+        // The receiver half sees the abandoned seq as observed: seq 2
+        // arrives in order, not past a gap that can never fill.
+        let env = rig.rel().link_mut(LINK).unacked(2).cloned().expect("kept");
+        let (out, delivered) = rig.arrive(now + 1, &env, CopyKind::Original, false, USERS);
+        assert!(delivered);
+        assert_eq!(shape(&out), [format!("ack-due 1->2 +{ACK_DELAY_US}us")]);
+    }
+
+    #[test]
+    fn rewire_resends_everything_oldest_first_and_starts_the_timer_over() {
+        let mut rig = Rig::new(true, None);
+        for at in [0, 10, 20] {
+            rig.send(at, p(1), p(2), user(&[]));
+        }
+        rig.delta();
+        let mut out = Outbound::new();
+        rig.at(30, LINK).rewire(LINK, &mut out);
+        assert_eq!(
+            shape(&out),
+            [
+                "deliver 1->2 seq=1 Retransmit +4us",
+                "deliver 1->2 seq=2 Retransmit +5us",
+                "deliver 1->2 seq=3 Retransmit +6us",
+                "timer 1->2 +10000us",
+            ]
+        );
+        assert_eq!(rig.delta().retransmits, 3);
+        // Karn: none of them can be a sample any more.
+        let ack = Envelope {
+            src: p(2),
+            dst: p(1),
+            sent_at: us(0),
+            seq: 0,
+            payload: Payload::Ack { seq: 3 },
+        };
+        rig.arrive(40, &ack, CopyKind::Original, false, USERS);
+        assert_eq!(rig.delta().rtt_samples, 0);
+        assert_eq!(rig.rel().in_flight(), 0);
+    }
+
+    // -----------------------------------------------------------------
+    // The pipeline alone under an arbitrary schedule.
+    // -----------------------------------------------------------------
+
+    /// What an adversarial driver may do between two steps. `pick`
+    /// chooses among the work items it is holding.
+    #[derive(Debug, Clone)]
+    enum Chaos {
+        /// Process `1 + from` sends to the other one.
+        Send {
+            from: usize,
+        },
+        /// Any held item fires next, due or not: copies overtake each
+        /// other, timers run early (the clock jumps to them) or late.
+        Fire {
+            pick: usize,
+        },
+        /// A copy on the wire — data or ack — is lost.
+        Drop {
+            pick: usize,
+        },
+        /// A copy on the wire arrives twice.
+        Duplicate {
+            pick: usize,
+        },
+        Crash {
+            pid: u64,
+        },
+    }
+
+    fn chaos() -> impl proptest::Strategy<Value = Chaos> {
+        use proptest::prelude::*;
+        prop_oneof![
+            5 => (0usize..2).prop_map(|from| Chaos::Send { from }),
+            8 => any::<usize>().prop_map(|pick| Chaos::Fire { pick }),
+            2 => any::<usize>().prop_map(|pick| Chaos::Drop { pick }),
+            1 => any::<usize>().prop_map(|pick| Chaos::Duplicate { pick }),
+            1 => (1u64..3).prop_map(|pid| Chaos::Crash { pid }),
+        ]
+    }
+
+    /// Two processes, the two links between them, and the driver's queue.
+    struct World {
+        rig: Rig,
+        /// Held work: `(due in ns, item)`.
+        held: Vec<(u64, LinkWork)>,
+        now_ns: u64,
+        /// Sent by process `1 + i`.
+        sent: [u64; 2],
+        /// Sequence numbers handed to process `1 + i`, in arrival order.
+        got: [Vec<u64>; 2],
+        data_arrivals: u64,
+        acks_sent: u64,
+    }
+
+    /// More than any schedule below can resend one envelope.
+    const NEVER: u32 = 10_000;
+
+    impl World {
+        /// Runs one step at `now_ns` and takes what it returns.
+        fn step(&mut self, link: LinkId, f: impl FnOnce(&mut Link<'_>, &mut Outbound)) {
+            let mut out = Outbound::new();
+            let mut lent = self.rig.at(0, link);
+            lent.now = VirtualTime::from_nanos(self.now_ns);
+            f(&mut lent, &mut out);
+            for (delay, work) in out {
+                let ack = matches!(&work, LinkWork::Deliver { env, .. }
+                    if matches!(env.payload, Payload::Ack { .. }));
+                self.acks_sent += u64::from(ack);
+                self.held.push((self.now_ns + delay.as_nanos(), work));
+            }
+        }
+
+        fn fire(&mut self, at: usize) {
+            let (due, work) = self.held.swap_remove(at);
+            self.now_ns = self.now_ns.max(due);
+            match work {
+                LinkWork::Retransmit { link } => {
+                    self.step(link, |l, out| l.timer(link, NEVER, out))
+                }
+                LinkWork::AckDue { link } => self.step(link, |l, out| l.ack_due(link, out)),
+                LinkWork::Deliver { env, copy } => {
+                    let data = !matches!(env.payload, Payload::Ack { .. });
+                    self.data_arrivals += u64::from(data);
+                    let mut handed = false;
+                    self.step(state_link(&env), |l, out| {
+                        handed = l.arrive(&env, copy, false, USERS, out);
+                    });
+                    if handed {
+                        self.got[env.dst.as_raw() as usize - 1].push(env.seq);
+                    }
+                }
+            }
+        }
+
+        fn apply(&mut self, op: Chaos) {
+            let on_wire = |held: &[(u64, LinkWork)], pick: usize| {
+                let copies = held.iter().enumerate();
+                let copies: Vec<usize> = copies
+                    .filter(|(_, (_, work))| matches!(work, LinkWork::Deliver { .. }))
+                    .map(|(at, _)| at)
+                    .collect();
+                (!copies.is_empty()).then(|| copies[pick % copies.len()])
+            };
+            match op {
+                Chaos::Send { from } => {
+                    let (src, dst) = (p(1 + from as u64), p(2 - from as u64));
+                    self.sent[from] += 1;
+                    self.now_ns += 1_000;
+                    self.step((src, dst), |l, out| l.send(src, dst, user(&[]), out));
+                }
+                Chaos::Fire { pick } if !self.held.is_empty() => {
+                    self.fire(pick % self.held.len());
+                }
+                Chaos::Drop { pick } => {
+                    if let Some(at) = on_wire(&self.held, pick) {
+                        self.held.swap_remove(at);
+                    }
+                }
+                Chaos::Duplicate { pick } => {
+                    if let Some(at) = on_wire(&self.held, pick) {
+                        let (due, LinkWork::Deliver { env, .. }) = &self.held[at] else {
+                            unreachable!("picked among the copies");
+                        };
+                        let dup = LinkWork::Deliver {
+                            env: env.clone(),
+                            copy: CopyKind::WireDup,
+                        };
+                        self.held.push((*due, dup));
+                    }
+                }
+                Chaos::Crash { pid } => self.rig.rel().on_crash(p(pid)),
+                Chaos::Fire { .. } => {}
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Whatever the wire and the driver's queue do — lose, duplicate
+        /// and reorder copies, fire timers early or late, crash either
+        /// end — once they behave, every message sent was handed over
+        /// exactly once, both retransmit buffers are empty, nothing was
+        /// given up, and no more acks went out than data copies came in.
+        #[test]
+        fn any_schedule_delivers_exactly_once_and_drains(
+            ops in proptest::collection::vec(chaos(), 0..250),
+        ) {
+            let mut world = World {
+                rig: Rig::new(true, None),
+                held: Vec::new(),
+                now_ns: 0,
+                sent: [0; 2],
+                got: [Vec::new(), Vec::new()],
+                data_arrivals: 0,
+                acks_sent: 0,
+            };
+            for op in ops {
+                world.apply(op);
+            }
+            // Heal: everything held fires, earliest first, nothing is lost.
+            for fired in 0.. {
+                assert!(fired < 100_000, "did not settle");
+                let earliest = (0..world.held.len()).min_by_key(|&at| world.held[at].0);
+                let Some(at) = earliest else { break };
+                world.fire(at);
+            }
+            for (from, to) in [(0, 1), (1, 0)] {
+                let mut got = world.got[to].clone();
+                got.sort_unstable();
+                let want: Vec<u64> = (1..=world.sent[from]).collect();
+                assert_eq!(got, want, "process {} -> {}", 1 + from, 1 + to);
+            }
+            assert_eq!(world.rig.rel().in_flight(), 0, "both buffers drain");
+            assert_eq!(world.rig.stats.link().abandoned, 0);
+            assert!(
+                world.acks_sent <= world.data_arrivals,
+                "{} acks for {} arrivals", world.acks_sent, world.data_arrivals
+            );
+        }
     }
 
     /// Sends one tagged message 1->2 at `now_us` and runs it through
-    /// arrival and its ack's arrival, so the link's codec has an acked
-    /// base and its estimator a sample.
+    /// arrival and the arrival of a duplicate's (immediate) ack, so the
+    /// link's codec has an acked base and its estimator a sample.
     fn round_trip(rig: &mut Rig, now_us: u64, aids: &[u64]) -> Envelope {
         let (data, copy) = wire_copy(rig.send(now_us, p(1), p(2), user(aids)));
-        let (out, delivered) = rig.arrive(now_us + 1, &data, copy, false, USERS);
+        let (_, delivered) = rig.arrive(now_us + 1, &data, copy, false, USERS);
         assert!(delivered);
+        let (out, _) = rig.arrive(now_us + 1, &data, CopyKind::WireDup, false, USERS);
         let (ack, copy) = wire_copy(out);
         rig.arrive(now_us + 2, &ack, copy, false, USERS);
+        rig.delta();
         data
     }
 
     #[test]
     fn crash_forgets_codec_and_rtt_state_but_not_dedup_windows() {
-        let link = (p(1), p(2));
         let mut rig = Rig::new(true, None);
         let first = round_trip(&mut rig, 0, &[9]);
         assert_ne!(
-            rig.rel().link_mut(link).rto_nanos(),
+            rig.rel().link_mut(LINK).rto_nanos(),
             RTO_US * 1_000,
             "rto adapted"
         );
@@ -837,7 +1213,7 @@ mod tests {
         assert_eq!(rig.delta().tags_delta, 1);
         rig.rel().on_crash(p(2));
         assert_eq!(
-            rig.rel().link_mut(link).rto_nanos(),
+            rig.rel().link_mut(LINK).rto_nanos(),
             RTO_US * 1_000,
             "estimator forgotten"
         );

@@ -13,19 +13,17 @@
 //!
 //! The data path is the link pipeline (`link.rs`) and nothing else: a
 //! send is `Link::send`, an arriving `Data` or `Ack` frame `Link::arrive`,
-//! a due retransmission `Link::timer`. The machine is that pipeline's
-//! third driver. It lends a zero-latency wire with no fault model, never
-//! abandons (`u32::MAX` attempts), keeps returned retransmit timers in a
-//! due-queue that `tick` fires, and turns a returned `Deliver` into a
-//! [`PeerOutput::Write`] — or, with no connection up, into nothing: the
-//! envelope stays in the record's retransmit buffer, which is all
-//! "parked" means. On `connected` every buffered envelope goes through
-//! the retransmit step again, oldest first. The receiver dedups, it does
-//! not reorder, so that ascending resend (with TCP's order within a
-//! connection) is what keeps delivery in send order across a flap.
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+//! a due retransmission `Link::timer`, a due delayed ack `Link::ack_due`.
+//! The machine is that pipeline's third driver. It lends a zero-latency
+//! wire with no fault model, never abandons (`u32::MAX` attempts), keeps
+//! the link's two timers as two due times that `tick` fires, and turns a
+//! returned `Deliver` into a [`PeerOutput::Write`] — or, with no
+//! connection up, into nothing: the envelope stays in the record's
+//! retransmit buffer, which is all "parked" means. On `connected` every
+//! buffered envelope goes out again (`Link::rewire`), oldest first. The
+//! receiver dedups, it does not reorder, so that ascending resend (with
+//! TCP's order within a connection) is what keeps delivery in send order
+//! across a flap.
 
 use bytes::Bytes;
 use hope_types::net::{Frame, FrameKind, FrameReader, HelloReject, NodeId};
@@ -77,8 +75,13 @@ pub struct PeerMachine {
     latency: Box<dyn LatencyModel>,
     /// Never enabled: the pipeline's trace calls cost one atomic load.
     tracer: TraceCollector,
-    /// Retransmit timers the pipeline returned: `(due, seq, attempt)`.
-    timers: BinaryHeap<Reverse<(u64, u64, u32)>>,
+    /// The buffer every pipeline step reports its work in.
+    outbound: Outbound,
+    /// When `data_out`'s retransmit timer and `data_in`'s delayed-ack
+    /// timer fire; `u64::MAX` while the pipeline has none running. Both
+    /// go with the connection.
+    retransmit_due: u64,
+    ack_due: u64,
     up: bool,
     /// Counts connections, so a dead connection's frames and `closed`
     /// cannot touch its successor.
@@ -110,7 +113,9 @@ impl PeerMachine {
             stats: MessageStats::new(),
             latency: NetworkConfig::constant(VirtualDuration::ZERO).into_model(0),
             tracer: TraceCollector::new(),
-            timers: BinaryHeap::new(),
+            outbound: Outbound::new(),
+            retransmit_due: u64::MAX,
+            ack_due: u64::MAX,
             up: false,
             generation: 0,
             attempt: 0,
@@ -131,6 +136,22 @@ impl PeerMachine {
         self.data_out.in_flight()
     }
 
+    /// Whether this end has nothing left to do for the link: nothing it
+    /// sent is unacknowledged, and it owes no ack — a node that left while
+    /// one was waiting for its timer would leave the peer unacknowledged.
+    pub fn drained(&self) -> bool {
+        self.data_out.in_flight() == 0 && !self.data_in.owes_ack()
+    }
+
+    /// Sends the ack the delayed-ack timer is holding, if any, now.
+    pub fn flush_ack(&mut self, now: u64, out: &mut Vec<PeerOutput>) {
+        if self.up {
+            self.ack_due = u64::MAX;
+            let link = (self.them, self.me);
+            self.step(now, true, out, |l, work| l.ack_due(link, work));
+        }
+    }
+
     /// This link's counters; `srtt_nanos` is read off the record.
     pub fn stats(&self) -> LinkStats {
         let srtt_nanos = self.data_out.srtt_nanos().unwrap_or(0);
@@ -141,7 +162,8 @@ impl PeerMachine {
     }
 
     /// Time passes: gives a silent connection up, pings a quiet one,
-    /// fires due retransmit timers, and asks for a dial when one is due.
+    /// fires the link's timers if due, and asks for a dial when one is
+    /// due.
     pub fn tick(&mut self, now: u64, out: &mut Vec<PeerOutput>) {
         if self.up && self.heartbeat.link_dead(now, self.last_heard) {
             self.closed(now, self.generation, out);
@@ -150,12 +172,13 @@ impl PeerMachine {
             if self.heartbeat.ping_due(now, self.last_tx) {
                 self.write(now, Frame::new(FrameKind::Ping, Bytes::new()), out);
             }
-            while let Some(&Reverse((due, seq, attempt))) = self.timers.peek() {
-                if due > now {
-                    break;
-                }
-                self.timers.pop();
-                self.retransmit(now, seq, attempt, out);
+            if self.ack_due <= now {
+                self.flush_ack(now, out);
+            }
+            if self.retransmit_due <= now {
+                self.retransmit_due = u64::MAX;
+                let link = (self.me, self.them);
+                self.step(now, false, out, |l, work| l.timer(link, u32::MAX, work));
             }
         } else if self.me < self.them && self.rejected.is_none() && now >= self.next_dial {
             self.next_dial = u64::MAX;
@@ -186,11 +209,9 @@ impl PeerMachine {
         self.attempt = 0;
         self.last_heard = now;
         self.last_tx = now;
-        self.timers.clear();
-        let unacked: Vec<u64> = self.data_out.unacked_seqs().collect();
-        for seq in unacked {
-            self.retransmit(now, seq, 0, out);
-        }
+        self.timers_lost();
+        let link = (self.me, self.them);
+        self.step(now, false, out, |l, work| l.rewire(link, work));
         let generation = self.generation;
         while self.up {
             match carry.next_frame() {
@@ -261,11 +282,11 @@ impl PeerMachine {
 
     /// Connection `generation` is gone (end of stream, a failed write,
     /// silence): the link is down until the next `connected`, which also
-    /// re-arms the retransmit timers that go with the connection.
+    /// starts the retransmit timer that goes with the connection again.
     pub fn closed(&mut self, now: u64, generation: u64, out: &mut Vec<PeerOutput>) {
         if self.up && generation == self.generation {
             self.up = false;
-            self.timers.clear();
+            self.timers_lost();
             out.push(PeerOutput::Close(generation));
             self.dial_failed(now);
         }
@@ -299,18 +320,21 @@ impl PeerMachine {
         Ok(())
     }
 
-    fn retransmit(&mut self, now: u64, seq: u64, attempt: u32, out: &mut Vec<PeerOutput>) {
-        let link = (self.me, self.them);
-        self.step(now, false, out, |l, work| {
-            l.timer(link, seq, attempt, u32::MAX, work)
-        });
+    /// Both timers go with their connection: the records are told, so the
+    /// next send starts a retransmit timer and nothing stays owed an ack
+    /// that `connected`'s resend will ask for again anyway.
+    fn timers_lost(&mut self) {
+        (self.retransmit_due, self.ack_due) = (u64::MAX, u64::MAX);
+        self.data_out.timers_lost();
+        self.data_in.timers_lost();
     }
 
     /// One link-pipeline step at `now` on the record it touches — an
-    /// arriving data envelope is `inbound`, everything else (send, timer,
-    /// arriving ack) belongs to `data_out` — then what the step asked
-    /// for: timers into the due-queue, copies onto the connection. With
-    /// no connection up both are dropped; `connected` redoes them.
+    /// arriving data envelope and its delayed ack are `inbound`,
+    /// everything else (send, retransmit timer, arriving ack) belongs to
+    /// `data_out` — then what the step asked for: timers into their due
+    /// times, copies onto the connection. With no connection up both are
+    /// dropped; `connected` redoes them.
     fn step<R>(
         &mut self,
         now: u64,
@@ -318,7 +342,7 @@ impl PeerMachine {
         out: &mut Vec<PeerOutput>,
         f: impl FnOnce(&mut Link<'_>, &mut Outbound) -> R,
     ) -> R {
-        let mut work = Outbound::default();
+        let mut work = std::mem::take(&mut self.outbound);
         let rel = if inbound {
             &mut self.data_in
         } else {
@@ -333,13 +357,12 @@ impl PeerMachine {
             tracer: &self.tracer,
         };
         let result = f(&mut link, &mut work);
-        for (delay, item) in work.into_iter().flatten() {
+        for (delay, item) in work.drain(..) {
+            let due = now.saturating_add(delay.as_nanos());
             match item {
                 _ if !self.up => {}
-                LinkWork::Retransmit { seq, attempt, .. } => {
-                    let due = now.saturating_add(delay.as_nanos());
-                    self.timers.push(Reverse((due, seq, attempt)));
-                }
+                LinkWork::Retransmit { .. } => self.retransmit_due = due,
+                LinkWork::AckDue { .. } => self.ack_due = due,
                 LinkWork::Deliver { env, .. } => {
                     let frame = match env.payload {
                         Payload::Ack { seq } => {
@@ -350,6 +373,11 @@ impl PeerMachine {
                     self.write(now, frame, out);
                 }
             }
+        }
+        self.outbound = work;
+        if !self.up {
+            // The step may have claimed a timer that was just dropped.
+            self.timers_lost();
         }
         result
     }

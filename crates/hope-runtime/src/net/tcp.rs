@@ -140,6 +140,8 @@ enum Cmd {
     /// A handshaken inbound connection to adopt, plus the frame reader
     /// holding whatever the kernel coalesced into the handshake read.
     Socket(TcpStream, FrameReader),
+    /// Reply once everything queued before this is written and flushed.
+    Flushed(mpsc::SyncSender<()>),
 }
 
 struct Shared {
@@ -324,11 +326,35 @@ impl NetTransport {
         peers.map(|p| p.machine.lock().in_flight()).sum()
     }
 
-    /// Polls until nothing is in flight or `timeout` elapses; returns
-    /// the final in-flight count.
+    /// Polls until every link is drained — nothing this node sent is
+    /// unacknowledged and it owes no peer an ack (what it does owe goes
+    /// out now rather than with the delayed-ack timer) — or `timeout`
+    /// elapses; returns the final in-flight count. A drained link's last
+    /// ack is on the wire, not in a queue, when this returns: the caller
+    /// may be about to exit, and its peer is waiting for that ack.
     pub fn wait_drained(&self, timeout: Duration) -> usize {
-        poll_until(timeout, || self.in_flight() == 0);
+        let deadline = Instant::now() + timeout;
+        let flushed = |peer: &Arc<Peer>| {
+            peer.input(|m, now, out| {
+                m.flush_ack(now, out);
+                m.drained()
+            })
+        };
+        if poll_until(timeout, || self.peers.values().all(flushed)) {
+            for peer in self.peers.values() {
+                let (done, written) = mpsc::sync_channel(1);
+                if peer.cmd_tx.send(Cmd::Flushed(done)).is_ok() {
+                    let left = deadline.saturating_duration_since(Instant::now());
+                    let _ = written.recv_timeout(left);
+                }
+            }
+        }
         self.in_flight()
+    }
+
+    /// Whether every link is drained: nothing in flight, no ack owed.
+    pub fn drained(&self) -> bool {
+        self.peers.values().all(|p| p.machine.lock().drained())
     }
 
     /// A snapshot of the transport's link counters, summed over peers.
@@ -493,6 +519,10 @@ impl Supervisor {
             match cmd {
                 Ok(Cmd::Do(output)) => self.perform(output),
                 Ok(Cmd::Socket(stream, carry)) => self.adopt(stream, carry),
+                Ok(Cmd::Flushed(done)) => {
+                    self.write(None, BufWriter::flush);
+                    let _ = done.send(());
+                }
                 Err(_) => {}
             }
         }

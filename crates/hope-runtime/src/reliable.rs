@@ -11,15 +11,20 @@
 //!
 //! * every reliable envelope carries a per-`(src, dst)` link sequence
 //!   number (`Envelope::seq`, 1-based; 0 marks the sublayer disabled),
-//! * the receiving link endpoint immediately acknowledges each arrival
-//!   with a [`Payload::Ack`](hope_types::Payload::Ack) datagram — acks
-//!   travel the same faulty wire but are never sequenced, retransmitted,
-//!   or delivered to a process,
-//! * the sender retransmits unacknowledged envelopes on a doubling
-//!   timeout until acked or a retry cap abandons them,
-//! * the receiver delivers each sequence number at most once, re-acking
-//!   (but not re-delivering) duplicates, whether they come from wire
-//!   duplication or from retransmission racing a slow ack.
+//! * acknowledgement is queue progress: a
+//!   [`Payload::Ack`](hope_types::Payload::Ack) datagram is cumulative —
+//!   "every sequence number up to this one has arrived" — and the
+//!   receiving endpoint sends one per [`ACK_EVERY`] in-order arrivals or
+//!   per delayed-ack timer, whichever comes first, and at once for a
+//!   duplicate or an arrival past a gap (the sender is missing
+//!   something). Acks travel the same faulty wire but are never
+//!   sequenced, retransmitted, or delivered to a process,
+//! * the sender keeps one retransmit timer per link: when it fires,
+//!   every envelope unacknowledged past its own doubling timeout is
+//!   resent, oldest first, until acked or a retry cap abandons it,
+//! * the receiver delivers each sequence number at most once, whether a
+//!   second copy comes from wire duplication or from retransmission
+//!   racing a slow ack.
 //!
 //! The retransmission timeout is adaptive: each link runs a
 //! Jacobson/Karels [`RttEstimator`] (SRTT/RTTVAR, RTO = SRTT + 4·RTTVAR,
@@ -37,7 +42,9 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use hope_types::{Envelope, IdoSet, ProcessId, SetCoding, TagDecoder, TagEncoder};
+use hope_types::{
+    Envelope, IdoSet, ProcessId, SetCoding, TagDecoder, TagEncoder, DEFAULT_CODEC_WINDOW,
+};
 
 /// A directed link: (sender, receiver).
 pub type LinkId = (ProcessId, ProcessId);
@@ -55,6 +62,30 @@ pub enum CopyKind {
     WireDup,
     /// A copy resent by a reliable-sublayer retransmission timer.
     Retransmit,
+}
+
+/// In-order first arrivals that share one acknowledgement. A quarter of
+/// the tag codec's window: the encoder deltas only against an acked base
+/// at most [`DEFAULT_CODEC_WINDOW`] sequence numbers back, so the acks
+/// must come several times per window for that base to stay usable.
+pub const ACK_EVERY: u32 = (DEFAULT_CODEC_WINDOW / 4) as u32;
+
+/// The delayed-ack timer runs for this fraction of the estimator's RTO
+/// floor, so the oldest arrival an ack covers has waited well under the
+/// shortest timeout its sender can be running.
+const ACK_DELAY_DIVISOR: u64 = 4;
+
+/// What the receiver half does about acknowledging one arrival.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum AckPlan {
+    /// Acknowledge at once: a duplicate or an arrival past a gap (the
+    /// sender is missing something), or [`ACK_EVERY`] arrivals are owed.
+    Now,
+    /// The arrival is owed an ack and no delayed-ack timer is running:
+    /// start one.
+    Arm,
+    /// The arrival rides on the ack a running timer will send.
+    Wait,
 }
 
 /// Outcome of reconstructing a piggybacked dependency tag at delivery.
@@ -187,17 +218,40 @@ impl RttEstimator {
     pub fn samples(&self) -> u64 {
         self.samples
     }
+
+    /// The lower clamp of the RTO.
+    pub fn floor_nanos(&self) -> u64 {
+        self.min
+    }
 }
 
 /// The result of processing one acknowledgement.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AckOutcome {
-    /// Whether a pending envelope was retired (false for duplicates).
+    /// Whether any pending envelope was retired (false for an ack that
+    /// told the sender nothing new).
     pub retired: bool,
-    /// The round-trip sample taken, if the envelope was never
-    /// retransmitted (Karn's rule: an ack for a retransmitted sequence
-    /// number is ambiguous and must not feed the estimator).
+    /// The round-trip sample taken: that of the newest retired envelope
+    /// that was never retransmitted (Karn's rule: an ack for a
+    /// retransmitted sequence number is ambiguous and must not feed the
+    /// estimator).
     pub rtt_sample_nanos: Option<u64>,
+}
+
+/// What a fired retransmit timer does with one overdue envelope.
+#[derive(Debug)]
+pub enum Overdue<'a> {
+    /// Put this copy on the wire; `attempt` counts its retransmissions,
+    /// this one included.
+    Resend {
+        /// The buffered envelope.
+        env: &'a Envelope,
+        /// Retransmissions of it so far.
+        attempt: u32,
+    },
+    /// The retry cap is reached: the entry is dropped and the message is
+    /// now known lost.
+    Abandoned,
 }
 
 /// One retransmit-buffer entry. What is only meaningful while the
@@ -207,6 +261,11 @@ struct Pending {
     env: Envelope,
     /// Karn's rule: a copy was resent (or parked), so the ack is ambiguous.
     retransmitted: bool,
+    /// Retransmissions so far: the backoff exponent of the next deadline.
+    attempts: u32,
+    /// When the newest copy went on the wire; the entry is overdue at
+    /// `last_tx + rto << attempts`.
+    last_tx: u64,
     /// What the frame carries in place of the full tag. Retransmissions
     /// resend the same coding; the first delivered copy takes it.
     coding: Option<SetCoding>,
@@ -222,8 +281,14 @@ pub struct LinkRecord {
     pending: BTreeMap<u64, Pending>,
     rtt: RttEstimator,
     enc: TagEncoder,
+    /// Whether the driver holds this link's retransmit timer.
+    timer_armed: bool,
     seen: SeqWindow,
     dec: TagDecoder,
+    /// In-order first arrivals since the last ack was sent.
+    ack_owed: u32,
+    /// Whether the driver holds this link's delayed-ack timer.
+    ack_armed: bool,
 }
 
 impl LinkRecord {
@@ -233,8 +298,11 @@ impl LinkRecord {
             pending: BTreeMap::new(),
             rtt,
             enc: TagEncoder::default(),
+            timer_armed: false,
             seen: SeqWindow::default(),
             dec: TagDecoder::default(),
+            ack_owed: 0,
+            ack_armed: false,
         }
     }
 
@@ -260,38 +328,97 @@ impl LinkRecord {
     pub fn track(&mut self, envelope: Envelope, coding: Option<SetCoding>) {
         debug_assert!(envelope.seq > 0, "track() needs a sequenced envelope");
         let entry = Pending {
+            last_tx: envelope.sent_at.as_nanos(),
             env: envelope,
             retransmitted: false,
+            attempts: 0,
             coding,
         };
         self.pending.insert(entry.env.seq, entry);
     }
 
-    /// Processes an ack observed at `now_nanos`: retires the pending
-    /// envelope and, if the sequence number was never retransmitted
-    /// (Karn's rule), feeds `now - sent_at` to the RTT estimator.
-    pub fn acknowledge_at(&mut self, seq: u64, now_nanos: u64) -> AckOutcome {
-        self.enc.on_ack(seq);
-        let entry = self.pending.remove(&seq);
-        let rtt_sample_nanos = entry
-            .as_ref()
-            .filter(|entry| !entry.retransmitted)
-            .map(|entry| now_nanos.saturating_sub(entry.env.sent_at.as_nanos()));
-        if let Some(sample) = rtt_sample_nanos {
-            self.rtt.observe(sample);
-        }
-        AckOutcome {
-            retired: entry.is_some(),
-            rtt_sample_nanos,
-        }
+    /// Claims the link's retransmit timer for a send: true iff none was
+    /// running, in which case the caller must start one for
+    /// [`LinkRecord::rto_nanos`].
+    pub fn arm_timer(&mut self) -> bool {
+        !std::mem::replace(&mut self.timer_armed, true)
     }
 
-    /// Marks the unacknowledged `seq` as retransmitted so a later ack for
-    /// it takes no RTT sample (Karn's rule).
-    pub fn mark_retransmitted(&mut self, seq: u64) {
-        if let Some(entry) = self.pending.get_mut(&seq) {
-            entry.retransmitted = true;
+    /// Processes a cumulative ack observed at `now_nanos` — every
+    /// sequence number up to `seq` has arrived: retires every pending
+    /// envelope at or below it and feeds the estimator `now - sent_at` of
+    /// the newest of them that was never retransmitted (Karn's rule).
+    pub fn acknowledge_at(&mut self, seq: u64, now_nanos: u64) -> AckOutcome {
+        self.enc.on_ack(seq);
+        let mut outcome = AckOutcome {
+            retired: false,
+            rtt_sample_nanos: None,
+        };
+        while let Some(first) = self.pending.first_entry().filter(|e| *e.key() <= seq) {
+            let entry = first.remove();
+            outcome.retired = true;
+            if !entry.retransmitted {
+                let sample = now_nanos.saturating_sub(entry.env.sent_at.as_nanos());
+                outcome.rtt_sample_nanos = Some(sample);
+            }
         }
+        if let Some(sample) = outcome.rtt_sample_nanos {
+            self.rtt.observe(sample);
+        }
+        outcome
+    }
+
+    /// The link's retransmit timer fired at `now_nanos` (or, with
+    /// `everything`, the wire the copies were on is gone and all of them
+    /// are due): every envelope past its deadline — the adapted RTO,
+    /// doubled per retransmission of that envelope — is handed to `each`,
+    /// oldest first, to be resent, or dropped as lost once it has been
+    /// resent `max_retransmits` times. Returns how long until the
+    /// earliest remaining deadline, for which the caller must start the
+    /// timer again; `None` leaves the link without one.
+    ///
+    /// An abandoned sequence number is recorded as observed by the
+    /// receiver half: nothing will fill that gap, and an open gap would
+    /// keep every later arrival in the window's out-of-order set (and
+    /// unacknowledged) forever. The tag encoder forgets the set it
+    /// carried: the acks that now pass over it do not mean the peer holds
+    /// it.
+    pub fn retransmit_due(
+        &mut self,
+        now_nanos: u64,
+        max_retransmits: u32,
+        everything: bool,
+        mut each: impl FnMut(Overdue<'_>),
+    ) -> Option<u64> {
+        let rto = self.rtt.rto_nanos();
+        let deadline = |entry: &Pending| {
+            entry
+                .last_tx
+                .saturating_add(backoff_nanos(rto, entry.attempts))
+        };
+        let (seen, enc) = (&mut self.seen, &mut self.enc);
+        let mut next: Option<u64> = None;
+        self.pending.retain(|&seq, entry| {
+            let mut due = deadline(entry);
+            if everything || due <= now_nanos {
+                if entry.attempts >= max_retransmits {
+                    seen.observe(seq);
+                    enc.forget(seq);
+                    each(Overdue::Abandoned);
+                    return false;
+                }
+                entry.attempts = if everything { 1 } else { entry.attempts + 1 };
+                entry.last_tx = now_nanos;
+                entry.retransmitted = true;
+                let (env, attempt) = (&entry.env, entry.attempts);
+                each(Overdue::Resend { env, attempt });
+                due = deadline(entry);
+            }
+            next = Some(next.map_or(due, |n| n.min(due)));
+            true
+        });
+        self.timer_armed = next.is_some();
+        next.map(|due| due.saturating_sub(now_nanos))
     }
 
     /// The adaptive retransmission timeout in nanoseconds (the initial
@@ -306,11 +433,6 @@ impl LinkRecord {
         self.pending.get(&seq).map(|entry| &entry.env)
     }
 
-    /// The unacknowledged sequence numbers, ascending.
-    pub fn unacked_seqs(&self) -> impl Iterator<Item = u64> + '_ {
-        self.pending.keys().copied()
-    }
-
     /// Number of envelopes awaiting acknowledgement.
     pub fn in_flight(&self) -> usize {
         self.pending.len()
@@ -321,23 +443,60 @@ impl LinkRecord {
         (self.rtt.samples() > 0).then(|| self.rtt.srtt_nanos())
     }
 
-    /// Drops the retransmit buffer entry after the retry cap; returns true
-    /// if it was still pending (i.e. the message is now known lost). The
-    /// receiver half records the sequence number as observed: nothing
-    /// will fill that gap, and an open gap would keep every later arrival
-    /// in the window's out-of-order set forever.
-    pub fn abandon(&mut self, seq: u64) -> bool {
-        let lost = self.pending.remove(&seq).is_some();
-        if lost {
-            self.seen.observe(seq);
-        }
-        lost
-    }
-
     /// Receiver-side dedup: records the arrival of `seq` and returns true
     /// iff it should be delivered (first arrival).
     pub fn accept(&mut self, seq: u64) -> bool {
         self.seen.observe(seq)
+    }
+
+    /// What to do about acknowledging the arrival of `seq`, which
+    /// [`LinkRecord::accept`] just called `first` or not.
+    pub fn ack_plan(&mut self, seq: u64, first: bool) -> AckPlan {
+        if !first || seq > self.seen.prefix {
+            return AckPlan::Now;
+        }
+        self.ack_owed += 1;
+        if self.ack_owed >= ACK_EVERY {
+            AckPlan::Now
+        } else if std::mem::replace(&mut self.ack_armed, true) {
+            AckPlan::Wait
+        } else {
+            AckPlan::Arm
+        }
+    }
+
+    /// An ack goes out now: nothing is owed any more. Returns what it
+    /// says — every sequence number up to this one has arrived.
+    pub fn take_ack(&mut self) -> u64 {
+        self.ack_owed = 0;
+        self.seen.prefix
+    }
+
+    /// The delayed-ack timer fired: whether anything is still owed.
+    pub fn ack_due(&mut self) -> bool {
+        self.ack_armed = false;
+        self.ack_owed > 0
+    }
+
+    /// Whether arrivals are waiting for the delayed-ack timer.
+    pub fn owes_ack(&self) -> bool {
+        self.ack_owed > 0
+    }
+
+    /// How long an in-order arrival may wait for company before it is
+    /// acknowledged.
+    pub fn ack_delay_nanos(&self) -> u64 {
+        self.rtt.floor_nanos() / ACK_DELAY_DIVISOR
+    }
+
+    /// The driver's queue is gone, and both of the link's timers with it
+    /// (a connection died): the next send starts a retransmit timer
+    /// again, and what was owed an ack goes unacknowledged — its sender
+    /// resends it, and a duplicate is acknowledged at once.
+    pub fn timers_lost(&mut self) {
+        self.timer_armed = false;
+        self.ack_armed = false;
+        self.ack_owed = 0;
     }
 
     /// Receiver side of the dependency-tag codec: takes the in-transit
@@ -523,6 +682,17 @@ mod tests {
         (seq, coding)
     }
 
+    /// Fires the timer at `1 << era` ns, long after everything sent an
+    /// era earlier was due; returns (resent, abandoned).
+    fn fire(rec: &mut LinkRecord, era: u32, cap: u32) -> (Vec<u64>, usize) {
+        let (mut resent, mut lost) = (Vec::new(), 0);
+        rec.retransmit_due(1 << era, cap, false, |due| match due {
+            Overdue::Resend { env, .. } => resent.push(env.seq),
+            Overdue::Abandoned => lost += 1,
+        });
+        (resent, lost)
+    }
+
     fn env(src: u64, dst: u64, seq: u64) -> Envelope {
         Envelope {
             src: p(src),
@@ -578,12 +748,67 @@ mod tests {
     }
 
     #[test]
-    fn abandon_reports_whether_message_was_lost() {
+    fn cumulative_ack_retires_everything_at_or_below_it() {
+        let mut st = ReliableState::new();
+        for seq in 1..=5 {
+            st.track(env(1, 2, seq));
+        }
+        assert!(st.acknowledge_at(LINK, 3, 0).retired);
+        let rec = st.link_mut(LINK);
+        assert!(rec.unacked(3).is_none() && rec.unacked(4).is_some());
+        assert_eq!(rec.in_flight(), 2);
+        assert!(!rec.acknowledge_at(2, 0).retired, "an older ack is a no-op");
+        assert!(
+            rec.acknowledge_at(9, 0).retired,
+            "beyond what was sent: all of it"
+        );
+        assert_eq!(rec.in_flight(), 0);
+    }
+
+    #[test]
+    fn the_timer_resends_until_the_cap_then_gives_the_message_up() {
         let mut st = ReliableState::new();
         st.track(env(1, 2, 5));
-        assert!(st.link_mut(LINK).abandon(5));
-        assert!(!st.link_mut(LINK).abandon(5));
+        let rec = st.link_mut(LINK);
+        assert_eq!(fire(rec, 40, 1), (vec![5], 0));
+        assert_eq!(fire(rec, 40, 1), (vec![], 0), "not due again yet");
+        assert_eq!(fire(rec, 50, 1), (vec![], 1), "resent once already: lost");
+        assert_eq!(fire(rec, 60, 1), (vec![], 0), "nothing pending");
         assert_eq!(st.in_flight(), 0);
+    }
+
+    #[test]
+    fn arrivals_are_owed_an_ack_until_enough_of_them_are() {
+        let mut st = ReliableState::new();
+        let rec = st.link_mut(LINK);
+        let arrive = |rec: &mut LinkRecord, seq| {
+            let first = rec.accept(seq);
+            rec.ack_plan(seq, first)
+        };
+        assert_eq!(arrive(rec, 1), AckPlan::Arm);
+        assert!(rec.owes_ack());
+        for seq in 2..u64::from(ACK_EVERY) {
+            assert_eq!(arrive(rec, seq), AckPlan::Wait);
+        }
+        assert_eq!(arrive(rec, u64::from(ACK_EVERY)), AckPlan::Now);
+        assert_eq!(rec.take_ack(), u64::from(ACK_EVERY));
+        assert!(!rec.owes_ack());
+        // The timer the first arrival started is still running.
+        assert_eq!(arrive(rec, u64::from(ACK_EVERY) + 1), AckPlan::Wait);
+        assert!(rec.ack_due(), "it fires with one arrival owed");
+        assert_eq!(rec.take_ack(), u64::from(ACK_EVERY) + 1);
+        assert!(!rec.ack_due(), "and again with none");
+        // A duplicate, or an arrival past a gap, is answered at once and
+        // with what is contiguous.
+        assert_eq!(arrive(rec, 1), AckPlan::Now);
+        assert_eq!(arrive(rec, u64::from(ACK_EVERY) + 3), AckPlan::Now);
+        assert_eq!(rec.take_ack(), u64::from(ACK_EVERY) + 1);
+        // Losing the driver's queue loses what was owed with it.
+        assert_eq!(arrive(rec, u64::from(ACK_EVERY) + 2), AckPlan::Arm);
+        rec.timers_lost();
+        assert!(!rec.owes_ack());
+        assert!(rec.arm_timer(), "and the retransmit timer");
+        assert!(!rec.arm_timer());
     }
 
     #[test]
@@ -597,7 +822,7 @@ mod tests {
         let first = rec.assign_seq();
         assert!(rec.accept(first));
         let (lost, _) = send_tagged(rec, &tag);
-        assert!(rec.abandon(lost));
+        assert_eq!(fire(rec, 40, 0), (vec![], 1));
         assert_eq!(
             rec.decode_tag(lost),
             TagDecode::Uncoded,
@@ -717,11 +942,19 @@ mod tests {
         assert_eq!(srtt(&st, link), Some(2_000_000));
         // Karn's rule: a retransmitted seq yields no sample.
         st.track(env(1, 2, 2));
-        st.link_mut(link).mark_retransmitted(2);
+        assert_eq!(fire(st.link_mut(link), 40, 8), (vec![2], 0));
         let out = st.acknowledge_at(link, 2, 9_000_000);
         assert!(out.retired);
         assert_eq!(out.rtt_sample_nanos, None);
         assert_eq!(srtt(&st, link), Some(2_000_000), "estimator untouched");
+        // One ack for several: the newest fresh entry is the sample.
+        for seq in 3..=5 {
+            let mut sent = env(1, 2, seq);
+            sent.sent_at = VirtualTime::from_nanos(seq * 1_000_000);
+            st.track(sent);
+        }
+        let out = st.acknowledge_at(link, 5, 9_000_000);
+        assert_eq!(out.rtt_sample_nanos, Some(4_000_000), "9 ms - 5 ms");
     }
 
     #[test]

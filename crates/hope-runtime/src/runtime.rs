@@ -191,6 +191,7 @@ impl RuntimeBuilder {
             rel: make_rel.map(|make| make()),
             down: BTreeMap::new(),
             max_retransmits,
+            outbound: Outbound::new(),
             tracer: self.tracer.unwrap_or_default(),
         }
     }
@@ -218,6 +219,9 @@ pub struct SimRuntime {
     /// Crashed processes: raw pid -> restart time (for wake deferral).
     down: BTreeMap<u64, VirtualTime>,
     max_retransmits: u32,
+    /// The buffer every link-pipeline step reports its work in, kept so a
+    /// step allocates nothing.
+    outbound: Outbound,
     /// Causal-trace collector for wire events (disabled unless enabled by
     /// the owner; recording is a single atomic load when off).
     tracer: Arc<hope_types::TraceCollector>,
@@ -422,11 +426,12 @@ impl SimRuntime {
                 None => self.wake(pid),
             },
             EventKind::Link(LinkWork::Deliver { env, copy }) => self.deliver(env, copy),
-            EventKind::Link(LinkWork::Retransmit { link, seq, attempt }) => {
+            EventKind::Link(LinkWork::Retransmit { link }) => {
                 let cap = self.max_retransmits;
-                self.step(self.clock, link, |l, out| {
-                    l.timer(link, seq, attempt, cap, out)
-                });
+                self.step(self.clock, link, |l, out| l.timer(link, cap, out));
+            }
+            EventKind::Link(LinkWork::AckDue { link }) => {
+                self.step(self.clock, link, |l, out| l.ack_due(link, out));
             }
             EventKind::Crash { pid, up_at } => self.crash(pid, up_at),
             EventKind::Restart(pid) => self.restart(pid),
@@ -637,7 +642,7 @@ impl SimRuntime {
         link: LinkId,
         f: impl FnOnce(&mut Link<'_>, &mut Outbound) -> R,
     ) -> R {
-        let mut out = Outbound::default();
+        let mut out = std::mem::take(&mut self.outbound);
         let mut link = Link {
             now,
             rel: self.rel.as_mut().map(|rel| rel.link_mut(link)),
@@ -647,9 +652,10 @@ impl SimRuntime {
             tracer: &self.tracer,
         };
         let result = f(&mut link, &mut out);
-        for (delay, work) in out.into_iter().flatten() {
+        for (delay, work) in out.drain(..) {
             self.queue.push(now + delay, EventKind::Link(work));
         }
+        self.outbound = out;
         result
     }
 

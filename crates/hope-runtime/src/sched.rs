@@ -38,14 +38,19 @@ pub enum EventDesc {
     Crash(ProcessId),
     /// A crashed process comes back up.
     Restart(ProcessId),
-    /// A reliable-delivery retransmission timer.
+    /// A link's reliable-delivery retransmission timer.
     Retransmit {
         /// Sending side of the link.
         src: ProcessId,
         /// Receiving side of the link.
         dst: ProcessId,
-        /// Sequence number the timer guards.
-        seq: u64,
+    },
+    /// A link's delayed-acknowledgement timer.
+    AckDue {
+        /// Sending side of the data link (the ack's destination).
+        src: ProcessId,
+        /// Receiving side of the data link (the ack's source).
+        dst: ProcessId,
     },
 }
 
@@ -100,10 +105,13 @@ pub(crate) fn describe(ev: &Event) -> PendingEvent {
         EventKind::Wake(pid) => EventDesc::Wake(*pid),
         EventKind::Crash { pid, .. } => EventDesc::Crash(*pid),
         EventKind::Restart(pid) => EventDesc::Restart(*pid),
-        EventKind::Link(LinkWork::Retransmit { link, seq, .. }) => EventDesc::Retransmit {
+        EventKind::Link(LinkWork::Retransmit { link }) => EventDesc::Retransmit {
             src: link.0,
             dst: link.1,
-            seq: *seq,
+        },
+        EventKind::Link(LinkWork::AckDue { link }) => EventDesc::AckDue {
+            src: link.0,
+            dst: link.1,
         },
     };
     PendingEvent {
@@ -149,12 +157,15 @@ pub(crate) fn content_hash(ev: &Event) -> u64 {
             3u8.hash(&mut h);
             pid.as_raw().hash(&mut h);
         }
-        EventKind::Link(LinkWork::Retransmit { link, seq, attempt }) => {
+        EventKind::Link(LinkWork::Retransmit { link }) => {
             4u8.hash(&mut h);
             link.0.as_raw().hash(&mut h);
             link.1.as_raw().hash(&mut h);
-            seq.hash(&mut h);
-            attempt.hash(&mut h);
+        }
+        EventKind::Link(LinkWork::AckDue { link }) => {
+            5u8.hash(&mut h);
+            link.0.as_raw().hash(&mut h);
+            link.1.as_raw().hash(&mut h);
         }
     }
     h.finish()

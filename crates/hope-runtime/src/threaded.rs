@@ -19,11 +19,12 @@
 //! discipline is supposed to extend to. The current layout removes every
 //! hot-path lock that can contend:
 //!
-//! * **Shards.** Work items (deliveries, retransmit timers, crash/restart
-//!   events) are routed by *destination* process id to one of N shard
-//!   threads (`pid % N`). Each shard owns a local timer heap, the crash
-//!   windows of its processes (plain shard-local `BTreeMap`, no lock) and
-//!   a cached snapshot of the routing table.
+//! * **Shards.** Work items (deliveries, per-link retransmit and
+//!   delayed-ack timers, crash/restart events) are routed by
+//!   *destination* process id to one of N shard threads (`pid % N`).
+//!   Each shard owns a local timer heap, the crash windows of its
+//!   processes (plain shard-local `BTreeMap`, no lock) and a cached
+//!   snapshot of the routing table.
 //! * **Lanes.** Every sending thread (each process thread and each shard)
 //!   owns a `Lane`: one wait-free SPSC ring per target shard
 //!   ([`spsc`](crate::spsc), created lazily), its own seeded latency and
@@ -225,6 +226,9 @@ struct Lane {
     /// registered with the runtime for report-time merging; the lock is
     /// effectively uncontended (the owner writes, reports read rarely).
     stats: Arc<Mutex<MessageStats>>,
+    /// The buffer every link-pipeline step on this lane reports its work
+    /// in, kept so a step allocates nothing.
+    outbound: Outbound,
 }
 
 /// A lane's statistics as lent to one link-pipeline step: locked on
@@ -343,6 +347,7 @@ impl Inner {
             latency: self.network.clone().into_model(self.seed ^ mix),
             fault,
             stats,
+            outbound: Outbound::new(),
         }
     }
 
@@ -350,7 +355,9 @@ impl Inner {
         let n = self.shards.len();
         match work {
             Work::Link(LinkWork::Deliver { env, .. }) => shard_of(env.dst, n),
-            Work::Link(LinkWork::Retransmit { link, .. }) => shard_of(link.1, n),
+            Work::Link(LinkWork::Retransmit { link } | LinkWork::AckDue { link }) => {
+                shard_of(link.1, n)
+            }
             Work::Crash { pid, .. } | Work::Restart(pid) => shard_of(*pid, n),
         }
     }
@@ -380,19 +387,26 @@ impl Inner {
     }
 
     /// Runs one link-pipeline step for `link` on `lane` at one clock
-    /// reading, then schedules what it asked for. The link's stripe and the
+    /// reading, then schedules what it asked for. A send happens when it
+    /// is made; a queued item a shard works off happens when it was *due*,
+    /// however far behind the shard is running — a shard with a backlog is
+    /// a simulator running late, and on its own timeline an ack is due one
+    /// wire delay after the arrival it answers and a retransmit timer sees
+    /// every ack that was due before it. Judged by the wall clock instead,
+    /// each ack would queue behind the whole backlog and the timer, firing
+    /// first, would resend everything in it. The link's stripe and the
     /// lane's stats are held for the step only — never across the ring
     /// pushes — and a step takes exactly one stripe: the ack it may emit is
-    /// unsequenced, so it needs no state of the reverse link (two links
-    /// can share a stripe).
+    /// unsequenced and says what this link's own window holds, so it needs
+    /// no state of the reverse link (two links can share a stripe).
     fn step<R>(
         &self,
         lane: &mut Lane,
         link: LinkId,
+        at: Instant,
         f: impl FnOnce(&mut Link<'_>, &mut Outbound) -> R,
     ) -> R {
-        let at = Instant::now();
-        let mut out = Outbound::default();
+        let mut out = std::mem::take(&mut lane.outbound);
         let result = {
             let mut rel = self.rel_stripe(link).map(|stripe| stripe.lock());
             let mut stats = LaneStats {
@@ -409,9 +423,10 @@ impl Inner {
             };
             f(&mut link, &mut out)
         };
-        for (delay, work) in out.iter_mut().filter_map(Option::take) {
+        for (delay, work) in out.drain(..) {
             self.schedule(lane, at + Duration::from(delay), Work::Link(work));
         }
+        lane.outbound = out;
         result
     }
 
@@ -419,13 +434,19 @@ impl Inner {
         if self.shutdown.load(Ordering::Acquire) {
             return;
         }
-        self.step(lane, (src, dst), |link, out| {
+        self.step(lane, (src, dst), Instant::now(), |link, out| {
             link.send(src, dst, payload, out)
         });
     }
 
-    /// Shard-side delivery of one due envelope.
-    fn deliver(self: &Arc<Self>, sctx: &mut ShardCtx, envelope: Envelope, copy: CopyKind) {
+    /// Shard-side delivery of one envelope that was due at `due`.
+    fn deliver(
+        self: &Arc<Self>,
+        sctx: &mut ShardCtx,
+        due: Instant,
+        envelope: Envelope,
+        copy: CopyKind,
+    ) {
         // The crash window lives on this shard (the destination's owner),
         // so the down check is a local map lookup; one version-validated
         // table read covers routing and Table 1 party classification for
@@ -438,7 +459,7 @@ impl Inner {
         };
         let slot = procs.get(envelope.dst.as_raw() as usize);
         let route = slot.map(|_| (party(envelope.src), party(envelope.dst)));
-        let deliver = self.step(&mut sctx.lane, state_link(&envelope), |link, out| {
+        let deliver = self.step(&mut sctx.lane, state_link(&envelope), due, |link, out| {
             link.arrive(&envelope, copy, down, route, out)
         });
         let (true, Some(slot)) = (deliver, slot) else {
@@ -603,6 +624,49 @@ impl Inner {
     }
 }
 
+/// A shard thread's end of its ingress: the rings lanes registered with
+/// it so far.
+struct Ingress {
+    rings: Vec<spsc::Consumer<Scheduled>>,
+    epoch_seen: u64,
+    batch: Vec<Scheduled>,
+}
+
+impl Ingress {
+    /// Moves everything queued for the shard into `heap`; returns how
+    /// much that was.
+    ///
+    /// Drains the overflow queue FIRST, then syncs and drains the ingress
+    /// rings, all into one batch. Order matters: an overflow item X
+    /// exists only because its lane's ring was full of X's predecessors
+    /// when X was pushed, so observing X through the queue's mutex
+    /// guarantees the *subsequent* epoch sync and ring drain see every
+    /// item older than X. They land in the same batch and the (due, seq)
+    /// heap restores global order. (Rings-first raced: the lane could
+    /// refill its ring and overflow between the ring drain and the queue
+    /// check, letting the overflow item jump a whole ring's worth of
+    /// predecessors.)
+    fn collect(&mut self, handle: &ShardHandle, heap: &mut BinaryHeap<Scheduled>) -> usize {
+        self.batch.clear();
+        if handle.overflowed.load(Ordering::Acquire) {
+            let mut q = handle.overflow.lock();
+            self.batch.extend(q.drain(..));
+            handle.overflowed.store(false, Ordering::Release);
+        }
+        let epoch = handle.epoch.load(Ordering::Acquire);
+        if epoch != self.epoch_seen {
+            self.rings.append(&mut handle.ingress.lock());
+            self.epoch_seen = epoch;
+        }
+        for ring in self.rings.iter_mut() {
+            ring.drain_into(&mut self.batch);
+        }
+        let drained = self.batch.len();
+        heap.extend(self.batch.drain(..));
+        drained
+    }
+}
+
 /// One delivery shard's main loop: collect ingress, order by due time,
 /// deliver in batches, park on the doorbell.
 fn shard_main(inner: Arc<Inner>, ix: usize) {
@@ -613,56 +677,23 @@ fn shard_main(inner: Arc<Inner>, ix: usize) {
         reader: TableReader::new(),
         down: BTreeMap::new(),
     };
-    let mut rings: Vec<spsc::Consumer<Scheduled>> = Vec::new();
-    let mut epoch_seen = u64::MAX;
+    let mut ingress = Ingress {
+        rings: Vec::new(),
+        epoch_seen: u64::MAX,
+        batch: Vec::new(),
+    };
     let mut heap: BinaryHeap<Scheduled> = BinaryHeap::new();
-    let mut batch: Vec<Scheduled> = Vec::new();
     loop {
         if inner.shutdown.load(Ordering::Acquire) {
             // Drain without delivering and settle the in-flight count.
-            if handle.epoch.load(Ordering::Acquire) != epoch_seen {
-                rings.append(&mut handle.ingress.lock());
-            }
-            let mut undelivered = heap.len() as u64;
-            heap.clear();
-            batch.clear();
-            for ring in rings.iter_mut() {
-                undelivered += ring.drain_into(&mut batch) as u64;
-            }
-            undelivered += handle.overflow.lock().drain(..).count() as u64;
+            ingress.collect(&handle, &mut heap);
+            let undelivered = heap.len() as u64;
             if undelivered > 0 {
                 inner.in_flight.fetch_sub(undelivered, Ordering::AcqRel);
             }
             return;
         }
-        // Drain the overflow queue FIRST, then sync and drain the ingress
-        // rings, all into one batch. Order matters: an overflow item X
-        // exists only because its lane's ring was full of X's
-        // predecessors when X was pushed, so observing X through the
-        // queue's mutex guarantees the *subsequent* epoch sync and ring
-        // drain see every item older than X. They land in the same batch
-        // and the (due, seq) heap restores global order. (Rings-first
-        // raced: the lane could refill its ring and overflow between the
-        // ring drain and the queue check, letting the overflow item jump
-        // a whole ring's worth of predecessors.)
-        batch.clear();
-        if handle.overflowed.load(Ordering::Acquire) {
-            let mut q = handle.overflow.lock();
-            batch.extend(q.drain(..));
-            handle.overflowed.store(false, Ordering::Release);
-        }
-        let epoch = handle.epoch.load(Ordering::Acquire);
-        if epoch != epoch_seen {
-            rings.append(&mut handle.ingress.lock());
-            epoch_seen = epoch;
-        }
-        for ring in rings.iter_mut() {
-            ring.drain_into(&mut batch);
-        }
-        let drained = batch.len();
-        for item in batch.drain(..) {
-            heap.push(item);
-        }
+        let drained = ingress.collect(&handle, &mut heap);
         // Process everything due.
         let mut processed = 0u64;
         while let Some(next) = heap.peek() {
@@ -670,11 +701,35 @@ fn shard_main(inner: Arc<Inner>, ix: usize) {
                 break;
             }
             let item = heap.pop().expect("peeked");
+            let link_timer = matches!(
+                item.work,
+                Work::Link(LinkWork::Retransmit { .. } | LinkWork::AckDue { .. })
+            );
+            // A link timer judges what has arrived by its due time, so
+            // everything due before it comes first, wherever it is
+            // queued: what this loop's own deliveries produced (the acks
+            // they were owed among it) is still in the shard's ring to
+            // itself.
+            if link_timer && ingress.collect(&handle, &mut heap) > 0 {
+                let earlier = |next: &Scheduled| (next.time, next.tie) < (item.time, item.tie);
+                if heap.peek().is_some_and(earlier) {
+                    heap.push(item);
+                    continue;
+                }
+            }
             match item.work {
-                Work::Link(LinkWork::Deliver { env, copy }) => inner.deliver(&mut sctx, env, copy),
-                Work::Link(LinkWork::Retransmit { link, seq, attempt }) => {
-                    inner.step(&mut sctx.lane, link, |l, out| {
-                        l.timer(link, seq, attempt, inner.max_retransmits, out)
+                Work::Link(LinkWork::Deliver { env, copy }) => {
+                    inner.deliver(&mut sctx, item.time, env, copy)
+                }
+                Work::Link(LinkWork::Retransmit { link }) => {
+                    let cap = inner.max_retransmits;
+                    inner.step(&mut sctx.lane, link, item.time, |l, out| {
+                        l.timer(link, cap, out)
+                    });
+                }
+                Work::Link(LinkWork::AckDue { link }) => {
+                    inner.step(&mut sctx.lane, link, item.time, |l, out| {
+                        l.ack_due(link, out)
                     });
                 }
                 Work::Crash { pid, up_at } => inner.crash(&mut sctx, pid, up_at),
@@ -695,11 +750,13 @@ fn shard_main(inner: Arc<Inner>, ix: usize) {
                 .min(PARK_BACKSTOP),
             None => PARK_BACKSTOP,
         };
-        let rings = &mut rings;
+        let Ingress {
+            rings, epoch_seen, ..
+        } = &mut ingress;
         handle.bell.park_for(wait, || {
             rings.iter_mut().any(|r| !r.is_empty())
                 || handle.overflowed.load(Ordering::Acquire)
-                || handle.epoch.load(Ordering::Acquire) != epoch_seen
+                || handle.epoch.load(Ordering::Acquire) != *epoch_seen
                 || inner.shutdown.load(Ordering::Acquire)
         });
     }

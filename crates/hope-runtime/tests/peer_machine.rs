@@ -125,6 +125,133 @@ fn parked_sends_flush_in_seq_order_on_connect() {
     assert_eq!((stats.rtt_samples, stats.srtt_nanos), (1, MS));
 }
 
+fn acks_written(out: &[PeerOutput]) -> Vec<u64> {
+    let acks = out.iter().filter_map(|o| match o {
+        PeerOutput::Write(_, frame) if frame.kind == FrameKind::Ack => Some(u64::from_le_bytes(
+            frame.payload[..].try_into().expect("8 bytes"),
+        )),
+        _ => None,
+    });
+    acks.collect()
+}
+
+/// The link's two timers are two due times `tick` fires, and an end is
+/// drained only once it owes no ack.
+#[test]
+fn arrivals_share_a_delayed_ack_and_owing_one_is_not_drained() {
+    let mut sender = dialer(&cfg(1));
+    let mut receiver = PeerMachine::new(&cfg(2), n(1));
+    let (mut wire, mut out) = (Vec::new(), Vec::new());
+    let up = sender.connected(MS, &mut FrameReader::new(), &mut wire);
+    let down = receiver.connected(MS, &mut FrameReader::new(), &mut out);
+    for i in 0..3 {
+        sender.send(2 * MS, payload(i), &mut wire).expect("link up");
+    }
+    for output in wire.drain(..) {
+        let PeerOutput::Write(_, frame) = output else {
+            panic!("a send on a live link only writes");
+        };
+        receiver.frame(3 * MS, down, frame, &mut out);
+    }
+    assert_eq!(delivered(&out), [0, 1, 2]);
+    assert_eq!(acks_written(&out), [], "in order: owed, not sent");
+    assert!(!receiver.drained(), "an ack is owed");
+    assert_eq!(
+        receiver.in_flight(),
+        0,
+        "though nothing of its own is unacked"
+    );
+    // The delayed-ack timer is a quarter of the wall-clock RTO floor.
+    out.clear();
+    receiver.tick(3 * MS + 249_999, &mut out);
+    assert_eq!(acks_written(&out), []);
+    receiver.tick(3 * MS + 250_000, &mut out);
+    assert_eq!(acks_written(&out), [3], "one ack for all three");
+    assert!(receiver.drained());
+    // It retires all three at the sender, whose timer then finds nothing.
+    for output in out.drain(..) {
+        let PeerOutput::Write(_, frame) = output else {
+            panic!("a tick on a live link only writes");
+        };
+        sender.frame(4 * MS, up, frame, &mut wire);
+    }
+    assert!(sender.drained());
+    sender.tick(90 * MS, &mut wire);
+    assert_eq!(wire, [], "past the rto: nothing unacked, nothing resent");
+    // `flush_ack` is the timer fired early: what a node does before it
+    // stops ticking.
+    sender
+        .send(91 * MS, payload(3), &mut wire)
+        .expect("link up");
+    for output in wire.drain(..) {
+        if let PeerOutput::Write(_, frame) = output {
+            receiver.frame(91 * MS, down, frame, &mut out);
+        }
+    }
+    assert!(!receiver.drained());
+    out.clear();
+    receiver.flush_ack(91 * MS, &mut out);
+    assert_eq!(acks_written(&out), [4]);
+    assert!(receiver.drained());
+    // A connection takes what it owed with it: the sender's resend on
+    // the next one is a duplicate, and that is acked at once.
+    sender
+        .send(92 * MS, payload(4), &mut wire)
+        .expect("link up");
+    let PeerOutput::Write(_, fifth) = wire.remove(0) else {
+        panic!("a data frame");
+    };
+    receiver.frame(92 * MS, down, fifth.clone(), &mut out);
+    assert!(!receiver.drained());
+    receiver.closed(93 * MS, down, &mut out);
+    assert!(
+        receiver.drained(),
+        "nothing can be owed on a dead connection"
+    );
+    out.clear();
+    let down = receiver.connected(94 * MS, &mut FrameReader::new(), &mut out);
+    receiver.frame(94 * MS, down, fifth, &mut out);
+    assert_eq!((delivered(&out), acks_written(&out)), (vec![], vec![5]));
+}
+
+/// One timer per link: a tick resends what is overdue, oldest first, and
+/// a cut takes the timer with it.
+#[test]
+fn the_retransmit_timer_is_one_due_time_per_link() {
+    let cfg = cfg(1);
+    let mut m = dialer(&cfg);
+    let mut out = Vec::new();
+    let generation = m.connected(MS, &mut FrameReader::new(), &mut out);
+    for i in 0..3 {
+        m.send((2 + u64::from(i)) * MS, payload(i), &mut out)
+            .expect("link up");
+    }
+    out.clear();
+    let rto = cfg.initial_rto_nanos;
+    // Seq 1 is due at 2 ms + rto; a tick just before resends nothing.
+    m.tick(2 * MS + rto - 1, &mut out);
+    assert_eq!(data_written(&out), []);
+    m.tick(3 * MS + rto, &mut out);
+    assert_eq!(
+        data_written(&out),
+        [(1, 0), (2, 1)],
+        "overdue, oldest first"
+    );
+    assert_eq!(m.stats().retransmits, 2);
+    // Seq 3 is the earliest deadline left.
+    out.clear();
+    m.tick(4 * MS + rto, &mut out);
+    assert_eq!(data_written(&out), [(3, 2)]);
+    // The timer goes with the connection; the next one starts it over
+    // with everything unacked.
+    m.closed(5 * MS + rto, generation, &mut out);
+    out.clear();
+    m.tick(3_600_000 * MS, &mut out);
+    assert_eq!(out, [PeerOutput::Dial], "down: no timer fires");
+    m.connected(3_600_001 * MS, &mut FrameReader::new(), &mut out);
+    assert_eq!(data_written(&out), [(1, 0), (2, 1), (3, 2)]);
+}
+
 #[test]
 fn silence_closes_the_connection_and_redials() {
     let cfg = cfg(1);
@@ -433,9 +560,8 @@ impl World {
     }
 
     fn settled(&self) -> bool {
-        let done = |e: usize| {
-            self.ends[e].machine.in_flight() == 0 && self.ends[e].got == self.ends[1 - e].sent
-        };
+        let done =
+            |e: usize| self.ends[e].machine.drained() && self.ends[e].got == self.ends[1 - e].sent;
         done(0) && done(1)
     }
 }
@@ -476,7 +602,8 @@ proptest! {
     /// Whatever the pipe does — cuts at any byte, tails delivered twice,
     /// data riding in on the handshake read — every accepted send is
     /// delivered exactly once, in order (checked at each delivery), and
-    /// once the pipe behaves nothing stays in flight.
+    /// once the pipe behaves nothing stays in flight and no ack stays
+    /// owed.
     #[test]
     fn every_accepted_send_is_delivered_once_in_order(
         ops in proptest::collection::vec(op(), 0..200),
@@ -507,7 +634,12 @@ proptest! {
         for end in &world.ends {
             let stats = end.machine.stats();
             prop_assert_eq!(stats.abandoned, 0);
-            prop_assert!(stats.acks >= u64::from(end.sent));
+            prop_assert_eq!(end.machine.in_flight(), 0);
+            prop_assert!(end.machine.drained(), "nothing owed");
+            // Acknowledgement is cumulative: at least one ack if anything
+            // was sent, at most one per copy that was put on the wire.
+            let copies = u64::from(end.sent) + stats.retransmits;
+            prop_assert!(stats.acks >= u64::from(end.sent.min(1)) && stats.acks <= copies);
         }
     }
 }

@@ -22,6 +22,7 @@
 //! | [`netchaos`]   | E-net   | socket-level chaos proxy: partitions, resets, mid-frame cuts against the real TCP transport |
 //! | [`scenarios`]  | E-check | zero-latency scenario builders for the `hope-check` model checker |
 //! | [`throughput`] | E-perf | reliable-link streaming under speculation: tag bytes on the wire, registrations, virtual primitive cost |
+//! | [`link_budget`] | E-link | what the reliable sublayer adds per message: link events, acks and timers counted on one link, clean and lossy |
 //!
 //! Each idea the modules share is written once:
 //!
@@ -46,6 +47,7 @@ pub mod contention;
 pub mod disk_chaos;
 pub mod harness;
 pub mod json;
+pub mod link_budget;
 pub mod netchaos;
 pub mod printer;
 pub mod protocol;

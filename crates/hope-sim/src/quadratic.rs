@@ -19,7 +19,11 @@
 //! N settled rounds of depth-8 speculation, what does one more round cost
 //! per tagged receive? The paper's answer (§5: finalize is a commit
 //! point; nothing behind it is consulted again) is "the same as after
-//! none".
+//! none". A third sweep holds the history fixed and grows the *live*
+//! window instead — M tagged messages per guess, so the consumer holds
+//! 8·M live intervals in 8 distinct dependency sets when the `Replace`
+//! wave arrives — and counts the deep copies of a shared `IDO` the wave
+//! makes (`ido_unshares`): one per run of equal holders, whatever M.
 
 use bytes::Bytes;
 use hope_core::HopeEnv;
@@ -102,11 +106,11 @@ impl LocalWorkResult {
     }
 }
 
-/// `history_visits` after `rounds` whole rounds: the producer stacks
-/// [`LOCAL_DEPTH`] guesses with a tagged message after each, the consumer
-/// affirms them all, and neither starts the next round before both are
-/// definite again.
-fn visits_after(rounds: u32, seed: u64) -> u64 {
+/// The HOPE metrics after `rounds` whole rounds: the producer stacks
+/// [`LOCAL_DEPTH`] guesses with `per_guess` tagged messages after each,
+/// the consumer affirms them all, and neither starts the next round
+/// before both are definite again.
+fn rounds_metrics(rounds: u32, per_guess: u32, seed: u64) -> hope_core::MetricsSnapshot {
     let mut env = HopeEnv::builder()
         .seed(seed)
         .network(NetworkConfig::lan())
@@ -114,7 +118,7 @@ fn visits_after(rounds: u32, seed: u64) -> u64 {
     let consumer = env.spawn_user("consumer", move |ctx| {
         for _ in 0..rounds {
             let first = ctx.receive(Some(CH_AIDS));
-            for _ in 0..LOCAL_DEPTH {
+            for _ in 0..LOCAL_DEPTH * per_guess {
                 let _ = ctx.receive(Some(CH_DATA));
             }
             for aid in decode_aids(&first.data) {
@@ -130,7 +134,9 @@ fn visits_after(rounds: u32, seed: u64) -> u64 {
             ctx.send(consumer, CH_AIDS, encode_aids(&aids));
             for &aid in &aids {
                 let _ = ctx.guess(aid);
-                ctx.send(consumer, CH_DATA, Bytes::new());
+                for _ in 0..per_guess {
+                    ctx.send(consumer, CH_DATA, Bytes::new());
+                }
             }
             ctx.await_definite();
             let _ = ctx.receive(Some(CH_DONE));
@@ -138,7 +144,12 @@ fn visits_after(rounds: u32, seed: u64) -> u64 {
     });
     let report = run_settled(&mut env, &[]);
     assert_eq!(report.hope.rollbacks, 0, "nothing is denied");
-    report.hope.history_visits
+    report.hope
+}
+
+/// `history_visits` after `rounds` rounds of one tagged message per guess.
+fn visits_after(rounds: u32, seed: u64) -> u64 {
+    rounds_metrics(rounds, 1, seed).history_visits
 }
 
 /// One measured round after `settled_rounds` settled ones. The simulator
@@ -151,6 +162,38 @@ pub fn measure_local(settled_rounds: u32, seed: u64) -> LocalWorkResult {
         tagged_receives: u64::from(LOCAL_DEPTH),
         history_visits: visits_after(settled_rounds + 1, seed) - visits_after(settled_rounds, seed),
     }
+}
+
+/// Measured `Replace` bookkeeping for one size of live window.
+#[derive(Debug, Clone, Copy)]
+pub struct HolderResult {
+    /// Live implicit intervals at the consumer when the affirms go out:
+    /// [`LOCAL_DEPTH`] distinct dependency sets, this many holders.
+    pub live_intervals: u32,
+    /// Deep copies of a shared `IDO` made applying the round's `Replace`
+    /// wave, both processes together.
+    pub ido_unshares: u64,
+}
+
+/// One round with `per_guess` tagged messages after each guess.
+pub fn measure_holders(per_guess: u32, seed: u64) -> HolderResult {
+    HolderResult {
+        live_intervals: LOCAL_DEPTH * per_guess,
+        ido_unshares: rounds_metrics(1, per_guess, seed).ido_unshares,
+    }
+}
+
+/// Tabulates E5b's second half: flat when a `Replace` is applied once per
+/// run of equal holders.
+pub fn holders_table(results: &[HolderResult]) -> crate::table::Table {
+    let mut table = crate::table::Table::new(
+        "E5b: Replace bookkeeping vs. live intervals (one depth-8 round, 8 distinct sets)",
+        &["live intervals", "ido unshares"],
+    );
+    for r in results {
+        table.row(&[&r.live_intervals, &r.ido_unshares]);
+    }
+    table
 }
 
 /// Runs [`measure_local`] across a sweep of settled history.
@@ -242,6 +285,14 @@ mod tests {
         // Guess, one Affirm and one Replace per assumption).
         assert_eq!(a.total_hope, 12);
         assert_eq!(b.total_hope, 48);
+    }
+
+    #[test]
+    fn a_replace_unshares_once_per_distinct_set_not_once_per_holder() {
+        let (few, many) = (measure_holders(1, 1), measure_holders(32, 1));
+        assert_eq!(many.live_intervals, 32 * few.live_intervals);
+        assert!(few.ido_unshares > 0, "depth 8 is past the inline tier");
+        assert_eq!(many.ido_unshares, few.ido_unshares, "{few:?} -> {many:?}");
     }
 
     #[test]

@@ -193,16 +193,29 @@ impl TagEncoder {
         coding
     }
 
-    /// Records that the peer acknowledged the envelope with sequence
-    /// `seq`: its set becomes the preferred delta base.
+    /// Records that the peer acknowledged every envelope up to sequence
+    /// `seq`: the newest set sent at or below it becomes the preferred
+    /// delta base. (A cumulative ack can name an envelope that carried no
+    /// set, so `seq` itself need not be in `sent`.)
     pub fn on_ack(&mut self, seq: u64) {
-        if self.base.as_ref().is_some_and(|(b, _)| *b >= seq) {
+        let Some((&at, set)) = self.sent.range(..=seq).next_back() else {
             return;
+        };
+        if self
+            .base
+            .as_ref()
+            .is_none_or(|(base_seq, _)| at > *base_seq)
+        {
+            self.base = Some((at, set.clone()));
+            self.sent = self.sent.split_off(&at);
         }
-        if let Some(set) = self.sent.get(&seq).cloned() {
-            self.base = Some((seq, set));
-            self.sent = self.sent.split_off(&seq);
-        }
+    }
+
+    /// The envelope carrying `seq` was given up unacknowledged: the peer
+    /// never decoded its set, so an ack that passes over it must not make
+    /// it the base.
+    pub fn forget(&mut self, seq: u64) {
+        self.sent.remove(&seq);
     }
 
     /// Forgets all link state (peer crash/restart): the next encode is
@@ -297,6 +310,41 @@ mod tests {
                 del: IdoSet::new(),
             }
         );
+    }
+
+    #[test]
+    fn cumulative_ack_on_an_untagged_seq_takes_the_newest_set_below_it() {
+        // Seqs 1, 3 and 5 carried sets; 2, 4 and 6 were protocol messages
+        // the encoder never saw.
+        let mut enc = TagEncoder::default();
+        for (seq, members) in [(1, &[1][..]), (3, &[1, 2]), (5, &[1, 2, 3])] {
+            assert!(matches!(
+                enc.encode(seq, &set(members)),
+                SetCoding::Full { .. }
+            ));
+        }
+        let base_of = |enc: &mut TagEncoder, seq| match enc.encode(seq, &set(&[1, 2, 3])) {
+            SetCoding::Delta { base_seq, .. } => Some(base_seq),
+            SetCoding::Full { .. } => None,
+        };
+        enc.on_ack(4);
+        assert_eq!(base_of(&mut enc, 7), Some(3), "newest set at or below 4");
+        enc.on_ack(2);
+        assert_eq!(base_of(&mut enc, 8), Some(3), "an older ack moves nothing");
+        enc.on_ack(6);
+        assert_eq!(base_of(&mut enc, 9), Some(5));
+        // Nothing at or below the ack that is not already the base.
+        enc.on_ack(6);
+        assert_eq!(base_of(&mut enc, 10), Some(5));
+        let mut fresh = TagEncoder::default();
+        fresh.encode(3, &set(&[1]));
+        fresh.on_ack(2);
+        assert_eq!(base_of(&mut fresh, 4), None, "nothing sent at or below 2");
+        // A set the peer never got (its envelope was abandoned) is no base.
+        fresh.forget(4);
+        fresh.forget(3);
+        fresh.on_ack(4);
+        assert_eq!(base_of(&mut fresh, 5), None);
     }
 
     #[test]

@@ -360,7 +360,7 @@ impl<T: fmt::Debug> fmt::Debug for IdSet<T> {
 
 impl<T: PartialEq> PartialEq for IdSet<T> {
     fn eq(&self, other: &Self) -> bool {
-        self.as_slice() == other.as_slice()
+        self.shares_storage(other) || self.as_slice() == other.as_slice()
     }
 }
 
