@@ -18,7 +18,7 @@ pub struct RtWorld {
 /// A read-only snapshot of the protocol-visible state, assembled once per
 /// step for the oracles. Building it locks every HOPElib briefly; the
 /// worlds checked here are small (a handful of processes), so this is
-/// cheap relative to thread rendezvous costs.
+/// cheap relative to the thread handoffs each step costs.
 #[derive(Debug, Clone)]
 pub struct WorldView {
     /// Steps taken so far in this schedule.

@@ -6,10 +6,11 @@
 //! messages addressed to user processes (paper, Figure 3). This crate is the
 //! from-scratch substitute: a **deterministic, virtual-time actor runtime**.
 //!
-//! * **User processes** run as real OS threads with a blocking, sequential
+//! * **User processes** run on real OS threads with a blocking, sequential
 //!   programming model ([`SimRuntime::spawn_threaded`]); the scheduler and
-//!   the running process hand control back and forth in strict rendezvous,
-//!   so execution is fully deterministic for a given seed.
+//!   the running process hand control back and forth in strict turns, so
+//!   execution is fully deterministic for a given seed. A worker thread is
+//!   reused by the next process once its process exits.
 //! * **AID processes** are lightweight event-driven [`Actor`]s — they are
 //!   pure message-driven state machines in the paper, so they need no stack.
 //! * **HOPE protocol messages** addressed to a threaded process are routed

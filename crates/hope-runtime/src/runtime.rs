@@ -1,10 +1,7 @@
 //! The deterministic virtual-time scheduler.
 
 use std::collections::BTreeMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
 use parking_lot::Mutex;
 
@@ -20,8 +17,8 @@ use crate::link::{state_link, Link, LinkWork, Outbound};
 use crate::net::{LatencyModel, NetworkConfig};
 use crate::reliable::{CopyKind, LinkId, ReliableState};
 use crate::stats::{MessageStats, PartyKind, RunReport};
-use crate::sysapi::{Received, SysApi};
-use crate::threadproc::{Resume, Shared, SpawnKind, SpawnRequest, ThreadCtx, YieldMsg};
+use crate::sysapi::{ProcessBody, Received, SysApi};
+use crate::threadproc::{Job, Resume, Shared, SpawnKind, SpawnRequest, Worker, YieldMsg};
 
 /// Lifecycle state of a threaded process, as visible to tests and tools.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -52,9 +49,10 @@ struct ThreadedEntry {
     pid: ProcessId,
     name: String,
     shared: Arc<Mutex<Shared>>,
-    resume_tx: SyncSender<Resume>,
-    yield_rx: Receiver<YieldMsg>,
-    join: Option<JoinHandle<()>>,
+    /// The body, until the first resume hands it to a worker.
+    body: Option<ProcessBody>,
+    /// The worker running the body, from the first resume until it exits.
+    worker: Option<Worker>,
     control: Option<Box<dyn ControlHandler>>,
     status: ProcessStatus,
     blocked_channel: Option<u32>,
@@ -193,6 +191,8 @@ impl RuntimeBuilder {
             max_retransmits,
             outbound: Outbound::new(),
             tracer: self.tracer.unwrap_or_default(),
+            idle: Vec::new(),
+            workers_started: 0,
         }
     }
 }
@@ -225,6 +225,10 @@ pub struct SimRuntime {
     /// Causal-trace collector for wire events (disabled unless enabled by
     /// the owner; recording is a single atomic load when off).
     tracer: Arc<hope_types::TraceCollector>,
+    /// Workers whose process exited, ready for the next first resume.
+    idle: Vec<Worker>,
+    /// Worker threads started so far (names them `hope-sim-N`).
+    workers_started: usize,
 }
 
 /// Collects sends (and a wake request) issued by an actor or control
@@ -339,9 +343,11 @@ impl SimRuntime {
     ///
     /// `control` receives every HOPE protocol message addressed to the
     /// process (the paper's HOPElib `Control` function); pass `None` for
-    /// processes that take no part in HOPE bookkeeping. `body` runs on a
-    /// dedicated thread, starting at the current virtual time once
-    /// [`SimRuntime::run`] is called.
+    /// processes that take no part in HOPE bookkeeping. `body` starts at
+    /// the current virtual time once [`SimRuntime::run`] is called, on a
+    /// worker thread (`hope-sim-N`) that an earlier process may have used
+    /// and a later one will reuse after this one exits: thread-locals and
+    /// `std::thread::current()` belong to the worker, not to the process.
     pub fn spawn_threaded<F>(
         &mut self,
         name: &str,
@@ -595,33 +601,13 @@ impl SimRuntime {
                 });
             }
             SpawnKind::Threaded { control, body } => {
-                let shared = Shared::new();
-                // Zero capacity: every resume/yield is a rendezvous, which
-                // is what keeps exactly one side running at a time.
-                let (resume_tx, resume_rx) = sync_channel::<Resume>(0);
-                let (yield_tx, yield_rx) = sync_channel::<YieldMsg>(0);
-                let thread_shared = shared.clone();
-                let seed = self.seed;
-                let thread_name = format!("hope-{}-{}", pid.as_raw(), req.name);
-                let join = std::thread::Builder::new()
-                    .name(thread_name)
-                    .spawn(move || {
-                        let mut ctx = ThreadCtx::new(pid, thread_shared, resume_rx, yield_tx, seed);
-                        if !ctx.wait_initial() {
-                            return;
-                        }
-                        let result = catch_unwind(AssertUnwindSafe(|| body(&mut ctx)));
-                        let panic = result.err().map(|p| panic_message(p.as_ref()));
-                        ctx.notify_exit(panic);
-                    })
-                    .expect("failed to spawn process thread");
+                // No thread yet: the first resume hands the body to one.
                 self.procs.push(ProcSlot::Threaded(Box::new(ThreadedEntry {
                     pid,
                     name: req.name,
-                    shared,
-                    resume_tx,
-                    yield_rx,
-                    join: Some(join),
+                    shared: Shared::new(),
+                    body: Some(body),
+                    worker: None,
                     control,
                     status: ProcessStatus::New,
                     blocked_channel: None,
@@ -878,19 +864,28 @@ impl SimRuntime {
         let ProcSlot::Threaded(mut entry) = slot else {
             unreachable!("checked above")
         };
-        let mut next_resume = Resume::Go;
+        let mut next_resume = match entry.body.take() {
+            Some(body) => {
+                let worker = self.idle.pop().unwrap_or_else(|| {
+                    self.workers_started += 1;
+                    Worker::spawn(self.workers_started)
+                });
+                entry.worker = Some(worker);
+                Resume::Start(Job {
+                    pid,
+                    shared: entry.shared.clone(),
+                    body,
+                    seed: self.seed,
+                })
+            }
+            None => Resume::Go,
+        };
         loop {
             entry.shared.lock().now = self.clock;
-            if entry.resume_tx.send(next_resume).is_err() {
+            let Some(msg) = entry.worker.as_ref().and_then(|w| w.turn(next_resume)) else {
                 entry.status = ProcessStatus::Exited;
+                entry.worker = None;
                 break;
-            }
-            let msg = match entry.yield_rx.recv() {
-                Ok(m) => m,
-                Err(_) => {
-                    entry.status = ProcessStatus::Exited;
-                    break;
-                }
             };
             // Drain messages sent since the last yield.
             let out = std::mem::take(&mut entry.shared.lock().outbox);
@@ -921,6 +916,7 @@ impl SimRuntime {
                     if let Some(msg) = panic {
                         self.panics.push((pid, msg));
                     }
+                    self.idle.extend(entry.worker.take());
                     break;
                 }
             }
@@ -932,26 +928,6 @@ impl SimRuntime {
 impl Default for SimRuntime {
     fn default() -> Self {
         SimRuntime::new()
-    }
-}
-
-impl Drop for SimRuntime {
-    fn drop(&mut self) {
-        // Close the resume channels so every parked thread unblocks, then
-        // join them. All process threads park on `resume_rx.recv()` between
-        // scheduler turns, so this cannot hang.
-        let mut joins = Vec::new();
-        for slot in &mut self.procs {
-            if let ProcSlot::Threaded(entry) = slot {
-                if let Some(handle) = entry.join.take() {
-                    joins.push(handle);
-                }
-            }
-        }
-        self.procs.clear();
-        for handle in joins {
-            let _ = handle.join();
-        }
     }
 }
 

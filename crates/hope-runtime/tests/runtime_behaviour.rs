@@ -455,3 +455,216 @@ fn receive_sees_message_queued_before_block() {
     // Receive returned when compute finished, not at delivery time.
     assert_eq!(t, VirtualTime::ZERO + VirtualDuration::from_millis(50));
 }
+
+/// Records the worker thread a process body runs on.
+fn note_thread(ids: &Arc<Mutex<Vec<std::thread::ThreadId>>>) {
+    ids.lock().unwrap().push(std::thread::current().id());
+}
+
+fn distinct(ids: &Arc<Mutex<Vec<std::thread::ThreadId>>>) -> usize {
+    let ids = ids.lock().unwrap();
+    ids.iter().collect::<std::collections::HashSet<_>>().len()
+}
+
+#[test]
+fn sequential_children_reuse_one_worker_thread() {
+    // One thread per process would show 1 000 distinct ids here.
+    let mut rt = SimRuntime::new();
+    let ids = Arc::new(Mutex::new(Vec::new()));
+    let seen = ids.clone();
+    rt.spawn_threaded("parent", None, move |ctx| {
+        let parent = ctx.pid();
+        for _ in 0..1_000 {
+            let seen = seen.clone();
+            ctx.spawn_threaded(
+                "child",
+                None,
+                Box::new(move |cctx: &mut dyn hope_runtime::SysApi| {
+                    note_thread(&seen);
+                    cctx.send(parent, user(b"bye"));
+                }),
+            );
+            // The child has exited by the time its message arrives.
+            ctx.receive(None, &mut || false).unwrap();
+        }
+    });
+    let report = rt.run();
+    assert!(report.is_clean());
+    assert_eq!(ids.lock().unwrap().len(), 1_000);
+    let threads = distinct(&ids);
+    assert!(
+        threads <= 2,
+        "1 000 sequential children ran on {threads} threads"
+    );
+}
+
+#[test]
+fn idle_workers_never_outnumber_peak_live_processes() {
+    // Two waves of 64 children, all of one wave live at once; one thread
+    // per process would show 128 distinct ids.
+    const WAVE: usize = 64;
+    let mut rt = SimRuntime::new();
+    let ids = Arc::new(Mutex::new(Vec::new()));
+    let seen = ids.clone();
+    rt.spawn_threaded("parent", None, move |ctx| {
+        let parent = ctx.pid();
+        for _ in 0..2 {
+            let children: Vec<ProcessId> = (0..WAVE)
+                .map(|_| {
+                    let seen = seen.clone();
+                    ctx.spawn_threaded(
+                        "child",
+                        None,
+                        Box::new(move |cctx: &mut dyn hope_runtime::SysApi| {
+                            cctx.send(parent, user(b"ready"));
+                            cctx.receive(None, &mut || false).unwrap();
+                            note_thread(&seen);
+                            cctx.send(parent, user(b"done"));
+                        }),
+                    )
+                })
+                .collect();
+            // Every child of the wave is blocked in `receive` at once.
+            for _ in 0..WAVE {
+                ctx.receive(None, &mut || false).unwrap();
+            }
+            for &child in &children {
+                ctx.send(child, user(b"go"));
+            }
+            for _ in 0..WAVE {
+                ctx.receive(None, &mut || false).unwrap();
+            }
+        }
+    });
+    let report = rt.run();
+    assert!(report.is_clean());
+    assert_eq!(ids.lock().unwrap().len(), 2 * WAVE);
+    let threads = distinct(&ids);
+    assert!(
+        threads <= WAVE + 1,
+        "two waves of {WAVE} ran on {threads} threads"
+    );
+}
+
+/// Runs `f` on another thread and fails if it does not finish in time.
+fn within_watchdog(what: &str, f: impl FnOnce() + Send + 'static) {
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        f();
+        let _ = done_tx.send(());
+    });
+    done_rx
+        .recv_timeout(std::time::Duration::from_secs(20))
+        .unwrap_or_else(|_| panic!("{what} did not return within the watchdog"));
+}
+
+/// A runtime whose processes end up exited (worker idle), blocked, parked
+/// and sleeping, plus a ping-pong that never quiesces. The blocked, parked
+/// and sleeping bodies log what their wait returned once it returns.
+fn runtime_in_every_status(
+    max_events: u64,
+    woke: &Arc<Mutex<Vec<String>>>,
+) -> (SimRuntime, [ProcessId; 4]) {
+    let mut rt = SimRuntime::builder().max_events(max_events).build();
+    let exited = rt.spawn_threaded("exited", None, |_ctx| {});
+    let w = woke.clone();
+    let blocked = rt.spawn_threaded("blocked", None, move |ctx| {
+        let got = ctx.receive(None, &mut || false);
+        w.lock()
+            .unwrap()
+            .push(format!("blocked: {:?}", got.is_some()));
+    });
+    let w = woke.clone();
+    let parked = rt.spawn_threaded("parked", None, move |ctx| {
+        let interrupted = ctx.park(&mut || false);
+        w.lock().unwrap().push(format!("parked: {interrupted}"));
+    });
+    let w = woke.clone();
+    let sleeping = rt.spawn_threaded("sleeping", None, move |ctx| {
+        ctx.compute(VirtualDuration::from_secs(3600));
+        w.lock().unwrap().push("sleeping: done".to_string());
+    });
+    let echo = rt.spawn_actor("echo", Box::new(Echo));
+    let echo2 = rt.spawn_actor("echo2", Box::new(Echo));
+    rt.inject(echo2, echo, user(b"ball")).unwrap();
+    (rt, [exited, blocked, parked, sleeping])
+}
+
+#[test]
+fn dropping_a_runtime_in_every_status_returns() {
+    use ProcessStatus::*;
+    let expect = [Exited, Blocked, Parked, Sleeping];
+    // Every waiting body is woken by the drop and sees the shutdown.
+    let shut_down = ["blocked: false", "parked: false", "sleeping: done"];
+
+    // Stopped at a deadline, with a never-resumed process added after.
+    let woke = Arc::new(Mutex::new(Vec::new()));
+    let (mut rt, pids) = runtime_in_every_status(u64::MAX, &woke);
+    let report = rt.run_until(VirtualTime::ZERO + VirtualDuration::from_secs(1));
+    assert!(!report.hit_event_limit);
+    let fresh = rt.spawn_threaded("new", None, |_ctx| unreachable!("never resumed"));
+    assert_eq!(rt.status(fresh), Some(New));
+    for (pid, status) in pids.iter().zip(expect) {
+        assert_eq!(rt.status(*pid), Some(status));
+    }
+    within_watchdog("drop after run_until", move || drop(rt));
+    woke.lock().unwrap().sort();
+    assert_eq!(*woke.lock().unwrap(), shut_down);
+
+    // Stopped by the event limit.
+    let woke = Arc::new(Mutex::new(Vec::new()));
+    let (mut rt, pids) = runtime_in_every_status(200, &woke);
+    assert!(rt.run().hit_event_limit);
+    for (pid, status) in pids.iter().zip(expect) {
+        assert_eq!(rt.status(*pid), Some(status));
+    }
+    within_watchdog("drop at max_events", move || drop(rt));
+    woke.lock().unwrap().sort();
+    assert_eq!(*woke.lock().unwrap(), shut_down);
+}
+
+#[test]
+fn a_reused_worker_reports_panics_per_pid_and_leaks_no_state() {
+    const SEED: u64 = 7;
+    let threads = Arc::new(Mutex::new(Vec::new()));
+    let mut rt = SimRuntime::builder().seed(SEED).build();
+    let t = threads.clone();
+    let bad = rt.spawn_threaded("bad", None, move |ctx| {
+        note_thread(&t);
+        for _ in 0..3 {
+            ctx.random_u64();
+        }
+        panic!("boom-on-worker");
+    });
+    let report = rt.run();
+    assert_eq!(report.panics.len(), 1);
+    assert_eq!(report.panics[0].0, bad);
+    assert!(report.panics[0].1.contains("boom-on-worker"));
+
+    // The next process takes the panicked process's worker.
+    let draws = Arc::new(Mutex::new(Vec::new()));
+    let (t, d) = (threads.clone(), draws.clone());
+    let good = rt.spawn_threaded("good", None, move |ctx| {
+        note_thread(&t);
+        for _ in 0..5 {
+            d.lock().unwrap().push(ctx.random_u64());
+        }
+    });
+    let report = rt.run();
+    assert_eq!(report.panics.len(), 1, "only the first process panicked");
+    assert_eq!(distinct(&threads), 1, "the worker was reused");
+
+    // Same (seed, pid) on a fresh runtime, on a fresh worker.
+    let mut fresh = SimRuntime::builder().seed(SEED).build();
+    fresh.spawn_actor("filler", Box::new(hope_runtime::NullActor));
+    let expected = Arc::new(Mutex::new(Vec::new()));
+    let e = expected.clone();
+    let same = fresh.spawn_threaded("good", None, move |ctx| {
+        for _ in 0..5 {
+            e.lock().unwrap().push(ctx.random_u64());
+        }
+    });
+    assert_eq!(same, good);
+    assert!(fresh.run().is_clean());
+    assert_eq!(*draws.lock().unwrap(), *expected.lock().unwrap());
+}

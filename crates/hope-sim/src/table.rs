@@ -119,15 +119,6 @@ pub fn percentile(values: &[f64], q: f64) -> f64 {
     sorted[rank]
 }
 
-/// Population standard deviation.
-pub fn stddev(values: &[f64]) -> f64 {
-    if values.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(values);
-    (values.iter().map(|v| (v - m).powi(2)).sum::<f64>() / values.len() as f64).sqrt()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -161,12 +152,9 @@ mod tests {
     }
 
     #[test]
-    fn mean_and_stddev() {
+    fn means() {
         assert_eq!(mean(&[]), 0.0);
         assert_eq!(mean(&[2.0, 4.0]), 3.0);
-        assert_eq!(stddev(&[5.0]), 0.0);
-        let sd = stddev(&[2.0, 4.0]);
-        assert!((sd - 1.0).abs() < 1e-9);
     }
 
     #[test]
