@@ -5,7 +5,7 @@
 //! artefact mapping):
 //!
 //! ```text
-//! cargo run --release -p hope-bench -- <name> [--fast] [--json] [--check]
+//! cargo run --release -p hope-bench -- <name> [--fast] [--json]
 //! cargo run --release -p hope-bench -- all [--fast] [--json]
 //! cargo run --release -p hope-bench -- list
 //! ```
@@ -27,7 +27,6 @@ mod registry;
 mod throughput;
 mod trace_demo;
 
-use baseline::Baseline;
 use hope_sim::json::Value;
 use hope_sim::table::Table;
 
@@ -57,8 +56,8 @@ pub struct Section {
 pub struct Report {
     /// Tables in print order.
     pub sections: Vec<Section>,
-    /// The cells of the experiment's committed baseline; `None` for an
-    /// ungated experiment or a `--fast` run.
+    /// The cells of the experiment's committed ledger file; `None` for an
+    /// experiment without one or a `--fast` run.
     pub cells: Option<Value>,
 }
 
@@ -106,8 +105,8 @@ pub struct Experiment {
     pub in_all: bool,
     /// Whether it accepts an output path after its name.
     pub takes_path: bool,
-    /// The committed file it maintains, if any.
-    pub baseline: Option<Baseline>,
+    /// The committed `BENCH_*.json` a full run writes, if any.
+    pub ledger: Option<&'static str>,
     /// Runs it. The full and the `--fast` parameter set each appear
     /// exactly once, inside this function.
     pub run: fn(&Opts) -> Report,

@@ -1,4 +1,4 @@
-//! `hope-bench <name> [--fast] [--json] [--check] [path]`, `all`, `list`.
+//! `hope-bench <name> [--fast] [--json] [path]`, `all`, `list`.
 
 use std::process::ExitCode;
 
@@ -6,12 +6,11 @@ use hope_bench::{baseline, cluster, find, run_all, Opts, EXPERIMENTS};
 
 fn usage(problem: &str) -> ExitCode {
     eprintln!("hope-bench: {problem}");
-    eprintln!("usage: hope-bench <name> [--fast] [--json] [--check] [path]");
+    eprintln!("usage: hope-bench <name> [--fast] [--json] [path]");
     eprintln!("       hope-bench all [--fast] [--json]");
     eprintln!("       hope-bench list");
     eprintln!("  --fast   reduced parameter set (never touches a BENCH_*.json)");
     eprintln!("  --json   append each table's JSON rendering");
-    eprintln!("  --check  compare against the committed BENCH_*.json instead of rewriting it");
     ExitCode::from(2)
 }
 
@@ -27,12 +26,11 @@ fn main() -> ExitCode {
         cluster::run_node(id.parse().expect("node id"), addrs);
     }
 
-    let (mut fast, mut json, mut check, mut path) = (false, false, false, None);
+    let (mut fast, mut json, mut path) = (false, false, None);
     for arg in rest {
         match arg.as_str() {
             "--fast" => fast = true,
             "--json" => json = true,
-            "--check" => check = true,
             flag if flag.starts_with('-') => return usage(&format!("unknown flag {flag}")),
             _ if path.is_some() => return usage(&format!("unexpected argument {arg}")),
             _ => path = Some(arg.clone()),
@@ -41,11 +39,10 @@ fn main() -> ExitCode {
 
     match name.as_str() {
         "list" if !rest.is_empty() => usage("list takes no flag and no argument"),
-        "all" if check || path.is_some() => usage("all takes neither --check nor a path"),
+        "all" if path.is_some() => usage("all takes no path"),
         "list" => {
             for e in EXPERIMENTS {
-                let file = e.baseline.map_or("-", |b| b.file);
-                println!("{:<11} {:<18} {file}", e.id, e.name);
+                println!("{:<11} {:<18} {}", e.id, e.name, e.ledger.unwrap_or("-"));
             }
             ExitCode::SUCCESS
         }
@@ -60,25 +57,11 @@ fn main() -> ExitCode {
             if path.is_some() && !experiment.takes_path {
                 return usage(&format!("{name} takes no path"));
             }
-            if check && (fast || experiment.baseline.is_none()) {
-                return usage(&format!(
-                    "--check needs a gated experiment's full run; `{name}{}` has no committed cells",
-                    if fast { " --fast" } else { "" }
-                ));
-            }
             let report = (experiment.run)(&Opts { fast, path });
             report.print(json);
-            if let Some(committed) = experiment.baseline.filter(|_| !fast) {
-                let cells = report
-                    .cells
-                    .as_ref()
-                    .expect("a gated full run yields cells");
-                if let Err(problems) = baseline::settle(&committed, cells, check) {
-                    for problem in problems {
-                        eprintln!("perf-smoke: {problem}");
-                    }
-                    return ExitCode::FAILURE;
-                }
+            if let Some(file) = experiment.ledger.filter(|_| !fast) {
+                let cells = report.cells.as_ref().expect("a full run yields cells");
+                baseline::store(file, cells);
             }
             ExitCode::SUCCESS
         }

@@ -10,7 +10,7 @@ use hope_sim::{chain, chaos, disk_chaos, link_budget, printer, protocol, replica
 use hope_sim::{rollback, scientific, soak, trace_export, waitfree};
 use hope_types::VirtualDuration as D;
 
-use crate::baseline::{cells_table, fit_below, obj, s, Baseline, Gate};
+use crate::baseline::{cells_table, fit_below, obj, s};
 use crate::{ablation_policies, adaptive, cluster, quadratic, throughput, trace_demo};
 use crate::{Experiment, Opts, Report};
 
@@ -22,7 +22,7 @@ const fn sweep(id: &'static str, name: &'static str, run: fn(&Opts) -> Report) -
         name,
         in_all: true,
         takes_path: false,
-        baseline: None,
+        ledger: None,
         run,
     }
 }
@@ -67,15 +67,7 @@ pub static EXPERIMENTS: &[Experiment] = &[
         waitfree::sweep(&latencies, 42).into()
     }),
     Experiment {
-        baseline: Some(Baseline {
-            file: "BENCH_quadratic.json",
-            gated: &[
-                ("fitted_exponent", Gate::Cost),
-                ("total_hope_messages_at_max_depth", Gate::Cost),
-                ("guess_messages_at_max_depth", Gate::Cost),
-                ("history_visits_at_max_settled", Gate::Cost),
-            ],
-        }),
+        ledger: Some("BENCH_quadratic.json"),
         ..sweep("E5/E5b", "quadratic", quadratic::run)
     },
     sweep("F13/F14", "fig14_cycles", |o| {
@@ -128,35 +120,11 @@ pub static EXPERIMENTS: &[Experiment] = &[
     sweep("E-chaos", "chaos", run_chaos),
     sweep("E-link", "link_budget", run_link_budget),
     Experiment {
-        baseline: Some(Baseline {
-            file: "BENCH_throughput.json",
-            gated: &[
-                ("registrations", Gate::Cost),
-                ("total_hope_messages", Gate::Cost),
-                ("tag_bytes_wire", Gate::Cost),
-                ("guess_p99_virtual_ns", Gate::Cost),
-            ],
-        }),
+        ledger: Some("BENCH_throughput.json"),
         ..alone("E-perf", "throughput", throughput::run)
     },
     Experiment {
-        // The cells where a regression would erase the headline: the
-        // adaptive column at both ends of the sweep, the optimistic
-        // low-deny cell (the fast path the controller must not tax), and
-        // the optimistic high-deny cell — a deny paid for once per queued
-        // message again (E6b) would multiply it a thousandfold.
-        baseline: Some(Baseline {
-            file: "BENCH_adaptive.json",
-            gated: &[
-                ("adaptive_50_virtual_micros", Gate::Cost),
-                ("adaptive_50_rollbacks", Gate::Cost),
-                ("adaptive_900_virtual_micros", Gate::Cost),
-                ("adaptive_900_rollbacks", Gate::Cost),
-                ("optimistic_50_virtual_micros", Gate::Cost),
-                ("optimistic_900_virtual_micros", Gate::Cost),
-                ("optimistic_900_rollbacks", Gate::Cost),
-            ],
-        }),
+        ledger: Some("BENCH_adaptive.json"),
         ..alone("E-adaptive", "adaptive", adaptive::run)
     },
     alone("E-disk", "disk_chaos", run_disk_chaos),
@@ -167,15 +135,7 @@ pub static EXPERIMENTS: &[Experiment] = &[
     alone("Ablations", "ablation_policies", ablation_policies::run),
     alone("Demo", "trace_demo", trace_demo::run),
     Experiment {
-        baseline: Some(Baseline {
-            file: "BENCH_cluster.json",
-            gated: &[
-                ("entries_total", Gate::Equal),
-                ("frontier_violations", Gate::Equal),
-                ("healed_entries_total", Gate::Equal),
-                ("converged", Gate::Equal),
-            ],
-        }),
+        ledger: Some("BENCH_cluster.json"),
         ..alone("E-cluster", "cluster", cluster::run)
     },
 ];

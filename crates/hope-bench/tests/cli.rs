@@ -12,15 +12,17 @@ fn hope_bench(args: &[&str]) -> Output {
         .expect("run the driver")
 }
 
-fn assert_usage_error(args: &[&str]) {
+/// Asserts `args` is refused with usage on stderr; returns that stderr.
+fn assert_usage_error(args: &[&str]) -> String {
     let out = hope_bench(args);
     assert_eq!(out.status.code(), Some(2), "{args:?} must exit 2");
     assert!(
         out.stdout.is_empty(),
         "{args:?} must print nothing on stdout"
     );
-    let stderr = String::from_utf8_lossy(&out.stderr);
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
     assert!(stderr.contains("usage: hope-bench"), "{args:?}: {stderr}");
+    stderr
 }
 
 #[test]
@@ -30,13 +32,28 @@ fn unknown_subcommands_and_flags_are_usage_errors() {
     assert_usage_error(&["table1", "--quick"]);
     assert_usage_error(&["table1", "out.json"]);
     assert_usage_error(&["trace", "a.json", "b.json"]);
-    // Nothing to check against: an ungated experiment, a reduced run.
-    assert_usage_error(&["table1", "--check"]);
-    assert_usage_error(&["quadratic", "--fast", "--check"]);
-    assert_usage_error(&["all", "--check"]);
+    assert_usage_error(&["all", "out.json"]);
     // `list` has no variants: a flag it would ignore is a mistake.
     assert_usage_error(&["list", "--fast"]);
     assert_usage_error(&["list", "--json"]);
+}
+
+/// A ledger file has one rule, byte equality, checked by the registry
+/// test: there is no tolerant compare mode to ask for.
+#[test]
+fn check_is_an_unknown_flag() {
+    for args in [
+        &["quadratic", "--check"][..],
+        &["quadratic", "--fast", "--check"],
+        &["table1", "--check"],
+        &["all", "--check"],
+    ] {
+        let stderr = assert_usage_error(args);
+        assert!(
+            stderr.contains("unknown flag --check"),
+            "{args:?}: {stderr}"
+        );
+    }
 }
 
 #[test]
@@ -51,7 +68,7 @@ fn fast_is_read_from_the_command_line() {
 }
 
 #[test]
-fn list_prints_id_name_and_baseline_file() {
+fn list_prints_id_name_and_ledger_file() {
     let out = hope_bench(&["list"]);
     assert!(out.status.success());
     let text = String::from_utf8(out.stdout).expect("utf-8");
@@ -60,6 +77,6 @@ fn list_prints_id_name_and_baseline_file() {
         let mut columns = line.split_whitespace();
         assert_eq!(columns.next(), Some(e.id));
         assert_eq!(columns.next(), Some(e.name));
-        assert_eq!(columns.next(), Some(e.baseline.map_or("-", |b| b.file)));
+        assert_eq!(columns.next(), Some(e.ledger.unwrap_or("-")));
     }
 }

@@ -1,13 +1,13 @@
 //! The experiment table holds together: unique rows, every experiment
 //! runnable at its `--fast` set, and every committed `BENCH_*.json`
-//! reproduced cell for cell by a fresh full run.
+//! reproduced byte for byte by a fresh full run.
 
 use std::collections::BTreeSet;
 
 use hope_bench::{baseline, Opts, EXPERIMENTS};
 
 /// Needs three child processes of the driver binary; CI's cluster-smoke
-/// job runs it (`-- cluster --check` plus the reproducible-ledger step).
+/// job writes its file with `-- cluster` and diffs it instead.
 const NEEDS_CHILD_PROCESSES: &str = "cluster";
 
 #[test]
@@ -22,12 +22,9 @@ fn names_and_ids_are_unique() {
             "{reserved} is a driver subcommand"
         );
     }
-    let files: BTreeSet<_> = EXPERIMENTS
-        .iter()
-        .filter_map(|e| e.baseline.map(|b| b.file))
-        .collect();
-    let gated = EXPERIMENTS.iter().filter(|e| e.baseline.is_some()).count();
-    assert_eq!(files.len(), gated, "two experiments share a baseline file");
+    let files: BTreeSet<_> = EXPERIMENTS.iter().filter_map(|e| e.ledger).collect();
+    let writers = EXPERIMENTS.iter().filter(|e| e.ledger.is_some()).count();
+    assert_eq!(files.len(), writers, "two experiments share a ledger file");
 }
 
 #[test]
@@ -54,39 +51,38 @@ fn every_experiment_runs_fast_and_returns_a_table() {
     let _ = std::fs::remove_file(scratch);
 }
 
-/// What `perf-smoke` / `adaptive-smoke` check through `cargo run`: the
-/// ledger is deterministic, so equality — not a tolerance — is the test.
+/// The ledger is deterministic, so equality — not a tolerance — is the
+/// test, and it is byte equality: the fresh run is rendered exactly as
+/// the driver writes it and compared with the committed text. Nothing is
+/// parsed.
 #[test]
 fn committed_ledgers_are_reproduced_exactly() {
     for e in EXPERIMENTS
         .iter()
         .filter(|e| e.name != NEEDS_CHILD_PROCESSES)
     {
-        let Some(committed) = e.baseline else {
+        let Some(file) = e.ledger else {
             continue;
         };
         let fresh = (e.run)(&Opts::default())
             .cells
-            .unwrap_or_else(|| panic!("{}: a full run of a gated experiment yields cells", e.name));
-        let on_disk = baseline::load(committed.file)
-            .unwrap_or_else(|| panic!("{} is committed and parses", committed.file));
-        assert_eq!(fresh, on_disk, "{} is stale", committed.file);
-        assert!(baseline::gate(&on_disk, &fresh, committed.gated).is_empty());
+            .unwrap_or_else(|| panic!("{}: a full run yields cells", e.name));
+        let committed = std::fs::read_to_string(baseline::repo_root().join(file))
+            .unwrap_or_else(|err| panic!("{file}: {err}"));
+        assert_eq!(
+            baseline::render(&fresh),
+            committed,
+            "{file} is stale: rewrite it with `cargo run --release -p hope-bench -- {}`",
+            e.name
+        );
     }
 }
 
 #[test]
 fn no_committed_cell_is_a_wall_clock_reading() {
-    for e in EXPERIMENTS {
-        let Some(committed) = e.baseline else {
-            continue;
-        };
-        let text = std::fs::read_to_string(baseline::repo_root().join(committed.file))
-            .unwrap_or_else(|err| panic!("{}: {err}", committed.file));
-        assert!(
-            !text.contains("wall"),
-            "{} holds a wall cell",
-            committed.file
-        );
+    for file in EXPERIMENTS.iter().filter_map(|e| e.ledger) {
+        let text = std::fs::read_to_string(baseline::repo_root().join(file))
+            .unwrap_or_else(|err| panic!("{file}: {err}"));
+        assert!(!text.contains("wall"), "{file} holds a wall cell");
     }
 }

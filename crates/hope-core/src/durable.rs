@@ -40,6 +40,7 @@ use rand::{Rng, SeedableRng};
 
 use hope_runtime::StorageFaultPlan;
 use hope_store::{SegmentedLog, StorageFault, StoreConfig, StoreStats};
+use hope_types::codec::read_u32;
 use hope_types::ProcessId;
 
 use crate::replay::{LogSink, LogSource, Op};
@@ -383,11 +384,10 @@ fn apply_rollback_guess(ops: &mut Vec<Op>, op_index: usize) -> bool {
 /// `ops`. Returns false (with `ops` holding the valid prefix) on any
 /// malformed record.
 fn decode_checkpoint(payload: &[u8], ops: &mut Vec<Op>) -> bool {
-    let Some(count_bytes) = payload.get(..4) else {
+    let mut at = 0;
+    let Some(count) = read_u32(payload, &mut at) else {
         return payload.is_empty();
     };
-    let count = u32::from_le_bytes(count_bytes.try_into().expect("4 bytes")) as usize;
-    let mut at = 4;
     for _ in 0..count {
         match Op::decode(payload, &mut at) {
             Some(op) => ops.push(op),
@@ -415,13 +415,10 @@ fn apply_event(payload: &[u8], ops: &mut Vec<Op>) -> bool {
             }
         }
         event_wire::ROLLBACK_GUESS | event_wire::ROLLBACK_RECEIVE | event_wire::ROLLBACK_BEFORE => {
-            let Some(idx_bytes) = rest.get(..4) else {
+            let Ok(idx) = <[u8; 4]>::try_from(rest) else {
                 return false;
             };
-            if rest.len() != 4 {
-                return false;
-            }
-            let idx = u32::from_le_bytes(idx_bytes.try_into().expect("4 bytes")) as usize;
+            let idx = u32::from_le_bytes(idx) as usize;
             match tag {
                 event_wire::ROLLBACK_GUESS => apply_rollback_guess(ops, idx),
                 _ => {

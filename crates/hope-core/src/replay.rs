@@ -25,8 +25,12 @@
 //! randomness, and communication through the context precisely so that
 //! this holds).
 
-use bytes::Bytes;
-use hope_types::{AidId, DepTag, HopeError, ProcessId, UserMessage, VirtualDuration, VirtualTime};
+use bytes::BufMut;
+use hope_types::codec::{
+    put_aid, put_opt, put_user_message, read_aid, read_opt, read_u32, read_u64, read_u8,
+    read_user_message,
+};
+use hope_types::{AidId, HopeError, ProcessId, UserMessage, VirtualDuration, VirtualTime};
 
 /// One logged interaction between the user closure and the world.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -146,32 +150,6 @@ mod op_wire {
     pub const CHANNEL_SEQ: u8 = 16;
 }
 
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn read_u8(buf: &[u8], at: &mut usize) -> Option<u8> {
-    let b = *buf.get(*at)?;
-    *at += 1;
-    Some(b)
-}
-
-fn read_u32(buf: &[u8], at: &mut usize) -> Option<u32> {
-    let bytes = buf.get(*at..*at + 4)?;
-    *at += 4;
-    Some(u32::from_le_bytes(bytes.try_into().ok()?))
-}
-
-fn read_u64(buf: &[u8], at: &mut usize) -> Option<u64> {
-    let bytes = buf.get(*at..*at + 8)?;
-    *at += 8;
-    Some(u64::from_le_bytes(bytes.try_into().ok()?))
-}
-
 fn put_bool(buf: &mut Vec<u8>, v: bool) {
     buf.push(v as u8);
 }
@@ -182,37 +160,6 @@ fn read_bool(buf: &[u8], at: &mut usize) -> Option<bool> {
         1 => Some(true),
         _ => None,
     }
-}
-
-fn put_aid(buf: &mut Vec<u8>, aid: AidId) {
-    put_u64(buf, aid.process().as_raw());
-}
-
-fn read_aid(buf: &[u8], at: &mut usize) -> Option<AidId> {
-    Some(AidId::from_raw(ProcessId::from_raw(read_u64(buf, at)?)))
-}
-
-fn put_msg(buf: &mut Vec<u8>, msg: &UserMessage) {
-    put_u32(buf, msg.channel);
-    put_u32(buf, msg.data.len() as u32);
-    buf.extend_from_slice(&msg.data);
-    put_u32(buf, msg.tag.len() as u32);
-    for &aid in msg.tag.iter() {
-        put_aid(buf, aid);
-    }
-}
-
-fn read_msg(buf: &[u8], at: &mut usize) -> Option<UserMessage> {
-    let channel = read_u32(buf, at)?;
-    let n = read_u32(buf, at)? as usize;
-    let data = Bytes::copy_from_slice(buf.get(*at..at.checked_add(n)?)?);
-    *at += n;
-    let tags = read_u32(buf, at)? as usize;
-    let mut tag = DepTag::new();
-    for _ in 0..tags {
-        tag.insert(read_aid(buf, at)?);
-    }
-    Some(UserMessage::tagged(channel, data, tag))
 }
 
 impl Op {
@@ -275,45 +222,41 @@ impl Op {
             }
             Op::Send { dst, channel } => {
                 buf.push(op_wire::SEND);
-                put_u64(&mut buf, dst.as_raw());
-                put_u32(&mut buf, *channel);
+                buf.put_u64_le(dst.as_raw());
+                buf.put_u32_le(*channel);
             }
             Op::Receive { src, msg } => {
                 buf.push(op_wire::RECEIVE);
-                put_u64(&mut buf, src.as_raw());
-                put_msg(&mut buf, msg);
+                buf.put_u64_le(src.as_raw());
+                put_user_message(&mut buf, msg);
             }
             Op::TryReceive { result } => {
                 buf.push(op_wire::TRY_RECEIVE);
-                match result {
-                    None => put_bool(&mut buf, false),
-                    Some((src, msg)) => {
-                        put_bool(&mut buf, true);
-                        put_u64(&mut buf, src.as_raw());
-                        put_msg(&mut buf, msg);
-                    }
-                }
+                put_opt(&mut buf, result.as_ref(), |buf, (src, msg)| {
+                    buf.put_u64_le(src.as_raw());
+                    put_user_message(buf, msg);
+                });
             }
             Op::Compute { dur } => {
                 buf.push(op_wire::COMPUTE);
-                put_u64(&mut buf, dur.as_nanos());
+                buf.put_u64_le(dur.as_nanos());
             }
             Op::Now { value } => {
                 buf.push(op_wire::NOW);
-                put_u64(&mut buf, value.as_nanos());
+                buf.put_u64_le(value.as_nanos());
             }
             Op::Random { value } => {
                 buf.push(op_wire::RANDOM);
-                put_u64(&mut buf, *value);
+                buf.put_u64_le(*value);
             }
             Op::ChannelSeq { value } => {
                 buf.push(op_wire::CHANNEL_SEQ);
-                put_u32(&mut buf, *value);
+                buf.put_u32_le(*value);
             }
             Op::Barrier => buf.push(op_wire::BARRIER),
             Op::SpawnUser { pid } => {
                 buf.push(op_wire::SPAWN_USER);
-                put_u64(&mut buf, pid.as_raw());
+                buf.put_u64_le(pid.as_raw());
             }
         }
         buf
@@ -355,14 +298,15 @@ impl Op {
             },
             op_wire::RECEIVE => Op::Receive {
                 src: ProcessId::from_raw(read_u64(buf, at)?),
-                msg: read_msg(buf, at)?,
+                msg: read_user_message(buf, at)?,
             },
             op_wire::TRY_RECEIVE => Op::TryReceive {
-                result: if read_bool(buf, at)? {
-                    Some((ProcessId::from_raw(read_u64(buf, at)?), read_msg(buf, at)?))
-                } else {
-                    None
-                },
+                result: read_opt(buf, at, |buf, at| {
+                    Some((
+                        ProcessId::from_raw(read_u64(buf, at)?),
+                        read_user_message(buf, at)?,
+                    ))
+                })?,
             },
             op_wire::COMPUTE => Op::Compute {
                 dur: VirtualDuration::from_nanos(read_u64(buf, at)?),
@@ -607,6 +551,7 @@ impl ReplayLog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hope_types::DepTag;
 
     fn pid(n: u64) -> ProcessId {
         ProcessId::from_raw(n)

@@ -5,6 +5,7 @@
 //! outstanding streamed calls at once.
 
 use bytes::{BufMut, Bytes, BytesMut};
+use hope_types::codec::read_u32;
 
 /// The channel RPC servers listen on.
 pub const CHANNEL_REQUEST: u32 = 0x5250_4300; // "RPC\0"
@@ -35,15 +36,11 @@ pub fn encode_request(method: u32, reply_channel: u32, body: &[u8]) -> Bytes {
 
 /// Decodes a request frame. Returns `None` on malformed input.
 pub fn decode_request(data: &Bytes) -> Option<Request> {
-    if data.len() < 8 {
-        return None;
-    }
-    let method = u32::from_le_bytes(data[0..4].try_into().ok()?);
-    let reply_channel = u32::from_le_bytes(data[4..8].try_into().ok()?);
+    let mut at = 0;
     Some(Request {
-        method,
-        reply_channel,
-        body: data.slice(8..),
+        method: read_u32(data, &mut at)?,
+        reply_channel: read_u32(data, &mut at)?,
+        body: data.slice(at..),
     })
 }
 

@@ -1,17 +1,17 @@
-//! A deliberately tiny JSON writer/parser for result tables.
+//! A deliberately tiny JSON writer for result tables, the committed
+//! ledger and trace exports.
 //!
 //! The workspace builds offline with no third-party serializers, and the
 //! only JSON the experiments need is "array of flat objects with string
-//! values" (one object per table row). This module implements exactly
-//! that subset — plus enough parsing to round-trip its own output in
-//! tests — rather than a general JSON library.
-
-use std::fmt;
+//! values" (one object per table row) plus the integer scalars a Chrome
+//! trace requires. This module writes exactly that subset and reads
+//! nothing: a committed file is checked by comparing its bytes with what
+//! [`to_string_pretty`] renders, not by parsing it back.
 
 /// A JSON value restricted to the shapes tables emit.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
-    /// `null`, also returned when indexing misses.
+    /// `null`, also returned when a member lookup misses.
     Null,
     /// An integer scalar (Chrome trace timestamps/pids must be numeric).
     Number(i64),
@@ -36,15 +36,6 @@ impl Value {
         }
     }
 
-    /// Element lookup; returns [`Value::Null`] when out of range or not
-    /// an array.
-    pub fn at(&self, index: usize) -> &Value {
-        match self {
-            Value::Array(items) => items.get(index).unwrap_or(&Value::Null),
-            _ => &Value::Null,
-        }
-    }
-
     /// The string payload, if this is a string.
     pub fn as_str(&self) -> Option<&str> {
         match self {
@@ -62,23 +53,10 @@ impl Value {
     }
 }
 
-impl std::ops::Index<usize> for Value {
-    type Output = Value;
-    fn index(&self, index: usize) -> &Value {
-        self.at(index)
-    }
-}
-
 impl std::ops::Index<&str> for Value {
     type Output = Value;
     fn index(&self, key: &str) -> &Value {
         self.get(key)
-    }
-}
-
-impl PartialEq<&str> for Value {
-    fn eq(&self, other: &&str) -> bool {
-        self.as_str() == Some(*other)
     }
 }
 
@@ -151,264 +129,59 @@ pub fn to_string_pretty(value: &Value) -> String {
     out
 }
 
-impl fmt::Display for Value {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&to_string_pretty(self))
-    }
-}
-
-/// Parse error: byte offset and description.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseError {
-    /// Byte offset of the problem.
-    pub at: usize,
-    /// What went wrong.
-    pub message: &'static str,
-}
-
-impl fmt::Display for ParseError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "JSON parse error at byte {}: {}", self.at, self.message)
-    }
-}
-
-impl std::error::Error for ParseError {}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn error(&self, message: &'static str) -> ParseError {
-        ParseError {
-            at: self.at,
-            message,
-        }
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.bytes.get(self.at), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.at += 1;
-        }
-    }
-
-    fn expect(&mut self, byte: u8, message: &'static str) -> Result<(), ParseError> {
-        if self.bytes.get(self.at) == Some(&byte) {
-            self.at += 1;
-            Ok(())
-        } else {
-            Err(self.error(message))
-        }
-    }
-
-    fn parse_string(&mut self) -> Result<String, ParseError> {
-        self.expect(b'"', "expected string")?;
-        let mut out = String::new();
-        loop {
-            match self.bytes.get(self.at) {
-                None => return Err(self.error("unterminated string")),
-                Some(b'"') => {
-                    self.at += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.at += 1;
-                    match self.bytes.get(self.at) {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.at + 1..self.at + 5)
-                                .ok_or_else(|| self.error("truncated \\u escape"))?;
-                            let hex = std::str::from_utf8(hex)
-                                .map_err(|_| self.error("bad \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.error("bad \\u escape"))?;
-                            out.push(
-                                char::from_u32(code).ok_or_else(|| self.error("bad code point"))?,
-                            );
-                            self.at += 4;
-                        }
-                        _ => return Err(self.error("unknown escape")),
-                    }
-                    self.at += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so slicing
-                    // on char boundaries is safe).
-                    let rest = std::str::from_utf8(&self.bytes[self.at..])
-                        .map_err(|_| self.error("invalid UTF-8"))?;
-                    let c = rest.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.at += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn parse_value(&mut self) -> Result<Value, ParseError> {
-        self.skip_ws();
-        match self.bytes.get(self.at) {
-            Some(b'"') => Ok(Value::String(self.parse_string()?)),
-            Some(b'-' | b'0'..=b'9') => {
-                let start = self.at;
-                if self.bytes.get(self.at) == Some(&b'-') {
-                    self.at += 1;
-                }
-                while matches!(self.bytes.get(self.at), Some(b'0'..=b'9')) {
-                    self.at += 1;
-                }
-                // Integers only — the writer never emits fractions or
-                // exponents, so the parser rejects them too.
-                let text = std::str::from_utf8(&self.bytes[start..self.at])
-                    .map_err(|_| self.error("invalid UTF-8"))?;
-                text.parse::<i64>()
-                    .map(Value::Number)
-                    .map_err(|_| self.error("bad number"))
-            }
-            Some(b'n') => {
-                if self.bytes[self.at..].starts_with(b"null") {
-                    self.at += 4;
-                    Ok(Value::Null)
-                } else {
-                    Err(self.error("expected null"))
-                }
-            }
-            Some(b'[') => {
-                self.at += 1;
-                let mut items = Vec::new();
-                self.skip_ws();
-                if self.bytes.get(self.at) == Some(&b']') {
-                    self.at += 1;
-                    return Ok(Value::Array(items));
-                }
-                loop {
-                    items.push(self.parse_value()?);
-                    self.skip_ws();
-                    match self.bytes.get(self.at) {
-                        Some(b',') => self.at += 1,
-                        Some(b']') => {
-                            self.at += 1;
-                            return Ok(Value::Array(items));
-                        }
-                        _ => return Err(self.error("expected ',' or ']'")),
-                    }
-                }
-            }
-            Some(b'{') => {
-                self.at += 1;
-                let mut fields = Vec::new();
-                self.skip_ws();
-                if self.bytes.get(self.at) == Some(&b'}') {
-                    self.at += 1;
-                    return Ok(Value::Object(fields));
-                }
-                loop {
-                    self.skip_ws();
-                    let key = self.parse_string()?;
-                    self.skip_ws();
-                    self.expect(b':', "expected ':'")?;
-                    let value = self.parse_value()?;
-                    fields.push((key, value));
-                    self.skip_ws();
-                    match self.bytes.get(self.at) {
-                        Some(b',') => self.at += 1,
-                        Some(b'}') => {
-                            self.at += 1;
-                            return Ok(Value::Object(fields));
-                        }
-                        _ => return Err(self.error("expected ',' or '}'")),
-                    }
-                }
-            }
-            _ => Err(self.error("expected value")),
-        }
-    }
-}
-
-/// Parses a JSON document in the subset this module emits.
-pub fn from_str(input: &str) -> Result<Value, ParseError> {
-    let mut parser = Parser {
-        bytes: input.as_bytes(),
-        at: 0,
-    };
-    let value = parser.parse_value()?;
-    parser.skip_ws();
-    if parser.at == parser.bytes.len() {
-        Ok(value)
-    } else {
-        Err(parser.error("trailing input"))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn round_trips_nested_structure() {
+    fn nesting_escapes_and_empty_containers_render_exactly() {
         let value = Value::Array(vec![
             Value::Object(vec![
                 ("plain".into(), Value::String("x".into())),
-                ("tricky".into(), Value::String("a\"b\\c\nd\te".into())),
+                (
+                    "tricky".into(),
+                    Value::String("a\"b\\c\nd\te\rf\u{1}é".into()),
+                ),
             ]),
             Value::Array(vec![]),
             Value::Object(vec![]),
             Value::Null,
         ]);
-        let text = to_string_pretty(&value);
-        assert_eq!(from_str(&text).unwrap(), value);
+        let want = r#"[
+  {
+    "plain": "x",
+    "tricky": "a\"b\\c\nd\te\rf\u0001é"
+  },
+  [],
+  {},
+  null
+]"#;
+        assert_eq!(to_string_pretty(&value), want);
     }
 
     #[test]
-    fn indexing_misses_return_null() {
-        let v = from_str(r#"[{"k": "x"}]"#).unwrap();
-        assert_eq!(v[0]["k"], "x");
-        assert_eq!(v[0]["missing"], Value::Null);
-        assert_eq!(v[5], Value::Null);
-        assert_eq!(v["not-an-object"], Value::Null);
-    }
-
-    #[test]
-    fn parse_errors_carry_position() {
-        assert!(from_str("").is_err());
-        assert!(
-            from_str("[1.5]").is_err(),
-            "fractions are outside the subset"
-        );
-        assert!(
-            from_str("[1e3]").is_err(),
-            "exponents are outside the subset"
-        );
-        assert!(from_str(r#"{"k": "v""#).is_err());
-        let err = from_str(r#"["a" "b"]"#).unwrap_err();
-        assert!(err.to_string().contains("byte"));
-    }
-
-    #[test]
-    fn integers_round_trip() {
+    fn integers_render_exactly_at_both_extremes() {
         let value = Value::Array(vec![
             Value::Number(0),
             Value::Number(-42),
             Value::Number(i64::MAX),
             Value::Number(i64::MIN),
         ]);
-        let text = to_string_pretty(&value);
-        assert_eq!(from_str(&text).unwrap(), value);
-        assert_eq!(from_str("[1]").unwrap()[0].as_i64(), Some(1));
+        assert_eq!(
+            to_string_pretty(&value),
+            "[\n  0,\n  -42,\n  9223372036854775807,\n  -9223372036854775808\n]"
+        );
+        assert_eq!(to_string_pretty(&Value::Array(vec![])), "[]");
+        assert_eq!(to_string_pretty(&Value::Object(vec![])), "{}");
     }
 
     #[test]
-    fn unicode_escapes_decode() {
-        let v = from_str(r#""Aé""#).unwrap();
-        assert_eq!(v, "Aé");
-        let raw = from_str(r#""Aé""#).unwrap();
-        assert_eq!(raw, "Aé");
+    fn lookup_misses_return_null() {
+        let v = Value::Object(vec![("k".into(), Value::String("x".into()))]);
+        assert_eq!(v["k"].as_str(), Some("x"));
+        assert_eq!(v["missing"], Value::Null);
+        assert_eq!(v["k"]["not-an-object"], Value::Null);
+        assert_eq!(Value::Number(1).as_i64(), Some(1));
+        assert_eq!(Value::Number(1).as_str(), None);
     }
 }

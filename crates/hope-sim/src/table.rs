@@ -142,13 +142,24 @@ mod tests {
     }
 
     #[test]
-    fn json_round_trips() {
+    fn json_is_one_object_per_row_keyed_by_header() {
         let mut t = Table::new("T", &["k", "v"]);
+        assert_eq!(t.to_json(), "[]");
         t.row(&[&"x", &"1"]);
-        let json = t.to_json();
-        let parsed = crate::json::from_str(&json).unwrap();
-        assert_eq!(parsed[0]["k"], "x");
-        assert_eq!(parsed[0]["v"], "1");
+        t.row(&[&"y\"", &2]);
+        assert_eq!(
+            t.to_json(),
+            r#"[
+  {
+    "k": "x",
+    "v": "1"
+  },
+  {
+    "k": "y\"",
+    "v": "2"
+  }
+]"#
+        );
     }
 
     #[test]

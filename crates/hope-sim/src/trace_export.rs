@@ -347,7 +347,7 @@ mod tests {
     }
 
     #[test]
-    fn export_round_trips_and_validates() {
+    fn export_validates_and_renders_exactly() {
         let mut attribution = RollbackAttribution::new();
         attribution.charge(
             hope_types::BlameKey::Aid(AidId::from_raw(ProcessId::from_raw(9))),
@@ -359,25 +359,42 @@ mod tests {
             },
         );
         let trace = chrome_trace(&sample_events(), 7, &attribution);
+        validate_chrome_trace(&trace).unwrap();
         let text = crate::json::to_string_pretty(&trace);
-        let parsed = crate::json::from_str(&text).unwrap();
-        assert_eq!(parsed, trace);
-        validate_chrome_trace(&parsed).unwrap();
-        assert_eq!(parsed["traceEvents"][0]["name"], "aid_init");
-        assert_eq!(parsed["traceEvents"][0]["ts"].as_i64(), Some(1));
-        assert_eq!(
-            parsed["traceEvents"][0]["args"]["virt_ns"].as_i64(),
-            Some(1_500)
-        );
-        assert_eq!(
-            parsed["otherData"]["dropped_events"].as_i64(),
-            Some(7),
-            "ring truncation must be visible in the artifact"
-        );
-        assert_eq!(
-            parsed["otherData"]["attribution"][0]["ops_discarded"].as_i64(),
-            Some(4)
-        );
+        let first_event = r#"{
+  "traceEvents": [
+    {
+      "name": "aid_init",
+      "cat": "speculation",
+      "ph": "i",
+      "s": "t",
+      "ts": 1,
+      "pid": 3,
+      "tid": 0,
+      "args": {
+        "aid": "X9",
+        "virt_ns": 1500,
+        "wall_ns": 10
+      }
+    },"#;
+        assert!(text.starts_with(first_event), "{text}");
+        // Ring truncation and the attribution table are visible in the
+        // artifact.
+        let other_data = r#"  "displayTimeUnit": "ms",
+  "otherData": {
+    "dropped_events": 7,
+    "attribution": [
+      {
+        "cause": "deny(X9)",
+        "intervals_discarded": 1,
+        "ops_discarded": 4,
+        "messages_invalidated": 2,
+        "reexecutions": 1
+      }
+    ]
+  }
+}"#;
+        assert!(text.ends_with(other_data), "{text}");
     }
 
     #[test]
@@ -467,7 +484,9 @@ mod tests {
             .collect();
         let trace = chrome_trace(&events, 0, &RollbackAttribution::new());
         validate_chrome_trace(&trace).unwrap();
-        let text = crate::json::to_string_pretty(&trace);
-        assert_eq!(crate::json::from_str(&text).unwrap(), trace);
+        let Value::Array(rendered) = &trace["traceEvents"] else {
+            panic!("validated trace has a traceEvents array");
+        };
+        assert_eq!(rendered.len(), events.len(), "one trace event per record");
     }
 }

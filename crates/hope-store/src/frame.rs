@@ -6,7 +6,7 @@
 //! clean end-of-log, or [`FrameOutcome::Invalid`] — the recovery scan
 //! stops at the first invalid frame and keeps the prefix before it.
 
-use crate::crc32::Crc32;
+use hope_types::crc32::crc32;
 
 /// Bytes of framing overhead per record: kind (1) + len (4) + crc (4).
 pub const HEADER_BYTES: usize = 9;
@@ -33,13 +33,10 @@ impl RecordKind {
 /// Appends one framed record to `buf`.
 pub fn append_frame(buf: &mut Vec<u8>, kind: RecordKind, payload: &[u8]) {
     let len = u32::try_from(payload.len()).expect("record payload exceeds u32::MAX bytes");
-    let mut crc = Crc32::new();
-    crc.update(&[kind as u8]);
-    crc.update(&len.to_le_bytes());
-    crc.update(payload);
+    let crc = crc32(&[&[kind as u8], &len.to_le_bytes(), payload]);
     buf.push(kind as u8);
     buf.extend_from_slice(&len.to_le_bytes());
-    buf.extend_from_slice(&crc.finish().to_le_bytes());
+    buf.extend_from_slice(&crc.to_le_bytes());
     buf.extend_from_slice(payload);
 }
 
@@ -80,10 +77,7 @@ pub fn read_frame(buf: &[u8], at: usize) -> FrameOutcome<'_> {
         return FrameOutcome::Invalid;
     }
     let payload = &buf[body..body + len];
-    let mut crc = Crc32::new();
-    crc.update(&buf[at..at + 5]);
-    crc.update(payload);
-    if crc.finish() != stored {
+    if crc32(&[&buf[at..at + 5], payload]) != stored {
         return FrameOutcome::Invalid;
     }
     FrameOutcome::Frame {

@@ -15,7 +15,8 @@
 //! never panicking on arbitrary input (`SegmentedLog::recover`).
 //!
 //! This crate knows nothing about HOPE: records are opaque payloads
-//! tagged [`RecordKind::Event`] or [`RecordKind::Checkpoint`]. The
+//! tagged [`RecordKind::Event`] or [`RecordKind::Checkpoint`], framed with
+//! `hope-types`' CRC-32 (the same checksum as a TCP frame). The
 //! op codec, checkpoint contents and GC policy live in `hope-core`'s
 //! `durable` module; the seeded fault *decisions* live in
 //! `hope-runtime::FaultPlan` (storage faults mirror the wire faults).
@@ -23,7 +24,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod crc32;
 pub mod frame;
 pub mod log;
 

@@ -25,7 +25,8 @@ use std::collections::BTreeMap;
 
 use bytes::{BufMut, Bytes, BytesMut};
 
-use crate::{AidId, IdoSet, ProcessId};
+use crate::codec::{put_ido, read_ido, read_u64, read_u8};
+use crate::IdoSet;
 
 /// How a dependency set travels on a link: verbatim, or as a delta
 /// against an earlier set both ends hold.
@@ -49,7 +50,7 @@ pub enum SetCoding {
 }
 
 /// Wire size in bytes of a set shipped verbatim (`u32` count + one `u64`
-/// per member), matching `put_ido` in the envelope codec.
+/// per member), as the shared codec's `put_ido` writes it.
 pub fn full_set_wire_len(set: &IdoSet) -> usize {
     4 + 8 * set.len()
 }
@@ -57,34 +58,6 @@ pub fn full_set_wire_len(set: &IdoSet) -> usize {
 mod wire {
     pub const FULL: u8 = 1;
     pub const DELTA: u8 = 2;
-}
-
-fn put_set(buf: &mut BytesMut, set: &IdoSet) {
-    buf.put_u32_le(set.len() as u32);
-    for aid in set.iter() {
-        buf.put_u64_le(aid.process().as_raw());
-    }
-}
-
-fn read_u64(buf: &[u8], at: &mut usize) -> Option<u64> {
-    let bytes = buf.get(*at..*at + 8)?;
-    *at += 8;
-    Some(u64::from_le_bytes(bytes.try_into().ok()?))
-}
-
-fn read_u32(buf: &[u8], at: &mut usize) -> Option<u32> {
-    let bytes = buf.get(*at..*at + 4)?;
-    *at += 4;
-    Some(u32::from_le_bytes(bytes.try_into().ok()?))
-}
-
-fn read_set(buf: &[u8], at: &mut usize) -> Option<IdoSet> {
-    let n = read_u32(buf, at)?;
-    let mut set = IdoSet::new();
-    for _ in 0..n {
-        set.insert(AidId::from_raw(ProcessId::from_raw(read_u64(buf, at)?)));
-    }
-    Some(set)
 }
 
 impl SetCoding {
@@ -104,13 +77,13 @@ impl SetCoding {
         match self {
             SetCoding::Full { set } => {
                 buf.put_u8(wire::FULL);
-                put_set(&mut buf, set);
+                put_ido(&mut buf, set);
             }
             SetCoding::Delta { base_seq, add, del } => {
                 buf.put_u8(wire::DELTA);
                 buf.put_u64_le(*base_seq);
-                put_set(&mut buf, add);
-                put_set(&mut buf, del);
+                put_ido(&mut buf, add);
+                put_ido(&mut buf, del);
             }
         }
         buf.freeze()
@@ -120,24 +93,18 @@ impl SetCoding {
     /// truncated, malformed or padded input.
     pub fn decode(buf: &[u8]) -> Option<SetCoding> {
         let mut at = 0usize;
-        let b = *buf.get(at)?;
-        at += 1;
-        let coding = match b {
+        let coding = match read_u8(buf, &mut at)? {
             wire::FULL => SetCoding::Full {
-                set: read_set(buf, &mut at)?,
+                set: read_ido(buf, &mut at)?,
             },
             wire::DELTA => SetCoding::Delta {
                 base_seq: read_u64(buf, &mut at)?,
-                add: read_set(buf, &mut at)?,
-                del: read_set(buf, &mut at)?,
+                add: read_ido(buf, &mut at)?,
+                del: read_ido(buf, &mut at)?,
             },
             _ => return None,
         };
-        if at == buf.len() {
-            Some(coding)
-        } else {
-            None
-        }
+        (at == buf.len()).then_some(coding)
     }
 }
 
@@ -283,6 +250,7 @@ impl Default for TagDecoder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{AidId, ProcessId};
 
     fn aid(n: u64) -> AidId {
         AidId::from_raw(ProcessId::from_raw(n))

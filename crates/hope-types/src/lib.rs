@@ -33,6 +33,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod codec;
+pub mod crc32;
 mod delta;
 mod error;
 mod ids;

@@ -4,6 +4,10 @@
 use bytes::{BufMut, Bytes, BytesMut};
 use std::fmt;
 
+use crate::codec::{
+    put_aid, put_bytes, put_ido, put_opt, put_user_message, read_aid, read_bytes, read_ido,
+    read_opt, read_u32, read_u64, read_u8, read_user_message,
+};
 use crate::{AidId, IdoSet, IntervalId, ProcessId, VirtualTime};
 
 /// The dependency tag piggy-backed on every user message.
@@ -131,26 +135,6 @@ mod wire {
     pub const ROLLBACK: u8 = 7;
 }
 
-/// Reads one little-endian `u64`, advancing the cursor.
-fn read_u64(buf: &[u8], at: &mut usize) -> Option<u64> {
-    let bytes = buf.get(*at..*at + 8)?;
-    *at += 8;
-    Some(u64::from_le_bytes(bytes.try_into().ok()?))
-}
-
-/// Reads one little-endian `u32`, advancing the cursor.
-fn read_u32(buf: &[u8], at: &mut usize) -> Option<u32> {
-    let bytes = buf.get(*at..*at + 4)?;
-    *at += 4;
-    Some(u32::from_le_bytes(bytes.try_into().ok()?))
-}
-
-fn read_u8(buf: &[u8], at: &mut usize) -> Option<u8> {
-    let b = *buf.get(*at)?;
-    *at += 1;
-    Some(b)
-}
-
 fn put_iid(buf: &mut BytesMut, iid: IntervalId) {
     buf.put_u64_le(iid.process().as_raw());
     buf.put_u32_le(iid.index());
@@ -160,40 +144,6 @@ fn read_iid(buf: &[u8], at: &mut usize) -> Option<IntervalId> {
     let process = ProcessId::from_raw(read_u64(buf, at)?);
     let index = read_u32(buf, at)?;
     Some(IntervalId::new(process, index))
-}
-
-fn put_opt_iid(buf: &mut BytesMut, iid: Option<IntervalId>) {
-    match iid {
-        Some(i) => {
-            buf.put_u8(1);
-            put_iid(buf, i);
-        }
-        None => buf.put_u8(0),
-    }
-}
-
-fn read_opt_iid(buf: &[u8], at: &mut usize) -> Option<Option<IntervalId>> {
-    match read_u8(buf, at)? {
-        0 => Some(None),
-        1 => Some(Some(read_iid(buf, at)?)),
-        _ => None,
-    }
-}
-
-fn put_ido(buf: &mut BytesMut, ido: &IdoSet) {
-    buf.put_u32_le(ido.len() as u32);
-    for aid in ido.iter() {
-        buf.put_u64_le(aid.process().as_raw());
-    }
-}
-
-fn read_ido(buf: &[u8], at: &mut usize) -> Option<IdoSet> {
-    let n = read_u32(buf, at)?;
-    let mut ido = IdoSet::new();
-    for _ in 0..n {
-        ido.insert(AidId::from_raw(ProcessId::from_raw(read_u64(buf, at)?)));
-    }
-    Some(ido)
 }
 
 impl HopeMessage {
@@ -209,12 +159,12 @@ impl HopeMessage {
             }
             HopeMessage::Affirm { iid, ido } => {
                 buf.put_u8(wire::AFFIRM);
-                put_opt_iid(&mut buf, *iid);
+                put_opt(&mut buf, *iid, put_iid);
                 put_ido(&mut buf, ido);
             }
             HopeMessage::Deny { iid } => {
                 buf.put_u8(wire::DENY);
-                put_opt_iid(&mut buf, *iid);
+                put_opt(&mut buf, *iid, put_iid);
             }
             HopeMessage::Replace { iid, ido } => {
                 buf.put_u8(wire::REPLACE);
@@ -226,13 +176,7 @@ impl HopeMessage {
             HopeMessage::Rollback { iid, cause } => {
                 buf.put_u8(wire::ROLLBACK);
                 put_iid(&mut buf, *iid);
-                match cause {
-                    Some(c) => {
-                        buf.put_u8(1);
-                        buf.put_u64_le(c.process().as_raw());
-                    }
-                    None => buf.put_u8(0),
-                }
+                put_opt(&mut buf, *cause, put_aid);
             }
         }
         buf.freeze()
@@ -248,11 +192,11 @@ impl HopeMessage {
                 iid: read_iid(buf, &mut at)?,
             },
             wire::AFFIRM => HopeMessage::Affirm {
-                iid: read_opt_iid(buf, &mut at)?,
+                iid: read_opt(buf, &mut at, read_iid)?,
                 ido: read_ido(buf, &mut at)?,
             },
             wire::DENY => HopeMessage::Deny {
-                iid: read_opt_iid(buf, &mut at)?,
+                iid: read_opt(buf, &mut at, read_iid)?,
             },
             wire::REPLACE => HopeMessage::Replace {
                 iid: read_iid(buf, &mut at)?,
@@ -260,24 +204,13 @@ impl HopeMessage {
             },
             wire::RETAIN => HopeMessage::Retain,
             wire::RELEASE => HopeMessage::Release,
-            wire::ROLLBACK => {
-                let iid = read_iid(buf, &mut at)?;
-                let cause = match read_u8(buf, &mut at)? {
-                    0 => None,
-                    1 => Some(AidId::from_raw(ProcessId::from_raw(read_u64(
-                        buf, &mut at,
-                    )?))),
-                    _ => return None,
-                };
-                HopeMessage::Rollback { iid, cause }
-            }
+            wire::ROLLBACK => HopeMessage::Rollback {
+                iid: read_iid(buf, &mut at)?,
+                cause: read_opt(buf, &mut at, read_aid)?,
+            },
             _ => return None,
         };
-        if at == buf.len() {
-            Some(msg)
-        } else {
-            None
-        }
+        (at == buf.len()).then_some(msg)
     }
 }
 
@@ -379,25 +312,11 @@ mod payload_wire {
     pub const ACK: u8 = 18;
 }
 
-fn put_bytes(buf: &mut BytesMut, data: &[u8]) {
-    buf.put_u32_le(data.len() as u32);
-    buf.put_slice(data);
-}
-
-fn read_bytes(buf: &[u8], at: &mut usize) -> Option<Bytes> {
-    let n = read_u32(buf, at)? as usize;
-    let bytes = buf.get(*at..*at + n)?;
-    *at += n;
-    Some(Bytes::copy_from_slice(bytes))
-}
-
 fn put_payload(buf: &mut BytesMut, payload: &Payload) {
     match payload {
         Payload::User(m) => {
             buf.put_u8(payload_wire::USER);
-            buf.put_u32_le(m.channel);
-            put_bytes(buf, &m.data);
-            put_ido(buf, &m.tag);
+            put_user_message(buf, m);
         }
         Payload::Hope(m) => {
             buf.put_u8(payload_wire::HOPE);
@@ -414,12 +333,7 @@ fn put_payload(buf: &mut BytesMut, payload: &Payload) {
 
 fn read_payload(buf: &[u8], at: &mut usize) -> Option<Payload> {
     match read_u8(buf, at)? {
-        payload_wire::USER => {
-            let channel = read_u32(buf, at)?;
-            let data = read_bytes(buf, at)?;
-            let tag = read_ido(buf, at)?;
-            Some(Payload::User(UserMessage { channel, data, tag }))
-        }
+        payload_wire::USER => Some(Payload::User(read_user_message(buf, at)?)),
         payload_wire::HOPE => {
             let frame = read_bytes(buf, at)?;
             Some(Payload::Hope(HopeMessage::decode(&frame)?))
@@ -446,11 +360,7 @@ impl Payload {
     pub fn decode(buf: &[u8]) -> Option<Payload> {
         let mut at = 0usize;
         let payload = read_payload(buf, &mut at)?;
-        if at == buf.len() {
-            Some(payload)
-        } else {
-            None
-        }
+        (at == buf.len()).then_some(payload)
     }
 }
 
@@ -492,17 +402,13 @@ impl Envelope {
         let sent_at = VirtualTime::from_nanos(read_u64(buf, &mut at)?);
         let seq = read_u64(buf, &mut at)?;
         let payload = read_payload(buf, &mut at)?;
-        if at == buf.len() {
-            Some(Envelope {
-                src,
-                dst,
-                sent_at,
-                seq,
-                payload,
-            })
-        } else {
-            None
-        }
+        (at == buf.len()).then_some(Envelope {
+            src,
+            dst,
+            sent_at,
+            seq,
+            payload,
+        })
     }
 }
 

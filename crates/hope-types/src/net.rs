@@ -28,6 +28,8 @@
 use bytes::{BufMut, Bytes, BytesMut};
 use std::fmt;
 
+use crate::crc32::crc32;
+
 /// The wire protocol version spoken by this build. Bumped on any
 /// incompatible change to the frame or handshake formats; peers with a
 /// different version reject each other during the handshake.
@@ -73,38 +75,6 @@ impl fmt::Display for NodeId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "N{}", self.0)
     }
-}
-
-/// CRC-32 (IEEE, reflected) — same polynomial as `hope-store`'s log
-/// framing; duplicated here because `hope-types` sits below every other
-/// crate in the dependency graph.
-fn crc32(kind: u8, payload: &[u8]) -> u32 {
-    const fn table() -> [u32; 256] {
-        let mut table = [0u32; 256];
-        let mut i = 0;
-        while i < 256 {
-            let mut crc = i as u32;
-            let mut bit = 0;
-            while bit < 8 {
-                crc = if crc & 1 != 0 {
-                    (crc >> 1) ^ 0xEDB8_8320
-                } else {
-                    crc >> 1
-                };
-                bit += 1;
-            }
-            table[i] = crc;
-            i += 1;
-        }
-        table
-    }
-    const TABLE: [u32; 256] = table();
-    let mut crc = !0u32;
-    crc = (crc >> 8) ^ TABLE[((crc ^ kind as u32) & 0xFF) as usize];
-    for &b in payload {
-        crc = (crc >> 8) ^ TABLE[((crc ^ b as u32) & 0xFF) as usize];
-    }
-    !crc
 }
 
 /// What a stream frame carries.
@@ -173,7 +143,7 @@ impl Frame {
         buf.put_u32_le(FRAME_MAGIC);
         buf.put_u8(self.kind as u8);
         buf.put_u32_le(self.payload.len() as u32);
-        buf.put_u32_le(crc32(self.kind as u8, &self.payload));
+        buf.put_u32_le(crc32(&[&[self.kind as u8], &self.payload]));
         buf.put_slice(&self.payload);
         buf.freeze()
     }
@@ -308,7 +278,7 @@ impl FrameReader {
             return Ok(None);
         }
         let payload = &avail[FRAME_HEADER_LEN..total];
-        let computed = crc32(kind_byte, payload);
+        let computed = crc32(&[&[kind_byte], payload]);
         if computed != declared_crc {
             self.poisoned = true;
             return Err(FrameError::BadCrc {
