@@ -29,7 +29,8 @@ const SEED: u64 = 42;
 const EXPONENT_CEILING: f64 = 1.5;
 const SETTLED_ROUNDS: [u32; 4] = [1, 4, 16, 64];
 const LOCAL_EXPONENT_CEILING: f64 = 0.2;
-/// Tagged messages per guess: 8 to 512 live intervals at the consumer.
+/// Tagged messages per guess, each re-guessed by the consumer: 16 to 520
+/// live intervals there.
 const PER_GUESS: [u32; 4] = [1, 4, 16, 64];
 
 pub(crate) fn run(o: &Opts) -> Report {

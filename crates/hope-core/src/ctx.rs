@@ -274,7 +274,11 @@ impl<'a> ProcessCtx<'a> {
 
     /// The receive-side implicit guess: a message logged at `op` whose
     /// `tag` is not empty opens an interval dependent on every assumption
-    /// in it, before user code sees the message.
+    /// in it, before user code sees the message — unless the current
+    /// interval already [covers](crate::interval::History::covers) the
+    /// tag. Such a receive is absorbed: it stays logged, so a rollback
+    /// below it requeues the message as before, but it is no rollback
+    /// point and opens nothing (DESIGN.md S9).
     fn open_implicit(&mut self, op: usize, tag: &IdoSet) {
         if tag.is_empty() {
             return;
@@ -284,6 +288,9 @@ impl<'a> ProcessCtx<'a> {
             .fetch_add(tag.len() as u64, Ordering::Relaxed);
         let (iid, delta) = {
             let mut lib = self.lib.lock();
+            if lib.history.covers(tag) {
+                return;
+            }
             let iid = lib
                 .history
                 .open_interval(IntervalOrigin::ImplicitReceive { op }, tag.iter().copied());
@@ -631,9 +638,13 @@ impl<'a> ProcessCtx<'a> {
     /// Blocks until a message arrives (optionally filtered by channel),
     /// implicitly guessing every assumption in its dependency tag.
     ///
-    /// If one of those assumptions is already false, this receive point is
-    /// where the process will roll back to — the stale message is
-    /// discarded and the receive blocks again for a fresh one.
+    /// A tag that brings a new assumption opens an interval here, and if
+    /// one of its assumptions turns out false, this receive point is where
+    /// the process rolls back to — the stale message is discarded and the
+    /// receive blocks again for a fresh one. A tag the current interval
+    /// already depends on opens nothing (DESIGN.md S9): the message is
+    /// logged, and a rollback to an earlier point requeues it like any
+    /// other consumed message.
     pub fn receive(&mut self, channel: Option<u32>) -> Delivery {
         let wanted = |msg: &UserMessage| channel.is_none_or(|c| c == msg.channel);
         if let Some(delivery) = self.replayed("Receive", |op| match op {
@@ -675,8 +686,9 @@ impl<'a> ProcessCtx<'a> {
     }
 
     /// Non-blocking receive; returns `None` when no matching message is
-    /// queued. Tagged messages create implicit guesses exactly like
-    /// [`receive`](ProcessCtx::receive).
+    /// queued. Tagged messages create implicit guesses — and open an
+    /// interval only when the current one does not cover the tag — exactly
+    /// like [`receive`](ProcessCtx::receive).
     pub fn try_receive(&mut self, channel: Option<u32>) -> Option<Delivery> {
         // A logged `None` matches any filter; a logged message must pass
         // the caller's, exactly as in `receive`.

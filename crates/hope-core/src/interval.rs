@@ -22,6 +22,16 @@
 //! holding an AID is its registrant, which preserves every rollback floor
 //! because rolling back the registrant also discards all later intervals.
 //!
+//! A receive opens an interval only when its tag brings an assumption in.
+//! When the current interval is speculative, has replaced nothing away
+//! (empty `UDO`) and already depends on every member of the tag
+//! ([`History::covers`]), the interval the receive would open could never
+//! be told apart from its predecessor: the same `IDO` and `UDO` at every
+//! later step, registered with nothing, so never a rollback target, and
+//! finalized in the same batch. None is opened (DESIGN.md S9), and a stream
+//! of messages sent under one set of assumptions costs one interval, not
+//! one per message.
+//!
 //! # Cost: what is live, not what came before
 //!
 //! Finalization is oldest-first and a commit point (§5, Fig. 11), so the
@@ -48,7 +58,8 @@
 //!   [`History::fully_definite`], [`History::finalize_ready`], and any
 //!   outside scan, which reads [`History::live`].
 //! * **O(1)**: [`History::current`], [`History::current_deps`],
-//!   [`History::open_interval`].
+//!   [`History::open_interval`]; [`History::covers`] reads the current
+//!   record only.
 //!
 //! [`History::visits`] counts the records those queries examine — a
 //! deterministic probe of local bookkeeping work (experiment E5b), which
@@ -275,6 +286,19 @@ impl History {
         &self.current().ido
     }
 
+    /// True when a receive tagged `tag` needs no interval of its own: the
+    /// current interval is speculative, has replaced nothing away (empty
+    /// `UDO`) and already depends on every member of `tag`. The interval
+    /// such a receive would open has the current one's `IDO` and `UDO`,
+    /// registers with nothing, and keeps both sets equal to its
+    /// predecessor's under every later `Replace` while each AID is
+    /// resolved once — so it is never a registrant, never a rollback
+    /// target and finalizes in the same batch (DESIGN.md S9).
+    pub fn covers(&self, tag: &IdoSet) -> bool {
+        let cur = self.current();
+        !cur.definite && cur.udo.is_empty() && tag.is_subset(&cur.ido)
+    }
+
     /// Opens a new interval that inherits the current cumulative `IDO`
     /// plus `extra` assumptions. Returns its id; the caller is responsible
     /// for sending `Guess` registrations for every member of the new IDO.
@@ -492,6 +516,19 @@ mod tests {
         assert!(iha.contains(&aid(5)));
         assert!(ihd.contains(&aid(6)));
         assert!(h.get(a).unwrap().iha.is_empty(), "sets drained");
+    }
+
+    #[test]
+    fn covers_needs_a_speculative_current_interval_holding_the_whole_tag() {
+        let mut h = History::new(pid(1));
+        let tag = |ns: &[u64]| ns.iter().map(|&n| aid(n)).collect::<IdoSet>();
+        assert!(!h.covers(&tag(&[])), "the root is definite");
+        h.open_interval(IntervalOrigin::ImplicitReceive { op: 0 }, [aid(1), aid(2)]);
+        assert!(h.covers(&tag(&[1])));
+        assert!(h.covers(&tag(&[1, 2])));
+        assert!(!h.covers(&tag(&[1, 3])), "aid(3) is new");
+        h.current_mut().udo.insert(aid(4));
+        assert!(!h.covers(&tag(&[1])), "something was replaced away");
     }
 
     #[test]

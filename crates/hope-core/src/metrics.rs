@@ -13,7 +13,10 @@ use hope_types::{BlameKey, RollbackAttribution, TraceCollector, WastedWork};
 pub struct HopeMetrics {
     /// Explicit `guess` primitives executed (live, not replayed).
     pub guesses: AtomicU64,
-    /// Implicit guesses performed by receiving tagged messages.
+    /// Implicit guesses performed by receiving tagged messages: every
+    /// member of every received tag, whether or not the receive opened an
+    /// interval (a receive the current interval covers opens none,
+    /// DESIGN.md S9).
     pub implicit_guesses: AtomicU64,
     /// `affirm` primitives executed.
     pub affirms: AtomicU64,

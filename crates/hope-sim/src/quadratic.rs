@@ -20,10 +20,17 @@
 //! per tagged receive? The paper's answer (§5: finalize is a commit
 //! point; nothing behind it is consulted again) is "the same as after
 //! none". A third sweep holds the history fixed and grows the *live*
-//! window instead — M tagged messages per guess, so the consumer holds
-//! 8·M live intervals in 8 distinct dependency sets when the `Replace`
-//! wave arrives — and counts the deep copies of a shared `IDO` the wave
-//! makes (`ido_unshares`): one per run of equal holders, whatever M.
+//! window instead — M tagged messages per guess, each followed by the
+//! consumer re-guessing the message's newest assumption, so it holds
+//! 8·(M + 1) live intervals in 8 distinct dependency sets when the
+//! `Replace` wave arrives — and counts the deep copies of a shared `IDO`
+//! the wave makes (`ido_unshares`): one per run of equal holders,
+//! whatever M. The re-guess is what keeps an interval per message: a
+//! receive the current interval already covers opens none (DESIGN.md
+//! S9), and a guess of an assumption already held registers nothing.
+
+use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::Arc;
 
 use bytes::Bytes;
 use hope_core::HopeEnv;
@@ -109,19 +116,34 @@ impl LocalWorkResult {
 /// The HOPE metrics after `rounds` whole rounds: the producer stacks
 /// [`LOCAL_DEPTH`] guesses with `per_guess` tagged messages after each,
 /// the consumer affirms them all, and neither starts the next round
-/// before both are definite again.
-fn rounds_metrics(rounds: u32, per_guess: u32, seed: u64) -> hope_core::MetricsSnapshot {
+/// before both are definite again. With `reguess` the consumer guesses
+/// each message's newest assumption again after receiving it. Also
+/// returns the intervals the consumer opened in the last round.
+fn rounds_metrics(
+    rounds: u32,
+    per_guess: u32,
+    reguess: bool,
+    seed: u64,
+) -> (hope_core::MetricsSnapshot, u32) {
     let mut env = HopeEnv::builder()
         .seed(seed)
         .network(NetworkConfig::lan())
         .build();
+    let opened = Arc::new(AtomicU32::new(0));
+    let last_round = opened.clone();
     let consumer = env.spawn_user("consumer", move |ctx| {
         for _ in 0..rounds {
             let first = ctx.receive(Some(CH_AIDS));
-            for _ in 0..LOCAL_DEPTH * per_guess {
+            let aids = decode_aids(&first.data);
+            let start = ctx.current_interval().index();
+            for k in 0..LOCAL_DEPTH * per_guess {
                 let _ = ctx.receive(Some(CH_DATA));
+                if reguess {
+                    let _ = ctx.guess(aids[(k / per_guess) as usize]);
+                }
             }
-            for aid in decode_aids(&first.data) {
+            last_round.store(ctx.current_interval().index() - start, Ordering::Relaxed);
+            for aid in aids {
                 ctx.affirm(aid);
             }
             ctx.await_definite();
@@ -144,12 +166,12 @@ fn rounds_metrics(rounds: u32, per_guess: u32, seed: u64) -> hope_core::MetricsS
     });
     let report = run_settled(&mut env, &[]);
     assert_eq!(report.hope.rollbacks, 0, "nothing is denied");
-    report.hope
+    (report.hope, opened.load(Ordering::Relaxed))
 }
 
 /// `history_visits` after `rounds` rounds of one tagged message per guess.
 fn visits_after(rounds: u32, seed: u64) -> u64 {
-    rounds_metrics(rounds, 1, seed).history_visits
+    rounds_metrics(rounds, 1, false, seed).0.history_visits
 }
 
 /// One measured round after `settled_rounds` settled ones. The simulator
@@ -167,19 +189,21 @@ pub fn measure_local(settled_rounds: u32, seed: u64) -> LocalWorkResult {
 /// Measured `Replace` bookkeeping for one size of live window.
 #[derive(Debug, Clone, Copy)]
 pub struct HolderResult {
-    /// Live implicit intervals at the consumer when the affirms go out:
-    /// [`LOCAL_DEPTH`] distinct dependency sets, this many holders.
+    /// Live intervals at the consumer when the affirms go out, as counted
+    /// there: [`LOCAL_DEPTH`] distinct dependency sets, this many holders.
     pub live_intervals: u32,
     /// Deep copies of a shared `IDO` made applying the round's `Replace`
     /// wave, both processes together.
     pub ido_unshares: u64,
 }
 
-/// One round with `per_guess` tagged messages after each guess.
+/// One round with `per_guess` tagged messages after each guess, each
+/// re-guessed by the consumer.
 pub fn measure_holders(per_guess: u32, seed: u64) -> HolderResult {
+    let (hope, live_intervals) = rounds_metrics(1, per_guess, true, seed);
     HolderResult {
-        live_intervals: LOCAL_DEPTH * per_guess,
-        ido_unshares: rounds_metrics(1, per_guess, seed).ido_unshares,
+        live_intervals,
+        ido_unshares: hope.ido_unshares,
     }
 }
 
@@ -290,7 +314,9 @@ mod tests {
     #[test]
     fn a_replace_unshares_once_per_distinct_set_not_once_per_holder() {
         let (few, many) = (measure_holders(1, 1), measure_holders(32, 1));
-        assert_eq!(many.live_intervals, 32 * few.live_intervals);
+        // A receive interval per new assumption plus a re-guess per message.
+        assert_eq!(few.live_intervals, 8 * 2);
+        assert_eq!(many.live_intervals, 8 * 33);
         assert!(few.ido_unshares > 0, "depth 8 is past the inline tier");
         assert_eq!(many.ido_unshares, few.ido_unshares, "{few:?} -> {many:?}");
     }

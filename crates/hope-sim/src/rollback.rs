@@ -13,11 +13,13 @@
 //! streams `backlog` messages tagged with one assumption to a sink and
 //! then denies it: the sink must roll back once and drop the rest on
 //! sight (DESIGN.md S8), so re-executions and protocol messages are flat
-//! in the backlog and interval rollbacks linear — receiving each doomed
-//! message again, to be told again that it is doomed, fits exponents of
-//! ≈ 1 and ≈ 2. [`measure_settled`] records the other half of the cost,
-//! which is still open: one denied round replays everything that settled
-//! before it.
+//! in the backlog — receiving each doomed message again, to be told again
+//! that it is doomed, fits exponents of ≈ 1 and ≈ 2. Interval rollbacks
+//! are flat too: the sink's first receive opens its one interval and
+//! every later receive is covered by it (DESIGN.md S9); one interval per
+//! consumed message fits ≈ 0.95. [`measure_settled`] records the other
+//! half of the cost, which is still open: one denied round replays
+//! everything that settled before it.
 
 use bytes::Bytes;
 use hope_core::HopeEnv;
@@ -243,10 +245,12 @@ mod tests {
         // Two guesses, one deny, two rollback notices.
         assert_eq!(small.hope_messages, 5);
         assert_eq!(large.hope_messages, 5);
-        // The sink's first rollback discards one interval per consumed
-        // message (plus the speculator's own); the boundary message goes
-        // with it and every requeued one is dropped on sight.
-        assert_eq!(large.rollbacks, 65);
+        // One interval each: the sink's first receive opens it and every
+        // later one is covered by it (DESIGN.md S9). The boundary message
+        // goes with the rollback and every requeued one is dropped on
+        // sight.
+        assert_eq!(large.rollbacks, small.rollbacks);
+        assert_eq!(large.rollbacks, 2);
         assert_eq!(large.cancelled, 63);
     }
 

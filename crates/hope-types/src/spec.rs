@@ -60,7 +60,10 @@ pub enum SpecPolicy {
         /// every observation a deny). Must be in `(0, SPEC_EWMA_ONE)`.
         deny_ewma_threshold: u32,
         /// Maximum non-definite intervals a process may hold when opening
-        /// a new explicit guess; further guesses wait. Must be ≥ 1.
+        /// a new explicit guess; further guesses wait. Must be ≥ 1. It
+        /// counts rollback points: a receive the current interval already
+        /// covers opens no interval and is not one (`hope-core`'s
+        /// `History::covers`).
         max_depth: u32,
         /// Q16 width of the hysteresis band: optimism resumes only below
         /// `deny_ewma_threshold - hysteresis`, preventing regime flapping
