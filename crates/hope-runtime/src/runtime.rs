@@ -18,7 +18,7 @@ use crate::net::{LatencyModel, NetworkConfig};
 use crate::reliable::{CopyKind, LinkId, ReliableState};
 use crate::stats::{MessageStats, PartyKind, RunReport};
 use crate::sysapi::{ProcessBody, Received, SysApi};
-use crate::threadproc::{Job, Resume, Shared, SpawnKind, SpawnRequest, Worker, YieldMsg};
+use crate::threadproc::{Job, Outgoing, Resume, Shared, SpawnKind, SpawnRequest, Worker, YieldMsg};
 
 /// Lifecycle state of a threaded process, as visible to tests and tools.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -193,6 +193,7 @@ impl RuntimeBuilder {
             tracer: self.tracer.unwrap_or_default(),
             idle: Vec::new(),
             workers_started: 0,
+            turns: 0,
         }
     }
 }
@@ -229,6 +230,8 @@ pub struct SimRuntime {
     idle: Vec<Worker>,
     /// Worker threads started so far (names them `hope-sim-N`).
     workers_started: usize,
+    /// Scheduler → worker resumes so far.
+    turns: u64,
 }
 
 /// Collects sends (and a wake request) issued by an actor or control
@@ -385,7 +388,7 @@ impl SimRuntime {
             self.stats.link_mut().unroutable += 1;
             return Err(HopeError::UnknownProcess(dst));
         }
-        self.schedule_send(src, dst, payload, self.clock);
+        self.schedule_send(src, dst, payload);
         Ok(())
     }
 
@@ -579,6 +582,7 @@ impl SimRuntime {
             panics: self.panics.clone(),
             stats: self.stats.clone(),
             hit_event_limit,
+            turns: self.turns,
             attribution: Default::default(),
             cancelled_intervals: 0,
         }
@@ -645,14 +649,8 @@ impl SimRuntime {
         result
     }
 
-    fn schedule_send(
-        &mut self,
-        src: ProcessId,
-        dst: ProcessId,
-        payload: Payload,
-        sent_at: VirtualTime,
-    ) {
-        self.step(sent_at, (src, dst), |link, out| {
+    fn schedule_send(&mut self, src: ProcessId, dst: ProcessId, payload: Payload) {
+        self.step(self.clock, (src, dst), |link, out| {
             link.send(src, dst, payload, out)
         });
     }
@@ -719,7 +717,7 @@ impl SimRuntime {
             entry.status
         };
         for (to, payload) in api.out {
-            self.schedule_send(pid, to, payload, self.clock);
+            self.schedule_send(pid, to, payload);
         }
         if api.wake && (status == ProcessStatus::Blocked || status == ProcessStatus::Parked) {
             self.run_threaded(pid);
@@ -797,7 +795,7 @@ impl SimRuntime {
             self.procs[idx] = ProcSlot::Actor { name, actor };
         }
         for (dst, payload) in api.out {
-            self.schedule_send(pid, dst, payload, self.clock);
+            self.schedule_send(pid, dst, payload);
         }
     }
 
@@ -847,14 +845,14 @@ impl SimRuntime {
             entry.status
         };
         for (to, payload) in api.out {
-            self.schedule_send(dst, to, payload, self.clock);
+            self.schedule_send(dst, to, payload);
         }
         if api.wake && (status == ProcessStatus::Blocked || status == ProcessStatus::Parked) {
             self.run_threaded(dst);
         }
     }
 
-    /// Resumes a threaded process and services its yields until it parks.
+    /// Gives a threaded process one turn and carries out what it did.
     fn run_threaded(&mut self, pid: ProcessId) {
         let idx = pid.as_raw() as usize;
         if !matches!(self.procs.get(idx), Some(ProcSlot::Threaded(_))) {
@@ -864,7 +862,7 @@ impl SimRuntime {
         let ProcSlot::Threaded(mut entry) = slot else {
             unreachable!("checked above")
         };
-        let mut next_resume = match entry.body.take() {
+        let resume = match entry.body.take() {
             Some(body) => {
                 let worker = self.idle.pop().unwrap_or_else(|| {
                     self.workers_started += 1;
@@ -880,45 +878,44 @@ impl SimRuntime {
             }
             None => Resume::Go,
         };
-        loop {
-            entry.shared.lock().now = self.clock;
-            let Some(msg) = entry.worker.as_ref().and_then(|w| w.turn(next_resume)) else {
+        {
+            // The turn's spawns number themselves from the next free slot:
+            // nothing else registers a process before they are drained.
+            let mut shared = entry.shared.lock();
+            shared.now = self.clock;
+            shared.next_pid = self.procs.len() as u64;
+        }
+        self.turns += 1;
+        let msg = entry.worker.as_ref().and_then(|w| w.turn(resume));
+        // However the turn ended, its sends and spawns happen now, in call
+        // order: a child's pid is already in its spawner's hands.
+        let out = std::mem::take(&mut entry.shared.lock().outbox);
+        for item in out {
+            match item {
+                Outgoing::Send(dst, payload) => self.schedule_send(pid, dst, payload),
+                Outgoing::Spawn(child, req) => assert_eq!(self.register(req), child),
+            }
+        }
+        match msg {
+            Some(YieldMsg::Blocked { channel }) => {
+                entry.status = ProcessStatus::Blocked;
+                entry.blocked_channel = channel;
+            }
+            Some(YieldMsg::Park) => entry.status = ProcessStatus::Parked,
+            Some(YieldMsg::Compute { dur }) => {
+                entry.status = ProcessStatus::Sleeping;
+                self.queue.push(self.clock + dur, EventKind::Wake(pid));
+            }
+            Some(YieldMsg::Exited { panic }) => {
+                entry.status = ProcessStatus::Exited;
+                if let Some(msg) = panic {
+                    self.panics.push((pid, msg));
+                }
+                self.idle.extend(entry.worker.take());
+            }
+            None => {
                 entry.status = ProcessStatus::Exited;
                 entry.worker = None;
-                break;
-            };
-            // Drain messages sent since the last yield.
-            let out = std::mem::take(&mut entry.shared.lock().outbox);
-            for (dst, payload, sent_at) in out {
-                self.schedule_send(pid, dst, payload, sent_at);
-            }
-            match msg {
-                YieldMsg::Blocked { channel } => {
-                    entry.status = ProcessStatus::Blocked;
-                    entry.blocked_channel = channel;
-                    break;
-                }
-                YieldMsg::Park => {
-                    entry.status = ProcessStatus::Parked;
-                    break;
-                }
-                YieldMsg::Compute { dur } => {
-                    entry.status = ProcessStatus::Sleeping;
-                    self.queue.push(self.clock + dur, EventKind::Wake(pid));
-                    break;
-                }
-                YieldMsg::Spawn(req) => {
-                    let child = self.register(req);
-                    next_resume = Resume::Spawned(child);
-                }
-                YieldMsg::Exited { panic } => {
-                    entry.status = ProcessStatus::Exited;
-                    if let Some(msg) = panic {
-                        self.panics.push((pid, msg));
-                    }
-                    self.idle.extend(entry.worker.take());
-                    break;
-                }
             }
         }
         self.procs[idx] = ProcSlot::Threaded(entry);

@@ -346,6 +346,11 @@ pub struct RunReport {
     pub stats: MessageStats,
     /// True if the run stopped because it hit the configured event limit.
     pub hit_event_limit: bool,
+    /// Scheduler → worker resumes so far: the turns threaded processes
+    /// took on [`SimRuntime`](crate::SimRuntime). The
+    /// [`ThreadedRuntime`](crate::ThreadedRuntime) takes none and reports
+    /// zero, as it does for `attribution`.
+    pub turns: u64,
     /// Per-cause rollback attribution (who wasted whose work). The bare
     /// runtimes report an empty table; the HOPE environments fill it from
     /// their metrics before handing the report to callers.

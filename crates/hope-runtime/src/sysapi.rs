@@ -81,10 +81,15 @@ pub trait SysApi {
     fn compute(&mut self, dur: VirtualDuration);
 
     /// Spawns an event-driven actor process (used for AID processes) and
-    /// returns its id.
+    /// returns its id, which is valid at once: a send to it from the same
+    /// turn is delivered. In the simulator the actor is registered at the
+    /// caller's next yield, at the spawn instant, after the caller's
+    /// earlier sends and spawns.
     fn spawn_actor(&mut self, name: &str, actor: Box<dyn Actor>) -> ProcessId;
 
-    /// Spawns another threaded user process and returns its id.
+    /// Spawns another threaded user process and returns its id, which is
+    /// valid at once. In the simulator the child first runs after the
+    /// caller's next yield, at the spawn instant; spawning takes no turn.
     fn spawn_threaded(
         &mut self,
         name: &str,

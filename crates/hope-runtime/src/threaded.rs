@@ -1307,6 +1307,7 @@ impl ThreadedRuntime {
             panics,
             stats: self.inner.merged_stats(),
             hit_event_limit: hit_timeout,
+            turns: 0,
             attribution: Default::default(),
             cancelled_intervals: 0,
         }

@@ -3,9 +3,13 @@
 //! A threaded process runs on a worker thread, but the scheduler and the
 //! process take strict turns: the scheduler resumes the process and then
 //! blocks until the process yields (by blocking in `receive`, spending
-//! compute time, spawning, or exiting). Exactly one party runs at any
-//! instant, which is what makes whole simulations deterministic while still
-//! letting user code be written as ordinary blocking Rust.
+//! compute time, or exiting). Exactly one party runs at any instant, which
+//! is what makes whole simulations deterministic while still letting user
+//! code be written as ordinary blocking Rust.
+//!
+//! Sends and spawns do not yield. Both go into the process's ordered
+//! outbox, which the scheduler carries out when the turn ends; a spawn
+//! returns at once with the next free pid, handed over with the turn.
 //!
 //! A turn is handed over through a [`Handoff`] slot: the sender drops one
 //! value in and unparks the receiver without waiting; each side then blocks
@@ -38,8 +42,6 @@ pub(crate) enum Resume {
     Start(Job),
     /// Continue running.
     Go,
-    /// Reply to a spawn request: the new process's id.
-    Spawned(ProcessId),
 }
 
 /// What a worker needs to run one process from the top.
@@ -61,13 +63,11 @@ pub(crate) enum YieldMsg {
     Park,
     /// The process spends virtual compute time.
     Compute { dur: VirtualDuration },
-    /// The process asks the scheduler to create a new process.
-    Spawn(SpawnRequest),
     /// The process finished (with a panic message if it unwound).
     Exited { panic: Option<String> },
 }
 
-/// A spawn request carried by [`YieldMsg::Spawn`].
+/// A process to create.
 pub(crate) struct SpawnRequest {
     pub name: String,
     pub kind: SpawnKind,
@@ -81,6 +81,13 @@ pub(crate) enum SpawnKind {
     },
 }
 
+/// One entry of a process's outbox.
+pub(crate) enum Outgoing {
+    Send(ProcessId, Payload),
+    /// A child to register under the pid its spawner already holds.
+    Spawn(ProcessId, SpawnRequest),
+}
+
 /// State shared between the scheduler and one process. Only one of the two
 /// parties runs at a time, so the mutex is never contended; it exists to
 /// satisfy `Send`/`Sync`.
@@ -89,8 +96,11 @@ pub(crate) struct Shared {
     pub now: VirtualTime,
     /// Delivered-but-unconsumed user messages.
     pub mailbox: VecDeque<Received>,
-    /// Messages sent since the last yield; drained by the scheduler.
-    pub outbox: Vec<(ProcessId, Payload, VirtualTime)>,
+    /// Sends and spawns since the last yield, in call order; the scheduler
+    /// drains them, at the instant the turn began, however the turn ends.
+    pub outbox: Vec<Outgoing>,
+    /// The pid the next spawn gets; the scheduler syncs it before resuming.
+    pub next_pid: u64,
 }
 
 impl Shared {
@@ -99,6 +109,7 @@ impl Shared {
             now: VirtualTime::ZERO,
             mailbox: VecDeque::new(),
             outbox: Vec::new(),
+            next_pid: 0,
         }))
     }
 }
@@ -302,13 +313,17 @@ impl<'a> ThreadCtx<'a> {
     }
 
     fn spawn(&mut self, req: SpawnRequest) -> ProcessId {
-        match self.yield_and_wait(YieldMsg::Spawn(req)) {
-            Some(Resume::Spawned(pid)) => pid,
-            _ => panic!(
-                "hope-runtime shut down while process {} was spawning",
-                self.pid
-            ),
-        }
+        // No runtime is left to register a pid handed out now.
+        assert!(
+            self.alive,
+            "hope-runtime shut down while process {} was spawning",
+            self.pid
+        );
+        let mut shared = self.shared.lock();
+        let pid = ProcessId::from_raw(shared.next_pid);
+        shared.next_pid += 1;
+        shared.outbox.push(Outgoing::Spawn(pid, req));
+        pid
     }
 }
 
@@ -322,9 +337,7 @@ impl SysApi for ThreadCtx<'_> {
     }
 
     fn send(&mut self, dst: ProcessId, payload: Payload) {
-        let mut shared = self.shared.lock();
-        let now = shared.now;
-        shared.outbox.push((dst, payload, now));
+        self.shared.lock().outbox.push(Outgoing::Send(dst, payload));
     }
 
     fn receive(

@@ -668,3 +668,139 @@ fn a_reused_worker_reports_panics_per_pid_and_leaks_no_state() {
     assert!(fresh.run().is_clean());
     assert_eq!(*draws.lock().unwrap(), *expected.lock().unwrap());
 }
+
+#[test]
+fn spawning_takes_no_turn() {
+    // Each spawn was a turn of its own: 1 + 3N, not 1 + N.
+    const N: u64 = 16;
+    let mut rt = SimRuntime::new();
+    rt.spawn_threaded("parent", None, |ctx| {
+        for i in 0..N {
+            ctx.spawn_actor(&format!("actor-{i}"), Box::new(hope_runtime::NullActor));
+            ctx.spawn_threaded(&format!("child-{i}"), None, Box::new(|_| {}));
+        }
+    });
+    let report = rt.run();
+    assert!(report.is_clean());
+    assert_eq!(report.turns, 1 + N, "the parent's turn plus each child's");
+    assert_eq!(
+        rt.process_name(ProcessId::from_raw(2 * N)),
+        Some("child-15")
+    );
+}
+
+#[test]
+fn spawned_pids_follow_call_order_and_take_sends_at_once() {
+    // Sends and spawns interleave in one turn; a send to a child spawned
+    // earlier in that turn is delivered.
+    let mut rt = SimRuntime::new();
+    let got = Arc::new(Mutex::new(Vec::new()));
+    let g = got.clone();
+    let parent = rt.spawn_threaded("parent", None, move |ctx| {
+        let mut pids = Vec::new();
+        for i in 0..3 {
+            let echo = ctx.spawn_actor(&format!("echo-{i}"), Box::new(Echo));
+            ctx.send(echo, user(b"to-actor"));
+            let g = g.clone();
+            let child = ctx.spawn_threaded(
+                &format!("child-{i}"),
+                None,
+                Box::new(move |cctx: &mut dyn hope_runtime::SysApi| {
+                    let m = cctx.receive(None, &mut || false).unwrap();
+                    g.lock().unwrap().push((cctx.pid(), m.msg.data));
+                }),
+            );
+            ctx.send(child, user(b"to-child"));
+            pids.extend([echo, child]);
+        }
+        for _ in 0..3 {
+            assert_eq!(
+                &ctx.receive(None, &mut || false).unwrap().msg.data[..],
+                b"to-actor"
+            );
+        }
+        let expected: Vec<ProcessId> = (1..=6).map(ProcessId::from_raw).collect();
+        assert_eq!(pids, expected);
+    });
+    let report = rt.run();
+    assert!(report.is_clean(), "{:?}", report.panics);
+    assert!(report.blocked.is_empty());
+    assert_eq!(parent, ProcessId::from_raw(0));
+    for i in 0..3u64 {
+        assert_eq!(
+            rt.process_name(ProcessId::from_raw(1 + 2 * i)),
+            Some(&*format!("echo-{i}"))
+        );
+        assert_eq!(
+            rt.process_name(ProcessId::from_raw(2 + 2 * i)),
+            Some(&*format!("child-{i}"))
+        );
+    }
+    let mut got = got.lock().unwrap().clone();
+    got.sort();
+    let children = [2, 4, 6].map(|p| (ProcessId::from_raw(p), Bytes::from_static(b"to-child")));
+    assert_eq!(got, children);
+}
+
+/// A panic payload whose drop panics again, outside `catch_unwind`: it
+/// takes the worker thread down with the turn still open.
+struct PanicOnDrop;
+
+impl Drop for PanicOnDrop {
+    fn drop(&mut self) {
+        panic!("payload dropped");
+    }
+}
+
+#[test]
+fn a_child_spawned_as_its_parent_ends_still_runs() {
+    let ran = Arc::new(Mutex::new(Vec::new()));
+    let mut rt = SimRuntime::new();
+    let ends: [(&str, fn()); 3] = [
+        ("exits", || {}),
+        ("panics", || panic!("parent-boom")),
+        ("loses its worker", || std::panic::panic_any(PanicOnDrop)),
+    ];
+    for (how, end) in ends {
+        let r = ran.clone();
+        rt.spawn_threaded(how, None, move |ctx| {
+            ctx.spawn_threaded(
+                "child",
+                None,
+                Box::new(move |_: &mut dyn hope_runtime::SysApi| r.lock().unwrap().push(how)),
+            );
+            end();
+        });
+    }
+    let report = rt.run();
+    assert_eq!(report.panics.len(), 1);
+    assert!(report.panics[0].1.contains("parent-boom"));
+    let mut ran = ran.lock().unwrap().clone();
+    ran.sort_unstable();
+    assert_eq!(ran, ["exits", "loses its worker", "panics"]);
+    // The process table has no hole: a later spawn takes the next slot.
+    let next = rt.spawn_actor("after", Box::new(hope_runtime::NullActor));
+    assert_eq!(next, ProcessId::from_raw(6));
+    assert_eq!(rt.process_name(ProcessId::from_raw(5)), Some("child"));
+}
+
+#[test]
+fn a_spawn_after_shutdown_panics_without_a_pid() {
+    let seen = Arc::new(Mutex::new(None));
+    let s = seen.clone();
+    let mut rt = SimRuntime::new();
+    rt.spawn_threaded("late", None, move |ctx| {
+        assert!(ctx.receive(None, &mut || false).is_none());
+        let spawn = std::panic::AssertUnwindSafe(|| {
+            ctx.spawn_actor("orphan", Box::new(hope_runtime::NullActor))
+        });
+        let err = std::panic::catch_unwind(spawn).expect_err("a spawn after shutdown panics");
+        *s.lock().unwrap() = err.downcast_ref::<String>().cloned();
+    });
+    assert_eq!(rt.run().blocked.len(), 1);
+    within_watchdog("drop with a blocked spawner", move || drop(rt));
+    assert_eq!(
+        seen.lock().unwrap().as_deref(),
+        Some("hope-runtime shut down while process P0 was spawning")
+    );
+}
