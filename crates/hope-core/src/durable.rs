@@ -16,8 +16,9 @@
 //!   runs segment GC (checkpoints behind the definite frontier are dead
 //!   weight, exactly like the paper's discarded process images).
 //! * [`StoreHandle`] — a shared handle implementing
-//!   [`LogSink`](crate::replay::LogSink) / [`LogSource`](crate::replay::LogSource),
-//!   installed into the process's `ReplayLog`.
+//!   [`LogSink`](crate::replay::LogSink), installed into the process's
+//!   `ReplayLog`; rollback rebuilds a restarted process's log from
+//!   [`StoreHandle::take_recovery`].
 //! * [`StoreRegistry`] — the per-environment collection of stores, plus the
 //!   seeded storage-fault draw: at crash time the unsynced tail of the WAL
 //!   may tear, vanish, or take a bit flip
@@ -43,7 +44,7 @@ use hope_store::{SegmentedLog, StorageFault, StoreConfig, StoreStats};
 use hope_types::codec::read_u32;
 use hope_types::ProcessId;
 
-use crate::replay::{LogSink, LogSource, Op};
+use crate::replay::{LogSink, Op};
 
 /// When the store fsyncs the WAL.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -494,12 +495,6 @@ impl LogSink for StoreHandle {
     }
 }
 
-impl LogSource for StoreHandle {
-    fn recover(&mut self) -> Option<Vec<Op>> {
-        self.0.lock().take_recovery()
-    }
-}
-
 /// One environment's collection of durable stores: created lazily per
 /// user process, persistent across that process's crashes (the WAL *is*
 /// the disk — it survives the process).
@@ -781,8 +776,8 @@ mod tests {
         let h2 = reg.open(pid(4));
         h2.note_crash(0);
         h2.mark_restarted();
-        let mut h3 = reg.open(pid(4));
-        let recovered = LogSource::recover(&mut h3).expect("same store, same disk");
+        let h3 = reg.open(pid(4));
+        let recovered = h3.take_recovery().expect("same store, same disk");
         assert_eq!(recovered, vec![Op::Barrier]);
         assert!(reg.get(pid(5)).is_none());
         assert_eq!(reg.snapshot().store.recoveries, 1);

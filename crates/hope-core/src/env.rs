@@ -389,8 +389,6 @@ pub struct EnvBuilder<R> {
     reliable: bool,
     /// [`SimRuntime`] only; unset = the runtime builder's own default.
     max_events: Option<u64>,
-    /// [`SimRuntime`] only.
-    trace_capacity: usize,
     /// [`ThreadedRuntime`] only; unset = the runtime builder's own default.
     shards: Option<usize>,
     runtime: PhantomData<fn() -> R>,
@@ -411,7 +409,6 @@ impl<R> EnvBuilder<R> {
             durable: None,
             reliable: false,
             max_events: None,
-            trace_capacity: 0,
             shards: None,
             runtime: PhantomData,
         }
@@ -534,13 +531,6 @@ impl EnvBuilder<SimRuntime> {
         self
     }
 
-    /// Keep a bounded delivery trace (see
-    /// [`SimRuntime::trace`](hope_runtime::SimRuntime::trace)); 0 = off.
-    pub fn trace(mut self, capacity: usize) -> Self {
-        self.trace_capacity = capacity;
-        self
-    }
-
     /// Builds the environment.
     ///
     /// # Panics
@@ -552,7 +542,6 @@ impl EnvBuilder<SimRuntime> {
             let mut rt = SimRuntime::builder()
                 .seed(b.seed)
                 .network(b.network)
-                .trace(b.trace_capacity)
                 .tracer(tracer)
                 .reliable(b.reliable);
             if let Some(n) = b.max_events {
@@ -662,14 +651,6 @@ impl<R> Env<R> {
         let libs = self.libs.lock();
         let (_, _, lib) = libs.iter().find(|(p, _, _)| *p == pid)?;
         Some(lib.clone())
-    }
-
-    /// Decorates a runtime report with the HOPE-level counters.
-    fn report(&self, mut run: RunReport) -> HopeReport {
-        let hope = self.metrics();
-        run.attribution = self.metrics.attribution();
-        run.cancelled_intervals = hope.cancelled_intervals;
-        HopeReport { run, hope }
     }
 
     /// Pids of the top-level user processes (spawned via `spawn_user` on
@@ -785,13 +766,19 @@ impl Env<SimRuntime> {
     /// Runs to quiescence and reports.
     pub fn run(&mut self) -> HopeReport {
         let run = self.rt.run();
-        self.report(run)
+        HopeReport {
+            run,
+            hope: self.metrics(),
+        }
     }
 
     /// Runs until `deadline` (later events stay queued).
     pub fn run_until(&mut self, deadline: VirtualTime) -> HopeReport {
         let run = self.rt.run_until(deadline);
-        self.report(run)
+        HopeReport {
+            run,
+            hope: self.metrics(),
+        }
     }
 
     /// Current virtual time.
@@ -862,9 +849,10 @@ impl Env<ThreadedRuntime> {
     }
 
     /// Waits until the system has been quiescent for `grace` (or
-    /// `timeout` elapses) and reports. `hit_event_limit` in the report
+    /// `timeout` elapses) and returns the runtime's report; the HOPE
+    /// counters are [`Env::metrics`]. `hit_event_limit` in the report
     /// means the timeout fired first.
     pub fn run_until_quiescent(&self, grace: Duration, timeout: Duration) -> RunReport {
-        self.report(self.rt.run_until_quiescent(grace, timeout)).run
+        self.rt.run_until_quiescent(grace, timeout)
     }
 }

@@ -351,15 +351,6 @@ pub trait LogSink: Send {
     fn rollback_before(&mut self, op_index: usize);
 }
 
-/// Where a crashed process's op log is reconstructed from.
-///
-/// `recover` returns `Some(ops)` exactly once after a crash — the longest
-/// valid prefix the store could certify — and `None` otherwise.
-pub trait LogSource {
-    /// Takes the pending post-crash recovery, if one is waiting.
-    fn recover(&mut self) -> Option<Vec<Op>>;
-}
-
 /// The operation log of one user process, with a replay cursor.
 ///
 /// Live mode (`cursor == len`): operations execute for real and are

@@ -117,12 +117,7 @@ fn run_cascade_threaded(seed: u64) -> RollbackAttribution {
     let report = env.run_until_quiescent(Duration::from_millis(30), Duration::from_secs(20));
     assert!(report.panics.is_empty(), "{:?}", report.panics);
     assert!(!report.hit_event_limit, "must reach quiescence");
-    let snapshot = env.metrics();
-    assert_eq!(
-        snapshot.attribution, report.attribution,
-        "snapshot and run report must agree"
-    );
-    snapshot.attribution
+    env.metrics().attribution
 }
 
 #[test]

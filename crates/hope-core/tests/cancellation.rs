@@ -115,7 +115,6 @@ struct Run {
     outcome: Option<Outcome>,
     hope: MetricsSnapshot,
     stats: MessageStats,
-    run_cancelled: u64,
     tracer: Arc<TraceCollector>,
     consumer: ProcessId,
 }
@@ -154,7 +153,6 @@ fn run_sim(configure: impl FnOnce(hope_core::HopeEnvBuilder) -> hope_core::HopeE
         outcome,
         hope: report.hope,
         stats: report.run.stats,
-        run_cancelled: report.run.cancelled_intervals,
         tracer: env.tracer(),
         consumer: consumer_pid,
     }
@@ -176,7 +174,6 @@ fn run_threaded() -> Run {
         outcome,
         hope: env.metrics(),
         stats: report.stats,
-        run_cancelled: report.cancelled_intervals,
         tracer: env.tracer(),
         consumer: consumer_pid,
     }
@@ -204,7 +201,6 @@ fn a_message_tagged_with_a_denied_aid_is_dropped_on_sight() {
         assert_eq!(dropped, 1, "{rt}");
         // The dropped message and the short-circuited guess of (ii).
         assert_eq!(run.hope.cancelled_intervals, 2, "{rt}: {:?}", run.hope);
-        assert_eq!(run.run_cancelled, 2, "{rt}");
         // `x` rolls both processes back once, `y` the consumer once more.
         assert_eq!(run.stats.count_kind("Rollback"), 3, "{rt}");
         assert_eq!(run.hope.reexecutions, 3, "{rt}: {:?}", run.hope);

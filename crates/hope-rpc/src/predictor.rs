@@ -138,11 +138,6 @@ impl<P: Predictor> PredictiveClient<P> {
         PredictiveClient { server, predictor }
     }
 
-    /// Access to the predictor (e.g. to pre-seed caches).
-    pub fn predictor_mut(&mut self) -> &mut P {
-        &mut self.predictor
-    }
-
     /// Calls `method(body)`, streaming when possible.
     pub fn call(
         &mut self,

@@ -76,7 +76,6 @@ mod stats;
 mod sysapi;
 mod threaded;
 mod threadproc;
-mod trace;
 
 pub use actor::{Actor, ActorApi, NullActor};
 pub use control::{ControlApi, ControlHandler, NullControl};
@@ -94,4 +93,3 @@ pub use sched::{EventDesc, PendingEvent};
 pub use stats::{LinkStats, MessageStats, PartyKind, RunReport};
 pub use sysapi::{ProcessBody, Received, SysApi};
 pub use threaded::{ThreadedRuntime, ThreadedRuntimeBuilder};
-pub use trace::{Trace, TraceEvent};

@@ -266,13 +266,15 @@ impl Link<'_> {
             stats.record_dropped();
             return false;
         };
-        stats.record(crate::sched::payload_kind(&env.payload), from, to);
+        let kind = crate::sched::payload_kind(&env.payload);
+        stats.record(kind, from, to);
         self.tracer.record(
             env.dst,
             self.now,
             TraceEventKind::Deliver {
                 src: env.src,
                 seq: env.seq,
+                kind,
             },
         );
         true
@@ -1260,7 +1262,11 @@ mod tests {
             rig.traced(),
             [
                 TraceEventKind::TagDecodeMismatch { src: p(1), seq: 2 },
-                TraceEventKind::Deliver { src: p(1), seq: 2 },
+                TraceEventKind::Deliver {
+                    src: p(1),
+                    seq: 2,
+                    kind: "User"
+                },
             ]
         );
         // The diverged codec pair is not trusted again: next send is Full.

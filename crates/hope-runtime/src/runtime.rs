@@ -76,7 +76,6 @@ pub struct RuntimeBuilder {
     seed: u64,
     network: NetworkConfig,
     max_events: u64,
-    trace_capacity: usize,
     faults: Option<FaultPlan>,
     reliable: bool,
     tracer: Option<Arc<hope_types::TraceCollector>>,
@@ -88,7 +87,6 @@ impl Default for RuntimeBuilder {
             seed: 0,
             network: NetworkConfig::default(),
             max_events: 50_000_000,
-            trace_capacity: 0,
             faults: None,
             reliable: false,
             tracer: None,
@@ -112,14 +110,6 @@ impl RuntimeBuilder {
     /// Safety valve: abort the run after this many events.
     pub fn max_events(mut self, max_events: u64) -> Self {
         self.max_events = max_events;
-        self
-    }
-
-    /// Keep a bounded in-memory trace of the most recent `capacity`
-    /// message deliveries (0 = tracing off, the default). Inspect it with
-    /// [`SimRuntime::trace`].
-    pub fn trace(mut self, capacity: usize) -> Self {
-        self.trace_capacity = capacity;
         self
     }
 
@@ -180,11 +170,6 @@ impl RuntimeBuilder {
             events_processed: 0,
             panics: Vec::new(),
             collected: 0,
-            trace: if self.trace_capacity > 0 {
-                Some(crate::trace::Trace::new(self.trace_capacity))
-            } else {
-                None
-            },
             fault,
             rel: make_rel.map(|make| make()),
             down: BTreeMap::new(),
@@ -211,7 +196,6 @@ pub struct SimRuntime {
     max_events: u64,
     events_processed: u64,
     panics: Vec<(ProcessId, String)>,
-    trace: Option<crate::trace::Trace>,
     collected: u64,
     /// Fault model, when fault injection is configured.
     fault: Option<FaultModel>,
@@ -303,12 +287,6 @@ impl SimRuntime {
     /// Actor processes garbage-collected so far (AID reference counting).
     pub fn collected_actors(&self) -> u64 {
         self.collected
-    }
-
-    /// The delivery trace, when enabled via
-    /// [`RuntimeBuilder::trace`](RuntimeBuilder::trace).
-    pub fn trace(&self) -> Option<&crate::trace::Trace> {
-        self.trace.as_ref()
     }
 
     /// The shared causal-trace collector (always present; disabled unless
@@ -583,8 +561,6 @@ impl SimRuntime {
             stats: self.stats.clone(),
             hit_event_limit,
             turns: self.turns,
-            attribution: Default::default(),
-            cancelled_intervals: 0,
         }
     }
 
@@ -755,10 +731,6 @@ impl SimRuntime {
         if !deliver {
             return;
         }
-        if let Some(trace) = self.trace.as_mut() {
-            trace.record(self.clock, env.src, env.dst, &env.payload);
-        }
-
         match &self.procs[idx] {
             ProcSlot::Vacant => {
                 self.stats.record_dropped();

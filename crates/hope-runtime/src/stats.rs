@@ -349,17 +349,8 @@ pub struct RunReport {
     /// Scheduler → worker resumes so far: the turns threaded processes
     /// took on [`SimRuntime`](crate::SimRuntime). The
     /// [`ThreadedRuntime`](crate::ThreadedRuntime) takes none and reports
-    /// zero, as it does for `attribution`.
+    /// zero.
     pub turns: u64,
-    /// Per-cause rollback attribution (who wasted whose work). The bare
-    /// runtimes report an empty table; the HOPE environments fill it from
-    /// their metrics before handing the report to callers.
-    pub attribution: hope_types::RollbackAttribution,
-    /// Doomed intervals proactively cancelled (messages discarded
-    /// pre-guess plus guesses short-circuited on known-denied AIDs). Like
-    /// `attribution`, the bare runtimes report zero; the HOPE environments
-    /// fill it from their metrics.
-    pub cancelled_intervals: u64,
 }
 
 impl RunReport {

@@ -81,9 +81,10 @@ const REL_STRIPES: usize = 16;
 /// runtime's capacity.
 const INGRESS_RING_CAPACITY: usize = 1024;
 
-/// Default slots per process mailbox ring (see
-/// [`ThreadedRuntimeBuilder::mailbox_capacity`]).
-const DEFAULT_MAILBOX_CAPACITY: usize = 1024;
+/// Slots per process mailbox ring. Ring-full deliveries spill to the
+/// process's FIFO spill queue, so this bounds the wait-free path, not
+/// the mailbox.
+const MAILBOX_CAPACITY: usize = 1024;
 
 /// Park-time backstop: shards and processes never sleep longer than this
 /// without re-checking the world, mirroring the old dispatcher cadence.
@@ -300,7 +301,6 @@ struct Inner {
     /// sublayer is off.
     rel: Option<Vec<Mutex<ReliableState>>>,
     max_retransmits: u32,
-    mailbox_capacity: usize,
     /// Causal-trace collector for wire events (disabled unless enabled by
     /// the owner; recording is a single atomic load when off).
     tracer: Arc<hope_types::TraceCollector>,
@@ -954,7 +954,6 @@ pub struct ThreadedRuntimeBuilder {
     faults: Option<FaultPlan>,
     reliable: bool,
     shards: Option<usize>,
-    mailbox_capacity: usize,
     tracer: Option<Arc<hope_types::TraceCollector>>,
 }
 
@@ -966,7 +965,6 @@ impl Default for ThreadedRuntimeBuilder {
             faults: None,
             reliable: false,
             shards: None,
-            mailbox_capacity: DEFAULT_MAILBOX_CAPACITY,
             tracer: None,
         }
     }
@@ -1008,15 +1006,6 @@ impl ThreadedRuntimeBuilder {
     /// traffic stays on one shard); only wall-clock throughput changes.
     pub fn shards(mut self, n: usize) -> Self {
         self.shards = Some(n.max(1));
-        self
-    }
-
-    /// Slots in each process's mailbox ring (rounded up to a power of
-    /// two). Overflow falls back to a spill queue — delivery is never
-    /// lost, just no longer wait-free — so small values are safe and
-    /// useful for backpressure tests.
-    pub fn mailbox_capacity(mut self, capacity: usize) -> Self {
-        self.mailbox_capacity = capacity.max(2);
         self
     }
 
@@ -1064,7 +1053,6 @@ impl ThreadedRuntimeBuilder {
             seed: self.seed,
             rel: make_rel.map(|make| (0..REL_STRIPES).map(|_| Mutex::new(make())).collect()),
             max_retransmits,
-            mailbox_capacity: self.mailbox_capacity,
             tracer: self.tracer.unwrap_or_default(),
         });
         for ix in 0..nshards {
@@ -1125,7 +1113,7 @@ impl ThreadedRuntime {
         control: Option<Box<dyn ControlHandler>>,
         body: crate::sysapi::ProcessBody,
     ) -> ProcessId {
-        let (inbox, rx) = spsc::ring::<Received>(inner.mailbox_capacity);
+        let (inbox, rx) = spsc::ring::<Received>(MAILBOX_CAPACITY);
         let shared = Arc::new(ProcShared {
             inbox: Mutex::new(inbox),
             spill: Mutex::new(VecDeque::new()),
@@ -1308,8 +1296,6 @@ impl ThreadedRuntime {
             stats: self.inner.merged_stats(),
             hit_event_limit: hit_timeout,
             turns: 0,
-            attribution: Default::default(),
-            cancelled_intervals: 0,
         }
     }
 

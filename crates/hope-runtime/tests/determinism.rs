@@ -4,28 +4,40 @@
 //! claim across the *sharded wall-clock runtime* (DESIGN.md §10): wall
 //! timings vary run to run, but the deterministic outcome fields — what
 //! was delivered, to whom, how often — must be bit-identical whether the
-//! transport runs on one shard, many shards, or the simulator.
+//! transport runs on one shard, many shards, or the simulator. The last
+//! part holds the causal trace to the Table 1 accounting: every delivery
+//! is traced once, with the kind `MessageStats` counts it under.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use bytes::Bytes;
-use hope_runtime::{FaultPlan, NetworkConfig, SimRuntime, ThreadedRuntime, Trace, TraceEvent};
-use hope_types::{Payload, ProcessId, UserMessage, VirtualDuration, VirtualTime};
+use hope_core::{HopeEnv, ProcessCtx, ThreadedHopeEnv};
+use hope_runtime::{FaultPlan, MessageStats, NetworkConfig, SimRuntime, ThreadedRuntime};
+use hope_types::{
+    AidId, Payload, ProcessId, TraceCollector, TraceEvent, TraceEventKind, UserMessage,
+    VirtualDuration, VirtualTime,
+};
+
+/// The deterministic projection of a causal trace: every event's virtual
+/// time, process and kind (the wall-clock stamp is left out).
+type Schedule = Vec<(VirtualTime, ProcessId, TraceEventKind)>;
 
 /// A small token-passing workload: `n` threaded processes forward a
 /// counter around a ring until it reaches `hops`.
-fn ring(seed: u64, faults: Option<FaultPlan>) -> (Vec<TraceEvent>, VirtualTime, u64) {
+fn ring(seed: u64, faults: Option<FaultPlan>) -> (Schedule, VirtualTime, u64) {
     const N: u64 = 4;
     const HOPS: u8 = 24;
+    let tracer = Arc::new(TraceCollector::new());
+    tracer.enable_default();
     let mut builder = SimRuntime::builder()
         .seed(seed)
         .network(NetworkConfig::uniform(
             VirtualDuration::from_micros(200),
             VirtualDuration::from_millis(2),
         ))
-        .trace(4096);
+        .tracer(tracer.clone());
     if let Some(plan) = faults {
         builder = builder.faults(plan);
     }
@@ -52,7 +64,11 @@ fn ring(seed: u64, faults: Option<FaultPlan>) -> (Vec<TraceEvent>, VirtualTime, 
     .unwrap();
     let report = rt.run();
     assert!(report.panics.is_empty(), "{:?}", report.panics);
-    let events = rt.trace().map(Trace::events).unwrap_or_default().to_vec();
+    let events = tracer
+        .events()
+        .into_iter()
+        .map(|e| (e.virt, e.pid, e.kind))
+        .collect();
     (events, report.now, report.stats.link().retransmits)
 }
 
@@ -301,4 +317,88 @@ fn fault_seed_defaults_to_runtime_seed() {
     let (b, now_b, _) = ring(11, Some(plan()));
     assert_eq!(a, b);
     assert_eq!(now_a, now_b);
+}
+
+// --- One trace: deliveries by Table 1 kind ---------------------------
+//
+// The causal trace is the only record of individual deliveries, so its
+// `Deliver` events must agree with the runtime's Table 1 counts kind by
+// kind. The program below makes every kind appear: two guessed
+// assumptions, one affirmed (Affirm, then Replace to the guesser) and one
+// denied (Deny, then Rollback), the AIDs carried in a user message.
+
+fn encode_aids(aids: &[AidId]) -> Bytes {
+    aids.iter()
+        .flat_map(|aid| aid.process().as_raw().to_le_bytes())
+        .collect::<Vec<u8>>()
+        .into()
+}
+
+fn decode_aids(data: &[u8]) -> Vec<AidId> {
+    data.chunks_exact(8)
+        .map(|c| {
+            AidId::from_raw(ProcessId::from_raw(u64::from_le_bytes(
+                c.try_into().unwrap(),
+            )))
+        })
+        .collect()
+}
+
+/// Pid 0: affirms the first assumption it is sent and denies the second.
+fn resolver(ctx: &mut ProcessCtx<'_>) {
+    let aids = decode_aids(&ctx.receive(None).data);
+    ctx.affirm(aids[0]);
+    ctx.deny(aids[1]);
+}
+
+/// Pid 1: hands two assumptions to the resolver, then guesses both.
+fn guesser(ctx: &mut ProcessCtx<'_>) {
+    let (x, y) = (ctx.aid_init(), ctx.aid_init());
+    ctx.send(ProcessId::from_raw(0), 0, encode_aids(&[x, y]));
+    if ctx.guess(x) && ctx.guess(y) {
+        ctx.compute(VirtualDuration::from_millis(1));
+    }
+}
+
+/// Checks the traced `Deliver` kinds against `stats`, kind by kind and in
+/// total, and that every Table 1 kind was delivered at least once.
+fn assert_trace_matches_table_1(label: &str, events: &[TraceEvent], stats: &MessageStats) {
+    let mut traced: BTreeMap<&str, u64> = BTreeMap::new();
+    for e in events {
+        if let TraceEventKind::Deliver { kind, .. } = e.kind {
+            *traced.entry(kind).or_default() += 1;
+        }
+    }
+    let counted: BTreeMap<&str, u64> = stats
+        .iter()
+        .map(|(kind, ..)| (kind, stats.count_kind(kind)))
+        .collect();
+    assert_eq!(traced, counted, "{label}: Deliver kinds vs Table 1 counts");
+    assert_eq!(traced.values().sum::<u64>(), stats.total(), "{label}");
+    for kind in ["Guess", "Affirm", "Deny", "Replace", "Rollback", "User"] {
+        assert!(traced.contains_key(kind), "{label}: no {kind} delivered");
+    }
+}
+
+#[test]
+fn traced_deliveries_match_table_1_on_both_runtimes() {
+    let mut env = HopeEnv::builder().seed(3).build();
+    env.enable_tracing(1 << 16);
+    env.spawn_user("resolver", resolver);
+    env.spawn_user("guesser", guesser);
+    let report = env.run();
+    assert!(report.is_clean(), "{:?}", report.run.panics);
+    assert_trace_matches_table_1("simulator", &env.tracer().events(), &report.run.stats);
+
+    for shards in [1, 4] {
+        let env = ThreadedHopeEnv::builder().seed(3).shards(shards).build();
+        env.enable_tracing(1 << 16);
+        env.spawn_user("resolver", resolver);
+        env.spawn_user("guesser", guesser);
+        let report = env.run_until_quiescent(Duration::from_millis(25), Duration::from_secs(30));
+        assert!(report.is_clean(), "{:?}", report.panics);
+        let label = format!("threaded shards({shards})");
+        assert_trace_matches_table_1(&label, &env.tracer().events(), &report.stats);
+        assert_eq!(env.tracer().dropped(), 0);
+    }
 }

@@ -45,11 +45,9 @@ fn await_flag(flag: &AtomicBool, what: &str) {
 fn stalled_consumer_never_delays_unrelated_links() {
     const FLOOD: u32 = 5_000;
     const ROUNDS: u32 = 50;
-    // A tiny ring guarantees the flood exercises the spill path.
-    let rt = ThreadedRuntime::builder()
-        .shards(2)
-        .mailbox_capacity(64)
-        .build();
+    // The flood is about five times the 1 024-slot mailbox ring, so it
+    // exercises the spill path.
+    let rt = ThreadedRuntime::builder().shards(2).build();
     let gate = Arc::new(AtomicBool::new(false));
     let flooded = Arc::new(AtomicBool::new(false));
     let exchange_done = Arc::new(AtomicBool::new(false));

@@ -184,7 +184,7 @@ pub fn run_chain_traced(cfg: ChaosConfig, capacity: usize) -> (ChaosResult, crat
 
 fn run_chain_inner(
     cfg: ChaosConfig,
-    trace_capacity: Option<usize>,
+    tracing: Option<usize>,
 ) -> (ChaosResult, Option<crate::json::Value>) {
     let chain_cfg = ChainConfig {
         depth: cfg.depth,
@@ -197,13 +197,13 @@ fn run_chain_inner(
     // Spawn order is the stage server (pid 0), then the client (pid 1):
     // crash the client while calls are in flight.
     let env = faulted_env(cfg, chain_cfg.latency);
-    if let Some(capacity) = trace_capacity {
+    if let Some(capacity) = tracing {
         env.enable_tracing(capacity);
     }
     let tracer = env.tracer();
     let (faulted, report) = chain::run_streaming_in(env, chain_cfg);
     let result = check(&report, faulted.value == reference.value);
-    let trace = trace_capacity.map(|_| {
+    let trace = tracing.map(|_| {
         crate::trace_export::chrome_trace(
             &tracer.drain(),
             tracer.dropped(),

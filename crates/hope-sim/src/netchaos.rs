@@ -3,12 +3,11 @@
 //! [`NetChaos`] sits between a dialing node and a real TCP listener and
 //! misbehaves on command: one-way or full partitions (bytes black-holed
 //! while the socket stays "connected" — the failure heartbeats exist to
-//! catch), injected per-chunk latency (slow peers), hard connection
-//! resets, and *mid-frame* cuts (the stream is severed after an exact
-//! byte budget, leaving a partial frame in the peer's reader — the case
-//! the length-prefixed codec must reject and the reconnect machinery
-//! must recover from). Cut points can be drawn from a seeded schedule
-//! ([`seeded_cut_points`]) so soak runs are reproducible.
+//! catch), hard connection resets, and *mid-frame* cuts (the stream is
+//! severed after an exact byte budget, leaving a partial frame in the
+//! peer's reader — the case the length-prefixed codec must reject and the
+//! reconnect machinery must recover from). Cut points can be drawn from a
+//! seeded schedule ([`seeded_cut_points`]) so soak runs are reproducible.
 //!
 //! The proxy is transport-agnostic — it forwards opaque bytes — so the
 //! same tool drives the `hope-bench` cluster partition-heal scenario and
@@ -37,8 +36,6 @@ struct Ctl {
     /// partitions so reconnect dials fail fast instead of stalling in
     /// their handshake.
     refuse_new: AtomicBool,
-    /// Injected delay per forwarded chunk, in nanoseconds.
-    latency_nanos: AtomicU64,
     /// Remaining bytes until a one-shot mid-stream cut ([`NO_CUT`] off).
     cut_budget: Mutex<u64>,
     /// Total payload bytes forwarded (both directions).
@@ -71,7 +68,6 @@ impl NetChaos {
             drop_a_to_b: AtomicBool::new(false),
             drop_b_to_a: AtomicBool::new(false),
             refuse_new: AtomicBool::new(false),
-            latency_nanos: AtomicU64::new(0),
             cut_budget: Mutex::new(NO_CUT),
             forwarded: AtomicU64::new(0),
             accepted: AtomicU64::new(0),
@@ -115,15 +111,6 @@ impl NetChaos {
         self.ctl.drop_a_to_b.store(false, Ordering::Release);
         self.ctl.drop_b_to_a.store(false, Ordering::Release);
         self.ctl.refuse_new.store(false, Ordering::Release);
-    }
-
-    /// Injects `latency` before each forwarded chunk (slow-peer mode;
-    /// zero disables).
-    pub fn set_latency(&self, latency: Duration) {
-        self.ctl.latency_nanos.store(
-            latency.as_nanos().min(u128::from(u64::MAX)) as u64,
-            Ordering::Release,
-        );
     }
 
     /// Arms a one-shot cut: after exactly `bytes` more forwarded payload
@@ -247,10 +234,6 @@ fn pump(ctl: Arc<Ctl>, mut from: TcpStream, mut to: TcpStream, dir: Dir) {
                 };
                 if dropped {
                     continue; // black hole: consume, never forward
-                }
-                let latency = ctl.latency_nanos.load(Ordering::Acquire);
-                if latency > 0 {
-                    std::thread::sleep(Duration::from_nanos(latency));
                 }
                 // One-shot mid-frame cut: forward exactly the remaining
                 // budget, then sever both directions.

@@ -43,9 +43,9 @@ pub struct ThroughputResult {
     pub trace_events: usize,
 }
 
-/// One full producer/consumer run; `trace_capacity` turns the causal
-/// tracer on, which must not change anything else in the result.
-pub fn run(cfg: ThroughputConfig, trace_capacity: Option<usize>) -> ThroughputResult {
+/// One full producer/consumer run; `tracing` (a ring capacity) turns the
+/// causal tracer on, which must not change anything else in the result.
+pub fn run(cfg: ThroughputConfig, tracing: Option<usize>) -> ThroughputResult {
     let guess_ns = Arc::new(Mutex::new(Vec::new()));
     let affirm_ns = Arc::new(Mutex::new(Vec::new()));
 
@@ -54,7 +54,7 @@ pub fn run(cfg: ThroughputConfig, trace_capacity: Option<usize>) -> ThroughputRe
         .network(NetworkConfig::lan())
         .reliable(true)
         .build();
-    if let Some(capacity) = trace_capacity {
+    if let Some(capacity) = tracing {
         env.enable_tracing(capacity);
     }
     let tracer = env.tracer();

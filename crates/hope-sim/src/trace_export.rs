@@ -20,7 +20,7 @@ use hope_types::{RollbackAttribution, TraceEvent, TraceEventKind};
 use crate::json::Value;
 
 /// Event name, category and kind-specific `args` fields.
-fn describe(kind: &TraceEventKind) -> (&'static str, &'static str, Vec<(String, Value)>) {
+pub fn describe(kind: &TraceEventKind) -> (&'static str, &'static str, Vec<(String, Value)>) {
     let s = |v: &dyn std::fmt::Display| Value::String(v.to_string());
     match kind {
         TraceEventKind::AidInit { aid } => {
@@ -104,12 +104,13 @@ fn describe(kind: &TraceEventKind) -> (&'static str, &'static str, Vec<(String, 
                 ("seq".into(), Value::Number(*seq as i64)),
             ],
         ),
-        TraceEventKind::Deliver { src, seq } => (
+        TraceEventKind::Deliver { src, seq, kind } => (
             "deliver",
             "wire",
             vec![
                 ("src".into(), s(src)),
                 ("seq".into(), Value::Number(*seq as i64)),
+                ("kind".into(), s(kind)),
             ],
         ),
         TraceEventKind::Retransmit { dst, seq } => (
@@ -451,7 +452,11 @@ mod tests {
             TraceEventKind::Reexecution,
             TraceEventKind::CrashRecovery,
             TraceEventKind::Send { dst: pid, seq: 1 },
-            TraceEventKind::Deliver { src: pid, seq: 1 },
+            TraceEventKind::Deliver {
+                src: pid,
+                seq: 1,
+                kind: "Replace",
+            },
             TraceEventKind::Retransmit { dst: pid, seq: 1 },
             TraceEventKind::Crash,
             TraceEventKind::Restart,

@@ -187,11 +187,6 @@ impl SegmentedLog {
         self.stats.syncs += 1;
     }
 
-    /// Bytes written but not yet pinned by a sync or rotation.
-    pub fn unsynced_bytes(&self) -> usize {
-        self.segments.iter().map(|s| s.buf.len() - s.synced).sum()
-    }
-
     /// Total bytes across live segments.
     pub fn total_bytes(&self) -> usize {
         self.segments.iter().map(|s| s.buf.len()).sum()

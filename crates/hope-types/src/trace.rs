@@ -16,7 +16,7 @@
 //! Attribution ([`RollbackAttribution`]) is independent of the ring: it is
 //! a small map from [`BlameKey`] (the denying AID, or the crashed process)
 //! to [`WastedWork`] totals, accumulated at rollback time and surfaced in
-//! `MetricsSnapshot`/`RunReport` even when event tracing is disabled.
+//! `MetricsSnapshot` even when event tracing is disabled.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
@@ -123,6 +123,9 @@ pub enum TraceEventKind {
         src: ProcessId,
         /// Link sequence number (0 when the reliable sublayer is off).
         seq: u64,
+        /// The paper's Table 1 message kind (`"Guess"`, `"Affirm"`,
+        /// `"Deny"`, `"Replace"`, `"Rollback"`) or `"User"`.
+        kind: &'static str,
     },
     /// The reliable sublayer retransmitted an unacked message.
     Retransmit {

@@ -137,7 +137,8 @@ fn hope_error_variants_render() {
 
 #[test]
 fn trace_capture_via_the_facade() {
-    let mut env = HopeEnv::builder().seed(5).trace(128).build();
+    let mut env = HopeEnv::builder().seed(5).build();
+    env.enable_tracing(128);
     env.spawn_user("p", |ctx| {
         let x = ctx.aid_init();
         if ctx.guess(x) {
@@ -146,9 +147,16 @@ fn trace_capture_via_the_facade() {
     });
     let report = env.run();
     assert!(report.is_clean());
-    let trace = env.runtime().trace().expect("tracing enabled");
-    let rendered = trace.render(true);
-    assert!(rendered.contains("Guess"));
-    assert!(rendered.contains("Affirm"));
-    assert!(rendered.contains("Replace"));
+    let delivered: Vec<&str> = env
+        .tracer()
+        .events()
+        .into_iter()
+        .filter_map(|e| match e.kind {
+            hope::hope_types::TraceEventKind::Deliver { kind, .. } => Some(kind),
+            _ => None,
+        })
+        .collect();
+    for kind in ["Guess", "Affirm", "Replace"] {
+        assert!(delivered.contains(&kind), "{kind} in {delivered:?}");
+    }
 }
