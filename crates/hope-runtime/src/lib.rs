@@ -67,6 +67,7 @@ mod event;
 mod fault;
 mod link;
 mod net;
+mod node;
 mod reliable;
 mod runtime;
 mod sched;

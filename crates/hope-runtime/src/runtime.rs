@@ -1,23 +1,26 @@
 //! The deterministic virtual-time scheduler.
 
 use std::collections::BTreeMap;
+use std::marker::PhantomData;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
 use hope_types::{
-    Envelope, HopeError, HopeMessage, Payload, ProcessId, TraceEventKind, VirtualTime,
+    Envelope, HopeError, Payload, ProcessId, TraceCollector, TraceEventKind, VirtualTime,
 };
 
 use crate::actor::Actor;
 use crate::control::ControlHandler;
-use crate::event::{EventKind, EventQueue};
+use crate::event::{Event, EventKind, EventQueue};
 use crate::fault::{FaultModel, FaultPlan};
 use crate::link::{state_link, Link, LinkWork, Outbound};
 use crate::net::{LatencyModel, NetworkConfig};
+use crate::node::{self, Host, Step, Target};
 use crate::reliable::{CopyKind, LinkId, ReliableState};
+use crate::sched::{self, PendingEvent};
 use crate::stats::{MessageStats, PartyKind, RunReport};
-use crate::sysapi::{ProcessBody, Received, SysApi};
+use crate::sysapi::{ProcessBody, SysApi};
 use crate::threadproc::{Job, Outgoing, Resume, Shared, SpawnKind, SpawnRequest, Worker, YieldMsg};
 
 /// Lifecycle state of a threaded process, as visible to tests and tools.
@@ -36,7 +39,8 @@ pub enum ProcessStatus {
 }
 
 enum ProcSlot {
-    /// Placeholder while a slot's contents are temporarily taken out.
+    /// A garbage-collected actor, or a process slot whose contents
+    /// `run_threaded` has taken out for the turn.
     Vacant,
     Actor {
         name: String,
@@ -58,7 +62,16 @@ struct ThreadedEntry {
     blocked_channel: Option<u32>,
 }
 
-/// Configures and creates a [`SimRuntime`].
+impl ThreadedEntry {
+    /// Blocked in `receive` or parked: a `Control` wake resumes it.
+    fn waiting(&self) -> bool {
+        matches!(self.status, ProcessStatus::Blocked | ProcessStatus::Parked)
+    }
+}
+
+/// Configures a [`SimRuntime`] or a
+/// [`ThreadedRuntime`](crate::ThreadedRuntime): shared setters, then each
+/// runtime's own knob (`max_events`, `shards`) and `build`.
 ///
 /// # Examples
 ///
@@ -71,52 +84,53 @@ struct ThreadedEntry {
 ///     .build();
 /// # let _ = rt;
 /// ```
-#[derive(Debug)]
-pub struct RuntimeBuilder {
-    seed: u64,
-    network: NetworkConfig,
+pub struct RuntimeBuilder<R = SimRuntime> {
+    pub(crate) seed: u64,
+    pub(crate) network: NetworkConfig,
+    pub(crate) faults: Option<FaultPlan>,
+    pub(crate) reliable: bool,
+    pub(crate) tracer: Option<Arc<TraceCollector>>,
+    /// [`SimRuntime`] only.
     max_events: u64,
-    faults: Option<FaultPlan>,
-    reliable: bool,
-    tracer: Option<Arc<hope_types::TraceCollector>>,
+    /// [`ThreadedRuntime`](crate::ThreadedRuntime) only; unset = the
+    /// machine's available parallelism.
+    pub(crate) shards: Option<usize>,
+    runtime: PhantomData<fn() -> R>,
 }
 
-impl Default for RuntimeBuilder {
-    fn default() -> Self {
+impl<R> RuntimeBuilder<R> {
+    pub(crate) fn new(network: NetworkConfig) -> Self {
         RuntimeBuilder {
             seed: 0,
-            network: NetworkConfig::default(),
-            max_events: 50_000_000,
+            network,
             faults: None,
             reliable: false,
             tracer: None,
+            max_events: 50_000_000,
+            shards: None,
+            runtime: PhantomData,
         }
     }
-}
 
-impl RuntimeBuilder {
-    /// Seed for all runtime randomness (latency jitter, per-process RNGs).
+    /// Seed for all runtime randomness (latency jitter, fault decisions,
+    /// per-process RNGs).
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
         self
     }
 
-    /// Network latency configuration.
+    /// Network latency. Defaults to [`NetworkConfig::default`] on the
+    /// simulator, [`NetworkConfig::local`] on the threaded runtime.
     pub fn network(mut self, network: NetworkConfig) -> Self {
         self.network = network;
         self
     }
 
-    /// Safety valve: abort the run after this many events.
-    pub fn max_events(mut self, max_events: u64) -> Self {
-        self.max_events = max_events;
-        self
-    }
-
     /// Injects faults per `plan` (drops, duplicates, crash/restarts) and
-    /// enables the reliable-delivery sublayer to mask them. Without a plan
-    /// (and without [`RuntimeBuilder::reliable`]) the wire is lossless and
-    /// sequencing is off — existing runs stay bit-identical.
+    /// enables the reliable-delivery sublayer to mask them; without one the
+    /// wire is lossless. On the threaded runtime crash times are wall-clock
+    /// offsets from its start and the [`rto`](FaultPlan::rto) is waited in
+    /// real time: keep it small there.
     pub fn faults(mut self, plan: FaultPlan) -> Self {
         self.faults = Some(plan);
         self
@@ -132,11 +146,17 @@ impl RuntimeBuilder {
 
     /// Shares a causal-trace collector with the runtime: wire events
     /// (send/deliver/retransmit/crash/restart, tag decode mismatches) are
-    /// recorded into it when it is enabled. The collector is usually the
-    /// same one the HOPE environment hands to every HOPElib instance, so
-    /// speculation and wire events interleave in one stream.
-    pub fn tracer(mut self, tracer: Arc<hope_types::TraceCollector>) -> Self {
+    /// recorded into it when it is enabled.
+    pub fn tracer(mut self, tracer: Arc<TraceCollector>) -> Self {
         self.tracer = Some(tracer);
+        self
+    }
+}
+
+impl RuntimeBuilder<SimRuntime> {
+    /// Safety valve: abort the run after this many events.
+    pub fn max_events(mut self, max_events: u64) -> Self {
+        self.max_events = max_events;
         self
     }
 
@@ -161,21 +181,23 @@ impl RuntimeBuilder {
         });
         SimRuntime {
             procs: Vec::new(),
-            queue,
-            clock: VirtualTime::ZERO,
-            latency: self.network.into_model(self.seed),
-            stats: MessageStats::new(),
+            wire: Wire {
+                queue,
+                clock: VirtualTime::ZERO,
+                latency: self.network.into_model(self.seed),
+                stats: MessageStats::new(),
+                fault,
+                rel: make_rel.map(|make| make()),
+                outbound: Outbound::new(),
+                tracer: self.tracer.unwrap_or_default(),
+            },
             seed: self.seed,
             max_events: self.max_events,
             events_processed: 0,
             panics: Vec::new(),
             collected: 0,
-            fault,
-            rel: make_rel.map(|make| make()),
             down: BTreeMap::new(),
             max_retransmits,
-            outbound: Outbound::new(),
-            tracer: self.tracer.unwrap_or_default(),
             idle: Vec::new(),
             workers_started: 0,
             turns: 0,
@@ -188,28 +210,16 @@ impl RuntimeBuilder {
 /// See the [crate docs](crate) for an overview and an example.
 pub struct SimRuntime {
     procs: Vec<ProcSlot>,
-    queue: EventQueue,
-    clock: VirtualTime,
-    latency: Box<dyn LatencyModel>,
-    stats: MessageStats,
+    /// What a send touches, apart from the slots: the dispatch step's host.
+    wire: Wire,
     seed: u64,
     max_events: u64,
     events_processed: u64,
     panics: Vec<(ProcessId, String)>,
     collected: u64,
-    /// Fault model, when fault injection is configured.
-    fault: Option<FaultModel>,
-    /// Reliable-delivery link state, when the sublayer is enabled.
-    rel: Option<ReliableState>,
     /// Crashed processes: raw pid -> restart time (for wake deferral).
     down: BTreeMap<u64, VirtualTime>,
     max_retransmits: u32,
-    /// The buffer every link-pipeline step reports its work in, kept so a
-    /// step allocates nothing.
-    outbound: Outbound,
-    /// Causal-trace collector for wire events (disabled unless enabled by
-    /// the owner; recording is a single atomic load when off).
-    tracer: Arc<hope_types::TraceCollector>,
     /// Workers whose process exited, ready for the next first resume.
     idle: Vec<Worker>,
     /// Worker threads started so far (names them `hope-sim-N`).
@@ -218,60 +228,74 @@ pub struct SimRuntime {
     turns: u64,
 }
 
-/// Collects sends (and a wake request) issued by an actor or control
-/// handler while it runs inline on the scheduler.
-struct OutboxApi {
-    pid: ProcessId,
-    now: VirtualTime,
-    out: Vec<(ProcessId, Payload)>,
-    wake: bool,
-    stop: bool,
+/// The simulator's clock, event queue and link-pipeline state.
+struct Wire {
+    queue: EventQueue,
+    clock: VirtualTime,
+    latency: Box<dyn LatencyModel>,
+    stats: MessageStats,
+    /// Fault model, when fault injection is configured.
+    fault: Option<FaultModel>,
+    /// Reliable-delivery link state, when the sublayer is enabled.
+    rel: Option<ReliableState>,
+    /// The buffer every link-pipeline step reports its work in, kept so a
+    /// step allocates nothing.
+    outbound: Outbound,
+    /// Causal-trace collector for wire events (disabled unless enabled by
+    /// the owner; recording is a single atomic load when off).
+    tracer: Arc<TraceCollector>,
 }
 
-impl crate::actor::ActorApi for OutboxApi {
-    fn pid(&self) -> ProcessId {
-        self.pid
-    }
-    fn now(&self) -> VirtualTime {
-        self.now
-    }
-    fn send(&mut self, dst: ProcessId, payload: Payload) {
-        self.out.push((dst, payload));
-    }
-    fn stop(&mut self) {
-        self.stop = true;
+impl Wire {
+    /// Runs one link-pipeline step for `link` at the current clock — the
+    /// step's one lookup by link is here — then queues what it asked for,
+    /// in the order asked (event ties follow it).
+    fn step<T>(&mut self, link: LinkId, f: impl FnOnce(&mut Link<'_>, &mut Outbound) -> T) -> T {
+        let now = self.clock;
+        let mut out = std::mem::take(&mut self.outbound);
+        let mut link = Link {
+            now,
+            rel: self.rel.as_mut().map(|rel| rel.link_mut(link)),
+            stats: &mut self.stats,
+            latency: &mut *self.latency,
+            fault: self.fault.as_mut(),
+            tracer: &self.tracer,
+        };
+        let result = f(&mut link, &mut out);
+        for (delay, work) in out.drain(..) {
+            self.queue.push(now + delay, EventKind::Link(work));
+        }
+        self.outbound = out;
+        result
     }
 }
 
-impl crate::control::ControlApi for OutboxApi {
-    fn pid(&self) -> ProcessId {
-        self.pid
-    }
+/// A handler's sends are queued as it makes them: nothing else pushes an
+/// event in between, so the order is the one buffering them would give.
+impl Host for Wire {
     fn now(&self) -> VirtualTime {
-        self.now
+        self.clock
     }
-    fn send(&mut self, dst: ProcessId, payload: Payload) {
-        self.out.push((dst, payload));
-    }
-    fn wake(&mut self) {
-        self.wake = true;
+
+    fn send(&mut self, src: ProcessId, dst: ProcessId, payload: Payload) {
+        self.step((src, dst), |link, out| link.send(src, dst, payload, out));
     }
 }
 
 impl SimRuntime {
     /// Starts configuring a runtime.
     pub fn builder() -> RuntimeBuilder {
-        RuntimeBuilder::default()
+        RuntimeBuilder::new(NetworkConfig::default())
     }
 
     /// Creates a runtime with default settings (LAN latency, seed 0).
     pub fn new() -> Self {
-        RuntimeBuilder::default().build()
+        SimRuntime::builder().build()
     }
 
     /// Current virtual time.
     pub fn now(&self) -> VirtualTime {
-        self.clock
+        self.wire.clock
     }
 
     /// Seed this runtime was built with.
@@ -281,7 +305,7 @@ impl SimRuntime {
 
     /// Message statistics accumulated so far.
     pub fn stats(&self) -> &MessageStats {
-        &self.stats
+        &self.wire.stats
     }
 
     /// Actor processes garbage-collected so far (AID reference counting).
@@ -291,8 +315,8 @@ impl SimRuntime {
 
     /// The shared causal-trace collector (always present; disabled unless
     /// [`hope_types::TraceCollector::enable`]d).
-    pub fn tracer(&self) -> &Arc<hope_types::TraceCollector> {
-        &self.tracer
+    pub fn tracer(&self) -> &Arc<TraceCollector> {
+        &self.wire.tracer
     }
 
     /// Name of a process, if it exists.
@@ -363,10 +387,10 @@ impl SimRuntime {
         payload: Payload,
     ) -> Result<(), HopeError> {
         if dst.as_raw() as usize >= self.procs.len() {
-            self.stats.link_mut().unroutable += 1;
+            self.wire.stats.link_mut().unroutable += 1;
             return Err(HopeError::UnknownProcess(dst));
         }
-        self.schedule_send(src, dst, payload);
+        self.wire.send(src, dst, payload);
         Ok(())
     }
 
@@ -384,7 +408,7 @@ impl SimRuntime {
 
     fn run_bounded(&mut self, deadline: Option<VirtualTime>) -> RunReport {
         let mut hit_limit = false;
-        while let Some(next_time) = self.queue.peek_time() {
+        while let Some(next_time) = self.wire.queue.peek_time() {
             if deadline.is_some_and(|d| next_time > d) {
                 break;
             }
@@ -394,31 +418,31 @@ impl SimRuntime {
                 hit_limit = true;
                 break;
             }
-            let ev = self.queue.pop().expect("peeked event must exist");
-            debug_assert!(ev.time >= self.clock, "virtual time must be monotone");
-            self.clock = ev.time;
-            self.events_processed += 1;
-            self.dispatch(ev.work);
+            let ev = self.wire.queue.pop().expect("peeked event must exist");
+            self.fire(ev);
         }
         self.report(hit_limit)
     }
 
-    /// Fires one event regardless of how it was selected.
-    fn dispatch(&mut self, kind: EventKind) {
-        match kind {
+    /// Fires one event however it was selected, with the clock clamped
+    /// monotone.
+    fn fire(&mut self, ev: Event) {
+        self.wire.clock = self.wire.clock.max(ev.time);
+        self.events_processed += 1;
+        match ev.work {
             EventKind::Wake(pid) => match self.down.get(&pid.as_raw()) {
                 // Crashed processes don't run; finish the wake once the
                 // process is back up.
-                Some(&up_at) => self.queue.push(up_at, EventKind::Wake(pid)),
+                Some(&up_at) => self.wire.queue.push(up_at, EventKind::Wake(pid)),
                 None => self.wake(pid),
             },
             EventKind::Link(LinkWork::Deliver { env, copy }) => self.deliver(env, copy),
             EventKind::Link(LinkWork::Retransmit { link }) => {
                 let cap = self.max_retransmits;
-                self.step(self.clock, link, |l, out| l.timer(link, cap, out));
+                self.wire.step(link, |l, out| l.timer(link, cap, out));
             }
             EventKind::Link(LinkWork::AckDue { link }) => {
-                self.step(self.clock, link, |l, out| l.ack_due(link, out));
+                self.wire.step(link, |l, out| l.ack_due(link, out));
             }
             EventKind::Crash { pid, up_at } => self.crash(pid, up_at),
             EventKind::Restart(pid) => self.restart(pid),
@@ -440,12 +464,13 @@ impl SimRuntime {
 
     /// The events an external scheduler may fire next, sorted by
     /// `(time, tie)` — index 0 is what [`SimRuntime::run`] would fire.
-    pub fn pending_events(&self) -> Vec<crate::sched::PendingEvent> {
-        let mut pending: Vec<crate::sched::PendingEvent> = self
+    pub fn pending_events(&self) -> Vec<PendingEvent> {
+        let mut pending: Vec<PendingEvent> = self
+            .wire
             .queue
             .iter()
             .filter(|e| self.schedulable(&e.work))
-            .map(crate::sched::describe)
+            .map(sched::describe)
             .collect();
         pending.sort_by_key(|p| (p.time, p.tie));
         pending
@@ -461,12 +486,11 @@ impl SimRuntime {
             return false;
         };
         let ev = self
+            .wire
             .queue
             .take_tie(chosen.tie)
             .expect("pending events are queued");
-        self.clock = self.clock.max(ev.time);
-        self.events_processed += 1;
-        self.dispatch(ev.work);
+        self.fire(ev);
         true
     }
 
@@ -512,7 +536,7 @@ impl SimRuntime {
             pid.hash(&mut h);
             up_at.as_nanos().hash(&mut h);
         }
-        let mut in_flight: Vec<u64> = self.queue.iter().map(crate::sched::content_hash).collect();
+        let mut in_flight: Vec<u64> = self.wire.queue.iter().map(sched::content_hash).collect();
         in_flight.sort_unstable();
         in_flight.hash(&mut h);
         h.finish()
@@ -545,20 +569,16 @@ impl SimRuntime {
             .procs
             .iter()
             .filter_map(|slot| match slot {
-                ProcSlot::Threaded(e)
-                    if e.status == ProcessStatus::Blocked || e.status == ProcessStatus::Parked =>
-                {
-                    Some((e.pid, e.name.clone()))
-                }
+                ProcSlot::Threaded(e) if e.waiting() => Some((e.pid, e.name.clone())),
                 _ => None,
             })
             .collect();
         RunReport {
-            now: self.clock,
+            now: self.wire.clock,
             events: self.events_processed,
             blocked,
             panics: self.panics.clone(),
-            stats: self.stats.clone(),
+            stats: self.wire.stats.clone(),
             hit_event_limit,
             turns: self.turns,
         }
@@ -593,74 +613,26 @@ impl SimRuntime {
                     blocked_channel: None,
                 })));
                 // Kick the process off at the current virtual time.
-                self.queue.push(self.clock, EventKind::Wake(pid));
+                self.wire.queue.push(self.wire.clock, EventKind::Wake(pid));
             }
         }
         pid
-    }
-
-    /// Runs one link-pipeline step for `link` at `now` on this runtime's
-    /// state — the step's one lookup by link is here — then queues what it
-    /// asked for, in the order asked (event ties follow it).
-    fn step<R>(
-        &mut self,
-        now: VirtualTime,
-        link: LinkId,
-        f: impl FnOnce(&mut Link<'_>, &mut Outbound) -> R,
-    ) -> R {
-        let mut out = std::mem::take(&mut self.outbound);
-        let mut link = Link {
-            now,
-            rel: self.rel.as_mut().map(|rel| rel.link_mut(link)),
-            stats: &mut self.stats,
-            latency: &mut *self.latency,
-            fault: self.fault.as_mut(),
-            tracer: &self.tracer,
-        };
-        let result = f(&mut link, &mut out);
-        for (delay, work) in out.drain(..) {
-            self.queue.push(now + delay, EventKind::Link(work));
-        }
-        self.outbound = out;
-        result
-    }
-
-    fn schedule_send(&mut self, src: ProcessId, dst: ProcessId, payload: Payload) {
-        self.step(self.clock, (src, dst), |link, out| {
-            link.send(src, dst, payload, out)
-        });
     }
 
     fn crash(&mut self, pid: ProcessId, up_at: VirtualTime) {
         if self.down.insert(pid.as_raw(), up_at).is_some() {
             return; // overlapping crash windows merge
         }
-        self.tracer.record(pid, self.clock, TraceEventKind::Crash);
+        let now = self.wire.clock;
+        self.wire.tracer.record(pid, now, TraceEventKind::Crash);
         // The link layer loses only what a crash genuinely destroys (RTT
         // estimates, tag-codec state); dedup windows and retransmit
         // buffers survive — see `ReliableState::on_crash`.
-        if let Some(rel) = self.rel.as_mut() {
+        if let Some(rel) = self.wire.rel.as_mut() {
             rel.on_crash(pid);
         }
-        // Tell the attached control handler (default no-op). A crashed
-        // process sends nothing, so outgoing traffic is discarded.
-        let idx = pid.as_raw() as usize;
-        let handler = match self.procs.get_mut(idx) {
-            Some(ProcSlot::Threaded(entry)) => entry.control.take(),
-            _ => None,
-        };
-        if let Some(mut handler) = handler {
-            let mut api = OutboxApi {
-                pid,
-                now: self.clock,
-                out: Vec::new(),
-                wake: false,
-                stop: false,
-            };
-            handler.on_crash(&mut api);
-            if let Some(ProcSlot::Threaded(entry)) = self.procs.get_mut(idx) {
-                entry.control = Some(handler);
-            }
+        if let Some(ProcSlot::Threaded(entry)) = self.procs.get_mut(pid.as_raw() as usize) {
+            node::crash(pid, now, entry.control.as_mut());
         }
     }
 
@@ -668,42 +640,18 @@ impl SimRuntime {
         if self.down.remove(&pid.as_raw()).is_none() {
             return;
         }
-        self.tracer.record(pid, self.clock, TraceEventKind::Restart);
-        let idx = pid.as_raw() as usize;
-        let handler = match self.procs.get_mut(idx) {
-            Some(ProcSlot::Threaded(entry)) => entry.control.take(),
-            _ => None,
-        };
-        let Some(mut handler) = handler else {
-            return;
-        };
-        let mut api = OutboxApi {
-            pid,
-            now: self.clock,
-            out: Vec::new(),
-            wake: false,
-            stop: false,
-        };
-        handler.on_restart(&mut api);
-        let status = {
-            let ProcSlot::Threaded(entry) = &mut self.procs[idx] else {
-                unreachable!("slot kind cannot change during restart")
-            };
-            entry.control = Some(handler);
-            entry.status
-        };
-        for (to, payload) in api.out {
-            self.schedule_send(pid, to, payload);
-        }
-        if api.wake && (status == ProcessStatus::Blocked || status == ProcessStatus::Parked) {
-            self.run_threaded(pid);
+        let now = self.wire.clock;
+        self.wire.tracer.record(pid, now, TraceEventKind::Restart);
+        if let Some(ProcSlot::Threaded(entry)) = self.procs.get_mut(pid.as_raw() as usize) {
+            if node::restart(&mut self.wire, pid, entry.control.as_mut()) && entry.waiting() {
+                self.run_threaded(pid);
+            }
         }
     }
 
     fn wake(&mut self, pid: ProcessId) {
-        let idx = pid.as_raw() as usize;
         let runnable = matches!(
-            self.procs.get(idx),
+            self.procs.get(pid.as_raw() as usize),
             Some(ProcSlot::Threaded(e))
                 if e.status == ProcessStatus::New || e.status == ProcessStatus::Sleeping
         );
@@ -713,126 +661,67 @@ impl SimRuntime {
     }
 
     fn deliver(&mut self, env: Envelope, copy: CopyKind) {
-        let idx = env.dst.as_raw() as usize;
-        let down = self.down.contains_key(&env.dst.as_raw());
+        let pid = env.dst;
+        let idx = pid.as_raw() as usize;
+        let down = self.down.contains_key(&pid.as_raw());
         let route =
-            (idx < self.procs.len()).then(|| (self.party_kind(env.src), self.party_kind(env.dst)));
-        let samples = self.stats.link().rtt_samples;
-        let deliver = self.step(self.clock, state_link(&env), |link, out| {
+            (idx < self.procs.len()).then(|| (self.party_kind(env.src), self.party_kind(pid)));
+        let samples = self.wire.stats.link().rtt_samples;
+        let deliver = self.wire.step(state_link(&env), |link, out| {
             link.arrive(&env, copy, down, route, out)
         });
         // `srtt_nanos` is the mean across sampled links *at the last
         // sample*, so it is refreshed per sample here (the threaded
         // runtime recomputes it from its stripes at report time).
-        if self.stats.link().rtt_samples != samples {
-            let srtt = self.rel.as_ref().map_or(0, ReliableState::mean_srtt_nanos);
-            self.stats.link_mut().srtt_nanos = srtt;
+        if self.wire.stats.link().rtt_samples != samples {
+            let Wire { rel, stats, .. } = &mut self.wire;
+            stats.link_mut().srtt_nanos = rel.as_ref().map_or(0, ReliableState::mean_srtt_nanos);
         }
         if !deliver {
             return;
         }
-        match &self.procs[idx] {
-            ProcSlot::Vacant => {
-                self.stats.record_dropped();
+        let target = match &mut self.procs[idx] {
+            ProcSlot::Vacant => Target::Gone,
+            ProcSlot::Actor { actor, .. } => Target::Actor(&mut **actor),
+            ProcSlot::Threaded(entry) => {
+                let control = &mut entry.control;
+                Target::Process(move || control)
             }
-            ProcSlot::Actor { .. } => self.deliver_to_actor(idx, env),
-            ProcSlot::Threaded(_) => match env.payload {
-                Payload::User(msg) => self.deliver_user(idx, env.src, msg),
-                Payload::Hope(hope) => self.dispatch_control(env.dst, env.src, hope),
-                Payload::Ack { .. } => unreachable!("acks are consumed by the link layer"),
-            },
-        }
-    }
-
-    fn deliver_to_actor(&mut self, idx: usize, env: Envelope) {
-        let slot = std::mem::replace(&mut self.procs[idx], ProcSlot::Vacant);
-        let ProcSlot::Actor { name, mut actor } = slot else {
-            self.procs[idx] = slot;
-            return;
         };
-        let pid = env.dst;
-        let mut api = OutboxApi {
-            pid,
-            now: self.clock,
-            out: Vec::new(),
-            wake: false,
-            stop: false,
-        };
-        actor.on_message(env, &mut api);
-        if api.stop {
-            // Garbage-collected: the slot stays vacant and later
-            // deliveries are dropped.
-            self.collected += 1;
-        } else {
-            self.procs[idx] = ProcSlot::Actor { name, actor };
-        }
-        for (dst, payload) in api.out {
-            self.schedule_send(pid, dst, payload);
-        }
-    }
-
-    fn deliver_user(&mut self, idx: usize, src: ProcessId, msg: hope_types::UserMessage) {
-        let (should_run, pid) = {
-            let ProcSlot::Threaded(entry) = &mut self.procs[idx] else {
-                return;
-            };
-            let matches_filter = entry.blocked_channel.is_none_or(|c| c == msg.channel);
-            entry.shared.lock().mailbox.push_back(Received { src, msg });
-            (
-                entry.status == ProcessStatus::Blocked && matches_filter,
-                entry.pid,
-            )
-        };
-        if should_run {
-            self.run_threaded(pid);
-        }
-    }
-
-    fn dispatch_control(&mut self, dst: ProcessId, src: ProcessId, msg: HopeMessage) {
-        let idx = dst.as_raw() as usize;
-        let handler = {
-            let ProcSlot::Threaded(entry) = &mut self.procs[idx] else {
-                return;
-            };
-            entry.control.take()
-        };
-        let Some(mut handler) = handler else {
-            // No HOPElib attached: the message is dropped.
-            self.stats.record_dropped();
-            return;
-        };
-        let mut api = OutboxApi {
-            pid: dst,
-            now: self.clock,
-            out: Vec::new(),
-            wake: false,
-            stop: false,
-        };
-        handler.on_hope_message(src, msg, &mut api);
-        let status = {
-            let ProcSlot::Threaded(entry) = &mut self.procs[idx] else {
-                unreachable!("slot kind cannot change while handler runs")
-            };
-            entry.control = Some(handler);
-            entry.status
-        };
-        for (to, payload) in api.out {
-            self.schedule_send(dst, to, payload);
-        }
-        if api.wake && (status == ProcessStatus::Blocked || status == ProcessStatus::Parked) {
-            self.run_threaded(dst);
+        match node::deliver(&mut self.wire, target, env) {
+            Step::Done => {}
+            Step::Dropped => self.wire.stats.record_dropped(),
+            Step::Stop => {
+                self.procs[idx] = ProcSlot::Vacant;
+                self.collected += 1;
+            }
+            // A process runs only when what arrived is what it waits for;
+            // the threaded runtime rings instead and lets it re-check.
+            Step::Mail(mail) => {
+                if let ProcSlot::Threaded(entry) = &mut self.procs[idx] {
+                    let wanted = entry.status == ProcessStatus::Blocked
+                        && entry.blocked_channel.is_none_or(|c| c == mail.msg.channel);
+                    entry.shared.lock().mailbox.push_back(mail);
+                    if wanted {
+                        self.run_threaded(pid);
+                    }
+                }
+            }
+            Step::Wake => {
+                if matches!(&self.procs[idx], ProcSlot::Threaded(e) if e.waiting()) {
+                    self.run_threaded(pid);
+                }
+            }
         }
     }
 
     /// Gives a threaded process one turn and carries out what it did.
     fn run_threaded(&mut self, pid: ProcessId) {
         let idx = pid.as_raw() as usize;
-        if !matches!(self.procs.get(idx), Some(ProcSlot::Threaded(_))) {
-            return;
-        }
-        let slot = std::mem::replace(&mut self.procs[idx], ProcSlot::Vacant);
-        let ProcSlot::Threaded(mut entry) = slot else {
-            unreachable!("checked above")
+        let ProcSlot::Threaded(mut entry) =
+            std::mem::replace(&mut self.procs[idx], ProcSlot::Vacant)
+        else {
+            unreachable!("only a threaded process takes turns")
         };
         let resume = match entry.body.take() {
             Some(body) => {
@@ -854,7 +743,7 @@ impl SimRuntime {
             // The turn's spawns number themselves from the next free slot:
             // nothing else registers a process before they are drained.
             let mut shared = entry.shared.lock();
-            shared.now = self.clock;
+            shared.now = self.wire.clock;
             shared.next_pid = self.procs.len() as u64;
         }
         self.turns += 1;
@@ -864,7 +753,7 @@ impl SimRuntime {
         let out = std::mem::take(&mut entry.shared.lock().outbox);
         for item in out {
             match item {
-                Outgoing::Send(dst, payload) => self.schedule_send(pid, dst, payload),
+                Outgoing::Send(dst, payload) => self.wire.send(pid, dst, payload),
                 Outgoing::Spawn(child, req) => assert_eq!(self.register(req), child),
             }
         }
@@ -876,7 +765,9 @@ impl SimRuntime {
             Some(YieldMsg::Park) => entry.status = ProcessStatus::Parked,
             Some(YieldMsg::Compute { dur }) => {
                 entry.status = ProcessStatus::Sleeping;
-                self.queue.push(self.clock + dur, EventKind::Wake(pid));
+                self.wire
+                    .queue
+                    .push(self.wire.clock + dur, EventKind::Wake(pid));
             }
             Some(YieldMsg::Exited { panic }) => {
                 entry.status = ProcessStatus::Exited;

@@ -12,43 +12,25 @@
 //!
 //! # Transport layout
 //!
-//! Earlier revisions funneled every send through one dispatcher thread
-//! fed by a shared channel, with global mutexes around the routing table,
-//! statistics, the reliable sublayer, crash windows and panic collection.
-//! That funnel serialized the wall-clock fabric the paper's wait-freedom
-//! discipline is supposed to extend to. The current layout removes every
-//! hot-path lock that can contend:
-//!
-//! * **Shards.** Work items (deliveries, per-link retransmit and
-//!   delayed-ack timers, crash/restart events) are routed by
-//!   *destination* process id to one of N shard threads (`pid % N`).
-//!   Each shard owns a local timer heap, the crash windows of its
-//!   processes (plain shard-local `BTreeMap`, no lock) and a cached
-//!   snapshot of the routing table.
-//! * **Lanes.** Every sending thread (each process thread and each shard)
-//!   owns a `Lane`: one wait-free SPSC ring per target shard
-//!   ([`spsc`](crate::spsc), created lazily), its own seeded latency and
-//!   fault models, and its own `MessageStats` that are merged only at
-//!   report time. A send is therefore ring-push + doorbell, never a
-//!   shared lock.
-//! * **Mailboxes.** Each threaded process receives through a fixed-
-//!   capacity SPSC ring whose single producer is the owning shard; a
-//!   mutex-protected spill queue catches overflow while preserving FIFO.
-//!   The receive path drains the ring in batches into a consumer-local
-//!   staging queue where channel filtering happens lock-free.
-//! * **Read-mostly state.** The routing table is a
-//!   [`VersionedTable`](crate::shard::VersionedTable): an optimistic
-//!   version-validated snapshot in the seqlock tradition, one atomic load
-//!   per delivery when stable. The reliable sublayer is striped by link
-//!   so unrelated links never contend, and panics land in per-process
-//!   slots so a panicking process cannot poison or delay anything global.
+//! No hot-path lock can contend (DESIGN.md §10 has the whole story).
+//! Work items — deliveries, link timers, crash/restart events — go to the
+//! *destination's* shard (`pid % N`), which owns a timer heap, its
+//! processes' crash windows and a cached snapshot of the version-validated
+//! routing table, and runs each due delivery through the dispatch step
+//! both runtimes share (`node.rs`). Every sending thread owns a `Lane`:
+//! one lazily created SPSC ring per shard ([`spsc`](crate::spsc)), its own
+//! latency and fault models and its own `MessageStats`, merged at report
+//! time, so a send is a ring push and a doorbell. A process's mailbox is an
+//! SPSC ring whose one producer is its shard, with a FIFO spill queue for
+//! overflow. The reliable sublayer is striped by link, and a panic lands
+//! in its process's own slot.
 //!
 //! Use the simulator for experiments and reproducibility; use this
 //! runtime to validate that nothing depends on the simulator's
 //! cooperative scheduling — and, since the sharding, to measure how the
 //! protocol scales with cores.
 
-use std::collections::{BTreeMap, BinaryHeap, VecDeque};
+use std::collections::{BTreeSet, BinaryHeap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -59,13 +41,15 @@ use rand::{Rng, SeedableRng};
 
 use hope_types::{Envelope, Payload, ProcessId, TraceEventKind, VirtualDuration, VirtualTime};
 
-use crate::actor::{Actor, ActorApi};
-use crate::control::{ControlApi, ControlHandler};
+use crate::actor::Actor;
+use crate::control::ControlHandler;
 use crate::event::Timed;
 use crate::fault::{FaultModel, FaultPlan};
 use crate::link::{state_link, Link, LinkWork, Outbound, StatsSink};
 use crate::net::{LatencyModel, NetworkConfig};
+use crate::node::{self, Host, Step, Target};
 use crate::reliable::{CopyKind, LinkId, ReliableState};
+use crate::runtime::RuntimeBuilder;
 use crate::shard::{shard_of, Doorbell, TableReader, VersionedTable};
 use crate::spsc;
 use crate::stats::{MessageStats, PartyKind, RunReport};
@@ -94,8 +78,8 @@ const PARK_BACKSTOP: Duration = Duration::from_millis(5);
 enum Work {
     /// Link-layer work: a message arrival or a retransmission timer.
     Link(LinkWork),
-    /// Take a process down until `up_at` (fault injection).
-    Crash { pid: ProcessId, up_at: Instant },
+    /// Take a process down until its `Restart` (fault injection).
+    Crash(ProcessId),
     /// Bring a crashed process back up and run its recovery hook.
     Restart(ProcessId),
 }
@@ -163,16 +147,19 @@ impl ProcShared {
         self.idle.store(false, Ordering::Release);
         self.bell.notify();
     }
+
+    /// Carries out a `Control` wake: the process's thread re-checks its
+    /// interrupt predicate, whatever it was doing.
+    fn poke(&self) {
+        self.control_poke.store(true, Ordering::Release);
+        self.rouse();
+    }
 }
 
 enum Slot {
     /// A garbage-collected actor: deliveries are dropped.
     Gone,
-    Actor {
-        #[allow(dead_code)] // kept for diagnostics/debugging
-        name: String,
-        actor: Mutex<Box<dyn Actor>>,
-    },
+    Actor(Mutex<Box<dyn Actor>>),
     Threaded {
         shared: Arc<ProcShared>,
         control: Mutex<Option<Box<dyn ControlHandler>>>,
@@ -182,15 +169,12 @@ enum Slot {
     /// pid are handed to the sink (e.g. a [`crate::NetTransport`] link to
     /// a remote node) instead of a local process. The inverse direction
     /// is [`ThreadedRuntime::inject`].
-    Gateway {
-        #[allow(dead_code)] // kept for diagnostics/debugging
-        name: String,
-        sink: Box<dyn Fn(Envelope) + Send + Sync>,
-    },
+    Gateway(Box<dyn Fn(Envelope) + Send + Sync>),
 }
 
 /// The cross-thread face of one delivery shard: where lanes register
 /// their ingress rings and park/overflow when a ring is full.
+#[derive(Default)]
 struct ShardHandle {
     /// Consumers registered by lanes, collected by the shard thread.
     ingress: Mutex<Vec<spsc::Consumer<Scheduled>>>,
@@ -201,19 +185,6 @@ struct ShardHandle {
     overflowed: AtomicBool,
     bell: Doorbell,
     join: Mutex<Option<std::thread::JoinHandle<()>>>,
-}
-
-impl ShardHandle {
-    fn new() -> Self {
-        ShardHandle {
-            ingress: Mutex::new(Vec::new()),
-            epoch: AtomicU64::new(0),
-            overflow: Mutex::new(VecDeque::new()),
-            overflowed: AtomicBool::new(false),
-            bell: Doorbell::default(),
-            join: Mutex::new(None),
-        }
-    }
 }
 
 /// One sending thread's private view of the transport: its ingress rings
@@ -278,9 +249,9 @@ impl Lane {
 struct ShardCtx {
     lane: Lane,
     reader: TableReader<Arc<Slot>>,
-    /// Crash windows for the pids this shard owns: raw pid -> restart
-    /// instant. Shard-local, so the hot-path down-check costs nothing.
-    down: BTreeMap<u64, Instant>,
+    /// The pids this shard owns that are crashed. Shard-local, so the
+    /// hot-path down-check costs nothing.
+    down: BTreeSet<u64>,
 }
 
 struct Inner {
@@ -358,47 +329,38 @@ impl Inner {
             Work::Link(LinkWork::Retransmit { link } | LinkWork::AckDue { link }) => {
                 shard_of(link.1, n)
             }
-            Work::Crash { pid, .. } | Work::Restart(pid) => shard_of(*pid, n),
+            Work::Crash(pid) | Work::Restart(pid) => shard_of(*pid, n),
         }
     }
 
-    /// Hands one work item to its owning shard; `in_flight` counts every
-    /// queued item (deliveries *and* timers) so quiescence waits for the
-    /// reliable sublayer to settle.
-    fn schedule(&self, lane: &mut Lane, time: Instant, work: Work) {
+    /// Hands one work item to its owning shard, through `lane` or, for
+    /// a thread that never sends in volume (the builder arming crash
+    /// timers, `inject`), straight to the overflow queue. `in_flight`
+    /// counts every queued item (deliveries *and* timers) so quiescence
+    /// waits for the reliable sublayer to settle.
+    fn schedule(&self, lane: Option<&mut Lane>, time: Instant, work: Work) {
         self.in_flight.fetch_add(1, Ordering::AcqRel);
         let tie = self.seq.fetch_add(1, Ordering::Relaxed);
         let ix = self.shard_for(&work);
-        lane.push(&self.shards, ix, Scheduled { time, tie, work });
+        let item = Scheduled { time, tie, work };
+        match lane {
+            Some(lane) => lane.push(&self.shards, ix, item),
+            None => {
+                let shard = &self.shards[ix];
+                shard.overflow.lock().push_back(item);
+                shard.overflowed.store(true, Ordering::Release);
+                shard.bell.notify();
+            }
+        }
     }
 
-    /// Laneless scheduling for threads that never send in volume (the
-    /// builder arming crash timers): straight to the overflow queue.
-    fn schedule_external(&self, time: Instant, work: Work) {
-        self.in_flight.fetch_add(1, Ordering::AcqRel);
-        let tie = self.seq.fetch_add(1, Ordering::Relaxed);
-        let shard = &self.shards[self.shard_for(&work)];
-        shard
-            .overflow
-            .lock()
-            .push_back(Scheduled { time, tie, work });
-        shard.overflowed.store(true, Ordering::Release);
-        shard.bell.notify();
-    }
-
-    /// Runs one link-pipeline step for `link` on `lane` at one clock
-    /// reading, then schedules what it asked for. A send happens when it
-    /// is made; a queued item a shard works off happens when it was *due*,
-    /// however far behind the shard is running — a shard with a backlog is
-    /// a simulator running late, and on its own timeline an ack is due one
-    /// wire delay after the arrival it answers and a retransmit timer sees
-    /// every ack that was due before it. Judged by the wall clock instead,
-    /// each ack would queue behind the whole backlog and the timer, firing
-    /// first, would resend everything in it. The link's stripe and the
-    /// lane's stats are held for the step only — never across the ring
-    /// pushes — and a step takes exactly one stripe: the ack it may emit is
-    /// unsequenced and says what this link's own window holds, so it needs
-    /// no state of the reverse link (two links can share a stripe).
+    /// Runs one link-pipeline step for `link` on `lane` at `at`, then
+    /// schedules what it asked for. A send happens when it is made; a
+    /// queued item happens when it was *due*, however late the shard runs
+    /// (DESIGN.md §10 "Whose clock": on the wall clock each ack would queue
+    /// behind the backlog and the timer would resend all of it). The
+    /// link's one stripe and the lane's stats are held for the step only,
+    /// never across the ring pushes.
     fn step<R>(
         &self,
         lane: &mut Lane,
@@ -424,7 +386,7 @@ impl Inner {
             f(&mut link, &mut out)
         };
         for (delay, work) in out.drain(..) {
-            self.schedule(lane, at + Duration::from(delay), Work::Link(work));
+            self.schedule(Some(lane), at + Duration::from(delay), Work::Link(work));
         }
         lane.outbound = out;
         result
@@ -440,102 +402,60 @@ impl Inner {
     }
 
     /// Shard-side delivery of one envelope that was due at `due`.
-    fn deliver(
-        self: &Arc<Self>,
-        sctx: &mut ShardCtx,
-        due: Instant,
-        envelope: Envelope,
-        copy: CopyKind,
-    ) {
+    fn deliver(&self, sctx: &mut ShardCtx, due: Instant, envelope: Envelope, copy: CopyKind) {
         // The crash window lives on this shard (the destination's owner),
         // so the down check is a local map lookup; one version-validated
         // table read covers routing and Table 1 party classification for
         // both endpoints.
-        let down = sctx.down.contains_key(&envelope.dst.as_raw());
+        let pid = envelope.dst;
+        let down = sctx.down.contains(&pid.as_raw());
         let procs = sctx.reader.get(&self.procs);
         let party = |pid: ProcessId| match procs.get(pid.as_raw() as usize).map(Arc::as_ref) {
-            Some(Slot::Actor { .. }) => PartyKind::Aid,
+            Some(Slot::Actor(_)) => PartyKind::Aid,
             _ => PartyKind::User,
         };
-        let slot = procs.get(envelope.dst.as_raw() as usize);
-        let route = slot.map(|_| (party(envelope.src), party(envelope.dst)));
+        let slot = procs.get(pid.as_raw() as usize);
+        let route = slot.map(|_| (party(envelope.src), party(pid)));
         let deliver = self.step(&mut sctx.lane, state_link(&envelope), due, |link, out| {
             link.arrive(&envelope, copy, down, route, out)
         });
         let (true, Some(slot)) = (deliver, slot) else {
             return;
         };
-        let slot = slot.clone();
-        match slot.as_ref() {
-            Slot::Gone => {
-                sctx.lane.stats.lock().record_dropped();
+        let mut held; // the actor's lock, for its step
+        let target = match slot.as_ref() {
+            Slot::Gone => Target::Gone,
+            Slot::Actor(actor) => {
+                held = actor.lock();
+                Target::Actor(&mut **held)
             }
-            Slot::Actor { actor, .. } => {
-                let pid = envelope.dst;
-                let stop = {
-                    let mut api = DispatchApi {
-                        inner: self,
-                        lane: &mut sctx.lane,
-                        pid,
-                        wake: false,
-                        stop: false,
-                    };
-                    actor.lock().on_message(envelope, &mut api);
-                    api.stop
-                };
-                if stop {
-                    self.procs.update(|procs| {
-                        procs[pid.as_raw() as usize] = Arc::new(Slot::Gone);
-                    });
-                }
+            Slot::Threaded { control, .. } => Target::Process(|| control.lock()),
+            Slot::Gateway(sink) => Target::Gateway(&**sink),
+        };
+        let step = node::deliver(&mut (self, &mut sctx.lane), target, envelope);
+        match (step, slot.as_ref()) {
+            (Step::Dropped, _) => sctx.lane.stats.lock().record_dropped(),
+            (Step::Stop, _) => self.procs.update(|procs| {
+                procs[pid.as_raw() as usize] = Arc::new(Slot::Gone);
+            }),
+            (Step::Mail(mail), Slot::Threaded { shared, .. }) => {
+                shared.push_mail(mail);
+                shared.rouse();
             }
-            Slot::Threaded {
-                shared, control, ..
-            } => match envelope.payload {
-                Payload::User(msg) => {
-                    shared.push_mail(Received {
-                        src: envelope.src,
-                        msg,
-                    });
-                    shared.rouse();
-                }
-                Payload::Hope(hope) => {
-                    let wake = {
-                        let mut api = DispatchApi {
-                            inner: self,
-                            lane: &mut sctx.lane,
-                            pid: envelope.dst,
-                            wake: false,
-                            stop: false,
-                        };
-                        if let Some(handler) = control.lock().as_mut() {
-                            handler.on_hope_message(envelope.src, hope, &mut api);
-                        } else {
-                            api.lane.stats.lock().record_dropped();
-                        }
-                        api.wake
-                    };
-                    if wake {
-                        shared.control_poke.store(true, Ordering::Release);
-                        shared.rouse();
-                    }
-                }
-                Payload::Ack { .. } => unreachable!("acks are consumed by the link layer"),
-            },
-            Slot::Gateway { sink, .. } => {
-                sink(envelope);
-            }
+            (Step::Wake, Slot::Threaded { shared, .. }) => shared.poke(),
+            _ => {}
         }
     }
 
-    /// Fault injection: take `pid` down until `up_at`. Runs on the shard
-    /// that owns `pid`, which also performs all its deliveries, so the
-    /// down window needs no synchronization.
-    fn crash(self: &Arc<Self>, sctx: &mut ShardCtx, pid: ProcessId, up_at: Instant) {
-        if sctx.down.insert(pid.as_raw(), up_at).is_some() {
+    /// Fault injection: take `pid` down until its restart. Runs on the
+    /// shard that owns `pid`, which also performs all its deliveries, so
+    /// the down window needs no synchronization.
+    fn crash(&self, sctx: &mut ShardCtx, pid: ProcessId) {
+        if !sctx.down.insert(pid.as_raw()) {
             return; // overlapping crash windows merge
         }
-        self.tracer.record(pid, self.now(), TraceEventKind::Crash);
+        let now = self.now();
+        self.tracer.record(pid, now, TraceEventKind::Crash);
         // Link layer: drop only genuinely-volatile state (RTT estimates,
         // tag-codec state); dedup windows and retransmit buffers survive.
         // A crash touches links in any stripe, so visit them all (cold
@@ -545,59 +465,27 @@ impl Inner {
                 stripe.lock().on_crash(pid);
             }
         }
-        let slot = sctx
-            .reader
-            .get(&self.procs)
-            .get(pid.as_raw() as usize)
-            .cloned();
-        if let Some(slot) = slot {
-            if let Slot::Threaded { control, .. } = slot.as_ref() {
-                let mut api = DispatchApi {
-                    inner: self,
-                    lane: &mut sctx.lane,
-                    pid,
-                    wake: false,
-                    stop: false,
-                };
-                if let Some(handler) = control.lock().as_mut() {
-                    handler.on_crash(&mut api);
-                }
-            }
+        let procs = sctx.reader.get(&self.procs);
+        if let Some(Slot::Threaded { control, .. }) =
+            procs.get(pid.as_raw() as usize).map(Arc::as_ref)
+        {
+            node::crash(pid, now, control.lock().as_mut());
         }
     }
 
     /// Fault injection: bring `pid` back up and run its recovery hook.
-    fn restart(self: &Arc<Self>, sctx: &mut ShardCtx, pid: ProcessId) {
-        if sctx.down.remove(&pid.as_raw()).is_none() {
+    fn restart(&self, sctx: &mut ShardCtx, pid: ProcessId) {
+        if !sctx.down.remove(&pid.as_raw()) {
             return;
         }
         self.tracer.record(pid, self.now(), TraceEventKind::Restart);
-        let slot = sctx
-            .reader
-            .get(&self.procs)
-            .get(pid.as_raw() as usize)
-            .cloned();
-        let Some(slot) = slot else { return };
-        if let Slot::Threaded {
+        let procs = sctx.reader.get(&self.procs);
+        if let Some(Slot::Threaded {
             shared, control, ..
-        } = slot.as_ref()
+        }) = procs.get(pid.as_raw() as usize).map(Arc::as_ref)
         {
-            let wake = {
-                let mut api = DispatchApi {
-                    inner: self,
-                    lane: &mut sctx.lane,
-                    pid,
-                    wake: false,
-                    stop: false,
-                };
-                if let Some(handler) = control.lock().as_mut() {
-                    handler.on_restart(&mut api);
-                }
-                api.wake
-            };
-            if wake {
-                shared.control_poke.store(true, Ordering::Release);
-                shared.rouse();
+            if node::restart(&mut (self, &mut sctx.lane), pid, control.lock().as_mut()) {
+                shared.poke();
             }
         }
     }
@@ -637,15 +525,10 @@ impl Ingress {
     /// much that was.
     ///
     /// Drains the overflow queue FIRST, then syncs and drains the ingress
-    /// rings, all into one batch. Order matters: an overflow item X
-    /// exists only because its lane's ring was full of X's predecessors
-    /// when X was pushed, so observing X through the queue's mutex
-    /// guarantees the *subsequent* epoch sync and ring drain see every
-    /// item older than X. They land in the same batch and the (due, seq)
-    /// heap restores global order. (Rings-first raced: the lane could
-    /// refill its ring and overflow between the ring drain and the queue
-    /// check, letting the overflow item jump a whole ring's worth of
-    /// predecessors.)
+    /// rings, all into one batch: an overflow item exists only because its
+    /// lane's ring was full of its predecessors, so the ring drain after it
+    /// sees every one of them and the (due, seq) heap restores the order.
+    /// Rings first races (DESIGN.md §10 "Ingress lanes").
     fn collect(&mut self, handle: &ShardHandle, heap: &mut BinaryHeap<Scheduled>) -> usize {
         self.batch.clear();
         if handle.overflowed.load(Ordering::Acquire) {
@@ -671,11 +554,10 @@ impl Ingress {
 /// deliver in batches, park on the doorbell.
 fn shard_main(inner: Arc<Inner>, ix: usize) {
     let handle = inner.shards[ix].clone();
-    let lane = inner.new_lane();
     let mut sctx = ShardCtx {
-        lane,
+        lane: inner.new_lane(),
         reader: TableReader::new(),
-        down: BTreeMap::new(),
+        down: BTreeSet::new(),
     };
     let mut ingress = Ingress {
         rings: Vec::new(),
@@ -687,10 +569,9 @@ fn shard_main(inner: Arc<Inner>, ix: usize) {
         if inner.shutdown.load(Ordering::Acquire) {
             // Drain without delivering and settle the in-flight count.
             ingress.collect(&handle, &mut heap);
-            let undelivered = heap.len() as u64;
-            if undelivered > 0 {
-                inner.in_flight.fetch_sub(undelivered, Ordering::AcqRel);
-            }
+            inner
+                .in_flight
+                .fetch_sub(heap.len() as u64, Ordering::AcqRel);
             return;
         }
         let drained = ingress.collect(&handle, &mut heap);
@@ -732,7 +613,7 @@ fn shard_main(inner: Arc<Inner>, ix: usize) {
                         l.ack_due(link, out)
                     });
                 }
-                Work::Crash { pid, up_at } => inner.crash(&mut sctx, pid, up_at),
+                Work::Crash(pid) => inner.crash(&mut sctx, pid),
                 Work::Restart(pid) => inner.restart(&mut sctx, pid),
             }
             processed += 1;
@@ -762,42 +643,16 @@ fn shard_main(inner: Arc<Inner>, ix: usize) {
     }
 }
 
-/// ActorApi/ControlApi used by the shard threads.
-struct DispatchApi<'a> {
-    inner: &'a Arc<Inner>,
-    lane: &'a mut Lane,
-    pid: ProcessId,
-    wake: bool,
-    stop: bool,
-}
-
-impl ActorApi for DispatchApi<'_> {
-    fn pid(&self) -> ProcessId {
-        self.pid
-    }
+/// What a shard lends the dispatch step: the wall clock, read on each
+/// call, and the shard's own lane, so `Control` sends leave inside the
+/// handler call.
+impl Host for (&Inner, &mut Lane) {
     fn now(&self) -> VirtualTime {
-        self.inner.now()
+        self.0.now()
     }
-    fn send(&mut self, dst: ProcessId, payload: Payload) {
-        self.inner.send(self.lane, self.pid, dst, payload);
-    }
-    fn stop(&mut self) {
-        self.stop = true;
-    }
-}
 
-impl ControlApi for DispatchApi<'_> {
-    fn pid(&self) -> ProcessId {
-        self.pid
-    }
-    fn now(&self) -> VirtualTime {
-        self.inner.now()
-    }
-    fn send(&mut self, dst: ProcessId, payload: Payload) {
-        self.inner.send(self.lane, self.pid, dst, payload);
-    }
-    fn wake(&mut self) {
-        self.wake = true;
+    fn send(&mut self, src: ProcessId, dst: ProcessId, payload: Payload) {
+        self.0.send(self.1, src, dst, payload);
     }
 }
 
@@ -836,16 +691,15 @@ impl ThreadedCtx {
         }
     }
 
-    /// Parks on the process doorbell until something notable happens or
-    /// the poll backstop elapses (callers re-check their predicates on
-    /// every wake).
-    fn doze(&mut self) {
+    /// Parks on the process doorbell until a control poke (or, with
+    /// `mail`, new mail) arrives or the poll backstop elapses (callers
+    /// re-check their predicates on every wake).
+    fn doze(&mut self, mail: bool) {
         let rx = &mut self.rx;
         let shared = &self.shared;
         shared.idle.store(true, Ordering::Release);
         shared.bell.park_for(PARK_BACKSTOP, || {
-            !rx.is_empty()
-                || shared.spilled.load(Ordering::Acquire)
+            mail && (!rx.is_empty() || shared.spilled.load(Ordering::Acquire))
                 || shared.control_poke.load(Ordering::Acquire)
         });
         shared.idle.store(false, Ordering::Release);
@@ -871,10 +725,7 @@ impl SysApi for ThreadedCtx {
         interrupt: &mut dyn FnMut() -> bool,
     ) -> Option<Received> {
         loop {
-            if interrupt() {
-                return None;
-            }
-            if self.inner.shutdown.load(Ordering::Acquire) {
+            if interrupt() || self.inner.shutdown.load(Ordering::Acquire) {
                 return None;
             }
             self.shared.control_poke.store(false, Ordering::Release);
@@ -885,7 +736,7 @@ impl SysApi for ThreadedCtx {
             if interrupt() {
                 return None;
             }
-            self.doze();
+            self.doze(true);
         }
     }
 
@@ -915,12 +766,7 @@ impl SysApi for ThreadedCtx {
             }
             // Park without consuming mail: only a control poke (or the
             // backstop) ends the nap early.
-            let shared = &self.shared;
-            shared.idle.store(true, Ordering::Release);
-            shared.bell.park_for(PARK_BACKSTOP, || {
-                shared.control_poke.load(Ordering::Acquire)
-            });
-            shared.idle.store(false, Ordering::Release);
+            self.doze(false);
         }
     }
 
@@ -928,8 +774,8 @@ impl SysApi for ThreadedCtx {
         std::thread::sleep(Duration::from(dur));
     }
 
-    fn spawn_actor(&mut self, name: &str, actor: Box<dyn Actor>) -> ProcessId {
-        ThreadedRuntime::register_actor(&self.inner, name, actor)
+    fn spawn_actor(&mut self, _name: &str, actor: Box<dyn Actor>) -> ProcessId {
+        ThreadedRuntime::register(&self.inner, Arc::new(Slot::Actor(Mutex::new(actor))))
     }
 
     fn spawn_threaded(
@@ -946,74 +792,17 @@ impl SysApi for ThreadedCtx {
     }
 }
 
-/// Configuration for [`ThreadedRuntime`].
-#[derive(Debug)]
-pub struct ThreadedRuntimeBuilder {
-    seed: u64,
-    network: NetworkConfig,
-    faults: Option<FaultPlan>,
-    reliable: bool,
-    shards: Option<usize>,
-    tracer: Option<Arc<hope_types::TraceCollector>>,
-}
+/// Configures a [`ThreadedRuntime`]: the shared [`RuntimeBuilder`]
+/// setters, plus [`shards`](RuntimeBuilder::shards).
+pub type ThreadedRuntimeBuilder = RuntimeBuilder<ThreadedRuntime>;
 
-impl Default for ThreadedRuntimeBuilder {
-    fn default() -> Self {
-        ThreadedRuntimeBuilder {
-            seed: 0,
-            network: NetworkConfig::local(),
-            faults: None,
-            reliable: false,
-            shards: None,
-            tracer: None,
-        }
-    }
-}
-
-impl ThreadedRuntimeBuilder {
-    /// Seed for per-process RNGs and stochastic latency models.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Network latency applied in wall time (keep it small in tests).
-    pub fn network(mut self, network: NetworkConfig) -> Self {
-        self.network = network;
-        self
-    }
-
-    /// Injects faults per `plan` and enables the reliable-delivery
-    /// sublayer. Crash times are virtual times interpreted as wall-clock
-    /// offsets from runtime start; the fault *decisions* are seeded and
-    /// deterministic, though wall-clock scheduling means the affected
-    /// messages differ run to run. Keep the plan's
-    /// [`rto`](FaultPlan::rto) small here (it is waited in real time).
-    pub fn faults(mut self, plan: FaultPlan) -> Self {
-        self.faults = Some(plan);
-        self
-    }
-
-    /// Forces the reliable-delivery sublayer on with a lossless wire.
-    pub fn reliable(mut self, on: bool) -> Self {
-        self.reliable = on;
-        self
-    }
-
+impl RuntimeBuilder<ThreadedRuntime> {
     /// Number of delivery shards (DESIGN.md §10). Defaults to the
     /// machine's available parallelism. Outcomes are shard-count
     /// independent (processes are partitioned by pid and each link's
     /// traffic stays on one shard); only wall-clock throughput changes.
     pub fn shards(mut self, n: usize) -> Self {
         self.shards = Some(n.max(1));
-        self
-    }
-
-    /// Shares a causal-trace collector with the runtime: wire events
-    /// (send/deliver/retransmit/crash/restart, tag decode mismatches) are
-    /// recorded into it when it is enabled.
-    pub fn tracer(mut self, tracer: Arc<hope_types::TraceCollector>) -> Self {
-        self.tracer = Some(tracer);
         self
     }
 
@@ -1026,22 +815,12 @@ impl ThreadedRuntimeBuilder {
     pub fn build(self) -> ThreadedRuntime {
         let (make_rel, max_retransmits) = FaultPlan::sublayer(self.faults.as_ref(), self.reliable);
         let start = Instant::now();
-        let crashes: Vec<_> = self
-            .faults
-            .as_ref()
-            .map(|p| p.crashes().to_vec())
-            .unwrap_or_default();
         let nshards = self
             .shards
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1)
-            })
-            .max(1);
+            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
         let inner = Arc::new(Inner {
             procs: VersionedTable::new(),
-            shards: (0..nshards).map(|_| Arc::new(ShardHandle::new())).collect(),
+            shards: (0..nshards).map(|_| Arc::default()).collect(),
             in_flight: AtomicU64::new(0),
             seq: AtomicU64::new(0),
             lane_ids: AtomicU64::new(0),
@@ -1063,11 +842,10 @@ impl ThreadedRuntimeBuilder {
                 .expect("failed to spawn shard");
             *inner.shards[ix].join.lock() = Some(handle);
         }
-        for c in &crashes {
+        for c in inner.fault_plan.iter().flat_map(FaultPlan::crashes) {
             let at = start + Duration::from_nanos(c.at.as_nanos());
-            let up_at = at + Duration::from(c.down_for);
-            inner.schedule_external(at, Work::Crash { pid: c.pid, up_at });
-            inner.schedule_external(up_at, Work::Restart(c.pid));
+            inner.schedule(None, at, Work::Crash(c.pid));
+            inner.schedule(None, at + Duration::from(c.down_for), Work::Restart(c.pid));
         }
         ThreadedRuntime { inner }
     }
@@ -1082,7 +860,7 @@ pub struct ThreadedRuntime {
 impl ThreadedRuntime {
     /// Starts configuring a runtime.
     pub fn builder() -> ThreadedRuntimeBuilder {
-        ThreadedRuntimeBuilder::default()
+        RuntimeBuilder::new(NetworkConfig::local())
     }
 
     /// Wall-clock time since the runtime started, as virtual time.
@@ -1095,15 +873,11 @@ impl ThreadedRuntime {
         self.inner.shards.len()
     }
 
-    fn register_actor(inner: &Arc<Inner>, name: &str, actor: Box<dyn Actor>) -> ProcessId {
-        let slot = Arc::new(Slot::Actor {
-            name: name.to_string(),
-            actor: Mutex::new(actor),
-        });
+    /// Gives `slot` the next pid.
+    fn register(inner: &Inner, slot: Arc<Slot>) -> ProcessId {
         inner.procs.update(move |procs| {
-            let pid = ProcessId::from_raw(procs.len() as u64);
             procs.push(slot);
-            pid
+            ProcessId::from_raw(procs.len() as u64 - 1)
         })
     }
 
@@ -1130,41 +904,33 @@ impl ThreadedRuntime {
             control: Mutex::new(control),
             join: Mutex::new(None),
         });
-        let reg = slot.clone();
-        let pid = inner.procs.update(move |procs| {
-            let pid = ProcessId::from_raw(procs.len() as u64);
-            procs.push(reg);
-            pid
-        });
+        let pid = Self::register(inner, slot.clone());
         // The lane is created on the spawning thread so lane ids (and
         // with them the per-lane seeds) are deterministic for any
         // deterministic spawn sequence.
-        let lane = inner.new_lane();
-        let thread_inner = inner.clone();
-        let thread_shared = shared;
+        let mut ctx = ThreadedCtx {
+            pid,
+            inner: inner.clone(),
+            shared,
+            lane: inner.new_lane(),
+            rx,
+            staging: VecDeque::new(),
+            scratch: Vec::new(),
+            rng: StdRng::seed_from_u64(
+                inner.seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ pid.as_raw(),
+            ),
+        };
         let handle = std::thread::Builder::new()
             .name(format!("hope-rt-{}-{}", pid.as_raw(), name))
             .spawn(move || {
-                let mut ctx = ThreadedCtx {
-                    pid,
-                    inner: thread_inner.clone(),
-                    shared: thread_shared.clone(),
-                    lane,
-                    rx,
-                    staging: VecDeque::new(),
-                    scratch: Vec::new(),
-                    rng: StdRng::seed_from_u64(
-                        thread_inner.seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ pid.as_raw(),
-                    ),
-                };
                 let result =
                     std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(&mut ctx)));
+                let shared = &ctx.shared;
                 if let Err(payload) = result {
-                    let msg = crate::runtime::panic_message(payload.as_ref());
-                    *thread_shared.panic.lock() = Some(msg);
+                    *shared.panic.lock() = Some(crate::runtime::panic_message(payload.as_ref()));
                 }
-                thread_shared.done.store(true, Ordering::Release);
-                thread_shared.idle.store(true, Ordering::Release);
+                shared.done.store(true, Ordering::Release);
+                shared.idle.store(true, Ordering::Release);
             })
             .expect("failed to spawn process thread");
         if let Slot::Threaded { join, .. } = slot.as_ref() {
@@ -1174,8 +940,8 @@ impl ThreadedRuntime {
     }
 
     /// Spawns an event-driven actor process.
-    pub fn spawn_actor(&self, name: &str, actor: Box<dyn Actor>) -> ProcessId {
-        Self::register_actor(&self.inner, name, actor)
+    pub fn spawn_actor(&self, _name: &str, actor: Box<dyn Actor>) -> ProcessId {
+        Self::register(&self.inner, Arc::new(Slot::Actor(Mutex::new(actor))))
     }
 
     /// Registers an egress gateway: a local pid whose deliveries are
@@ -1185,18 +951,10 @@ impl ThreadedRuntime {
     /// latency/fault models, reliable sublayer) before reaching the sink.
     pub fn register_gateway(
         &self,
-        name: &str,
+        _name: &str,
         sink: impl Fn(Envelope) + Send + Sync + 'static,
     ) -> ProcessId {
-        let slot = Arc::new(Slot::Gateway {
-            name: name.to_string(),
-            sink: Box::new(sink),
-        });
-        self.inner.procs.update(move |procs| {
-            let pid = ProcessId::from_raw(procs.len() as u64);
-            procs.push(slot);
-            pid
-        })
+        Self::register(&self.inner, Arc::new(Slot::Gateway(Box::new(sink))))
     }
 
     /// Injects an externally-originated envelope (e.g. one received from
@@ -1205,15 +963,13 @@ impl ThreadedRuntime {
     /// guarantees exactly-once in-order arrival, so the envelope enters
     /// with the reliable sublayer disabled (`seq` forced to 0) and is
     /// delivered like any local original.
-    pub fn inject(&self, envelope: Envelope) {
-        let mut envelope = envelope;
+    pub fn inject(&self, mut envelope: Envelope) {
         envelope.seq = 0;
         let work = LinkWork::Deliver {
             env: envelope,
             copy: CopyKind::Original,
         };
-        self.inner
-            .schedule_external(Instant::now(), Work::Link(work));
+        self.inner.schedule(None, Instant::now(), Work::Link(work));
     }
 
     /// Spawns a threaded user process; its body starts running at once.
@@ -1245,7 +1001,7 @@ impl ThreadedRuntime {
             let in_flight = self.inner.in_flight.load(Ordering::Acquire);
             let procs = self.inner.procs.snapshot();
             let all_idle = procs.iter().all(|slot| match slot.as_ref() {
-                Slot::Gone | Slot::Actor { .. } | Slot::Gateway { .. } => true,
+                Slot::Gone | Slot::Actor(_) | Slot::Gateway(_) => true,
                 Slot::Threaded { shared, .. } => {
                     shared.idle.load(Ordering::Acquire) || shared.done.load(Ordering::Acquire)
                 }
@@ -1265,29 +1021,16 @@ impl ThreadedRuntime {
             }
             std::thread::sleep(Duration::from_millis(1));
         }
-        let procs = self.inner.procs.snapshot();
-        let blocked = procs
-            .iter()
-            .enumerate()
-            .filter_map(|(i, slot)| match slot.as_ref() {
-                Slot::Threaded { shared, .. } if !shared.done.load(Ordering::Acquire) => {
-                    Some((ProcessId::from_raw(i as u64), shared.name.clone()))
+        let (mut blocked, mut panics) = (Vec::new(), Vec::new());
+        for (i, slot) in self.inner.procs.snapshot().iter().enumerate() {
+            if let Slot::Threaded { shared, .. } = slot.as_ref() {
+                let pid = ProcessId::from_raw(i as u64);
+                if !shared.done.load(Ordering::Acquire) {
+                    blocked.push((pid, shared.name.clone()));
                 }
-                _ => None,
-            })
-            .collect();
-        let panics = procs
-            .iter()
-            .enumerate()
-            .filter_map(|(i, slot)| match slot.as_ref() {
-                Slot::Threaded { shared, .. } => shared
-                    .panic
-                    .lock()
-                    .clone()
-                    .map(|msg| (ProcessId::from_raw(i as u64), msg)),
-                _ => None,
-            })
-            .collect();
+                panics.extend(shared.panic.lock().clone().map(|msg| (pid, msg)));
+            }
+        }
         RunReport {
             now: self.inner.now(),
             events: self.inner.seq.load(Ordering::Relaxed),
@@ -1319,13 +1062,9 @@ impl Drop for ThreadedRuntime {
         for shard in &self.inner.shards {
             shard.bell.notify();
         }
-        {
-            let procs = self.inner.procs.snapshot();
-            for slot in procs.iter() {
-                if let Slot::Threaded { shared, .. } = slot.as_ref() {
-                    shared.control_poke.store(true, Ordering::Release);
-                    shared.bell.notify();
-                }
+        for slot in self.inner.procs.snapshot().iter() {
+            if let Slot::Threaded { shared, .. } = slot.as_ref() {
+                shared.poke();
             }
         }
         for shard in &self.inner.shards {
@@ -1333,18 +1072,13 @@ impl Drop for ThreadedRuntime {
                 let _ = handle.join();
             }
         }
-        let joins: Vec<std::thread::JoinHandle<()>> = {
-            let procs = self.inner.procs.snapshot();
-            procs
-                .iter()
-                .filter_map(|slot| match slot.as_ref() {
-                    Slot::Threaded { join, .. } => join.lock().take(),
-                    _ => None,
-                })
-                .collect()
-        };
-        for handle in joins {
-            let _ = handle.join();
+        for slot in self.inner.procs.snapshot().iter() {
+            if let Slot::Threaded { join, .. } = slot.as_ref() {
+                let handle = join.lock().take();
+                if let Some(handle) = handle {
+                    let _ = handle.join();
+                }
+            }
         }
     }
 }

@@ -6,18 +6,23 @@
 //! was delivered, to whom, how often — must be bit-identical whether the
 //! transport runs on one shard, many shards, or the simulator. The last
 //! part holds the causal trace to the Table 1 accounting: every delivery
-//! is traced once, with the kind `MessageStats` counts it under.
+//! is traced once, with the kind `MessageStats` counts it under. The last
+//! holds both runtimes to one dispatch table, crash hook included.
 
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use bytes::Bytes;
 use hope_core::{HopeEnv, ProcessCtx, ThreadedHopeEnv};
-use hope_runtime::{FaultPlan, MessageStats, NetworkConfig, SimRuntime, ThreadedRuntime};
+use hope_runtime::{
+    Actor, ActorApi, ControlApi, ControlHandler, FaultPlan, MessageStats, NetworkConfig,
+    SimRuntime, SysApi, ThreadedRuntime,
+};
 use hope_types::{
-    AidId, Payload, ProcessId, TraceCollector, TraceEvent, TraceEventKind, UserMessage,
-    VirtualDuration, VirtualTime,
+    AidId, Envelope, HopeMessage, Payload, ProcessId, TraceCollector, TraceEvent, TraceEventKind,
+    UserMessage, VirtualDuration, VirtualTime,
 };
 
 /// The deterministic projection of a causal trace: every event's virtual
@@ -400,5 +405,221 @@ fn traced_deliveries_match_table_1_on_both_runtimes() {
         let label = format!("threaded shards({shards})");
         assert_trace_matches_table_1(&label, &env.tracer().events(), &report.stats);
         assert_eq!(env.tracer().dropped(), 0);
+    }
+}
+
+// --- One dispatch step: the same table on both runtimes ----------------
+//
+// Both runtimes route an arrived envelope through one step (DESIGN.md §10
+// "One dispatch step"): user mail to the mailbox, a HOPE message to
+// `Control` or dropped without one, a message to a stopped actor dropped,
+// and a crashed process's `on_crash` sends nothing. Each case below runs
+// on the simulator and on the threaded runtime at one and four shards, and
+// the counts must agree.
+
+/// What the dispatch-table program saw happen.
+#[derive(Debug, Default)]
+struct Seen {
+    /// User mail a blocked receiver got.
+    mail: AtomicU64,
+    /// Parked bodies a `Control` wake resumed.
+    resumed: AtomicU64,
+    /// Messages an actor handled (it stops after the first).
+    handled: AtomicU64,
+    /// `on_crash` calls.
+    crashes: AtomicU64,
+    /// Messages a sink actor got.
+    sunk: AtomicU64,
+}
+
+/// A `Control` that wakes its process on any HOPE message, after raising
+/// the flag the process parks on.
+struct Waker(Arc<AtomicBool>);
+
+impl ControlHandler for Waker {
+    fn on_hope_message(&mut self, _: ProcessId, _: HopeMessage, api: &mut dyn ControlApi) {
+        self.0.store(true, Ordering::Release);
+        api.wake();
+    }
+}
+
+/// An actor that handles one message and stops.
+struct Once(Arc<Seen>);
+
+impl Actor for Once {
+    fn on_message(&mut self, _: Envelope, api: &mut dyn ActorApi) {
+        self.0.handled.fetch_add(1, Ordering::Relaxed);
+        api.stop();
+    }
+}
+
+fn user(data: &'static [u8]) -> Payload {
+    Payload::User(UserMessage::new(0, Bytes::from_static(data)))
+}
+
+/// The program, as one root process that spawns every case and then sends
+/// to each: a blocked receiver, a body parked on its `Control`'s flag, a
+/// process without `Control`, and an actor that stops after one message.
+fn dispatch_table(seen: Arc<Seen>) -> impl FnOnce(&mut dyn SysApi) + Send + 'static {
+    move |sys| {
+        let got = seen.clone();
+        let receiver = sys.spawn_threaded(
+            "receiver",
+            None,
+            Box::new(move |sys| {
+                if sys.receive(None, &mut || false).is_some() {
+                    got.mail.fetch_add(1, Ordering::Relaxed);
+                }
+            }),
+        );
+        let flag = Arc::new(AtomicBool::new(false));
+        let raised = flag.clone();
+        let got = seen.clone();
+        let parked = sys.spawn_threaded(
+            "parked",
+            Some(Box::new(Waker(flag))),
+            Box::new(move |sys| {
+                if sys.park(&mut || raised.load(Ordering::Acquire)) {
+                    got.resumed.fetch_add(1, Ordering::Relaxed);
+                }
+            }),
+        );
+        let deaf = sys.spawn_threaded("deaf", None, Box::new(|_| {}));
+        let once = sys.spawn_actor("once", Box::new(Once(seen)));
+        sys.send(receiver, user(b"mail"));
+        sys.send(parked, Payload::Hope(HopeMessage::Release));
+        sys.send(deaf, Payload::Hope(HopeMessage::Release));
+        sys.send(once, user(b"first"));
+        sys.send(once, user(b"late"));
+    }
+}
+
+/// The counts one run leaves: what the program saw, and the runtime's
+/// drops and Table 1 counts.
+#[derive(Debug, PartialEq, Eq)]
+struct Counts {
+    mail: u64,
+    resumed: u64,
+    handled: u64,
+    crashes: u64,
+    sunk: u64,
+    dropped: u64,
+    table_1: BTreeMap<(String, String, String), u64>,
+}
+
+fn counts(seen: &Seen, stats: &MessageStats) -> Counts {
+    Counts {
+        mail: seen.mail.load(Ordering::Relaxed),
+        resumed: seen.resumed.load(Ordering::Relaxed),
+        handled: seen.handled.load(Ordering::Relaxed),
+        crashes: seen.crashes.load(Ordering::Relaxed),
+        sunk: seen.sunk.load(Ordering::Relaxed),
+        dropped: stats.dropped(),
+        table_1: stats
+            .iter()
+            .map(|(k, f, t, c)| ((k.to_string(), format!("{f:?}"), format!("{t:?}")), c))
+            .collect(),
+    }
+}
+
+/// Runs `program` as one root process, with `faults` if given, on the
+/// simulator and then on the threaded runtime at one and four shards.
+fn on_every_runtime(
+    faults: Option<FaultPlan>,
+    program: impl Fn(Arc<Seen>) -> Box<dyn FnOnce(&mut dyn SysApi) + Send>,
+) -> Vec<(String, Counts)> {
+    let network = NetworkConfig::constant(VirtualDuration::from_micros(100));
+    let mut runs = Vec::new();
+    let seen = Arc::new(Seen::default());
+    let mut builder = SimRuntime::builder().seed(5).network(network.clone());
+    if let Some(plan) = faults.clone() {
+        builder = builder.faults(plan);
+    }
+    let mut rt = builder.build();
+    rt.spawn_threaded("root", None, program(seen.clone()));
+    let report = rt.run();
+    assert!(report.panics.is_empty(), "{:?}", report.panics);
+    runs.push(("simulator".to_string(), counts(&seen, &report.stats)));
+    for shards in [1, 4] {
+        let seen = Arc::new(Seen::default());
+        let mut builder = ThreadedRuntime::builder()
+            .seed(5)
+            .network(network.clone())
+            .shards(shards);
+        if let Some(plan) = faults.clone() {
+            builder = builder.faults(plan);
+        }
+        let rt = builder.build();
+        rt.spawn_threaded("root", None, program(seen.clone()));
+        let report = rt.run_until_quiescent(Duration::from_millis(25), Duration::from_secs(30));
+        assert!(report.panics.is_empty(), "{:?}", report.panics);
+        assert!(!report.hit_event_limit, "must reach quiescence");
+        runs.push((
+            format!("threaded shards({shards})"),
+            counts(&seen, &report.stats),
+        ));
+    }
+    runs
+}
+
+#[test]
+fn dispatch_table_is_the_same_on_both_runtimes() {
+    let runs = on_every_runtime(None, |seen| Box::new(dispatch_table(seen)));
+    let (_, sim) = &runs[0];
+    // Dropped: the HOPE message to `deaf` and the late one to `once`.
+    let seen = (sim.mail, sim.resumed, sim.handled, sim.dropped);
+    assert_eq!(seen, (1, 1, 1, 2), "mail, resumed, handled, dropped");
+    for (label, run) in &runs[1..] {
+        assert_eq!(run, sim, "{label} vs the simulator");
+    }
+}
+
+/// A `Control` whose `on_crash` sends user mail to `sink`.
+struct CrashSender {
+    sink: ProcessId,
+    seen: Arc<Seen>,
+}
+
+impl ControlHandler for CrashSender {
+    fn on_hope_message(&mut self, _: ProcessId, _: HopeMessage, _: &mut dyn ControlApi) {}
+
+    fn on_crash(&mut self, api: &mut dyn ControlApi) {
+        self.seen.crashes.fetch_add(1, Ordering::Relaxed);
+        api.send(self.sink, user(b"sent while down"));
+    }
+}
+
+/// Counts every message it is sent, and never stops.
+struct Sink(Arc<Seen>);
+
+impl Actor for Sink {
+    fn on_message(&mut self, _: Envelope, _: &mut dyn ActorApi) {
+        self.0.sunk.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+#[test]
+fn a_crashed_process_sends_nothing_on_either_runtime() {
+    // The root (pid 0) spawns a sink and pid 2, which crashes at 100 ms
+    // (wall-clock on the threaded runtime: long after the spawns) for
+    // 5 ms; its `on_crash` tries to mail the sink.
+    let plan = FaultPlan::new().crash(
+        ProcessId::from_raw(2),
+        VirtualTime::from_nanos(100_000_000),
+        VirtualDuration::from_millis(5),
+    );
+    let runs = on_every_runtime(Some(plan), |seen| {
+        Box::new(move |sys: &mut dyn SysApi| {
+            let sink = sys.spawn_actor("sink", Box::new(Sink(seen.clone())));
+            let control = CrashSender { sink, seen };
+            let doomed = sys.spawn_threaded("doomed", Some(Box::new(control)), Box::new(|_| {}));
+            assert_eq!(doomed, ProcessId::from_raw(2));
+        })
+    });
+    let (_, sim) = &runs[0];
+    for (label, run) in &runs {
+        assert_eq!(run.crashes, 1, "{label}: the crash must reach `on_crash`");
+        assert_eq!(run.sunk, 0, "{label}: a crashed process sent mail");
+        assert_eq!(run, sim, "{label} vs the simulator");
     }
 }
