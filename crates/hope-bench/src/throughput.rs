@@ -1,6 +1,7 @@
 //! E-perf: the [`hope_sim::throughput`] streaming workload and the
-//! committed `BENCH_throughput.json` — tag bytes verbatim vs. on the
-//! wire, `Guess` registrations, and the virtual-time cost of `guess` and
+//! committed `BENCH_throughput.json` — tag bytes verbatim vs. on a wire
+//! that delta-codes them ([`tag_wire`], run over the tags the producer
+//! sent), `Guess` registrations, and the virtual-time cost of `guess` and
 //! `affirm` (the wait-free claim: zero). Every run also repeats the
 //! workload with the causal tracer on and requires the identical clock,
 //! link statistics and finalized count: tracing is pure observation.
@@ -8,7 +9,9 @@
 //! `bench.trace_overhead_ratio`.
 
 use hope_sim::table::percentile;
-use hope_sim::throughput::{assert_tracing_is_observation, run as stream, ThroughputConfig};
+use hope_sim::throughput::{
+    assert_tracing_is_observation, run as stream, tag_wire, ThroughputConfig,
+};
 
 use crate::baseline::{cells_table, obj, s};
 use crate::{Opts, Report};
@@ -24,7 +27,7 @@ pub(crate) fn run(o: &Opts) -> Report {
     assert_tracing_is_observation(&outcome, &traced);
 
     let stats = &outcome.report.run.stats;
-    let link = stats.link();
+    let wire = tag_wire(&outcome.tags);
     let p = |samples: &[f64], q: f64| s(format!("{:.0}", percentile(samples, q)));
     let cells = obj(vec![
         (
@@ -36,10 +39,10 @@ pub(crate) fn run(o: &Opts) -> Report {
         ("depth", s(cfg.depth)),
         ("registrations", s(stats.count_kind("Guess"))),
         ("total_hope_messages", s(stats.total_hope())),
-        ("tag_bytes_full", s(link.tag_bytes_full)),
-        ("tag_bytes_wire", s(link.tag_bytes_wire)),
-        ("tags_full", s(link.tags_full)),
-        ("tags_delta", s(link.tags_delta)),
+        ("tag_bytes_full", s(wire.bytes_full)),
+        ("tag_bytes_wire", s(wire.bytes_wire)),
+        ("tags_full", s(wire.full)),
+        ("tags_delta", s(wire.delta)),
         (
             "virtual_micros_total",
             s(outcome.report.run.now.as_nanos() / 1_000),
@@ -52,7 +55,7 @@ pub(crate) fn run(o: &Opts) -> Report {
     let mut report = Report::new(
         cells_table("E-perf: reliable-link streaming under speculation", &cells),
         vec![format!(
-            "traced re-run identical (clock, link statistics, finalized intervals); \
+            "traced re-run identical (clock, link statistics, finalized intervals, tags); \
              {} events collected",
             traced.trace_events
         )],

@@ -63,11 +63,10 @@ fn overlapping_calls_keep_their_replies_apart() {
     assert_eq!(replies, (0..24u8).collect::<Vec<_>>());
 }
 
-/// RPC traffic over the reliable sublayer exercises the PR-4 dependency-
-/// tag delta codec: repeated sends on the client<->server links must ship
-/// deltas (not verbatim tags) and never trip the shadow-decode check.
+/// RPC traffic over the reliable sublayer: every reply of a sequenced,
+/// acknowledged client<->server exchange comes back, in order.
 #[test]
-fn rpc_over_reliable_link_uses_delta_coding() {
+fn rpc_over_reliable_link_returns_every_reply() {
     let mut env = HopeEnv::builder()
         .seed(14)
         .network(NetworkConfig::constant(VirtualDuration::from_millis(2)))
@@ -90,14 +89,5 @@ fn rpc_over_reliable_link_uses_delta_coding() {
     let report = env.run();
     assert!(report.is_clean(), "{:?}", report.run.panics);
     assert_eq!(out.lock().unwrap().clone(), (1..=8u8).collect::<Vec<_>>());
-    let link = report.run.stats.link();
-    assert!(link.tags_full >= 1, "first send on a link ships Full");
-    assert!(
-        link.tags_delta > 0,
-        "steady-state sends must ride the delta codec: {link}"
-    );
-    // No byte-saving claim here: these tags are mostly empty, where the
-    // delta header is pure overhead. The savings are pinned by the
-    // hope-bench wire-cost baselines on tag-heavy workloads.
-    assert_eq!(link.tag_decode_mismatch, 0, "shadow decode must agree");
+    assert!(report.run.stats.link().acks > 0, "the sublayer was on");
 }

@@ -87,7 +87,7 @@ pub use net::{
 };
 pub use reliable::{
     AckOutcome, AckPlan, CopyKind, LinkId, LinkRecord, Overdue, ReliableState, RttEstimator,
-    TagDecode, ACK_EVERY, WALL_RTO_MAX_NANOS, WALL_RTO_MIN_NANOS,
+    ACK_EVERY, WALL_RTO_MAX_NANOS, WALL_RTO_MIN_NANOS,
 };
 pub use runtime::{ProcessStatus, RuntimeBuilder, SimRuntime};
 pub use sched::{EventDesc, PendingEvent};

@@ -36,7 +36,7 @@ use hope_types::{
 
 use crate::fault::{FaultModel, WireFate};
 use crate::net::LatencyModel;
-use crate::reliable::{AckPlan, CopyKind, LinkId, LinkRecord, Overdue, TagDecode};
+use crate::reliable::{AckPlan, CopyKind, LinkId, LinkRecord, Overdue};
 use crate::stats::{MessageStats, PartyKind};
 
 /// A link-layer work item a driver queues until it comes due.
@@ -121,20 +121,13 @@ impl Link<'_> {
         if !matches!(env.payload, Payload::Ack { .. }) {
             if let Some(rel) = self.rel.as_deref_mut() {
                 env.seq = rel.assign_seq();
-                // Piggybacked dependency tags travel delta-coded against
-                // the last set acked on this link; the typed envelope still
-                // carries the full tag in memory, so this is the wire-cost
-                // model (accounted in LinkStats) plus an end-to-end check
-                // at delivery, where the first copy takes the coding.
-                let mut coding = None;
+                // A frame carries the tag in full (`Envelope::encode`):
+                // counted, never coded here.
                 if let Payload::User(m) = &env.payload {
-                    let coding = coding.insert(rel.encode_tag(env.seq, &m.tag));
-                    self.stats
-                        .stats()
-                        .link_mut()
-                        .record_tag(full_set_wire_len(&m.tag), coding);
+                    let bytes = full_set_wire_len(&m.tag);
+                    self.stats.stats().link_mut().record_full_tag(bytes);
                 }
-                rel.track(env.clone(), coding);
+                rel.track(env.clone());
                 // A send that finds the link's timer running adds nothing
                 // to the driver's queue; one that does not starts it at
                 // the adapted RTO (the configured rto until samples
@@ -216,8 +209,7 @@ impl Link<'_> {
         // the destination lookup: an envelope for a process that never
         // existed is still acknowledged, so its sender stops
         // retransmitting instead of running to the cap.
-        if env.seq > 0 && self.rel.is_some() {
-            let rel = self.rel.as_deref_mut().expect("checked above");
+        if let Some(rel) = self.rel.as_deref_mut().filter(|_| env.seq > 0) {
             let first = rel.accept(env.seq);
             let (plan, delay) = (rel.ack_plan(env.seq, first), rel.ack_delay_nanos());
             let link = (env.src, env.dst);
@@ -232,32 +224,6 @@ impl Link<'_> {
             if !first {
                 self.stats.stats().link_mut().record_dedup(copy);
                 return false;
-            }
-            // Reconstruct the delta-coded dependency tag and check it
-            // against the typed tag the in-memory envelope carries. The
-            // typed tag is authoritative either way; a mismatch means the
-            // link's codec pair diverged, so it is counted, traced, and
-            // the codec is reset to `Full` rather than trusted further.
-            let rel = self.rel.as_deref_mut().expect("checked above");
-            if let Payload::User(m) = &env.payload {
-                match rel.decode_tag(env.seq) {
-                    TagDecode::Decoded(tag) if tag != m.tag => {
-                        rel.force_tag_resync();
-                        self.stats.stats().link_mut().tag_decode_mismatch += 1;
-                        self.tracer.record(
-                            env.dst,
-                            self.now,
-                            TraceEventKind::TagDecodeMismatch {
-                                src: env.src,
-                                seq: env.seq,
-                            },
-                        );
-                    }
-                    // The delta's base was lost to a receiver crash; the
-                    // link self-heals via `Full` codings.
-                    TagDecode::LostBase => self.stats.stats().link_mut().tag_resyncs += 1,
-                    TagDecode::Decoded(_) | TagDecode::Uncoded => {}
-                }
             }
         }
         let stats = self.stats.stats();
@@ -527,8 +493,7 @@ mod tests {
     #[test]
     fn first_send_arms_the_link_timer_then_duplicate_then_original() {
         let one_full_tag = LinkStats {
-            tag_bytes_full: 12,
-            tag_bytes_wire: 13,
+            tag_bytes_wire: 12,
             tags_full: 1,
             ..LinkStats::default()
         };
@@ -552,7 +517,7 @@ mod tests {
                 traced: true,
             },
             Case {
-                name: "sublayer on: sequenced, tag accounted, link timer at the rto",
+                name: "sublayer on: sequenced, tag counted, link timer at the rto",
                 reliable: true,
                 plan: None,
                 payload: user(&[9]),
@@ -1188,7 +1153,7 @@ mod tests {
 
     /// Sends one tagged message 1->2 at `now_us` and runs it through
     /// arrival and the arrival of a duplicate's (immediate) ack, so the
-    /// link's codec has an acked base and its estimator a sample.
+    /// link's estimator has a sample.
     fn round_trip(rig: &mut Rig, now_us: u64, aids: &[u64]) -> Envelope {
         let (data, copy) = wire_copy(rig.send(now_us, p(1), p(2), user(aids)));
         let (_, delivered) = rig.arrive(now_us + 1, &data, copy, false, USERS);
@@ -1201,7 +1166,7 @@ mod tests {
     }
 
     #[test]
-    fn crash_forgets_codec_and_rtt_state_but_not_dedup_windows() {
+    fn crash_forgets_rtt_state_but_not_dedup_windows() {
         let mut rig = Rig::new(true, None);
         let first = round_trip(&mut rig, 0, &[9]);
         assert_ne!(
@@ -1209,69 +1174,20 @@ mod tests {
             RTO_US * 1_000,
             "rto adapted"
         );
-        // The second message ships as a delta against the acked base; the
-        // receiver crashes while it is in flight.
+        // The receiver crashes while the second message is in flight.
         let (second, copy) = wire_copy(rig.send(10, p(1), p(2), user(&[9])));
-        assert_eq!(rig.delta().tags_delta, 1);
         rig.rel().on_crash(p(2));
         assert_eq!(
             rig.rel().link_mut(LINK).rto_nanos(),
             RTO_US * 1_000,
             "estimator forgotten"
         );
-        // The delta's base is gone: the typed tag stands in, counted.
         let (_, delivered) = rig.arrive(20, &second, copy, false, USERS);
-        assert!(delivered, "still delivered, with its typed tag");
-        let resync = LinkStats {
-            tag_resyncs: 1,
-            ..LinkStats::default()
-        };
-        assert_eq!(rig.delta(), resync);
+        assert!(delivered, "delivered after the restart");
         // A stale pre-crash copy is still suppressed: exactly-once
         // survives the crash.
         let (_, delivered) = rig.arrive(21, &first, CopyKind::Retransmit, false, USERS);
         assert!(!delivered);
         assert_eq!(rig.delta().dedup_retransmits, 1);
-        // Post-restart traffic resynchronizes with a `Full` coding.
-        rig.send(30, p(1), p(2), user(&[9]));
-        assert_eq!(rig.delta().tags_full, 1);
-    }
-
-    #[test]
-    fn tag_mismatch_is_counted_traced_and_forces_full() {
-        let mut rig = Rig::new(true, None);
-        round_trip(&mut rig, 0, &[9]);
-        let (mut env, copy) = wire_copy(rig.send(10, p(1), p(2), user(&[9])));
-        assert_eq!(rig.delta().tags_delta, 1);
-        rig.traced();
-        // Diverge the typed tag from what the wire coding reconstructs.
-        if let Payload::User(m) = &mut env.payload {
-            m.tag = tag(&[9, 10]);
-        }
-        let (_, delivered) = rig.arrive(11, &env, copy, false, USERS);
-        assert!(
-            delivered,
-            "delivered with its typed tag, which is authoritative"
-        );
-        let mismatch = LinkStats {
-            tag_decode_mismatch: 1,
-            ..LinkStats::default()
-        };
-        assert_eq!(rig.delta(), mismatch);
-        assert_eq!(
-            rig.traced(),
-            [
-                TraceEventKind::TagDecodeMismatch { src: p(1), seq: 2 },
-                TraceEventKind::Deliver {
-                    src: p(1),
-                    seq: 2,
-                    kind: "User"
-                },
-            ]
-        );
-        // The diverged codec pair is not trusted again: next send is Full.
-        rig.send(20, p(1), p(2), user(&[9]));
-        let delta = rig.delta();
-        assert_eq!((delta.tags_full, delta.tags_delta), (1, 0));
     }
 }

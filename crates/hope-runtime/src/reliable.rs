@@ -42,9 +42,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use hope_types::{
-    Envelope, IdoSet, ProcessId, SetCoding, TagDecoder, TagEncoder, DEFAULT_CODEC_WINDOW,
-};
+use hope_types::{Envelope, ProcessId};
 
 /// A directed link: (sender, receiver).
 pub type LinkId = (ProcessId, ProcessId);
@@ -64,11 +62,12 @@ pub enum CopyKind {
     Retransmit,
 }
 
-/// In-order first arrivals that share one acknowledgement. A quarter of
-/// the tag codec's window: the encoder deltas only against an acked base
-/// at most [`DEFAULT_CODEC_WINDOW`] sequence numbers back, so the acks
-/// must come several times per window for that base to stay usable.
-pub const ACK_EVERY: u32 = (DEFAULT_CODEC_WINDOW / 4) as u32;
+/// In-order first arrivals that share one acknowledgement (the delayed-ack
+/// timer covers a shorter run). It sets the acks per in-order arrival on
+/// every driver — about one in eight on a clean link — and with it E-link's
+/// per-message event budget and the `hope-check` walk pins of the
+/// scenarios that turn the sublayer on.
+pub const ACK_EVERY: u32 = 8;
 
 /// The delayed-ack timer runs for this fraction of the estimator's RTO
 /// floor, so the oldest arrival an ack covers has waited well under the
@@ -86,21 +85,6 @@ pub enum AckPlan {
     Arm,
     /// The arrival rides on the ack a running timer will send.
     Wait,
-}
-
-/// Outcome of reconstructing a piggybacked dependency tag at delivery.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TagDecode {
-    /// No coding travelled with this envelope (codec not engaged for it,
-    /// or an earlier copy of the same sequence number already consumed it).
-    Uncoded,
-    /// The tag reconstructed from the wire coding.
-    Decoded(IdoSet),
-    /// A delta referenced a base this side no longer holds (the receiver
-    /// crashed after the frame was encoded). The typed in-memory tag is
-    /// authoritative; the link resynchronizes via `Full` codings once
-    /// post-restart sends begin.
-    LostBase,
 }
 
 /// Receiver-side record of which sequence numbers a link has delivered.
@@ -266,25 +250,20 @@ struct Pending {
     /// When the newest copy went on the wire; the entry is overdue at
     /// `last_tx + rto << attempts`.
     last_tx: u64,
-    /// What the frame carries in place of the full tag. Retransmissions
-    /// resend the same coding; the first delivered copy takes it.
-    coding: Option<SetCoding>,
 }
 
 /// Everything the reliable sublayer knows about one directed link: the
-/// sender half (sequencing, retransmit buffer, RTT estimator, tag
-/// encoder) and the receiver half (dedup window, tag decoder). A link
-/// pipeline step borrows exactly one of these.
+/// sender half (sequencing, retransmit buffer, RTT estimator) and the
+/// receiver half (dedup window, owed acks). A link pipeline step borrows
+/// exactly one of these.
 #[derive(Debug)]
 pub struct LinkRecord {
     next_seq: u64,
     pending: BTreeMap<u64, Pending>,
     rtt: RttEstimator,
-    enc: TagEncoder,
     /// Whether the driver holds this link's retransmit timer.
     timer_armed: bool,
     seen: SeqWindow,
-    dec: TagDecoder,
     /// In-order first arrivals since the last ack was sent.
     ack_owed: u32,
     /// Whether the driver holds this link's delayed-ack timer.
@@ -297,10 +276,8 @@ impl LinkRecord {
             next_seq: 0,
             pending: BTreeMap::new(),
             rtt,
-            enc: TagEncoder::default(),
             timer_armed: false,
             seen: SeqWindow::default(),
-            dec: TagDecoder::default(),
             ack_owed: 0,
             ack_armed: false,
         }
@@ -313,26 +290,15 @@ impl LinkRecord {
         self.next_seq
     }
 
-    /// Sender side of the dependency-tag codec: encodes `tag` for the
-    /// envelope carrying `seq` — a delta against the last set the peer
-    /// acknowledged when one is usable, the full set otherwise. Hand the
-    /// coding to [`LinkRecord::track`] so delivery (including of a later
-    /// retransmitted copy) can reconstruct it.
-    pub fn encode_tag(&mut self, seq: u64, tag: &IdoSet) -> SetCoding {
-        self.enc.encode(seq, tag)
-    }
-
-    /// Buffers `envelope` for retransmission until acknowledged, with the
-    /// tag coding its frame carries, if any. The envelope must already
-    /// carry its assigned `seq`.
-    pub fn track(&mut self, envelope: Envelope, coding: Option<SetCoding>) {
+    /// Buffers `envelope` for retransmission until acknowledged. The
+    /// envelope must already carry its assigned `seq`.
+    pub fn track(&mut self, envelope: Envelope) {
         debug_assert!(envelope.seq > 0, "track() needs a sequenced envelope");
         let entry = Pending {
             last_tx: envelope.sent_at.as_nanos(),
             env: envelope,
             retransmitted: false,
             attempts: 0,
-            coding,
         };
         self.pending.insert(entry.env.seq, entry);
     }
@@ -349,7 +315,6 @@ impl LinkRecord {
     /// envelope at or below it and feeds the estimator `now - sent_at` of
     /// the newest of them that was never retransmitted (Karn's rule).
     pub fn acknowledge_at(&mut self, seq: u64, now_nanos: u64) -> AckOutcome {
-        self.enc.on_ack(seq);
         let mut outcome = AckOutcome {
             retired: false,
             rtt_sample_nanos: None,
@@ -380,9 +345,7 @@ impl LinkRecord {
     /// An abandoned sequence number is recorded as observed by the
     /// receiver half: nothing will fill that gap, and an open gap would
     /// keep every later arrival in the window's out-of-order set (and
-    /// unacknowledged) forever. The tag encoder forgets the set it
-    /// carried: the acks that now pass over it do not mean the peer holds
-    /// it.
+    /// unacknowledged) forever.
     pub fn retransmit_due(
         &mut self,
         now_nanos: u64,
@@ -396,14 +359,13 @@ impl LinkRecord {
                 .last_tx
                 .saturating_add(backoff_nanos(rto, entry.attempts))
         };
-        let (seen, enc) = (&mut self.seen, &mut self.enc);
+        let seen = &mut self.seen;
         let mut next: Option<u64> = None;
         self.pending.retain(|&seq, entry| {
             let mut due = deadline(entry);
             if everything || due <= now_nanos {
                 if entry.attempts >= max_retransmits {
                     seen.observe(seq);
-                    enc.forget(seq);
                     each(Overdue::Abandoned);
                     return false;
                 }
@@ -498,30 +460,6 @@ impl LinkRecord {
         self.ack_armed = false;
         self.ack_owed = 0;
     }
-
-    /// Receiver side of the dependency-tag codec: takes the in-transit
-    /// coding for `seq` and reconstructs the tag it carried. Call only
-    /// for the first delivered copy of a sequence number.
-    pub fn decode_tag(&mut self, seq: u64) -> TagDecode {
-        let Some(coding) = self.pending.get_mut(&seq).and_then(|e| e.coding.take()) else {
-            return TagDecode::Uncoded;
-        };
-        let decoded = self.dec.decode(seq, &coding);
-        decoded.map_or(TagDecode::LostBase, TagDecode::Decoded)
-    }
-
-    /// Discards the dependency-tag codec state in both directions,
-    /// forcing the next encoded tag on the link to ship `Full`. Used when
-    /// a delivery observes a wire-decoded tag that disagrees with the
-    /// typed tag it shadowed: the codec pair has diverged, so trusting
-    /// any further delta against its bases would compound the corruption.
-    pub fn force_tag_resync(&mut self) {
-        self.enc.reset();
-        self.dec.reset();
-        for entry in self.pending.values_mut() {
-            entry.coding = None;
-        }
-    }
 }
 
 /// The reliable-delivery state for one runtime (or one stripe of it): a
@@ -573,11 +511,10 @@ impl ReliableState {
         self.link_mut(link).assign_seq()
     }
 
-    /// Buffers `envelope` (no tag coding) on its `(src, dst)` link; see
+    /// Buffers `envelope` on its `(src, dst)` link; see
     /// [`LinkRecord::track`].
     pub fn track(&mut self, envelope: Envelope) {
-        self.link_mut((envelope.src, envelope.dst))
-            .track(envelope, None);
+        self.link_mut((envelope.src, envelope.dst)).track(envelope);
     }
 
     /// See [`LinkRecord::acknowledge_at`].
@@ -617,28 +554,21 @@ impl ReliableState {
     /// * RTT estimators of links touching `pid` — link-quality estimates
     ///   are in-memory and a restarted process re-learns them;
     /// * Karn markers on `pid`'s outgoing links — ambiguous-sample
-    ///   bookkeeping tied to those estimators;
-    /// * dependency-tag codec state of links touching `pid`, in both
-    ///   directions — a sender's "the peer holds my acked base" belief is
-    ///   void once the peer restarts, so the next send is forced `Full`
-    ///   (the codec's resync path).
+    ///   bookkeeping tied to those estimators.
     ///
     /// Deliberately survives: sequence counters (reusing sequence numbers
     /// would alias distinct messages in the dedup windows), dedup windows
     /// (clearing one would let a stale pre-crash packet re-deliver,
-    /// breaking exactly-once), and the retransmit buffers with the
-    /// codings in them (the buffer is the only thing that carries an
-    /// unacked message past the down window — crash-recovery replay
-    /// re-executes sends' effects locally but does not put them back on
-    /// the wire).
+    /// breaking exactly-once), and the retransmit buffers (the buffer is
+    /// the only thing that carries an unacked message past the down
+    /// window — crash-recovery replay re-executes sends' effects locally
+    /// but does not put them back on the wire).
     pub fn on_crash(&mut self, pid: ProcessId) {
         for (link, rec) in &mut self.links {
             if link.0 != pid && link.1 != pid {
                 continue;
             }
             rec.rtt = self.fresh_rtt;
-            rec.enc.reset();
-            rec.dec.reset();
             if link.0 == pid {
                 for entry in rec.pending.values_mut() {
                     entry.retransmitted = false;
@@ -665,21 +595,8 @@ mod tests {
 
     const LINK: LinkId = (ProcessId::from_raw(1), ProcessId::from_raw(2));
 
-    fn one_aid_tag(aid: u64) -> IdoSet {
-        [hope_types::AidId::from_raw(p(aid))].into_iter().collect()
-    }
-
     fn srtt(st: &ReliableState, link: LinkId) -> Option<u64> {
         st.links.get(&link).and_then(LinkRecord::srtt_nanos)
-    }
-
-    /// Sequences, codes and buffers one tagged envelope on 1->2, as
-    /// `Link::send` does; returns its seq and the coding put on the wire.
-    fn send_tagged(rec: &mut LinkRecord, tag: &IdoSet) -> (u64, SetCoding) {
-        let seq = rec.assign_seq();
-        let coding = rec.encode_tag(seq, tag);
-        rec.track(env(1, 2, seq), Some(coding.clone()));
-        (seq, coding)
     }
 
     /// Fires the timer at `1 << era` ns, long after everything sent an
@@ -817,17 +734,12 @@ mod tests {
         // numbers above a gap that can still fill. An abandoned one never
         // will, so it must not hold 10 000 later arrivals hostage.
         let mut st = ReliableState::new();
-        let tag = one_aid_tag(9);
         let rec = st.link_mut(LINK);
         let first = rec.assign_seq();
         assert!(rec.accept(first));
-        let (lost, _) = send_tagged(rec, &tag);
+        let lost = rec.assign_seq();
+        rec.track(env(1, 2, lost));
         assert_eq!(fire(rec, 40, 0), (vec![], 1));
-        assert_eq!(
-            rec.decode_tag(lost),
-            TagDecode::Uncoded,
-            "coding went with it"
-        );
         for _ in 0..10_000 {
             let seq = rec.assign_seq();
             assert!(rec.accept(seq));
@@ -911,7 +823,7 @@ mod tests {
         // An instant (0 ns) ack would push an unbounded estimator's RTO
         // toward zero; the band holds it at the floor.
         for seq in 1..=20 {
-            rec.track(env(1, 2, seq), None);
+            rec.track(env(1, 2, seq));
             rec.acknowledge_at(seq, 0);
         }
         assert_eq!(
@@ -993,74 +905,18 @@ mod tests {
     }
 
     #[test]
-    fn tag_codec_round_trips_through_link_state() {
-        let mut st = ReliableState::new();
-        let rec = st.link_mut(LINK);
-        let tag = one_aid_tag(9);
-        let (seq, coding) = send_tagged(rec, &tag);
-        assert!(
-            matches!(coding, SetCoding::Full { .. }),
-            "no acked base yet"
-        );
-        assert_eq!(rec.decode_tag(seq), TagDecode::Decoded(tag.clone()));
-        // A later duplicate copy of the same seq finds the coding consumed.
-        assert_eq!(rec.decode_tag(seq), TagDecode::Uncoded);
-        // Once the first frame is acked, growth ships as a delta.
-        rec.acknowledge_at(seq, 0);
-        let mut bigger = tag.clone();
-        bigger.insert(hope_types::AidId::from_raw(p(10)));
-        let (seq2, coding) = send_tagged(rec, &bigger);
-        assert!(matches!(coding, SetCoding::Delta { base_seq, .. } if base_seq == seq));
-        assert_eq!(rec.decode_tag(seq2), TagDecode::Decoded(bigger));
-        // An ack retires the coding with the entry it rides in.
-        let (seq3, _) = send_tagged(rec, &tag);
-        rec.acknowledge_at(seq3, 0);
-        assert_eq!(rec.decode_tag(seq3), TagDecode::Uncoded);
-    }
-
-    #[test]
-    fn crash_restart_then_stale_packet_stays_exactly_once() {
-        // Regression: a packet sent before the receiver crashed arrives
-        // again after its restart (retransmit raced the crash window). The
-        // dedup window must survive the crash so the stale copy is still
-        // suppressed, and the codec — whose state the crash *does* lose —
-        // must degrade to LostBase instead of panicking.
-        let mut st = ReliableState::new();
-        let tag = one_aid_tag(7);
-        let rec = st.link_mut(LINK);
-        let (seq1, _) = send_tagged(rec, &tag);
-        assert!(rec.accept(seq1), "first delivery before the crash");
-        assert_eq!(rec.decode_tag(seq1), TagDecode::Decoded(tag.clone()));
-        rec.acknowledge_at(seq1, 0);
-        // A second frame is encoded (as a delta against seq1) but the
-        // receiver crashes before it arrives.
-        let (seq2, coding) = send_tagged(rec, &tag);
-        assert!(matches!(coding, SetCoding::Delta { .. }));
-        st.on_crash(p(2));
-        let rec = st.link_mut(LINK);
-        // Stale copy of seq1 after restart: still deduplicated.
-        assert!(!rec.accept(seq1), "exactly-once survives the crash");
-        // The in-flight delta's base is gone on the restarted side.
-        assert!(rec.accept(seq2));
-        assert_eq!(rec.decode_tag(seq2), TagDecode::LostBase);
-        // Post-restart traffic resynchronizes with a Full coding.
-        let (seq3, coding) = send_tagged(rec, &tag);
-        assert!(matches!(coding, SetCoding::Full { .. }));
-        assert!(rec.accept(seq3));
-        assert_eq!(rec.decode_tag(seq3), TagDecode::Decoded(tag));
-    }
-
-    #[test]
     fn on_crash_clears_rtt_but_keeps_delivery_obligations() {
         let mut st = ReliableState::with_rto(5_000_000);
         let link = (p(1), p(2));
         assert_eq!(st.assign_seq(link), 1);
         st.track(env(1, 2, 1));
+        assert!(st.accept(link, 1), "first delivery before the crash");
         st.acknowledge_at(link, 1, 1_000_000);
         assert_eq!(st.assign_seq(link), 2);
         assert!(srtt(&st, link).is_some());
         st.track(env(1, 2, 2));
         st.on_crash(p(2));
+        assert!(!st.accept(link, 1), "a stale copy after the restart: dedup");
         assert_eq!(srtt(&st, link), None, "estimator is volatile");
         assert_eq!(
             st.link_mut(link).rto_nanos(),
@@ -1081,30 +937,5 @@ mod tests {
         assert_eq!(backoff_nanos(1_000, 10), 1_024_000);
         assert_eq!(backoff_nanos(u64::MAX, 3), u64::MAX);
         assert_eq!(backoff_nanos(1, 64), u64::MAX, "shift overflow saturates");
-    }
-
-    #[test]
-    fn force_tag_resync_ships_full_and_forgets_in_transit() {
-        let mut st = ReliableState::new();
-        let rec = st.link_mut(LINK);
-        let tag = one_aid_tag(9);
-        // Establish an acked base so the next coding would be a delta.
-        let (seq1, _) = send_tagged(rec, &tag);
-        assert!(rec.accept(seq1));
-        assert_eq!(rec.decode_tag(seq1), TagDecode::Decoded(tag.clone()));
-        rec.enc.on_ack(seq1);
-        let (seq2, coding) = send_tagged(rec, &tag);
-        assert!(matches!(coding, SetCoding::Delta { .. }));
-
-        rec.force_tag_resync();
-        // The in-transit coding for seq2 is gone: its delivery falls back
-        // to the typed tag instead of decoding against a purged base.
-        assert!(rec.accept(seq2));
-        assert_eq!(rec.decode_tag(seq2), TagDecode::Uncoded);
-        // And the next send re-establishes the codec with a Full coding.
-        let (seq3, coding) = send_tagged(rec, &tag);
-        assert!(matches!(coding, SetCoding::Full { .. }));
-        assert!(rec.accept(seq3));
-        assert_eq!(rec.decode_tag(seq3), TagDecode::Decoded(tag));
     }
 }

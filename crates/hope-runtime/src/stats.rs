@@ -74,23 +74,14 @@ pub struct LinkStats {
     /// Highest retransmission attempt any envelope reached (0-based
     /// backoff exponent; 0 when nothing was ever retransmitted).
     pub max_retransmit_attempt: u64,
-    /// Bytes the piggybacked dependency tags would have cost shipped
-    /// verbatim on every send (the pre-delta wire cost).
-    pub tag_bytes_full: u64,
-    /// Bytes the dependency tags actually cost under delta coding.
+    /// Bytes the dependency tags of sequenced user messages cost in a
+    /// frame: the full set, as `Envelope::encode` writes it, since no wire
+    /// delta-codes tags yet.
     pub tag_bytes_wire: u64,
-    /// Tags shipped verbatim (first send on a link, or resync).
+    /// Tags counted in `tag_bytes_wire`, every one of them in full.
     pub tags_full: u64,
-    /// Tags shipped as deltas against the last acked set on the link.
+    /// Tags shipped as deltas; 0 until a wire delta-codes tags.
     pub tags_delta: u64,
-    /// Deliveries whose delta referenced a base lost to a receiver crash;
-    /// the link falls back to the typed tag and resyncs via `Full`.
-    pub tag_resyncs: u64,
-    /// Deliveries whose wire-decoded dependency tag disagreed with the
-    /// typed tag in the same envelope. The typed tag is delivered and the
-    /// link codec is forced back to `Full`; any nonzero value is a codec
-    /// bug worth investigating.
-    pub tag_decode_mismatch: u64,
     /// Sends accepted while the peer link was down, parked in the bounded
     /// retransmit buffer awaiting reconnect (backpressure signal: parked
     /// traffic is latency the application will see at heal time).
@@ -114,16 +105,10 @@ impl LinkStats {
         *self == LinkStats::default()
     }
 
-    /// Folds one encoded dependency tag into the wire accounting:
-    /// `full_bytes` is what the verbatim set would have cost, `coding`
-    /// what actually shipped.
-    pub(crate) fn record_tag(&mut self, full_bytes: usize, coding: &hope_types::SetCoding) {
-        self.tag_bytes_full += full_bytes as u64;
-        self.tag_bytes_wire += coding.wire_len() as u64;
-        match coding {
-            hope_types::SetCoding::Full { .. } => self.tags_full += 1,
-            hope_types::SetCoding::Delta { .. } => self.tags_delta += 1,
-        }
+    /// Counts one tag a frame carries in full, `bytes` long.
+    pub(crate) fn record_full_tag(&mut self, bytes: usize) {
+        self.tag_bytes_wire += bytes as u64;
+        self.tags_full += 1;
     }
 
     /// Records one dedup suppression, attributed to the provenance of the
@@ -167,12 +152,9 @@ impl LinkStats {
         self.max_retransmit_attempt = self
             .max_retransmit_attempt
             .max(other.max_retransmit_attempt);
-        self.tag_bytes_full += other.tag_bytes_full;
         self.tag_bytes_wire += other.tag_bytes_wire;
         self.tags_full += other.tags_full;
         self.tags_delta += other.tags_delta;
-        self.tag_resyncs += other.tag_resyncs;
-        self.tag_decode_mismatch += other.tag_decode_mismatch;
         self.parked += other.parked;
         self.reconnects += other.reconnects;
         self.link_down_events += other.link_down_events;
@@ -189,7 +171,6 @@ impl fmt::Display for LinkStats {
              abandoned={} acks={} dedup_dropped={} (dup_faults={} \
              retransmit_races={} overtaken={}) unroutable={} \
              rtt_samples={} srtt_nanos={} max_attempt={} \
-             tag_bytes={}/{} (full={} delta={} resyncs={} decode_mismatch={}) \
              net(parked={} reconnects={} link_down={} unreachable={} \
              handshake_rejected={})",
             self.fault_dropped,
@@ -206,12 +187,6 @@ impl fmt::Display for LinkStats {
             self.rtt_samples,
             self.srtt_nanos,
             self.max_retransmit_attempt,
-            self.tag_bytes_wire,
-            self.tag_bytes_full,
-            self.tags_full,
-            self.tags_delta,
-            self.tag_resyncs,
-            self.tag_decode_mismatch,
             self.parked,
             self.reconnects,
             self.link_down_events,

@@ -3,10 +3,17 @@
 //! link sees, on two links sharing one endpoint, against a naive model
 //! that keeps a flat list of everything ever sent and works every
 //! cumulative answer out by scanning it.
+//!
+//! The same inputs drive the dependency-tag codec end to end: beside each
+//! record the model keeps a `TagEncoder`/`TagDecoder` pair fed as a wire
+//! that carried coded tags would feed it — a send encodes, an ack
+//! acknowledges, an abandon forgets, a crash resets and a first delivery
+//! decodes.
 
-use hope_runtime::{AckPlan, LinkId, LinkRecord, Overdue, ReliableState, TagDecode, ACK_EVERY};
+use hope_runtime::{AckPlan, LinkId, LinkRecord, Overdue, ReliableState, ACK_EVERY};
 use hope_types::{
-    AidId, Envelope, IdoSet, Payload, ProcessId, UserMessage, VirtualTime, DEFAULT_CODEC_WINDOW,
+    AidId, Envelope, IdoSet, Payload, ProcessId, SetCoding, TagDecoder, TagEncoder, UserMessage,
+    VirtualTime, DEFAULT_CODEC_WINDOW,
 };
 use proptest::prelude::*;
 
@@ -81,6 +88,9 @@ enum Fate {
 #[derive(Debug)]
 struct Sent {
     tag: IdoSet,
+    /// What the frame carries in place of the tag, until a first copy
+    /// arrives and decodes it.
+    coding: Option<SetCoding>,
     /// The link's crash count when the tag was coded.
     epoch: u32,
     fate: Fate,
@@ -108,6 +118,8 @@ struct LinkModel {
     owed: u32,
     ack_timer: bool,
     retransmit_timer: bool,
+    enc: TagEncoder,
+    dec: TagDecoder,
 }
 
 impl LinkModel {
@@ -160,7 +172,7 @@ proptest! {
                     let rec = st.link_mut(id);
                     let seq = rec.assign_seq();
                     prop_assert_eq!(seq, m.sent.len() as u64 + 1);
-                    let coding = rec.encode_tag(seq, &tag);
+                    let coding = m.enc.encode(seq, &tag);
                     let envelope = Envelope {
                         src: id.0,
                         dst: id.1,
@@ -168,12 +180,13 @@ proptest! {
                         seq,
                         payload: Payload::User(UserMessage::tagged(0, bytes::Bytes::new(), tag.clone())),
                     };
-                    rec.track(envelope, Some(coding));
+                    rec.track(envelope);
                     // Only the send that finds no timer starts one.
                     prop_assert_eq!(rec.arm_timer(), !m.retransmit_timer);
                     m.retransmit_timer = true;
                     m.sent.push(Sent {
                         tag,
+                        coding: Some(coding),
                         epoch: m.epoch,
                         fate: Fate::Pending,
                         delivered: false,
@@ -190,10 +203,13 @@ proptest! {
                     let fresh = !sent.observed();
                     prop_assert_eq!(rec.accept(seq), fresh);
                     if fresh {
-                        let decoded = rec.decode_tag(seq);
+                        // Neither acked nor abandoned: its coding is still
+                        // in flight.
+                        let coding = sent.coding.take().expect("a first copy finds its coding");
+                        let decoded = m.dec.decode(seq, &coding);
                         if sent.epoch == m.epoch {
-                            prop_assert_eq!(decoded, TagDecode::Decoded(sent.tag.clone()));
-                        } else if let TagDecode::Decoded(set) = decoded {
+                            prop_assert_eq!(decoded, Some(sent.tag.clone()));
+                        } else if let Some(set) = decoded {
                             // A crash of either end lost the codec state:
                             // a delta's base may be gone, but a tag that
                             // does decode is never a wrong one.
@@ -224,6 +240,7 @@ proptest! {
                     let m = &mut model[link];
                     let acked = u64::from(pick) % (m.prefix() + 1);
                     let outcome = st.link_mut(links()[link]).acknowledge_at(acked, now + ACKED_AT);
+                    m.enc.on_ack(acked);
                     let covered = &mut m.sent[..acked as usize];
                     let retired = || covered.iter().filter(|m| m.fate == Fate::Pending);
                     prop_assert_eq!(outcome.retired, retired().count() > 0);
@@ -264,6 +281,9 @@ proptest! {
                         }
                         if sent.attempts >= CAP {
                             sent.fate = Fate::Abandoned;
+                            // The peer never decoded its set: an ack that
+                            // passes over it must not make it the base.
+                            m.enc.forget(at as u64 + 1);
                             expect_lost += 1;
                         } else {
                             sent.attempts += 1;
@@ -291,6 +311,8 @@ proptest! {
                     for (id, m) in links().iter().zip(&mut model) {
                         if id.0 == p(pid) || id.1 == p(pid) {
                             m.epoch += 1;
+                            m.enc.reset();
+                            m.dec.reset();
                         }
                         if id.0 == p(pid) {
                             m.sent.iter_mut().for_each(|sent| sent.resent = false);
@@ -303,16 +325,6 @@ proptest! {
             prop_assert_eq!(st.in_flight(), pending);
             for (id, m) in links().into_iter().zip(&model) {
                 prop_assert_eq!(st.link_mut(id).owes_ack(), m.owed > 0);
-            }
-        }
-        // A record with nothing pending holds nothing per-message: no
-        // coding is left for any sequence number it ever sent.
-        for (id, m) in links().into_iter().zip(&model) {
-            if m.pending() == 0 {
-                let rec = st.link_mut(id);
-                for seq in 1..=m.sent.len() as u64 {
-                    prop_assert_eq!(rec.decode_tag(seq), TagDecode::Uncoded);
-                }
             }
         }
     }

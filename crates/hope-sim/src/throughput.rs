@@ -2,19 +2,20 @@
 //!
 //! One producer streams user messages to one consumer over a reliable
 //! LAN link while stacking speculative guesses, so every message
-//! piggybacks a growing dependency tag and the per-link delta codec is
-//! exercised end to end; the consumer then affirms every assumption.
-//! What the run yields is deterministic per seed: tag bytes verbatim vs.
-//! on the wire, `Guess` registrations (linear in depth under delta
+//! piggybacks a growing dependency tag; the consumer then affirms every
+//! assumption. What the run yields is deterministic per seed: the tags
+//! the producer sent, `Guess` registrations (linear in depth under delta
 //! registration), and the *virtual* cost of each `guess`/`affirm` — the
-//! wait-free claim is that it is zero. How long any of it takes on a
-//! wall clock is `perfbench`'s question (`stream_spec`), not this one's.
+//! wait-free claim is that it is zero. What those tags would cost on a
+//! wire that codes them is [`tag_wire`]'s model. How long any of it takes
+//! on a wall clock is `perfbench`'s question (`stream_spec`), not this
+//! one's.
 
 use std::sync::{Arc, Mutex};
 
-use hope_core::{HopeEnv, HopeReport};
+use hope_core::{HopeEnv, HopeReport, ProcessCtx};
 use hope_runtime::NetworkConfig;
-use hope_types::{AidId, VirtualDuration};
+use hope_types::{full_set_wire_len, AidId, IdoSet, SetCoding, TagEncoder, VirtualDuration};
 
 use crate::harness::run_settled;
 use crate::{decode_aids, encode_aids, encode_u64s};
@@ -39,6 +40,8 @@ pub struct ThroughputResult {
     pub guess_virtual_ns: Vec<f64>,
     /// Virtual nanoseconds each `affirm` took.
     pub affirm_virtual_ns: Vec<f64>,
+    /// The dependency tag of each message the producer sent, in order.
+    pub tags: Vec<IdoSet>,
     /// Events the causal tracer collected (0 when tracing was off).
     pub trace_events: usize,
 }
@@ -48,6 +51,7 @@ pub struct ThroughputResult {
 pub fn run(cfg: ThroughputConfig, tracing: Option<usize>) -> ThroughputResult {
     let guess_ns = Arc::new(Mutex::new(Vec::new()));
     let affirm_ns = Arc::new(Mutex::new(Vec::new()));
+    let tags = Arc::new(Mutex::new(Vec::new()));
 
     let mut env = HopeEnv::builder()
         .seed(cfg.seed)
@@ -74,8 +78,16 @@ pub fn run(cfg: ThroughputConfig, tracing: Option<usize>) -> ThroughputResult {
         }
     });
     let guess_samples = Arc::clone(&guess_ns);
+    let sent_tags = Arc::clone(&tags);
     env.spawn_user("producer", move |ctx| {
+        // The tag a live send carries; a replayed one is not sent again.
+        let tagged = |ctx: &ProcessCtx<'_>| {
+            if !ctx.is_replaying() {
+                sent_tags.lock().unwrap().push(ctx.current_deps());
+            }
+        };
         let aids: Vec<AidId> = (0..cfg.depth).map(|_| ctx.aid_init()).collect();
+        tagged(ctx);
         ctx.send(consumer, 1, encode_aids(&aids));
         let stride = (cfg.messages / u64::from(cfg.depth)).max(1);
         let mut next_guess = 0usize;
@@ -88,10 +100,9 @@ pub fn run(cfg: ThroughputConfig, tracing: Option<usize>) -> ThroughputResult {
                 let cost = ctx.now().as_nanos() - before.as_nanos();
                 guess_samples.lock().unwrap().push(cost as f64);
             }
+            tagged(ctx);
             ctx.send(consumer, 0, encode_u64s(&[i]));
-            // Pace the stream so link acks flow back between sends: an
-            // unpaced burst outruns every ack and the tag codec would
-            // (correctly, but uninterestingly) ship nothing but `Full`.
+            // Pace the stream so link acks flow back while it runs.
             ctx.compute(VirtualDuration::from_micros(200));
         }
     });
@@ -99,12 +110,51 @@ pub fn run(cfg: ThroughputConfig, tracing: Option<usize>) -> ThroughputResult {
     let report = run_settled(&mut env, &[]);
     let guess_virtual_ns = std::mem::take(&mut *guess_ns.lock().unwrap());
     let affirm_virtual_ns = std::mem::take(&mut *affirm_ns.lock().unwrap());
+    let tags = std::mem::take(&mut *tags.lock().unwrap());
     ThroughputResult {
         report,
         guess_virtual_ns,
         affirm_virtual_ns,
+        tags,
         trace_events: tracer.len(),
     }
+}
+
+/// What a stream of tags costs on one link that delta-codes them.
+#[derive(Debug, Default)]
+pub struct TagWire {
+    /// Bytes the tags cost shipped verbatim.
+    pub bytes_full: u64,
+    /// Bytes the codings cost.
+    pub bytes_wire: u64,
+    /// Tags shipped verbatim.
+    pub full: u64,
+    /// Tags shipped as deltas.
+    pub delta: u64,
+}
+
+/// The wire-cost model of E-perf: `tags` go out in order on one link
+/// through a [`TagEncoder`], and the model acknowledges each before the
+/// next is sent, so every coding after the first is a delta against the
+/// tag before it. That is an ideal FIFO wire coding against the last
+/// *sent* tag, not the run's link, whose cumulative acks come once per
+/// [`ACK_EVERY`](hope_runtime::ACK_EVERY) in-order arrivals or at the
+/// delayed-ack timer: a codec waiting for those would code against an
+/// older base.
+pub fn tag_wire(tags: &[IdoSet]) -> TagWire {
+    let mut enc = TagEncoder::default();
+    let mut wire = TagWire::default();
+    for (seq, tag) in (1..).zip(tags) {
+        let coding = enc.encode(seq, tag);
+        wire.bytes_full += full_set_wire_len(tag) as u64;
+        wire.bytes_wire += coding.wire_len() as u64;
+        match coding {
+            SetCoding::Full { .. } => wire.full += 1,
+            SetCoding::Delta { .. } => wire.delta += 1,
+        }
+        enc.on_ack(seq);
+    }
+    wire
 }
 
 /// Asserts that `traced` (same config, tracer on) reproduces `plain`
@@ -127,6 +177,7 @@ pub fn assert_tracing_is_observation(plain: &ThroughputResult, traced: &Throughp
         plain.report.hope.finalized_intervals, traced.report.hope.finalized_intervals,
         "tracing must not change interval resolution"
     );
+    assert_eq!(plain.tags, traced.tags, "tracing must not change a tag");
 }
 
 #[cfg(test)]
@@ -147,9 +198,10 @@ mod tests {
         assert_eq!(r.affirm_virtual_ns.len(), SMALL.depth as usize);
         assert_eq!(percentile(&r.guess_virtual_ns, 1.0), 0.0);
         assert_eq!(percentile(&r.affirm_virtual_ns, 1.0), 0.0);
-        let link = r.report.run.stats.link();
-        assert!(link.tags_delta > link.tags_full);
-        assert!(link.tag_bytes_wire < link.tag_bytes_full);
+        assert_eq!(r.tags.len() as u64, SMALL.messages + 1);
+        let wire = tag_wire(&r.tags);
+        assert!(wire.delta > wire.full);
+        assert!(wire.bytes_wire < wire.bytes_full);
     }
 
     #[test]

@@ -123,14 +123,6 @@ pub fn describe(kind: &TraceEventKind) -> (&'static str, &'static str, Vec<(Stri
         ),
         TraceEventKind::Crash => ("crash", "fault", vec![]),
         TraceEventKind::Restart => ("restart", "fault", vec![]),
-        TraceEventKind::TagDecodeMismatch { src, seq } => (
-            "tag_decode_mismatch",
-            "fault",
-            vec![
-                ("src".into(), s(src)),
-                ("seq".into(), Value::Number(*seq as i64)),
-            ],
-        ),
         TraceEventKind::SpecObserve {
             aid,
             denied,
@@ -460,7 +452,6 @@ mod tests {
             TraceEventKind::Retransmit { dst: pid, seq: 1 },
             TraceEventKind::Crash,
             TraceEventKind::Restart,
-            TraceEventKind::TagDecodeMismatch { src: pid, seq: 1 },
             TraceEventKind::SpecObserve {
                 aid,
                 denied: true,

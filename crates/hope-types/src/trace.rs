@@ -138,15 +138,6 @@ pub enum TraceEventKind {
     Crash,
     /// The process restarted after a crash.
     Restart,
-    /// The wire-side delta-coded dependency tag decoded to a different set
-    /// than the typed tag carried in the same envelope; the link codec was
-    /// forced to Full resync.
-    TagDecodeMismatch {
-        /// Source process of the mis-decoded message.
-        src: ProcessId,
-        /// Link sequence number.
-        seq: u64,
-    },
     /// The speculation controller folded in one observed resolution
     /// (adaptive speculation control, DESIGN.md §9). EWMAs are Q16 fixed
     /// point; the per-pid event order is this process's observation order,
