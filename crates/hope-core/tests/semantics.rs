@@ -963,3 +963,35 @@ fn wait_free_primitives_cost_no_virtual_time() {
         "primitives must be wait-free even over a 15ms link"
     );
 }
+
+/// Sets its flag when dropped.
+struct SetOnDrop(Arc<std::sync::atomic::AtomicBool>);
+
+impl Drop for SetOnDrop {
+    fn drop(&mut self) {
+        self.0.store(true, std::sync::atomic::Ordering::SeqCst);
+    }
+}
+
+#[test]
+fn dropping_an_env_while_the_thread_unwinds_does_not_abort() {
+    // The drop resumes the blocked process, whose receive unwinds with the
+    // shutdown signal while this thread is already unwinding.
+    let ran_out = Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let r = ran_out.clone();
+    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
+        let mut env = env();
+        env.spawn_user("blocked", move |ctx| {
+            let _ran_out = SetOnDrop(r.clone());
+            ctx.receive(None);
+        });
+        assert_eq!(env.run().run.blocked.len(), 1);
+        panic!("unwinding with a blocked process");
+    }));
+    let payload = result.expect_err("the panic reaches catch_unwind");
+    assert_eq!(
+        payload.downcast_ref::<&str>(),
+        Some(&"unwinding with a blocked process")
+    );
+    assert!(ran_out.load(std::sync::atomic::Ordering::SeqCst));
+}

@@ -6,11 +6,12 @@
 //! messages addressed to user processes (paper, Figure 3). This crate is the
 //! from-scratch substitute: a **deterministic, virtual-time actor runtime**.
 //!
-//! * **User processes** run on real OS threads with a blocking, sequential
-//!   programming model ([`SimRuntime::spawn_threaded`]); the scheduler and
-//!   the running process hand control back and forth in strict turns, so
-//!   execution is fully deterministic for a given seed. A worker thread is
-//!   reused by the next process once its process exits.
+//! * **User processes** run as coroutines on the scheduler's thread, each
+//!   on a stack of its own, with a blocking, sequential programming model
+//!   ([`SimRuntime::spawn_threaded`]); the scheduler and the running process
+//!   switch stacks in strict turns, so execution is fully deterministic for
+//!   a given seed. A stack is reused by the next process once its process
+//!   exits.
 //! * **AID processes** are lightweight event-driven [`Actor`]s — they are
 //!   pure message-driven state machines in the paper, so they need no stack.
 //! * **HOPE protocol messages** addressed to a threaded process are routed
@@ -58,11 +59,13 @@
 //! assert_eq!(report.now.as_nanos(), 2_000_000);
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 mod actor;
 mod control;
+#[allow(unsafe_code)]
+mod coro;
 mod event;
 mod fault;
 mod link;

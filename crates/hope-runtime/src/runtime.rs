@@ -1,10 +1,10 @@
 //! The deterministic virtual-time scheduler.
 
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::marker::PhantomData;
+use std::rc::Rc;
 use std::sync::Arc;
-
-use parking_lot::Mutex;
 
 use hope_types::{
     Envelope, HopeError, Payload, ProcessId, TraceCollector, TraceEventKind, VirtualTime,
@@ -12,6 +12,7 @@ use hope_types::{
 
 use crate::actor::Actor;
 use crate::control::ControlHandler;
+use crate::coro::Stack;
 use crate::event::{Event, EventKind, EventQueue};
 use crate::fault::{FaultModel, FaultPlan};
 use crate::link::{state_link, Link, LinkWork, Outbound};
@@ -21,7 +22,7 @@ use crate::reliable::{CopyKind, LinkId, ReliableState};
 use crate::sched::{self, PendingEvent};
 use crate::stats::{MessageStats, PartyKind, RunReport};
 use crate::sysapi::{ProcessBody, SysApi};
-use crate::threadproc::{Job, Outgoing, Resume, Shared, SpawnKind, SpawnRequest, Worker, YieldMsg};
+use crate::threadproc::{self, Outgoing, Shared, SpawnKind, SpawnRequest, Worker, YieldMsg};
 
 /// Lifecycle state of a threaded process, as visible to tests and tools.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -52,10 +53,10 @@ enum ProcSlot {
 struct ThreadedEntry {
     pid: ProcessId,
     name: String,
-    shared: Arc<Mutex<Shared>>,
-    /// The body, until the first resume hands it to a worker.
+    shared: Rc<RefCell<Shared>>,
+    /// The body, until the first resume starts it on a stack.
     body: Option<ProcessBody>,
-    /// The worker running the body, from the first resume until it exits.
+    /// The coroutine running the body, from the first resume until it exits.
     worker: Option<Worker>,
     control: Option<Box<dyn ControlHandler>>,
     status: ProcessStatus,
@@ -199,7 +200,7 @@ impl RuntimeBuilder<SimRuntime> {
             down: BTreeMap::new(),
             max_retransmits,
             idle: Vec::new(),
-            workers_started: 0,
+            stacks_mapped: 0,
             turns: 0,
         }
     }
@@ -208,6 +209,15 @@ impl RuntimeBuilder<SimRuntime> {
 /// The deterministic simulated message-passing runtime (PVM substitute).
 ///
 /// See the [crate docs](crate) for an overview and an example.
+///
+/// A runtime stays on the thread that built it: its processes run as
+/// coroutines on that thread, and a suspended one may hold a borrow of the
+/// thread's locals. So `SimRuntime` is not `Send`:
+///
+/// ```compile_fail
+/// fn assert_send<T: Send>() {}
+/// assert_send::<hope_runtime::SimRuntime>();
+/// ```
 pub struct SimRuntime {
     procs: Vec<ProcSlot>,
     /// What a send touches, apart from the slots: the dispatch step's host.
@@ -220,11 +230,11 @@ pub struct SimRuntime {
     /// Crashed processes: raw pid -> restart time (for wake deferral).
     down: BTreeMap<u64, VirtualTime>,
     max_retransmits: u32,
-    /// Workers whose process exited, ready for the next first resume.
-    idle: Vec<Worker>,
-    /// Worker threads started so far (names them `hope-sim-N`).
-    workers_started: usize,
-    /// Scheduler → worker resumes so far.
+    /// Stacks whose process exited, ready for the next first resume.
+    idle: Vec<Stack>,
+    /// Coroutine stacks mapped so far.
+    stacks_mapped: usize,
+    /// Scheduler → process resumes so far.
     turns: u64,
 }
 
@@ -308,6 +318,13 @@ impl SimRuntime {
         &self.wire.stats
     }
 
+    /// Coroutine stacks mapped so far. A process takes an idle stack at its
+    /// first resume and returns it when it exits, so this stays at the
+    /// peak number of processes running at once, not the number spawned.
+    pub fn stacks_mapped(&self) -> usize {
+        self.stacks_mapped
+    }
+
     /// Actor processes garbage-collected so far (AID reference counting).
     pub fn collected_actors(&self) -> u64 {
         self.collected
@@ -349,10 +366,11 @@ impl SimRuntime {
     /// `control` receives every HOPE protocol message addressed to the
     /// process (the paper's HOPElib `Control` function); pass `None` for
     /// processes that take no part in HOPE bookkeeping. `body` starts at
-    /// the current virtual time once [`SimRuntime::run`] is called, on a
-    /// worker thread (`hope-sim-N`) that an earlier process may have used
-    /// and a later one will reuse after this one exits: thread-locals and
-    /// `std::thread::current()` belong to the worker, not to the process.
+    /// the current virtual time once [`SimRuntime::run`] is called, as a
+    /// coroutine on the thread that runs the scheduler, on a stack an
+    /// earlier process may have used and a later one will reuse after this
+    /// one exits: thread-locals and `std::thread::current()` are that
+    /// thread's, not the process's.
     pub fn spawn_threaded<F>(
         &mut self,
         name: &str,
@@ -521,7 +539,7 @@ impl SimRuntime {
                     2u8.hash(&mut h);
                     entry.status.hash(&mut h);
                     entry.blocked_channel.hash(&mut h);
-                    let shared = entry.shared.lock();
+                    let shared = entry.shared.borrow();
                     shared.mailbox.len().hash(&mut h);
                     for received in &shared.mailbox {
                         received.src.as_raw().hash(&mut h);
@@ -701,7 +719,7 @@ impl SimRuntime {
                 if let ProcSlot::Threaded(entry) = &mut self.procs[idx] {
                     let wanted = entry.status == ProcessStatus::Blocked
                         && entry.blocked_channel.is_none_or(|c| c == mail.msg.channel);
-                    entry.shared.lock().mailbox.push_back(mail);
+                    entry.shared.borrow_mut().mailbox.push_back(mail);
                     if wanted {
                         self.run_threaded(pid);
                     }
@@ -723,34 +741,26 @@ impl SimRuntime {
         else {
             unreachable!("only a threaded process takes turns")
         };
-        let resume = match entry.body.take() {
-            Some(body) => {
-                let worker = self.idle.pop().unwrap_or_else(|| {
-                    self.workers_started += 1;
-                    Worker::spawn(self.workers_started)
-                });
-                entry.worker = Some(worker);
-                Resume::Start(Job {
-                    pid,
-                    shared: entry.shared.clone(),
-                    body,
-                    seed: self.seed,
-                })
-            }
-            None => Resume::Go,
-        };
+        if let Some(body) = entry.body.take() {
+            let stack = self.idle.pop().unwrap_or_else(|| {
+                self.stacks_mapped += 1;
+                Stack::new()
+            });
+            let shared = entry.shared.clone();
+            entry.worker = Some(threadproc::start(stack, pid, shared, body, self.seed));
+        }
         {
             // The turn's spawns number themselves from the next free slot:
             // nothing else registers a process before they are drained.
-            let mut shared = entry.shared.lock();
+            let mut shared = entry.shared.borrow_mut();
             shared.now = self.wire.clock;
             shared.next_pid = self.procs.len() as u64;
         }
         self.turns += 1;
-        let msg = entry.worker.as_ref().and_then(|w| w.turn(resume));
+        let msg = entry.worker.as_mut().and_then(Worker::resume);
         // However the turn ended, its sends and spawns happen now, in call
         // order: a child's pid is already in its spawner's hands.
-        let out = std::mem::take(&mut entry.shared.lock().outbox);
+        let out = std::mem::take(&mut entry.shared.borrow_mut().outbox);
         for item in out {
             match item {
                 Outgoing::Send(dst, payload) => self.wire.send(pid, dst, payload),
@@ -774,7 +784,8 @@ impl SimRuntime {
                 if let Some(msg) = panic {
                     self.panics.push((pid, msg));
                 }
-                self.idle.extend(entry.worker.take());
+                self.idle
+                    .extend(entry.worker.take().map(Worker::into_stack));
             }
             None => {
                 entry.status = ProcessStatus::Exited;

@@ -321,7 +321,7 @@ pub struct RunReport {
     pub stats: MessageStats,
     /// True if the run stopped because it hit the configured event limit.
     pub hit_event_limit: bool,
-    /// Scheduler → worker resumes so far: the turns threaded processes
+    /// Scheduler → process resumes so far: the turns threaded processes
     /// took on [`SimRuntime`](crate::SimRuntime). The
     /// [`ThreadedRuntime`](crate::ThreadedRuntime) takes none and reports
     /// zero.

@@ -1,32 +1,27 @@
-//! Thread-backed user processes and the turn-handoff protocol.
+//! User processes as coroutines, and the turn protocol.
 //!
-//! A threaded process runs on a worker thread, but the scheduler and the
-//! process take strict turns: the scheduler resumes the process and then
-//! blocks until the process yields (by blocking in `receive`, spending
-//! compute time, or exiting). Exactly one party runs at any instant, which
-//! is what makes whole simulations deterministic while still letting user
-//! code be written as ordinary blocking Rust.
+//! A user process runs on a stack of its own ([`crate::coro`]) but on the
+//! scheduler's thread, and the two take strict turns: the scheduler
+//! switches into the process, which runs until it yields (by blocking in
+//! `receive`, spending compute time, or exiting) and switches back.
+//! Exactly one party runs at any instant, which is what makes whole
+//! simulations deterministic while still letting user code be written as
+//! ordinary blocking Rust.
 //!
 //! Sends and spawns do not yield. Both go into the process's ordered
 //! outbox, which the scheduler carries out when the turn ends; a spawn
 //! returns at once with the next free pid, handed over with the turn.
 //!
-//! A turn is handed over through a [`Handoff`] slot: the sender drops one
-//! value in and unparks the receiver without waiting; each side then blocks
-//! on its own slot, so only one side runs at a time.
-//!
-//! Workers are reused. A process gets its worker at its first resume
-//! ([`Resume::Start`]), from the runtime's idle list or a new `hope-sim-N`
-//! thread, and the worker goes back to that list when the body exits — so
-//! thread-locals and `std::thread::current()` are per worker, not per
-//! process.
+//! Stacks are reused. A process gets its stack at its first resume, from
+//! the runtime's idle list or a new mapping, and the stack goes back to
+//! that list when the body exits. Thread-locals and
+//! `std::thread::current()` are the scheduler thread's.
 
+use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
-use std::thread::{JoinHandle, Thread};
+use std::rc::Rc;
 
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -34,23 +29,8 @@ use hope_types::{Payload, ProcessId, VirtualDuration, VirtualTime};
 
 use crate::actor::Actor;
 use crate::control::ControlHandler;
+use crate::coro::{Coroutine, Stack, Yielder};
 use crate::sysapi::{ProcessBody, Received, SysApi};
-
-/// Scheduler → process control transfer.
-pub(crate) enum Resume {
-    /// The first turn of a process: run this job on the worker.
-    Start(Job),
-    /// Continue running.
-    Go,
-}
-
-/// What a worker needs to run one process from the top.
-pub(crate) struct Job {
-    pub pid: ProcessId,
-    pub shared: Arc<Mutex<Shared>>,
-    pub body: ProcessBody,
-    pub seed: u64,
-}
 
 /// Process → scheduler control transfer.
 pub(crate) enum YieldMsg {
@@ -89,8 +69,7 @@ pub(crate) enum Outgoing {
 }
 
 /// State shared between the scheduler and one process. Only one of the two
-/// parties runs at a time, so the mutex is never contended; it exists to
-/// satisfy `Send`/`Sync`.
+/// parties runs at a time, and never across a switch with a borrow open.
 pub(crate) struct Shared {
     /// The process's virtual clock; the scheduler syncs it before resuming.
     pub now: VirtualTime,
@@ -104,8 +83,8 @@ pub(crate) struct Shared {
 }
 
 impl Shared {
-    pub fn new() -> Arc<Mutex<Shared>> {
-        Arc::new(Mutex::new(Shared {
+    pub fn new() -> Rc<RefCell<Shared>> {
+        Rc::new(RefCell::new(Shared {
             now: VirtualTime::ZERO,
             mailbox: VecDeque::new(),
             outbox: Vec::new(),
@@ -114,200 +93,66 @@ impl Shared {
     }
 }
 
-/// A one-value slot one thread drops a value into and another blocks on.
-/// `send` never waits; `recv` parks until a value or `close` arrives.
-struct Handoff<T> {
-    state: Mutex<HandoffState<T>>,
-}
+/// The scheduler's handle on one running process: each turn hands back a
+/// [`YieldMsg`], or `None` if a panic escaped the body and lost the
+/// process. Dropping it resumes a suspended body once, so the body sees the
+/// runtime shut down (its wait returns `None`/`false`) and runs out before
+/// its stack is unmapped.
+pub(crate) type Worker = Coroutine<YieldMsg>;
 
-struct HandoffState<T> {
-    value: Option<T>,
-    closed: bool,
-    /// The thread parked in `recv`, if any.
-    waiter: Option<Thread>,
-}
-
-impl<T> Handoff<T> {
-    fn new() -> Self {
-        Handoff {
-            state: Mutex::new(HandoffState {
-                value: None,
-                closed: false,
-                waiter: None,
-            }),
-        }
-    }
-
-    /// Hands `value` over; `Err` if the slot is closed.
-    fn send(&self, value: T) -> Result<(), T> {
-        let waiter = {
-            let mut state = self.state.lock();
-            if state.closed {
-                return Err(value);
-            }
-            debug_assert!(state.value.is_none(), "one turn in flight at a time");
-            state.value = Some(value);
-            state.waiter.take()
-        };
-        if let Some(thread) = waiter {
-            thread.unpark();
-        }
-        Ok(())
-    }
-
-    /// Waits for the next value; `Err` once the slot is closed and empty.
-    fn recv(&self) -> Result<T, ()> {
-        loop {
-            {
-                let mut state = self.state.lock();
-                if let Some(value) = state.value.take() {
-                    return Ok(value);
-                }
-                if state.closed {
-                    return Err(());
-                }
-                state.waiter = Some(std::thread::current());
-            }
-            // A stale token or a spurious wake only costs a re-check.
-            std::thread::park();
-        }
-    }
-
-    /// Fails every later `send` and wakes a parked `recv` with `Err`.
-    fn close(&self) {
-        let waiter = {
-            let mut state = self.state.lock();
-            state.closed = true;
-            state.waiter.take()
-        };
-        if let Some(thread) = waiter {
-            thread.unpark();
-        }
-    }
-}
-
-/// The two slots between the scheduler and one worker.
-struct Turns {
-    resume: Handoff<Resume>,
-    yields: Handoff<YieldMsg>,
-}
-
-/// Closes the yield slot when the worker thread ends, however it ends, so
-/// a scheduler waiting for the turn back wakes with `Err`.
-struct CloseOnExit<'a>(&'a Turns);
-
-impl Drop for CloseOnExit<'_> {
-    fn drop(&mut self) {
-        self.0.yields.close();
-    }
-}
-
-/// The scheduler's handle on one worker thread. Dropping it closes the
-/// resume slot and joins the thread. That cannot hang: between scheduler
-/// turns a worker only ever waits on that slot, and the close wakes it
-/// with `Err`, so its process's body sees the runtime shut down.
-pub(crate) struct Worker {
-    turns: Arc<Turns>,
-    join: Option<JoinHandle<()>>,
-}
-
-impl Worker {
-    /// Starts the worker thread named `hope-sim-{number}`; it waits for a
-    /// [`Resume::Start`].
-    pub fn spawn(number: usize) -> Worker {
-        let turns = Arc::new(Turns {
-            resume: Handoff::new(),
-            yields: Handoff::new(),
-        });
-        let thread_turns = turns.clone();
-        let join = std::thread::Builder::new()
-            .name(format!("hope-sim-{number}"))
-            .spawn(move || worker_main(&thread_turns))
-            .expect("failed to spawn worker thread");
-        Worker {
-            turns,
-            join: Some(join),
-        }
-    }
-
-    /// Gives the worker its turn and waits for it back; `None` if the
-    /// worker is gone.
-    pub fn turn(&self, resume: Resume) -> Option<YieldMsg> {
-        self.turns.resume.send(resume).ok()?;
-        self.turns.yields.recv().ok()
-    }
-}
-
-impl Drop for Worker {
-    fn drop(&mut self) {
-        self.turns.resume.close();
-        if let Some(join) = self.join.take() {
-            let _ = join.join();
-        }
-    }
-}
-
-/// Runs one job after another until the runtime closes the resume slot.
-fn worker_main(turns: &Turns) {
-    let _close = CloseOnExit(turns);
-    while let Ok(Resume::Start(job)) = turns.resume.recv() {
-        let mut ctx = ThreadCtx::new(job.pid, job.shared, turns, job.seed);
-        let result = catch_unwind(AssertUnwindSafe(|| (job.body)(&mut ctx)));
+/// Readies process `pid` on `stack`: its first turn runs `body` from the
+/// top, and its last hands back [`YieldMsg::Exited`].
+pub(crate) fn start(
+    stack: Stack,
+    pid: ProcessId,
+    shared: Rc<RefCell<Shared>>,
+    body: ProcessBody,
+    seed: u64,
+) -> Worker {
+    Coroutine::new(stack, move |yielder| {
+        let mut ctx = ThreadCtx::new(pid, shared, yielder, seed);
+        let result = catch_unwind(AssertUnwindSafe(|| body(&mut ctx)));
         let panic = result
             .err()
             .map(|p| crate::runtime::panic_message(p.as_ref()));
-        if !ctx.notify_exit(panic) {
-            return;
-        }
-    }
+        YieldMsg::Exited { panic }
+    })
 }
 
 /// The [`SysApi`] implementation handed to a threaded process body.
 struct ThreadCtx<'a> {
     pid: ProcessId,
-    shared: Arc<Mutex<Shared>>,
-    turns: &'a Turns,
+    shared: Rc<RefCell<Shared>>,
+    yielder: &'a mut Yielder<YieldMsg>,
     rng: StdRng,
     /// False once the runtime side has gone away.
     alive: bool,
 }
 
 impl<'a> ThreadCtx<'a> {
-    fn new(pid: ProcessId, shared: Arc<Mutex<Shared>>, turns: &'a Turns, seed: u64) -> Self {
+    fn new(
+        pid: ProcessId,
+        shared: Rc<RefCell<Shared>>,
+        yielder: &'a mut Yielder<YieldMsg>,
+        seed: u64,
+    ) -> Self {
         ThreadCtx {
             pid,
             shared,
-            turns,
+            yielder,
             rng: StdRng::seed_from_u64(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ pid.as_raw()),
             alive: true,
         }
     }
 
-    /// Sends the final exit notification. Returns `false` if the runtime
-    /// side has gone away, so the worker should stop.
-    fn notify_exit(&self, panic: Option<String>) -> bool {
-        self.alive && self.turns.yields.send(YieldMsg::Exited { panic }).is_ok()
-    }
-
-    fn yield_and_wait(&mut self, msg: YieldMsg) -> Option<Resume> {
-        if !self.alive {
-            return None;
-        }
-        if self.turns.yields.send(msg).is_err() {
-            self.alive = false;
-            return None;
-        }
-        match self.turns.resume.recv() {
-            Ok(r) => Some(r),
-            Err(()) => {
-                self.alive = false;
-                None
-            }
-        }
+    /// Hands the turn back; `false` once the runtime is shutting down.
+    fn yield_and_wait(&mut self, msg: YieldMsg) -> bool {
+        self.alive = self.yielder.suspend(msg);
+        self.alive
     }
 
     fn take_from_mailbox(&mut self, channel: Option<u32>) -> Option<Received> {
-        let mut shared = self.shared.lock();
+        let mut shared = self.shared.borrow_mut();
         let pos = crate::sysapi::mailbox_position(&shared.mailbox, channel)?;
         shared.mailbox.remove(pos)
     }
@@ -319,7 +164,7 @@ impl<'a> ThreadCtx<'a> {
             "hope-runtime shut down while process {} was spawning",
             self.pid
         );
-        let mut shared = self.shared.lock();
+        let mut shared = self.shared.borrow_mut();
         let pid = ProcessId::from_raw(shared.next_pid);
         shared.next_pid += 1;
         shared.outbox.push(Outgoing::Spawn(pid, req));
@@ -333,11 +178,14 @@ impl SysApi for ThreadCtx<'_> {
     }
 
     fn now(&mut self) -> VirtualTime {
-        self.shared.lock().now
+        self.shared.borrow().now
     }
 
     fn send(&mut self, dst: ProcessId, payload: Payload) {
-        self.shared.lock().outbox.push(Outgoing::Send(dst, payload));
+        self.shared
+            .borrow_mut()
+            .outbox
+            .push(Outgoing::Send(dst, payload));
     }
 
     fn receive(
@@ -352,12 +200,8 @@ impl SysApi for ThreadCtx<'_> {
             if let Some(r) = self.take_from_mailbox(channel) {
                 return Some(r);
             }
-            if !self.alive {
+            if !self.yield_and_wait(YieldMsg::Blocked { channel }) {
                 return None;
-            }
-            match self.yield_and_wait(YieldMsg::Blocked { channel }) {
-                Some(_) => continue,
-                None => return None,
             }
         }
     }
@@ -367,7 +211,7 @@ impl SysApi for ThreadCtx<'_> {
     }
 
     fn requeue_front(&mut self, items: Vec<Received>) {
-        let mut shared = self.shared.lock();
+        let mut shared = self.shared.borrow_mut();
         for item in items.into_iter().rev() {
             shared.mailbox.push_front(item);
         }
@@ -378,12 +222,8 @@ impl SysApi for ThreadCtx<'_> {
             if interrupt() {
                 return true;
             }
-            if !self.alive {
+            if !self.yield_and_wait(YieldMsg::Park) {
                 return false;
-            }
-            match self.yield_and_wait(YieldMsg::Park) {
-                Some(_) => continue,
-                None => return false,
             }
         }
     }
@@ -392,7 +232,7 @@ impl SysApi for ThreadCtx<'_> {
         if dur.is_zero() {
             return;
         }
-        let _ = self.yield_and_wait(YieldMsg::Compute { dur });
+        self.yield_and_wait(YieldMsg::Compute { dur });
     }
 
     fn spawn_actor(&mut self, name: &str, actor: Box<dyn Actor>) -> ProcessId {

@@ -456,31 +456,17 @@ fn receive_sees_message_queued_before_block() {
     assert_eq!(t, VirtualTime::ZERO + VirtualDuration::from_millis(50));
 }
 
-/// Records the worker thread a process body runs on.
-fn note_thread(ids: &Arc<Mutex<Vec<std::thread::ThreadId>>>) {
-    ids.lock().unwrap().push(std::thread::current().id());
-}
-
-fn distinct(ids: &Arc<Mutex<Vec<std::thread::ThreadId>>>) -> usize {
-    let ids = ids.lock().unwrap();
-    ids.iter().collect::<std::collections::HashSet<_>>().len()
-}
-
 #[test]
-fn sequential_children_reuse_one_worker_thread() {
-    // One thread per process would show 1 000 distinct ids here.
+fn sequential_children_reuse_one_stack() {
+    // A stack per process would map 1 001 here.
     let mut rt = SimRuntime::new();
-    let ids = Arc::new(Mutex::new(Vec::new()));
-    let seen = ids.clone();
     rt.spawn_threaded("parent", None, move |ctx| {
         let parent = ctx.pid();
         for _ in 0..1_000 {
-            let seen = seen.clone();
             ctx.spawn_threaded(
                 "child",
                 None,
                 Box::new(move |cctx: &mut dyn hope_runtime::SysApi| {
-                    note_thread(&seen);
                     cctx.send(parent, user(b"bye"));
                 }),
             );
@@ -490,35 +476,35 @@ fn sequential_children_reuse_one_worker_thread() {
     });
     let report = rt.run();
     assert!(report.is_clean());
-    assert_eq!(ids.lock().unwrap().len(), 1_000);
-    let threads = distinct(&ids);
+    assert_eq!(report.turns, 1 + 2 * 1_000);
+    let stacks = rt.stacks_mapped();
     assert!(
-        threads <= 2,
-        "1 000 sequential children ran on {threads} threads"
+        stacks <= 2,
+        "1 000 sequential children mapped {stacks} stacks"
     );
 }
 
 #[test]
-fn idle_workers_never_outnumber_peak_live_processes() {
-    // Two waves of 64 children, all of one wave live at once; one thread
-    // per process would show 128 distinct ids.
+fn mapped_stacks_never_outnumber_peak_live_processes() {
+    // Two waves of 64 children, all of one wave live at once; a stack per
+    // process would map 129.
     const WAVE: usize = 64;
     let mut rt = SimRuntime::new();
-    let ids = Arc::new(Mutex::new(Vec::new()));
-    let seen = ids.clone();
+    let done = Arc::new(Mutex::new(0));
+    let d = done.clone();
     rt.spawn_threaded("parent", None, move |ctx| {
         let parent = ctx.pid();
         for _ in 0..2 {
             let children: Vec<ProcessId> = (0..WAVE)
                 .map(|_| {
-                    let seen = seen.clone();
+                    let d = d.clone();
                     ctx.spawn_threaded(
                         "child",
                         None,
                         Box::new(move |cctx: &mut dyn hope_runtime::SysApi| {
                             cctx.send(parent, user(b"ready"));
                             cctx.receive(None, &mut || false).unwrap();
-                            note_thread(&seen);
+                            *d.lock().unwrap() += 1;
                             cctx.send(parent, user(b"done"));
                         }),
                     )
@@ -538,15 +524,16 @@ fn idle_workers_never_outnumber_peak_live_processes() {
     });
     let report = rt.run();
     assert!(report.is_clean());
-    assert_eq!(ids.lock().unwrap().len(), 2 * WAVE);
-    let threads = distinct(&ids);
+    assert_eq!(*done.lock().unwrap(), 2 * WAVE);
+    let stacks = rt.stacks_mapped();
     assert!(
-        threads <= WAVE + 1,
-        "two waves of {WAVE} ran on {threads} threads"
+        stacks <= WAVE + 1,
+        "two waves of {WAVE} mapped {stacks} stacks"
     );
 }
 
 /// Runs `f` on another thread and fails if it does not finish in time.
+/// A runtime stays on the thread that built it, so `f` builds its own.
 fn within_watchdog(what: &str, f: impl FnOnce() + Send + 'static) {
     let (done_tx, done_rx) = std::sync::mpsc::channel();
     std::thread::spawn(move || {
@@ -558,7 +545,7 @@ fn within_watchdog(what: &str, f: impl FnOnce() + Send + 'static) {
         .unwrap_or_else(|_| panic!("{what} did not return within the watchdog"));
 }
 
-/// A runtime whose processes end up exited (worker idle), blocked, parked
+/// A runtime whose processes end up exited (stack idle), blocked, parked
 /// and sleeping, plus a ping-pong that never quiesces. The blocked, parked
 /// and sleeping bodies log what their wait returned once it returns.
 fn runtime_in_every_status(
@@ -593,44 +580,49 @@ fn runtime_in_every_status(
 #[test]
 fn dropping_a_runtime_in_every_status_returns() {
     use ProcessStatus::*;
-    let expect = [Exited, Blocked, Parked, Sleeping];
+    const EXPECT: [ProcessStatus; 4] = [Exited, Blocked, Parked, Sleeping];
     // Every waiting body is woken by the drop and sees the shutdown.
     let shut_down = ["blocked: false", "parked: false", "sleeping: done"];
 
     // Stopped at a deadline, with a never-resumed process added after.
     let woke = Arc::new(Mutex::new(Vec::new()));
-    let (mut rt, pids) = runtime_in_every_status(u64::MAX, &woke);
-    let report = rt.run_until(VirtualTime::ZERO + VirtualDuration::from_secs(1));
-    assert!(!report.hit_event_limit);
-    let fresh = rt.spawn_threaded("new", None, |_ctx| unreachable!("never resumed"));
-    assert_eq!(rt.status(fresh), Some(New));
-    for (pid, status) in pids.iter().zip(expect) {
-        assert_eq!(rt.status(*pid), Some(status));
-    }
-    within_watchdog("drop after run_until", move || drop(rt));
+    let w = woke.clone();
+    within_watchdog("drop after run_until", move || {
+        let (mut rt, pids) = runtime_in_every_status(u64::MAX, &w);
+        let report = rt.run_until(VirtualTime::ZERO + VirtualDuration::from_secs(1));
+        assert!(!report.hit_event_limit);
+        let fresh = rt.spawn_threaded("new", None, |_ctx| unreachable!("never resumed"));
+        assert_eq!(rt.status(fresh), Some(New));
+        for (pid, status) in pids.iter().zip(EXPECT) {
+            assert_eq!(rt.status(*pid), Some(status));
+        }
+        assert!(w.lock().unwrap().is_empty());
+        drop(rt);
+    });
     woke.lock().unwrap().sort();
     assert_eq!(*woke.lock().unwrap(), shut_down);
 
     // Stopped by the event limit.
     let woke = Arc::new(Mutex::new(Vec::new()));
-    let (mut rt, pids) = runtime_in_every_status(200, &woke);
-    assert!(rt.run().hit_event_limit);
-    for (pid, status) in pids.iter().zip(expect) {
-        assert_eq!(rt.status(*pid), Some(status));
-    }
-    within_watchdog("drop at max_events", move || drop(rt));
+    let w = woke.clone();
+    within_watchdog("drop at max_events", move || {
+        let (mut rt, pids) = runtime_in_every_status(200, &w);
+        assert!(rt.run().hit_event_limit);
+        for (pid, status) in pids.iter().zip(EXPECT) {
+            assert_eq!(rt.status(*pid), Some(status));
+        }
+        assert!(w.lock().unwrap().is_empty());
+        drop(rt);
+    });
     woke.lock().unwrap().sort();
     assert_eq!(*woke.lock().unwrap(), shut_down);
 }
 
 #[test]
-fn a_reused_worker_reports_panics_per_pid_and_leaks_no_state() {
+fn a_reused_stack_reports_panics_per_pid_and_leaks_no_state() {
     const SEED: u64 = 7;
-    let threads = Arc::new(Mutex::new(Vec::new()));
     let mut rt = SimRuntime::builder().seed(SEED).build();
-    let t = threads.clone();
     let bad = rt.spawn_threaded("bad", None, move |ctx| {
-        note_thread(&t);
         for _ in 0..3 {
             ctx.random_u64();
         }
@@ -641,20 +633,19 @@ fn a_reused_worker_reports_panics_per_pid_and_leaks_no_state() {
     assert_eq!(report.panics[0].0, bad);
     assert!(report.panics[0].1.contains("boom-on-worker"));
 
-    // The next process takes the panicked process's worker.
+    // The next process takes the panicked process's stack.
     let draws = Arc::new(Mutex::new(Vec::new()));
-    let (t, d) = (threads.clone(), draws.clone());
+    let d = draws.clone();
     let good = rt.spawn_threaded("good", None, move |ctx| {
-        note_thread(&t);
         for _ in 0..5 {
             d.lock().unwrap().push(ctx.random_u64());
         }
     });
     let report = rt.run();
     assert_eq!(report.panics.len(), 1, "only the first process panicked");
-    assert_eq!(distinct(&threads), 1, "the worker was reused");
+    assert_eq!(rt.stacks_mapped(), 1, "the stack was reused");
 
-    // Same (seed, pid) on a fresh runtime, on a fresh worker.
+    // Same (seed, pid) on a fresh runtime, on a fresh stack.
     let mut fresh = SimRuntime::builder().seed(SEED).build();
     fresh.spawn_actor("filler", Box::new(hope_runtime::NullActor));
     let expected = Arc::new(Mutex::new(Vec::new()));
@@ -742,8 +733,8 @@ fn spawned_pids_follow_call_order_and_take_sends_at_once() {
     assert_eq!(got, children);
 }
 
-/// A panic payload whose drop panics again, outside `catch_unwind`: it
-/// takes the worker thread down with the turn still open.
+/// A panic payload whose drop panics again, outside the body's
+/// `catch_unwind`: it loses the process with the turn still open.
 struct PanicOnDrop;
 
 impl Drop for PanicOnDrop {
@@ -788,17 +779,19 @@ fn a_child_spawned_as_its_parent_ends_still_runs() {
 fn a_spawn_after_shutdown_panics_without_a_pid() {
     let seen = Arc::new(Mutex::new(None));
     let s = seen.clone();
-    let mut rt = SimRuntime::new();
-    rt.spawn_threaded("late", None, move |ctx| {
-        assert!(ctx.receive(None, &mut || false).is_none());
-        let spawn = std::panic::AssertUnwindSafe(|| {
-            ctx.spawn_actor("orphan", Box::new(hope_runtime::NullActor))
+    within_watchdog("drop with a blocked spawner", move || {
+        let mut rt = SimRuntime::new();
+        rt.spawn_threaded("late", None, move |ctx| {
+            assert!(ctx.receive(None, &mut || false).is_none());
+            let spawn = std::panic::AssertUnwindSafe(|| {
+                ctx.spawn_actor("orphan", Box::new(hope_runtime::NullActor))
+            });
+            let err = std::panic::catch_unwind(spawn).expect_err("a spawn after shutdown panics");
+            *s.lock().unwrap() = err.downcast_ref::<String>().cloned();
         });
-        let err = std::panic::catch_unwind(spawn).expect_err("a spawn after shutdown panics");
-        *s.lock().unwrap() = err.downcast_ref::<String>().cloned();
+        assert_eq!(rt.run().blocked.len(), 1);
+        drop(rt);
     });
-    assert_eq!(rt.run().blocked.len(), 1);
-    within_watchdog("drop with a blocked spawner", move || drop(rt));
     assert_eq!(
         seen.lock().unwrap().as_deref(),
         Some("hope-runtime shut down while process P0 was spawning")
