@@ -6,7 +6,7 @@
 //! frontiers are stepped automatically, so decision lists stay short and a
 //! list replays identically however the intervening deterministic stretches
 //! are shaped. The DFS is *stateless* in the model-checking sense: it never
-//! snapshots the world (which contains live OS threads), it re-executes the
+//! snapshots the world (which contains live coroutine stacks), it re-executes the
 //! decision prefix from a fresh environment for every node.
 //!
 //! Two reductions keep the state count down:

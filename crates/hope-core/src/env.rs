@@ -396,7 +396,7 @@ pub struct EnvBuilder<R> {
 
 /// Builds a [`HopeEnv`] (the virtual-time simulator).
 pub type HopeEnvBuilder = EnvBuilder<SimRuntime>;
-/// Builds a [`ThreadedHopeEnv`] (OS threads, wall-clock time).
+/// Builds a [`ThreadedHopeEnv`] (shard threads, wall-clock time).
 pub type ThreadedHopeEnvBuilder = EnvBuilder<ThreadedRuntime>;
 
 impl<R> EnvBuilder<R> {
@@ -604,11 +604,14 @@ pub struct Env<R> {
 /// The environment on the deterministic virtual-time simulator.
 pub type HopeEnv = Env<SimRuntime>;
 /// The environment on the wall-clock threaded runtime: same programming
-/// model, but user processes are genuinely concurrent OS threads that
-/// start executing as soon as they are spawned, `compute` really sleeps
-/// and network latency elapses in wall time. Validates that the algorithm
-/// — wait-freedom included — does not depend on the simulator's
-/// cooperative scheduling.
+/// model, but each user process runs on the shard thread that owns it,
+/// taking turns with its `Control` there, and starts as soon as it is
+/// spawned; processes on different shards run in parallel, `compute` is
+/// a wall-clock timer and network latency elapses in wall time. Within a
+/// shard there is no preemption: a body that blocks outside the
+/// [`ProcessCtx`] primitives (a `std` sleep or channel, a spin) stalls
+/// its shard-mates. Validates that the algorithm — wait-freedom included
+/// — does not depend on virtual time or on one thread.
 pub type ThreadedHopeEnv = Env<ThreadedRuntime>;
 
 /// Outcome of [`HopeEnv::run`].

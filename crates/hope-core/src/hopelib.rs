@@ -54,9 +54,10 @@ fn merge_pending(cur: Option<PendingRollback>, incoming: PendingRollback) -> Pen
 
 /// The bookkeeping state of one user process's HOPElib: its interval
 /// history and any pending rollback. Shared (behind a mutex) between the
-/// `Control` handler running on the scheduler and the
-/// [`ProcessCtx`](crate::ProcessCtx) running on the user thread; only one
-/// of the two ever runs at a time.
+/// `Control` handler and the [`ProcessCtx`](crate::ProcessCtx) running the
+/// user process, which take turns on one thread (the simulator's, or the
+/// process's shard), so only one of the two ever runs at a time; the
+/// mutex is for readers on other threads (`Env::history_of`, …).
 #[derive(Debug)]
 pub struct LibState {
     pid: ProcessId,

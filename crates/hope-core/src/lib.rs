@@ -60,7 +60,7 @@
 //! * [`env` (module)](crate::env) — the one front end gluing everything
 //!   onto a [`hope_runtime`] runtime: [`Env<R>`](Env) and its
 //!   [`EnvBuilder<R>`](EnvBuilder), aliased as [`HopeEnv`] on the
-//!   virtual-time simulator and [`ThreadedHopeEnv`] on OS threads.
+//!   virtual-time simulator and [`ThreadedHopeEnv`] on shard threads.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -5,7 +5,7 @@
 //! the other's reply. The sequence-derived allocator makes aliasing
 //! impossible, and these tests pin the observable contract: many
 //! overlapping calls all pair with their own replies, including over the
-//! reliable sublayer where dependency tags ride the delta codec.
+//! reliable sublayer, where each dependency tag travels in full.
 
 use std::sync::{Arc, Mutex};
 

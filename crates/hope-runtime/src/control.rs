@@ -5,8 +5,8 @@
 //! attached to each user process for processing". A [`ControlHandler`]
 //! registered at [`SimRuntime::spawn_threaded`](crate::SimRuntime::spawn_threaded)
 //! plays that role: every [`HopeMessage`] addressed to the process is routed
-//! to the handler (on the scheduler, never blocking the user thread), and
-//! the handler may send further messages and wake the process if it is
+//! to the handler (on the thread that runs the process, between its turns),
+//! and the handler may send further messages and wake the process if it is
 //! blocked in `receive` (so a rollback can interrupt it).
 
 use hope_types::{HopeMessage, Payload, ProcessId, VirtualTime};

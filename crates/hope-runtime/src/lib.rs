@@ -11,7 +11,8 @@
 //!   ([`SimRuntime::spawn_threaded`]); the scheduler and the running process
 //!   switch stacks in strict turns, so execution is fully deterministic for
 //!   a given seed. A stack is reused by the next process once its process
-//!   exits.
+//!   exits. [`ThreadedRuntime`] runs them the same way on N wall-clock
+//!   shard threads, each process on the shard that runs its `Control`.
 //! * **AID processes** are lightweight event-driven [`Actor`]s — they are
 //!   pure message-driven state machines in the paper, so they need no stack.
 //! * **HOPE protocol messages** addressed to a threaded process are routed
@@ -92,8 +93,9 @@ pub use reliable::{
     AckOutcome, AckPlan, CopyKind, LinkId, LinkRecord, Overdue, ReliableState, RttEstimator,
     ACK_EVERY, WALL_RTO_MAX_NANOS, WALL_RTO_MIN_NANOS,
 };
-pub use runtime::{ProcessStatus, RuntimeBuilder, SimRuntime};
+pub use runtime::{RuntimeBuilder, SimRuntime};
 pub use sched::{EventDesc, PendingEvent};
 pub use stats::{LinkStats, MessageStats, PartyKind, RunReport};
 pub use sysapi::{ProcessBody, Received, SysApi};
 pub use threaded::{ThreadedRuntime, ThreadedRuntimeBuilder};
+pub use threadproc::ProcessStatus;

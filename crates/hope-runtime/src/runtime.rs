@@ -1,13 +1,12 @@
 //! The deterministic virtual-time scheduler.
 
-use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::marker::PhantomData;
-use std::rc::Rc;
 use std::sync::Arc;
 
 use hope_types::{
-    Envelope, HopeError, Payload, ProcessId, TraceCollector, TraceEventKind, VirtualTime,
+    Envelope, HopeError, Payload, ProcessId, TraceCollector, TraceEventKind, VirtualDuration,
+    VirtualTime,
 };
 
 use crate::actor::Actor;
@@ -21,23 +20,8 @@ use crate::node::{self, Host, Step, Target};
 use crate::reliable::{CopyKind, LinkId, ReliableState};
 use crate::sched::{self, PendingEvent};
 use crate::stats::{MessageStats, PartyKind, RunReport};
-use crate::sysapi::{ProcessBody, SysApi};
-use crate::threadproc::{self, Outgoing, Shared, SpawnKind, SpawnRequest, Worker, YieldMsg};
-
-/// Lifecycle state of a threaded process, as visible to tests and tools.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ProcessStatus {
-    /// Spawned but not yet started.
-    New,
-    /// Currently blocked in `receive`.
-    Blocked,
-    /// Parked waiting for a control wake (lingering speculative process).
-    Parked,
-    /// Waiting for a compute step to finish.
-    Sleeping,
-    /// Finished (normally or by panic).
-    Exited,
-}
+use crate::sysapi::SysApi;
+use crate::threadproc::{Proc, ProcessStatus, SpawnKind, SpawnRequest, Turns};
 
 enum ProcSlot {
     /// A garbage-collected actor, or a process slot whose contents
@@ -47,27 +31,10 @@ enum ProcSlot {
         name: String,
         actor: Box<dyn Actor>,
     },
-    Threaded(Box<ThreadedEntry>),
-}
-
-struct ThreadedEntry {
-    pid: ProcessId,
-    name: String,
-    shared: Rc<RefCell<Shared>>,
-    /// The body, until the first resume starts it on a stack.
-    body: Option<ProcessBody>,
-    /// The coroutine running the body, from the first resume until it exits.
-    worker: Option<Worker>,
-    control: Option<Box<dyn ControlHandler>>,
-    status: ProcessStatus,
-    blocked_channel: Option<u32>,
-}
-
-impl ThreadedEntry {
-    /// Blocked in `receive` or parked: a `Control` wake resumes it.
-    fn waiting(&self) -> bool {
-        matches!(self.status, ProcessStatus::Blocked | ProcessStatus::Parked)
-    }
+    Threaded {
+        name: String,
+        proc: Box<Proc>,
+    },
 }
 
 /// Configures a [`SimRuntime`] or a
@@ -340,15 +307,14 @@ impl SimRuntime {
     pub fn process_name(&self, pid: ProcessId) -> Option<&str> {
         match self.procs.get(pid.as_raw() as usize)? {
             ProcSlot::Vacant => None,
-            ProcSlot::Actor { name, .. } => Some(name),
-            ProcSlot::Threaded(entry) => Some(&entry.name),
+            ProcSlot::Actor { name, .. } | ProcSlot::Threaded { name, .. } => Some(name),
         }
     }
 
     /// Status of a threaded process (`None` for actors and unknown pids).
     pub fn status(&self, pid: ProcessId) -> Option<ProcessStatus> {
         match self.procs.get(pid.as_raw() as usize)? {
-            ProcSlot::Threaded(entry) => Some(entry.status),
+            ProcSlot::Threaded { proc, .. } => Some(proc.status),
             _ => None,
         }
     }
@@ -535,11 +501,11 @@ impl SimRuntime {
                     1u8.hash(&mut h);
                     actor.state_hash().hash(&mut h);
                 }
-                ProcSlot::Threaded(entry) => {
+                ProcSlot::Threaded { proc, .. } => {
                     2u8.hash(&mut h);
-                    entry.status.hash(&mut h);
-                    entry.blocked_channel.hash(&mut h);
-                    let shared = entry.shared.borrow();
+                    proc.status.hash(&mut h);
+                    proc.blocked_channel.hash(&mut h);
+                    let shared = proc.shared.borrow();
                     shared.mailbox.len().hash(&mut h);
                     for received in &shared.mailbox {
                         received.src.as_raw().hash(&mut h);
@@ -586,8 +552,11 @@ impl SimRuntime {
         let blocked = self
             .procs
             .iter()
-            .filter_map(|slot| match slot {
-                ProcSlot::Threaded(e) if e.waiting() => Some((e.pid, e.name.clone())),
+            .enumerate()
+            .filter_map(|(idx, slot)| match slot {
+                ProcSlot::Threaded { name, proc } if proc.waiting() => {
+                    Some((ProcessId::from_raw(idx as u64), name.clone()))
+                }
                 _ => None,
             })
             .collect();
@@ -619,17 +588,11 @@ impl SimRuntime {
                 });
             }
             SpawnKind::Threaded { control, body } => {
-                // No thread yet: the first resume hands the body to one.
-                self.procs.push(ProcSlot::Threaded(Box::new(ThreadedEntry {
-                    pid,
+                // No stack yet: the first resume gives the body one.
+                self.procs.push(ProcSlot::Threaded {
                     name: req.name,
-                    shared: Shared::new(),
-                    body: Some(body),
-                    worker: None,
-                    control,
-                    status: ProcessStatus::New,
-                    blocked_channel: None,
-                })));
+                    proc: Box::new(Proc::new(pid, control, body, self.seed, None)),
+                });
                 // Kick the process off at the current virtual time.
                 self.wire.queue.push(self.wire.clock, EventKind::Wake(pid));
             }
@@ -649,8 +612,8 @@ impl SimRuntime {
         if let Some(rel) = self.wire.rel.as_mut() {
             rel.on_crash(pid);
         }
-        if let Some(ProcSlot::Threaded(entry)) = self.procs.get_mut(pid.as_raw() as usize) {
-            node::crash(pid, now, entry.control.as_mut());
+        if let Some(ProcSlot::Threaded { proc, .. }) = self.procs.get_mut(pid.as_raw() as usize) {
+            node::crash(pid, now, proc.control.as_mut());
         }
     }
 
@@ -660,8 +623,8 @@ impl SimRuntime {
         }
         let now = self.wire.clock;
         self.wire.tracer.record(pid, now, TraceEventKind::Restart);
-        if let Some(ProcSlot::Threaded(entry)) = self.procs.get_mut(pid.as_raw() as usize) {
-            if node::restart(&mut self.wire, pid, entry.control.as_mut()) && entry.waiting() {
+        if let Some(ProcSlot::Threaded { proc, .. }) = self.procs.get_mut(pid.as_raw() as usize) {
+            if node::restart(&mut self.wire, pid, proc.control.as_mut()) && proc.waiting() {
                 self.run_threaded(pid);
             }
         }
@@ -670,8 +633,7 @@ impl SimRuntime {
     fn wake(&mut self, pid: ProcessId) {
         let runnable = matches!(
             self.procs.get(pid.as_raw() as usize),
-            Some(ProcSlot::Threaded(e))
-                if e.status == ProcessStatus::New || e.status == ProcessStatus::Sleeping
+            Some(ProcSlot::Threaded { proc, .. }) if proc.runnable()
         );
         if runnable {
             self.run_threaded(pid);
@@ -701,8 +663,8 @@ impl SimRuntime {
         let target = match &mut self.procs[idx] {
             ProcSlot::Vacant => Target::Gone,
             ProcSlot::Actor { actor, .. } => Target::Actor(&mut **actor),
-            ProcSlot::Threaded(entry) => {
-                let control = &mut entry.control;
+            ProcSlot::Threaded { proc, .. } => {
+                let control = &mut proc.control;
                 Target::Process(move || control)
             }
         };
@@ -713,86 +675,71 @@ impl SimRuntime {
                 self.procs[idx] = ProcSlot::Vacant;
                 self.collected += 1;
             }
-            // A process runs only when what arrived is what it waits for;
-            // the threaded runtime rings instead and lets it re-check.
+            // A process runs only when what arrived is what it waits for.
             Step::Mail(mail) => {
-                if let ProcSlot::Threaded(entry) = &mut self.procs[idx] {
-                    let wanted = entry.status == ProcessStatus::Blocked
-                        && entry.blocked_channel.is_none_or(|c| c == mail.msg.channel);
-                    entry.shared.borrow_mut().mailbox.push_back(mail);
-                    if wanted {
+                if let ProcSlot::Threaded { proc, .. } = &mut self.procs[idx] {
+                    if proc.mail(mail) {
                         self.run_threaded(pid);
                     }
                 }
             }
             Step::Wake => {
-                if matches!(&self.procs[idx], ProcSlot::Threaded(e) if e.waiting()) {
+                if matches!(&self.procs[idx], ProcSlot::Threaded { proc, .. } if proc.waiting()) {
                     self.run_threaded(pid);
                 }
             }
         }
     }
 
-    /// Gives a threaded process one turn and carries out what it did.
+    /// Gives a threaded process one turn (`Proc::turn`).
     fn run_threaded(&mut self, pid: ProcessId) {
         let idx = pid.as_raw() as usize;
-        let ProcSlot::Threaded(mut entry) =
+        // Out of its slot for the turn: the turn's spawns register.
+        let ProcSlot::Threaded { name, mut proc } =
             std::mem::replace(&mut self.procs[idx], ProcSlot::Vacant)
         else {
             unreachable!("only a threaded process takes turns")
         };
-        if let Some(body) = entry.body.take() {
-            let stack = self.idle.pop().unwrap_or_else(|| {
-                self.stacks_mapped += 1;
-                Stack::new()
-            });
-            let shared = entry.shared.clone();
-            entry.worker = Some(threadproc::start(stack, pid, shared, body, self.seed));
-        }
         {
-            // The turn's spawns number themselves from the next free slot:
-            // nothing else registers a process before they are drained.
-            let mut shared = entry.shared.borrow_mut();
+            // The turn runs at the clock's instant, and its spawns number
+            // themselves from the next free slot: nothing else registers
+            // a process before they are drained.
+            let mut shared = proc.shared.borrow_mut();
             shared.now = self.wire.clock;
             shared.next_pid = self.procs.len() as u64;
         }
         self.turns += 1;
-        let msg = entry.worker.as_mut().and_then(Worker::resume);
-        // However the turn ended, its sends and spawns happen now, in call
-        // order: a child's pid is already in its spawner's hands.
-        let out = std::mem::take(&mut entry.shared.borrow_mut().outbox);
-        for item in out {
-            match item {
-                Outgoing::Send(dst, payload) => self.wire.send(pid, dst, payload),
-                Outgoing::Spawn(child, req) => assert_eq!(self.register(req), child),
-            }
-        }
-        match msg {
-            Some(YieldMsg::Blocked { channel }) => {
-                entry.status = ProcessStatus::Blocked;
-                entry.blocked_channel = channel;
-            }
-            Some(YieldMsg::Park) => entry.status = ProcessStatus::Parked,
-            Some(YieldMsg::Compute { dur }) => {
-                entry.status = ProcessStatus::Sleeping;
-                self.wire
-                    .queue
-                    .push(self.wire.clock + dur, EventKind::Wake(pid));
-            }
-            Some(YieldMsg::Exited { panic }) => {
-                entry.status = ProcessStatus::Exited;
-                if let Some(msg) = panic {
-                    self.panics.push((pid, msg));
-                }
-                self.idle
-                    .extend(entry.worker.take().map(Worker::into_stack));
-            }
-            None => {
-                entry.status = ProcessStatus::Exited;
-                entry.worker = None;
-            }
-        }
-        self.procs[idx] = ProcSlot::Threaded(entry);
+        proc.turn(self);
+        self.procs[idx] = ProcSlot::Threaded { name, proc };
+    }
+}
+
+/// The simulator's side of a turn: a compute step is a `Wake` event.
+impl Turns for SimRuntime {
+    fn stack(&mut self) -> Stack {
+        self.idle.pop().unwrap_or_else(|| {
+            self.stacks_mapped += 1;
+            Stack::new()
+        })
+    }
+
+    fn send(&mut self, src: ProcessId, dst: ProcessId, payload: Payload) {
+        self.wire.send(src, dst, payload);
+    }
+
+    fn spawn(&mut self, pid: ProcessId, req: SpawnRequest) {
+        assert_eq!(self.register(req), pid);
+    }
+
+    fn sleep(&mut self, pid: ProcessId, dur: VirtualDuration) {
+        self.wire
+            .queue
+            .push(self.wire.clock + dur, EventKind::Wake(pid));
+    }
+
+    fn exited(&mut self, pid: ProcessId, panic: Option<String>, stack: Option<Stack>) {
+        self.panics.extend(panic.map(|msg| (pid, msg)));
+        self.idle.extend(stack);
     }
 }
 

@@ -1,6 +1,6 @@
 //! Shared primitives of the sharded threaded transport (DESIGN.md §10):
-//! the doorbell that parks and wakes a shard or a process without
-//! putting locks on the sender's fast path, and the version-validated
+//! the doorbell that parks and wakes a shard without putting locks on
+//! the sender's fast path, and the version-validated
 //! read-mostly table that lets every delivery consult the routing state
 //! for the price of one relaxed atomic load.
 
@@ -12,11 +12,11 @@ use parking_lot::{Condvar, Mutex};
 
 use hope_types::ProcessId;
 
-/// Routes a destination process to its owning shard. All deliveries to a
-/// pid — equivalently, all links whose `LinkId.1` is that pid — are
-/// handled by one shard, which is what makes the shard the *single*
-/// producer of the destination's mailbox ring and preserves per-link
-/// FIFO without any cross-shard coordination.
+/// Routes a process to its owning shard. The process runs there, and all
+/// deliveries to its pid — equivalently, all links whose `LinkId.1` is
+/// that pid — are handled there, which makes the shard the only one to
+/// touch the process's mailbox and preserves per-link FIFO without any
+/// cross-shard coordination.
 pub(crate) fn shard_of(pid: ProcessId, shards: usize) -> usize {
     (pid.as_raw() % shards.max(1) as u64) as usize
 }

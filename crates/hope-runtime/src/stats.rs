@@ -323,8 +323,8 @@ pub struct RunReport {
     pub hit_event_limit: bool,
     /// Scheduler → process resumes so far: the turns threaded processes
     /// took on [`SimRuntime`](crate::SimRuntime). The
-    /// [`ThreadedRuntime`](crate::ThreadedRuntime) takes none and reports
-    /// zero.
+    /// [`ThreadedRuntime`](crate::ThreadedRuntime) does not count its
+    /// shards' turns and reports zero.
     pub turns: u64,
 }
 

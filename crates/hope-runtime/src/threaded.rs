@@ -1,48 +1,46 @@
-//! The wall-clock threaded runtime: real OS threads, real sleeps, real
-//! concurrency — with a sharded, wait-free transport (DESIGN.md §10).
+//! The wall-clock threaded runtime: N shard threads, real latency, real
+//! parallelism across shards, and a wait-free transport between them
+//! (DESIGN.md §10).
 //!
 //! Where [`SimRuntime`](crate::SimRuntime) sequences everything for
-//! determinism and virtual time, `ThreadedRuntime` runs every user process
-//! on its own preemptively scheduled thread and delivers messages through
-//! N *delivery shards* that impose the configured network latency in
-//! *wall time*. The same [`SysApi`] / [`ControlHandler`] / [`Actor`]
-//! contracts apply, so `hope-core`'s entire algorithm — primitives,
-//! Control, replay-based rollback — runs unmodified under genuine
-//! parallelism.
+//! determinism and virtual time, `ThreadedRuntime` runs N *shards*, one OS
+//! thread each, and imposes network latency in *wall time*. A process
+//! belongs to shard `pid % N`, which runs its deliveries, its `Control`
+//! and, as a coroutine (`threadproc.rs`), its body: body and `Control`
+//! take turns on one thread, as HOPElib and its process do in the paper.
+//! The same [`SysApi`] / [`ControlHandler`] / [`Actor`] contracts apply,
+//! so `hope-core`'s algorithm runs unmodified.
 //!
-//! # Transport layout
+//! Work items — deliveries, link timers, process wakes, crash/restart
+//! events — go to the *destination's* shard, which owns a timer heap, its
+//! processes, their crash windows and a cached snapshot of the
+//! version-validated routing table, and runs each due delivery through the
+//! dispatch step both runtimes share (`node.rs`). A shard sends through
+//! its `Lane`: one lazily created SPSC ring to each other shard
+//! ([`spsc`](crate::spsc)), its own latency and fault models and its own
+//! `MessageStats`, merged at report time. The reliable sublayer is striped
+//! by link.
 //!
-//! No hot-path lock can contend (DESIGN.md §10 has the whole story).
-//! Work items — deliveries, link timers, crash/restart events — go to the
-//! *destination's* shard (`pid % N`), which owns a timer heap, its
-//! processes' crash windows and a cached snapshot of the version-validated
-//! routing table, and runs each due delivery through the dispatch step
-//! both runtimes share (`node.rs`). Every sending thread owns a `Lane`:
-//! one lazily created SPSC ring per shard ([`spsc`](crate::spsc)), its own
-//! latency and fault models and its own `MessageStats`, merged at report
-//! time, so a send is a ring push and a doorbell. A process's mailbox is an
-//! SPSC ring whose one producer is its shard, with a FIFO spill queue for
-//! overflow. The reliable sublayer is striped by link, and a panic lands
-//! in its process's own slot.
-//!
-//! Use the simulator for experiments and reproducibility; use this
-//! runtime to validate that nothing depends on the simulator's
-//! cooperative scheduling — and, since the sharding, to measure how the
-//! protocol scales with cores.
+//! Within a shard there is no preemption: a body that blocks outside
+//! [`SysApi`] (a `std` sleep or channel, a spin on an atomic) stalls its
+//! shard's other processes and timers. Use the simulator for experiments
+//! and reproducibility; use this runtime to check that outcomes depend on
+//! neither virtual time nor one thread (they are the same at every shard
+//! count and match the simulator) and to measure the protocol on real
+//! threads.
 
 use std::collections::{BTreeSet, BinaryHeap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use parking_lot::{Mutex, MutexGuard};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 use hope_types::{Envelope, Payload, ProcessId, TraceEventKind, VirtualDuration, VirtualTime};
 
 use crate::actor::Actor;
 use crate::control::ControlHandler;
+use crate::coro::Stack;
 use crate::event::Timed;
 use crate::fault::{FaultModel, FaultPlan};
 use crate::link::{state_link, Link, LinkWork, Outbound, StatsSink};
@@ -53,7 +51,8 @@ use crate::runtime::RuntimeBuilder;
 use crate::shard::{shard_of, Doorbell, TableReader, VersionedTable};
 use crate::spsc;
 use crate::stats::{MessageStats, PartyKind, RunReport};
-use crate::sysapi::{mailbox_position, Received, SysApi};
+use crate::sysapi::{ProcessBody, SysApi};
+use crate::threadproc::{Live, Proc, SpawnKind, SpawnRequest, Turns};
 
 /// Lock stripes for the reliable sublayer. All state for one link lives
 /// in one stripe, so per-link operations contend only with links that
@@ -65,13 +64,8 @@ const REL_STRIPES: usize = 16;
 /// runtime's capacity.
 const INGRESS_RING_CAPACITY: usize = 1024;
 
-/// Slots per process mailbox ring. Ring-full deliveries spill to the
-/// process's FIFO spill queue, so this bounds the wait-free path, not
-/// the mailbox.
-const MAILBOX_CAPACITY: usize = 1024;
-
-/// Park-time backstop: shards and processes never sleep longer than this
-/// without re-checking the world, mirroring the old dispatcher cadence.
+/// Park-time backstop: a shard never sleeps longer than this without
+/// re-checking the world.
 const PARK_BACKSTOP: Duration = Duration::from_millis(5);
 
 /// What a scheduled shard work item does when it comes due.
@@ -82,88 +76,33 @@ enum Work {
     Crash(ProcessId),
     /// Bring a crashed process back up and run its recovery hook.
     Restart(ProcessId),
+    /// A new process's first turn, or the end of its compute step.
+    Wake(ProcessId),
 }
 
 /// A shard work item scheduled for a wall-clock instant; `tie` is the
 /// runtime-global schedule counter (`Inner::seq`).
 type Scheduled = Timed<Instant, Work>;
 
-/// Per-threaded-process shared state.
-struct ProcShared {
-    /// Producer end of the mailbox ring. Only the one shard that owns
-    /// this pid ever pushes, so the mutex is uncontended by construction
-    /// — it exists to satisfy the borrow checker, not to serialize.
-    inbox: Mutex<spsc::Producer<Received>>,
-    /// FIFO overflow for a full ring. Once `spilled` is set the producer
-    /// keeps appending here (so order is preserved) until the consumer
-    /// drains the queue and clears the flag under the same lock.
-    spill: Mutex<VecDeque<Received>>,
-    spilled: AtomicBool,
-    bell: Doorbell,
-    /// Set by control handlers requesting a wake; consumed by waiters.
-    control_poke: AtomicBool,
-    /// True while the process is blocked in receive/park (for quiescence).
-    idle: AtomicBool,
-    /// True once the process body returned.
-    done: AtomicBool,
-    /// The process's panic message, if its body panicked. Per-process so
-    /// one panic can never poison or contend a runtime-global lock.
-    panic: Mutex<Option<String>>,
-    name: String,
-}
-
-impl ProcShared {
-    /// Appends one message, ring first, spill on overflow. Called only by
-    /// the owning shard (the mailbox's single producer).
-    fn push_mail(&self, item: Received) {
-        if self.spilled.load(Ordering::Acquire) {
-            let mut spill = self.spill.lock();
-            // Re-check under the lock: the consumer may have drained the
-            // spill (and cleared the flag) while we acquired it.
-            if self.spilled.load(Ordering::Acquire) {
-                spill.push_back(item);
-                return;
-            }
-        }
-        let item = {
-            let mut inbox = self.inbox.lock();
-            match inbox.push(item) {
-                Ok(()) => return,
-                Err(item) => item,
-            }
-        };
-        let mut spill = self.spill.lock();
-        spill.push_back(item);
-        self.spilled.store(true, Ordering::Release);
-    }
-
-    /// Rings the process after mail was pushed or a poke was set. It now
-    /// has work it has not seen, so it stops counting as idle here, on the
-    /// shard, before the batch's `in_flight` decrement: its own thread
-    /// clears the flag only once it is scheduled again, and a quiescence
-    /// sample landing in between would find nothing in flight and
-    /// everyone idle in the middle of a run.
-    fn rouse(&self) {
-        self.idle.store(false, Ordering::Release);
-        self.bell.notify();
-    }
-
-    /// Carries out a `Control` wake: the process's thread re-checks its
-    /// interrupt predicate, whatever it was doing.
-    fn poke(&self) {
-        self.control_poke.store(true, Ordering::Release);
-        self.rouse();
-    }
+/// What a new process's shard takes from its slot at the process's first
+/// work item.
+struct Handover {
+    control: Option<Box<dyn ControlHandler>>,
+    body: ProcessBody,
 }
 
 enum Slot {
     /// A garbage-collected actor: deliveries are dropped.
     Gone,
     Actor(Mutex<Box<dyn Actor>>),
+    /// A user process, run by its shard; the slot keeps what the report
+    /// reads.
     Threaded {
-        shared: Arc<ProcShared>,
-        control: Mutex<Option<Box<dyn ControlHandler>>>,
-        join: Mutex<Option<std::thread::JoinHandle<()>>>,
+        name: String,
+        /// The body and `Control`, until the shard takes them over.
+        handover: Mutex<Option<Handover>>,
+        /// Set once the body is gone: its panic message, if it unwound.
+        exit: OnceLock<Option<String>>,
     },
     /// An egress seam to another runtime: deliveries addressed to this
     /// pid are handed to the sink (e.g. a [`crate::NetTransport`] link to
@@ -172,31 +111,35 @@ enum Slot {
     Gateway(Box<dyn Fn(Envelope) + Send + Sync>),
 }
 
-/// The cross-thread face of one delivery shard: where lanes register
-/// their ingress rings and park/overflow when a ring is full.
+/// The cross-thread face of one shard: where lanes register their
+/// ingress rings and park/overflow when a ring is full.
 #[derive(Default)]
 struct ShardHandle {
     /// Consumers registered by lanes, collected by the shard thread.
     ingress: Mutex<Vec<spsc::Consumer<Scheduled>>>,
     /// Bumped on each registration so the shard knows to collect.
     epoch: AtomicU64,
-    /// Cold-path queue: ring-full overflow and pre-shard scheduling.
+    /// Cold-path queue: ring-full overflow and sends from other threads.
     overflow: Mutex<VecDeque<Scheduled>>,
     overflowed: AtomicBool,
     bell: Doorbell,
-    join: Mutex<Option<std::thread::JoinHandle<()>>>,
+    /// The shard's share of the runtime statistics, merged at report
+    /// time; the lock is effectively uncontended (the shard writes,
+    /// reports read rarely).
+    stats: Arc<Mutex<MessageStats>>,
 }
 
-/// One sending thread's private view of the transport: its ingress rings
-/// (one per shard, created on first use), its own seeded latency and
-/// fault models, and its own statistics sink.
+/// One shard's sending side of the transport: its ingress rings (one per
+/// other shard, created on first use), its own seeded latency and fault
+/// models, and its statistics sink.
 struct Lane {
+    /// The index of the shard that owns the lane.
+    own: usize,
+    /// What the shard queues for itself, until its next collect.
+    mine: Vec<Scheduled>,
     rings: Vec<Option<spsc::Producer<Scheduled>>>,
     latency: Box<dyn LatencyModel>,
     fault: Option<FaultModel>,
-    /// This lane's share of the runtime statistics. The `Arc` is also
-    /// registered with the runtime for report-time merging; the lock is
-    /// effectively uncontended (the owner writes, reports read rarely).
     stats: Arc<Mutex<MessageStats>>,
     /// The buffer every link-pipeline step on this lane reports its work
     /// in, kept so a step allocates nothing.
@@ -218,8 +161,13 @@ impl StatsSink for LaneStats<'_> {
 
 impl Lane {
     /// Hands one work item to shard `ix`: wait-free ring push on the fast
-    /// path, mutex overflow when the ring is full, then the doorbell.
+    /// path, mutex overflow when the ring is full, then the doorbell. Work
+    /// for the lane's own shard takes no ring.
     fn push(&mut self, shards: &[Arc<ShardHandle>], ix: usize, item: Scheduled) {
+        if ix == self.own {
+            self.mine.push(item);
+            return;
+        }
         let shard = &shards[ix];
         let slot = &mut self.rings[ix];
         if slot.is_none() {
@@ -233,7 +181,7 @@ impl Lane {
             Err(item) => {
                 // Order across the two paths is restored by the shard's
                 // (due, seq) heap; the shard drains the overflow queue
-                // before the rings each cycle (see shard_main) so an
+                // before the rings each cycle (see `Shard::collect`) so an
                 // overflow item and its ring-bound predecessors always
                 // land in the same batch.
                 let mut q = shard.overflow.lock();
@@ -245,22 +193,13 @@ impl Lane {
     }
 }
 
-/// A shard thread's private state.
-struct ShardCtx {
-    lane: Lane,
-    reader: TableReader<Arc<Slot>>,
-    /// The pids this shard owns that are crashed. Shard-local, so the
-    /// hot-path down-check costs nothing.
-    down: BTreeSet<u64>,
-}
-
 struct Inner {
     procs: VersionedTable<Arc<Slot>>,
     shards: Vec<Arc<ShardHandle>>,
     in_flight: AtomicU64,
+    /// Rung when `in_flight` drops to zero.
+    settled: Doorbell,
     seq: AtomicU64,
-    lane_ids: AtomicU64,
-    lane_stats: Mutex<Vec<Arc<Mutex<MessageStats>>>>,
     /// Template cloned into each lane's latency model.
     network: NetworkConfig,
     /// Template cloned into each lane's fault model (when faults are on).
@@ -275,13 +214,11 @@ struct Inner {
     /// Causal-trace collector for wire events (disabled unless enabled by
     /// the owner; recording is a single atomic load when off).
     tracer: Arc<hope_types::TraceCollector>,
+    /// Coroutine stacks the shards have mapped so far.
+    stacks_mapped: AtomicUsize,
 }
 
 impl Inner {
-    fn now(&self) -> VirtualTime {
-        self.virt(Instant::now())
-    }
-
     /// `at` on the runtime's virtual axis: nanoseconds since start.
     fn virt(&self, at: Instant) -> VirtualTime {
         let since = at.saturating_duration_since(self.start);
@@ -300,13 +237,9 @@ impl Inner {
         })
     }
 
-    /// Creates a lane for one sending thread and registers its stats sink
-    /// for report-time merging.
-    fn new_lane(&self) -> Lane {
-        let id = self.lane_ids.fetch_add(1, Ordering::Relaxed);
-        let mix = id.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        let stats = Arc::new(Mutex::new(MessageStats::new()));
-        self.lane_stats.lock().push(stats.clone());
+    /// Shard `ix`'s lane, seeded by its index.
+    fn new_lane(&self, ix: usize) -> Lane {
+        let mix = (ix as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
         let fault = self.fault_plan.clone().map(|plan| {
             // Decorrelate the per-lane fate streams even when the plan
             // pinned its own seed, keeping the configured rates.
@@ -314,10 +247,12 @@ impl Inner {
             plan.seed(base ^ mix).into_model(self.seed)
         });
         Lane {
+            own: ix,
+            mine: Vec::new(),
             rings: (0..self.shards.len()).map(|_| None).collect(),
             latency: self.network.clone().into_model(self.seed ^ mix),
             fault,
-            stats,
+            stats: self.shards[ix].stats.clone(),
             outbound: Outbound::new(),
         }
     }
@@ -329,20 +264,33 @@ impl Inner {
             Work::Link(LinkWork::Retransmit { link } | LinkWork::AckDue { link }) => {
                 shard_of(link.1, n)
             }
-            Work::Crash(pid) | Work::Restart(pid) => shard_of(*pid, n),
+            Work::Crash(pid) | Work::Restart(pid) | Work::Wake(pid) => shard_of(*pid, n),
+        }
+    }
+
+    /// `work` as a queued item due at `time`. `in_flight` counts every
+    /// queued item (deliveries, timers, starts and wakes), so quiescence
+    /// waits for the reliable sublayer to settle and for every process's
+    /// next turn.
+    fn queued(&self, time: Instant, work: Work) -> Scheduled {
+        self.in_flight.fetch_add(1, Ordering::AcqRel);
+        let tie = self.seq.fetch_add(1, Ordering::Relaxed);
+        Scheduled { time, tie, work }
+    }
+
+    /// `n` queued items are done.
+    fn done(&self, n: u64) {
+        if self.in_flight.fetch_sub(n, Ordering::AcqRel) == n {
+            self.settled.notify();
         }
     }
 
     /// Hands one work item to its owning shard, through `lane` or, for
     /// a thread that never sends in volume (the builder arming crash
-    /// timers, `inject`), straight to the overflow queue. `in_flight`
-    /// counts every queued item (deliveries *and* timers) so quiescence
-    /// waits for the reliable sublayer to settle.
+    /// timers, spawns, `inject`), straight to the overflow queue.
     fn schedule(&self, lane: Option<&mut Lane>, time: Instant, work: Work) {
-        self.in_flight.fetch_add(1, Ordering::AcqRel);
-        let tie = self.seq.fetch_add(1, Ordering::Relaxed);
         let ix = self.shard_for(&work);
-        let item = Scheduled { time, tie, work };
+        let item = self.queued(time, work);
         match lane {
             Some(lane) => lane.push(&self.shards, ix, item),
             None => {
@@ -401,101 +349,20 @@ impl Inner {
         });
     }
 
-    /// Shard-side delivery of one envelope that was due at `due`.
-    fn deliver(&self, sctx: &mut ShardCtx, due: Instant, envelope: Envelope, copy: CopyKind) {
-        // The crash window lives on this shard (the destination's owner),
-        // so the down check is a local map lookup; one version-validated
-        // table read covers routing and Table 1 party classification for
-        // both endpoints.
-        let pid = envelope.dst;
-        let down = sctx.down.contains(&pid.as_raw());
-        let procs = sctx.reader.get(&self.procs);
-        let party = |pid: ProcessId| match procs.get(pid.as_raw() as usize).map(Arc::as_ref) {
-            Some(Slot::Actor(_)) => PartyKind::Aid,
-            _ => PartyKind::User,
-        };
-        let slot = procs.get(pid.as_raw() as usize);
-        let route = slot.map(|_| (party(envelope.src), party(pid)));
-        let deliver = self.step(&mut sctx.lane, state_link(&envelope), due, |link, out| {
-            link.arrive(&envelope, copy, down, route, out)
-        });
-        let (true, Some(slot)) = (deliver, slot) else {
-            return;
-        };
-        let mut held; // the actor's lock, for its step
-        let target = match slot.as_ref() {
-            Slot::Gone => Target::Gone,
-            Slot::Actor(actor) => {
-                held = actor.lock();
-                Target::Actor(&mut **held)
-            }
-            Slot::Threaded { control, .. } => Target::Process(|| control.lock()),
-            Slot::Gateway(sink) => Target::Gateway(&**sink),
-        };
-        let step = node::deliver(&mut (self, &mut sctx.lane), target, envelope);
-        match (step, slot.as_ref()) {
-            (Step::Dropped, _) => sctx.lane.stats.lock().record_dropped(),
-            (Step::Stop, _) => self.procs.update(|procs| {
-                procs[pid.as_raw() as usize] = Arc::new(Slot::Gone);
-            }),
-            (Step::Mail(mail), Slot::Threaded { shared, .. }) => {
-                shared.push_mail(mail);
-                shared.rouse();
-            }
-            (Step::Wake, Slot::Threaded { shared, .. }) => shared.poke(),
-            _ => {}
-        }
-    }
-
-    /// Fault injection: take `pid` down until its restart. Runs on the
-    /// shard that owns `pid`, which also performs all its deliveries, so
-    /// the down window needs no synchronization.
-    fn crash(&self, sctx: &mut ShardCtx, pid: ProcessId) {
-        if !sctx.down.insert(pid.as_raw()) {
-            return; // overlapping crash windows merge
-        }
-        let now = self.now();
-        self.tracer.record(pid, now, TraceEventKind::Crash);
-        // Link layer: drop only genuinely-volatile state (RTT estimates,
-        // tag-codec state); dedup windows and retransmit buffers survive.
-        // A crash touches links in any stripe, so visit them all (cold
-        // path; stripes are locked one at a time, never nested).
-        if let Some(stripes) = self.rel.as_ref() {
-            for stripe in stripes {
-                stripe.lock().on_crash(pid);
-            }
-        }
-        let procs = sctx.reader.get(&self.procs);
-        if let Some(Slot::Threaded { control, .. }) =
-            procs.get(pid.as_raw() as usize).map(Arc::as_ref)
-        {
-            node::crash(pid, now, control.lock().as_mut());
-        }
-    }
-
-    /// Fault injection: bring `pid` back up and run its recovery hook.
-    fn restart(&self, sctx: &mut ShardCtx, pid: ProcessId) {
-        if !sctx.down.remove(&pid.as_raw()) {
-            return;
-        }
-        self.tracer.record(pid, self.now(), TraceEventKind::Restart);
-        let procs = sctx.reader.get(&self.procs);
-        if let Some(Slot::Threaded {
-            shared, control, ..
-        }) = procs.get(pid.as_raw() as usize).map(Arc::as_ref)
-        {
-            if node::restart(&mut (self, &mut sctx.lane), pid, control.lock().as_mut()) {
-                shared.poke();
-            }
-        }
+    /// Gives `slot` the next pid.
+    fn register(&self, slot: Slot) -> ProcessId {
+        self.procs.update(move |procs| {
+            procs.push(Arc::new(slot));
+            ProcessId::from_raw(procs.len() as u64 - 1)
+        })
     }
 
     /// Merges every lane's statistics and recomputes the reliable-layer
     /// aggregate (mean SRTT) from the stripes, which own the truth.
     fn merged_stats(&self) -> MessageStats {
         let mut total = MessageStats::new();
-        for lane in self.lane_stats.lock().iter() {
-            total.merge(&lane.lock());
+        for shard in &self.shards {
+            total.merge(&shard.stats.lock());
         }
         if let Some(stripes) = self.rel.as_ref() {
             let (mut sum, mut links) = (0u64, 0u64);
@@ -512,16 +379,51 @@ impl Inner {
     }
 }
 
-/// A shard thread's end of its ingress: the rings lanes registered with
-/// it so far.
-struct Ingress {
+/// One shard thread's state: the processes it runs, and what their turns
+/// and deliveries use.
+struct Shard {
+    inner: Arc<Inner>,
+    handle: Arc<ShardHandle>,
+    lane: Lane,
+    reader: TableReader<Arc<Slot>>,
+    /// The pids this shard owns that are crashed. Shard-local, so the
+    /// hot-path down-check costs nothing.
+    down: BTreeSet<u64>,
+    /// Collected work, in (due, tie) order.
+    heap: BinaryHeap<Scheduled>,
+    /// The shard's end of its ingress: the rings lanes registered with it
+    /// so far.
     rings: Vec<spsc::Consumer<Scheduled>>,
     epoch_seen: u64,
     batch: Vec<Scheduled>,
+    /// The processes this shard has taken over, at `pid / shards`.
+    procs: Vec<Option<Box<Proc>>>,
+    /// Those due a turn at the end of the batch, in the order they became
+    /// due.
+    ready: Vec<usize>,
+    /// Stacks whose process exited, ready for the next first turn.
+    idle: Vec<Stack>,
 }
 
-impl Ingress {
-    /// Moves everything queued for the shard into `heap`; returns how
+impl Shard {
+    fn new(inner: Arc<Inner>, ix: usize, lane: Lane) -> Shard {
+        Shard {
+            handle: inner.shards[ix].clone(),
+            inner,
+            lane,
+            reader: TableReader::new(),
+            down: BTreeSet::new(),
+            heap: BinaryHeap::new(),
+            rings: Vec::new(),
+            epoch_seen: u64::MAX,
+            batch: Vec::new(),
+            procs: Vec::new(),
+            ready: Vec::new(),
+            idle: Vec::new(),
+        }
+    }
+
+    /// Moves everything queued for the shard into its heap; returns how
     /// much that was.
     ///
     /// Drains the overflow queue FIRST, then syncs and drains the ingress
@@ -529,8 +431,8 @@ impl Ingress {
     /// lane's ring was full of its predecessors, so the ring drain after it
     /// sees every one of them and the (due, seq) heap restores the order.
     /// Rings first races (DESIGN.md §10 "Ingress lanes").
-    fn collect(&mut self, handle: &ShardHandle, heap: &mut BinaryHeap<Scheduled>) -> usize {
-        self.batch.clear();
+    fn collect(&mut self) -> usize {
+        let handle = &self.handle;
         if handle.overflowed.load(Ordering::Acquire) {
             let mut q = handle.overflow.lock();
             self.batch.extend(q.drain(..));
@@ -544,102 +446,282 @@ impl Ingress {
         for ring in self.rings.iter_mut() {
             ring.drain_into(&mut self.batch);
         }
+        self.batch.append(&mut self.lane.mine);
         let drained = self.batch.len();
-        heap.extend(self.batch.drain(..));
+        self.heap.extend(self.batch.drain(..));
         drained
+    }
+
+    /// The main loop: collect ingress, order by due time, run what is due
+    /// in batches, park on the doorbell. Dropping the shard at shutdown
+    /// runs its suspended processes out.
+    fn run(mut self) {
+        let inner = self.inner.clone();
+        loop {
+            if inner.shutdown.load(Ordering::Acquire) {
+                // Drain without running anything and settle the count.
+                self.collect();
+                inner.done(self.heap.len() as u64);
+                return;
+            }
+            let drained = self.collect();
+            // Process everything due.
+            let mut processed = 0u64;
+            while let Some(next) = self.heap.peek() {
+                if next.time > Instant::now() {
+                    break;
+                }
+                let item = self.heap.pop().expect("peeked");
+                let link_timer = matches!(
+                    item.work,
+                    Work::Link(LinkWork::Retransmit { .. } | LinkWork::AckDue { .. })
+                );
+                // A link timer judges what has arrived by its due time, so
+                // everything due before it comes first, wherever it is
+                // queued: what this loop's own deliveries produced (the acks
+                // they were owed among it) is still in the shard's lane.
+                if link_timer && self.collect() > 0 {
+                    let earlier = |next: &Scheduled| (next.time, next.tie) < (item.time, item.tie);
+                    if self.heap.peek().is_some_and(earlier) {
+                        self.heap.push(item);
+                        continue;
+                    }
+                }
+                match item.work {
+                    Work::Link(LinkWork::Deliver { env, copy }) => {
+                        self.deliver(item.time, env, copy)
+                    }
+                    Work::Link(LinkWork::Retransmit { link }) => {
+                        let cap = inner.max_retransmits;
+                        inner.step(&mut self.lane, link, item.time, |l, out| {
+                            l.timer(link, cap, out)
+                        });
+                    }
+                    Work::Link(LinkWork::AckDue { link }) => {
+                        inner.step(&mut self.lane, link, item.time, |l, out| {
+                            l.ack_due(link, out)
+                        });
+                    }
+                    Work::Crash(pid) => self.crash(pid),
+                    Work::Restart(pid) => self.restart(pid),
+                    Work::Wake(pid) => {
+                        if let Some(at) = self.local(pid).filter(|&at| self.proc(at).runnable()) {
+                            self.ready(at);
+                        }
+                    }
+                }
+                processed += 1;
+            }
+            if processed > 0 {
+                self.turns();
+                inner.done(processed);
+            }
+            if processed > 0 || drained > 0 {
+                continue; // deliveries often chain; look again before parking
+            }
+            let wait = match self.heap.peek() {
+                Some(next) => next
+                    .time
+                    .saturating_duration_since(Instant::now())
+                    .min(PARK_BACKSTOP),
+                None => PARK_BACKSTOP,
+            };
+            let Shard {
+                handle,
+                rings,
+                epoch_seen,
+                ..
+            } = &mut self;
+            handle.bell.park_for(wait, || {
+                rings.iter_mut().any(|r| !r.is_empty())
+                    || handle.overflowed.load(Ordering::Acquire)
+                    || handle.epoch.load(Ordering::Acquire) != *epoch_seen
+                    || inner.shutdown.load(Ordering::Acquire)
+            });
+        }
+    }
+
+    /// Where `pid`'s process sits in `procs`, taking it over from its slot
+    /// at its first work item; `None` if `pid` is not a user process.
+    fn local(&mut self, pid: ProcessId) -> Option<usize> {
+        let at = pid.as_raw() as usize / self.inner.shards.len();
+        if self.procs.get(at).is_some_and(Option::is_some) {
+            return Some(at);
+        }
+        let slots = self.reader.get(&self.inner.procs);
+        let Some(Slot::Threaded { handover, .. }) =
+            slots.get(pid.as_raw() as usize).map(Arc::as_ref)
+        else {
+            return None;
+        };
+        let Handover { control, body } = handover.lock().take()?;
+        if self.procs.len() <= at {
+            self.procs.resize_with(at + 1, || None);
+        }
+        let live: Arc<dyn Live> = self.inner.clone();
+        let proc = Proc::new(pid, control, body, self.inner.seed, Some(live));
+        self.procs[at] = Some(Box::new(proc));
+        Some(at)
+    }
+
+    fn proc(&mut self, at: usize) -> &mut Proc {
+        self.procs[at].as_mut().expect("a taken-over process stays")
+    }
+
+    /// Gives the process at `at` a turn once the batch is worked off.
+    fn ready(&mut self, at: usize) {
+        if !self.ready.contains(&at) {
+            self.ready.push(at);
+        }
+    }
+
+    /// Gives every ready process its turn (`Proc::turn`), so each works
+    /// off all the mail the batch brought it in one.
+    fn turns(&mut self) {
+        let mut ready = std::mem::take(&mut self.ready);
+        for at in ready.drain(..) {
+            let mut proc = self.procs[at].take().expect("a taken-over process stays");
+            proc.turn(self);
+            self.procs[at] = Some(proc);
+        }
+        self.ready = ready;
+    }
+
+    /// Delivery of one envelope that was due at `due`.
+    fn deliver(&mut self, due: Instant, envelope: Envelope, copy: CopyKind) {
+        // The crash window lives on this shard (the destination's owner),
+        // so the down check is a local map lookup; one version-validated
+        // table read covers routing and Table 1 party classification for
+        // both endpoints.
+        let pid = envelope.dst;
+        let down = self.down.contains(&pid.as_raw());
+        let local = self.local(pid);
+        let slots = self.reader.get(&self.inner.procs);
+        let party = |pid: ProcessId| match slots.get(pid.as_raw() as usize).map(Arc::as_ref) {
+            Some(Slot::Actor(_)) => PartyKind::Aid,
+            _ => PartyKind::User,
+        };
+        let slot = slots.get(pid.as_raw() as usize);
+        let route = slot.map(|_| (party(envelope.src), party(pid)));
+        let deliver = self
+            .inner
+            .step(&mut self.lane, state_link(&envelope), due, |link, out| {
+                link.arrive(&envelope, copy, down, route, out)
+            });
+        let (true, Some(slot)) = (deliver, slot) else {
+            return;
+        };
+        let step = {
+            let mut held; // the actor's lock, for its step
+            let target = match slot.as_ref() {
+                Slot::Gone => Target::Gone,
+                Slot::Actor(actor) => {
+                    held = actor.lock();
+                    Target::Actor(&mut **held)
+                }
+                Slot::Threaded { .. } => {
+                    let at = local.expect("a user process is taken over at its first item");
+                    let control = &mut self.procs[at].as_mut().expect("taken over").control;
+                    Target::Process(move || control)
+                }
+                Slot::Gateway(sink) => Target::Gateway(&**sink),
+            };
+            node::deliver(&mut (&*self.inner, &mut self.lane), target, envelope)
+        };
+        match step {
+            Step::Done => {}
+            Step::Dropped => self.lane.stats.lock().record_dropped(),
+            Step::Stop => self.inner.procs.update(|procs| {
+                procs[pid.as_raw() as usize] = Arc::new(Slot::Gone);
+            }),
+            // A process runs only when what arrived is what it waits for.
+            Step::Mail(mail) => {
+                let at = local.expect("mail is for a user process");
+                if self.proc(at).mail(mail) {
+                    self.ready(at);
+                }
+            }
+            Step::Wake => {
+                let at = local.expect("a wake is for a user process");
+                if self.proc(at).waiting() {
+                    self.ready(at);
+                }
+            }
+        }
+    }
+
+    /// Fault injection: take `pid` down until its restart. Runs on the
+    /// shard that owns `pid`, which also performs all its deliveries, so
+    /// the down window needs no synchronization.
+    fn crash(&mut self, pid: ProcessId) {
+        if !self.down.insert(pid.as_raw()) {
+            return; // overlapping crash windows merge
+        }
+        let now = self.inner.now();
+        self.inner.tracer.record(pid, now, TraceEventKind::Crash);
+        // Link layer: drop only genuinely-volatile state (RTT estimates);
+        // dedup windows and retransmit buffers survive. A crash touches
+        // links in any stripe, so visit them all (cold path; stripes are
+        // locked one at a time, never nested).
+        if let Some(stripes) = self.inner.rel.as_ref() {
+            for stripe in stripes {
+                stripe.lock().on_crash(pid);
+            }
+        }
+        if let Some(at) = self.local(pid) {
+            node::crash(pid, now, self.proc(at).control.as_mut());
+        }
+    }
+
+    /// Fault injection: bring `pid` back up and run its recovery hook.
+    fn restart(&mut self, pid: ProcessId) {
+        if !self.down.remove(&pid.as_raw()) {
+            return;
+        }
+        self.inner
+            .tracer
+            .record(pid, self.inner.now(), TraceEventKind::Restart);
+        let Some(at) = self.local(pid) else {
+            return;
+        };
+        let proc = self.procs[at].as_mut().expect("taken over");
+        let host = &mut (&*self.inner, &mut self.lane);
+        if node::restart(host, pid, proc.control.as_mut()) && proc.waiting() {
+            self.ready(at);
+        }
     }
 }
 
-/// One delivery shard's main loop: collect ingress, order by due time,
-/// deliver in batches, park on the doorbell.
-fn shard_main(inner: Arc<Inner>, ix: usize) {
-    let handle = inner.shards[ix].clone();
-    let mut sctx = ShardCtx {
-        lane: inner.new_lane(),
-        reader: TableReader::new(),
-        down: BTreeSet::new(),
-    };
-    let mut ingress = Ingress {
-        rings: Vec::new(),
-        epoch_seen: u64::MAX,
-        batch: Vec::new(),
-    };
-    let mut heap: BinaryHeap<Scheduled> = BinaryHeap::new();
-    loop {
-        if inner.shutdown.load(Ordering::Acquire) {
-            // Drain without delivering and settle the in-flight count.
-            ingress.collect(&handle, &mut heap);
-            inner
-                .in_flight
-                .fetch_sub(heap.len() as u64, Ordering::AcqRel);
-            return;
+/// A shard's side of a turn: a body's sends leave through the shard's lane
+/// when the turn ends, and a compute step is a timer on the shard's heap.
+impl Turns for Shard {
+    fn stack(&mut self) -> Stack {
+        self.idle.pop().unwrap_or_else(|| {
+            self.inner.stacks_mapped.fetch_add(1, Ordering::Relaxed);
+            Stack::new()
+        })
+    }
+
+    fn send(&mut self, src: ProcessId, dst: ProcessId, payload: Payload) {
+        self.inner.send(&mut self.lane, src, dst, payload);
+    }
+
+    fn spawn(&mut self, _: ProcessId, _: SpawnRequest) {
+        unreachable!("a spawn on a shard registers at the call")
+    }
+
+    fn sleep(&mut self, pid: ProcessId, dur: VirtualDuration) {
+        let due = Instant::now() + Duration::from(dur);
+        self.heap.push(self.inner.queued(due, Work::Wake(pid)));
+    }
+
+    fn exited(&mut self, pid: ProcessId, panic: Option<String>, stack: Option<Stack>) {
+        self.idle.extend(stack);
+        let slots = self.reader.get(&self.inner.procs);
+        if let Some(Slot::Threaded { exit, .. }) = slots.get(pid.as_raw() as usize).map(Arc::as_ref)
+        {
+            let _ = exit.set(panic);
         }
-        let drained = ingress.collect(&handle, &mut heap);
-        // Process everything due.
-        let mut processed = 0u64;
-        while let Some(next) = heap.peek() {
-            if next.time > Instant::now() {
-                break;
-            }
-            let item = heap.pop().expect("peeked");
-            let link_timer = matches!(
-                item.work,
-                Work::Link(LinkWork::Retransmit { .. } | LinkWork::AckDue { .. })
-            );
-            // A link timer judges what has arrived by its due time, so
-            // everything due before it comes first, wherever it is
-            // queued: what this loop's own deliveries produced (the acks
-            // they were owed among it) is still in the shard's ring to
-            // itself.
-            if link_timer && ingress.collect(&handle, &mut heap) > 0 {
-                let earlier = |next: &Scheduled| (next.time, next.tie) < (item.time, item.tie);
-                if heap.peek().is_some_and(earlier) {
-                    heap.push(item);
-                    continue;
-                }
-            }
-            match item.work {
-                Work::Link(LinkWork::Deliver { env, copy }) => {
-                    inner.deliver(&mut sctx, item.time, env, copy)
-                }
-                Work::Link(LinkWork::Retransmit { link }) => {
-                    let cap = inner.max_retransmits;
-                    inner.step(&mut sctx.lane, link, item.time, |l, out| {
-                        l.timer(link, cap, out)
-                    });
-                }
-                Work::Link(LinkWork::AckDue { link }) => {
-                    inner.step(&mut sctx.lane, link, item.time, |l, out| {
-                        l.ack_due(link, out)
-                    });
-                }
-                Work::Crash(pid) => inner.crash(&mut sctx, pid),
-                Work::Restart(pid) => inner.restart(&mut sctx, pid),
-            }
-            processed += 1;
-        }
-        if processed > 0 {
-            inner.in_flight.fetch_sub(processed, Ordering::AcqRel);
-        }
-        if processed > 0 || drained > 0 {
-            continue; // deliveries often chain; look again before parking
-        }
-        let wait = match heap.peek() {
-            Some(next) => next
-                .time
-                .saturating_duration_since(Instant::now())
-                .min(PARK_BACKSTOP),
-            None => PARK_BACKSTOP,
-        };
-        let Ingress {
-            rings, epoch_seen, ..
-        } = &mut ingress;
-        handle.bell.park_for(wait, || {
-            rings.iter_mut().any(|r| !r.is_empty())
-                || handle.overflowed.load(Ordering::Acquire)
-                || handle.epoch.load(Ordering::Acquire) != *epoch_seen
-                || inner.shutdown.load(Ordering::Acquire)
-        });
     }
 }
 
@@ -656,139 +738,28 @@ impl Host for (&Inner, &mut Lane) {
     }
 }
 
-/// The [`SysApi`] handed to bodies running on the threaded runtime. Owns
-/// the consumer end of the process's mailbox ring and a staging queue
-/// where channel-filtered receive scans run without any lock.
-struct ThreadedCtx {
-    pid: ProcessId,
-    inner: Arc<Inner>,
-    shared: Arc<ProcShared>,
-    lane: Lane,
-    rx: spsc::Consumer<Received>,
-    staging: VecDeque<Received>,
-    scratch: Vec<Received>,
-    rng: StdRng,
-}
-
-impl ThreadedCtx {
-    /// Moves everything currently deliverable into the staging queue:
-    /// the ring in one batched drain, then (under the spill lock, where
-    /// the producer cannot be mid-overflow) the ring again and the spill.
-    fn pump(&mut self) {
-        self.rx.drain_into(&mut self.scratch);
-        self.staging.extend(self.scratch.drain(..));
-        if self.shared.spilled.load(Ordering::Acquire) {
-            let mut spill = self.shared.spill.lock();
-            // The producer may have refilled the ring *and* spilled
-            // between the drain above and this lock. While `spilled` is
-            // set the producer never touches the ring, so under the lock
-            // every ring message is older than every spill message:
-            // re-drain the ring first and FIFO is preserved.
-            self.rx.drain_into(&mut self.scratch);
-            self.staging.extend(self.scratch.drain(..));
-            self.staging.extend(spill.drain(..));
-            self.shared.spilled.store(false, Ordering::Release);
-        }
+/// The clock and spawns of the runtime, a body's included: the wall clock,
+/// read at the call, and a pid that is final when the spawn returns. A
+/// user process's first turn is queued on its shard at once.
+impl Live for Inner {
+    fn now(&self) -> VirtualTime {
+        self.virt(Instant::now())
     }
 
-    /// Parks on the process doorbell until a control poke (or, with
-    /// `mail`, new mail) arrives or the poll backstop elapses (callers
-    /// re-check their predicates on every wake).
-    fn doze(&mut self, mail: bool) {
-        let rx = &mut self.rx;
-        let shared = &self.shared;
-        shared.idle.store(true, Ordering::Release);
-        shared.bell.park_for(PARK_BACKSTOP, || {
-            mail && (!rx.is_empty() || shared.spilled.load(Ordering::Acquire))
-                || shared.control_poke.load(Ordering::Acquire)
+    fn spawn(&self, req: SpawnRequest) -> ProcessId {
+        let (control, body) = match req.kind {
+            SpawnKind::Actor(actor) => return self.register(Slot::Actor(Mutex::new(actor))),
+            SpawnKind::Threaded { control, body } => (control, body),
+        };
+        let handover = Mutex::new(Some(Handover { control, body }));
+        let (name, exit) = (req.name, OnceLock::new());
+        let pid = self.register(Slot::Threaded {
+            name,
+            handover,
+            exit,
         });
-        shared.idle.store(false, Ordering::Release);
-    }
-}
-
-impl SysApi for ThreadedCtx {
-    fn pid(&self) -> ProcessId {
-        self.pid
-    }
-
-    fn now(&mut self) -> VirtualTime {
-        self.inner.now()
-    }
-
-    fn send(&mut self, dst: ProcessId, payload: Payload) {
-        self.inner.send(&mut self.lane, self.pid, dst, payload);
-    }
-
-    fn receive(
-        &mut self,
-        channel: Option<u32>,
-        interrupt: &mut dyn FnMut() -> bool,
-    ) -> Option<Received> {
-        loop {
-            if interrupt() || self.inner.shutdown.load(Ordering::Acquire) {
-                return None;
-            }
-            self.shared.control_poke.store(false, Ordering::Release);
-            self.pump();
-            if let Some(pos) = mailbox_position(&self.staging, channel) {
-                return self.staging.remove(pos);
-            }
-            if interrupt() {
-                return None;
-            }
-            self.doze(true);
-        }
-    }
-
-    fn try_receive(&mut self, channel: Option<u32>) -> Option<Received> {
-        self.pump();
-        let pos = mailbox_position(&self.staging, channel)?;
-        self.staging.remove(pos)
-    }
-
-    fn requeue_front(&mut self, items: Vec<Received>) {
-        for item in items.into_iter().rev() {
-            self.staging.push_front(item);
-        }
-    }
-
-    fn park(&mut self, interrupt: &mut dyn FnMut() -> bool) -> bool {
-        loop {
-            if interrupt() {
-                return true;
-            }
-            if self.inner.shutdown.load(Ordering::Acquire) {
-                return false;
-            }
-            self.shared.control_poke.store(false, Ordering::Release);
-            if interrupt() {
-                return true;
-            }
-            // Park without consuming mail: only a control poke (or the
-            // backstop) ends the nap early.
-            self.doze(false);
-        }
-    }
-
-    fn compute(&mut self, dur: VirtualDuration) {
-        std::thread::sleep(Duration::from(dur));
-    }
-
-    fn spawn_actor(&mut self, _name: &str, actor: Box<dyn Actor>) -> ProcessId {
-        ThreadedRuntime::register(&self.inner, Arc::new(Slot::Actor(Mutex::new(actor))))
-    }
-
-    fn spawn_threaded(
-        &mut self,
-        name: &str,
-        control: Option<Box<dyn ControlHandler>>,
-        body: crate::sysapi::ProcessBody,
-    ) -> ProcessId {
-        ThreadedRuntime::register_threaded(&self.inner, name, control, body)
-    }
-
-    fn random_u64(&mut self) -> u64 {
-        self.rng.next_u64()
+        self.schedule(None, Instant::now(), Work::Wake(pid));
+        pid
     }
 }
 
@@ -807,7 +778,7 @@ impl RuntimeBuilder<ThreadedRuntime> {
     }
 
     /// Builds and starts the runtime (the shard threads run immediately;
-    /// processes run as soon as they are spawned).
+    /// a process runs on its shard as soon as it is spawned).
     /// # Panics
     ///
     /// Panics with the typed `HopeError::InvalidFaultPlan` rendering if
@@ -822,9 +793,8 @@ impl RuntimeBuilder<ThreadedRuntime> {
             procs: VersionedTable::new(),
             shards: (0..nshards).map(|_| Arc::default()).collect(),
             in_flight: AtomicU64::new(0),
+            settled: Doorbell::default(),
             seq: AtomicU64::new(0),
-            lane_ids: AtomicU64::new(0),
-            lane_stats: Mutex::new(Vec::new()),
             network: self.network,
             fault_plan: self.faults,
             shutdown: AtomicBool::new(false),
@@ -833,21 +803,23 @@ impl RuntimeBuilder<ThreadedRuntime> {
             rel: make_rel.map(|make| (0..REL_STRIPES).map(|_| Mutex::new(make())).collect()),
             max_retransmits,
             tracer: self.tracer.unwrap_or_default(),
+            stacks_mapped: AtomicUsize::new(0),
         });
-        for ix in 0..nshards {
-            let shard_inner = inner.clone();
-            let handle = std::thread::Builder::new()
-                .name(format!("hope-shard-{ix}"))
-                .spawn(move || shard_main(shard_inner, ix))
-                .expect("failed to spawn shard");
-            *inner.shards[ix].join.lock() = Some(handle);
-        }
+        let threads = (0..nshards)
+            .map(|ix| {
+                let (inner, lane) = (inner.clone(), inner.new_lane(ix));
+                std::thread::Builder::new()
+                    .name(format!("hope-shard-{ix}"))
+                    .spawn(move || Shard::new(inner, ix, lane).run())
+                    .expect("failed to spawn shard")
+            })
+            .collect();
         for c in inner.fault_plan.iter().flat_map(FaultPlan::crashes) {
             let at = start + Duration::from_nanos(c.at.as_nanos());
             inner.schedule(None, at, Work::Crash(c.pid));
             inner.schedule(None, at + Duration::from(c.down_for), Work::Restart(c.pid));
         }
-        ThreadedRuntime { inner }
+        ThreadedRuntime { inner, threads }
     }
 }
 
@@ -855,6 +827,7 @@ impl RuntimeBuilder<ThreadedRuntime> {
 /// this file's documentation in the crate docs.
 pub struct ThreadedRuntime {
     inner: Arc<Inner>,
+    threads: Vec<std::thread::JoinHandle<()>>,
 }
 
 impl ThreadedRuntime {
@@ -873,75 +846,17 @@ impl ThreadedRuntime {
         self.inner.shards.len()
     }
 
-    /// Gives `slot` the next pid.
-    fn register(inner: &Inner, slot: Arc<Slot>) -> ProcessId {
-        inner.procs.update(move |procs| {
-            procs.push(slot);
-            ProcessId::from_raw(procs.len() as u64 - 1)
-        })
-    }
-
-    fn register_threaded(
-        inner: &Arc<Inner>,
-        name: &str,
-        control: Option<Box<dyn ControlHandler>>,
-        body: crate::sysapi::ProcessBody,
-    ) -> ProcessId {
-        let (inbox, rx) = spsc::ring::<Received>(MAILBOX_CAPACITY);
-        let shared = Arc::new(ProcShared {
-            inbox: Mutex::new(inbox),
-            spill: Mutex::new(VecDeque::new()),
-            spilled: AtomicBool::new(false),
-            bell: Doorbell::default(),
-            control_poke: AtomicBool::new(false),
-            idle: AtomicBool::new(false),
-            done: AtomicBool::new(false),
-            panic: Mutex::new(None),
-            name: name.to_string(),
-        });
-        let slot = Arc::new(Slot::Threaded {
-            shared: shared.clone(),
-            control: Mutex::new(control),
-            join: Mutex::new(None),
-        });
-        let pid = Self::register(inner, slot.clone());
-        // The lane is created on the spawning thread so lane ids (and
-        // with them the per-lane seeds) are deterministic for any
-        // deterministic spawn sequence.
-        let mut ctx = ThreadedCtx {
-            pid,
-            inner: inner.clone(),
-            shared,
-            lane: inner.new_lane(),
-            rx,
-            staging: VecDeque::new(),
-            scratch: Vec::new(),
-            rng: StdRng::seed_from_u64(
-                inner.seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ pid.as_raw(),
-            ),
-        };
-        let handle = std::thread::Builder::new()
-            .name(format!("hope-rt-{}-{}", pid.as_raw(), name))
-            .spawn(move || {
-                let result =
-                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(&mut ctx)));
-                let shared = &ctx.shared;
-                if let Err(payload) = result {
-                    *shared.panic.lock() = Some(crate::runtime::panic_message(payload.as_ref()));
-                }
-                shared.done.store(true, Ordering::Release);
-                shared.idle.store(true, Ordering::Release);
-            })
-            .expect("failed to spawn process thread");
-        if let Slot::Threaded { join, .. } = slot.as_ref() {
-            *join.lock() = Some(handle);
-        }
-        pid
+    /// Coroutine stacks mapped so far, over all shards. A process takes an
+    /// idle stack of its shard at its first turn and returns it when it
+    /// exits, so this stays at the peak number of processes running at
+    /// once, not the number spawned.
+    pub fn stacks_mapped(&self) -> usize {
+        self.inner.stacks_mapped.load(Ordering::Relaxed)
     }
 
     /// Spawns an event-driven actor process.
     pub fn spawn_actor(&self, _name: &str, actor: Box<dyn Actor>) -> ProcessId {
-        Self::register(&self.inner, Arc::new(Slot::Actor(Mutex::new(actor))))
+        self.inner.register(Slot::Actor(Mutex::new(actor)))
     }
 
     /// Registers an egress gateway: a local pid whose deliveries are
@@ -954,7 +869,7 @@ impl ThreadedRuntime {
         _name: &str,
         sink: impl Fn(Envelope) + Send + Sync + 'static,
     ) -> ProcessId {
-        Self::register(&self.inner, Arc::new(Slot::Gateway(Box::new(sink))))
+        self.inner.register(Slot::Gateway(Box::new(sink)))
     }
 
     /// Injects an externally-originated envelope (e.g. one received from
@@ -972,7 +887,10 @@ impl ThreadedRuntime {
         self.inner.schedule(None, Instant::now(), Work::Link(work));
     }
 
-    /// Spawns a threaded user process; its body starts running at once.
+    /// Spawns a threaded user process. Its body starts at once, as a
+    /// coroutine on the shard that owns the pid, on a stack an earlier
+    /// process may have used: thread-locals and `std::thread::current()`
+    /// are that shard's.
     pub fn spawn_threaded<F>(
         &self,
         name: &str,
@@ -982,12 +900,21 @@ impl ThreadedRuntime {
     where
         F: FnOnce(&mut dyn SysApi) + Send + 'static,
     {
-        Self::register_threaded(&self.inner, name, control, Box::new(body))
+        let kind = SpawnKind::Threaded {
+            control,
+            body: Box::new(body),
+        };
+        self.inner.spawn(SpawnRequest {
+            name: name.to_string(),
+            kind,
+        })
     }
 
-    /// Waits (wall clock) until the system has been quiescent — no
-    /// messages in flight, every process idle or finished, and nothing
-    /// scheduled in between — for `grace`, or until `timeout` elapses.
+    /// Waits (wall clock) until the system has been quiescent — nothing
+    /// queued on any shard, and nothing scheduled in between — for
+    /// `grace`, or until `timeout` elapses. A process turns only for a
+    /// queued item (its start, mail it waits for, a wake, its compute
+    /// timer), so then every process is blocked, parked or finished.
     /// Returns the run report.
     pub fn run_until_quiescent(&self, grace: Duration, timeout: Duration) -> RunReport {
         let deadline = Instant::now() + timeout;
@@ -996,39 +923,36 @@ impl ThreadedRuntime {
         // item was scheduled between them.
         let mut quiet_since: Option<(Instant, u64)> = None;
         let mut hit_timeout = true;
-        while Instant::now() < deadline {
+        let busy = || self.inner.in_flight.load(Ordering::Acquire) > 0;
+        while let Some(left) = deadline.checked_duration_since(Instant::now()) {
             let scheduled = self.inner.seq.load(Ordering::Acquire);
-            let in_flight = self.inner.in_flight.load(Ordering::Acquire);
-            let procs = self.inner.procs.snapshot();
-            let all_idle = procs.iter().all(|slot| match slot.as_ref() {
-                Slot::Gone | Slot::Actor(_) | Slot::Gateway(_) => true,
-                Slot::Threaded { shared, .. } => {
-                    shared.idle.load(Ordering::Acquire) || shared.done.load(Ordering::Acquire)
-                }
-            });
-            if in_flight == 0 && all_idle {
-                match quiet_since {
-                    Some((since, at)) if at == scheduled => {
-                        if since.elapsed() >= grace {
-                            hit_timeout = false;
-                            break;
-                        }
+            match quiet_since {
+                Some((since, at)) if !busy() && at == scheduled => {
+                    if since.elapsed() >= grace {
+                        hit_timeout = false;
+                        break;
                     }
-                    _ => quiet_since = Some((Instant::now(), scheduled)),
                 }
-            } else {
-                quiet_since = None;
+                _ => quiet_since = (!busy()).then(|| (Instant::now(), scheduled)),
             }
-            std::thread::sleep(Duration::from_millis(1));
+            // Quiet: sleep the grace out, then look again. Busy: wait for
+            // the last queued item to be done.
+            let wait = quiet_since.map_or(PARK_BACKSTOP, |(since, _)| {
+                grace.saturating_sub(since.elapsed())
+            });
+            let quiet = quiet_since.is_some();
+            self.inner
+                .settled
+                .park_for(wait.min(left), || !quiet && !busy());
         }
         let (mut blocked, mut panics) = (Vec::new(), Vec::new());
         for (i, slot) in self.inner.procs.snapshot().iter().enumerate() {
-            if let Slot::Threaded { shared, .. } = slot.as_ref() {
+            if let Slot::Threaded { name, exit, .. } = slot.as_ref() {
                 let pid = ProcessId::from_raw(i as u64);
-                if !shared.done.load(Ordering::Acquire) {
-                    blocked.push((pid, shared.name.clone()));
+                match exit.get() {
+                    None => blocked.push((pid, name.clone())),
+                    Some(panic) => panics.extend(panic.clone().map(|msg| (pid, msg))),
                 }
-                panics.extend(shared.panic.lock().clone().map(|msg| (pid, msg)));
             }
         }
         RunReport {
@@ -1057,28 +981,13 @@ impl ThreadedRuntime {
 impl Drop for ThreadedRuntime {
     fn drop(&mut self) {
         self.inner.shutdown.store(true, Ordering::Release);
-        // Wake every shard and every parked process so they observe the
-        // shutdown.
+        // Wake every shard so it observes the shutdown; a shard runs its
+        // suspended processes out as it exits.
         for shard in &self.inner.shards {
             shard.bell.notify();
         }
-        for slot in self.inner.procs.snapshot().iter() {
-            if let Slot::Threaded { shared, .. } = slot.as_ref() {
-                shared.poke();
-            }
-        }
-        for shard in &self.inner.shards {
-            if let Some(handle) = shard.join.lock().take() {
-                let _ = handle.join();
-            }
-        }
-        for slot in self.inner.procs.snapshot().iter() {
-            if let Slot::Threaded { join, .. } = slot.as_ref() {
-                let handle = join.lock().take();
-                if let Some(handle) = handle {
-                    let _ = handle.join();
-                }
-            }
+        for thread in self.threads.drain(..) {
+            let _ = thread.join();
         }
     }
 }

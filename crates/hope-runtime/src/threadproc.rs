@@ -1,26 +1,32 @@
-//! User processes as coroutines, and the turn protocol.
+//! User processes as coroutines, and the turn protocol both runtimes share.
 //!
 //! A user process runs on a stack of its own ([`crate::coro`]) but on the
-//! scheduler's thread, and the two take strict turns: the scheduler
-//! switches into the process, which runs until it yields (by blocking in
-//! `receive`, spending compute time, or exiting) and switches back.
-//! Exactly one party runs at any instant, which is what makes whole
-//! simulations deterministic while still letting user code be written as
-//! ordinary blocking Rust.
+//! thread of whatever runs it: the simulator's scheduler, or the threaded
+//! runtime's shard that owns the pid and also runs its `Control`. The two
+//! take strict turns: the runtime switches into the process, which runs
+//! until it yields (by blocking in `receive`, parking, spending compute
+//! time, or exiting) and switches back. Exactly one party runs at any
+//! instant, so `Control` never runs while the body does, and user code is
+//! still written as ordinary blocking Rust. A runtime resumes a process
+//! only when what arrived is what it waits for ([`Proc::mail`],
+//! [`Proc::waiting`]) and carries out the turn through [`Turns`].
 //!
-//! Sends and spawns do not yield. Both go into the process's ordered
-//! outbox, which the scheduler carries out when the turn ends; a spawn
-//! returns at once with the next free pid, handed over with the turn.
+//! Sends do not yield. They go into the process's ordered outbox, which
+//! the runtime carries out when the turn ends. A spawn does not yield
+//! either: on the simulator it joins the outbox with the next free pid,
+//! handed over with the turn; on the threaded runtime ([`Live`]) it is
+//! registered at once.
 //!
 //! Stacks are reused. A process gets its stack at its first resume, from
 //! the runtime's idle list or a new mapping, and the stack goes back to
 //! that list when the body exits. Thread-locals and
-//! `std::thread::current()` are the scheduler thread's.
+//! `std::thread::current()` are the running thread's, not the process's.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::rc::Rc;
+use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -32,7 +38,22 @@ use crate::control::ControlHandler;
 use crate::coro::{Coroutine, Stack, Yielder};
 use crate::sysapi::{ProcessBody, Received, SysApi};
 
-/// Process → scheduler control transfer.
+/// Lifecycle state of a threaded process, as visible to tests and tools.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum ProcessStatus {
+    /// Spawned but not yet started.
+    New,
+    /// Currently blocked in `receive`.
+    Blocked,
+    /// Parked waiting for a control wake (lingering speculative process).
+    Parked,
+    /// Waiting for a compute step to finish.
+    Sleeping,
+    /// Finished (normally or by panic).
+    Exited,
+}
+
+/// Process → runtime control transfer.
 pub(crate) enum YieldMsg {
     /// The process is blocked waiting for a user message.
     Blocked {
@@ -41,7 +62,7 @@ pub(crate) enum YieldMsg {
     },
     /// The process waits for a control wake without consuming messages.
     Park,
-    /// The process spends virtual compute time.
+    /// The process spends compute time.
     Compute { dur: VirtualDuration },
     /// The process finished (with a panic message if it unwound).
     Exited { panic: Option<String> },
@@ -68,55 +89,165 @@ pub(crate) enum Outgoing {
     Spawn(ProcessId, SpawnRequest),
 }
 
-/// State shared between the scheduler and one process. Only one of the two
+/// A runtime whose clock and spawns a body reads at the call, not at its
+/// turn's start: the threaded runtime, where other threads spawn too.
+pub(crate) trait Live {
+    /// The wall clock, as virtual time.
+    fn now(&self) -> VirtualTime;
+    /// Registers `req` and returns its final pid.
+    fn spawn(&self, req: SpawnRequest) -> ProcessId;
+}
+
+/// State shared between the runtime and one process. Only one of the two
 /// parties runs at a time, and never across a switch with a borrow open.
 pub(crate) struct Shared {
-    /// The process's virtual clock; the scheduler syncs it before resuming.
+    /// The process's virtual clock; the simulator syncs it before resuming.
     pub now: VirtualTime,
     /// Delivered-but-unconsumed user messages.
     pub mailbox: VecDeque<Received>,
-    /// Sends and spawns since the last yield, in call order; the scheduler
-    /// drains them, at the instant the turn began, however the turn ends.
+    /// Sends and spawns since the last yield, in call order; the runtime
+    /// drains them when the turn ends, however it ends.
     pub outbox: Vec<Outgoing>,
-    /// The pid the next spawn gets; the scheduler syncs it before resuming.
+    /// The pid the next spawn gets; the simulator syncs it before resuming.
     pub next_pid: u64,
+    /// Set on the threaded runtime: `now` and spawns go to it instead.
+    live: Option<Arc<dyn Live>>,
 }
 
-impl Shared {
-    pub fn new() -> Rc<RefCell<Shared>> {
-        Rc::new(RefCell::new(Shared {
-            now: VirtualTime::ZERO,
-            mailbox: VecDeque::new(),
-            outbox: Vec::new(),
-            next_pid: 0,
-        }))
-    }
-}
-
-/// The scheduler's handle on one running process: each turn hands back a
+/// The runtime's handle on one running process: each turn hands back a
 /// [`YieldMsg`], or `None` if a panic escaped the body and lost the
 /// process. Dropping it resumes a suspended body once, so the body sees the
 /// runtime shut down (its wait returns `None`/`false`) and runs out before
 /// its stack is unmapped.
-pub(crate) type Worker = Coroutine<YieldMsg>;
+type Worker = Coroutine<YieldMsg>;
 
-/// Readies process `pid` on `stack`: its first turn runs `body` from the
-/// top, and its last hands back [`YieldMsg::Exited`].
-pub(crate) fn start(
-    stack: Stack,
+/// What a runtime lends one turn of a process.
+pub(crate) trait Turns {
+    /// A stack for a first turn: an idle one, or a new mapping.
+    fn stack(&mut self) -> Stack;
+    /// Carries out one send of the turn.
+    fn send(&mut self, src: ProcessId, dst: ProcessId, payload: Payload);
+    /// Registers a child under the pid its spawner holds (simulator only).
+    fn spawn(&mut self, pid: ProcessId, req: SpawnRequest);
+    /// Resumes `pid` once `dur` of compute time has passed.
+    fn sleep(&mut self, pid: ProcessId, dur: VirtualDuration);
+    /// `pid` is gone, with its panic message if it unwound; its stack, if
+    /// it still has one, is free.
+    fn exited(&mut self, pid: ProcessId, panic: Option<String>, stack: Option<Stack>);
+}
+
+/// One threaded process as its runtime holds it: the body (and the seed of
+/// its RNG) until its first turn, then the coroutine running it; its
+/// `Control`; where it waits.
+pub(crate) struct Proc {
     pid: ProcessId,
-    shared: Rc<RefCell<Shared>>,
-    body: ProcessBody,
-    seed: u64,
-) -> Worker {
-    Coroutine::new(stack, move |yielder| {
-        let mut ctx = ThreadCtx::new(pid, shared, yielder, seed);
-        let result = catch_unwind(AssertUnwindSafe(|| body(&mut ctx)));
-        let panic = result
-            .err()
-            .map(|p| crate::runtime::panic_message(p.as_ref()));
-        YieldMsg::Exited { panic }
-    })
+    pub shared: Rc<RefCell<Shared>>,
+    body: Option<(ProcessBody, u64)>,
+    worker: Option<Worker>,
+    pub control: Option<Box<dyn ControlHandler>>,
+    pub status: ProcessStatus,
+    pub blocked_channel: Option<u32>,
+}
+
+impl Proc {
+    pub fn new(
+        pid: ProcessId,
+        control: Option<Box<dyn ControlHandler>>,
+        body: ProcessBody,
+        seed: u64,
+        live: Option<Arc<dyn Live>>,
+    ) -> Proc {
+        Proc {
+            pid,
+            shared: Rc::new(RefCell::new(Shared {
+                now: VirtualTime::ZERO,
+                mailbox: VecDeque::new(),
+                outbox: Vec::new(),
+                next_pid: 0,
+                live,
+            })),
+            body: Some((body, seed)),
+            worker: None,
+            control,
+            status: ProcessStatus::New,
+            blocked_channel: None,
+        }
+    }
+
+    /// New, or its compute step is over: a wake (its start, its timer)
+    /// runs it.
+    pub fn runnable(&self) -> bool {
+        matches!(self.status, ProcessStatus::New | ProcessStatus::Sleeping)
+    }
+
+    /// Blocked in `receive` or parked: a `Control` wake resumes it.
+    pub fn waiting(&self) -> bool {
+        matches!(self.status, ProcessStatus::Blocked | ProcessStatus::Parked)
+    }
+
+    /// Queues user mail; true if it is what the process waits for, and so
+    /// the caller must give it a turn.
+    pub fn mail(&mut self, mail: Received) -> bool {
+        let wanted = self.status == ProcessStatus::Blocked
+            && self.blocked_channel.is_none_or(|c| c == mail.msg.channel);
+        self.shared.borrow_mut().mailbox.push_back(mail);
+        wanted
+    }
+
+    /// Gives the process one turn and carries out what it did: its sends
+    /// and spawns in call order however the turn ended, then what it
+    /// waits for next.
+    pub fn turn(&mut self, rt: &mut impl Turns) {
+        let pid = self.pid;
+        if let Some((body, seed)) = self.body.take() {
+            let (stack, shared) = (rt.stack(), self.shared.clone());
+            self.worker = Some(Coroutine::new(stack, move |yielder| {
+                let mut ctx = ThreadCtx {
+                    pid,
+                    shared,
+                    yielder,
+                    rng: StdRng::seed_from_u64(
+                        seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ pid.as_raw(),
+                    ),
+                    alive: true,
+                };
+                let result = catch_unwind(AssertUnwindSafe(|| body(&mut ctx)));
+                let panic = result
+                    .err()
+                    .map(|p| crate::runtime::panic_message(p.as_ref()));
+                YieldMsg::Exited { panic }
+            }));
+        }
+        let msg = self.worker.as_mut().and_then(Worker::resume);
+        let mut out = std::mem::take(&mut self.shared.borrow_mut().outbox);
+        for item in out.drain(..) {
+            match item {
+                Outgoing::Send(dst, payload) => rt.send(pid, dst, payload),
+                Outgoing::Spawn(child, req) => rt.spawn(child, req),
+            }
+        }
+        self.shared.borrow_mut().outbox = out;
+        self.status = match msg {
+            Some(YieldMsg::Blocked { channel }) => {
+                self.blocked_channel = channel;
+                ProcessStatus::Blocked
+            }
+            Some(YieldMsg::Park) => ProcessStatus::Parked,
+            Some(YieldMsg::Compute { dur }) => {
+                rt.sleep(pid, dur);
+                ProcessStatus::Sleeping
+            }
+            Some(YieldMsg::Exited { panic }) => {
+                rt.exited(pid, panic, self.worker.take().map(Worker::into_stack));
+                ProcessStatus::Exited
+            }
+            None => {
+                self.worker = None;
+                rt.exited(pid, None, None);
+                ProcessStatus::Exited
+            }
+        };
+    }
 }
 
 /// The [`SysApi`] implementation handed to a threaded process body.
@@ -129,22 +260,7 @@ struct ThreadCtx<'a> {
     alive: bool,
 }
 
-impl<'a> ThreadCtx<'a> {
-    fn new(
-        pid: ProcessId,
-        shared: Rc<RefCell<Shared>>,
-        yielder: &'a mut Yielder<YieldMsg>,
-        seed: u64,
-    ) -> Self {
-        ThreadCtx {
-            pid,
-            shared,
-            yielder,
-            rng: StdRng::seed_from_u64(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ pid.as_raw()),
-            alive: true,
-        }
-    }
-
+impl ThreadCtx<'_> {
     /// Hands the turn back; `false` once the runtime is shutting down.
     fn yield_and_wait(&mut self, msg: YieldMsg) -> bool {
         self.alive = self.yielder.suspend(msg);
@@ -158,13 +274,16 @@ impl<'a> ThreadCtx<'a> {
     }
 
     fn spawn(&mut self, req: SpawnRequest) -> ProcessId {
-        // No runtime is left to register a pid handed out now.
+        // No runtime is left to run a process spawned now.
         assert!(
             self.alive,
             "hope-runtime shut down while process {} was spawning",
             self.pid
         );
         let mut shared = self.shared.borrow_mut();
+        if let Some(live) = &shared.live {
+            return live.spawn(req);
+        }
         let pid = ProcessId::from_raw(shared.next_pid);
         shared.next_pid += 1;
         shared.outbox.push(Outgoing::Spawn(pid, req));
@@ -178,7 +297,8 @@ impl SysApi for ThreadCtx<'_> {
     }
 
     fn now(&mut self) -> VirtualTime {
-        self.shared.borrow().now
+        let shared = self.shared.borrow();
+        shared.live.as_ref().map_or(shared.now, |live| live.now())
     }
 
     fn send(&mut self, dst: ProcessId, payload: Payload) {

@@ -2,10 +2,12 @@
 //! actors, spawning, control interception, blocking and interrupts.
 
 use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 use bytes::Bytes;
 use hope_runtime::{
-    Actor, ActorApi, ControlApi, ControlHandler, NetworkConfig, ProcessStatus, SimRuntime,
+    Actor, ActorApi, ControlApi, ControlHandler, NetworkConfig, ProcessStatus, SimRuntime, SysApi,
+    ThreadedRuntime,
 };
 use hope_types::{
     Envelope, HopeMessage, IntervalId, Payload, ProcessId, UserMessage, VirtualDuration,
@@ -487,49 +489,59 @@ fn sequential_children_reuse_one_stack() {
 #[test]
 fn mapped_stacks_never_outnumber_peak_live_processes() {
     // Two waves of 64 children, all of one wave live at once; a stack per
-    // process would map 129.
+    // process would map 129. On the simulator, and on a threaded runtime
+    // whose one shard runs every process.
     const WAVE: usize = 64;
-    let mut rt = SimRuntime::new();
-    let done = Arc::new(Mutex::new(0));
-    let d = done.clone();
-    rt.spawn_threaded("parent", None, move |ctx| {
-        let parent = ctx.pid();
-        for _ in 0..2 {
-            let children: Vec<ProcessId> = (0..WAVE)
-                .map(|_| {
-                    let d = d.clone();
-                    ctx.spawn_threaded(
-                        "child",
-                        None,
-                        Box::new(move |cctx: &mut dyn hope_runtime::SysApi| {
-                            cctx.send(parent, user(b"ready"));
-                            cctx.receive(None, &mut || false).unwrap();
-                            *d.lock().unwrap() += 1;
-                            cctx.send(parent, user(b"done"));
-                        }),
-                    )
-                })
-                .collect();
-            // Every child of the wave is blocked in `receive` at once.
-            for _ in 0..WAVE {
-                ctx.receive(None, &mut || false).unwrap();
-            }
-            for &child in &children {
-                ctx.send(child, user(b"go"));
-            }
-            for _ in 0..WAVE {
-                ctx.receive(None, &mut || false).unwrap();
+    fn parent(done: Arc<Mutex<usize>>) -> impl FnOnce(&mut dyn SysApi) + Send + 'static {
+        move |ctx| {
+            let parent = ctx.pid();
+            for _ in 0..2 {
+                let children: Vec<ProcessId> = (0..WAVE)
+                    .map(|_| {
+                        let d = done.clone();
+                        ctx.spawn_threaded(
+                            "child",
+                            None,
+                            Box::new(move |cctx: &mut dyn SysApi| {
+                                cctx.send(parent, user(b"ready"));
+                                cctx.receive(None, &mut || false).unwrap();
+                                *d.lock().unwrap() += 1;
+                                cctx.send(parent, user(b"done"));
+                            }),
+                        )
+                    })
+                    .collect();
+                // Every child of the wave is blocked in `receive` at once.
+                for _ in 0..WAVE {
+                    ctx.receive(None, &mut || false).unwrap();
+                }
+                for &child in &children {
+                    ctx.send(child, user(b"go"));
+                }
+                for _ in 0..WAVE {
+                    ctx.receive(None, &mut || false).unwrap();
+                }
             }
         }
-    });
-    let report = rt.run();
-    assert!(report.is_clean());
-    assert_eq!(*done.lock().unwrap(), 2 * WAVE);
-    let stacks = rt.stacks_mapped();
-    assert!(
-        stacks <= WAVE + 1,
-        "two waves of {WAVE} mapped {stacks} stacks"
-    );
+    }
+    let (sim_done, threaded_done) = (Arc::new(Mutex::new(0)), Arc::new(Mutex::new(0)));
+    let mut sim = SimRuntime::new();
+    sim.spawn_threaded("parent", None, parent(sim_done.clone()));
+    assert!(sim.run().is_clean());
+    let threaded = ThreadedRuntime::builder().shards(1).build();
+    threaded.spawn_threaded("parent", None, parent(threaded_done.clone()));
+    let report = threaded.run_until_quiescent(Duration::from_millis(25), Duration::from_secs(30));
+    assert!(report.is_clean(), "{:?}", report.panics);
+    for (runtime, done, stacks) in [
+        ("simulator", sim_done, sim.stacks_mapped()),
+        ("threaded", threaded_done, threaded.stacks_mapped()),
+    ] {
+        assert_eq!(*done.lock().unwrap(), 2 * WAVE, "{runtime}");
+        assert!(
+            stacks <= WAVE + 1,
+            "{runtime}: two waves of {WAVE} mapped {stacks} stacks"
+        );
+    }
 }
 
 /// Runs `f` on another thread and fails if it does not finish in time.

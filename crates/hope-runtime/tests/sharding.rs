@@ -1,8 +1,8 @@
 //! Wait-freedom oracles for the sharded threaded transport (DESIGN.md
 //! §10): a stalled or panicked consumer must never delay delivery on
 //! unrelated links, whether the victim shares a shard with the healthy
-//! traffic or not, and a mailbox that overflows its ring must spill —
-//! losslessly and in order — rather than backpressure the shard.
+//! traffic or not, and a flood into a stalled consumer's mailbox must
+//! arrive exactly once and in order, without backpressuring the sender.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -40,13 +40,13 @@ fn await_flag(flag: &AtomicBool, what: &str) {
 /// stalled consumer — must complete its whole exchange while the flood
 /// victim is still stalled. Afterwards the sleeper drains the flood and
 /// every message must arrive exactly once, in per-link FIFO order,
-/// across the ring → spill overflow transition.
+/// through a sender's ingress ring overflowing into its shard's queue.
 #[test]
 fn stalled_consumer_never_delays_unrelated_links() {
     const FLOOD: u32 = 5_000;
     const ROUNDS: u32 = 50;
-    // The flood is about five times the 1 024-slot mailbox ring, so it
-    // exercises the spill path.
+    // The flood is about five times a 1 024-slot ingress ring, so it
+    // exercises the overflow path.
     let rt = ThreadedRuntime::builder().shards(2).build();
     let gate = Arc::new(AtomicBool::new(false));
     let flooded = Arc::new(AtomicBool::new(false));
@@ -63,7 +63,7 @@ fn stalled_consumer_never_delays_unrelated_links() {
             ctx.compute(VirtualDuration::from_millis(1));
         }
         // Stall over: drain the flood. FIFO must hold even though the
-        // messages crossed both the ring and the spill queue.
+        // messages crossed both a ring and an overflow queue.
         for expect in 0..FLOOD {
             let got = ctx.receive(None, &mut || false).expect("flood message");
             let value = u32::from_le_bytes(got.msg.data[..4].try_into().unwrap());

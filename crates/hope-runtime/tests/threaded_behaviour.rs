@@ -2,6 +2,7 @@
 //! delivery, control interception and shutdown hygiene.
 
 use std::sync::{Arc, Mutex};
+use std::thread::ThreadId;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
@@ -117,6 +118,54 @@ fn control_messages_intercepted_and_wake_blocked_receivers() {
     assert!(report.panics.is_empty());
     assert!(*interrupted.lock().unwrap(), "receive must be interrupted");
     assert!(*flag.lock().unwrap());
+}
+
+/// In the paper HOPElib runs inside its process, and `Control` runs at
+/// the process's library calls, never beside its body. Here a body and its
+/// `Control` run on one thread, so a primitive can never wait for a
+/// `Control` step running on another one.
+#[test]
+fn a_process_body_and_its_control_share_one_thread() {
+    /// Answers any user message with a HOPE message.
+    struct Bounce;
+    impl Actor for Bounce {
+        fn on_message(&mut self, envelope: Envelope, api: &mut dyn ActorApi) {
+            let iid = IntervalId::new(envelope.src, 0);
+            let msg = HopeMessage::Rollback { iid, cause: None };
+            api.send(envelope.src, Payload::Hope(msg));
+        }
+    }
+    /// Records the thread its `on_hope_message` runs on.
+    struct Record(Arc<Mutex<Option<ThreadId>>>);
+    impl ControlHandler for Record {
+        fn on_hope_message(&mut self, _: ProcessId, _: HopeMessage, api: &mut dyn ControlApi) {
+            *self.0.lock().unwrap() = Some(std::thread::current().id());
+            api.wake();
+        }
+    }
+    for shards in [1, 4] {
+        let rt = ThreadedRuntime::builder().shards(shards).build();
+        let bounce = rt.spawn_actor("bounce", Box::new(Bounce));
+        let (control, body) = (Arc::new(Mutex::new(None)), Arc::new(Mutex::new(None)));
+        let (c, b) = (control.clone(), body.clone());
+        let record = Box::new(Record(control.clone()));
+        rt.spawn_threaded("target", Some(record), move |ctx| {
+            *b.lock().unwrap() = Some(std::thread::current().id());
+            ctx.send(bounce, user(b"kick"));
+            let got = ctx.receive(None, &mut || c.lock().unwrap().is_some());
+            assert!(got.is_none(), "Control's wake ends the receive");
+        });
+        let report = rt.run_until_quiescent(GRACE, TIMEOUT);
+        assert!(report.panics.is_empty(), "{:?}", report.panics);
+        assert!(report.blocked.is_empty(), "{:?}", report.blocked);
+        let control = *control.lock().unwrap();
+        assert!(control.is_some(), "Control heard the HOPE message");
+        assert_eq!(
+            control,
+            *body.lock().unwrap(),
+            "shards({shards}): Control ran on another thread than its body"
+        );
+    }
 }
 
 #[test]
