@@ -1,8 +1,10 @@
-//! The virtual-time event queue, and the timed heap entry both runtimes
-//! queue their work in.
+//! The timed queue both runtimes schedule their work in — a sorted line
+//! of deliveries beside a heap of everything else, popped in `(time, tie)`
+//! order — and the simulator's event queue on top of it.
 
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
+use std::ops::{Deref, DerefMut};
 
 use hope_types::{ProcessId, VirtualTime};
 
@@ -42,9 +44,16 @@ pub(crate) struct Timed<T, W> {
 /// A scheduled simulator event.
 pub(crate) type Event = Timed<VirtualTime, EventKind>;
 
+impl<T: Ord, W> Timed<T, W> {
+    /// What the queue orders by.
+    fn key(&self) -> (&T, u64) {
+        (&self.time, self.tie)
+    }
+}
+
 impl<T: Ord, W> PartialEq for Timed<T, W> {
     fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.tie == other.tie
+        self.key() == other.key()
     }
 }
 
@@ -59,14 +68,128 @@ impl<T: Ord, W> PartialOrd for Timed<T, W> {
 impl<T: Ord, W> Ord for Timed<T, W> {
     fn cmp(&self, other: &Self) -> Ordering {
         // BinaryHeap is a max-heap; invert so the earliest item pops first.
-        (&other.time, other.tie).cmp(&(&self.time, self.tie))
+        other.key().cmp(&self.key())
     }
 }
 
-/// Deterministic min-queue of events.
+/// What a [`TimedQueue`] asks of an item's work: is it a message
+/// delivery? On one link deliveries come due in the order they were sent
+/// (send time plus a constant latency), so they can queue in a line;
+/// timers, wakes and faults are armed at any distance ahead and cannot.
+pub(crate) trait Routed {
+    fn is_delivery(&self) -> bool;
+}
+
+impl Routed for EventKind {
+    fn is_delivery(&self) -> bool {
+        matches!(self, EventKind::Link(LinkWork::Deliver { .. }))
+    }
+}
+
+/// The min-queue of timed work both runtimes pop in `(time, tie)` order:
+/// a sorted line beside a heap. A delivery not earlier than the line's
+/// tail joins the line at O(1); everything else — a link timer, a wake, a
+/// crash or restart, a delivery earlier than the tail — goes to the heap.
+/// `pop` and `peek` take the earlier of the two heads, so the order is
+/// exactly the one a plain heap gives. An earlier push never evicts the
+/// tail: an ack stamped at its arrival's due time is earlier than the
+/// whole backlog behind it, which would then move to the heap.
+#[derive(Debug)]
+pub(crate) struct TimedQueue<T, W> {
+    /// Deliveries, each pushed not earlier than the one before.
+    line: VecDeque<Timed<T, W>>,
+    /// Everything else.
+    heap: BinaryHeap<Timed<T, W>>,
+}
+
+impl<T, W> Default for TimedQueue<T, W> {
+    fn default() -> Self {
+        TimedQueue {
+            line: VecDeque::new(),
+            heap: BinaryHeap::new(),
+        }
+    }
+}
+
+impl<T: Ord, W: Routed> TimedQueue<T, W> {
+    pub fn push(&mut self, item: Timed<T, W>) {
+        let in_order = |tail: &Timed<T, W>| item.key() >= tail.key();
+        if item.work.is_delivery() && self.line.back().is_none_or(in_order) {
+            self.line.push_back(item);
+        } else {
+            self.heap.push(item);
+        }
+    }
+
+    /// True when the next item is the line's head, not the heap's.
+    fn line_first(&self) -> bool {
+        match (self.line.front(), self.heap.peek()) {
+            (Some(line), Some(heap)) => line.key() < heap.key(),
+            (line, _) => line.is_some(),
+        }
+    }
+
+    /// The earliest item, without removing it.
+    pub fn peek(&self) -> Option<&Timed<T, W>> {
+        if self.line_first() {
+            self.line.front()
+        } else {
+            self.heap.peek()
+        }
+    }
+
+    pub fn pop(&mut self) -> Option<Timed<T, W>> {
+        if self.line_first() {
+            self.line.pop_front()
+        } else {
+            self.heap.pop()
+        }
+    }
+
+    /// Iterates over all queued items in unspecified order.
+    pub fn iter(&self) -> impl Iterator<Item = &Timed<T, W>> {
+        self.line.iter().chain(self.heap.iter())
+    }
+
+    /// Removes and returns the item whose tie counter is `tie`, leaving
+    /// every other item untouched. O(n): only the external-scheduler path
+    /// uses it, and checker state spaces are small.
+    pub fn take_tie(&mut self, tie: u64) -> Option<Timed<T, W>> {
+        if let Some(at) = self.line.iter().position(|e| e.tie == tie) {
+            return self.line.remove(at);
+        }
+        let mut items = std::mem::take(&mut self.heap).into_vec();
+        let found = items
+            .iter()
+            .position(|e| e.tie == tie)
+            .map(|at| items.swap_remove(at));
+        self.heap = BinaryHeap::from(items);
+        found
+    }
+
+    pub fn len(&self) -> usize {
+        self.line.len() + self.heap.len()
+    }
+
+    #[allow(dead_code)] // used by tests and tooling
+    pub fn is_empty(&self) -> bool {
+        self.line.is_empty() && self.heap.is_empty()
+    }
+}
+
+impl<T: Ord, W: Routed> Extend<Timed<T, W>> for TimedQueue<T, W> {
+    fn extend<I: IntoIterator<Item = Timed<T, W>>>(&mut self, items: I) {
+        for item in items {
+            self.push(item);
+        }
+    }
+}
+
+/// The simulator's event queue: a [`TimedQueue`] and the counter that
+/// stamps each event's tie in push order.
 #[derive(Debug, Default)]
 pub(crate) struct EventQueue {
-    heap: BinaryHeap<Event>,
+    events: TimedQueue<VirtualTime, EventKind>,
     next_tie: u64,
 }
 
@@ -78,50 +201,30 @@ impl EventQueue {
     pub fn push(&mut self, time: VirtualTime, work: EventKind) {
         let tie = self.next_tie;
         self.next_tie += 1;
-        self.heap.push(Event { time, tie, work });
+        self.events.push(Event { time, tie, work });
     }
+}
 
-    pub fn pop(&mut self) -> Option<Event> {
-        self.heap.pop()
+impl Deref for EventQueue {
+    type Target = TimedQueue<VirtualTime, EventKind>;
+
+    fn deref(&self) -> &Self::Target {
+        &self.events
     }
+}
 
-    /// Iterates over all queued events in unspecified order.
-    pub fn iter(&self) -> impl Iterator<Item = &Event> {
-        self.heap.iter()
-    }
-
-    /// Removes and returns the event whose tie counter is `tie`, leaving
-    /// every other event (and the tie counter) untouched. O(n): only the
-    /// external-scheduler path uses it, and checker state spaces are small.
-    pub fn take_tie(&mut self, tie: u64) -> Option<Event> {
-        let mut events = std::mem::take(&mut self.heap).into_vec();
-        let found = events
-            .iter()
-            .position(|e| e.tie == tie)
-            .map(|at| events.swap_remove(at));
-        self.heap = BinaryHeap::from(events);
-        found
-    }
-
-    /// Time of the next event without removing it.
-    pub fn peek_time(&self) -> Option<VirtualTime> {
-        self.heap.peek().map(|e| e.time)
-    }
-
-    #[allow(dead_code)] // used by tests and tooling
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    #[allow(dead_code)] // used by tests and tooling
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+impl DerefMut for EventQueue {
+    fn deref_mut(&mut self) -> &mut Self::Target {
+        &mut self.events
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use hope_types::{Envelope, Payload};
+
     use super::*;
+    use crate::reliable::CopyKind;
 
     fn wake(p: u64) -> EventKind {
         EventKind::Wake(ProcessId::from_raw(p))
@@ -173,6 +276,115 @@ mod tests {
             .map(|e| pid_of(&e.work))
             .collect();
         assert_eq!(rest, vec![0, 1, 3], "ordering of the rest is preserved");
+    }
+
+    fn delivery(seq: u64) -> EventKind {
+        let env = Envelope {
+            src: ProcessId::from_raw(1),
+            dst: ProcessId::from_raw(2),
+            sent_at: VirtualTime::ZERO,
+            seq,
+            payload: Payload::Ack { seq },
+        };
+        EventKind::Link(LinkWork::Deliver {
+            env,
+            copy: CopyKind::Original,
+        })
+    }
+
+    #[test]
+    fn in_order_deliveries_skip_the_heap() {
+        // A stream on one link at a constant latency, its retransmit and
+        // delayed-ack timers armed ahead of every 100 messages: the heap
+        // holds the timers and nothing else.
+        let link = (ProcessId::from_raw(1), ProcessId::from_raw(2));
+        let at = |nanos| VirtualTime::from_nanos(nanos);
+        let mut q = EventQueue::new();
+        for n in 0..10_000 {
+            if n % 100 == 0 {
+                q.push(at(n + 200), EventKind::Link(LinkWork::Retransmit { link }));
+                q.push(at(n + 5), EventKind::Link(LinkWork::AckDue { link }));
+            }
+            q.push(at(n + 50), delivery(n));
+        }
+        assert_eq!(q.line.len(), 10_000);
+        assert_eq!(q.heap.len(), 200);
+        assert!(q.heap.iter().all(|e| !e.work.is_delivery()));
+    }
+
+    /// A delivery (`true`) or anything else, for the order gate.
+    #[derive(Debug)]
+    struct Item(bool);
+
+    impl Routed for Item {
+        fn is_delivery(&self) -> bool {
+            self.0
+        }
+    }
+
+    fn key(e: &Timed<u64, Item>) -> (u64, u64) {
+        (e.time, e.tie)
+    }
+
+    /// `take_tie` on the plain heap the queue is checked against.
+    fn take_tie(heap: &mut BinaryHeap<Timed<u64, Item>>, tie: u64) -> Option<(u64, u64)> {
+        let mut items = std::mem::take(heap).into_vec();
+        let found = items.iter().position(|e| e.tie == tie);
+        let found = found.map(|at| key(&items.swap_remove(at)));
+        *heap = BinaryHeap::from(items);
+        found
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        /// Whatever mix of deliveries (in order, out of order, at equal
+        /// times) and timers is pushed, with pops in between, the queue
+        /// pops the `(time, tie)` sequence a plain heap pops, and `iter`
+        /// and `take_tie` see the same items.
+        #[test]
+        fn pops_what_a_plain_heap_pops(
+            ops in proptest::collection::vec((0u8..4, 0u64..8), 0..400),
+            taken in proptest::collection::vec(0u64..400, 0..8),
+        ) {
+            let mut q = TimedQueue::default();
+            let mut heap = BinaryHeap::new();
+            let (mut sent, mut tie) = (0, 0);
+            for (op, dt) in ops {
+                let (time, delivery) = match op {
+                    // In order: a send at constant latency, often at the
+                    // same instant as the one before.
+                    0 => {
+                        sent += dt / 4;
+                        (sent + 10, true)
+                    }
+                    // Anywhere around the line's tail.
+                    1 => (sent + 2 * dt, true),
+                    2 => (sent + 3 * dt, false),
+                    _ => {
+                        let popped = (q.pop(), heap.pop());
+                        proptest::prop_assert_eq!(popped.0.as_ref().map(key), popped.1.as_ref().map(key));
+                        continue;
+                    }
+                };
+                q.push(Timed { time, tie, work: Item(delivery) });
+                heap.push(Timed { time, tie, work: Item(delivery) });
+                tie += 1;
+            }
+            let mut held: Vec<_> = q.iter().map(key).collect();
+            let mut expected: Vec<_> = heap.iter().map(key).collect();
+            held.sort_unstable();
+            expected.sort_unstable();
+            proptest::prop_assert_eq!(held, expected);
+            for t in taken {
+                proptest::prop_assert_eq!(q.take_tie(t).as_ref().map(key), take_tie(&mut heap, t));
+            }
+            proptest::prop_assert_eq!(q.len(), heap.len());
+            while let Some(e) = heap.pop() {
+                proptest::prop_assert_eq!(q.pop().as_ref().map(key), Some(key(&e)));
+            }
+            proptest::prop_assert!(q.is_empty());
+        }
     }
 
     #[test]

@@ -392,7 +392,7 @@ impl SimRuntime {
 
     fn run_bounded(&mut self, deadline: Option<VirtualTime>) -> RunReport {
         let mut hit_limit = false;
-        while let Some(next_time) = self.wire.queue.peek_time() {
+        while let Some(next_time) = self.wire.queue.peek().map(|e| e.time) {
             if deadline.is_some_and(|d| next_time > d) {
                 break;
             }

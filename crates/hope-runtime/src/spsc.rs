@@ -168,22 +168,24 @@ impl<T> Consumer<T> {
     /// Pops every currently visible element into `out` and returns how
     /// many were moved. One acquire load covers the whole batch — the
     /// drain the shard loop performs per wakeup.
-    pub fn drain_into(&mut self, out: &mut Vec<T>) -> usize {
+    pub fn drain_into(&mut self, out: &mut impl Extend<T>) -> usize {
         self.tail_cache = self.shared.tail.0.load(Ordering::Acquire);
-        let mut n = 0;
-        while self.head != self.tail_cache {
-            let value = self.shared.slots[(self.head & self.shared.mask) as usize]
-                .lock()
-                .take()
-                .expect("slot published by producer must hold a value");
-            self.head = self.head.wrapping_add(1);
-            out.push(value);
-            n += 1;
-        }
+        let start = self.head;
+        out.extend(std::iter::from_fn(|| {
+            (self.head != self.tail_cache).then(|| {
+                let value = self.shared.slots[(self.head & self.shared.mask) as usize]
+                    .lock()
+                    .take()
+                    .expect("slot published by producer must hold a value");
+                self.head = self.head.wrapping_add(1);
+                value
+            })
+        }));
+        let n = self.head.wrapping_sub(start);
         if n > 0 {
             self.shared.head.0.store(self.head, Ordering::Release);
         }
-        n
+        n as usize
     }
 
     /// True when no element is currently visible. Racy in the same way

@@ -322,9 +322,8 @@ pub struct RunReport {
     /// True if the run stopped because it hit the configured event limit.
     pub hit_event_limit: bool,
     /// Scheduler → process resumes so far: the turns threaded processes
-    /// took on [`SimRuntime`](crate::SimRuntime). The
-    /// [`ThreadedRuntime`](crate::ThreadedRuntime) does not count its
-    /// shards' turns and reports zero.
+    /// took, on the simulator or on every shard of a
+    /// [`ThreadedRuntime`](crate::ThreadedRuntime).
     pub turns: u64,
 }
 

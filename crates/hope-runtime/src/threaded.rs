@@ -12,7 +12,8 @@
 //! so `hope-core`'s algorithm runs unmodified.
 //!
 //! Work items — deliveries, link timers, process wakes, crash/restart
-//! events — go to the *destination's* shard, which owns a timer heap, its
+//! events — go to the *destination's* shard, which owns a timed queue (a
+//! line for deliveries that come in due order, a heap for the rest), its
 //! processes, their crash windows and a cached snapshot of the
 //! version-validated routing table, and runs each due delivery through the
 //! dispatch step both runtimes share (`node.rs`). A shard sends through
@@ -29,7 +30,7 @@
 //! count and match the simulator) and to measure the protocol on real
 //! threads.
 
-use std::collections::{BTreeSet, BinaryHeap, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
@@ -41,7 +42,7 @@ use hope_types::{Envelope, Payload, ProcessId, TraceEventKind, VirtualDuration, 
 use crate::actor::Actor;
 use crate::control::ControlHandler;
 use crate::coro::Stack;
-use crate::event::Timed;
+use crate::event::{Routed, Timed, TimedQueue};
 use crate::fault::{FaultModel, FaultPlan};
 use crate::link::{state_link, Link, LinkWork, Outbound, StatsSink};
 use crate::net::{LatencyModel, NetworkConfig};
@@ -78,6 +79,12 @@ enum Work {
     Restart(ProcessId),
     /// A new process's first turn, or the end of its compute step.
     Wake(ProcessId),
+}
+
+impl Routed for Work {
+    fn is_delivery(&self) -> bool {
+        matches!(self, Work::Link(LinkWork::Deliver { .. }))
+    }
 }
 
 /// A shard work item scheduled for a wall-clock instant; `tie` is the
@@ -180,10 +187,11 @@ impl Lane {
             Ok(()) => {}
             Err(item) => {
                 // Order across the two paths is restored by the shard's
-                // (due, seq) heap; the shard drains the overflow queue
-                // before the rings each cycle (see `Shard::collect`) so an
-                // overflow item and its ring-bound predecessors always
-                // land in the same batch.
+                // (due, seq) queue: an overflow item lands in its heap when
+                // it is earlier than the line's tail. The shard drains the
+                // overflow queue before the rings each cycle (see
+                // `Shard::collect`), so an overflow item and its ring-bound
+                // predecessors always land in the same collect.
                 let mut q = shard.overflow.lock();
                 q.push_back(item);
                 shard.overflowed.store(true, Ordering::Release);
@@ -216,6 +224,8 @@ struct Inner {
     tracer: Arc<hope_types::TraceCollector>,
     /// Coroutine stacks the shards have mapped so far.
     stacks_mapped: AtomicUsize,
+    /// Turns the shards have given their processes so far.
+    turns: AtomicU64,
 }
 
 impl Inner {
@@ -389,13 +399,13 @@ struct Shard {
     /// The pids this shard owns that are crashed. Shard-local, so the
     /// hot-path down-check costs nothing.
     down: BTreeSet<u64>,
-    /// Collected work, in (due, tie) order.
-    heap: BinaryHeap<Scheduled>,
+    /// Collected work, popped in (due, tie) order: deliveries that come in
+    /// due order queue in its line, everything else in its heap.
+    queue: TimedQueue<Instant, Work>,
     /// The shard's end of its ingress: the rings lanes registered with it
     /// so far.
     rings: Vec<spsc::Consumer<Scheduled>>,
     epoch_seen: u64,
-    batch: Vec<Scheduled>,
     /// The processes this shard has taken over, at `pid / shards`.
     procs: Vec<Option<Box<Proc>>>,
     /// Those due a turn at the end of the batch, in the order they became
@@ -413,29 +423,28 @@ impl Shard {
             lane,
             reader: TableReader::new(),
             down: BTreeSet::new(),
-            heap: BinaryHeap::new(),
+            queue: TimedQueue::default(),
             rings: Vec::new(),
             epoch_seen: u64::MAX,
-            batch: Vec::new(),
             procs: Vec::new(),
             ready: Vec::new(),
             idle: Vec::new(),
         }
     }
 
-    /// Moves everything queued for the shard into its heap; returns how
-    /// much that was.
+    /// Moves everything queued for the shard into its queue, straight from
+    /// each source; returns how much that was.
     ///
     /// Drains the overflow queue FIRST, then syncs and drains the ingress
-    /// rings, all into one batch: an overflow item exists only because its
-    /// lane's ring was full of its predecessors, so the ring drain after it
-    /// sees every one of them and the (due, seq) heap restores the order.
-    /// Rings first races (DESIGN.md §10 "Ingress lanes").
+    /// rings: an overflow item exists only because its lane's ring was full
+    /// of its predecessors, so the ring drain after it sees every one of
+    /// them and the (due, seq) queue restores the order. Rings first races
+    /// (DESIGN.md §10 "Ingress lanes").
     fn collect(&mut self) -> usize {
-        let handle = &self.handle;
+        let (handle, before) = (&self.handle, self.queue.len());
         if handle.overflowed.load(Ordering::Acquire) {
             let mut q = handle.overflow.lock();
-            self.batch.extend(q.drain(..));
+            self.queue.extend(q.drain(..));
             handle.overflowed.store(false, Ordering::Release);
         }
         let epoch = handle.epoch.load(Ordering::Acquire);
@@ -444,12 +453,10 @@ impl Shard {
             self.epoch_seen = epoch;
         }
         for ring in self.rings.iter_mut() {
-            ring.drain_into(&mut self.batch);
+            ring.drain_into(&mut self.queue);
         }
-        self.batch.append(&mut self.lane.mine);
-        let drained = self.batch.len();
-        self.heap.extend(self.batch.drain(..));
-        drained
+        self.queue.extend(self.lane.mine.drain(..));
+        self.queue.len() - before
     }
 
     /// The main loop: collect ingress, order by due time, run what is due
@@ -461,17 +468,22 @@ impl Shard {
             if inner.shutdown.load(Ordering::Acquire) {
                 // Drain without running anything and settle the count.
                 self.collect();
-                inner.done(self.heap.len() as u64);
+                inner.done(self.queue.len() as u64);
                 return;
             }
             let drained = self.collect();
-            // Process everything due.
+            // Process everything due. The clock is read once a pass, and
+            // again only when the head looks not yet due.
             let mut processed = 0u64;
-            while let Some(next) = self.heap.peek() {
-                if next.time > Instant::now() {
-                    break;
+            let mut now = Instant::now();
+            while let Some(next) = self.queue.peek() {
+                if next.time > now {
+                    now = Instant::now();
+                    if next.time > now {
+                        break;
+                    }
                 }
-                let item = self.heap.pop().expect("peeked");
+                let item = self.queue.pop().expect("peeked");
                 let link_timer = matches!(
                     item.work,
                     Work::Link(LinkWork::Retransmit { .. } | LinkWork::AckDue { .. })
@@ -482,8 +494,8 @@ impl Shard {
                 // they were owed among it) is still in the shard's lane.
                 if link_timer && self.collect() > 0 {
                     let earlier = |next: &Scheduled| (next.time, next.tie) < (item.time, item.tie);
-                    if self.heap.peek().is_some_and(earlier) {
-                        self.heap.push(item);
+                    if self.queue.peek().is_some_and(earlier) {
+                        self.queue.push(item);
                         continue;
                     }
                 }
@@ -519,7 +531,7 @@ impl Shard {
             if processed > 0 || drained > 0 {
                 continue; // deliveries often chain; look again before parking
             }
-            let wait = match self.heap.peek() {
+            let wait = match self.queue.peek() {
                 Some(next) => next
                     .time
                     .saturating_duration_since(Instant::now())
@@ -579,6 +591,9 @@ impl Shard {
     /// off all the mail the batch brought it in one.
     fn turns(&mut self) {
         let mut ready = std::mem::take(&mut self.ready);
+        self.inner
+            .turns
+            .fetch_add(ready.len() as u64, Ordering::Relaxed);
         for at in ready.drain(..) {
             let mut proc = self.procs[at].take().expect("a taken-over process stays");
             proc.turn(self);
@@ -693,7 +708,8 @@ impl Shard {
 }
 
 /// A shard's side of a turn: a body's sends leave through the shard's lane
-/// when the turn ends, and a compute step is a timer on the shard's heap.
+/// when the turn ends, and a compute step is a wake in the shard's queue
+/// (its heap: a wake is not a delivery).
 impl Turns for Shard {
     fn stack(&mut self) -> Stack {
         self.idle.pop().unwrap_or_else(|| {
@@ -712,7 +728,7 @@ impl Turns for Shard {
 
     fn sleep(&mut self, pid: ProcessId, dur: VirtualDuration) {
         let due = Instant::now() + Duration::from(dur);
-        self.heap.push(self.inner.queued(due, Work::Wake(pid)));
+        self.queue.push(self.inner.queued(due, Work::Wake(pid)));
     }
 
     fn exited(&mut self, pid: ProcessId, panic: Option<String>, stack: Option<Stack>) {
@@ -804,6 +820,7 @@ impl RuntimeBuilder<ThreadedRuntime> {
             max_retransmits,
             tracer: self.tracer.unwrap_or_default(),
             stacks_mapped: AtomicUsize::new(0),
+            turns: AtomicU64::new(0),
         });
         let threads = (0..nshards)
             .map(|ix| {
@@ -962,7 +979,7 @@ impl ThreadedRuntime {
             panics,
             stats: self.inner.merged_stats(),
             hit_event_limit: hit_timeout,
-            turns: 0,
+            turns: self.inner.turns.load(Ordering::Relaxed),
         }
     }
 

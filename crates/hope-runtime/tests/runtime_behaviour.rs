@@ -460,30 +460,40 @@ fn receive_sees_message_queued_before_block() {
 
 #[test]
 fn sequential_children_reuse_one_stack() {
-    // A stack per process would map 1 001 here.
-    let mut rt = SimRuntime::new();
-    rt.spawn_threaded("parent", None, move |ctx| {
+    // A stack per process would map 1 001 here. On the simulator, and on a
+    // threaded runtime whose one shard runs every process.
+    fn parent(ctx: &mut dyn SysApi) {
         let parent = ctx.pid();
         for _ in 0..1_000 {
             ctx.spawn_threaded(
                 "child",
                 None,
-                Box::new(move |cctx: &mut dyn hope_runtime::SysApi| {
+                Box::new(move |cctx: &mut dyn SysApi| {
                     cctx.send(parent, user(b"bye"));
                 }),
             );
             // The child has exited by the time its message arrives.
             ctx.receive(None, &mut || false).unwrap();
         }
-    });
-    let report = rt.run();
-    assert!(report.is_clean());
-    assert_eq!(report.turns, 1 + 2 * 1_000);
-    let stacks = rt.stacks_mapped();
-    assert!(
-        stacks <= 2,
-        "1 000 sequential children mapped {stacks} stacks"
-    );
+    }
+    let mut sim = SimRuntime::new();
+    sim.spawn_threaded("parent", None, parent);
+    let sim_report = sim.run();
+    let threaded = ThreadedRuntime::builder().shards(1).build();
+    threaded.spawn_threaded("parent", None, parent);
+    let threaded_report =
+        threaded.run_until_quiescent(Duration::from_millis(25), Duration::from_secs(30));
+    for (runtime, report, stacks) in [
+        ("simulator", sim_report, sim.stacks_mapped()),
+        ("threaded", threaded_report, threaded.stacks_mapped()),
+    ] {
+        assert!(report.is_clean(), "{runtime}: {:?}", report.panics);
+        assert_eq!(report.turns, 1 + 2 * 1_000, "{runtime}");
+        assert!(
+            stacks <= 2,
+            "{runtime}: 1 000 sequential children mapped {stacks} stacks"
+        );
+    }
 }
 
 #[test]
