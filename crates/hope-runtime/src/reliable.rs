@@ -40,7 +40,7 @@
 //! peer machine (`net/supervisor.rs`) owns its two records outright and
 //! lends them to the same pipeline.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use hope_types::{Envelope, ProcessId};
 
@@ -92,7 +92,9 @@ pub enum AckPlan {
 /// Kept compact: a contiguous prefix (`..=prefix` all seen) plus the set of
 /// out-of-order arrivals beyond it, which drain into the prefix as gaps
 /// fill. Latency jitter reorders legitimately, so this must not assume
-/// in-order arrival even though senders number in order.
+/// in-order arrival even though senders number in order; but in-order is
+/// the common case, and the next seq with no gap open moves the prefix
+/// without touching the set.
 #[derive(Debug, Default, Clone)]
 struct SeqWindow {
     prefix: u64,
@@ -102,6 +104,10 @@ struct SeqWindow {
 impl SeqWindow {
     /// Records `seq`; returns true iff this is its first arrival.
     fn observe(&mut self, seq: u64) -> bool {
+        if seq == self.prefix + 1 && self.beyond.is_empty() {
+            self.prefix = seq;
+            return true;
+        }
         if seq <= self.prefix || !self.beyond.insert(seq) {
             return false;
         }
@@ -256,10 +262,17 @@ struct Pending {
 /// sender half (sequencing, retransmit buffer, RTT estimator) and the
 /// receiver half (dedup window, owed acks). A link pipeline step borrows
 /// exactly one of these.
+///
+/// The retransmit buffer is a line, not a search tree: sequence numbers
+/// are handed out in order and tracked as they are, and a cumulative ack
+/// retires a prefix, so the unacknowledged envelopes are always a run in
+/// ascending seq that grows at the back and shrinks at the front.
 #[derive(Debug)]
 pub struct LinkRecord {
     next_seq: u64,
-    pending: BTreeMap<u64, Pending>,
+    /// Unacknowledged envelopes in ascending `env.seq` (not necessarily
+    /// contiguous: an abandoned one leaves a hole).
+    pending: VecDeque<Pending>,
     rtt: RttEstimator,
     /// Whether the driver holds this link's retransmit timer.
     timer_armed: bool,
@@ -274,7 +287,7 @@ impl LinkRecord {
     pub(crate) fn new(rtt: RttEstimator) -> Self {
         LinkRecord {
             next_seq: 0,
-            pending: BTreeMap::new(),
+            pending: VecDeque::new(),
             rtt,
             timer_armed: false,
             seen: SeqWindow::default(),
@@ -291,16 +304,22 @@ impl LinkRecord {
     }
 
     /// Buffers `envelope` for retransmission until acknowledged. The
-    /// envelope must already carry its assigned `seq`.
+    /// envelope must carry the seq [`LinkRecord::assign_seq`] just gave:
+    /// tracking is in seq order, so the buffer stays a line.
     pub fn track(&mut self, envelope: Envelope) {
         debug_assert!(envelope.seq > 0, "track() needs a sequenced envelope");
-        let entry = Pending {
+        debug_assert!(
+            self.pending
+                .back()
+                .is_none_or(|last| last.env.seq < envelope.seq),
+            "track() takes sequence numbers in the order assign_seq gives them"
+        );
+        self.pending.push_back(Pending {
             last_tx: envelope.sent_at.as_nanos(),
             env: envelope,
             retransmitted: false,
             attempts: 0,
-        };
-        self.pending.insert(entry.env.seq, entry);
+        });
     }
 
     /// Claims the link's retransmit timer for a send: true iff none was
@@ -319,8 +338,7 @@ impl LinkRecord {
             retired: false,
             rtt_sample_nanos: None,
         };
-        while let Some(first) = self.pending.first_entry().filter(|e| *e.key() <= seq) {
-            let entry = first.remove();
+        while let Some(entry) = self.pending.pop_front_if(|e| e.env.seq <= seq) {
             outcome.retired = true;
             if !entry.retransmitted {
                 let sample = now_nanos.saturating_sub(entry.env.sent_at.as_nanos());
@@ -361,11 +379,11 @@ impl LinkRecord {
         };
         let seen = &mut self.seen;
         let mut next: Option<u64> = None;
-        self.pending.retain(|&seq, entry| {
+        self.pending.retain_mut(|entry| {
             let mut due = deadline(entry);
             if everything || due <= now_nanos {
                 if entry.attempts >= max_retransmits {
-                    seen.observe(seq);
+                    seen.observe(entry.env.seq);
                     each(Overdue::Abandoned);
                     return false;
                 }
@@ -392,7 +410,8 @@ impl LinkRecord {
     /// The still-unacknowledged envelope for `seq`, if any — what a
     /// retransmit timer should resend.
     pub fn unacked(&self, seq: u64) -> Option<&Envelope> {
-        self.pending.get(&seq).map(|entry| &entry.env)
+        let at = self.pending.binary_search_by_key(&seq, |e| e.env.seq);
+        at.ok().map(|at| &self.pending[at].env)
     }
 
     /// Number of envelopes awaiting acknowledgement.
@@ -570,7 +589,7 @@ impl ReliableState {
             }
             rec.rtt = self.fresh_rtt;
             if link.0 == pid {
-                for entry in rec.pending.values_mut() {
+                for entry in rec.pending.iter_mut() {
                     entry.retransmitted = false;
                 }
             }

@@ -2,7 +2,8 @@
 //! (`hope_runtime::LinkRecord`): arbitrary interleavings of the inputs a
 //! link sees, on two links sharing one endpoint, against a naive model
 //! that keeps a flat list of everything ever sent and works every
-//! cumulative answer out by scanning it.
+//! cumulative answer out by scanning it. After every input, every seq the
+//! model sent is looked up in the record's retransmit buffer.
 //!
 //! The same inputs drive the dependency-tag codec end to end: beside each
 //! record the model keeps a `TagEncoder`/`TagDecoder` pair fed as a wire
@@ -34,6 +35,14 @@ enum Op {
     Send {
         link: usize,
         tag: u8,
+    },
+    /// `n` sends at once, nothing arriving in between: the retransmit
+    /// buffer grows past what single sends reach and, with acks retiring
+    /// its front, wraps around and regrows. The frames carry no coded tag
+    /// (as a `Hope` message carries none), so the codec sees only `Send`s.
+    Burst {
+        link: usize,
+        n: u8,
     },
     /// A copy arrives: the first, a wire duplicate or a retransmission.
     Deliver {
@@ -68,6 +77,7 @@ fn op() -> impl Strategy<Value = Op> {
     let on_link = || (0usize..2, any::<u8>());
     prop_oneof![
         4 => on_link().prop_map(|(link, tag)| Op::Send { link, tag }),
+        1 => (0usize..2, 1u8..=100).prop_map(|(link, n)| Op::Burst { link, n }),
         6 => on_link().prop_map(|(link, pick)| Op::Deliver { link, pick }),
         3 => on_link().prop_map(|(link, pick)| Op::Ack { link, pick }),
         2 => (0usize..2).prop_map(|link| Op::AckDue { link }),
@@ -88,6 +98,8 @@ enum Fate {
 #[derive(Debug)]
 struct Sent {
     tag: IdoSet,
+    /// Whether the frame carries a coded tag (a `Burst`'s does not).
+    coded: bool,
     /// What the frame carries in place of the tag, until a first copy
     /// arrives and decodes it.
     coding: Option<SetCoding>,
@@ -144,6 +156,38 @@ const CAP: u32 = 2;
 /// Far longer than any backed-off timeout the estimator's clamp allows.
 const ERA: u64 = 1 << 44;
 
+/// One send on `link`, its tag coded if it has one: the record hands out
+/// the next seq, and only the send that finds no timer starts one.
+fn send(st: &mut ReliableState, link: usize, m: &mut LinkModel, now: u64, tag: Option<IdoSet>) {
+    let id = links()[link];
+    let rec = st.link_mut(id);
+    let seq = rec.assign_seq();
+    assert_eq!(seq, m.sent.len() as u64 + 1);
+    let coding = tag.as_ref().map(|tag| m.enc.encode(seq, tag));
+    let tag = tag.unwrap_or_default();
+    let envelope = Envelope {
+        src: id.0,
+        dst: id.1,
+        sent_at: VirtualTime::from_nanos(now),
+        seq,
+        payload: Payload::User(UserMessage::tagged(0, bytes::Bytes::new(), tag.clone())),
+    };
+    rec.track(envelope);
+    assert_eq!(rec.arm_timer(), !m.retransmit_timer);
+    m.retransmit_timer = true;
+    m.sent.push(Sent {
+        tag,
+        coded: coding.is_some(),
+        coding,
+        epoch: m.epoch,
+        fate: Fate::Pending,
+        delivered: false,
+        resent: false,
+        attempts: 0,
+        sent_at: now,
+    });
+}
+
 /// An ack goes out: it must say what the flat model says.
 fn ack_goes_out(rec: &mut LinkRecord, m: &mut LinkModel) {
     assert_eq!(rec.take_ack(), m.prefix());
@@ -162,38 +206,19 @@ proptest! {
             match op {
                 // The codec resolves reordering within its window; past it
                 // a delta can legitimately lose its base without a crash.
+                // `Burst`s count too, so every coded seq is inside it.
                 Op::Send { link, .. } if model[link].sent.len() as u64 >= DEFAULT_CODEC_WINDOW => {}
                 Op::Send { link, tag } => {
-                    let (id, m) = (links()[link], &mut model[link]);
                     let tag: IdoSet = (0..3u64)
                         .filter(|bit| tag >> bit & 1 == 1)
                         .map(|bit| AidId::from_raw(p(10 + bit)))
                         .collect();
-                    let rec = st.link_mut(id);
-                    let seq = rec.assign_seq();
-                    prop_assert_eq!(seq, m.sent.len() as u64 + 1);
-                    let coding = m.enc.encode(seq, &tag);
-                    let envelope = Envelope {
-                        src: id.0,
-                        dst: id.1,
-                        sent_at: VirtualTime::from_nanos(now),
-                        seq,
-                        payload: Payload::User(UserMessage::tagged(0, bytes::Bytes::new(), tag.clone())),
-                    };
-                    rec.track(envelope);
-                    // Only the send that finds no timer starts one.
-                    prop_assert_eq!(rec.arm_timer(), !m.retransmit_timer);
-                    m.retransmit_timer = true;
-                    m.sent.push(Sent {
-                        tag,
-                        coding: Some(coding),
-                        epoch: m.epoch,
-                        fate: Fate::Pending,
-                        delivered: false,
-                        resent: false,
-                        attempts: 0,
-                        sent_at: now,
-                    });
+                    send(&mut st, link, &mut model[link], now, Some(tag));
+                }
+                Op::Burst { link, n } => {
+                    for _ in 0..n {
+                        send(&mut st, link, &mut model[link], now, None);
+                    }
                 }
                 Op::Deliver { link, pick } => {
                     let Some(seq) = model[link].seq(pick) else { continue };
@@ -202,7 +227,7 @@ proptest! {
                     // Exactly once per (link, seq), and never once abandoned.
                     let fresh = !sent.observed();
                     prop_assert_eq!(rec.accept(seq), fresh);
-                    if fresh {
+                    if fresh && sent.coded {
                         // Neither acked nor abandoned: its coding is still
                         // in flight.
                         let coding = sent.coding.take().expect("a first copy finds its coding");
@@ -215,8 +240,8 @@ proptest! {
                             // does decode is never a wrong one.
                             prop_assert_eq!(set, sent.tag.clone());
                         }
-                        sent.delivered = true;
                     }
+                    sent.delivered |= fresh;
                     // At once for a duplicate or past a gap; otherwise
                     // owed, with one timer for all that is.
                     let plan = rec.ack_plan(seq, fresh);
@@ -324,7 +349,15 @@ proptest! {
             let pending: usize = model.iter().map(LinkModel::pending).sum();
             prop_assert_eq!(st.in_flight(), pending);
             for (id, m) in links().into_iter().zip(&model) {
-                prop_assert_eq!(st.link_mut(id).owes_ack(), m.owed > 0);
+                let rec = st.link_mut(id);
+                prop_assert_eq!(rec.owes_ack(), m.owed > 0);
+                // The buffer holds exactly what the model calls pending,
+                // each envelope under its own seq.
+                for (seq, sent) in (1u64..).zip(&m.sent) {
+                    let unacked = rec.unacked(seq).map(|env| env.seq);
+                    let pending = (sent.fate == Fate::Pending).then_some(seq);
+                    prop_assert_eq!(unacked, pending, "unacked({})", seq);
+                }
             }
         }
     }
