@@ -1,19 +1,18 @@
-//! The timed queue both runtimes schedule their work in — a sorted line
-//! of deliveries beside a heap of everything else, popped in `(time, tie)`
-//! order — and the simulator's event queue on top of it.
+//! The timed queue both runtimes schedule their work in: a sorted line of
+//! deliveries beside a heap of everything else, popped in `(time, tie)`
+//! order.
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
-use std::ops::{Deref, DerefMut};
 
 use hope_types::{ProcessId, VirtualTime};
 
 use crate::link::LinkWork;
 
-/// What happens when an event fires.
+/// What happens when a queued item comes due, on either runtime.
 #[derive(Debug)]
 pub(crate) enum EventKind {
-    /// Link-layer work: a message arrival or a retransmission timer.
+    /// Link-layer work: a message arrival or a link timer.
     Link(LinkWork),
     /// A process finishes a compute step (or starts for the first time).
     Wake(ProcessId),
@@ -30,59 +29,52 @@ pub(crate) enum EventKind {
     Restart(ProcessId),
 }
 
-/// A work item due at `time` on clock `T` (virtual time in the
-/// simulator, `Instant` on the threaded runtime's shards). Ordering is
-/// `(time, tie)` where `tie` is a runtime-global monotone counter, which
-/// makes pops deterministic and, on the shards, shard-count-independent.
-#[derive(Debug)]
-pub(crate) struct Timed<T, W> {
-    pub time: T,
-    pub tie: u64,
-    pub work: W,
-}
-
-/// A scheduled simulator event.
-pub(crate) type Event = Timed<VirtualTime, EventKind>;
-
-impl<T: Ord, W> Timed<T, W> {
-    /// What the queue orders by.
-    fn key(&self) -> (&T, u64) {
-        (&self.time, self.tie)
+impl EventKind {
+    /// On one link deliveries come due in the order they were sent (send
+    /// time plus a constant latency), so they can queue in a line; timers,
+    /// wakes and faults are armed at any distance ahead and cannot.
+    fn is_delivery(&self) -> bool {
+        matches!(self, EventKind::Link(LinkWork::Deliver { .. }))
     }
 }
 
-impl<T: Ord, W> PartialEq for Timed<T, W> {
+/// A work item due at `time` on the runtime's virtual axis: the
+/// simulator's clock, or a shard's nanoseconds since the runtime started.
+/// Ordering is `(time, tie)`, where the runtime's clock stamps `tie` in
+/// push order ([`Clock::stamp`](crate::scheduler::Clock::stamp)), which
+/// makes pops deterministic and, on the shards, shard-count-independent.
+#[derive(Debug)]
+pub(crate) struct Timed {
+    pub time: VirtualTime,
+    pub tie: u64,
+    pub work: EventKind,
+}
+
+impl Timed {
+    /// What the queue orders by.
+    pub fn key(&self) -> (VirtualTime, u64) {
+        (self.time, self.tie)
+    }
+}
+
+impl PartialEq for Timed {
     fn eq(&self, other: &Self) -> bool {
         self.key() == other.key()
     }
 }
 
-impl<T: Ord, W> Eq for Timed<T, W> {}
+impl Eq for Timed {}
 
-impl<T: Ord, W> PartialOrd for Timed<T, W> {
+impl PartialOrd for Timed {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
-impl<T: Ord, W> Ord for Timed<T, W> {
+impl Ord for Timed {
     fn cmp(&self, other: &Self) -> Ordering {
         // BinaryHeap is a max-heap; invert so the earliest item pops first.
         other.key().cmp(&self.key())
-    }
-}
-
-/// What a [`TimedQueue`] asks of an item's work: is it a message
-/// delivery? On one link deliveries come due in the order they were sent
-/// (send time plus a constant latency), so they can queue in a line;
-/// timers, wakes and faults are armed at any distance ahead and cannot.
-pub(crate) trait Routed {
-    fn is_delivery(&self) -> bool;
-}
-
-impl Routed for EventKind {
-    fn is_delivery(&self) -> bool {
-        matches!(self, EventKind::Link(LinkWork::Deliver { .. }))
     }
 }
 
@@ -94,26 +86,17 @@ impl Routed for EventKind {
 /// exactly the one a plain heap gives. An earlier push never evicts the
 /// tail: an ack stamped at its arrival's due time is earlier than the
 /// whole backlog behind it, which would then move to the heap.
-#[derive(Debug)]
-pub(crate) struct TimedQueue<T, W> {
+#[derive(Debug, Default)]
+pub(crate) struct TimedQueue {
     /// Deliveries, each pushed not earlier than the one before.
-    line: VecDeque<Timed<T, W>>,
+    line: VecDeque<Timed>,
     /// Everything else.
-    heap: BinaryHeap<Timed<T, W>>,
+    heap: BinaryHeap<Timed>,
 }
 
-impl<T, W> Default for TimedQueue<T, W> {
-    fn default() -> Self {
-        TimedQueue {
-            line: VecDeque::new(),
-            heap: BinaryHeap::new(),
-        }
-    }
-}
-
-impl<T: Ord, W: Routed> TimedQueue<T, W> {
-    pub fn push(&mut self, item: Timed<T, W>) {
-        let in_order = |tail: &Timed<T, W>| item.key() >= tail.key();
+impl TimedQueue {
+    pub fn push(&mut self, item: Timed) {
+        let in_order = |tail: &Timed| item.key() >= tail.key();
         if item.work.is_delivery() && self.line.back().is_none_or(in_order) {
             self.line.push_back(item);
         } else {
@@ -130,7 +113,7 @@ impl<T: Ord, W: Routed> TimedQueue<T, W> {
     }
 
     /// The earliest item, without removing it.
-    pub fn peek(&self) -> Option<&Timed<T, W>> {
+    pub fn peek(&self) -> Option<&Timed> {
         if self.line_first() {
             self.line.front()
         } else {
@@ -138,7 +121,7 @@ impl<T: Ord, W: Routed> TimedQueue<T, W> {
         }
     }
 
-    pub fn pop(&mut self) -> Option<Timed<T, W>> {
+    pub fn pop(&mut self) -> Option<Timed> {
         if self.line_first() {
             self.line.pop_front()
         } else {
@@ -147,14 +130,14 @@ impl<T: Ord, W: Routed> TimedQueue<T, W> {
     }
 
     /// Iterates over all queued items in unspecified order.
-    pub fn iter(&self) -> impl Iterator<Item = &Timed<T, W>> {
+    pub fn iter(&self) -> impl Iterator<Item = &Timed> {
         self.line.iter().chain(self.heap.iter())
     }
 
     /// Removes and returns the item whose tie counter is `tie`, leaving
     /// every other item untouched. O(n): only the external-scheduler path
     /// uses it, and checker state spaces are small.
-    pub fn take_tie(&mut self, tie: u64) -> Option<Timed<T, W>> {
+    pub fn take_tie(&mut self, tie: u64) -> Option<Timed> {
         if let Some(at) = self.line.iter().position(|e| e.tie == tie) {
             return self.line.remove(at);
         }
@@ -177,45 +160,11 @@ impl<T: Ord, W: Routed> TimedQueue<T, W> {
     }
 }
 
-impl<T: Ord, W: Routed> Extend<Timed<T, W>> for TimedQueue<T, W> {
-    fn extend<I: IntoIterator<Item = Timed<T, W>>>(&mut self, items: I) {
+impl Extend<Timed> for TimedQueue {
+    fn extend<I: IntoIterator<Item = Timed>>(&mut self, items: I) {
         for item in items {
             self.push(item);
         }
-    }
-}
-
-/// The simulator's event queue: a [`TimedQueue`] and the counter that
-/// stamps each event's tie in push order.
-#[derive(Debug, Default)]
-pub(crate) struct EventQueue {
-    events: TimedQueue<VirtualTime, EventKind>,
-    next_tie: u64,
-}
-
-impl EventQueue {
-    pub fn new() -> Self {
-        EventQueue::default()
-    }
-
-    pub fn push(&mut self, time: VirtualTime, work: EventKind) {
-        let tie = self.next_tie;
-        self.next_tie += 1;
-        self.events.push(Event { time, tie, work });
-    }
-}
-
-impl Deref for EventQueue {
-    type Target = TimedQueue<VirtualTime, EventKind>;
-
-    fn deref(&self) -> &Self::Target {
-        &self.events
-    }
-}
-
-impl DerefMut for EventQueue {
-    fn deref_mut(&mut self) -> &mut Self::Target {
-        &mut self.events
     }
 }
 
@@ -237,45 +186,50 @@ mod tests {
         }
     }
 
+    /// A queue holding `items`, their ties stamped in order.
+    fn queue(items: impl IntoIterator<Item = (u64, EventKind)>) -> TimedQueue {
+        let mut q = TimedQueue::default();
+        for (tie, (nanos, work)) in items.into_iter().enumerate() {
+            let time = VirtualTime::from_nanos(nanos);
+            q.push(Timed {
+                time,
+                tie: tie as u64,
+                work,
+            });
+        }
+        q
+    }
+
+    fn pids(q: &mut TimedQueue) -> Vec<u64> {
+        std::iter::from_fn(|| q.pop())
+            .map(|e| pid_of(&e.work))
+            .collect()
+    }
+
     #[test]
     fn pops_in_time_order() {
-        let mut q = EventQueue::new();
-        q.push(VirtualTime::from_nanos(30), wake(3));
-        q.push(VirtualTime::from_nanos(10), wake(1));
-        q.push(VirtualTime::from_nanos(20), wake(2));
-        let order: Vec<u64> = std::iter::from_fn(|| q.pop())
-            .map(|e| pid_of(&e.work))
-            .collect();
-        assert_eq!(order, vec![1, 2, 3]);
+        let mut q = queue([(30, wake(3)), (10, wake(1)), (20, wake(2))]);
+        assert_eq!(pids(&mut q), vec![1, 2, 3]);
     }
 
     #[test]
     fn ties_break_by_insertion_order() {
-        let mut q = EventQueue::new();
-        let t = VirtualTime::from_nanos(5);
-        for p in 0..10 {
-            q.push(t, wake(p));
-        }
-        let order: Vec<u64> = std::iter::from_fn(|| q.pop())
-            .map(|e| pid_of(&e.work))
-            .collect();
-        assert_eq!(order, (0..10).collect::<Vec<_>>());
+        let mut q = queue((0..10).map(|p| (5, wake(p))));
+        assert_eq!(pids(&mut q), (0..10).collect::<Vec<_>>());
     }
 
     #[test]
     fn take_tie_removes_exactly_one_event() {
-        let mut q = EventQueue::new();
-        for p in 0..4 {
-            q.push(VirtualTime::from_nanos(p * 10), wake(p));
-        }
+        let mut q = queue((0..4).map(|p| (p * 10, wake(p))));
         let taken = q.take_tie(2).expect("tie 2 is queued");
         assert_eq!(pid_of(&taken.work), 2);
         assert_eq!(q.take_tie(2), None, "already removed");
         assert_eq!(q.take_tie(99), None, "never existed");
-        let rest: Vec<u64> = std::iter::from_fn(|| q.pop())
-            .map(|e| pid_of(&e.work))
-            .collect();
-        assert_eq!(rest, vec![0, 1, 3], "ordering of the rest is preserved");
+        assert_eq!(
+            pids(&mut q),
+            vec![0, 1, 3],
+            "ordering of the rest is preserved"
+        );
     }
 
     fn delivery(seq: u64) -> EventKind {
@@ -298,39 +252,37 @@ mod tests {
         // delayed-ack timers armed ahead of every 100 messages: the heap
         // holds the timers and nothing else.
         let link = (ProcessId::from_raw(1), ProcessId::from_raw(2));
-        let at = |nanos| VirtualTime::from_nanos(nanos);
-        let mut q = EventQueue::new();
-        for n in 0..10_000 {
-            if n % 100 == 0 {
-                q.push(at(n + 200), EventKind::Link(LinkWork::Retransmit { link }));
-                q.push(at(n + 5), EventKind::Link(LinkWork::AckDue { link }));
-            }
-            q.push(at(n + 50), delivery(n));
-        }
+        let q = queue((0..10_000).flat_map(|n| {
+            let timers = (n % 100 == 0).then(|| {
+                let retransmit = (n + 200, EventKind::Link(LinkWork::Retransmit { link }));
+                [
+                    retransmit,
+                    (n + 5, EventKind::Link(LinkWork::AckDue { link })),
+                ]
+            });
+            timers.into_iter().flatten().chain([(n + 50, delivery(n))])
+        }));
         assert_eq!(q.line.len(), 10_000);
         assert_eq!(q.heap.len(), 200);
         assert!(q.heap.iter().all(|e| !e.work.is_delivery()));
     }
 
-    /// A delivery (`true`) or anything else, for the order gate.
-    #[derive(Debug)]
-    struct Item(bool);
-
-    impl Routed for Item {
-        fn is_delivery(&self) -> bool {
-            self.0
-        }
-    }
-
-    fn key(e: &Timed<u64, Item>) -> (u64, u64) {
-        (e.time, e.tie)
+    /// A delivery or a wake, for the order gate.
+    fn item(time: u64, tie: u64, delivery: bool) -> Timed {
+        let work = if delivery {
+            self::delivery(tie)
+        } else {
+            wake(tie)
+        };
+        let time = VirtualTime::from_nanos(time);
+        Timed { time, tie, work }
     }
 
     /// `take_tie` on the plain heap the queue is checked against.
-    fn take_tie(heap: &mut BinaryHeap<Timed<u64, Item>>, tie: u64) -> Option<(u64, u64)> {
+    fn take_tie(heap: &mut BinaryHeap<Timed>, tie: u64) -> Option<(VirtualTime, u64)> {
         let mut items = std::mem::take(heap).into_vec();
         let found = items.iter().position(|e| e.tie == tie);
-        let found = found.map(|at| key(&items.swap_remove(at)));
+        let found = found.map(|at| items.swap_remove(at).key());
         *heap = BinaryHeap::from(items);
         found
     }
@@ -348,7 +300,7 @@ mod tests {
             taken in proptest::collection::vec(0u64..400, 0..8),
         ) {
             let mut q = TimedQueue::default();
-            let mut heap = BinaryHeap::new();
+            let mut heap = BinaryHeap::<Timed>::new();
             let (mut sent, mut tie) = (0, 0);
             for (op, dt) in ops {
                 let (time, delivery) = match op {
@@ -363,25 +315,25 @@ mod tests {
                     2 => (sent + 3 * dt, false),
                     _ => {
                         let popped = (q.pop(), heap.pop());
-                        proptest::prop_assert_eq!(popped.0.as_ref().map(key), popped.1.as_ref().map(key));
+                        proptest::prop_assert_eq!(popped.0.map(|e| e.key()), popped.1.map(|e| e.key()));
                         continue;
                     }
                 };
-                q.push(Timed { time, tie, work: Item(delivery) });
-                heap.push(Timed { time, tie, work: Item(delivery) });
+                q.push(item(time, tie, delivery));
+                heap.push(item(time, tie, delivery));
                 tie += 1;
             }
-            let mut held: Vec<_> = q.iter().map(key).collect();
-            let mut expected: Vec<_> = heap.iter().map(key).collect();
+            let mut held: Vec<_> = q.iter().map(Timed::key).collect();
+            let mut expected: Vec<_> = heap.iter().map(Timed::key).collect();
             held.sort_unstable();
             expected.sort_unstable();
             proptest::prop_assert_eq!(held, expected);
             for t in taken {
-                proptest::prop_assert_eq!(q.take_tie(t).as_ref().map(key), take_tie(&mut heap, t));
+                proptest::prop_assert_eq!(q.take_tie(t).map(|e| e.key()), take_tie(&mut heap, t));
             }
             proptest::prop_assert_eq!(q.len(), heap.len());
             while let Some(e) = heap.pop() {
-                proptest::prop_assert_eq!(q.pop().as_ref().map(key), Some(key(&e)));
+                proptest::prop_assert_eq!(q.pop().map(|e| e.key()), Some(e.key()));
             }
             proptest::prop_assert!(q.is_empty());
         }
@@ -389,9 +341,13 @@ mod tests {
 
     #[test]
     fn len_tracks_contents() {
-        let mut q = EventQueue::new();
+        let mut q = queue([]);
         assert!(q.is_empty());
-        q.push(VirtualTime::ZERO, wake(0));
+        q.push(Timed {
+            time: VirtualTime::ZERO,
+            tie: 0,
+            work: wake(0),
+        });
         assert_eq!(q.len(), 1);
         q.pop();
         assert!(q.is_empty());

@@ -4,15 +4,21 @@
 //! UNIX processes exchanging asynchronous messages, AID processes were
 //! spawned as PVM tasks, and the HOPElib `Control` function intercepted HOPE
 //! messages addressed to user processes (paper, Figure 3). This crate is the
-//! from-scratch substitute: a **deterministic, virtual-time actor runtime**.
+//! from-scratch substitute: **one scheduler on two clocks**.
 //!
-//! * **User processes** run as coroutines on the scheduler's thread, each
+//! * A scheduler owns a queue of timed work and the processes it runs. It
+//!   delivers each due message through one dispatch step, fires link
+//!   timers, crashes and restarts, and gives processes their turns.
+//!   [`SimRuntime`] is one scheduler on a virtual clock: deterministic per
+//!   seed, and virtual time measures exactly how much latency speculation
+//!   hid. [`ThreadedRuntime`] runs one per shard thread on the wall clock,
+//!   with lanes between the shards; its outcomes match the simulator's at
+//!   every shard count.
+//! * **User processes** run as coroutines on their scheduler's thread, each
 //!   on a stack of its own, with a blocking, sequential programming model
-//!   ([`SimRuntime::spawn_threaded`]); the scheduler and the running process
-//!   switch stacks in strict turns, so execution is fully deterministic for
-//!   a given seed. A stack is reused by the next process once its process
-//!   exits. [`ThreadedRuntime`] runs them the same way on N wall-clock
-//!   shard threads, each process on the shard that runs its `Control`.
+//!   ([`SimRuntime::spawn_threaded`]). A process and its scheduler switch
+//!   stacks in strict turns. A stack is reused by the next process once
+//!   its process exits.
 //! * **AID processes** are lightweight event-driven [`Actor`]s — they are
 //!   pure message-driven state machines in the paper, so they need no stack.
 //! * **HOPE protocol messages** addressed to a threaded process are routed
@@ -20,15 +26,14 @@
 //!   HOPElib) instead of the user-visible mailbox.
 //! * The **network** adds pluggable per-message delivery latency
 //!   ([`LatencyModel`], [`NetworkConfig`]), which is what the optimistic
-//!   primitives exist to hide; virtual time measures exactly how much
-//!   latency was avoided.
+//!   primitives exist to hide.
 //! * **Fault injection** ([`FaultPlan`]) makes the wire lossy — seeded
 //!   drops, duplicates and scheduled crash/restarts — and enables the
 //!   reliable-delivery sublayer (per-link sequencing, cumulative acks, one
 //!   retransmit timer per link, receiver dedup) that restores the lossless contract the
 //!   protocol assumes. Off by default; fault-free runs are untouched.
 //!
-//! The runtime is quiescence-driven: [`SimRuntime::run`] processes events in
+//! The simulator is quiescence-driven: [`SimRuntime::run`] processes events in
 //! virtual-time order until no event remains, then reports which processes
 //! exited, which are still blocked, and the message statistics needed by the
 //! paper's protocol accounting (Table 1).
@@ -75,6 +80,7 @@ mod node;
 mod reliable;
 mod runtime;
 mod sched;
+mod scheduler;
 mod shard;
 pub mod spsc;
 mod stats;

@@ -3,12 +3,9 @@
 //! HOPElib `Control` (the paper's Figures 3 and 9–11), or a gateway.
 //!
 //! The only handler calls are here: [`deliver`], [`crash`], [`restart`].
-//! Like the link pipeline it is sans-IO: a runtime lends a [`Host`] (a
-//! clock and a send) and carries out the [`Step`] reported. Where slots
-//! live and how a wake becomes a run stay with the runtime (DESIGN.md §10
+//! Like the link pipeline it is sans-IO: the scheduler lends a [`Host`] (a
+//! clock and a send) and carries out the [`Step`] reported (DESIGN.md §10
 //! "One dispatch step").
-
-use std::ops::DerefMut;
 
 use hope_types::{Envelope, Payload, ProcessId, VirtualTime};
 
@@ -22,21 +19,20 @@ pub(crate) trait Host {
     /// the wall clock on the threaded runtime.
     fn now(&self) -> VirtualTime;
 
-    /// Sends `payload` from `src` to `dst` now, inside the handler call:
-    /// `LibControl` sends under its lib lock, and a user thread's send on
-    /// the same link must not overtake them.
+    /// Sends `payload` from `src` to `dst` now, inside the handler call.
+    /// The process's body is suspended while a handler runs, so its sends
+    /// wait in its outbox and cannot come between the handler's.
     fn send(&mut self, src: ProcessId, dst: ProcessId, payload: Payload);
 }
 
-/// Where an arrived envelope goes, as the runtime's slot table holds it.
-pub(crate) enum Target<'a, C> {
+/// Where an arrived envelope goes, as the scheduler holds it.
+pub(crate) enum Target<'a> {
     /// A garbage-collected actor.
     Gone,
     /// An event-driven process (an AID process, a sink).
     Actor(&'a mut dyn Actor),
-    /// A threaded process; `C` opens its `Control` slot, and is called
-    /// only for a HOPE message, so user mail takes no handler lock.
-    Process(C),
+    /// A threaded process, by its `Control` slot.
+    Process(&'a mut Option<Box<dyn ControlHandler>>),
     /// An egress seam to another runtime (threaded runtime only).
     Gateway(&'a (dyn Fn(Envelope) + Send + Sync)),
 }
@@ -97,12 +93,7 @@ impl<H: Host> ControlApi for Api<'_, H> {
 /// actor runs `on_message`; a threaded process's user mail goes back to
 /// the host, and its HOPE message to `Control` (dropped without one); a
 /// gateway hands the envelope to its sink.
-pub(crate) fn deliver<H, C, G>(host: &mut H, target: Target<'_, C>, env: Envelope) -> Step
-where
-    H: Host,
-    C: FnOnce() -> G,
-    G: DerefMut<Target = Option<Box<dyn ControlHandler>>>,
-{
+pub(crate) fn deliver(host: &mut impl Host, target: Target<'_>, env: Envelope) -> Step {
     let (src, pid) = (env.src, env.dst);
     let mut api = Api {
         host,
@@ -114,7 +105,7 @@ where
         Target::Actor(actor) => actor.on_message(env, &mut api),
         Target::Process(control) => match env.payload {
             Payload::User(msg) => return Step::Mail(Received { src, msg }),
-            Payload::Hope(msg) => match control().as_mut() {
+            Payload::Hope(msg) => match control.as_mut() {
                 Some(handler) => handler.on_hope_message(src, msg, &mut api),
                 None => return Step::Dropped,
             },

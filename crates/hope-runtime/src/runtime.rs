@@ -1,41 +1,22 @@
-//! The deterministic virtual-time scheduler.
+//! The simulator: one [`Scheduler`] on a virtual clock.
 
-use std::collections::BTreeMap;
 use std::marker::PhantomData;
 use std::sync::Arc;
 
-use hope_types::{
-    Envelope, HopeError, Payload, ProcessId, TraceCollector, TraceEventKind, VirtualDuration,
-    VirtualTime,
-};
+use hope_types::{HopeError, Payload, ProcessId, TraceCollector, VirtualTime};
 
 use crate::actor::Actor;
 use crate::control::ControlHandler;
-use crate::coro::Stack;
-use crate::event::{Event, EventKind, EventQueue};
+use crate::event::{EventKind, Timed, TimedQueue};
 use crate::fault::{FaultModel, FaultPlan};
-use crate::link::{state_link, Link, LinkWork, Outbound};
+use crate::link::{Link, Outbound};
 use crate::net::{LatencyModel, NetworkConfig};
-use crate::node::{self, Host, Step, Target};
-use crate::reliable::{CopyKind, LinkId, ReliableState};
+use crate::reliable::{LinkId, ReliableState};
 use crate::sched::{self, PendingEvent};
-use crate::stats::{MessageStats, PartyKind, RunReport};
+use crate::scheduler::{Clock, Local, Scheduler};
+use crate::stats::{MessageStats, RunReport};
 use crate::sysapi::SysApi;
-use crate::threadproc::{Proc, ProcessStatus, SpawnKind, SpawnRequest, Turns};
-
-enum ProcSlot {
-    /// A garbage-collected actor, or a process slot whose contents
-    /// `run_threaded` has taken out for the turn.
-    Vacant,
-    Actor {
-        name: String,
-        actor: Box<dyn Actor>,
-    },
-    Threaded {
-        name: String,
-        proc: Box<Proc>,
-    },
-}
+use crate::threadproc::{ProcessStatus, SpawnRequest};
 
 /// Configures a [`SimRuntime`] or a
 /// [`ThreadedRuntime`](crate::ThreadedRuntime): shared setters, then each
@@ -138,38 +119,31 @@ impl RuntimeBuilder<SimRuntime> {
     /// non-positive rto, or overlapping crash windows for one process.
     pub fn build(self) -> SimRuntime {
         let (make_rel, max_retransmits) = FaultPlan::sublayer(self.faults.as_ref(), self.reliable);
-        let mut queue = EventQueue::new();
-        let fault = self.faults.map(|plan| {
+        let wire = Wire {
+            clock: VirtualTime::ZERO,
+            next_tie: 0,
+            latency: self.network.into_model(self.seed),
+            stats: MessageStats::new(),
+            fault: None,
+            rel: make_rel.map(|make| make()),
+            outbound: Outbound::new(),
+            tracer: self.tracer.unwrap_or_default(),
+            panics: Vec::new(),
+        };
+        let mut rt = SimRuntime {
+            sched: Scheduler::new(wire, 1, self.seed, max_retransmits),
+            max_events: self.max_events,
+            events_processed: 0,
+        };
+        rt.sched.clock.fault = self.faults.map(|plan| {
             for c in plan.crashes() {
                 let up_at = c.at + c.down_for;
-                queue.push(c.at, EventKind::Crash { pid: c.pid, up_at });
-                queue.push(up_at, EventKind::Restart(c.pid));
+                rt.sched.push(c.at, EventKind::Crash { pid: c.pid, up_at });
+                rt.sched.push(up_at, EventKind::Restart(c.pid));
             }
             plan.into_model(self.seed)
         });
-        SimRuntime {
-            procs: Vec::new(),
-            wire: Wire {
-                queue,
-                clock: VirtualTime::ZERO,
-                latency: self.network.into_model(self.seed),
-                stats: MessageStats::new(),
-                fault,
-                rel: make_rel.map(|make| make()),
-                outbound: Outbound::new(),
-                tracer: self.tracer.unwrap_or_default(),
-            },
-            seed: self.seed,
-            max_events: self.max_events,
-            events_processed: 0,
-            panics: Vec::new(),
-            collected: 0,
-            down: BTreeMap::new(),
-            max_retransmits,
-            idle: Vec::new(),
-            stacks_mapped: 0,
-            turns: 0,
-        }
+        rt
     }
 }
 
@@ -186,29 +160,16 @@ impl RuntimeBuilder<SimRuntime> {
 /// assert_send::<hope_runtime::SimRuntime>();
 /// ```
 pub struct SimRuntime {
-    procs: Vec<ProcSlot>,
-    /// What a send touches, apart from the slots: the dispatch step's host.
-    wire: Wire,
-    seed: u64,
+    sched: Scheduler<Wire>,
     max_events: u64,
     events_processed: u64,
-    panics: Vec<(ProcessId, String)>,
-    collected: u64,
-    /// Crashed processes: raw pid -> restart time (for wake deferral).
-    down: BTreeMap<u64, VirtualTime>,
-    max_retransmits: u32,
-    /// Stacks whose process exited, ready for the next first resume.
-    idle: Vec<Stack>,
-    /// Coroutine stacks mapped so far.
-    stacks_mapped: usize,
-    /// Scheduler → process resumes so far.
-    turns: u64,
 }
 
-/// The simulator's clock, event queue and link-pipeline state.
+/// The simulator's side of its scheduler: the virtual clock, advanced by
+/// the events it fires, the tie counter, and the one link-pipeline state.
 struct Wire {
-    queue: EventQueue,
     clock: VirtualTime,
+    next_tie: u64,
     latency: Box<dyn LatencyModel>,
     stats: MessageStats,
     /// Fault model, when fault injection is configured.
@@ -221,17 +182,33 @@ struct Wire {
     /// Causal-trace collector for wire events (disabled unless enabled by
     /// the owner; recording is a single atomic load when off).
     tracer: Arc<TraceCollector>,
+    panics: Vec<(ProcessId, String)>,
 }
 
-impl Wire {
-    /// Runs one link-pipeline step for `link` at the current clock — the
-    /// step's one lookup by link is here — then queues what it asked for,
+impl Clock for Wire {
+    fn now(&self) -> VirtualTime {
+        self.clock
+    }
+
+    fn stamp(&mut self, time: VirtualTime, work: EventKind) -> Timed {
+        self.next_tie += 1;
+        let tie = self.next_tie - 1;
+        Timed { time, tie, work }
+    }
+
+    /// The step's one lookup by link is here; what it asks for is queued
     /// in the order asked (event ties follow it).
-    fn step<T>(&mut self, link: LinkId, f: impl FnOnce(&mut Link<'_>, &mut Outbound) -> T) -> T {
-        let now = self.clock;
+    fn step<R>(
+        &mut self,
+        queue: &mut TimedQueue,
+        link: LinkId,
+        at: VirtualTime,
+        f: impl FnOnce(&mut Link<'_>, &mut Outbound) -> R,
+    ) -> R {
+        let samples = self.stats.link().rtt_samples;
         let mut out = std::mem::take(&mut self.outbound);
         let mut link = Link {
-            now,
+            now: at,
             rel: self.rel.as_mut().map(|rel| rel.link_mut(link)),
             stats: &mut self.stats,
             latency: &mut *self.latency,
@@ -240,22 +217,36 @@ impl Wire {
         };
         let result = f(&mut link, &mut out);
         for (delay, work) in out.drain(..) {
-            self.queue.push(now + delay, EventKind::Link(work));
+            let item = self.stamp(at + delay, EventKind::Link(work));
+            queue.push(item);
         }
         self.outbound = out;
+        // `srtt_nanos` is the mean across sampled links *at the last
+        // sample*, so it is refreshed per sample here (the threaded
+        // runtime recomputes it from its stripes at report time).
+        if self.stats.link().rtt_samples != samples {
+            self.stats.link_mut().srtt_nanos =
+                self.rel.as_ref().map_or(0, ReliableState::mean_srtt_nanos);
+        }
         result
     }
-}
 
-/// A handler's sends are queued as it makes them: nothing else pushes an
-/// event in between, so the order is the one buffering them would give.
-impl Host for Wire {
-    fn now(&self) -> VirtualTime {
-        self.clock
+    fn crash_links(&mut self, pid: ProcessId) {
+        if let Some(rel) = self.rel.as_mut() {
+            rel.on_crash(pid);
+        }
     }
 
-    fn send(&mut self, src: ProcessId, dst: ProcessId, payload: Payload) {
-        self.step((src, dst), |link, out| link.send(src, dst, payload, out));
+    fn exited(&mut self, pid: ProcessId, panic: Option<String>) {
+        self.panics.extend(panic.map(|msg| (pid, msg)));
+    }
+
+    fn dropped(&mut self) {
+        self.stats.record_dropped();
+    }
+
+    fn tracer(&self) -> &TraceCollector {
+        &self.tracer
     }
 }
 
@@ -272,59 +263,62 @@ impl SimRuntime {
 
     /// Current virtual time.
     pub fn now(&self) -> VirtualTime {
-        self.wire.clock
+        self.sched.clock.clock
     }
 
     /// Seed this runtime was built with.
     pub fn seed(&self) -> u64 {
-        self.seed
+        self.sched.seed
     }
 
     /// Message statistics accumulated so far.
     pub fn stats(&self) -> &MessageStats {
-        &self.wire.stats
+        &self.sched.clock.stats
     }
 
     /// Coroutine stacks mapped so far. A process takes an idle stack at its
     /// first resume and returns it when it exits, so this stays at the
     /// peak number of processes running at once, not the number spawned.
     pub fn stacks_mapped(&self) -> usize {
-        self.stacks_mapped
+        self.sched.stacks_mapped
     }
 
     /// Actor processes garbage-collected so far (AID reference counting).
     pub fn collected_actors(&self) -> u64 {
-        self.collected
+        let gone = self.sched.locals.iter().flatten();
+        gone.filter(|local| matches!(local, Local::Gone)).count() as u64
     }
 
     /// The shared causal-trace collector (always present; disabled unless
     /// [`hope_types::TraceCollector::enable`]d).
     pub fn tracer(&self) -> &Arc<TraceCollector> {
-        &self.wire.tracer
+        &self.sched.clock.tracer
+    }
+
+    fn local(&self, pid: ProcessId) -> Option<&Local> {
+        self.sched.locals.get(pid.as_raw() as usize)?.as_ref()
     }
 
     /// Name of a process, if it exists.
     pub fn process_name(&self, pid: ProcessId) -> Option<&str> {
-        match self.procs.get(pid.as_raw() as usize)? {
-            ProcSlot::Vacant => None,
-            ProcSlot::Actor { name, .. } | ProcSlot::Threaded { name, .. } => Some(name),
+        match self.local(pid)? {
+            Local::Actor { name, .. } => Some(name),
+            Local::Proc(proc) => Some(&proc.name),
+            Local::Gone | Local::Gateway(_) => None,
         }
     }
 
     /// Status of a threaded process (`None` for actors and unknown pids).
     pub fn status(&self, pid: ProcessId) -> Option<ProcessStatus> {
-        match self.procs.get(pid.as_raw() as usize)? {
-            ProcSlot::Threaded { proc, .. } => Some(proc.status),
+        match self.local(pid)? {
+            Local::Proc(proc) => Some(proc.status),
             _ => None,
         }
     }
 
     /// Spawns an event-driven actor process (e.g. an AID process).
     pub fn spawn_actor(&mut self, name: &str, actor: Box<dyn Actor>) -> ProcessId {
-        self.register(SpawnRequest {
-            name: name.to_string(),
-            kind: SpawnKind::Actor(actor),
-        })
+        self.sched.register(SpawnRequest::actor(name, actor))
     }
 
     /// Spawns a threaded user process.
@@ -346,13 +340,8 @@ impl SimRuntime {
     where
         F: FnOnce(&mut dyn SysApi) + Send + 'static,
     {
-        self.register(SpawnRequest {
-            name: name.to_string(),
-            kind: SpawnKind::Threaded {
-                control,
-                body: Box::new(body),
-            },
-        })
+        let req = SpawnRequest::threaded(name, control, Box::new(body));
+        self.sched.register(req)
     }
 
     /// Injects a message from outside the simulation (delivered with normal
@@ -370,11 +359,11 @@ impl SimRuntime {
         dst: ProcessId,
         payload: Payload,
     ) -> Result<(), HopeError> {
-        if dst.as_raw() as usize >= self.procs.len() {
-            self.wire.stats.link_mut().unroutable += 1;
+        if dst.as_raw() as usize >= self.sched.locals.len() {
+            self.sched.clock.stats.link_mut().unroutable += 1;
             return Err(HopeError::UnknownProcess(dst));
         }
-        self.wire.send(src, dst, payload);
+        self.sched.send(src, dst, payload);
         Ok(())
     }
 
@@ -392,7 +381,7 @@ impl SimRuntime {
 
     fn run_bounded(&mut self, deadline: Option<VirtualTime>) -> RunReport {
         let mut hit_limit = false;
-        while let Some(next_time) = self.wire.queue.peek().map(|e| e.time) {
+        while let Some(next_time) = self.sched.queue.peek().map(|e| e.time) {
             if deadline.is_some_and(|d| next_time > d) {
                 break;
             }
@@ -402,35 +391,21 @@ impl SimRuntime {
                 hit_limit = true;
                 break;
             }
-            let ev = self.wire.queue.pop().expect("peeked event must exist");
+            let ev = self.sched.queue.pop().expect("peeked event must exist");
             self.fire(ev);
         }
         self.report(hit_limit)
     }
 
-    /// Fires one event however it was selected, with the clock clamped
-    /// monotone.
-    fn fire(&mut self, ev: Event) {
-        self.wire.clock = self.wire.clock.max(ev.time);
+    /// Fires one event however it was selected, at the clock clamped
+    /// monotone, and gives the process it made ready its turn.
+    fn fire(&mut self, mut ev: Timed) {
+        let clock = &mut self.sched.clock.clock;
+        *clock = ev.time.max(*clock);
+        ev.time = *clock;
         self.events_processed += 1;
-        match ev.work {
-            EventKind::Wake(pid) => match self.down.get(&pid.as_raw()) {
-                // Crashed processes don't run; finish the wake once the
-                // process is back up.
-                Some(&up_at) => self.wire.queue.push(up_at, EventKind::Wake(pid)),
-                None => self.wake(pid),
-            },
-            EventKind::Link(LinkWork::Deliver { env, copy }) => self.deliver(env, copy),
-            EventKind::Link(LinkWork::Retransmit { link }) => {
-                let cap = self.max_retransmits;
-                self.wire.step(link, |l, out| l.timer(link, cap, out));
-            }
-            EventKind::Link(LinkWork::AckDue { link }) => {
-                self.wire.step(link, |l, out| l.ack_due(link, out));
-            }
-            EventKind::Crash { pid, up_at } => self.crash(pid, up_at),
-            EventKind::Restart(pid) => self.restart(pid),
-        }
+        self.sched.fire(ev);
+        self.sched.turns();
     }
 
     /// True if an external scheduler may fire this event now. Restarts are
@@ -440,8 +415,8 @@ impl SimRuntime {
     /// else.
     fn schedulable(&self, kind: &EventKind) -> bool {
         match kind {
-            EventKind::Restart(pid) => self.down.contains_key(&pid.as_raw()),
-            EventKind::Wake(pid) => !self.down.contains_key(&pid.as_raw()),
+            EventKind::Restart(pid) => self.sched.down.contains_key(&pid.as_raw()),
+            EventKind::Wake(pid) => !self.sched.down.contains_key(&pid.as_raw()),
             _ => true,
         }
     }
@@ -450,7 +425,7 @@ impl SimRuntime {
     /// `(time, tie)` — index 0 is what [`SimRuntime::run`] would fire.
     pub fn pending_events(&self) -> Vec<PendingEvent> {
         let mut pending: Vec<PendingEvent> = self
-            .wire
+            .sched
             .queue
             .iter()
             .filter(|e| self.schedulable(&e.work))
@@ -470,7 +445,7 @@ impl SimRuntime {
             return false;
         };
         let ev = self
-            .wire
+            .sched
             .queue
             .take_tie(chosen.tie)
             .expect("pending events are queued");
@@ -493,15 +468,14 @@ impl SimRuntime {
     pub fn state_hash(&self) -> u64 {
         use std::hash::{Hash, Hasher};
         let mut h = std::collections::hash_map::DefaultHasher::new();
-        for (idx, slot) in self.procs.iter().enumerate() {
+        for (idx, slot) in self.sched.locals.iter().enumerate() {
             idx.hash(&mut h);
             match slot {
-                ProcSlot::Vacant => 0u8.hash(&mut h),
-                ProcSlot::Actor { actor, .. } => {
+                Some(Local::Actor { actor, .. }) => {
                     1u8.hash(&mut h);
                     actor.state_hash().hash(&mut h);
                 }
-                ProcSlot::Threaded { proc, .. } => {
+                Some(Local::Proc(proc)) => {
                     2u8.hash(&mut h);
                     proc.status.hash(&mut h);
                     proc.blocked_channel.hash(&mut h);
@@ -514,13 +488,14 @@ impl SimRuntime {
                         received.msg.tag.hash(&mut h);
                     }
                 }
+                _ => 0u8.hash(&mut h),
             }
         }
-        for (&pid, &up_at) in &self.down {
+        for (&pid, &up_at) in &self.sched.down {
             pid.hash(&mut h);
             up_at.as_nanos().hash(&mut h);
         }
-        let mut in_flight: Vec<u64> = self.wire.queue.iter().map(sched::content_hash).collect();
+        let mut in_flight: Vec<u64> = self.sched.queue.iter().map(sched::content_hash).collect();
         in_flight.sort_unstable();
         in_flight.hash(&mut h);
         h.finish()
@@ -530,216 +505,37 @@ impl SimRuntime {
     /// [`Actor::as_any`]). `None` for threaded processes, vacant slots and
     /// unknown pids.
     pub fn actor_ref(&self, pid: ProcessId) -> Option<&dyn Actor> {
-        match self.procs.get(pid.as_raw() as usize)? {
-            ProcSlot::Actor { actor, .. } => Some(actor.as_ref()),
+        match self.local(pid)? {
+            Local::Actor { actor, .. } => Some(actor.as_ref()),
             _ => None,
         }
     }
 
     /// Pids of all live actor processes.
     pub fn actor_pids(&self) -> Vec<ProcessId> {
-        self.procs
-            .iter()
-            .enumerate()
-            .filter_map(|(idx, slot)| match slot {
-                ProcSlot::Actor { .. } => Some(ProcessId::from_raw(idx as u64)),
-                _ => None,
-            })
+        (0..self.sched.locals.len() as u64)
+            .map(ProcessId::from_raw)
+            .filter(|&pid| self.actor_ref(pid).is_some())
             .collect()
     }
 
     fn report(&self, hit_event_limit: bool) -> RunReport {
-        let blocked = self
-            .procs
-            .iter()
-            .enumerate()
-            .filter_map(|(idx, slot)| match slot {
-                ProcSlot::Threaded { name, proc } if proc.waiting() => {
-                    Some((ProcessId::from_raw(idx as u64), name.clone()))
-                }
+        let blocked = (0..self.sched.locals.len() as u64)
+            .map(ProcessId::from_raw)
+            .filter_map(|pid| match self.local(pid)? {
+                Local::Proc(proc) if proc.waiting() => Some((pid, proc.name.clone())),
                 _ => None,
             })
             .collect();
         RunReport {
-            now: self.wire.clock,
+            now: self.now(),
             events: self.events_processed,
             blocked,
-            panics: self.panics.clone(),
-            stats: self.wire.stats.clone(),
+            panics: self.sched.clock.panics.clone(),
+            stats: self.stats().clone(),
             hit_event_limit,
-            turns: self.turns,
+            turns: self.sched.turns,
         }
-    }
-
-    fn party_kind(&self, pid: ProcessId) -> PartyKind {
-        match self.procs.get(pid.as_raw() as usize) {
-            Some(ProcSlot::Actor { .. }) => PartyKind::Aid,
-            _ => PartyKind::User,
-        }
-    }
-
-    fn register(&mut self, req: SpawnRequest) -> ProcessId {
-        let pid = ProcessId::from_raw(self.procs.len() as u64);
-        match req.kind {
-            SpawnKind::Actor(actor) => {
-                self.procs.push(ProcSlot::Actor {
-                    name: req.name,
-                    actor,
-                });
-            }
-            SpawnKind::Threaded { control, body } => {
-                // No stack yet: the first resume gives the body one.
-                self.procs.push(ProcSlot::Threaded {
-                    name: req.name,
-                    proc: Box::new(Proc::new(pid, control, body, self.seed, None)),
-                });
-                // Kick the process off at the current virtual time.
-                self.wire.queue.push(self.wire.clock, EventKind::Wake(pid));
-            }
-        }
-        pid
-    }
-
-    fn crash(&mut self, pid: ProcessId, up_at: VirtualTime) {
-        if self.down.insert(pid.as_raw(), up_at).is_some() {
-            return; // overlapping crash windows merge
-        }
-        let now = self.wire.clock;
-        self.wire.tracer.record(pid, now, TraceEventKind::Crash);
-        // The link layer loses only what a crash genuinely destroys (RTT
-        // estimates, tag-codec state); dedup windows and retransmit
-        // buffers survive — see `ReliableState::on_crash`.
-        if let Some(rel) = self.wire.rel.as_mut() {
-            rel.on_crash(pid);
-        }
-        if let Some(ProcSlot::Threaded { proc, .. }) = self.procs.get_mut(pid.as_raw() as usize) {
-            node::crash(pid, now, proc.control.as_mut());
-        }
-    }
-
-    fn restart(&mut self, pid: ProcessId) {
-        if self.down.remove(&pid.as_raw()).is_none() {
-            return;
-        }
-        let now = self.wire.clock;
-        self.wire.tracer.record(pid, now, TraceEventKind::Restart);
-        if let Some(ProcSlot::Threaded { proc, .. }) = self.procs.get_mut(pid.as_raw() as usize) {
-            if node::restart(&mut self.wire, pid, proc.control.as_mut()) && proc.waiting() {
-                self.run_threaded(pid);
-            }
-        }
-    }
-
-    fn wake(&mut self, pid: ProcessId) {
-        let runnable = matches!(
-            self.procs.get(pid.as_raw() as usize),
-            Some(ProcSlot::Threaded { proc, .. }) if proc.runnable()
-        );
-        if runnable {
-            self.run_threaded(pid);
-        }
-    }
-
-    fn deliver(&mut self, env: Envelope, copy: CopyKind) {
-        let pid = env.dst;
-        let idx = pid.as_raw() as usize;
-        let down = self.down.contains_key(&pid.as_raw());
-        let route =
-            (idx < self.procs.len()).then(|| (self.party_kind(env.src), self.party_kind(pid)));
-        let samples = self.wire.stats.link().rtt_samples;
-        let deliver = self.wire.step(state_link(&env), |link, out| {
-            link.arrive(&env, copy, down, route, out)
-        });
-        // `srtt_nanos` is the mean across sampled links *at the last
-        // sample*, so it is refreshed per sample here (the threaded
-        // runtime recomputes it from its stripes at report time).
-        if self.wire.stats.link().rtt_samples != samples {
-            let Wire { rel, stats, .. } = &mut self.wire;
-            stats.link_mut().srtt_nanos = rel.as_ref().map_or(0, ReliableState::mean_srtt_nanos);
-        }
-        if !deliver {
-            return;
-        }
-        let target = match &mut self.procs[idx] {
-            ProcSlot::Vacant => Target::Gone,
-            ProcSlot::Actor { actor, .. } => Target::Actor(&mut **actor),
-            ProcSlot::Threaded { proc, .. } => {
-                let control = &mut proc.control;
-                Target::Process(move || control)
-            }
-        };
-        match node::deliver(&mut self.wire, target, env) {
-            Step::Done => {}
-            Step::Dropped => self.wire.stats.record_dropped(),
-            Step::Stop => {
-                self.procs[idx] = ProcSlot::Vacant;
-                self.collected += 1;
-            }
-            // A process runs only when what arrived is what it waits for.
-            Step::Mail(mail) => {
-                if let ProcSlot::Threaded { proc, .. } = &mut self.procs[idx] {
-                    if proc.mail(mail) {
-                        self.run_threaded(pid);
-                    }
-                }
-            }
-            Step::Wake => {
-                if matches!(&self.procs[idx], ProcSlot::Threaded { proc, .. } if proc.waiting()) {
-                    self.run_threaded(pid);
-                }
-            }
-        }
-    }
-
-    /// Gives a threaded process one turn (`Proc::turn`).
-    fn run_threaded(&mut self, pid: ProcessId) {
-        let idx = pid.as_raw() as usize;
-        // Out of its slot for the turn: the turn's spawns register.
-        let ProcSlot::Threaded { name, mut proc } =
-            std::mem::replace(&mut self.procs[idx], ProcSlot::Vacant)
-        else {
-            unreachable!("only a threaded process takes turns")
-        };
-        {
-            // The turn runs at the clock's instant, and its spawns number
-            // themselves from the next free slot: nothing else registers
-            // a process before they are drained.
-            let mut shared = proc.shared.borrow_mut();
-            shared.now = self.wire.clock;
-            shared.next_pid = self.procs.len() as u64;
-        }
-        self.turns += 1;
-        proc.turn(self);
-        self.procs[idx] = ProcSlot::Threaded { name, proc };
-    }
-}
-
-/// The simulator's side of a turn: a compute step is a `Wake` event.
-impl Turns for SimRuntime {
-    fn stack(&mut self) -> Stack {
-        self.idle.pop().unwrap_or_else(|| {
-            self.stacks_mapped += 1;
-            Stack::new()
-        })
-    }
-
-    fn send(&mut self, src: ProcessId, dst: ProcessId, payload: Payload) {
-        self.wire.send(src, dst, payload);
-    }
-
-    fn spawn(&mut self, pid: ProcessId, req: SpawnRequest) {
-        assert_eq!(self.register(req), pid);
-    }
-
-    fn sleep(&mut self, pid: ProcessId, dur: VirtualDuration) {
-        self.wire
-            .queue
-            .push(self.wire.clock + dur, EventKind::Wake(pid));
-    }
-
-    fn exited(&mut self, pid: ProcessId, panic: Option<String>, stack: Option<Stack>) {
-        self.panics.extend(panic.map(|msg| (pid, msg)));
-        self.idle.extend(stack);
     }
 }
 

@@ -14,7 +14,7 @@ use std::hash::{Hash, Hasher};
 
 use hope_types::{Envelope, Payload, ProcessId, VirtualTime};
 
-use crate::event::{Event, EventKind};
+use crate::event::{EventKind, Timed};
 use crate::link::LinkWork;
 
 /// What a queued event will do when fired, as visible to an external
@@ -94,7 +94,7 @@ pub struct PendingEvent {
 }
 
 /// Builds the external-scheduler view of one queued event.
-pub(crate) fn describe(ev: &Event) -> PendingEvent {
+pub(crate) fn describe(ev: &Timed) -> PendingEvent {
     let desc = match &ev.work {
         // `copy` is accounting metadata, invisible to schedulers.
         EventKind::Link(LinkWork::Deliver { env, .. }) => EventDesc::Deliver {
@@ -134,7 +134,7 @@ pub(crate) fn payload_kind(payload: &Payload) -> &'static str {
 
 /// Deterministic content hash of a queued event, excluding the tie counter
 /// (two in-flight copies of the same message hash equal).
-pub(crate) fn content_hash(ev: &Event) -> u64 {
+pub(crate) fn content_hash(ev: &Timed) -> u64 {
     let mut h = std::collections::hash_map::DefaultHasher::new();
     ev.time.as_nanos().hash(&mut h);
     match &ev.work {

@@ -1,15 +1,15 @@
 //! User processes as coroutines, and the turn protocol both runtimes share.
 //!
 //! A user process runs on a stack of its own ([`crate::coro`]) but on the
-//! thread of whatever runs it: the simulator's scheduler, or the threaded
-//! runtime's shard that owns the pid and also runs its `Control`. The two
-//! take strict turns: the runtime switches into the process, which runs
-//! until it yields (by blocking in `receive`, parking, spending compute
-//! time, or exiting) and switches back. Exactly one party runs at any
-//! instant, so `Control` never runs while the body does, and user code is
-//! still written as ordinary blocking Rust. A runtime resumes a process
-//! only when what arrived is what it waits for ([`Proc::mail`],
-//! [`Proc::waiting`]) and carries out the turn through [`Turns`].
+//! thread of the [`Scheduler`] that owns it: the simulator's, or the
+//! threaded runtime's shard that owns the pid and also runs its `Control`.
+//! The two take strict turns: the scheduler switches into the process,
+//! which runs until it yields (by blocking in `receive`, parking, spending
+//! compute time, or exiting) and switches back. Exactly one party runs at
+//! any instant, so `Control` never runs while the body does, and user code
+//! is still written as ordinary blocking Rust. A scheduler resumes a
+//! process only when what arrived is what it waits for ([`Proc::mail`],
+//! [`Proc::waiting`]) and carries out the turn ([`Proc::turn`]).
 //!
 //! Sends do not yield. They go into the process's ordered outbox, which
 //! the runtime carries out when the turn ends. A spawn does not yield
@@ -35,7 +35,9 @@ use hope_types::{Payload, ProcessId, VirtualDuration, VirtualTime};
 
 use crate::actor::Actor;
 use crate::control::ControlHandler;
-use crate::coro::{Coroutine, Stack, Yielder};
+use crate::coro::{Coroutine, Yielder};
+use crate::event::EventKind;
+use crate::scheduler::{Clock, Scheduler};
 use crate::sysapi::{ProcessBody, Received, SysApi};
 
 /// Lifecycle state of a threaded process, as visible to tests and tools.
@@ -72,6 +74,22 @@ pub(crate) enum YieldMsg {
 pub(crate) struct SpawnRequest {
     pub name: String,
     pub kind: SpawnKind,
+}
+
+impl SpawnRequest {
+    pub fn actor(name: &str, actor: Box<dyn Actor>) -> Self {
+        let (name, kind) = (name.to_string(), SpawnKind::Actor(actor));
+        SpawnRequest { name, kind }
+    }
+
+    pub fn threaded(
+        name: &str,
+        control: Option<Box<dyn ControlHandler>>,
+        body: ProcessBody,
+    ) -> Self {
+        let (name, kind) = (name.to_string(), SpawnKind::Threaded { control, body });
+        SpawnRequest { name, kind }
+    }
 }
 
 pub(crate) enum SpawnKind {
@@ -121,26 +139,12 @@ pub(crate) struct Shared {
 /// its stack is unmapped.
 type Worker = Coroutine<YieldMsg>;
 
-/// What a runtime lends one turn of a process.
-pub(crate) trait Turns {
-    /// A stack for a first turn: an idle one, or a new mapping.
-    fn stack(&mut self) -> Stack;
-    /// Carries out one send of the turn.
-    fn send(&mut self, src: ProcessId, dst: ProcessId, payload: Payload);
-    /// Registers a child under the pid its spawner holds (simulator only).
-    fn spawn(&mut self, pid: ProcessId, req: SpawnRequest);
-    /// Resumes `pid` once `dur` of compute time has passed.
-    fn sleep(&mut self, pid: ProcessId, dur: VirtualDuration);
-    /// `pid` is gone, with its panic message if it unwound; its stack, if
-    /// it still has one, is free.
-    fn exited(&mut self, pid: ProcessId, panic: Option<String>, stack: Option<Stack>);
-}
-
 /// One threaded process as its runtime holds it: the body (and the seed of
 /// its RNG) until its first turn, then the coroutine running it; its
 /// `Control`; where it waits.
 pub(crate) struct Proc {
     pid: ProcessId,
+    pub name: String,
     pub shared: Rc<RefCell<Shared>>,
     body: Option<(ProcessBody, u64)>,
     worker: Option<Worker>,
@@ -152,6 +156,7 @@ pub(crate) struct Proc {
 impl Proc {
     pub fn new(
         pid: ProcessId,
+        name: String,
         control: Option<Box<dyn ControlHandler>>,
         body: ProcessBody,
         seed: u64,
@@ -159,6 +164,7 @@ impl Proc {
     ) -> Proc {
         Proc {
             pid,
+            name,
             shared: Rc::new(RefCell::new(Shared {
                 now: VirtualTime::ZERO,
                 mailbox: VecDeque::new(),
@@ -197,10 +203,10 @@ impl Proc {
     /// Gives the process one turn and carries out what it did: its sends
     /// and spawns in call order however the turn ended, then what it
     /// waits for next.
-    pub fn turn(&mut self, rt: &mut impl Turns) {
+    pub fn turn(&mut self, sched: &mut Scheduler<impl Clock>) {
         let pid = self.pid;
         if let Some((body, seed)) = self.body.take() {
-            let (stack, shared) = (rt.stack(), self.shared.clone());
+            let (stack, shared) = (sched.stack(), self.shared.clone());
             self.worker = Some(Coroutine::new(stack, move |yielder| {
                 let mut ctx = ThreadCtx {
                     pid,
@@ -222,8 +228,8 @@ impl Proc {
         let mut out = std::mem::take(&mut self.shared.borrow_mut().outbox);
         for item in out.drain(..) {
             match item {
-                Outgoing::Send(dst, payload) => rt.send(pid, dst, payload),
-                Outgoing::Spawn(child, req) => rt.spawn(child, req),
+                Outgoing::Send(dst, payload) => sched.send(pid, dst, payload),
+                Outgoing::Spawn(child, req) => assert_eq!(sched.register(req), child),
             }
         }
         self.shared.borrow_mut().outbox = out;
@@ -234,16 +240,16 @@ impl Proc {
             }
             Some(YieldMsg::Park) => ProcessStatus::Parked,
             Some(YieldMsg::Compute { dur }) => {
-                rt.sleep(pid, dur);
+                sched.push(sched.clock.now() + dur, EventKind::Wake(pid));
                 ProcessStatus::Sleeping
             }
             Some(YieldMsg::Exited { panic }) => {
-                rt.exited(pid, panic, self.worker.take().map(Worker::into_stack));
+                sched.exited(pid, panic, self.worker.take().map(Worker::into_stack));
                 ProcessStatus::Exited
             }
             None => {
                 self.worker = None;
-                rt.exited(pid, None, None);
+                sched.exited(pid, None, None);
                 ProcessStatus::Exited
             }
         };
@@ -356,10 +362,7 @@ impl SysApi for ThreadCtx<'_> {
     }
 
     fn spawn_actor(&mut self, name: &str, actor: Box<dyn Actor>) -> ProcessId {
-        self.spawn(SpawnRequest {
-            name: name.to_string(),
-            kind: SpawnKind::Actor(actor),
-        })
+        self.spawn(SpawnRequest::actor(name, actor))
     }
 
     fn spawn_threaded(
@@ -368,10 +371,7 @@ impl SysApi for ThreadCtx<'_> {
         control: Option<Box<dyn ControlHandler>>,
         body: ProcessBody,
     ) -> ProcessId {
-        self.spawn(SpawnRequest {
-            name: name.to_string(),
-            kind: SpawnKind::Threaded { control, body },
-        })
+        self.spawn(SpawnRequest::threaded(name, control, body))
     }
 
     fn random_u64(&mut self) -> u64 {

@@ -430,6 +430,8 @@ struct Seen {
     crashes: AtomicU64,
     /// Messages a sink actor got.
     sunk: AtomicU64,
+    /// The `now()` a body read after its compute step, in nanoseconds.
+    resumed_at: AtomicU64,
 }
 
 /// A `Control` that wakes its process on any HOPE message, after raising
@@ -503,6 +505,7 @@ struct Counts {
     handled: u64,
     crashes: u64,
     sunk: u64,
+    resumed_at: u64,
     dropped: u64,
     table_1: BTreeMap<(String, String, String), u64>,
 }
@@ -514,6 +517,7 @@ fn counts(seen: &Seen, stats: &MessageStats) -> Counts {
         handled: seen.handled.load(Ordering::Relaxed),
         crashes: seen.crashes.load(Ordering::Relaxed),
         sunk: seen.sunk.load(Ordering::Relaxed),
+        resumed_at: seen.resumed_at.load(Ordering::Relaxed),
         dropped: stats.dropped(),
         table_1: stats
             .iter()
@@ -622,4 +626,91 @@ fn a_crashed_process_sends_nothing_on_either_runtime() {
         assert_eq!(run.sunk, 0, "{label}: a crashed process sent mail");
         assert_eq!(run, sim, "{label} vs the simulator");
     }
+}
+
+#[test]
+fn a_crashed_process_does_not_run_until_its_restart() {
+    // The root (pid 0) computes for 100 ms and reads the clock; it is down
+    // from 50 ms to 250 ms, so the end of its compute step waits for the
+    // restart on every runtime.
+    let plan = FaultPlan::new().crash(
+        ProcessId::from_raw(0),
+        VirtualTime::from_nanos(50_000_000),
+        VirtualDuration::from_millis(200),
+    );
+    let runs = on_every_runtime(Some(plan), |seen| {
+        Box::new(move |sys: &mut dyn SysApi| {
+            sys.compute(VirtualDuration::from_millis(100));
+            let now = sys.now().as_nanos();
+            seen.resumed_at.store(now, Ordering::Relaxed);
+        })
+    });
+    let restart = 250_000_000;
+    let (_, sim) = &runs[0];
+    assert_eq!(
+        sim.resumed_at, restart,
+        "the simulator resumes at the restart"
+    );
+    for (label, run) in &runs[1..] {
+        assert!(
+            run.resumed_at >= restart,
+            "{label}: resumed at {} ns, inside the down window",
+            run.resumed_at
+        );
+    }
+}
+
+/// Sends two messages to each actor in `to`: it handles the first and
+/// stops, so the second is dropped.
+fn mail_twice(sys: &mut dyn SysApi, to: &[ProcessId]) {
+    for &actor in to {
+        sys.send(actor, user(b"first"));
+        sys.send(actor, user(b"late"));
+    }
+}
+
+#[test]
+fn an_actor_is_taken_over_by_its_own_shard() {
+    // At four shards: `outside` (pid 0, shard 0) is spawned from the test
+    // thread, `inside` (pid 2, shard 2) by the root body on shard 1. Each
+    // shard takes its actor over at the actor's first delivery.
+    let network = NetworkConfig::constant(VirtualDuration::from_micros(100));
+    let program = |seen: Arc<Seen>, outside: ProcessId| {
+        move |sys: &mut dyn SysApi| {
+            let inside = sys.spawn_actor("inside", Box::new(Once(seen)));
+            assert_eq!(
+                (outside, inside),
+                (ProcessId::from_raw(0), ProcessId::from_raw(2))
+            );
+            mail_twice(sys, &[outside, inside]);
+        }
+    };
+    let seen = Arc::new(Seen::default());
+    let mut rt = SimRuntime::builder()
+        .seed(5)
+        .network(network.clone())
+        .build();
+    let outside = rt.spawn_actor("outside", Box::new(Once(seen.clone())));
+    rt.spawn_threaded("root", None, program(seen.clone(), outside));
+    let report = rt.run();
+    assert!(report.panics.is_empty(), "{:?}", report.panics);
+    let sim = counts(&seen, &report.stats);
+    assert_eq!((sim.handled, sim.dropped), (2, 2), "handled, dropped");
+
+    let seen = Arc::new(Seen::default());
+    let rt = ThreadedRuntime::builder()
+        .seed(5)
+        .network(network)
+        .shards(4)
+        .build();
+    let outside = rt.spawn_actor("outside", Box::new(Once(seen.clone())));
+    rt.spawn_threaded("root", None, program(seen.clone(), outside));
+    let report = rt.run_until_quiescent(Duration::from_millis(25), Duration::from_secs(30));
+    assert!(report.panics.is_empty(), "{:?}", report.panics);
+    assert!(!report.hit_event_limit, "must reach quiescence");
+    assert_eq!(
+        counts(&seen, &report.stats),
+        sim,
+        "shards(4) vs the simulator"
+    );
 }
