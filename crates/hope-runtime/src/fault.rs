@@ -29,8 +29,6 @@ use hope_types::{HopeError, ProcessId, VirtualDuration, VirtualTime};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::reliable::ReliableState;
-
 /// A scheduled crash of one process: at `at`, the process's links go dead
 /// (every delivery to it is dropped and nothing is acknowledged); at
 /// `at + down_for` it restarts and its HOPElib recovers by replaying the
@@ -259,9 +257,9 @@ impl FaultPlan {
     }
 
     /// The pinned fault-RNG seed, if [`seed`](FaultPlan::seed) was called.
-    /// Runtimes that run several fault models (one per sending lane) use
-    /// this as the base they mix per-lane salts into, so a pinned seed
-    /// stays reproducible without correlating the lanes' decision streams.
+    /// Runtimes that run several fault models (one per shard) use this as
+    /// the base they mix per-shard salts into, so a pinned seed stays
+    /// reproducible without correlating the shards' decision streams.
     pub fn pinned_seed(&self) -> Option<u64> {
         self.seed
     }
@@ -322,28 +320,6 @@ impl FaultPlan {
             plan: self,
         }
     }
-
-    /// The prologue both runtime builders share. Validates `faults`
-    /// (panicking with the typed [`HopeError::InvalidFaultPlan`]
-    /// rendering) and decides the reliable-delivery sublayer: on when
-    /// `forced` or implied by a plan, with the RTO and retransmit cap of
-    /// the plan, or of the default plan without one. Returns a constructor
-    /// of the sublayer's state (the threaded runtime makes one per stripe)
-    /// and the cap.
-    pub(crate) fn sublayer(
-        faults: Option<&FaultPlan>,
-        forced: bool,
-    ) -> (Option<impl Fn() -> ReliableState>, u32) {
-        if let Some(Err(err)) = faults.map(FaultPlan::validate) {
-            panic!("{err}");
-        }
-        let default_plan = FaultPlan::default();
-        let timing = faults.unwrap_or(&default_plan);
-        let rto_nanos = timing.retransmit_timeout().as_nanos();
-        let on = forced || faults.is_some();
-        let make = on.then_some(move || ReliableState::with_rto(rto_nanos));
-        (make, timing.retransmit_cap())
-    }
 }
 
 /// What the fault model decided for one wire transit.
@@ -364,8 +340,7 @@ impl WireFate {
 }
 
 /// Runnable fault state: the plan plus its seeded RNG. One instance per
-/// runtime; the runtime consults it once per wire transit, in
-/// deterministic order.
+/// scheduler, consulted once per wire transit, in deterministic order.
 #[derive(Debug)]
 pub struct FaultModel {
     rng: StdRng,

@@ -2,11 +2,11 @@
 //! process's `send` and the destination's mailbox, written once as a
 //! sans-IO state machine.
 //!
-//! Five inputs drive it — [`Link::send`], [`Link::arrive`],
-//! [`Link::timer`], [`Link::ack_due`] and a crash, which is
-//! [`ReliableState::on_crash`] itself — and every step *reports* what to
-//! schedule next, as [`LinkWork`] items at delays relative to the `now`
-//! it was given, appended to the driver's [`Outbound`]. The module owns
+//! Six inputs drive it — [`Link::send`], [`Link::arrive`],
+//! [`Link::timer`], [`Link::ack_due`], [`Link::abandoned`] and a crash,
+//! which is [`ReliableState::on_crash`] itself — and every step *reports*
+//! what to schedule next, as [`LinkWork`] items at delays relative to the
+//! `now` it was given, appended to the driver's [`Outbound`]. The module owns
 //! no clock, queue, thread or lock and allocates nothing of its own. [`SimRuntime`](crate::SimRuntime),
 //! [`ThreadedRuntime`](crate::ThreadedRuntime) and the socket transport's
 //! [`PeerMachine`](crate::PeerMachine) are its three drivers: each
@@ -57,6 +57,9 @@ pub(crate) enum LinkWork {
     /// the other way) fires: feed it to [`Link::ack_due`]. A link has at
     /// most one queued.
     AckDue { link: LinkId },
+    /// The sender of `link` gave `seq` up, and the receiver half is another
+    /// driver's: feed it to [`Link::abandoned`] there.
+    Abandoned { link: LinkId, seq: u64 },
 }
 
 /// What one pipeline step asks its driver to schedule, as delays from
@@ -68,9 +71,9 @@ pub(crate) enum LinkWork {
 pub(crate) type Outbound = Vec<(VirtualDuration, LinkWork)>;
 
 /// Where a step counts. The simulator lends its `MessageStats` directly;
-/// the threaded runtime lends a handle that takes the lane's stats lock
-/// on first use, so a step locks at most once and a step that counts
-/// nothing (a send with the sublayer off on a clean wire) takes no lock.
+/// a shard lends a handle that takes its stats lock on first use, so a
+/// step locks at most once and a step that counts nothing (a send with
+/// the sublayer off on a clean wire) takes no lock.
 pub(crate) trait StatsSink {
     fn stats(&mut self) -> &mut MessageStats;
 }
@@ -78,6 +81,12 @@ pub(crate) trait StatsSink {
 impl StatsSink for MessageStats {
     fn stats(&mut self) -> &mut MessageStats {
         self
+    }
+}
+
+impl<S: StatsSink + ?Sized> StatsSink for &mut S {
+    fn stats(&mut self) -> &mut MessageStats {
+        (**self).stats()
     }
 }
 
@@ -264,28 +273,43 @@ impl Link<'_> {
     /// A due [`LinkWork::Retransmit`]: resends every envelope of `link`
     /// that is past its deadline, oldest first, abandoning those already
     /// resent `max_retransmits` times, and starts the timer again for the
-    /// earliest deadline left — or not at all, with nothing unacked.
-    pub fn timer(&mut self, link: LinkId, max_retransmits: u32, out: &mut Outbound) {
-        self.resend(link, max_retransmits, false, out);
+    /// earliest deadline left — or not at all, with nothing unacked. An
+    /// abandoned seq is marked seen in the receiver half at once when that
+    /// half is `here`, else reported as [`LinkWork::Abandoned`].
+    pub fn timer(&mut self, link: LinkId, max_retransmits: u32, here: bool, out: &mut Outbound) {
+        self.resend(link, max_retransmits, false, here, out);
+    }
+
+    /// A due [`LinkWork::Abandoned`]: the receiver half stops waiting for
+    /// a seq its sender gave up.
+    pub fn abandoned(&mut self, seq: u64) {
+        if let Some(rel) = self.rel.as_deref_mut() {
+            rel.accept(seq);
+        }
     }
 
     /// The wire `link`'s copies were on is gone (a connection died and
     /// its successor is up): every unacknowledged envelope goes out
     /// again, oldest first, and the timer starts over.
     pub fn rewire(&mut self, link: LinkId, out: &mut Outbound) {
-        self.resend(link, u32::MAX, true, out);
+        self.resend(link, u32::MAX, true, false, out);
     }
 
-    fn resend(&mut self, link: LinkId, max_retransmits: u32, everything: bool, out: &mut Outbound) {
+    fn resend(&mut self, link: LinkId, cap: u32, all: bool, here: bool, out: &mut Outbound) {
         // The record is lent back once the copies are on the wire.
         let Some(rel) = self.rel.take() else {
             return;
         };
         let now = self.now;
-        let next = rel.retransmit_due(now.as_nanos(), max_retransmits, everything, |due| {
+        let next = rel.retransmit_due(now.as_nanos(), cap, all, here, |due| {
             let link_stats = self.stats.stats().link_mut();
             match due {
-                Overdue::Abandoned => link_stats.abandoned += 1,
+                Overdue::Abandoned(seq) => {
+                    link_stats.abandoned += 1;
+                    if !here {
+                        out.push((VirtualDuration::ZERO, LinkWork::Abandoned { link, seq }));
+                    }
+                }
                 Overdue::Resend { env, attempt } => {
                     link_stats.retransmits += 1;
                     link_stats.max_retransmit_attempt =
@@ -400,7 +424,7 @@ mod tests {
         /// The retransmit timer of 1->2 fires.
         fn timer(&mut self, now_us: u64, cap: u32) -> Outbound {
             let mut out = Outbound::new();
-            self.at(now_us, LINK).timer(LINK, cap, &mut out);
+            self.at(now_us, LINK).timer(LINK, cap, true, &mut out);
             out
         }
 
@@ -460,6 +484,13 @@ mod tests {
                             link.1.as_raw()
                         )
                     }
+                    LinkWork::Abandoned { link, seq } => {
+                        format!(
+                            "abandoned {}->{} seq={seq}",
+                            link.0.as_raw(),
+                            link.1.as_raw()
+                        )
+                    }
                     LinkWork::Deliver { env, copy } => {
                         let what = match env.payload {
                             Payload::Ack { seq } => format!("ack={seq}"),
@@ -482,7 +513,7 @@ mod tests {
         out.into_iter()
             .filter_map(|(_, work)| match work {
                 LinkWork::Deliver { env, copy } => Some((env, copy)),
-                LinkWork::Retransmit { .. } | LinkWork::AckDue { .. } => None,
+                _ => None,
             })
             .last()
             .expect("step put a copy on the wire")
@@ -937,6 +968,23 @@ mod tests {
     }
 
     #[test]
+    fn a_seq_given_up_is_marked_where_the_receiver_half_is() {
+        let mut sender = Rig::new(true, None);
+        sender.send(0, p(1), p(2), user(&[]));
+        let (kept, copy) = wire_copy(sender.send(1, p(1), p(2), user(&[])));
+        let mut out = Outbound::new();
+        sender.at(RTO_US, LINK).timer(LINK, 0, false, &mut out);
+        assert_eq!(shape(&out), ["abandoned 1->2 seq=1", "timer 1->2 +1us"]);
+        // Another driver holds the receiver half: it marks the seq seen
+        // when the report reaches it, so seq 2 arrives in order.
+        let mut receiver = Rig::new(true, None);
+        receiver.at(RTO_US, LINK).abandoned(1);
+        let (out, delivered) = receiver.arrive(RTO_US + 1, &kept, copy, false, USERS);
+        assert!(delivered);
+        assert_eq!(shape(&out), [format!("ack-due 1->2 +{ACK_DELAY_US}us")]);
+    }
+
+    #[test]
     fn rewire_resends_everything_oldest_first_and_starts_the_timer_over() {
         let mut rig = Rig::new(true, None);
         for at in [0, 10, 20] {
@@ -1046,8 +1094,9 @@ mod tests {
             self.now_ns = self.now_ns.max(due);
             match work {
                 LinkWork::Retransmit { link } => {
-                    self.step(link, |l, out| l.timer(link, NEVER, out))
+                    self.step(link, |l, out| l.timer(link, NEVER, true, out))
                 }
+                LinkWork::Abandoned { .. } => unreachable!("one rig holds both halves"),
                 LinkWork::AckDue { link } => self.step(link, |l, out| l.ack_due(link, out)),
                 LinkWork::Deliver { env, copy } => {
                     let data = !matches!(env.payload, Payload::Ack { .. });
@@ -1099,7 +1148,9 @@ mod tests {
                         self.held.push((*due, dup));
                     }
                 }
-                Chaos::Crash { pid } => self.rig.rel().on_crash(p(pid)),
+                Chaos::Crash { pid } => {
+                    self.rig.rel().on_crash(p(pid));
+                }
                 Chaos::Fire { .. } => {}
             }
         }

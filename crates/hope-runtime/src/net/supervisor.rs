@@ -178,7 +178,9 @@ impl PeerMachine {
             if self.retransmit_due <= now {
                 self.retransmit_due = u64::MAX;
                 let link = (self.me, self.them);
-                self.step(now, false, out, |l, work| l.timer(link, u32::MAX, work));
+                self.step(now, false, out, |l, work| {
+                    l.timer(link, u32::MAX, false, work)
+                });
             }
         } else if self.me < self.them && self.rejected.is_none() && now >= self.next_dial {
             self.next_dial = u64::MAX;
@@ -363,6 +365,7 @@ impl PeerMachine {
                 _ if !self.up => {}
                 LinkWork::Retransmit { .. } => self.retransmit_due = due,
                 LinkWork::AckDue { .. } => self.ack_due = due,
+                LinkWork::Abandoned { .. } => {} // the cap here is unbounded
                 LinkWork::Deliver { env, .. } => {
                     let frame = match env.payload {
                         Payload::Ack { seq } => {

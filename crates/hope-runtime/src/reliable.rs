@@ -239,9 +239,9 @@ pub enum Overdue<'a> {
         /// Retransmissions of it so far.
         attempt: u32,
     },
-    /// The retry cap is reached: the entry is dropped and the message is
-    /// now known lost.
-    Abandoned,
+    /// The retry cap is reached: the entry (this seq) is dropped and the
+    /// message is now known lost.
+    Abandoned(u64),
 }
 
 /// One retransmit-buffer entry. What is only meaningful while the
@@ -360,15 +360,17 @@ impl LinkRecord {
     /// earliest remaining deadline, for which the caller must start the
     /// timer again; `None` leaves the link without one.
     ///
-    /// An abandoned sequence number is recorded as observed by the
+    /// An abandoned sequence number must be recorded as observed by the
     /// receiver half: nothing will fill that gap, and an open gap would
     /// keep every later arrival in the window's out-of-order set (and
-    /// unacknowledged) forever.
+    /// unacknowledged) forever. It is, in place, when that half is `here`;
+    /// otherwise the caller carries it to the one that holds it.
     pub fn retransmit_due(
         &mut self,
         now_nanos: u64,
         max_retransmits: u32,
         everything: bool,
+        here: bool,
         mut each: impl FnMut(Overdue<'_>),
     ) -> Option<u64> {
         let rto = self.rtt.rto_nanos();
@@ -383,8 +385,10 @@ impl LinkRecord {
             let mut due = deadline(entry);
             if everything || due <= now_nanos {
                 if entry.attempts >= max_retransmits {
-                    seen.observe(entry.env.seq);
-                    each(Overdue::Abandoned);
+                    if here {
+                        seen.observe(entry.env.seq);
+                    }
+                    each(Overdue::Abandoned(entry.env.seq));
                     return false;
                 }
                 entry.attempts = if everything { 1 } else { entry.attempts + 1 };
@@ -422,6 +426,11 @@ impl LinkRecord {
     /// The smoothed round-trip time, once the link has a sample.
     pub fn srtt_nanos(&self) -> Option<u64> {
         (self.rtt.samples() > 0).then(|| self.rtt.srtt_nanos())
+    }
+
+    /// The link's round-trip estimator.
+    pub fn rtt(&self) -> RttEstimator {
+        self.rtt
     }
 
     /// Receiver-side dedup: records the arrival of `seq` and returns true
@@ -481,8 +490,10 @@ impl LinkRecord {
     }
 }
 
-/// The reliable-delivery state for one runtime (or one stripe of it): a
-/// [`LinkRecord`] per directed link, created on first use.
+/// The reliable-delivery state one scheduler holds: a [`LinkRecord`] per
+/// directed link it steps, created on first use. On the threaded runtime
+/// a link's sender half is used on the sender's shard and its receiver
+/// half on the receiver's; one shard, or the simulator, holds both.
 ///
 /// The map is ordered so iteration (and therefore simulator behaviour)
 /// is deterministic.
@@ -554,21 +565,15 @@ impl ReliableState {
     /// Mean smoothed RTT across links with at least one sample (0 if
     /// none) — the aggregate surfaced in `LinkStats`.
     pub fn mean_srtt_nanos(&self) -> u64 {
-        let (sum, links) = self.srtt_totals();
+        let sampled = self.links.values().filter_map(LinkRecord::srtt_nanos);
+        let (sum, links) = sampled.fold((0u64, 0), |(sum, n), srtt| {
+            (sum.saturating_add(srtt), n + 1)
+        });
         sum.checked_div(links).unwrap_or(0)
     }
 
-    /// `(sum of per-link SRTTs, number of links with samples)` — the raw
-    /// totals, so a runtime that stripes its reliable state across several
-    /// instances can combine them into one mean without losing the
-    /// per-stripe link counts.
-    pub fn srtt_totals(&self) -> (u64, u64) {
-        let sampled = self.links.values().filter_map(LinkRecord::srtt_nanos);
-        sampled.fold((0, 0), |(sum, n), srtt| (sum.saturating_add(srtt), n + 1))
-    }
-
-    /// Resets the link state a crash of `pid` genuinely loses, and nothing
-    /// more:
+    /// Resets the link state a crash of `pid` genuinely loses, on the
+    /// records held here, and nothing more:
     ///
     /// * RTT estimators of links touching `pid` — link-quality estimates
     ///   are in-memory and a restarted process re-learns them;
@@ -582,10 +587,17 @@ impl ReliableState {
     /// the only thing that carries an unacked message past the down
     /// window — crash-recovery replay re-executes sends' effects locally
     /// but does not put them back on the wire).
-    pub fn on_crash(&mut self, pid: ProcessId) {
+    ///
+    /// Returns the sum and number of the SRTTs it forgot, for a caller that
+    /// keeps their mean.
+    pub fn on_crash(&mut self, pid: ProcessId) -> (u64, u64) {
+        let mut forgot = (0, 0);
         for (link, rec) in &mut self.links {
             if link.0 != pid && link.1 != pid {
                 continue;
+            }
+            if let Some(srtt) = rec.srtt_nanos() {
+                forgot = (forgot.0 + srtt, forgot.1 + 1);
             }
             rec.rtt = self.fresh_rtt;
             if link.0 == pid {
@@ -594,6 +606,7 @@ impl ReliableState {
                 }
             }
         }
+        forgot
     }
 }
 
@@ -622,9 +635,9 @@ mod tests {
     /// era earlier was due; returns (resent, abandoned).
     fn fire(rec: &mut LinkRecord, era: u32, cap: u32) -> (Vec<u64>, usize) {
         let (mut resent, mut lost) = (Vec::new(), 0);
-        rec.retransmit_due(1 << era, cap, false, |due| match due {
+        rec.retransmit_due(1 << era, cap, false, true, |due| match due {
             Overdue::Resend { env, .. } => resent.push(env.seq),
-            Overdue::Abandoned => lost += 1,
+            Overdue::Abandoned(_) => lost += 1,
         });
         (resent, lost)
     }

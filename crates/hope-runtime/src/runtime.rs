@@ -8,12 +8,12 @@ use hope_types::{HopeError, Payload, ProcessId, TraceCollector, VirtualTime};
 use crate::actor::Actor;
 use crate::control::ControlHandler;
 use crate::event::{EventKind, Timed, TimedQueue};
-use crate::fault::{FaultModel, FaultPlan};
-use crate::link::{Link, Outbound};
-use crate::net::{LatencyModel, NetworkConfig};
-use crate::reliable::{LinkId, ReliableState};
+use crate::fault::FaultPlan;
+use crate::link::{Outbound, StatsSink};
+use crate::net::NetworkConfig;
+use crate::reliable::ReliableState;
 use crate::sched::{self, PendingEvent};
-use crate::scheduler::{Clock, Local, Scheduler};
+use crate::scheduler::{Clock, Links, Local, Scheduler};
 use crate::stats::{MessageStats, RunReport};
 use crate::sysapi::SysApi;
 use crate::threadproc::{ProcessStatus, SpawnRequest};
@@ -100,6 +100,35 @@ impl<R> RuntimeBuilder<R> {
         self.tracer = Some(tracer);
         self
     }
+
+    /// The link halves scheduler `ix` starts with (the simulator is
+    /// scheduler 0): the sublayer's records when it is on — forced, or
+    /// implied by a fault plan — with the RTO and retransmit cap of the
+    /// plan (of the default plan without one), and latency and fault
+    /// models of its own, seeded by `ix`. Panics as `build`.
+    pub(crate) fn links(&self, ix: usize, tracer: &Arc<TraceCollector>) -> Links {
+        if let Some(Err(err)) = self.faults.as_ref().map(FaultPlan::validate) {
+            panic!("{err}");
+        }
+        let on = self.reliable || self.faults.is_some();
+        let timing = self.faults.clone().unwrap_or_default();
+        let mix = (ix as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        let fault = self.faults.clone().map(|plan| {
+            // Decorrelate the schedulers' fate streams even when the plan
+            // pinned its own seed, keeping the configured rates.
+            let base = plan.pinned_seed().unwrap_or(self.seed);
+            plan.seed(base ^ mix).into_model(self.seed)
+        });
+        Links {
+            rel: on.then(|| ReliableState::with_rto(timing.retransmit_timeout().as_nanos())),
+            latency: self.network.clone().into_model(self.seed ^ mix),
+            fault,
+            max_retransmits: timing.retransmit_cap(),
+            outbound: Outbound::new(),
+            srtt: (0, 0),
+            tracer: tracer.clone(),
+        }
+    }
 }
 
 impl RuntimeBuilder<SimRuntime> {
@@ -118,32 +147,24 @@ impl RuntimeBuilder<SimRuntime> {
     /// [`FaultPlan::validate`] — NaN or out-of-range rates, a
     /// non-positive rto, or overlapping crash windows for one process.
     pub fn build(self) -> SimRuntime {
-        let (make_rel, max_retransmits) = FaultPlan::sublayer(self.faults.as_ref(), self.reliable);
+        let links = self.links(0, &self.tracer.clone().unwrap_or_default());
         let wire = Wire {
             clock: VirtualTime::ZERO,
             next_tie: 0,
-            latency: self.network.into_model(self.seed),
             stats: MessageStats::new(),
-            fault: None,
-            rel: make_rel.map(|make| make()),
-            outbound: Outbound::new(),
-            tracer: self.tracer.unwrap_or_default(),
             panics: Vec::new(),
         };
-        let mut rt = SimRuntime {
-            sched: Scheduler::new(wire, 1, self.seed, max_retransmits),
+        let mut sched = Scheduler::new(wire, links, 1, self.seed);
+        for c in self.faults.iter().flat_map(FaultPlan::crashes) {
+            let up_at = c.at + c.down_for;
+            sched.push(c.at, EventKind::Crash { pid: c.pid, up_at });
+            sched.push(up_at, EventKind::Restart(c.pid));
+        }
+        SimRuntime {
+            sched,
             max_events: self.max_events,
             events_processed: 0,
-        };
-        rt.sched.clock.fault = self.faults.map(|plan| {
-            for c in plan.crashes() {
-                let up_at = c.at + c.down_for;
-                rt.sched.push(c.at, EventKind::Crash { pid: c.pid, up_at });
-                rt.sched.push(up_at, EventKind::Restart(c.pid));
-            }
-            plan.into_model(self.seed)
-        });
-        rt
+        }
     }
 }
 
@@ -166,22 +187,11 @@ pub struct SimRuntime {
 }
 
 /// The simulator's side of its scheduler: the virtual clock, advanced by
-/// the events it fires, the tie counter, and the one link-pipeline state.
+/// the events it fires, the tie counter, and the statistics.
 struct Wire {
     clock: VirtualTime,
     next_tie: u64,
-    latency: Box<dyn LatencyModel>,
     stats: MessageStats,
-    /// Fault model, when fault injection is configured.
-    fault: Option<FaultModel>,
-    /// Reliable-delivery link state, when the sublayer is enabled.
-    rel: Option<ReliableState>,
-    /// The buffer every link-pipeline step reports its work in, kept so a
-    /// step allocates nothing.
-    outbound: Outbound,
-    /// Causal-trace collector for wire events (disabled unless enabled by
-    /// the owner; recording is a single atomic load when off).
-    tracer: Arc<TraceCollector>,
     panics: Vec<(ProcessId, String)>,
 }
 
@@ -196,57 +206,17 @@ impl Clock for Wire {
         Timed { time, tie, work }
     }
 
-    /// The step's one lookup by link is here; what it asks for is queued
-    /// in the order asked (event ties follow it).
-    fn step<R>(
-        &mut self,
-        queue: &mut TimedQueue,
-        link: LinkId,
-        at: VirtualTime,
-        f: impl FnOnce(&mut Link<'_>, &mut Outbound) -> R,
-    ) -> R {
-        let samples = self.stats.link().rtt_samples;
-        let mut out = std::mem::take(&mut self.outbound);
-        let mut link = Link {
-            now: at,
-            rel: self.rel.as_mut().map(|rel| rel.link_mut(link)),
-            stats: &mut self.stats,
-            latency: &mut *self.latency,
-            fault: self.fault.as_mut(),
-            tracer: &self.tracer,
-        };
-        let result = f(&mut link, &mut out);
-        for (delay, work) in out.drain(..) {
-            let item = self.stamp(at + delay, EventKind::Link(work));
-            queue.push(item);
-        }
-        self.outbound = out;
-        // `srtt_nanos` is the mean across sampled links *at the last
-        // sample*, so it is refreshed per sample here (the threaded
-        // runtime recomputes it from its stripes at report time).
-        if self.stats.link().rtt_samples != samples {
-            self.stats.link_mut().srtt_nanos =
-                self.rel.as_ref().map_or(0, ReliableState::mean_srtt_nanos);
-        }
-        result
+    /// Every item is the simulator's.
+    fn queue(&mut self, queue: &mut TimedQueue, item: Timed) {
+        queue.push(item);
     }
 
-    fn crash_links(&mut self, pid: ProcessId) {
-        if let Some(rel) = self.rel.as_mut() {
-            rel.on_crash(pid);
-        }
+    fn stats(&mut self) -> impl StatsSink + '_ {
+        &mut self.stats
     }
 
     fn exited(&mut self, pid: ProcessId, panic: Option<String>) {
         self.panics.extend(panic.map(|msg| (pid, msg)));
-    }
-
-    fn dropped(&mut self) {
-        self.stats.record_dropped();
-    }
-
-    fn tracer(&self) -> &TraceCollector {
-        &self.tracer
     }
 }
 
@@ -292,7 +262,7 @@ impl SimRuntime {
     /// The shared causal-trace collector (always present; disabled unless
     /// [`hope_types::TraceCollector::enable`]d).
     pub fn tracer(&self) -> &Arc<TraceCollector> {
-        &self.sched.clock.tracer
+        &self.sched.links.tracer
     }
 
     fn local(&self, pid: ProcessId) -> Option<&Local> {

@@ -113,6 +113,7 @@ pub(crate) fn describe(ev: &Timed) -> PendingEvent {
             src: link.0,
             dst: link.1,
         },
+        EventKind::Link(LinkWork::Abandoned { .. }) => unreachable!("one scheduler, both halves"),
     };
     PendingEvent {
         time: ev.time,
@@ -167,6 +168,8 @@ pub(crate) fn content_hash(ev: &Timed) -> u64 {
             link.0.as_raw().hash(&mut h);
             link.1.as_raw().hash(&mut h);
         }
+        // The simulator's one scheduler holds both halves of every link.
+        EventKind::Link(LinkWork::Abandoned { .. }) => unreachable!("one scheduler, both halves"),
     }
     h.finish()
 }

@@ -1,8 +1,8 @@
 //! The one scheduler both runtimes run (DESIGN.md §10 "One scheduler, two
-//! clocks"): a queue of timed work, the actors and processes it owns,
-//! their crash windows, and their turns. The simulator is one on a virtual
-//! clock; the threaded runtime one per shard on the wall clock, owning the
-//! pids `pid % n` names it. What differs is the [`Clock`].
+//! clocks"): a queue of timed work, the actors and processes it owns, their
+//! crash windows and turns, and the link halves they use. The simulator is
+//! one on a virtual clock; the threaded runtime one per shard on the wall
+//! clock, owning the pids `pid % n` names it. What differs is the [`Clock`].
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -12,34 +12,28 @@ use hope_types::{Envelope, Payload, ProcessId, TraceCollector, TraceEventKind, V
 use crate::actor::Actor;
 use crate::coro::Stack;
 use crate::event::{EventKind, Timed, TimedQueue};
-use crate::link::{state_link, Link, LinkWork, Outbound};
+use crate::fault::FaultModel;
+use crate::link::{state_link, Link, LinkWork, Outbound, StatsSink};
+use crate::net::LatencyModel;
 use crate::node::{self, Host, Step, Target};
-use crate::reliable::{CopyKind, LinkId};
+use crate::reliable::{CopyKind, LinkId, ReliableState};
 use crate::stats::PartyKind;
 use crate::threadproc::{Live, Proc, SpawnKind, SpawnRequest};
 
 /// What one runtime lends its schedulers: the clock, the tie, where a
-/// send's work goes, the link record, and the routing table.
+/// queued item goes, where a step counts, and the routing table.
 pub(crate) trait Clock {
     /// The time a handler or a body reads now.
     fn now(&self) -> VirtualTime;
     /// `work` due at `time`, with the tie that orders it among equals.
     fn stamp(&mut self, time: VirtualTime, work: EventKind) -> Timed;
-    /// Runs one link-pipeline step for `link` at `at`, then queues what it
-    /// asked for: on `queue` when it is this scheduler's, else elsewhere.
-    fn step<R>(
-        &mut self,
-        queue: &mut TimedQueue,
-        link: LinkId,
-        at: VirtualTime,
-        f: impl FnOnce(&mut Link<'_>, &mut Outbound) -> R,
-    ) -> R;
-    /// `src` sends `payload` to `dst` now.
-    fn send(&mut self, queue: &mut TimedQueue, src: ProcessId, dst: ProcessId, payload: Payload) {
-        let now = self.now();
-        self.step(queue, (src, dst), now, |l, out| {
-            l.send(src, dst, payload, out)
-        });
+    /// Hands `item` to its scheduler: onto `queue` when that is this one.
+    fn queue(&mut self, queue: &mut TimedQueue, item: Timed);
+    /// Where one step counts, for the length of the step.
+    fn stats(&mut self) -> impl StatsSink + '_;
+    /// Whether `pid` is this scheduler's.
+    fn owns(&self, _: ProcessId) -> bool {
+        true
     }
     /// The Table 1 party kinds of an arrival's ends, `None` when its
     /// destination was never spawned; `locals` answers when every pid is
@@ -60,15 +54,28 @@ pub(crate) trait Clock {
     fn hand_over(&mut self, _: ProcessId) -> Option<Local> {
         None
     }
-    /// The link layer forgets what a crash of `pid` destroys.
-    fn crash_links(&mut self, pid: ProcessId);
     /// The actor at `pid` stopped.
     fn stopped(&mut self, _: ProcessId) {}
     /// `pid`'s body is gone, with its panic message if it unwound.
     fn exited(&mut self, pid: ProcessId, panic: Option<String>);
-    /// Counts a message the dispatch step dropped.
-    fn dropped(&mut self);
-    fn tracer(&self) -> &TraceCollector;
+}
+
+/// The link halves a scheduler holds and what a step on them draws on: a
+/// link's sender half is used where its sender runs, its receiver half
+/// where its receiver runs, so each half has one owner and no lock.
+pub(crate) struct Links {
+    /// The sublayer's records, when it is on.
+    pub rel: Option<ReliableState>,
+    pub latency: Box<dyn LatencyModel>,
+    /// `None` on a fault-free wire.
+    pub fault: Option<FaultModel>,
+    pub max_retransmits: u32,
+    /// Where every step reports its work, kept so a step allocates nothing.
+    pub outbound: Outbound,
+    /// The sum and number of the SRTTs of the sampled links held here,
+    /// kept as samples and crashes change them.
+    pub srtt: (u64, u64),
+    pub tracer: Arc<TraceCollector>,
 }
 
 /// What a scheduler holds for one pid it owns.
@@ -99,6 +106,7 @@ impl Local {
 pub(crate) struct Scheduler<C> {
     pub clock: C,
     pub queue: TimedQueue,
+    pub links: Links,
     /// The pids this scheduler owns, at `pid / n`: `None` before a shard
     /// takes the pid over, and while a process is out for its turn.
     pub locals: Vec<Option<Local>>,
@@ -112,14 +120,14 @@ pub(crate) struct Scheduler<C> {
     pub stacks_mapped: usize,
     pub turns: u64,
     pub seed: u64,
-    max_retransmits: u32,
 }
 
 impl<C: Clock> Scheduler<C> {
-    pub fn new(clock: C, n: usize, seed: u64, max_retransmits: u32) -> Self {
+    pub fn new(clock: C, links: Links, n: usize, seed: u64) -> Self {
         Scheduler {
             clock,
             queue: TimedQueue::default(),
+            links,
             locals: Vec::new(),
             n,
             down: BTreeMap::new(),
@@ -128,7 +136,6 @@ impl<C: Clock> Scheduler<C> {
             stacks_mapped: 0,
             turns: 0,
             seed,
-            max_retransmits,
         }
     }
 
@@ -145,13 +152,14 @@ impl<C: Clock> Scheduler<C> {
         match item.work {
             EventKind::Link(LinkWork::Deliver { env, copy }) => self.deliver(at, env, copy),
             EventKind::Link(LinkWork::Retransmit { link }) => {
-                let cap = self.max_retransmits;
-                self.clock
-                    .step(&mut self.queue, link, at, |l, out| l.timer(link, cap, out));
+                let (cap, here) = (self.links.max_retransmits, self.clock.owns(link.1));
+                self.step(link, at, |l, out| l.timer(link, cap, here, out));
             }
             EventKind::Link(LinkWork::AckDue { link }) => {
-                self.clock
-                    .step(&mut self.queue, link, at, |l, out| l.ack_due(link, out));
+                self.step(link, at, |l, out| l.ack_due(link, out));
+            }
+            EventKind::Link(LinkWork::Abandoned { link, seq }) => {
+                self.step(link, at, |l, _| l.abandoned(seq));
             }
             // A crashed process does not run: its wake waits for the restart.
             EventKind::Wake(pid) => match self.down.get(&pid.as_raw()) {
@@ -177,17 +185,68 @@ impl<C: Clock> Scheduler<C> {
         Some(at)
     }
 
+    /// Runs one link-pipeline step for `link` at `at` on the halves of it
+    /// held here — the one [`Link`] either runtime builds — then hands on
+    /// what it asked for, in the order asked (event ties follow it). A
+    /// queued item's step runs at its *due* time (DESIGN.md §10 "Whose
+    /// clock").
+    fn step<R>(
+        &mut self,
+        link: LinkId,
+        at: VirtualTime,
+        f: impl FnOnce(&mut Link<'_>, &mut Outbound) -> R,
+    ) -> R {
+        let links = &mut self.links;
+        let mut out = std::mem::take(&mut links.outbound);
+        let mut stats = self.clock.stats();
+        let mut lent = Link {
+            now: at,
+            rel: links.rel.as_mut().map(|rel| rel.link_mut(link)),
+            stats: &mut stats,
+            latency: &mut *links.latency,
+            fault: links.fault.as_mut(),
+            tracer: &links.tracer,
+        };
+        let before = lent.rel.as_ref().map(|rec| rec.rtt());
+        let result = f(&mut lent, &mut out);
+        // `srtt_nanos` is the mean across sampled links at the last
+        // sample, kept without a walk over the links; the ack that took
+        // the sample has taken the stats lock already.
+        if let (Some(old), Some(new)) = (before, lent.rel.as_ref().map(|rec| rec.rtt())) {
+            if new.samples() != old.samples() {
+                let (sum, sampled) = &mut links.srtt;
+                *sum = *sum - old.srtt_nanos() + new.srtt_nanos();
+                *sampled += u64::from(old.samples() == 0);
+                let mean = *sum / *sampled;
+                debug_assert_eq!(Some(mean), links.rel.as_ref().map(|r| r.mean_srtt_nanos()));
+                stats.stats().link_mut().srtt_nanos = mean;
+            }
+        }
+        drop(stats);
+        for (delay, work) in out.drain(..) {
+            let item = self.clock.stamp(at + delay, EventKind::Link(work));
+            self.clock.queue(&mut self.queue, item);
+        }
+        self.links.outbound = out;
+        result
+    }
+
     /// Runs `due` on `pid`'s process, if it is one, and makes the process
     /// ready for a turn if `due` says that what happened is what it waits
-    /// for.
-    fn ready_if(&mut self, pid: ProcessId, due: impl FnOnce(&mut Proc, &mut Sends<'_, C>) -> bool) {
+    /// for. The process is out of its slot for the call, so that a
+    /// handler's sends can go through the scheduler.
+    fn ready_if(&mut self, pid: ProcessId, due: impl FnOnce(&mut Proc, &mut Self) -> bool) {
         let Some(at) = self.local(pid) else {
             return;
         };
-        if let Some(Local::Proc(proc)) = &mut self.locals[at] {
-            if due(proc, &mut (&mut self.clock, &mut self.queue)) && !self.ready.contains(&at) {
-                self.ready.push(at);
-            }
+        let is_proc = |local: &mut Local| matches!(local, Local::Proc(_));
+        let Some(Local::Proc(mut proc)) = self.locals[at].take_if(is_proc) else {
+            return;
+        };
+        let due = due(&mut proc, self);
+        self.locals[at] = Some(Local::Proc(proc));
+        if due && !self.ready.contains(&at) {
+            self.ready.push(at);
         }
     }
 
@@ -196,23 +255,25 @@ impl<C: Clock> Scheduler<C> {
         let down = self.down.contains_key(&pid.as_raw());
         let local = self.local(pid);
         let route = self.clock.route(&self.locals, &env);
-        let deliver = self
-            .clock
-            .step(&mut self.queue, state_link(&env), due, |link, out| {
-                link.arrive(&env, copy, down, route, out)
-            });
+        let deliver = self.step(state_link(&env), due, |link, out| {
+            link.arrive(&env, copy, down, route, out)
+        });
         let (true, Some(at)) = (deliver, local) else {
             return;
         };
-        let target = match &mut self.locals[at] {
+        // Out of its slot for the handler call, like a process for its turn.
+        let mut slot = self.locals[at].take();
+        let target = match &mut slot {
             Some(Local::Actor { actor, .. }) => Target::Actor(&mut **actor),
             Some(Local::Proc(proc)) => Target::Process(&mut proc.control),
             Some(Local::Gateway(sink)) => Target::Gateway(&**sink),
             Some(Local::Gone) | None => Target::Gone,
         };
-        match node::deliver(&mut (&mut self.clock, &mut self.queue), target, env) {
+        let step = node::deliver(self, target, env);
+        self.locals[at] = slot;
+        match step {
             Step::Done => {}
-            Step::Dropped => self.clock.dropped(),
+            Step::Dropped => self.clock.stats().stats().record_dropped(),
             Step::Stop => {
                 self.locals[at] = Some(Local::Gone);
                 self.clock.stopped(pid);
@@ -223,15 +284,24 @@ impl<C: Clock> Scheduler<C> {
         }
     }
 
+    /// Every scheduler forgets what the crash destroys of the link halves
+    /// it holds; only `pid`'s own takes it down.
     fn crash(&mut self, pid: ProcessId, up_at: VirtualTime) {
-        if self.down.insert(pid.as_raw(), up_at).is_some() {
+        let own = self.clock.owns(pid);
+        if own && self.down.insert(pid.as_raw(), up_at).is_some() {
             return; // overlapping crash windows merge
         }
-        let now = self.clock.now();
-        self.clock.tracer().record(pid, now, TraceEventKind::Crash);
         // The link layer loses only what a crash genuinely destroys (RTT
         // estimates); dedup windows and retransmit buffers survive.
-        self.clock.crash_links(pid);
+        if let Some(rel) = self.links.rel.as_mut() {
+            let (sum, sampled) = rel.on_crash(pid);
+            self.links.srtt = (self.links.srtt.0 - sum, self.links.srtt.1 - sampled);
+        }
+        if !own {
+            return;
+        }
+        let now = self.clock.now();
+        self.links.tracer.record(pid, now, TraceEventKind::Crash);
         self.ready_if(pid, |proc, _| {
             node::crash(pid, now, proc.control.as_mut());
             false
@@ -243,9 +313,7 @@ impl<C: Clock> Scheduler<C> {
             return;
         }
         let now = self.clock.now();
-        self.clock
-            .tracer()
-            .record(pid, now, TraceEventKind::Restart);
+        self.links.tracer.record(pid, now, TraceEventKind::Restart);
         self.ready_if(pid, |proc, host| {
             node::restart(host, pid, proc.control.as_mut()) && proc.waiting()
         });
@@ -282,7 +350,8 @@ impl<C: Clock> Scheduler<C> {
     }
 
     pub fn send(&mut self, src: ProcessId, dst: ProcessId, payload: Payload) {
-        self.clock.send(&mut self.queue, src, dst, payload);
+        let now = self.clock.now();
+        self.step((src, dst), now, |l, out| l.send(src, dst, payload, out));
     }
 
     /// Places `req` at the next pid now, as the simulator spawns (its
@@ -304,18 +373,15 @@ impl<C: Clock> Scheduler<C> {
     }
 }
 
-/// What a handler sends through: its scheduler's clock and queue.
-type Sends<'a, C> = (&'a mut C, &'a mut TimedQueue);
-
 /// A handler's sends leave as it makes them. Nothing runs between them —
 /// the body is suspended while its `Control` runs — so this is the order
 /// buffering them would give.
-impl<C: Clock> Host for Sends<'_, C> {
+impl<C: Clock> Host for Scheduler<C> {
     fn now(&self) -> VirtualTime {
-        self.0.now()
+        self.clock.now()
     }
 
     fn send(&mut self, src: ProcessId, dst: ProcessId, payload: Payload) {
-        self.0.send(self.1, src, dst, payload);
+        Scheduler::send(self, src, dst, payload);
     }
 }

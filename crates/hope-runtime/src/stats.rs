@@ -124,9 +124,8 @@ impl LinkStats {
 
     /// Folds another instance's counters into this one. All counters are
     /// additive except `max_retransmit_attempt` (a max) and `srtt_nanos`
-    /// (a sample-weighted mean approximation — the threaded runtime
-    /// overwrites it from the reliable stripes at report time, which own
-    /// the exact per-link estimators).
+    /// (the sample-weighted mean of the two — how the threaded runtime
+    /// combines its shards' means over their links).
     pub(crate) fn merge(&mut self, other: &LinkStats) {
         let total_samples = self.rtt_samples + other.rtt_samples;
         let weighted = self
@@ -274,7 +273,7 @@ impl MessageStats {
     }
 
     /// Folds another instance into this one — how the threaded runtime
-    /// combines its per-lane counters into one report without ever
+    /// combines its per-shard counters into one report without ever
     /// sharing a statistics lock on the delivery path.
     pub(crate) fn merge(&mut self, other: &MessageStats) {
         for (&key, &count) in &other.counts {

@@ -8,7 +8,8 @@
 //! its `Lane` (a lazily created SPSC ring to each other shard, with a
 //! mutex overflow behind it, then the doorbell). The version-validated
 //! routing table holds only what other threads read: party kind, name,
-//! exit and gateway. The reliable sublayer is striped by link.
+//! exit and gateway. A link's sender half lives on its sender's shard and
+//! its receiver half on its receiver's, so no link step takes a lock.
 //!
 //! Within a shard there is no preemption: a body that blocks outside
 //! [`SysApi`] (a `std` sleep or channel, a spin on an atomic) stalls its
@@ -22,15 +23,15 @@ use std::time::{Duration, Instant};
 
 use parking_lot::{Mutex, MutexGuard};
 
-use hope_types::{Envelope, Payload, ProcessId, TraceCollector, VirtualTime};
+use hope_types::{Envelope, ProcessId, TraceCollector, VirtualTime};
 
 use crate::actor::Actor;
 use crate::control::ControlHandler;
 use crate::event::{EventKind, Timed, TimedQueue};
-use crate::fault::{FaultModel, FaultPlan};
-use crate::link::{Link, LinkWork, Outbound, StatsSink};
-use crate::net::{LatencyModel, NetworkConfig};
-use crate::reliable::{CopyKind, LinkId, ReliableState};
+use crate::fault::FaultPlan;
+use crate::link::{LinkWork, StatsSink};
+use crate::net::NetworkConfig;
+use crate::reliable::CopyKind;
 use crate::runtime::RuntimeBuilder;
 use crate::scheduler::{Clock, Local, Scheduler};
 use crate::shard::{shard_of, Doorbell, TableReader, VersionedTable};
@@ -38,11 +39,6 @@ use crate::spsc;
 use crate::stats::{MessageStats, PartyKind, RunReport};
 use crate::sysapi::SysApi;
 use crate::threadproc::{Live, SpawnKind, SpawnRequest};
-
-/// Lock stripes for the reliable sublayer. All state for one link lives
-/// in one stripe, so per-link operations contend only with links that
-/// hash to the same stripe; crash handling visits every stripe (cold).
-const REL_STRIPES: usize = 16;
 
 /// Slots per lane→shard ingress ring. Ring-full sends overflow to the
 /// shard's mutex-protected queue, so this bounds the fast path, not the
@@ -103,19 +99,14 @@ impl ShardHandle {
 }
 
 /// One shard's side of its scheduler: the wall clock, a lazily created
-/// ingress ring to each other shard, its own seeded latency and fault
-/// models and statistics sink, and its view of the routing table.
+/// ingress ring to each other shard, its statistics sink, and its view of
+/// the routing table.
 struct Lane {
     inner: Arc<Inner>,
     /// The index of the shard that owns the lane.
     own: usize,
     rings: Vec<Option<spsc::Producer<Timed>>>,
-    latency: Box<dyn LatencyModel>,
-    fault: Option<FaultModel>,
     stats: Arc<Mutex<MessageStats>>,
-    /// The buffer every link-pipeline step on this lane reports its work
-    /// in, kept so a step allocates nothing.
-    outbound: Outbound,
     reader: TableReader<Arc<Slot>>,
     /// Items queued on the lane's own shard since the shard's last collect.
     mine: usize,
@@ -134,11 +125,20 @@ impl StatsSink for LaneStats<'_> {
     }
 }
 
-impl Lane {
-    /// Hands one work item to its shard: the lane's own shard's queue
-    /// directly, another's by a wait-free ring push, or the mutex
-    /// overflow when the ring is full; then the doorbell.
-    fn push(&mut self, queue: &mut TimedQueue, item: Timed) {
+impl Clock for Lane {
+    /// The wall clock, read at each call.
+    fn now(&self) -> VirtualTime {
+        self.inner.now()
+    }
+
+    fn stamp(&mut self, time: VirtualTime, work: EventKind) -> Timed {
+        self.inner.queued(time, work)
+    }
+
+    /// The lane's own shard's queue directly, another's by a wait-free
+    /// ring push, or the mutex overflow when the ring is full; then the
+    /// doorbell.
+    fn queue(&mut self, queue: &mut TimedQueue, item: Timed) {
         let ix = self.inner.shard_for(&item.work);
         if ix == self.own {
             self.mine += 1;
@@ -164,63 +164,17 @@ impl Lane {
             Err(item) => shard.overflow(item),
         }
     }
-}
 
-impl Clock for Lane {
-    /// The wall clock, read at each call.
-    fn now(&self) -> VirtualTime {
-        self.inner.now()
-    }
-
-    fn stamp(&mut self, time: VirtualTime, work: EventKind) -> Timed {
-        self.inner.queued(time, work)
-    }
-
-    /// A send happens when it is made; a queued item happens when it was
-    /// *due*, however late the shard runs (DESIGN.md §10 "Whose clock": on
-    /// the wall clock each ack would queue behind the backlog and the
-    /// timer would resend all of it). The link's one stripe and the lane's
-    /// stats are held for the step only, never across the ring pushes.
-    fn step<R>(
-        &mut self,
-        queue: &mut TimedQueue,
-        link: LinkId,
-        at: VirtualTime,
-        f: impl FnOnce(&mut Link<'_>, &mut Outbound) -> R,
-    ) -> R {
-        let mut out = std::mem::take(&mut self.outbound);
-        let result = {
-            let mut rel = self.inner.rel_stripe(link).map(|stripe| stripe.lock());
-            let mut stats = LaneStats {
-                lane: &self.stats,
-                held: None,
-            };
-            let mut link = Link {
-                now: at,
-                rel: rel.as_mut().map(|stripe| stripe.link_mut(link)),
-                stats: &mut stats,
-                latency: &mut *self.latency,
-                fault: self.fault.as_mut(),
-                tracer: &self.inner.tracer,
-            };
-            f(&mut link, &mut out)
-        };
-        for (delay, work) in out.drain(..) {
-            let item = self.inner.queued(at + delay, EventKind::Link(work));
-            self.push(queue, item);
+    /// Held for the step only, never across the ring pushes.
+    fn stats(&mut self) -> impl StatsSink + '_ {
+        LaneStats {
+            lane: &self.stats,
+            held: None,
         }
-        self.outbound = out;
-        result
     }
 
-    fn send(&mut self, queue: &mut TimedQueue, src: ProcessId, dst: ProcessId, payload: Payload) {
-        if self.inner.shutdown.load(Ordering::Acquire) {
-            return;
-        }
-        let now = self.now();
-        self.step(queue, (src, dst), now, |l, out| {
-            l.send(src, dst, payload, out)
-        });
+    fn owns(&self, pid: ProcessId) -> bool {
+        shard_of(pid, self.inner.shards.len()) == self.own
     }
 
     /// One version-validated table read covers both ends.
@@ -252,14 +206,6 @@ impl Clock for Lane {
         })
     }
 
-    /// A crash touches links in any stripe, so visit them all (cold path;
-    /// stripes are locked one at a time, never nested).
-    fn crash_links(&mut self, pid: ProcessId) {
-        for stripe in self.inner.rel.iter().flatten() {
-            stripe.lock().on_crash(pid);
-        }
-    }
-
     fn stopped(&mut self, pid: ProcessId) {
         self.inner.procs.update(|procs| {
             procs[pid.as_raw() as usize] = Arc::new(Slot::Gone);
@@ -272,14 +218,6 @@ impl Clock for Lane {
             let _ = exit.set(panic);
         }
     }
-
-    fn dropped(&mut self) {
-        self.stats.lock().record_dropped();
-    }
-
-    fn tracer(&self) -> &TraceCollector {
-        &self.inner.tracer
-    }
 }
 
 struct Inner {
@@ -289,18 +227,10 @@ struct Inner {
     /// Rung when `in_flight` drops to zero.
     settled: Doorbell,
     seq: AtomicU64,
-    /// Template cloned into each lane's latency model.
-    network: NetworkConfig,
-    /// Template cloned into each lane's fault model (when faults are on).
-    fault_plan: Option<FaultPlan>,
     shutdown: AtomicBool,
     start: Instant,
     seed: u64,
-    /// Reliable-delivery link state, striped by link; `None` when the
-    /// sublayer is off.
-    rel: Option<Vec<Mutex<ReliableState>>>,
-    /// Causal-trace collector for wire events (disabled unless enabled by
-    /// the owner; recording is a single atomic load when off).
+    /// The shards' causal-trace collector.
     tracer: Arc<TraceCollector>,
     /// Turns the shards have given their processes so far.
     turns: AtomicU64,
@@ -309,45 +239,15 @@ struct Inner {
 }
 
 impl Inner {
-    /// The reliable-state stripe owning `link`, when the sublayer is on.
-    fn rel_stripe(&self, link: LinkId) -> Option<&Mutex<ReliableState>> {
-        self.rel.as_ref().map(|stripes| {
-            let h = link
-                .0
-                .as_raw()
-                .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-                .wrapping_add(link.1.as_raw().wrapping_mul(0xc2b2_ae3d_27d4_eb4f));
-            &stripes[(h % stripes.len() as u64) as usize]
-        })
-    }
-
-    /// Shard `ix`'s lane, seeded by its index.
-    fn new_lane(self: &Arc<Self>, ix: usize) -> Lane {
-        let mix = (ix as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        let fault = self.fault_plan.clone().map(|plan| {
-            // Decorrelate the per-lane fate streams even when the plan
-            // pinned its own seed, keeping the configured rates.
-            let base = plan.pinned_seed().unwrap_or(self.seed);
-            plan.seed(base ^ mix).into_model(self.seed)
-        });
-        Lane {
-            inner: self.clone(),
-            own: ix,
-            rings: (0..self.shards.len()).map(|_| None).collect(),
-            latency: self.network.clone().into_model(self.seed ^ mix),
-            fault,
-            stats: self.shards[ix].stats.clone(),
-            outbound: Outbound::new(),
-            reader: TableReader::new(),
-            mine: 0,
-        }
-    }
-
+    /// The shard of the pid `work` is for: a link's sender half takes its
+    /// retransmit timer (where the acks it judges arrive), its receiver
+    /// half the delayed-ack timer and a seq the sender gave up.
     fn shard_for(&self, work: &EventKind) -> usize {
         let n = self.shards.len();
         match work {
             EventKind::Link(LinkWork::Deliver { env, .. }) => shard_of(env.dst, n),
-            EventKind::Link(LinkWork::Retransmit { link } | LinkWork::AckDue { link }) => {
+            EventKind::Link(LinkWork::Retransmit { link }) => shard_of(link.0, n),
+            EventKind::Link(LinkWork::AckDue { link } | LinkWork::Abandoned { link, .. }) => {
                 shard_of(link.1, n)
             }
             EventKind::Crash { pid, .. } | EventKind::Restart(pid) | EventKind::Wake(pid) => {
@@ -389,23 +289,12 @@ impl Inner {
         })
     }
 
-    /// Merges every lane's statistics and recomputes the reliable-layer
-    /// aggregate (mean SRTT) from the stripes, which own the truth.
+    /// Every shard's statistics, merged (`srtt_nanos` as the
+    /// sample-weighted mean of the shards').
     fn merged_stats(&self) -> MessageStats {
         let mut total = MessageStats::new();
         for shard in &self.shards {
             total.merge(&shard.stats.lock());
-        }
-        if let Some(stripes) = self.rel.as_ref() {
-            let (mut sum, mut links) = (0u64, 0u64);
-            for stripe in stripes {
-                let (s, n) = stripe.lock().srtt_totals();
-                sum = sum.saturating_add(s);
-                links += n;
-            }
-            if let Some(mean) = sum.checked_div(links) {
-                total.link_mut().srtt_nanos = mean;
-            }
         }
         total
     }
@@ -576,7 +465,6 @@ impl RuntimeBuilder<ThreadedRuntime> {
     /// Panics with the typed `HopeError::InvalidFaultPlan` rendering if
     /// the fault plan fails [`FaultPlan::validate`].
     pub fn build(self) -> ThreadedRuntime {
-        let (make_rel, max_retransmits) = FaultPlan::sublayer(self.faults.as_ref(), self.reliable);
         let start = Instant::now();
         let nshards = self
             .shards
@@ -587,24 +475,30 @@ impl RuntimeBuilder<ThreadedRuntime> {
             in_flight: AtomicU64::new(0),
             settled: Doorbell::default(),
             seq: AtomicU64::new(0),
-            network: self.network,
-            fault_plan: self.faults,
             shutdown: AtomicBool::new(false),
             start,
             seed: self.seed,
-            rel: make_rel.map(|make| (0..REL_STRIPES).map(|_| Mutex::new(make())).collect()),
-            tracer: self.tracer.unwrap_or_default(),
+            tracer: self.tracer.clone().unwrap_or_default(),
             turns: AtomicU64::new(0),
             stacks_mapped: AtomicUsize::new(0),
         });
         let threads = (0..nshards)
             .map(|ix| {
-                let (lane, handle) = (inner.new_lane(ix), inner.shards[ix].clone());
+                let handle = inner.shards[ix].clone();
+                let lane = Lane {
+                    inner: inner.clone(),
+                    own: ix,
+                    rings: (0..nshards).map(|_| None).collect(),
+                    stats: handle.stats.clone(),
+                    reader: TableReader::new(),
+                    mine: 0,
+                };
+                let links = self.links(ix, &inner.tracer);
                 std::thread::Builder::new()
                     .name(format!("hope-shard-{ix}"))
                     .spawn(move || {
                         // Built on its thread: a scheduler's processes stay there.
-                        let sched = Scheduler::new(lane, nshards, self.seed, max_retransmits);
+                        let sched = Scheduler::new(lane, links, nshards, self.seed);
                         let rings = Vec::new();
                         let epoch_seen = u64::MAX;
                         Shard {
@@ -618,9 +512,12 @@ impl RuntimeBuilder<ThreadedRuntime> {
                     .expect("failed to spawn shard")
             })
             .collect();
-        for c in inner.fault_plan.iter().flat_map(FaultPlan::crashes) {
+        for c in self.faults.iter().flat_map(FaultPlan::crashes) {
             let up_at = c.at + c.down_for;
-            inner.schedule(c.at, EventKind::Crash { pid: c.pid, up_at });
+            // Every shard holds link halves the crash touches.
+            for shard in &inner.shards {
+                shard.overflow(inner.queued(c.at, EventKind::Crash { pid: c.pid, up_at }));
+            }
             inner.schedule(up_at, EventKind::Restart(c.pid));
         }
         ThreadedRuntime { inner, threads }

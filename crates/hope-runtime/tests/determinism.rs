@@ -507,6 +507,7 @@ struct Counts {
     sunk: u64,
     resumed_at: u64,
     dropped: u64,
+    abandoned: u64,
     table_1: BTreeMap<(String, String, String), u64>,
 }
 
@@ -519,6 +520,7 @@ fn counts(seen: &Seen, stats: &MessageStats) -> Counts {
         sunk: seen.sunk.load(Ordering::Relaxed),
         resumed_at: seen.resumed_at.load(Ordering::Relaxed),
         dropped: stats.dropped(),
+        abandoned: stats.link().abandoned,
         table_1: stats
             .iter()
             .map(|(k, f, t, c)| ((k.to_string(), format!("{f:?}"), format!("{t:?}")), c))
@@ -657,6 +659,41 @@ fn a_crashed_process_does_not_run_until_its_restart() {
             "{label}: resumed at {} ns, inside the down window",
             run.resumed_at
         );
+    }
+}
+
+#[test]
+fn a_seq_given_up_leaves_no_gap_on_any_runtime() {
+    // The sink (pid 1: shard 1 of 4, the root's is 0) is down from 0 to
+    // 200 ms. The root's five messages meanwhile are resent twice and
+    // given up (by 70 ms); the 40 it paces out after 300 ms must then
+    // arrive in order, not past a gap no ack can cover, so the seqs given
+    // up reach the receiver's half of the link wherever it lives. (With a
+    // 2 ms rto a shard starved of CPU for a few milliseconds gives a
+    // delivered message up too.)
+    let sink = ProcessId::from_raw(1);
+    let plan = FaultPlan::new()
+        .rto(VirtualDuration::from_millis(10))
+        .max_retransmits(2)
+        .crash(sink, VirtualTime::ZERO, VirtualDuration::from_millis(200));
+    let runs = on_every_runtime(Some(plan), |seen| {
+        Box::new(move |sys: &mut dyn SysApi| {
+            assert_eq!(sys.spawn_actor("sink", Box::new(Sink(seen))), sink);
+            for _ in 0..5 {
+                sys.send(sink, user(b"lost"));
+            }
+            sys.compute(VirtualDuration::from_millis(300));
+            for _ in 0..40 {
+                sys.send(sink, user(b"late"));
+                sys.compute(VirtualDuration::from_millis(1));
+            }
+        })
+    });
+    let (_, sim) = &runs[0];
+    for (label, run) in &runs {
+        let outcome = (run.sunk, run.abandoned);
+        assert_eq!(outcome, (40, 5), "{label}: delivered, abandoned");
+        assert_eq!(run, sim, "{label} vs the simulator");
     }
 }
 

@@ -291,9 +291,9 @@ proptest! {
                     let (rec, m) = (st.link_mut(links()[link]), &mut model[link]);
                     let (mut resent, mut lost) = (Vec::new(), 0);
                     let fire = |rec: &mut LinkRecord, resent: &mut Vec<(u64, u32)>, lost: &mut usize| {
-                        rec.retransmit_due(now, CAP, false, |due| match due {
+                        rec.retransmit_due(now, CAP, false, true, |due| match due {
                             Overdue::Resend { env, attempt } => resent.push((env.seq, attempt)),
-                            Overdue::Abandoned => *lost += 1,
+                            Overdue::Abandoned(_) => *lost += 1,
                         })
                     };
                     let next = fire(rec, &mut resent, &mut lost);

@@ -257,34 +257,52 @@ fn spawning_from_inside_a_process_works() {
 /// on its own timeline, so the queueing resends nothing: the ack a
 /// delivery was owed is due one wire delay after the delivery *was* due,
 /// not after the whole backlog. (With a timer and an ack per message on
-/// the wall clock, 0.8 of the messages of such a burst were resent.) One
-/// shard, so the link's deliveries, acks and timer share that timeline.
+/// the wall clock, 0.8 of the messages of such a burst were resent.) At
+/// four shards the sink (pid 0) and the burst (pid 1) are on different
+/// shards: the timer runs on the burst's, where the acks arrive, and it
+/// sees them in time only while the sink's shard keeps up with the wall
+/// clock. An unoptimised build's does not (the acks it owes come late and
+/// the timer resends), so that case runs in optimised builds.
 #[test]
 fn a_burst_on_a_clean_reliable_link_is_not_resent() {
     const MESSAGES: u64 = 2_000;
-    let rt = ThreadedRuntime::builder().reliable(true).shards(1).build();
-    let sink = rt.spawn_threaded("sink", None, |ctx| {
-        for _ in 0..MESSAGES {
-            ctx.receive(None, &mut || false).expect("a message");
-        }
-    });
-    rt.spawn_threaded("burst", None, move |ctx| {
-        for _ in 0..MESSAGES {
-            ctx.send(sink, user(b"x"));
-        }
-    });
-    let report = rt.run_until_quiescent(GRACE, TIMEOUT);
-    assert!(report.panics.is_empty() && report.blocked.is_empty());
-    assert!(!report.hit_event_limit);
-    let link = report.stats.link();
-    assert_eq!(report.stats.count_kind("User"), MESSAGES);
-    assert_eq!(link.abandoned, 0);
-    assert!(
-        link.retransmits * 20 < MESSAGES,
-        "spurious retransmits: {link}"
-    );
-    assert!(
-        link.acks * 4 <= MESSAGES,
-        "an ack per arrival again: {link}"
-    );
+    let shard_counts: &[usize] = if cfg!(debug_assertions) {
+        &[1]
+    } else {
+        &[1, 4]
+    };
+    for &shards in shard_counts {
+        let rt = ThreadedRuntime::builder()
+            .reliable(true)
+            .shards(shards)
+            .build();
+        let sink = rt.spawn_threaded("sink", None, |ctx| {
+            for _ in 0..MESSAGES {
+                ctx.receive(None, &mut || false).expect("a message");
+            }
+        });
+        rt.spawn_threaded("burst", None, move |ctx| {
+            for _ in 0..MESSAGES {
+                ctx.send(sink, user(b"x"));
+            }
+        });
+        let report = rt.run_until_quiescent(GRACE, TIMEOUT);
+        assert!(report.panics.is_empty() && report.blocked.is_empty());
+        assert!(!report.hit_event_limit);
+        let link = report.stats.link();
+        assert_eq!(report.stats.count_kind("User"), MESSAGES);
+        assert_eq!(link.abandoned, 0, "shards({shards})");
+        assert!(
+            link.retransmits * 20 < MESSAGES,
+            "shards({shards}): spurious retransmits: {link}"
+        );
+        assert!(
+            link.acks * 4 <= MESSAGES,
+            "shards({shards}): an ack per arrival again: {link}"
+        );
+        assert!(
+            link.rtt_samples == 0 || link.srtt_nanos > 0,
+            "shards({shards}): samples but no srtt: {link}"
+        );
+    }
 }
