@@ -130,8 +130,9 @@ impl ControlApi for CollectApi {
 }
 
 /// Delivers pending message `idx`, returning the successor state. The user
-/// side runs the real `LibState` (constructed fresh, bound, and loaded with
-/// the state's history — `LibState` is not `Clone`, its state is).
+/// side runs the real `LibState` (constructed fresh for the process and
+/// loaded with the state's history — `LibState` is not `Clone`, its state
+/// is).
 pub fn step(state: &ProtoState, idx: usize, config: HopeConfig) -> ProtoState {
     let mut next = state.clone();
     let msg = next.pending.remove(idx);
@@ -144,8 +145,7 @@ pub fn step(state: &ProtoState, idx: usize, config: HopeConfig) -> ProtoState {
             }
         }
         ProtoMsg::ToUser(p, from_aid, m) => {
-            let mut lib = LibState::new(config, Arc::new(HopeMetrics::new()));
-            lib.bind(user_pid(p));
+            let mut lib = LibState::new(user_pid(p), config, Arc::new(HopeMetrics::new()));
             lib.history = next.users[p].history.clone();
             lib.pending_rollback = next.users[p].pending_rollback;
             let mut api = CollectApi {

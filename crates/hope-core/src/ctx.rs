@@ -29,11 +29,11 @@
 //! it panics with `ReplayDiverged` when the log holds another op (or none),
 //! and it never calls `check_rollback` — a primitive that must, does so.
 
+use std::cell::RefCell;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use bytes::Bytes;
-use parking_lot::Mutex;
 
 use hope_types::{
     AidId, IdoSet, IntervalId, ProcessId, TraceEventKind, UserMessage, VirtualDuration, VirtualTime,
@@ -56,6 +56,55 @@ pub(crate) struct RollbackSignal;
 /// Panic payload used to unwind the user closure when the runtime shuts
 /// down mid-receive. Caught by the process wrapper.
 pub(crate) struct ShutdownSignal;
+
+/// How a [`park_until`] wait ended: what it waited for holds, a rollback
+/// is pending, or the runtime is shutting down.
+pub(crate) enum Parked {
+    Ready,
+    Rollback,
+    Shutdown,
+}
+
+impl Parked {
+    /// Unwinds into the rollback or shutdown path unless the wait is over.
+    fn or_unwind(self) {
+        match self {
+            Parked::Ready => {}
+            Parked::Rollback => std::panic::panic_any(RollbackSignal),
+            Parked::Shutdown => std::panic::panic_any(ShutdownSignal),
+        }
+    }
+}
+
+/// Parks the process until `ready` holds of its HOPElib or a rollback is
+/// pending, polled on every `Control` wake, or the runtime shuts down. It
+/// consumes no message: a re-execution may need them. The one wait outside
+/// `receive`, for `await_definite`, the speculation-control gates and a
+/// finished process lingering until it is definite.
+pub(crate) fn park_until(
+    sys: &mut dyn SysApi,
+    lib: &RefCell<LibState>,
+    ready: impl Fn(&LibState) -> bool,
+) -> Parked {
+    loop {
+        {
+            let state = lib.borrow();
+            if state.pending_rollback.is_some() {
+                return Parked::Rollback;
+            }
+            if ready(&state) {
+                return Parked::Ready;
+            }
+        }
+        let mut interrupt = || {
+            let state = lib.borrow();
+            state.pending_rollback.is_some() || ready(&state)
+        };
+        if !sys.park(&mut interrupt) {
+            return Parked::Shutdown;
+        }
+    }
+}
 
 /// A message delivered to user code: sender plus payload bytes.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -81,27 +130,15 @@ impl Delivery {
 /// The context of a running HOPE user process. See the [module
 /// docs](crate::ctx) for an overview and `examples/` for full programs.
 pub struct ProcessCtx<'a> {
-    sys: &'a mut dyn SysApi,
-    lib: &'a Arc<Mutex<LibState>>,
-    log: &'a mut ReplayLog,
-    metrics: Arc<HopeMetrics>,
+    pub(crate) sys: &'a mut dyn SysApi,
+    /// Borrowed only between `sys` calls, never across one: `Control`
+    /// runs while the body is suspended in one.
+    pub(crate) lib: &'a RefCell<LibState>,
+    pub(crate) log: &'a mut ReplayLog,
+    pub(crate) metrics: Arc<HopeMetrics>,
 }
 
-impl<'a> ProcessCtx<'a> {
-    pub(crate) fn new(
-        sys: &'a mut dyn SysApi,
-        lib: &'a Arc<Mutex<LibState>>,
-        log: &'a mut ReplayLog,
-        metrics: Arc<HopeMetrics>,
-    ) -> Self {
-        ProcessCtx {
-            sys,
-            lib,
-            log,
-            metrics,
-        }
-    }
-
+impl ProcessCtx<'_> {
     /// Emits a causal-trace event when the shared collector is enabled
     /// (a single relaxed atomic load otherwise).
     fn trace(&mut self, kind: TraceEventKind) {
@@ -130,12 +167,12 @@ impl<'a> ProcessCtx<'a> {
             // later live allocation cannot collide with it (relevant after
             // crash recovery, where the counter restarts at zero but the
             // recovered log carries earlier allocations).
-            let mut state = self.lib.lock();
+            let mut state = self.lib.borrow_mut();
             state.next_channel_seq = state.next_channel_seq.max(value.wrapping_add(1));
             return value;
         }
         let value = {
-            let mut state = self.lib.lock();
+            let mut state = self.lib.borrow_mut();
             let v = state.next_channel_seq;
             state.next_channel_seq = v.wrapping_add(1);
             v
@@ -158,64 +195,40 @@ impl<'a> ProcessCtx<'a> {
 
     /// True if the process currently depends on any unresolved assumption.
     pub fn is_speculative(&self) -> bool {
-        !self.lib.lock().history.current_deps().is_empty()
+        !self.lib.borrow().history.current_deps().is_empty()
     }
 
     /// The set of assumptions the process currently depends on (the tag
     /// that would be attached to an outgoing message right now).
     pub fn current_deps(&self) -> IdoSet {
-        self.lib.lock().history.current_deps().clone()
+        self.lib.borrow().history.current_deps().clone()
     }
 
     /// Identity of the current interval.
     pub fn current_interval(&self) -> IntervalId {
-        self.lib.lock().history.current().id
+        self.lib.borrow().history.current().id
     }
 
     /// Unwinds into the rollback machinery if `Control` has doomed one of
     /// this process's intervals since the last primitive.
     fn check_rollback(&self) {
-        if self.lib.lock().pending_rollback.is_some() {
+        if self.lib.borrow().pending_rollback.is_some() {
             std::panic::panic_any(RollbackSignal);
         }
     }
 
     /// Parks the user thread until `satisfied` holds, a rollback lands
     /// (unwinding like any blocking point) or the runtime shuts down. The
-    /// speculation-control counterpart of [`await_definite`]'s loop: while
+    /// speculation-control counterpart of [`await_definite`]'s wait: while
     /// parked, `LibState::spec_waiting` is set so `Control` wakes this
     /// process on every `Replace`, not just on finalization.
     ///
     /// [`await_definite`]: ProcessCtx::await_definite
-    fn spec_park<F>(&mut self, satisfied: F)
-    where
-        F: Fn(&LibState) -> bool + Clone,
-    {
-        loop {
-            {
-                let mut state = self.lib.lock();
-                if state.pending_rollback.is_some() {
-                    state.spec_waiting = false;
-                    drop(state);
-                    std::panic::panic_any(RollbackSignal);
-                }
-                if satisfied(&state) {
-                    state.spec_waiting = false;
-                    break;
-                }
-                state.spec_waiting = true;
-            }
-            let lib = Arc::clone(self.lib);
-            let cond = satisfied.clone();
-            let mut interrupt = move || {
-                let state = lib.lock();
-                state.pending_rollback.is_some() || cond(&state)
-            };
-            if !self.sys.park(&mut interrupt) {
-                self.lib.lock().spec_waiting = false;
-                std::panic::panic_any(ShutdownSignal);
-            }
-        }
+    fn spec_park(&mut self, satisfied: impl Fn(&LibState) -> bool) {
+        self.lib.borrow_mut().spec_waiting = true;
+        let parked = park_until(self.sys, self.lib, satisfied);
+        self.lib.borrow_mut().spec_waiting = false;
+        parked.or_unwind();
     }
 
     /// Returns an AID from `tag` that this process has already observed
@@ -224,7 +237,7 @@ impl<'a> ProcessCtx<'a> {
     /// its sender has been unwound past the send. The one place a doomed
     /// message is dropped, under every policy (DESIGN.md S8).
     fn doomed_aid(&self, tag: &IdoSet) -> Option<AidId> {
-        let state = self.lib.lock();
+        let state = self.lib.borrow();
         if state.known_denied.is_empty() {
             return None;
         }
@@ -238,7 +251,7 @@ impl<'a> ProcessCtx<'a> {
         self.metrics
             .cancelled_intervals
             .fetch_add(1, Ordering::Relaxed);
-        self.lib.lock().spec.count_cancelled();
+        self.lib.borrow_mut().spec.count_cancelled();
         self.trace(TraceEventKind::CancelDoomed { aid, message });
     }
 
@@ -287,7 +300,7 @@ impl<'a> ProcessCtx<'a> {
             .implicit_guesses
             .fetch_add(tag.len() as u64, Ordering::Relaxed);
         let (iid, delta) = {
-            let mut lib = self.lib.lock();
+            let mut lib = self.lib.borrow_mut();
             if lib.history.covers(tag) {
                 return;
             }
@@ -410,7 +423,7 @@ impl<'a> ProcessCtx<'a> {
         }
         self.check_rollback();
         let (known_denied, max_depth) = {
-            let state = self.lib.lock();
+            let state = self.lib.borrow();
             (state.is_known_denied(&aid), state.spec.max_depth())
         };
         if known_denied {
@@ -434,7 +447,7 @@ impl<'a> ProcessCtx<'a> {
             let below_cap = move |state: &LibState| {
                 state.history.live().iter().filter(|r| !r.definite).count() < max_depth as usize
             };
-            if !below_cap(&self.lib.lock()) {
+            if !below_cap(&self.lib.borrow()) {
                 self.trace(TraceEventKind::SpecWait {
                     aid,
                     depth_limited: true,
@@ -444,11 +457,11 @@ impl<'a> ProcessCtx<'a> {
         }
         // Read the throttle after any depth wait: resolutions observed
         // while parked may have flipped the regime.
-        let throttled = self.lib.lock().spec.is_throttled(aid);
+        let throttled = self.lib.borrow().spec.is_throttled(aid);
         self.metrics.guesses.fetch_add(1, Ordering::Relaxed);
         let op = self.log.record(Op::Guess { aid, outcome: true });
         let (iid, delta) = {
-            let mut lib = self.lib.lock();
+            let mut lib = self.lib.borrow_mut();
             let iid = lib
                 .history
                 .open_interval(IntervalOrigin::ExplicitGuess { op }, [aid]);
@@ -505,7 +518,7 @@ impl<'a> ProcessCtx<'a> {
         self.check_rollback();
         self.metrics.affirms.fetch_add(1, Ordering::Relaxed);
         let (iid, ido) = {
-            let mut lib = self.lib.lock();
+            let mut lib = self.lib.borrow_mut();
             let cur = lib.history.current_mut();
             let mut ido = cur.ido.clone();
             ido.remove(&aid);
@@ -541,7 +554,7 @@ impl<'a> ProcessCtx<'a> {
         self.check_rollback();
         self.metrics.denies.fetch_add(1, Ordering::Relaxed);
         let (iid, send_now) = {
-            let mut lib = self.lib.lock();
+            let mut lib = self.lib.borrow_mut();
             let deny_policy = lib.config().deny_policy;
             let cur = lib.history.current_mut();
             let send_now = deny_policy == DenyPolicy::Immediate || cur.definite;
@@ -578,7 +591,7 @@ impl<'a> ProcessCtx<'a> {
         self.check_rollback();
         self.metrics.free_ofs.fetch_add(1, Ordering::Relaxed);
         let (iid, dependent, affirm_ido) = {
-            let mut lib = self.lib.lock();
+            let mut lib = self.lib.borrow_mut();
             let cur = lib.history.current_mut();
             let dependent = cur.ido.contains(&aid);
             let mut ido = cur.ido.clone();
@@ -627,7 +640,7 @@ impl<'a> ProcessCtx<'a> {
             return; // already sent on the original execution
         }
         self.check_rollback();
-        let tag = self.lib.lock().history.current_deps().clone();
+        let tag = self.lib.borrow().history.current_deps().clone();
         self.log.record(Op::Send { dst, channel });
         self.sys.send(
             dst,
@@ -654,12 +667,12 @@ impl<'a> ProcessCtx<'a> {
             return delivery;
         }
         self.check_rollback();
+        let lib = self.lib;
         loop {
-            let lib = Arc::clone(self.lib);
-            let mut interrupt = move || lib.lock().pending_rollback.is_some();
+            let mut interrupt = || lib.borrow().pending_rollback.is_some();
             match self.sys.receive(channel, &mut interrupt) {
                 None => {
-                    if self.lib.lock().pending_rollback.is_some() {
+                    if lib.borrow().pending_rollback.is_some() {
                         std::panic::panic_any(RollbackSignal);
                     }
                     std::panic::panic_any(ShutdownSignal);
@@ -784,27 +797,7 @@ impl<'a> ProcessCtx<'a> {
         if self.replayed("Barrier", same).is_some() {
             return;
         }
-        self.check_rollback();
-        loop {
-            {
-                let state = self.lib.lock();
-                if state.pending_rollback.is_some() {
-                    drop(state);
-                    std::panic::panic_any(RollbackSignal);
-                }
-                if state.history.fully_definite() {
-                    break;
-                }
-            }
-            let lib = Arc::clone(self.lib);
-            let mut interrupt = move || {
-                let state = lib.lock();
-                state.pending_rollback.is_some() || state.history.fully_definite()
-            };
-            if !self.sys.park(&mut interrupt) {
-                std::panic::panic_any(ShutdownSignal);
-            }
-        }
+        park_until(self.sys, self.lib, |state| state.history.fully_definite()).or_unwind();
         self.log.record(Op::Barrier);
     }
 
@@ -825,12 +818,12 @@ impl<'a> ProcessCtx<'a> {
         }
         self.check_rollback();
         let (config, registry) = {
-            let state = self.lib.lock();
+            let state = self.lib.borrow();
             (state.config(), state.registry().cloned())
         };
-        let (_lib, control, runner) =
-            crate::env::make_user_process(config, self.metrics.clone(), registry, Box::new(body));
-        let pid = self.sys.spawn_threaded(name, Some(control), runner);
+        let runner =
+            crate::env::user_runner(config, self.metrics.clone(), registry, Box::new(body));
+        let pid = self.sys.spawn_threaded(name, None, runner);
         self.log.record(Op::SpawnUser { pid });
         pid
     }

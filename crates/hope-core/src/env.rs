@@ -6,16 +6,16 @@
 //! [`SimRuntime`] and the wall-clock [`ThreadedRuntime`] — adds its own
 //! knobs, `build`, `spawn_user` and run methods in a block of its own.
 
-use std::marker::PhantomData;
+use std::cell::RefCell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::rc::Rc;
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use parking_lot::Mutex;
-
 use hope_runtime::{
-    ControlHandler, FaultPlan, NetworkConfig, RunReport, SimRuntime, SysApi, ThreadedRuntime,
+    ControlHandler, FaultPlan, Inspect, NetworkConfig, ProcessBody, RunReport, RuntimeBuilder,
+    SimRuntime, StorageFaultPlan, SysApi, ThreadedRuntime,
 };
 use hope_types::{
     BlameKey, ProcessId, SpecPolicy, SpecSnapshot, TraceCollector, TraceEventKind, VirtualTime,
@@ -23,7 +23,7 @@ use hope_types::{
 };
 
 use crate::config::{DenyPolicy, GuessRollbackPolicy, HopeConfig, RetractPolicy};
-use crate::ctx::{ProcessCtx, RollbackSignal, ShutdownSignal};
+use crate::ctx::{park_until, Parked, ProcessCtx, RollbackSignal, ShutdownSignal};
 use crate::durable::{DurableConfig, DurableSnapshot, StoreRegistry};
 use crate::hopelib::{LibControl, LibState};
 use crate::interval::IntervalOrigin;
@@ -34,42 +34,22 @@ use crate::replay::{Op, ReplayLog};
 /// and on every rollback-driven re-execution (hence `Fn`, not `FnOnce`).
 pub type UserBody = Box<dyn Fn(&mut ProcessCtx<'_>) + Send>;
 
-/// One user process's HOPElib state, shared by its `Control` handler, its
-/// thread body and the environment's observers.
-type SharedLib = Arc<Mutex<LibState>>;
-
-/// The pieces a runtime needs to host one HOPE user process.
-pub(crate) type UserProcessParts = (
-    SharedLib,
-    Box<dyn ControlHandler>,
-    hope_runtime::ProcessBody,
-);
-
-/// Builds the control handler and thread body for one HOPE user process.
-/// Used by the environment's `spawn_user` and by
-/// [`ProcessCtx::spawn_user`](crate::ProcessCtx::spawn_user).
-pub(crate) fn make_user_process(
+/// The runner of one HOPE user process: on its first turn, on the thread
+/// that owns the pid, it makes the process's [`LibState`], attaches the
+/// `Control` that shares it, and runs `body`. Used by the environment's
+/// `spawn_user` and by [`ProcessCtx::spawn_user`](crate::ProcessCtx::spawn_user).
+pub(crate) fn user_runner(
     config: HopeConfig,
     metrics: Arc<HopeMetrics>,
     registry: Option<Arc<StoreRegistry>>,
     body: UserBody,
-) -> UserProcessParts {
-    let lib = Arc::new(Mutex::new(LibState::new(config, metrics.clone())));
-    let control = Box::new(LibControl::new(lib.clone()));
-    let runner_lib = lib.clone();
-    let runner = Box::new(move |sys: &mut dyn SysApi| {
-        run_user_body(sys, &runner_lib, metrics, registry, body);
-    });
-    (lib, control, runner)
-}
-
-enum LingerOutcome {
-    /// Every interval finalized: the process may terminate.
-    Definite,
-    /// A rollback arrived after the body finished.
-    Rollback,
-    /// The runtime is shutting down.
-    Shutdown,
+) -> ProcessBody {
+    Box::new(move |sys: &mut dyn SysApi| {
+        let lib = LibState::new(sys.pid(), config, metrics.clone());
+        let lib = Rc::new(RefCell::new(lib));
+        sys.attach_control(Box::new(LibControl { lib: lib.clone() }));
+        run_user_body(sys, &lib, metrics, registry, body);
+    })
 }
 
 /// Silences the default panic printout for the internal unwind signals
@@ -96,30 +76,35 @@ fn install_silent_signal_hook() {
 /// definite (a finished-but-speculative process can still be rolled back).
 fn run_user_body(
     sys: &mut dyn SysApi,
-    lib: &SharedLib,
+    lib: &RefCell<LibState>,
     metrics: Arc<HopeMetrics>,
     registry: Option<Arc<StoreRegistry>>,
     body: UserBody,
 ) {
     install_silent_signal_hook();
-    lib.lock().bind(sys.pid());
     let mut log = ReplayLog::new(sys.pid());
     if let Some(registry) = registry {
         // Open (or re-open) this process's durable store and mirror every
         // op-log mutation into it (DESIGN.md S6).
         let store = registry.open(sys.pid());
-        lib.lock().attach_store(store.clone(), registry);
+        lib.borrow_mut().attach_store(store.clone(), registry);
         log.set_sink(Box::new(store));
     }
     loop {
         let outcome = {
-            let mut ctx = ProcessCtx::new(sys, lib, &mut log, metrics.clone());
+            let (log, metrics) = (&mut log, metrics.clone());
+            let mut ctx = ProcessCtx {
+                sys: &mut *sys,
+                lib,
+                log,
+                metrics,
+            };
             catch_unwind(AssertUnwindSafe(|| body(&mut ctx)))
         };
         match outcome {
-            Ok(()) => match linger(sys, lib) {
-                LingerOutcome::Definite | LingerOutcome::Shutdown => return,
-                LingerOutcome::Rollback => perform_rollback(sys, lib, &mut log, &metrics),
+            Ok(()) => match park_until(sys, lib, |state| state.history.fully_definite()) {
+                Parked::Ready | Parked::Shutdown => return,
+                Parked::Rollback => perform_rollback(sys, lib, &mut log, &metrics),
             },
             Err(payload) => {
                 if payload.is::<RollbackSignal>() {
@@ -135,33 +120,6 @@ fn run_user_body(
     }
 }
 
-/// After the body returns, wait until every interval is definite (or a
-/// rollback arrives, or the runtime stops).
-fn linger(sys: &mut dyn SysApi, lib: &SharedLib) -> LingerOutcome {
-    loop {
-        {
-            let state = lib.lock();
-            if state.pending_rollback.is_some() {
-                return LingerOutcome::Rollback;
-            }
-            if state.history.fully_definite() {
-                return LingerOutcome::Definite;
-            }
-        }
-        let lib2 = Arc::clone(lib);
-        let mut interrupt = move || {
-            let state = lib2.lock();
-            state.pending_rollback.is_some() || state.history.fully_definite()
-        };
-        // Park WITHOUT consuming messages: queued user messages may be
-        // needed by a rollback re-execution (e.g. a WorryWart's forwarded
-        // true reply).
-        if !sys.park(&mut interrupt) {
-            return LingerOutcome::Shutdown;
-        }
-    }
-}
-
 /// Applies a pending rollback: truncate the history, retract speculative
 /// affirms per policy and rewind the operation log; the caller then
 /// re-executes the body. A stale rollback (nothing pending, or nothing
@@ -169,7 +127,7 @@ fn linger(sys: &mut dyn SysApi, lib: &SharedLib) -> LingerOutcome {
 /// reproducing the current state.
 fn perform_rollback(
     sys: &mut dyn SysApi,
-    lib: &SharedLib,
+    lib: &RefCell<LibState>,
     log: &mut ReplayLog,
     metrics: &Arc<HopeMetrics>,
 ) {
@@ -177,14 +135,14 @@ fn perform_rollback(
     // before unwinding. The in-memory log conveniently survived the crash
     // in these runtimes; a real process image would not, so when storage
     // is configured the store's recovered prefix is authoritative (S6).
-    let store = lib.lock().store().cloned();
+    let (store, config) = (lib.borrow().store().cloned(), lib.borrow().config());
     if let Some(store) = &store {
         if let Some(ops) = store.take_recovery() {
             log.reset_ops(ops);
         }
     }
-    let (discarded, cause, crash_recovery, guess_policy) = {
-        let mut state = lib.lock();
+    let (discarded, cause, crash_recovery) = {
+        let mut state = lib.borrow_mut();
         let Some(pending) = state.pending_rollback.take() else {
             log.rewind();
             return;
@@ -199,8 +157,6 @@ fn perform_rollback(
             log.rewind();
             return;
         };
-        let retract = state.config().retract_policy;
-        let guess_policy = state.config().guess_rollback;
         // `target` was just selected from the live non-definite intervals,
         // so truncation cannot legitimately fail: a typed refusal here is
         // a protocol bug, not a stale message.
@@ -211,18 +167,18 @@ fn perform_rollback(
                 Vec::new()
             }
         };
-        if retract == RetractPolicy::Deny {
-            for rec in &discarded {
-                for &aid in rec.iha.iter() {
-                    sys.send(
-                        aid.process(),
-                        hope_types::Payload::Hope(hope_types::HopeMessage::Deny { iid: None }),
-                    );
-                }
+        (discarded, pending.cause, pending.crash)
+    };
+    if config.retract_policy == RetractPolicy::Deny {
+        for rec in &discarded {
+            for &aid in rec.iha.iter() {
+                sys.send(
+                    aid.process(),
+                    hope_types::Payload::Hope(hope_types::HopeMessage::Deny { iid: None }),
+                );
             }
         }
-        (discarded, pending.cause, pending.crash, guess_policy)
-    };
+    }
     if discarded.is_empty() {
         log.rewind();
         return;
@@ -250,7 +206,7 @@ fn perform_rollback(
         // Unknown cause: take the paper's Figure 11 reading.
         None => true,
     };
-    let paper_semantics = guess_policy == GuessRollbackPolicy::ReturnFalse;
+    let paper_semantics = config.guess_rollback == GuessRollbackPolicy::ReturnFalse;
     // After a store recovery the log may be shorter than the history
     // remembers (permissive sync policies can lose an unsynced suffix).
     // A boundary op that did not survive has nothing to truncate: the
@@ -315,16 +271,14 @@ fn perform_rollback(
     // EWMA exactly once per cascade. Crash-caused rollbacks carry no
     // cause and charge nothing — a crash is not evidence against the
     // assumption.
-    {
-        let mut state = lib.lock();
-        state.spec_waiting = false;
-        if !crash_recovery {
-            if let Some(cause_aid) = cause {
-                let now = sys.now();
-                state.observe_resolution(cause_aid, true, now);
-            }
-        }
+    let observed = cause.filter(|_| !crash_recovery);
+    let now = observed.map(|_| sys.now());
+    let mut state = lib.borrow_mut();
+    state.spec_waiting = false;
+    if let (Some(cause_aid), Some(now)) = (observed, now) {
+        state.observe_resolution(cause_aid, true, now);
     }
+    drop(state);
     if metrics.tracer.is_enabled() {
         let pid = sys.pid();
         let now = sys.now();
@@ -381,17 +335,13 @@ fn perform_rollback(
 /// # let _ = env;
 /// ```
 pub struct EnvBuilder<R> {
+    /// The runtime's own builder: every runtime knob is set on it.
+    rt: RuntimeBuilder<R>,
+    /// What the store registry is seeded and faulted with.
     seed: u64,
-    network: NetworkConfig,
+    storage: Option<StorageFaultPlan>,
     config: HopeConfig,
-    faults: Option<FaultPlan>,
     durable: Option<DurableConfig>,
-    reliable: bool,
-    /// [`SimRuntime`] only; unset = the runtime builder's own default.
-    max_events: Option<u64>,
-    /// [`ThreadedRuntime`] only; unset = the runtime builder's own default.
-    shards: Option<usize>,
-    runtime: PhantomData<fn() -> R>,
 }
 
 /// Builds a [`HopeEnv`] (the virtual-time simulator).
@@ -400,17 +350,13 @@ pub type HopeEnvBuilder = EnvBuilder<SimRuntime>;
 pub type ThreadedHopeEnvBuilder = EnvBuilder<ThreadedRuntime>;
 
 impl<R> EnvBuilder<R> {
-    fn new(network: NetworkConfig) -> Self {
+    fn new(rt: RuntimeBuilder<R>) -> Self {
         EnvBuilder {
+            rt,
             seed: 0,
-            network,
+            storage: None,
             config: HopeConfig::new(),
-            faults: None,
             durable: None,
-            reliable: false,
-            max_events: None,
-            shards: None,
-            runtime: PhantomData,
         }
     }
 
@@ -418,6 +364,7 @@ impl<R> EnvBuilder<R> {
     /// jitter, fault decisions).
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
+        self.rt = self.rt.seed(seed);
         self
     }
 
@@ -425,7 +372,7 @@ impl<R> EnvBuilder<R> {
     /// [`NetworkConfig::default`]; the threaded runtime, where latency
     /// elapses in wall time, to [`NetworkConfig::local`].
     pub fn network(mut self, network: NetworkConfig) -> Self {
-        self.network = network;
+        self.rt = self.rt.network(network);
         self
     }
 
@@ -474,7 +421,7 @@ impl<R> EnvBuilder<R> {
     /// account per-link sequencing, acks and dependency-tag wire coding
     /// without also paying for injected faults.
     pub fn reliable(mut self, on: bool) -> Self {
-        self.reliable = on;
+        self.rt = self.rt.reliable(on);
         self
     }
 
@@ -483,7 +430,8 @@ impl<R> EnvBuilder<R> {
     /// recovery via operation-log replay. On the threaded runtime crash
     /// times are wall-clock offsets from startup.
     pub fn faults(mut self, plan: FaultPlan) -> Self {
-        self.faults = Some(plan);
+        self.storage = plan.storage_plan().copied();
+        self.rt = self.rt.faults(plan);
         self
     }
 
@@ -498,27 +446,22 @@ impl<R> EnvBuilder<R> {
     }
 
     /// The runtime-independent part of `build`: validates the policy,
-    /// creates the shared metrics and the store registry, and wraps the
-    /// runtime that `start` builds from this builder and the tracer every
-    /// layer records into.
-    fn build_on(self, start: impl FnOnce(Self, Arc<TraceCollector>) -> R) -> Env<R> {
+    /// creates the shared metrics and the store registry, and builds the
+    /// runtime with `build`, recording into the metrics' tracer.
+    fn build_on(self, build: impl FnOnce(RuntimeBuilder<R>) -> R) -> Env<R> {
         let config = self.config;
         if let Err(e) = config.spec_policy.validate() {
             panic!("{e}");
         }
         let metrics = Arc::new(HopeMetrics::new());
-        let storage = self
-            .faults
-            .as_ref()
-            .and_then(|plan| plan.storage_plan().copied());
-        let registry = self
-            .durable
-            .map(|durable| Arc::new(StoreRegistry::new(durable, storage, self.seed)));
+        let (seed, storage) = (self.seed, self.storage);
+        let registry =
+            (self.durable).map(|durable| Arc::new(StoreRegistry::new(durable, storage, seed)));
         Env {
-            rt: start(self, metrics.tracer.clone()),
+            rt: build(self.rt.tracer(metrics.tracer.clone())),
             config,
             metrics,
-            libs: Mutex::new(Vec::new()),
+            users: Mutex::new(Vec::new()),
             registry,
         }
     }
@@ -527,7 +470,7 @@ impl<R> EnvBuilder<R> {
 impl EnvBuilder<SimRuntime> {
     /// Event-count safety valve.
     pub fn max_events(mut self, max_events: u64) -> Self {
-        self.max_events = Some(max_events);
+        self.rt = self.rt.max_events(max_events);
         self
     }
 
@@ -538,20 +481,7 @@ impl EnvBuilder<SimRuntime> {
     /// Panics when the configured [`SpecPolicy`] is invalid (it can reach
     /// the builder unvalidated through [`EnvBuilder::config`]).
     pub fn build(self) -> HopeEnv {
-        self.build_on(|b, tracer| {
-            let mut rt = SimRuntime::builder()
-                .seed(b.seed)
-                .network(b.network)
-                .tracer(tracer)
-                .reliable(b.reliable);
-            if let Some(n) = b.max_events {
-                rt = rt.max_events(n);
-            }
-            if let Some(plan) = b.faults {
-                rt = rt.faults(plan);
-            }
-            rt.build()
-        })
+        self.build_on(RuntimeBuilder::<SimRuntime>::build)
     }
 }
 
@@ -560,7 +490,7 @@ impl EnvBuilder<ThreadedRuntime> {
     /// §10). Defaults to the machine's available parallelism; outcomes
     /// are shard-count independent.
     pub fn shards(mut self, n: usize) -> Self {
-        self.shards = Some(n);
+        self.rt = self.rt.shards(n);
         self
     }
 
@@ -571,33 +501,22 @@ impl EnvBuilder<ThreadedRuntime> {
     /// Panics when the configured [`SpecPolicy`] is invalid (it can reach
     /// the builder unvalidated through [`EnvBuilder::config`]).
     pub fn build(self) -> ThreadedHopeEnv {
-        self.build_on(|b, tracer| {
-            let mut rt = ThreadedRuntime::builder()
-                .seed(b.seed)
-                .network(b.network)
-                .tracer(tracer)
-                .reliable(b.reliable);
-            if let Some(n) = b.shards {
-                rt = rt.shards(n);
-            }
-            if let Some(plan) = b.faults {
-                rt = rt.faults(plan);
-            }
-            rt.build()
-        })
+        self.build_on(RuntimeBuilder::<ThreadedRuntime>::build)
     }
 }
 
 /// A complete HOPE environment on runtime `R`: the runtime plus the shared
-/// algorithm configuration, metrics and the HOPElibs of its top-level user
-/// processes. One impl block holds everything that does not drive the
-/// runtime; [`HopeEnv`] and [`ThreadedHopeEnv`] add spawning and running.
-/// See the crate docs for an example.
+/// algorithm configuration, metrics and the pids of its top-level user
+/// processes. Each process's HOPElib stays with the process; an observer
+/// asks its owner ([`Inspect`]). One impl block holds everything that does
+/// not drive the runtime; [`HopeEnv`] and [`ThreadedHopeEnv`] add spawning
+/// and running. See the crate docs for an example.
 pub struct Env<R> {
     rt: R,
     config: HopeConfig,
     metrics: Arc<HopeMetrics>,
-    libs: Mutex<Vec<(ProcessId, String, SharedLib)>>,
+    /// The top-level user processes, (pid, name) in spawn order.
+    users: Mutex<Vec<(ProcessId, String)>>,
     registry: Option<Arc<StoreRegistry>>,
 }
 
@@ -630,60 +549,67 @@ impl HopeReport {
     }
 }
 
-impl<R> Env<R> {
-    /// Builds the pieces of a user process running `body`; the caller
-    /// spawns them on its runtime and [`track`](Env::track)s the result.
-    fn make_user(&self, body: UserBody) -> UserProcessParts {
-        make_user_process(
-            self.config,
-            self.metrics.clone(),
-            self.registry.clone(),
-            body,
-        )
+impl<R: Inspect> Env<R> {
+    /// The runner of a user process running `body`; the caller spawns it
+    /// on its runtime and [`track`](Env::track)s the pid.
+    fn runner(&self, body: UserBody) -> ProcessBody {
+        let (config, metrics) = (self.config, self.metrics.clone());
+        user_runner(config, metrics, self.registry.clone(), body)
     }
 
-    fn track(&self, pid: ProcessId, name: &str, lib: SharedLib) -> ProcessId {
-        self.libs.lock().push((pid, name.to_string(), lib));
+    fn track(&self, pid: ProcessId, name: &str) -> ProcessId {
+        self.users.lock().unwrap().push((pid, name.to_string()));
         pid
     }
 
-    /// The HOPElib of a top-level user process (spawned via `spawn_user`
-    /// on the environment; children spawned by
-    /// [`ProcessCtx::spawn_user`] are not tracked).
-    fn lib_of(&self, pid: ProcessId) -> Option<SharedLib> {
-        let libs = self.libs.lock();
-        let (_, _, lib) = libs.iter().find(|(p, _, _)| *p == pid)?;
-        Some(lib.clone())
+    /// Runs `f` on a tracked process's HOPElib where it lives — inline on
+    /// the simulator, between turns on its shard — and returns the answer;
+    /// `None` for a pid that is not tracked. A tracked process that has
+    /// not had its first turn reads as fresh state of its own pid.
+    fn ask<T: Send + 'static>(
+        &self,
+        pid: ProcessId,
+        f: impl FnOnce(&LibState) -> T + Send + 'static,
+    ) -> Option<T> {
+        let (config, metrics) = (self.config, self.metrics.clone());
+        let read = move |control: Option<&dyn ControlHandler>| match control
+            .and_then(|c| c.as_any()?.downcast_ref::<LibControl>())
+        {
+            Some(control) => f(&control.lib.borrow()),
+            None => f(&LibState::new(pid, config, metrics)),
+        };
+        let tracked = self.users.lock().unwrap().iter().any(|(p, _)| *p == pid);
+        tracked.then(|| self.rt.inspect(pid, read))
     }
 
     /// Pids of the top-level user processes (spawned via `spawn_user` on
     /// the environment; children spawned by
     /// [`ProcessCtx::spawn_user`](crate::ProcessCtx::spawn_user) are not
-    /// tracked — here or by any `*_of` observer below).
+    /// tracked — here or by any `*_of` observer below). The observers ask
+    /// each process's owner, so on [`ThreadedHopeEnv`] they wait for its
+    /// shard and panic when called from a process body.
     pub fn user_pids(&self) -> Vec<ProcessId> {
-        self.libs.lock().iter().map(|(p, _, _)| *p).collect()
+        self.users.lock().unwrap().iter().map(|(p, _)| *p).collect()
     }
 
     /// A snapshot of a tracked process's interval history.
     pub fn history_of(&self, pid: ProcessId) -> Option<Vec<crate::interval::IntervalRecord>> {
-        self.lib_of(pid)
-            .map(|lib| lib.lock().history.intervals().to_vec())
+        self.ask(pid, |lib| lib.history.intervals().to_vec())
     }
 
     /// Tracked processes (pid, name) that still hold speculative intervals.
     pub fn speculative_processes(&self) -> Vec<(ProcessId, String)> {
-        self.libs
-            .lock()
-            .iter()
-            .filter(|(_, _, lib)| !lib.lock().history.fully_definite())
-            .map(|(p, n, _)| (*p, n.clone()))
+        let users = self.users.lock().unwrap().clone();
+        users
+            .into_iter()
+            .filter(|(pid, _)| self.ask(*pid, |lib| !lib.history.fully_definite()) == Some(true))
             .collect()
     }
 
     /// A snapshot of a tracked process's speculation-control state (EWMAs,
     /// flips, cancellations).
     pub fn spec_of(&self, pid: ProcessId) -> Option<SpecSnapshot> {
-        self.lib_of(pid).map(|lib| lib.lock().spec_snapshot())
+        self.ask(pid, LibState::spec_snapshot)
     }
 
     /// The not-yet-executed rollback of a tracked process. Outer `None`
@@ -692,7 +618,7 @@ impl<R> Env<R> {
         &self,
         pid: ProcessId,
     ) -> Option<Option<crate::hopelib::PendingRollback>> {
-        self.lib_of(pid).map(|lib| lib.lock().pending_rollback)
+        self.ask(pid, |lib| lib.pending_rollback)
     }
 
     /// Aggregate durable-store counters, when the environment was built
@@ -717,11 +643,8 @@ impl<R> Env<R> {
     /// HOPE metrics so far.
     pub fn metrics(&self) -> MetricsSnapshot {
         let mut hope = self.metrics.snapshot();
-        hope.history_visits = self
-            .libs
-            .lock()
-            .iter()
-            .map(|(_, _, lib)| lib.lock().history.visits())
+        hope.history_visits = (self.user_pids().into_iter())
+            .filter_map(|pid| self.ask(pid, |lib| lib.history.visits()))
             .sum();
         hope
     }
@@ -747,7 +670,7 @@ impl<R> Env<R> {
 impl Env<SimRuntime> {
     /// Starts configuring an environment.
     pub fn builder() -> HopeEnvBuilder {
-        EnvBuilder::new(NetworkConfig::default())
+        EnvBuilder::new(SimRuntime::builder())
     }
 
     /// Default environment (LAN latency, Algorithm 2, seed 0).
@@ -761,9 +684,9 @@ impl Env<SimRuntime> {
     where
         F: Fn(&mut ProcessCtx<'_>) + Send + 'static,
     {
-        let (lib, control, runner) = self.make_user(Box::new(body));
-        let pid = self.rt.spawn_threaded(name, Some(control), runner);
-        self.track(pid, name, lib)
+        let runner = self.runner(Box::new(body));
+        let pid = self.rt.spawn_threaded(name, None, runner);
+        self.track(pid, name)
     }
 
     /// Runs to quiescence and reports.
@@ -813,11 +736,11 @@ impl Env<SimRuntime> {
         use std::hash::{Hash, Hasher};
         let mut h = std::collections::hash_map::DefaultHasher::new();
         self.rt.state_hash().hash(&mut h);
-        for (pid, _, lib) in self.libs.lock().iter() {
+        for pid in self.user_pids() {
             pid.as_raw().hash(&mut h);
-            let state = lib.lock();
-            state.history.intervals().hash(&mut h);
-            state.pending_rollback.hash(&mut h);
+            let read = |lib: &LibState| (lib.history.intervals().to_vec(), lib.pending_rollback);
+            // (intervals, pending) hashes as the two one after the other.
+            self.ask(pid, read).expect("a tracked pid").hash(&mut h);
         }
         h.finish()
     }
@@ -838,7 +761,7 @@ impl Default for Env<SimRuntime> {
 impl Env<ThreadedRuntime> {
     /// Starts configuring an environment.
     pub fn builder() -> ThreadedHopeEnvBuilder {
-        EnvBuilder::new(NetworkConfig::local())
+        EnvBuilder::new(ThreadedRuntime::builder())
     }
 
     /// Spawns a HOPE user process (it begins running immediately).
@@ -846,9 +769,10 @@ impl Env<ThreadedRuntime> {
     where
         F: Fn(&mut ProcessCtx<'_>) + Send + 'static,
     {
-        let (lib, control, runner) = self.make_user(Box::new(body));
-        let pid = self.rt.spawn_threaded(name, Some(control), runner);
-        self.track(pid, name, lib)
+        let pid = self
+            .rt
+            .spawn_threaded(name, None, self.runner(Box::new(body)));
+        self.track(pid, name)
     }
 
     /// Waits until the system has been quiescent for `grace` (or

@@ -9,6 +9,8 @@
 //! process; the actual unwinding and re-execution happen on the user
 //! thread (see [`crate::env`]).
 
+use std::cell::RefCell;
+use std::rc::Rc;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -18,7 +20,6 @@ use hope_types::{
 };
 
 use hope_runtime::{ControlApi, ControlHandler};
-use parking_lot::Mutex;
 
 use crate::config::HopeConfig;
 use crate::durable::{StoreHandle, StoreRegistry};
@@ -53,15 +54,16 @@ fn merge_pending(cur: Option<PendingRollback>, incoming: PendingRollback) -> Pen
 }
 
 /// The bookkeeping state of one user process's HOPElib: its interval
-/// history and any pending rollback. Shared (behind a mutex) between the
-/// `Control` handler and the [`ProcessCtx`](crate::ProcessCtx) running the
-/// user process, which take turns on one thread (the simulator's, or the
-/// process's shard), so only one of the two ever runs at a time; the
-/// mutex is for readers on other threads (`Env::history_of`, …).
+/// history and any pending rollback. The process's runner makes it on the
+/// process's first turn, on the thread that runs the process, and only its
+/// `Control` handler ([`LibControl`]) and the
+/// [`ProcessCtx`](crate::ProcessCtx) running the body hold it. The two take
+/// turns on that thread (the simulator's, or the process's shard), so it
+/// sits in a `RefCell`, is not `Send`, and no primitive takes a lock on it;
+/// an observer on another thread asks the owner (`Env::history_of`, …).
 #[derive(Debug)]
 pub struct LibState {
     pid: ProcessId,
-    bound: bool,
     /// The interval history (public for inspection in tests and tools).
     pub history: History,
     /// The lowest doomed interval (and its cause) from received
@@ -109,14 +111,11 @@ pub struct LibState {
 const KNOWN_DENIED_CAP: usize = 4096;
 
 impl LibState {
-    /// Creates unbound state; [`LibState::bind`] attaches the process id
-    /// once the process thread starts.
-    pub fn new(config: HopeConfig, metrics: Arc<HopeMetrics>) -> Self {
-        let placeholder = ProcessId::from_raw(u64::MAX);
+    /// The fresh state of process `pid`: one definite root interval.
+    pub fn new(pid: ProcessId, config: HopeConfig, metrics: Arc<HopeMetrics>) -> Self {
         LibState {
-            pid: placeholder,
-            bound: false,
-            history: History::new(placeholder),
+            pid,
+            history: History::new(pid),
             pending_rollback: None,
             spec: SpecController::new(config.spec_policy),
             known_denied: IdoSet::new(),
@@ -161,16 +160,7 @@ impl LibState {
             })
     }
 
-    /// Binds the state to its process (idempotent).
-    pub fn bind(&mut self, pid: ProcessId) {
-        if !self.bound {
-            self.pid = pid;
-            self.history = History::new(pid);
-            self.bound = true;
-        }
-    }
-
-    /// The owning process (meaningful once bound).
+    /// The owning process.
     pub fn pid(&self) -> ProcessId {
         self.pid
     }
@@ -253,10 +243,6 @@ impl LibState {
 
     /// Handles one HOPE protocol message (the paper's `control` function).
     pub fn handle_control(&mut self, src: ProcessId, msg: HopeMessage, api: &mut dyn ControlApi) {
-        if !self.bound {
-            // No intervals can exist yet; nothing can match.
-            return;
-        }
         match msg {
             HopeMessage::Rollback { iid, cause } => self.handle_rollback(iid, cause, api),
             HopeMessage::Replace { iid, ido } => {
@@ -521,36 +507,29 @@ impl LibState {
     }
 }
 
-/// The [`ControlHandler`] registered with the runtime for each HOPE user
-/// process: forwards protocol messages into the shared [`LibState`].
+/// The [`ControlHandler`] each HOPE user process attaches on its first
+/// turn: forwards protocol messages into the process's [`LibState`].
 pub struct LibControl {
-    lib: Arc<Mutex<LibState>>,
-}
-
-impl LibControl {
-    /// Wraps the shared state.
-    pub fn new(lib: Arc<Mutex<LibState>>) -> Self {
-        LibControl { lib }
-    }
+    pub(crate) lib: Rc<RefCell<LibState>>,
 }
 
 impl ControlHandler for LibControl {
     fn on_hope_message(&mut self, src: ProcessId, msg: HopeMessage, api: &mut dyn ControlApi) {
-        self.lib.lock().handle_control(src, msg, api);
+        self.lib.borrow_mut().handle_control(src, msg, api);
     }
 
     fn on_crash(&mut self, _api: &mut dyn ControlApi) {
         // The crash destroys the WAL's unsynced tail (possibly with an
         // injected storage fault) and records the definite frontier the
         // recovery will be audited against.
-        let lib = self.lib.lock();
+        let lib = self.lib.borrow();
         if let Some(store) = lib.store() {
             store.note_crash(lib.definite_floor_op().unwrap_or(0));
         }
     }
 
     fn on_restart(&mut self, api: &mut dyn ControlApi) {
-        let mut lib = self.lib.lock();
+        let mut lib = self.lib.borrow_mut();
         if lib.begin_crash_recovery(api) {
             if let Some(store) = lib.store() {
                 // The rollback that recovery triggers will rebuild the op
@@ -558,6 +537,10 @@ impl ControlHandler for LibControl {
                 store.mark_restarted();
             }
         }
+    }
+
+    fn as_any(&self) -> Option<&dyn std::any::Any> {
+        Some(self)
     }
 }
 
@@ -600,15 +583,13 @@ mod tests {
         AidId::from_raw(pid(100 + n))
     }
 
-    fn bound_lib() -> LibState {
-        let mut lib = LibState::new(HopeConfig::new(), Arc::new(HopeMetrics::new()));
-        lib.bind(pid(1));
-        lib
+    fn fresh_lib() -> LibState {
+        LibState::new(pid(1), HopeConfig::new(), Arc::new(HopeMetrics::new()))
     }
 
     #[test]
     fn rollback_of_live_interval_sets_pending_and_wakes() {
-        let mut lib = bound_lib();
+        let mut lib = fresh_lib();
         let iid = lib
             .history
             .open_interval(IntervalOrigin::ExplicitGuess { op: 0 }, [aid(1)]);
@@ -634,7 +615,7 @@ mod tests {
 
     #[test]
     fn rollback_keeps_lowest_index() {
-        let mut lib = bound_lib();
+        let mut lib = fresh_lib();
         let a = lib
             .history
             .open_interval(IntervalOrigin::ExplicitGuess { op: 0 }, [aid(1)]);
@@ -651,7 +632,7 @@ mod tests {
 
     #[test]
     fn rollback_of_definite_interval_is_ignored_and_counted() {
-        let mut lib = bound_lib();
+        let mut lib = fresh_lib();
         let root = lib.history.current().id;
         let mut api = FakeApi::default();
         lib.handle_control(
@@ -672,7 +653,7 @@ mod tests {
     /// oldest assumption.
     #[test]
     fn known_denied_latches_every_cause_and_evicts_the_lowest_at_the_cap() {
-        let mut lib = bound_lib();
+        let mut lib = fresh_lib();
         let mut api = FakeApi::default();
         for n in 0..=KNOWN_DENIED_CAP as u64 {
             let stale = HopeMessage::Rollback {
@@ -690,7 +671,7 @@ mod tests {
 
     #[test]
     fn rollback_of_unknown_interval_is_stale_noop() {
-        let mut lib = bound_lib();
+        let mut lib = fresh_lib();
         let mut api = FakeApi::default();
         lib.handle_control(
             aid(1).process(),
@@ -706,7 +687,7 @@ mod tests {
 
     #[test]
     fn replace_empty_removes_sender_and_finalizes() {
-        let mut lib = bound_lib();
+        let mut lib = fresh_lib();
         let iid = lib
             .history
             .open_interval(IntervalOrigin::ExplicitGuess { op: 0 }, [aid(1)]);
@@ -728,7 +709,7 @@ mod tests {
 
     #[test]
     fn replace_with_set_swaps_dependency_and_registers() {
-        let mut lib = bound_lib();
+        let mut lib = fresh_lib();
         let iid = lib
             .history
             .open_interval(IntervalOrigin::ExplicitGuess { op: 0 }, [aid(1)]);
@@ -754,7 +735,7 @@ mod tests {
 
     #[test]
     fn replace_propagates_to_later_holders_with_one_registration() {
-        let mut lib = bound_lib();
+        let mut lib = fresh_lib();
         let a = lib
             .history
             .open_interval(IntervalOrigin::ExplicitGuess { op: 0 }, [aid(1)]);
@@ -801,7 +782,7 @@ mod tests {
     #[test]
     fn replace_is_applied_once_per_run_of_equal_holders() {
         const RUN: usize = 50;
-        let mut lib = bound_lib();
+        let mut lib = fresh_lib();
         // Three runs: {1..5}, {1..6}, {1..7} — on the heap, past the
         // inline tier.
         let mut holders = Vec::new();
@@ -860,7 +841,7 @@ mod tests {
 
     #[test]
     fn replace_closing_a_cycle_is_discarded_by_udo() {
-        let mut lib = bound_lib();
+        let mut lib = fresh_lib();
         let iid = lib
             .history
             .open_interval(IntervalOrigin::ExplicitGuess { op: 0 }, [aid(1)]);
@@ -891,8 +872,8 @@ mod tests {
 
     #[test]
     fn algorithm_1_does_not_break_cycles() {
-        let mut lib = LibState::new(HopeConfig::algorithm_1(), Arc::new(HopeMetrics::new()));
-        lib.bind(pid(1));
+        let config = HopeConfig::algorithm_1();
+        let mut lib = LibState::new(pid(1), config, Arc::new(HopeMetrics::new()));
         let iid = lib
             .history
             .open_interval(IntervalOrigin::ExplicitGuess { op: 0 }, [aid(1)]);
@@ -923,7 +904,7 @@ mod tests {
 
     #[test]
     fn replace_for_definite_interval_is_ignored() {
-        let mut lib = bound_lib();
+        let mut lib = fresh_lib();
         let root = lib.history.current().id;
         let mut api = FakeApi::default();
         lib.handle_control(
@@ -940,7 +921,7 @@ mod tests {
 
     #[test]
     fn finalize_flushes_iha_and_ihd() {
-        let mut lib = bound_lib();
+        let mut lib = fresh_lib();
         let iid = lib
             .history
             .open_interval(IntervalOrigin::ExplicitGuess { op: 0 }, [aid(1)]);
@@ -976,7 +957,7 @@ mod tests {
 
     #[test]
     fn pending_rollback_blocks_finalize_of_doomed_interval() {
-        let mut lib = bound_lib();
+        let mut lib = fresh_lib();
         let iid = lib
             .history
             .open_interval(IntervalOrigin::ExplicitGuess { op: 0 }, [aid(1)]);
@@ -1000,7 +981,7 @@ mod tests {
 
     #[test]
     fn crash_recovery_dooms_all_speculative_intervals() {
-        let mut lib = bound_lib();
+        let mut lib = fresh_lib();
         let a = lib
             .history
             .open_interval(IntervalOrigin::ExplicitGuess { op: 0 }, [aid(1)]);
@@ -1024,25 +1005,28 @@ mod tests {
 
     #[test]
     fn crash_recovery_of_definite_history_is_a_noop() {
-        let mut lib = bound_lib();
+        let mut lib = fresh_lib();
         let mut api = FakeApi::default();
         assert!(!lib.begin_crash_recovery(&mut api), "root is definite");
         assert_eq!(lib.pending_rollback, None);
         assert_eq!(api.wakes, 0);
     }
 
+    /// Intervals are matched by the whole id: another process's interval
+    /// at an index this history holds is stale here.
     #[test]
-    fn unbound_lib_ignores_messages() {
-        let mut lib = LibState::new(HopeConfig::new(), Arc::new(HopeMetrics::new()));
+    fn rollback_of_another_process_interval_is_stale_noop() {
+        let mut lib = fresh_lib();
+        lib.history
+            .open_interval(IntervalOrigin::ExplicitGuess { op: 0 }, [aid(1)]);
         let mut api = FakeApi::default();
+        let iid = IntervalId::new(pid(9), 1);
         lib.handle_control(
-            pid(9),
-            HopeMessage::Rollback {
-                iid: IntervalId::new(pid(1), 1),
-                cause: None,
-            },
+            aid(1).process(),
+            HopeMessage::Rollback { iid, cause: None },
             &mut api,
         );
+        assert_eq!(lib.pending_rollback, None);
         assert_eq!(api.wakes, 0);
     }
 }

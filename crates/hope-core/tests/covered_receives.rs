@@ -491,8 +491,8 @@ struct World {
 
 impl World {
     fn new(absorb: bool) -> Self {
-        let mut lib = LibState::new(HopeConfig::new(), Arc::new(HopeMetrics::new()));
-        lib.bind(ProcessId::from_raw(ME));
+        let me = ProcessId::from_raw(ME);
+        let lib = LibState::new(me, HopeConfig::new(), Arc::new(HopeMetrics::new()));
         World {
             absorb,
             lib,

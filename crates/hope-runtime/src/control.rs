@@ -3,11 +3,14 @@
 //! In Figure 3 of the paper, messages from AID processes to user processes
 //! "are intercepted by the message passing system and given to the HOPElib
 //! attached to each user process for processing". A [`ControlHandler`]
-//! registered at [`SimRuntime::spawn_threaded`](crate::SimRuntime::spawn_threaded)
-//! plays that role: every [`HopeMessage`] addressed to the process is routed
-//! to the handler (on the thread that runs the process, between its turns),
-//! and the handler may send further messages and wake the process if it is
-//! blocked in `receive` (so a rollback can interrupt it).
+//! registered by the process itself ([`SysApi::attach_control`]) plays that
+//! role: every [`HopeMessage`] addressed to the process is routed to the
+//! handler (on the thread that runs the process, between its turns), and
+//! the handler may send further messages and wake the process if it is
+//! blocked in `receive` (so a rollback can interrupt it). The handler never
+//! leaves that thread; an observer asks it through [`Inspect`].
+//!
+//! [`SysApi::attach_control`]: crate::SysApi::attach_control
 
 use hope_types::{HopeMessage, Payload, ProcessId, VirtualTime};
 
@@ -30,8 +33,9 @@ pub trait ControlApi {
 }
 
 /// The HOPElib `Control` function: handles HOPE protocol messages addressed
-/// to a threaded user process.
-pub trait ControlHandler: Send {
+/// to a threaded user process. It lives on the thread that runs the
+/// process, so it need not be `Send`.
+pub trait ControlHandler {
     /// Processes one HOPE message sent by `src` (an AID process, or a user
     /// process forwarding bookkeeping).
     fn on_hope_message(&mut self, src: ProcessId, msg: HopeMessage, api: &mut dyn ControlApi);
@@ -47,13 +51,22 @@ pub trait ControlHandler: Send {
     /// the operation log back to the definite frontier (the paper's
     /// rollback recovery doubles as crash recovery). Default: no-op.
     fn on_restart(&mut self, _api: &mut dyn ControlApi) {}
+
+    /// Concrete-type access for observers (see [`Inspect`]). Returning
+    /// `None` (the default) keeps the handler opaque.
+    fn as_any(&self) -> Option<&dyn std::any::Any> {
+        None
+    }
 }
 
-/// A handler that ignores every control message; useful for raw-runtime
-/// tests that do not involve HOPE bookkeeping.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullControl;
-
-impl ControlHandler for NullControl {
-    fn on_hope_message(&mut self, _src: ProcessId, _msg: HopeMessage, _api: &mut dyn ControlApi) {}
+/// A runtime that lets an observer look at a process's `Control` where it
+/// lives, inline on the simulator and between turns on the owning shard.
+pub trait Inspect {
+    /// Runs `f` on `pid`'s `Control` (`None` before the process attached
+    /// one, or for a pid that is not a process) and returns its answer.
+    fn inspect<T: Send + 'static>(
+        &self,
+        pid: ProcessId,
+        f: impl FnOnce(Option<&dyn ControlHandler>) -> T + Send + 'static,
+    ) -> T;
 }

@@ -89,7 +89,7 @@ mod threaded;
 mod threadproc;
 
 pub use actor::{Actor, ActorApi, NullActor};
-pub use control::{ControlApi, ControlHandler, NullControl};
+pub use control::{ControlApi, ControlHandler, Inspect};
 pub use fault::{CrashPoint, FaultModel, FaultPlan, StorageFaultPlan, WireFate};
 pub use net::{
     BackoffPolicy, HeartbeatPolicy, LatencyModel, NetConfig, NetTransport, NetworkConfig,

@@ -6,7 +6,7 @@ use std::sync::Arc;
 use hope_types::{HopeError, Payload, ProcessId, TraceCollector, VirtualTime};
 
 use crate::actor::Actor;
-use crate::control::ControlHandler;
+use crate::control::{ControlHandler, Inspect};
 use crate::event::{EventKind, Timed, TimedQueue};
 use crate::fault::FaultPlan;
 use crate::link::{Outbound, StatsSink};
@@ -294,7 +294,8 @@ impl SimRuntime {
     /// Spawns a threaded user process.
     ///
     /// `control` receives every HOPE protocol message addressed to the
-    /// process (the paper's HOPElib `Control` function); pass `None` for
+    /// process (the paper's HOPElib `Control` function) until the body
+    /// attaches its own ([`SysApi::attach_control`]); pass `None` for
     /// processes that take no part in HOPE bookkeeping. `body` starts at
     /// the current virtual time once [`SimRuntime::run`] is called, as a
     /// coroutine on the thread that runs the scheduler, on a stack an
@@ -304,7 +305,7 @@ impl SimRuntime {
     pub fn spawn_threaded<F>(
         &mut self,
         name: &str,
-        control: Option<Box<dyn ControlHandler>>,
+        control: Option<Box<dyn ControlHandler + Send>>,
         body: F,
     ) -> ProcessId
     where
@@ -506,6 +507,17 @@ impl SimRuntime {
             hit_event_limit,
             turns: self.sched.turns,
         }
+    }
+}
+
+/// Inline: the simulator's processes are suspended between its events.
+impl Inspect for SimRuntime {
+    fn inspect<T: Send + 'static>(
+        &self,
+        pid: ProcessId,
+        f: impl FnOnce(Option<&dyn ControlHandler>) -> T + Send + 'static,
+    ) -> T {
+        f(self.sched.control_ref(pid))
     }
 }
 

@@ -10,6 +10,7 @@ use std::sync::Arc;
 use hope_types::{Envelope, Payload, ProcessId, TraceCollector, TraceEventKind, VirtualTime};
 
 use crate::actor::Actor;
+use crate::control::ControlHandler;
 use crate::coro::Stack;
 use crate::event::{EventKind, Timed, TimedQueue};
 use crate::fault::FaultModel;
@@ -339,6 +340,15 @@ impl<C: Clock> Scheduler<C> {
             self.locals[at] = Some(Local::Proc(proc));
         }
         self.ready = ready;
+    }
+
+    /// `pid`'s `Control`, if it is a process here that has one. Never
+    /// called while the process is out for its turn.
+    pub fn control_ref(&self, pid: ProcessId) -> Option<&dyn ControlHandler> {
+        match self.locals.get(pid.as_raw() as usize / self.n)? {
+            Some(Local::Proc(proc)) => proc.control.as_deref(),
+            _ => None,
+        }
     }
 
     /// A stack for a first turn: an idle one, or a new mapping.

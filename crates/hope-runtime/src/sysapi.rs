@@ -93,9 +93,14 @@ pub trait SysApi {
     fn spawn_threaded(
         &mut self,
         name: &str,
-        control: Option<Box<dyn ControlHandler>>,
+        control: Option<Box<dyn ControlHandler + Send>>,
         body: ProcessBody,
     ) -> ProcessId;
+
+    /// Makes `control` this process's `Control` from the end of the current
+    /// turn on, in place of any it had. A handler made inside the body
+    /// stays on the thread that runs it, so it need not be `Send`.
+    fn attach_control(&mut self, control: Box<dyn ControlHandler>);
 
     /// Deterministic per-process random number (seeded from the runtime
     /// seed and the process id).

@@ -26,7 +26,7 @@ use parking_lot::{Mutex, MutexGuard};
 use hope_types::{Envelope, ProcessId, TraceCollector, VirtualTime};
 
 use crate::actor::Actor;
-use crate::control::ControlHandler;
+use crate::control::{ControlHandler, Inspect};
 use crate::event::{EventKind, Timed, TimedQueue};
 use crate::fault::FaultPlan;
 use crate::link::{LinkWork, StatsSink};
@@ -83,6 +83,9 @@ struct ShardHandle {
     overflow: Mutex<VecDeque<Timed>>,
     overflowed: AtomicBool,
     bell: Doorbell,
+    /// Observers' questions, answered between turns (see [`Inspect`]).
+    asks: Mutex<Vec<Ask>>,
+    asked: AtomicBool,
     /// The shard's share of the runtime statistics, merged at report
     /// time; the lock is effectively uncontended (the shard writes,
     /// reports read rarely).
@@ -97,6 +100,9 @@ impl ShardHandle {
         self.bell.notify();
     }
 }
+
+/// An observer's question to one shard, run on its scheduler.
+type Ask = Box<dyn FnOnce(&Scheduler<Lane>) + Send>;
 
 /// One shard's side of its scheduler: the wall clock, a lazily created
 /// ingress ring to each other shard, its statistics sink, and its view of
@@ -352,6 +358,13 @@ impl Shard {
                 return;
             }
             let drained = self.collect();
+            // Observers' questions, between turns.
+            let asked = &self.handle.asked;
+            if asked.load(Ordering::Relaxed) && asked.swap(false, Ordering::Acquire) {
+                for ask in std::mem::take(&mut *self.handle.asks.lock()) {
+                    ask(&self.sched);
+                }
+            }
             // Process everything due. The clock is read once a pass, and
             // again only when the head looks not yet due.
             let mut processed = 0u64;
@@ -407,6 +420,7 @@ impl Shard {
             handle.bell.park_for(wait, || {
                 rings.iter_mut().any(|r| !r.is_empty())
                     || handle.overflowed.load(Ordering::Acquire)
+                    || handle.asked.load(Ordering::Acquire)
                     || handle.epoch.load(Ordering::Acquire) != *epoch_seen
                     || inner.shutdown.load(Ordering::Acquire)
             });
@@ -595,7 +609,7 @@ impl ThreadedRuntime {
     pub fn spawn_threaded<F>(
         &self,
         name: &str,
-        control: Option<Box<dyn ControlHandler>>,
+        control: Option<Box<dyn ControlHandler + Send>>,
         body: F,
     ) -> ProcessId
     where
@@ -676,6 +690,33 @@ impl ThreadedRuntime {
     /// [`hope_types::TraceCollector::enable`]d).
     pub fn tracer(&self) -> Arc<hope_types::TraceCollector> {
         self.inner.tracer.clone()
+    }
+}
+
+/// Queued to the shard that owns the pid and run there between turns while
+/// the caller waits; panics on a shard thread (a body or a handler), where
+/// it could wait for its own shard.
+impl Inspect for ThreadedRuntime {
+    fn inspect<T: Send + 'static>(
+        &self,
+        pid: ProcessId,
+        f: impl FnOnce(Option<&dyn ControlHandler>) -> T + Send + 'static,
+    ) -> T {
+        let me = std::thread::current().id();
+        if let Some(ix) = self.threads.iter().position(|t| t.thread().id() == me) {
+            panic!(
+                "an observer of process {pid} was called on shard {ix}'s thread, from a \
+                 process body or a handler; it would wait for a shard's answer there, \
+                 so call it from a driver thread"
+            );
+        }
+        let (tx, rx) = std::sync::mpsc::channel();
+        let shard = &self.inner.shards[shard_of(pid, self.inner.shards.len())];
+        let ask = move |sched: &Scheduler<Lane>| drop(tx.send(f(sched.control_ref(pid))));
+        shard.asks.lock().push(Box::new(ask));
+        shard.asked.store(true, Ordering::Release);
+        shard.bell.notify();
+        rx.recv().expect("a shard answers while its runtime runs")
     }
 }
 

@@ -84,7 +84,7 @@ impl SpawnRequest {
 
     pub fn threaded(
         name: &str,
-        control: Option<Box<dyn ControlHandler>>,
+        control: Option<Box<dyn ControlHandler + Send>>,
         body: ProcessBody,
     ) -> Self {
         let (name, kind) = (name.to_string(), SpawnKind::Threaded { control, body });
@@ -95,7 +95,7 @@ impl SpawnRequest {
 pub(crate) enum SpawnKind {
     Actor(Box<dyn Actor>),
     Threaded {
-        control: Option<Box<dyn ControlHandler>>,
+        control: Option<Box<dyn ControlHandler + Send>>,
         body: ProcessBody,
     },
 }
@@ -128,6 +128,8 @@ pub(crate) struct Shared {
     pub outbox: Vec<Outgoing>,
     /// The pid the next spawn gets; the simulator syncs it before resuming.
     pub next_pid: u64,
+    /// A `Control` the body attached this turn, for [`Proc::control`].
+    control: Option<Box<dyn ControlHandler>>,
     /// Set on the threaded runtime: `now` and spawns go to it instead.
     live: Option<Arc<dyn Live>>,
 }
@@ -157,7 +159,7 @@ impl Proc {
     pub fn new(
         pid: ProcessId,
         name: String,
-        control: Option<Box<dyn ControlHandler>>,
+        control: Option<Box<dyn ControlHandler + Send>>,
         body: ProcessBody,
         seed: u64,
         live: Option<Arc<dyn Live>>,
@@ -170,11 +172,12 @@ impl Proc {
                 mailbox: VecDeque::new(),
                 outbox: Vec::new(),
                 next_pid: 0,
+                control: None,
                 live,
             })),
             body: Some((body, seed)),
             worker: None,
-            control,
+            control: control.map(|c| c as Box<dyn ControlHandler>),
             status: ProcessStatus::New,
             blocked_channel: None,
         }
@@ -225,6 +228,9 @@ impl Proc {
             }));
         }
         let msg = self.worker.as_mut().and_then(Worker::resume);
+        if let Some(control) = self.shared.borrow_mut().control.take() {
+            self.control = Some(control);
+        }
         let mut out = std::mem::take(&mut self.shared.borrow_mut().outbox);
         for item in out.drain(..) {
             match item {
@@ -368,10 +374,14 @@ impl SysApi for ThreadCtx<'_> {
     fn spawn_threaded(
         &mut self,
         name: &str,
-        control: Option<Box<dyn ControlHandler>>,
+        control: Option<Box<dyn ControlHandler + Send>>,
         body: ProcessBody,
     ) -> ProcessId {
         self.spawn(SpawnRequest::threaded(name, control, body))
+    }
+
+    fn attach_control(&mut self, control: Box<dyn ControlHandler>) {
+        self.shared.borrow_mut().control = Some(control);
     }
 
     fn random_u64(&mut self) -> u64 {
