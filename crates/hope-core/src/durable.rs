@@ -44,7 +44,7 @@ use hope_store::{SegmentedLog, StorageFault, StoreConfig, StoreStats};
 use hope_types::codec::read_u32;
 use hope_types::ProcessId;
 
-use crate::replay::{LogSink, Op};
+use crate::replay::{LogSink, Op, OpList};
 
 /// When the store fsyncs the WAL.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -132,9 +132,12 @@ pub struct DurableSnapshot {
 pub struct DurableStore {
     pid: ProcessId,
     log: SegmentedLog,
-    /// In-memory mirror of the op list the WAL encodes; snapshotted into
-    /// checkpoint records.
-    shadow: Vec<Op>,
+    /// In-memory mirror of the op list the WAL encodes, appended in place
+    /// like the replay log's; snapshotted into checkpoint records.
+    shadow: OpList,
+    /// The event record being built, reused so an append allocates no
+    /// payload.
+    payload: Vec<u8>,
     config: DurableConfig,
     events_since_checkpoint: usize,
     /// Seeded draw for crash-image storage faults.
@@ -169,7 +172,8 @@ impl DurableStore {
             log: SegmentedLog::new(StoreConfig {
                 segment_bytes: config.segment_bytes,
             }),
-            shadow: Vec::new(),
+            shadow: OpList::new(),
+            payload: Vec::new(),
             config,
             events_since_checkpoint: 0,
             rng: StdRng::seed_from_u64(fault_seed),
@@ -214,9 +218,10 @@ impl DurableStore {
 
     /// Mirrors a live append into the WAL.
     pub fn append(&mut self, op: &Op) {
-        let mut payload = vec![event_wire::APPEND];
-        payload.extend_from_slice(&op.encode());
-        self.log.append_event(&payload);
+        self.payload.clear();
+        self.payload.push(event_wire::APPEND);
+        op.encode_into(&mut self.payload);
+        self.log.append_event(&self.payload);
         self.shadow.push(op.clone());
         self.events_since_checkpoint += 1;
         self.sync_for(op);
@@ -259,8 +264,8 @@ impl DurableStore {
         if self.events_since_checkpoint >= self.config.checkpoint_every {
             let mut payload = Vec::new();
             payload.extend_from_slice(&(self.shadow.len() as u32).to_le_bytes());
-            for op in &self.shadow {
-                payload.extend_from_slice(&op.encode());
+            for op in self.shadow.iter() {
+                op.encode_into(&mut payload);
             }
             self.log.append_checkpoint(&payload);
             self.log.sync();
@@ -322,7 +327,7 @@ impl DurableStore {
         }
         self.recover_pending = false;
         let recovered = self.log.recover();
-        let mut ops: Vec<Op> = Vec::new();
+        let mut ops = OpList::new();
         let mut stopped = false;
         if let Some(snapshot) = recovered.checkpoint.as_deref() {
             if !decode_checkpoint(snapshot, &mut ops) {
@@ -344,9 +349,10 @@ impl DurableStore {
             self.frontier_violations += 1;
         }
         self.recovered_ops += ops.len() as u64;
-        self.shadow = ops.clone();
+        let handed = ops.iter().cloned().collect();
+        self.shadow = ops;
         self.events_since_checkpoint = 0;
-        Some(ops)
+        Some(handed)
     }
 
     /// Per-store contribution to the environment aggregate.
@@ -364,12 +370,12 @@ impl DurableStore {
 /// Flips the guess at `op_index` and truncates everything after it —
 /// defensively: malformed input truncates instead of panicking (the data
 /// may come off a recovered WAL).
-fn apply_rollback_guess(ops: &mut Vec<Op>, op_index: usize) -> bool {
+fn apply_rollback_guess(ops: &mut OpList, op_index: usize) -> bool {
     if op_index >= ops.len() {
         return false;
     }
     ops.truncate(op_index + 1);
-    match ops.last_mut() {
+    match ops.get_mut(op_index) {
         Some(Op::Guess { outcome, .. }) => {
             *outcome = false;
             true
@@ -384,7 +390,7 @@ fn apply_rollback_guess(ops: &mut Vec<Op>, op_index: usize) -> bool {
 /// Decodes a checkpoint payload (`count` + concatenated op encodings) into
 /// `ops`. Returns false (with `ops` holding the valid prefix) on any
 /// malformed record.
-fn decode_checkpoint(payload: &[u8], ops: &mut Vec<Op>) -> bool {
+fn decode_checkpoint(payload: &[u8], ops: &mut OpList) -> bool {
     let mut at = 0;
     let Some(count) = read_u32(payload, &mut at) else {
         return payload.is_empty();
@@ -400,7 +406,7 @@ fn decode_checkpoint(payload: &[u8], ops: &mut Vec<Op>) -> bool {
 
 /// Applies one WAL event record to `ops`. Returns false on any malformed
 /// or out-of-range record, leaving `ops` at the last consistent state.
-fn apply_event(payload: &[u8], ops: &mut Vec<Op>) -> bool {
+fn apply_event(payload: &[u8], ops: &mut OpList) -> bool {
     let Some((&tag, rest)) = payload.split_first() else {
         return false;
     };
@@ -785,7 +791,7 @@ mod tests {
 
     #[test]
     fn apply_event_rejects_garbage_without_panicking() {
-        let mut ops = vec![Op::Barrier];
+        let mut ops: OpList = [Op::Barrier].into_iter().collect();
         assert!(!apply_event(&[], &mut ops));
         assert!(!apply_event(&[99, 0, 0, 0, 0], &mut ops));
         assert!(!apply_event(&[event_wire::ROLLBACK_GUESS, 1], &mut ops));
@@ -799,6 +805,9 @@ mod tests {
         appended.extend_from_slice(&Op::Barrier.encode());
         appended.push(0xFF);
         assert!(!apply_event(&appended, &mut ops));
-        assert_eq!(ops, vec![Op::Barrier], "ops untouched by rejected events");
+        assert!(
+            ops.iter().eq([&Op::Barrier]),
+            "ops untouched by rejected events"
+        );
     }
 }

@@ -212,7 +212,7 @@ fn perform_rollback(
     // A boundary op that did not survive has nothing to truncate: the
     // whole recovered prefix replays and the boundary primitive runs
     // live again.
-    let boundary_survived = |op: usize, want_guess: bool| match log.ops().get(op) {
+    let boundary_survived = |op: usize, want_guess: bool| match log.get(op) {
         Some(Op::Guess { .. }) => want_guess,
         Some(Op::Receive { .. }) | Some(Op::TryReceive { .. }) => !want_guess,
         _ => false,

@@ -87,7 +87,7 @@ pub use env::{
 pub use hopelib::{LibControl, LibState, PendingRollback};
 pub use interval::{History, IntervalOrigin, IntervalRecord};
 pub use metrics::{HopeMetrics, MetricsSnapshot};
-pub use replay::{LogSink, Op, ReplayLog};
+pub use replay::{LogSink, Op, OpList, ReplayLog};
 
 // Speculation-control vocabulary (DESIGN.md §9), re-exported so callers
 // configuring a policy need only this crate.

@@ -189,36 +189,42 @@ impl Op {
     /// (the durable-store event payload; substitution S6 in DESIGN.md).
     pub fn encode(&self) -> Vec<u8> {
         let mut buf = Vec::new();
+        self.encode_into(&mut buf);
+        buf
+    }
+
+    /// Appends [`Op::encode`]'s bytes to `buf`.
+    pub fn encode_into(&self, buf: &mut Vec<u8>) {
         match self {
             Op::AidInit { aid } => {
                 buf.push(op_wire::AID_INIT);
-                put_aid(&mut buf, *aid);
+                put_aid(buf, *aid);
             }
             Op::AidRetain { aid } => {
                 buf.push(op_wire::AID_RETAIN);
-                put_aid(&mut buf, *aid);
+                put_aid(buf, *aid);
             }
             Op::AidRelease { aid } => {
                 buf.push(op_wire::AID_RELEASE);
-                put_aid(&mut buf, *aid);
+                put_aid(buf, *aid);
             }
             Op::Guess { aid, outcome } => {
                 buf.push(op_wire::GUESS);
-                put_aid(&mut buf, *aid);
-                put_bool(&mut buf, *outcome);
+                put_aid(buf, *aid);
+                put_bool(buf, *outcome);
             }
             Op::Affirm { aid } => {
                 buf.push(op_wire::AFFIRM);
-                put_aid(&mut buf, *aid);
+                put_aid(buf, *aid);
             }
             Op::Deny { aid } => {
                 buf.push(op_wire::DENY);
-                put_aid(&mut buf, *aid);
+                put_aid(buf, *aid);
             }
             Op::FreeOf { aid, outcome } => {
                 buf.push(op_wire::FREE_OF);
-                put_aid(&mut buf, *aid);
-                put_bool(&mut buf, *outcome);
+                put_aid(buf, *aid);
+                put_bool(buf, *outcome);
             }
             Op::Send { dst, channel } => {
                 buf.push(op_wire::SEND);
@@ -228,11 +234,11 @@ impl Op {
             Op::Receive { src, msg } => {
                 buf.push(op_wire::RECEIVE);
                 buf.put_u64_le(src.as_raw());
-                put_user_message(&mut buf, msg);
+                put_user_message(buf, msg);
             }
             Op::TryReceive { result } => {
                 buf.push(op_wire::TRY_RECEIVE);
-                put_opt(&mut buf, result.as_ref(), |buf, (src, msg)| {
+                put_opt(buf, result.as_ref(), |buf, (src, msg)| {
                     buf.put_u64_le(src.as_raw());
                     put_user_message(buf, msg);
                 });
@@ -259,7 +265,6 @@ impl Op {
                 buf.put_u64_le(pid.as_raw());
             }
         }
-        buf
     }
 
     /// Deserializes one op from `buf` starting at `*at`, advancing `*at`
@@ -351,6 +356,139 @@ pub trait LogSink: Send {
     fn rollback_before(&mut self, op_index: usize);
 }
 
+/// The bytes one chunk of an [`OpList`] is sized to: well under glibc's
+/// 128 KiB mmap threshold, so a freed chunk goes back to the heap's free
+/// lists and the next one reuses it instead of mapping and faulting in
+/// fresh pages.
+const CHUNK_BYTES: usize = 40 * 1024;
+
+/// A list of ops that appends in place: ops live in fixed-capacity chunks,
+/// so a push never moves an op that is already in the list (a `Vec` that
+/// doubles copies every op it holds about once more). Every chunk but the
+/// open one is full, so op `i` is in chunk `i / CHUNK` at `i % CHUNK`.
+#[derive(Default)]
+pub struct OpList {
+    /// Full chunks, `CHUNK` ops each, oldest first.
+    sealed: Vec<Vec<Op>>,
+    /// The chunk pushes go to; once allocated its capacity is `CHUNK`.
+    open: Vec<Op>,
+}
+
+impl OpList {
+    /// Ops per chunk: as many as fit in `CHUNK_BYTES` (512 of 80 bytes).
+    pub const CHUNK: usize = CHUNK_BYTES / std::mem::size_of::<Op>();
+
+    /// An empty list; it allocates its first chunk at the first push.
+    pub fn new() -> Self {
+        OpList::default()
+    }
+
+    /// Number of ops in the list.
+    pub fn len(&self) -> usize {
+        self.sealed.len() * Self::CHUNK + self.open.len()
+    }
+
+    /// True if the list holds no op.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Appends `op`.
+    #[inline]
+    pub fn push(&mut self, op: Op) {
+        if self.open.len() == self.open.capacity() {
+            self.open_chunk();
+        }
+        self.open.push(op);
+    }
+
+    /// Seals the full open chunk (if it holds anything) and opens a new one.
+    #[cold]
+    fn open_chunk(&mut self) {
+        let full = std::mem::replace(&mut self.open, Vec::with_capacity(Self::CHUNK));
+        debug_assert_eq!(self.open.capacity(), Self::CHUNK);
+        if !full.is_empty() {
+            self.sealed.push(full);
+        }
+    }
+
+    /// The op at `index`, if there is one.
+    pub fn get(&self, index: usize) -> Option<&Op> {
+        match self.sealed.get(index / Self::CHUNK) {
+            Some(chunk) => chunk.get(index % Self::CHUNK),
+            None => self.open.get(index - self.sealed.len() * Self::CHUNK),
+        }
+    }
+
+    /// The op at `index`, mutably, if there is one.
+    pub fn get_mut(&mut self, index: usize) -> Option<&mut Op> {
+        let base = self.sealed.len() * Self::CHUNK;
+        match self.sealed.get_mut(index / Self::CHUNK) {
+            Some(chunk) => chunk.get_mut(index % Self::CHUNK),
+            None => self.open.get_mut(index - base),
+        }
+    }
+
+    /// The ops, oldest first.
+    pub fn iter(&self) -> impl Iterator<Item = &Op> + '_ {
+        self.sealed.iter().flatten().chain(&self.open)
+    }
+
+    /// Drops every op from index `len` on (nothing if `len` is past the end).
+    pub fn truncate(&mut self, len: usize) {
+        if len < self.len() {
+            self.cut(len, |ops| drop(ops));
+        }
+    }
+
+    /// Removes the ops from index `at` on and returns them, oldest first.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at > len`.
+    pub fn split_off(&mut self, at: usize) -> Vec<Op> {
+        assert!(at <= self.len(), "split index {at} past the end");
+        let mut removed = Vec::with_capacity(self.len() - at);
+        self.cut(at, |ops| removed.extend(ops));
+        removed
+    }
+
+    /// Removes the ops from index `at` on, handing them to `removed` in
+    /// list order; the chunk that held op `at` becomes the open one.
+    fn cut(&mut self, at: usize, mut removed: impl FnMut(std::vec::Drain<'_, Op>)) {
+        let c = at / Self::CHUNK;
+        if c < self.sealed.len() {
+            let mut old_open = std::mem::take(&mut self.open);
+            let mut later = self.sealed.drain(c..);
+            self.open = later.next().expect("chunk `c` is sealed");
+            removed(self.open.drain(at % Self::CHUNK..));
+            for mut chunk in later {
+                removed(chunk.drain(..));
+            }
+            removed(old_open.drain(..));
+        } else {
+            let base = self.sealed.len() * Self::CHUNK;
+            removed(self.open.drain(at - base..));
+        }
+    }
+}
+
+impl FromIterator<Op> for OpList {
+    fn from_iter<I: IntoIterator<Item = Op>>(iter: I) -> Self {
+        let mut list = OpList::new();
+        for op in iter {
+            list.push(op);
+        }
+        list
+    }
+}
+
+impl std::fmt::Debug for OpList {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
 /// The operation log of one user process, with a replay cursor.
 ///
 /// Live mode (`cursor == len`): operations execute for real and are
@@ -358,7 +496,7 @@ pub trait LogSink: Send {
 /// against the log and their recorded results returned.
 pub struct ReplayLog {
     process: ProcessId,
-    ops: Vec<Op>,
+    ops: OpList,
     cursor: usize,
     sink: Option<Box<dyn LogSink>>,
 }
@@ -379,7 +517,7 @@ impl ReplayLog {
     pub fn new(process: ProcessId) -> Self {
         ReplayLog {
             process,
-            ops: Vec::new(),
+            ops: OpList::new(),
             cursor: 0,
             sink: None,
         }
@@ -393,8 +531,8 @@ impl ReplayLog {
     /// Replaces the logged ops wholesale (post-crash recovery from a
     /// durable store) and rewinds the cursor for re-execution. The sink is
     /// *not* notified: the ops came from it.
-    pub fn reset_ops(&mut self, ops: Vec<Op>) {
-        self.ops = ops;
+    pub fn reset_ops(&mut self, recovered: Vec<Op>) {
+        self.ops = recovered.into_iter().collect();
         self.cursor = 0;
     }
 
@@ -413,9 +551,9 @@ impl ReplayLog {
         self.ops.is_empty()
     }
 
-    /// The logged operations (oldest first).
-    pub fn ops(&self) -> &[Op] {
-        &self.ops
+    /// The logged operation at `index`, if there is one.
+    pub fn get(&self, index: usize) -> Option<&Op> {
+        self.ops.get(index)
     }
 
     /// Appends a live operation, returning its index.
@@ -429,9 +567,10 @@ impl ReplayLog {
         if let Some(sink) = self.sink.as_mut() {
             sink.append(&op);
         }
+        let index = self.ops.len();
         self.ops.push(op);
-        self.cursor = self.ops.len();
-        self.ops.len() - 1
+        self.cursor = index + 1;
+        index
     }
 
     /// Replays the next operation: checks that the op the closure is about
@@ -479,7 +618,7 @@ impl ReplayLog {
     /// Panics if `op_index` does not hold a `Guess` entry.
     pub fn rollback_to_guess(&mut self, op_index: usize) -> Vec<Op> {
         let removed = self.ops.split_off(op_index + 1);
-        match self.ops.last_mut() {
+        match self.ops.get_mut(op_index) {
             Some(Op::Guess { outcome, .. }) => *outcome = false,
             other => panic!("rollback target is not a Guess op: {other:?}"),
         }
