@@ -11,7 +11,7 @@
 //! [`ThreadedRuntime`](crate::ThreadedRuntime) and the socket transport's
 //! [`PeerMachine`](crate::PeerMachine) are its three drivers: each
 //! lends it a clock reading and the state it borrows for one step (the
-//! reliable sublayer's record for the step's link, a statistics sink,
+//! reliable sublayer's record for the step's link, its `MessageStats`,
 //! latency and fault models, the tracer), turns the returned delays into
 //! pushes on its own queue, and keeps what is genuinely its own — process
 //! slots, mailboxes, crash windows, shards; connections, backoff,
@@ -70,26 +70,6 @@ pub(crate) enum LinkWork {
 /// nothing once it has grown.
 pub(crate) type Outbound = Vec<(VirtualDuration, LinkWork)>;
 
-/// Where a step counts. The simulator lends its `MessageStats` directly;
-/// a shard lends a handle that takes its stats lock on first use, so a
-/// step locks at most once and a step that counts nothing (a send with
-/// the sublayer off on a clean wire) takes no lock.
-pub(crate) trait StatsSink {
-    fn stats(&mut self) -> &mut MessageStats;
-}
-
-impl StatsSink for MessageStats {
-    fn stats(&mut self) -> &mut MessageStats {
-        self
-    }
-}
-
-impl<S: StatsSink + ?Sized> StatsSink for &mut S {
-    fn stats(&mut self) -> &mut MessageStats {
-        (**self).stats()
-    }
-}
-
 /// The link whose record an arriving envelope touches: acks retire
 /// entries of the reverse (data) link.
 pub(crate) fn state_link(env: &Envelope) -> LinkId {
@@ -107,7 +87,8 @@ pub(crate) struct Link<'a> {
     /// for a send, [`state_link`] for an arrival, a timer's own link;
     /// `None` when the sublayer is off.
     pub rel: Option<&'a mut LinkRecord>,
-    pub stats: &'a mut dyn StatsSink,
+    /// The driver's own counts: a scheduler's, or a peer machine's.
+    pub stats: &'a mut MessageStats,
     pub latency: &'a mut dyn LatencyModel,
     /// `None` on a fault-free wire.
     pub fault: Option<&'a mut FaultModel>,
@@ -134,7 +115,7 @@ impl Link<'_> {
                 // counted, never coded here.
                 if let Payload::User(m) = &env.payload {
                     let bytes = full_set_wire_len(&m.tag);
-                    self.stats.stats().link_mut().record_full_tag(bytes);
+                    self.stats.link_mut().record_full_tag(bytes);
                 }
                 rel.track(env.clone());
                 // A send that finds the link's timer running adds nothing
@@ -162,12 +143,12 @@ impl Link<'_> {
             None => WireFate::CLEAN,
         };
         if !fate.deliver {
-            self.stats.stats().link_mut().fault_dropped += 1;
+            self.stats.link_mut().fault_dropped += 1;
             return;
         }
         if fate.duplicate {
             let extra = self.latency.sample(env.src, env.dst, self.now);
-            self.stats.stats().link_mut().duplicated += 1;
+            self.stats.link_mut().duplicated += 1;
             let dup = LinkWork::Deliver {
                 env: env.clone(),
                 copy: CopyKind::WireDup,
@@ -196,17 +177,17 @@ impl Link<'_> {
         // is acked (the sender's retransmits carry the message past the
         // down window).
         if down {
-            self.stats.stats().link_mut().crash_dropped += 1;
+            self.stats.link_mut().crash_dropped += 1;
             return false;
         }
         // Link-layer ack: retire the sender's retransmit buffer up to it
         // and stop — acks never reach a process.
         if let Payload::Ack { seq } = env.payload {
-            self.stats.stats().link_mut().acks += 1;
+            self.stats.link_mut().acks += 1;
             if let Some(rel) = self.rel.as_deref_mut() {
                 let acked = rel.acknowledge_at(seq, self.now.as_nanos());
                 if acked.rtt_sample_nanos.is_some() {
-                    self.stats.stats().link_mut().rtt_samples += 1;
+                    self.stats.link_mut().rtt_samples += 1;
                 }
             }
             return false;
@@ -231,11 +212,11 @@ impl Link<'_> {
                 AckPlan::Wait => {}
             }
             if !first {
-                self.stats.stats().link_mut().record_dedup(copy);
+                self.stats.link_mut().record_dedup(copy);
                 return false;
             }
         }
-        let stats = self.stats.stats();
+        let stats = &mut *self.stats;
         let Some((from, to)) = route else {
             stats.link_mut().unroutable += 1;
             stats.record_dropped();
@@ -302,7 +283,7 @@ impl Link<'_> {
         };
         let now = self.now;
         let next = rel.retransmit_due(now.as_nanos(), cap, all, here, |due| {
-            let link_stats = self.stats.stats().link_mut();
+            let link_stats = self.stats.link_mut();
             match due {
                 Overdue::Abandoned(seq) => {
                     link_stats.abandoned += 1;

@@ -9,7 +9,7 @@ use crate::actor::Actor;
 use crate::control::{ControlHandler, Inspect};
 use crate::event::{EventKind, Timed, TimedQueue};
 use crate::fault::FaultPlan;
-use crate::link::{Outbound, StatsSink};
+use crate::link::Outbound;
 use crate::net::NetworkConfig;
 use crate::reliable::ReliableState;
 use crate::sched::{self, PendingEvent};
@@ -151,7 +151,6 @@ impl RuntimeBuilder<SimRuntime> {
         let wire = Wire {
             clock: VirtualTime::ZERO,
             next_tie: 0,
-            stats: MessageStats::new(),
             panics: Vec::new(),
         };
         let mut sched = Scheduler::new(wire, links, 1, self.seed);
@@ -187,11 +186,10 @@ pub struct SimRuntime {
 }
 
 /// The simulator's side of its scheduler: the virtual clock, advanced by
-/// the events it fires, the tie counter, and the statistics.
+/// the events it fires, the tie counter, and the panics.
 struct Wire {
     clock: VirtualTime,
     next_tie: u64,
-    stats: MessageStats,
     panics: Vec<(ProcessId, String)>,
 }
 
@@ -209,10 +207,6 @@ impl Clock for Wire {
     /// Every item is the simulator's.
     fn queue(&mut self, queue: &mut TimedQueue, item: Timed) {
         queue.push(item);
-    }
-
-    fn stats(&mut self) -> impl StatsSink + '_ {
-        &mut self.stats
     }
 
     fn exited(&mut self, pid: ProcessId, panic: Option<String>) {
@@ -243,7 +237,7 @@ impl SimRuntime {
 
     /// Message statistics accumulated so far.
     pub fn stats(&self) -> &MessageStats {
-        &self.sched.clock.stats
+        &self.sched.stats
     }
 
     /// Coroutine stacks mapped so far. A process takes an idle stack at its
@@ -331,7 +325,7 @@ impl SimRuntime {
         payload: Payload,
     ) -> Result<(), HopeError> {
         if dst.as_raw() as usize >= self.sched.locals.len() {
-            self.sched.clock.stats.link_mut().unroutable += 1;
+            self.sched.stats.link_mut().unroutable += 1;
             return Err(HopeError::UnknownProcess(dst));
         }
         self.sched.send(src, dst, payload);

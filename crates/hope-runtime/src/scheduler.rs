@@ -14,15 +14,15 @@ use crate::control::ControlHandler;
 use crate::coro::Stack;
 use crate::event::{EventKind, Timed, TimedQueue};
 use crate::fault::FaultModel;
-use crate::link::{state_link, Link, LinkWork, Outbound, StatsSink};
+use crate::link::{state_link, Link, LinkWork, Outbound};
 use crate::net::LatencyModel;
 use crate::node::{self, Host, Step, Target};
 use crate::reliable::{CopyKind, LinkId, ReliableState};
-use crate::stats::PartyKind;
+use crate::stats::{MessageStats, PartyKind};
 use crate::threadproc::{Live, Proc, SpawnKind, SpawnRequest};
 
 /// What one runtime lends its schedulers: the clock, the tie, where a
-/// queued item goes, where a step counts, and the routing table.
+/// queued item goes, and the routing table.
 pub(crate) trait Clock {
     /// The time a handler or a body reads now.
     fn now(&self) -> VirtualTime;
@@ -30,8 +30,6 @@ pub(crate) trait Clock {
     fn stamp(&mut self, time: VirtualTime, work: EventKind) -> Timed;
     /// Hands `item` to its scheduler: onto `queue` when that is this one.
     fn queue(&mut self, queue: &mut TimedQueue, item: Timed);
-    /// Where one step counts, for the length of the step.
-    fn stats(&mut self) -> impl StatsSink + '_;
     /// Whether `pid` is this scheduler's.
     fn owns(&self, _: ProcessId) -> bool {
         true
@@ -108,6 +106,8 @@ pub(crate) struct Scheduler<C> {
     pub clock: C,
     pub queue: TimedQueue,
     pub links: Links,
+    /// What this scheduler's steps counted (on a shard, read by asking it).
+    pub stats: MessageStats,
     /// The pids this scheduler owns, at `pid / n`: `None` before a shard
     /// takes the pid over, and while a process is out for its turn.
     pub locals: Vec<Option<Local>>,
@@ -129,6 +129,7 @@ impl<C: Clock> Scheduler<C> {
             clock,
             queue: TimedQueue::default(),
             links,
+            stats: MessageStats::new(),
             locals: Vec::new(),
             n,
             down: BTreeMap::new(),
@@ -199,11 +200,10 @@ impl<C: Clock> Scheduler<C> {
     ) -> R {
         let links = &mut self.links;
         let mut out = std::mem::take(&mut links.outbound);
-        let mut stats = self.clock.stats();
         let mut lent = Link {
             now: at,
             rel: links.rel.as_mut().map(|rel| rel.link_mut(link)),
-            stats: &mut stats,
+            stats: &mut self.stats,
             latency: &mut *links.latency,
             fault: links.fault.as_mut(),
             tracer: &links.tracer,
@@ -211,8 +211,7 @@ impl<C: Clock> Scheduler<C> {
         let before = lent.rel.as_ref().map(|rec| rec.rtt());
         let result = f(&mut lent, &mut out);
         // `srtt_nanos` is the mean across sampled links at the last
-        // sample, kept without a walk over the links; the ack that took
-        // the sample has taken the stats lock already.
+        // sample, kept without a walk over the links.
         if let (Some(old), Some(new)) = (before, lent.rel.as_ref().map(|rec| rec.rtt())) {
             if new.samples() != old.samples() {
                 let (sum, sampled) = &mut links.srtt;
@@ -220,10 +219,9 @@ impl<C: Clock> Scheduler<C> {
                 *sampled += u64::from(old.samples() == 0);
                 let mean = *sum / *sampled;
                 debug_assert_eq!(Some(mean), links.rel.as_ref().map(|r| r.mean_srtt_nanos()));
-                stats.stats().link_mut().srtt_nanos = mean;
+                self.stats.link_mut().srtt_nanos = mean;
             }
         }
-        drop(stats);
         for (delay, work) in out.drain(..) {
             let item = self.clock.stamp(at + delay, EventKind::Link(work));
             self.clock.queue(&mut self.queue, item);
@@ -274,7 +272,7 @@ impl<C: Clock> Scheduler<C> {
         self.locals[at] = slot;
         match step {
             Step::Done => {}
-            Step::Dropped => self.clock.stats().stats().record_dropped(),
+            Step::Dropped => self.stats.record_dropped(),
             Step::Stop => {
                 self.locals[at] = Some(Local::Gone);
                 self.clock.stopped(pid);

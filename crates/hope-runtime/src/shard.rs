@@ -1,11 +1,11 @@
 //! Shared primitives of the sharded threaded transport (DESIGN.md §10):
 //! the doorbell that parks and wakes a shard without putting locks on
-//! the sender's fast path, and the version-validated
-//! read-mostly table that lets every delivery consult the routing state
-//! for the price of one relaxed atomic load.
+//! the sender's fast path, and the append-only table that holds the
+//! routing state: a pid's entry is written once, at its spawn, so a spawn
+//! copies nothing and a delivery reads the entry without a lock.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::OnceLock;
 use std::time::Duration;
 
 use parking_lot::{Condvar, Mutex};
@@ -81,83 +81,65 @@ impl Doorbell {
     }
 }
 
-/// A read-mostly table guarded by an optimistic version check — the
-/// seqlock pattern restated in safe Rust. Writers mutate a copy-on-write
-/// snapshot under a mutex and bump the version; readers hold a cached
-/// `Arc` snapshot and revalidate with a single relaxed load per access,
-/// falling back to the (short, writer-only) lock exclusively when the
-/// version actually moved. Readers therefore never block writers and
-/// the delivery hot path never contends.
-#[derive(Debug)]
-pub(crate) struct VersionedTable<T> {
-    version: AtomicU64,
-    data: Mutex<Arc<Vec<T>>>,
+/// The first bucket's length.
+const FIRST: usize = 64;
+
+/// An append-only table: entry `i` is written once, at its push, and never
+/// moves. Bucket `b` holds `FIRST << b` entries and is allocated by the
+/// first push into it, so a push copies nothing; a reader takes no lock and
+/// keeps no snapshot, as the entry's `OnceLock` publishes it. An index
+/// handed out but not yet written reads as absent.
+pub(crate) struct AppendTable<T> {
+    /// Indices handed out so far.
+    len: AtomicUsize,
+    /// Enough for any pid a run hands out (`FIRST << 47` and more).
+    buckets: [OnceLock<Box<[OnceLock<T>]>>; 48],
 }
 
-impl<T: Clone> VersionedTable<T> {
+impl<T> AppendTable<T> {
     pub fn new() -> Self {
-        VersionedTable {
-            version: AtomicU64::new(0),
-            data: Mutex::new(Arc::new(Vec::new())),
+        AppendTable {
+            len: AtomicUsize::new(0),
+            buckets: std::array::from_fn(|_| OnceLock::new()),
         }
     }
 
-    /// Mutates the table through copy-on-write and publishes the new
-    /// version. Returns whatever the closure returns (spawn paths use
-    /// this to allocate the next pid under the same critical section).
-    pub fn update<R>(&self, f: impl FnOnce(&mut Vec<T>) -> R) -> R {
-        let mut guard = self.data.lock();
-        let mut next: Vec<T> = (**guard).clone();
-        let out = f(&mut next);
-        *guard = Arc::new(next);
-        self.version.fetch_add(1, Ordering::Release);
-        out
+    /// The bucket of entry `i` (past the last for one no push reaches) and
+    /// its offset there.
+    fn locate(i: usize) -> (usize, usize) {
+        let j = i.saturating_add(FIRST);
+        let b = (j.ilog2() - FIRST.ilog2()) as usize;
+        (b, j - (FIRST << b))
     }
 
-    /// A coherent snapshot (for cold paths: reports, quiescence scans).
-    pub fn snapshot(&self) -> Arc<Vec<T>> {
-        self.data.lock().clone()
+    /// Writes `value` at the next index and returns the index.
+    pub fn push(&self, value: T) -> usize {
+        let i = self.len.fetch_add(1, Ordering::Relaxed);
+        let (b, at) = Self::locate(i);
+        let bucket =
+            self.buckets[b].get_or_init(|| (0..FIRST << b).map(|_| OnceLock::new()).collect());
+        assert!(bucket[at].set(value).is_ok(), "entry {i} is written once");
+        i
     }
 
-    /// Current version counter.
-    #[cfg(test)]
-    pub fn version(&self) -> u64 {
-        self.version.load(Ordering::Acquire)
-    }
-}
-
-/// A reader's cached view of a [`VersionedTable`]. Each shard and each
-/// sending lane owns one; `get` is the hot-path accessor.
-#[derive(Debug)]
-pub(crate) struct TableReader<T> {
-    version: u64,
-    snapshot: Arc<Vec<T>>,
-}
-
-impl<T: Clone> TableReader<T> {
-    pub fn new() -> Self {
-        TableReader {
-            version: u64::MAX,
-            snapshot: Arc::new(Vec::new()),
-        }
+    /// Entry `i`, once its push has written it.
+    pub fn get(&self, i: usize) -> Option<&T> {
+        let (b, at) = Self::locate(i);
+        self.buckets.get(b)?.get()?[at].get()
     }
 
-    /// The current snapshot, revalidated against the table's version.
-    /// One relaxed atomic load when nothing changed; one short lock to
-    /// re-clone the `Arc` when it did.
-    pub fn get<'a>(&'a mut self, table: &VersionedTable<T>) -> &'a [T] {
-        let version = table.version.load(Ordering::Acquire);
-        if version != self.version {
-            self.snapshot = table.snapshot();
-            self.version = version;
-        }
-        &self.snapshot
+    /// Every entry written so far, with its index, in index order.
+    pub fn iter(&self) -> impl Iterator<Item = (usize, &T)> {
+        let len = self.len.load(Ordering::Relaxed);
+        (0..len).filter_map(|i| Some((i, self.get(i)?)))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicU64;
+    use std::sync::Arc;
 
     #[test]
     fn shard_routing_is_stable_and_in_range() {
@@ -172,18 +154,46 @@ mod tests {
     }
 
     #[test]
-    fn versioned_table_readers_see_updates_only_after_version_bump() {
-        let table: VersionedTable<u32> = VersionedTable::new();
-        let mut reader = TableReader::new();
-        assert!(reader.get(&table).is_empty());
-        table.update(|v| v.push(7));
-        assert_eq!(reader.get(&table), &[7]);
-        // A second reader starts cold and still converges.
-        let mut other = TableReader::new();
-        assert_eq!(other.get(&table), &[7]);
-        table.update(|v| v.push(9));
-        assert_eq!(reader.get(&table), &[7, 9]);
-        assert_eq!(table.version(), 2);
+    fn an_append_table_entry_is_written_once_and_never_moves() {
+        let table = AppendTable::new();
+        assert_eq!(table.get(0), None);
+        // Across the first three bucket edges (64, 192, 448).
+        let first: Vec<*const u32> = (0..500u32)
+            .map(|v| {
+                let i = table.push(v);
+                assert_eq!(i, v as usize);
+                table.get(i).expect("written at its push") as *const u32
+            })
+            .collect();
+        for (i, at) in first.iter().enumerate() {
+            assert_eq!(table.get(i), Some(&(i as u32)));
+            assert_eq!(
+                table.get(i).map(|v| v as *const u32),
+                Some(*at),
+                "entry {i} moved"
+            );
+        }
+        assert_eq!(table.get(500), None);
+        assert_eq!(table.iter().count(), 500);
+        assert_eq!(AppendTable::<u32>::locate(63), (0, 63));
+        assert_eq!(AppendTable::<u32>::locate(64), (1, 0));
+        assert_eq!(AppendTable::<u32>::locate(191), (1, 127));
+        assert_eq!(AppendTable::<u32>::locate(192), (2, 0));
+        // A pid nobody spawned, however large, reads as absent.
+        assert_eq!(table.get(usize::MAX), None);
+    }
+
+    #[test]
+    fn an_index_handed_out_but_not_yet_written_reads_as_absent() {
+        let table = AppendTable::new();
+        table.push(1u32);
+        // A push that took its index and has not written it yet.
+        let taken = table.len.fetch_add(1, Ordering::Relaxed);
+        assert_eq!(table.push(3), 2);
+        assert_eq!(table.get(taken), None);
+        assert_eq!(table.get(2), Some(&3));
+        let seen: Vec<_> = table.iter().collect();
+        assert_eq!(seen, [(0, &1), (2, &3)]);
     }
 
     #[test]

@@ -6,10 +6,15 @@
 //! taking turns with their `Control`, their crash windows. Around it the
 //! shard adds ingress and parking: work for another shard leaves through
 //! its `Lane` (a lazily created SPSC ring to each other shard, with a
-//! mutex overflow behind it, then the doorbell). The version-validated
-//! routing table holds only what other threads read: party kind, name,
-//! exit and gateway. A link's sender half lives on its sender's shard and
-//! its receiver half on its receiver's, so no link step takes a lock.
+//! mutex overflow behind it, then the doorbell). A link's sender half
+//! lives on its sender's shard and its receiver half on its receiver's,
+//! and a step counts into its own scheduler's `MessageStats`, so no link
+//! step takes a lock.
+//!
+//! A shard's state has one owner, its thread: a driver thread asks for it
+//! (a closure run between turns), and a stopped shard fails the ask. The
+//! routing table every thread reads is append-only: a pid's slot is
+//! written once, at its spawn.
 //!
 //! Within a shard there is no preemption: a body that blocks outside
 //! [`SysApi`] (a `std` sleep or channel, a spin on an atomic) stalls its
@@ -17,11 +22,11 @@
 //! shard count and match the simulator's.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
-use parking_lot::{Mutex, MutexGuard};
+use parking_lot::Mutex;
 
 use hope_types::{Envelope, ProcessId, TraceCollector, VirtualTime};
 
@@ -29,12 +34,12 @@ use crate::actor::Actor;
 use crate::control::{ControlHandler, Inspect};
 use crate::event::{EventKind, Timed, TimedQueue};
 use crate::fault::FaultPlan;
-use crate::link::{LinkWork, StatsSink};
+use crate::link::LinkWork;
 use crate::net::NetworkConfig;
 use crate::reliable::CopyKind;
 use crate::runtime::RuntimeBuilder;
 use crate::scheduler::{Clock, Local, Scheduler};
-use crate::shard::{shard_of, Doorbell, TableReader, VersionedTable};
+use crate::shard::{shard_of, AppendTable, Doorbell};
 use crate::spsc;
 use crate::stats::{MessageStats, PartyKind, RunReport};
 use crate::sysapi::SysApi;
@@ -50,10 +55,8 @@ const INGRESS_RING_CAPACITY: usize = 1024;
 const PARK_BACKSTOP: Duration = Duration::from_millis(5);
 
 /// A pid in the routing table: only what threads other than its shard's
-/// read.
+/// read. Written once, at the spawn.
 enum Slot {
-    /// A stopped actor: deliveries are dropped.
-    Gone,
     /// An actor or a user process.
     Party {
         kind: PartyKind,
@@ -63,6 +66,9 @@ enum Slot {
         /// Set once a user process's body is gone: its panic message, if
         /// it unwound.
         exit: OnceLock<Option<String>>,
+        /// Set by the pid's shard when the actor stops: Table 1 then counts
+        /// it as a user party, as the simulator does.
+        gone: AtomicBool,
     },
     /// An egress seam to another runtime: deliveries addressed to this
     /// pid are handed to the sink (e.g. a [`crate::NetTransport`] link to
@@ -83,13 +89,12 @@ struct ShardHandle {
     overflow: Mutex<VecDeque<Timed>>,
     overflowed: AtomicBool,
     bell: Doorbell,
-    /// Observers' questions, answered between turns (see [`Inspect`]).
+    /// Questions to the shard's scheduler, answered between turns (see
+    /// [`ThreadedRuntime::ask`]).
     asks: Mutex<Vec<Ask>>,
     asked: AtomicBool,
-    /// The shard's share of the runtime statistics, merged at report
-    /// time; the lock is effectively uncontended (the shard writes,
-    /// reports read rarely).
-    stats: Arc<Mutex<MessageStats>>,
+    /// Set under the `asks` lock once the shard has stopped.
+    closed: AtomicBool,
 }
 
 impl ShardHandle {
@@ -101,34 +106,18 @@ impl ShardHandle {
     }
 }
 
-/// An observer's question to one shard, run on its scheduler.
+/// A question to one shard, run on its scheduler.
 type Ask = Box<dyn FnOnce(&Scheduler<Lane>) + Send>;
 
-/// One shard's side of its scheduler: the wall clock, a lazily created
-/// ingress ring to each other shard, its statistics sink, and its view of
-/// the routing table.
+/// One shard's side of its scheduler: the wall clock and a lazily
+/// created ingress ring to each other shard.
 struct Lane {
     inner: Arc<Inner>,
     /// The index of the shard that owns the lane.
     own: usize,
     rings: Vec<Option<spsc::Producer<Timed>>>,
-    stats: Arc<Mutex<MessageStats>>,
-    reader: TableReader<Arc<Slot>>,
     /// Items queued on the lane's own shard since the shard's last collect.
     mine: usize,
-}
-
-/// A lane's statistics as lent to one link-pipeline step: locked on
-/// first use, held to the end of the step.
-struct LaneStats<'a> {
-    lane: &'a Mutex<MessageStats>,
-    held: Option<MutexGuard<'a, MessageStats>>,
-}
-
-impl StatsSink for LaneStats<'_> {
-    fn stats(&mut self) -> &mut MessageStats {
-        self.held.get_or_insert_with(|| self.lane.lock())
-    }
 }
 
 impl Clock for Lane {
@@ -171,33 +160,22 @@ impl Clock for Lane {
         }
     }
 
-    /// Held for the step only, never across the ring pushes.
-    fn stats(&mut self) -> impl StatsSink + '_ {
-        LaneStats {
-            lane: &self.stats,
-            held: None,
-        }
-    }
-
     fn owns(&self, pid: ProcessId) -> bool {
         shard_of(pid, self.inner.shards.len()) == self.own
     }
 
-    /// One version-validated table read covers both ends.
+    /// Read from the routing table, without a lock.
     fn route(&mut self, _: &[Option<Local>], env: &Envelope) -> Option<(PartyKind, PartyKind)> {
-        let slots = self.reader.get(&self.inner.procs);
-        let party = |pid: ProcessId| match slots.get(pid.as_raw() as usize).map(Arc::as_ref) {
-            Some(Slot::Party { kind, .. }) => *kind,
+        let party = |pid: ProcessId| match self.inner.slot(pid) {
+            Some(Slot::Party { kind, gone, .. }) if !gone.load(Ordering::Relaxed) => *kind,
             _ => PartyKind::User,
         };
-        let dst = slots.get(env.dst.as_raw() as usize);
+        let dst = self.inner.slot(env.dst);
         dst.map(|_| (party(env.src), party(env.dst)))
     }
 
     fn hand_over(&mut self, pid: ProcessId) -> Option<Local> {
-        let slots = self.reader.get(&self.inner.procs);
-        Some(match slots.get(pid.as_raw() as usize)?.as_ref() {
-            Slot::Gone => Local::Gone,
+        Some(match self.inner.slot(pid)? {
             Slot::Party { name, handover, .. } => {
                 let (name, kind) = (name.clone(), handover.lock().take()?);
                 let live: Arc<dyn Live> = self.inner.clone();
@@ -213,21 +191,21 @@ impl Clock for Lane {
     }
 
     fn stopped(&mut self, pid: ProcessId) {
-        self.inner.procs.update(|procs| {
-            procs[pid.as_raw() as usize] = Arc::new(Slot::Gone);
-        });
+        if let Some(Slot::Party { gone, .. }) = self.inner.slot(pid) {
+            gone.store(true, Ordering::Relaxed);
+        }
     }
 
     fn exited(&mut self, pid: ProcessId, panic: Option<String>) {
-        let slots = self.reader.get(&self.inner.procs);
-        if let Some(Slot::Party { exit, .. }) = slots.get(pid.as_raw() as usize).map(Arc::as_ref) {
+        if let Some(Slot::Party { exit, .. }) = self.inner.slot(pid) {
             let _ = exit.set(panic);
         }
     }
 }
 
 struct Inner {
-    procs: VersionedTable<Arc<Slot>>,
+    /// The routing table, at the pid.
+    procs: AppendTable<Slot>,
     shards: Vec<Arc<ShardHandle>>,
     in_flight: AtomicU64,
     /// Rung when `in_flight` drops to zero.
@@ -238,10 +216,6 @@ struct Inner {
     seed: u64,
     /// The shards' causal-trace collector.
     tracer: Arc<TraceCollector>,
-    /// Turns the shards have given their processes so far.
-    turns: AtomicU64,
-    /// Coroutine stacks the shards have mapped so far.
-    stacks_mapped: AtomicUsize,
 }
 
 impl Inner {
@@ -289,20 +263,12 @@ impl Inner {
 
     /// Gives `slot` the next pid.
     fn register(&self, slot: Slot) -> ProcessId {
-        self.procs.update(move |procs| {
-            procs.push(Arc::new(slot));
-            ProcessId::from_raw(procs.len() as u64 - 1)
-        })
+        ProcessId::from_raw(self.procs.push(slot) as u64)
     }
 
-    /// Every shard's statistics, merged (`srtt_nanos` as the
-    /// sample-weighted mean of the shards').
-    fn merged_stats(&self) -> MessageStats {
-        let mut total = MessageStats::new();
-        for shard in &self.shards {
-            total.merge(&shard.stats.lock());
-        }
-        total
+    /// `pid`'s slot, once its spawn has written it.
+    fn slot(&self, pid: ProcessId) -> Option<&Slot> {
+        self.procs.get(pid.as_raw() as usize)
     }
 }
 
@@ -394,13 +360,7 @@ impl Shard {
                 processed += 1;
             }
             if processed > 0 {
-                let (turns, stacks) = (self.sched.turns, self.sched.stacks_mapped);
                 self.sched.turns();
-                let stacks = self.sched.stacks_mapped - stacks;
-                inner
-                    .turns
-                    .fetch_add(self.sched.turns - turns, Ordering::Relaxed);
-                inner.stacks_mapped.fetch_add(stacks, Ordering::Relaxed);
                 inner.done(processed);
             }
             if processed > 0 || drained > 0 {
@@ -428,6 +388,17 @@ impl Shard {
     }
 }
 
+/// A shard that stops (at shutdown, or a handler panicked on it) drops the
+/// asks still queued, so that they and every later one fail, not wait.
+impl Drop for Shard {
+    fn drop(&mut self) {
+        let mut asks = self.handle.asks.lock();
+        self.handle.closed.store(true, Ordering::Relaxed);
+        asks.clear();
+        self.sched.clock.inner.settled.notify();
+    }
+}
+
 /// The clock and spawns of the runtime, a body's included: the wall clock,
 /// read at the call, and a pid that is final when the spawn returns. A
 /// user process's first turn is queued on its shard at once.
@@ -450,6 +421,7 @@ impl Live for Inner {
             name: req.name,
             handover: Mutex::new(Some(req.kind)),
             exit: OnceLock::new(),
+            gone: AtomicBool::new(false),
         });
         if threaded {
             self.schedule(self.now(), EventKind::Wake(pid));
@@ -484,7 +456,7 @@ impl RuntimeBuilder<ThreadedRuntime> {
             .shards
             .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
         let inner = Arc::new(Inner {
-            procs: VersionedTable::new(),
+            procs: AppendTable::new(),
             shards: (0..nshards).map(|_| Arc::default()).collect(),
             in_flight: AtomicU64::new(0),
             settled: Doorbell::default(),
@@ -493,8 +465,6 @@ impl RuntimeBuilder<ThreadedRuntime> {
             start,
             seed: self.seed,
             tracer: self.tracer.clone().unwrap_or_default(),
-            turns: AtomicU64::new(0),
-            stacks_mapped: AtomicUsize::new(0),
         });
         let threads = (0..nshards)
             .map(|ix| {
@@ -503,8 +473,6 @@ impl RuntimeBuilder<ThreadedRuntime> {
                     inner: inner.clone(),
                     own: ix,
                     rings: (0..nshards).map(|_| None).collect(),
-                    stats: handle.stats.clone(),
-                    reader: TableReader::new(),
                     mine: 0,
                 };
                 let links = self.links(ix, &inner.tracer);
@@ -566,7 +534,10 @@ impl ThreadedRuntime {
     /// exits, so this stays at the peak number of processes running at
     /// once, not the number spawned.
     pub fn stacks_mapped(&self) -> usize {
-        self.inner.stacks_mapped.load(Ordering::Relaxed)
+        let shards = 0..self.shards();
+        shards
+            .map(|ix| self.ask(ix, |sched| sched.stacks_mapped))
+            .sum()
     }
 
     /// Spawns an event-driven actor process.
@@ -624,7 +595,8 @@ impl ThreadedRuntime {
     /// `grace`, or until `timeout` elapses. A process turns only for a
     /// queued item (its start, mail it waits for, a wake, its compute
     /// timer), so then every process is blocked, parked or finished.
-    /// Returns the run report.
+    /// Returns the run report, asked of the shards: it panics where an ask
+    /// does, and as soon as a handler's panic has stopped a shard.
     pub fn run_until_quiescent(&self, grace: Duration, timeout: Duration) -> RunReport {
         let deadline = Instant::now() + timeout;
         // Start of the current quiet interval and the schedule counter
@@ -633,7 +605,11 @@ impl ThreadedRuntime {
         let mut quiet_since: Option<(Instant, u64)> = None;
         let mut hit_timeout = true;
         let busy = || self.inner.in_flight.load(Ordering::Acquire) > 0;
+        let shards = &self.inner.shards;
         while let Some(left) = deadline.checked_duration_since(Instant::now()) {
+            if shards.iter().any(|s| s.closed.load(Ordering::Relaxed)) {
+                break; // the report's ask names the shard
+            }
             let scheduled = self.inner.seq.load(Ordering::Acquire);
             match quiet_since {
                 Some((since, at)) if !busy() && at == scheduled => {
@@ -654,14 +630,15 @@ impl ThreadedRuntime {
                 .settled
                 .park_for(wait.min(left), || !quiet && !busy());
         }
+        let (stats, turns) = self.merged();
         let (mut blocked, mut panics) = (Vec::new(), Vec::new());
-        for (i, slot) in self.inner.procs.snapshot().iter().enumerate() {
+        for (i, slot) in self.inner.procs.iter() {
             if let Slot::Party {
                 kind: PartyKind::User,
                 name,
                 exit,
                 ..
-            } = slot.as_ref()
+            } = slot
             {
                 let pid = ProcessId::from_raw(i as u64);
                 match exit.get() {
@@ -675,15 +652,58 @@ impl ThreadedRuntime {
             events: self.inner.seq.load(Ordering::Relaxed),
             blocked,
             panics,
-            stats: self.inner.merged_stats(),
+            stats,
             hit_event_limit: hit_timeout,
-            turns: self.inner.turns.load(Ordering::Relaxed),
+            turns,
         }
     }
 
-    /// Message statistics so far (all lanes merged).
+    /// Message statistics so far: every shard's, asked for and merged
+    /// (`srtt_nanos` as the sample-weighted mean of the shards').
     pub fn stats(&self) -> MessageStats {
-        self.inner.merged_stats()
+        self.merged().0
+    }
+
+    /// Every shard's statistics and turns, asked for and summed.
+    fn merged(&self) -> (MessageStats, u64) {
+        let mut total = (MessageStats::new(), 0);
+        for ix in 0..self.shards() {
+            let (stats, turns) = self.ask(ix, |sched| (sched.stats.clone(), sched.turns));
+            total.0.merge(&stats);
+            total.1 += turns;
+        }
+        total
+    }
+
+    /// Asks shard `ix`: `f` is queued to the shard and run on its scheduler
+    /// between turns while the caller waits. Panics on a shard thread (a
+    /// body or a handler), where it could wait for its own shard, and when
+    /// the shard has stopped, which would never answer.
+    fn ask<T: Send + 'static>(
+        &self,
+        ix: usize,
+        f: impl FnOnce(&Scheduler<Lane>) -> T + Send + 'static,
+    ) -> T {
+        let me = std::thread::current().id();
+        if let Some(on) = self.threads.iter().position(|t| t.thread().id() == me) {
+            panic!(
+                "shard {ix} was asked on shard {on}'s thread (a process body or a handler), \
+                 where it could wait for itself; call it from a driver thread"
+            );
+        }
+        let stopped = || -> ! { panic!("shard {ix} has stopped: a handler panicked on it") };
+        let (tx, rx) = std::sync::mpsc::channel();
+        let ask: Ask = Box::new(move |sched| drop(tx.send(f(sched))));
+        let shard = &self.inner.shards[ix];
+        let mut asks = shard.asks.lock();
+        if shard.closed.load(Ordering::Relaxed) {
+            stopped(); // the guard unlocks as the panic unwinds
+        }
+        asks.push(ask);
+        drop(asks);
+        shard.asked.store(true, Ordering::Release);
+        shard.bell.notify();
+        rx.recv().unwrap_or_else(|_| stopped())
     }
 
     /// The shared causal-trace collector (always present; disabled unless
@@ -693,30 +713,16 @@ impl ThreadedRuntime {
     }
 }
 
-/// Queued to the shard that owns the pid and run there between turns while
-/// the caller waits; panics on a shard thread (a body or a handler), where
-/// it could wait for its own shard.
+/// An ask to the shard that owns the pid: run there between turns while
+/// the caller waits; panics on a shard thread and on a stopped shard.
 impl Inspect for ThreadedRuntime {
     fn inspect<T: Send + 'static>(
         &self,
         pid: ProcessId,
         f: impl FnOnce(Option<&dyn ControlHandler>) -> T + Send + 'static,
     ) -> T {
-        let me = std::thread::current().id();
-        if let Some(ix) = self.threads.iter().position(|t| t.thread().id() == me) {
-            panic!(
-                "an observer of process {pid} was called on shard {ix}'s thread, from a \
-                 process body or a handler; it would wait for a shard's answer there, \
-                 so call it from a driver thread"
-            );
-        }
-        let (tx, rx) = std::sync::mpsc::channel();
-        let shard = &self.inner.shards[shard_of(pid, self.inner.shards.len())];
-        let ask = move |sched: &Scheduler<Lane>| drop(tx.send(f(sched.control_ref(pid))));
-        shard.asks.lock().push(Box::new(ask));
-        shard.asked.store(true, Ordering::Release);
-        shard.bell.notify();
-        rx.recv().expect("a shard answers while its runtime runs")
+        let ix = shard_of(pid, self.shards());
+        self.ask(ix, move |sched| f(sched.control_ref(pid)))
     }
 }
 

@@ -1,14 +1,18 @@
 //! Raw threaded-runtime tests: real latency, real parallelism, actor
-//! delivery, control interception and shutdown hygiene.
+//! delivery, control interception, shutdown hygiene, and asks to a shard
+//! that cannot answer.
 
 use std::sync::{Arc, Mutex};
 use std::thread::ThreadId;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use hope_runtime::{Actor, ActorApi, ControlApi, ControlHandler, NetworkConfig, ThreadedRuntime};
+use hope_runtime::{
+    Actor, ActorApi, ControlApi, ControlHandler, Inspect, NetworkConfig, ThreadedRuntime,
+};
 use hope_types::{
     Envelope, HopeMessage, IntervalId, Payload, ProcessId, UserMessage, VirtualDuration,
+    VirtualTime,
 };
 
 const GRACE: Duration = Duration::from_millis(25);
@@ -304,5 +308,76 @@ fn a_burst_on_a_clean_reliable_link_is_not_resent() {
             link.rtt_samples == 0 || link.srtt_nanos > 0,
             "shards({shards}): samples but no srtt: {link}"
         );
+    }
+}
+
+/// Panics at its first message. Nothing catches a handler's panic, so it
+/// ends the thread of the shard the actor is on.
+struct Bomb;
+impl Actor for Bomb {
+    fn on_message(&mut self, _: Envelope, _: &mut dyn ActorApi) {
+        panic!("the bomb went off");
+    }
+}
+
+/// The message `f` panicked with, if it did.
+fn panic_of<T>(f: impl FnOnce() -> T) -> Option<String> {
+    let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).err()?;
+    Some(err.downcast_ref::<String>().cloned().unwrap_or_default())
+}
+
+#[test]
+fn an_ask_to_a_stopped_shard_panics_instead_of_hanging() {
+    // Shard 0 holds the bomb and no process: unwinding through a suspended
+    // coroutine is not what this test is about.
+    let rt = ThreadedRuntime::builder().shards(2).build();
+    let bomb = rt.spawn_actor("bomb", Box::new(Bomb));
+    let echo = rt.spawn_actor("echo", Box::new(Echo));
+    rt.inject(Envelope {
+        src: echo,
+        dst: bomb,
+        sent_at: VirtualTime::ZERO,
+        seq: 0,
+        payload: user(b"boom"),
+    });
+    // An ask may still be answered before the bomb goes off; after, every
+    // one fails at once.
+    let start = Instant::now();
+    let msg = loop {
+        if let Some(msg) = panic_of(|| rt.stats()) {
+            break msg;
+        }
+        assert!(start.elapsed() < TIMEOUT, "shard 0 never stopped");
+        std::thread::sleep(Duration::from_millis(1));
+    };
+    assert!(msg.contains("shard 0 has stopped"), "{msg}");
+    let msg = panic_of(|| rt.inspect(bomb, |control| control.is_some()));
+    assert!(msg.is_some_and(|msg| msg.contains("shard 0 has stopped")));
+    let msg = panic_of(|| rt.stacks_mapped());
+    assert!(msg.is_some_and(|msg| msg.contains("shard 0 has stopped")));
+    // The quiescence wait ends at once instead of sitting out its timeout.
+    let start = Instant::now();
+    let msg = panic_of(|| rt.run_until_quiescent(GRACE, TIMEOUT));
+    assert!(msg.is_some_and(|msg| msg.contains("shard 0 has stopped")));
+    assert!(start.elapsed() < TIMEOUT / 2, "{:?}", start.elapsed());
+    // The other shard still answers.
+    assert!(!rt.inspect(echo, |control| control.is_some()));
+}
+
+#[test]
+fn stats_called_from_a_process_body_panics_instead_of_waiting() {
+    for shards in [1, 4] {
+        let rt = Arc::new(ThreadedRuntime::builder().shards(shards).build());
+        let asker = rt.clone();
+        let pid = rt.spawn_threaded("asker", None, move |_| {
+            asker.stats();
+        });
+        let report = rt.run_until_quiescent(GRACE, TIMEOUT);
+        assert!(!report.hit_event_limit, "shards={shards}: no deadlock");
+        let [(panicked, msg)] = report.panics.as_slice() else {
+            panic!("shards={shards}: one panic, got {:?}", report.panics);
+        };
+        assert_eq!(*panicked, pid);
+        assert!(msg.contains("call it from a driver thread"), "{msg}");
     }
 }
