@@ -14,14 +14,22 @@
 //! - a coroutine is never dropped mid-turn: `Drop` resumes a suspended body
 //!   once, with [`Yielder::suspend`] answering `false` from then on, and
 //!   waits for it to finish, so every frame on the stack is gone before the
-//!   stack is unmapped or reused;
+//!   stack is reused or unmapped;
 //! - nothing here is `Send`: a suspended stack may hold borrows of the
 //!   thread's locals.
+//!
+//! A stack outlives its coroutine: once the coroutine is dropped, the
+//! stack goes to its thread's free list, and [`Stack::take`] maps a new
+//! one only when that list is empty. So a thread holds at most its own peak of live coroutines'
+//! stacks, with their touched pages resident, and a runtime built on a
+//! warm thread maps none; the list unmaps what it holds when its thread
+//! exits.
 
 #[cfg(not(target_arch = "x86_64"))]
 compile_error!("hope-runtime's coroutine switch (src/coro.rs) is written for x86_64 only");
 
 use std::arch::naked_asm;
+use std::cell::RefCell;
 use std::ffi::{c_int, c_void};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::ptr::{self, NonNull};
@@ -57,13 +65,40 @@ pub(crate) struct Stack {
     base: NonNull<u8>,
 }
 
+/// The bases of the stacks this thread's finished coroutines left, each
+/// mapped as [`Stack::map`] maps one and used by no one.
+struct FreeStacks(RefCell<Vec<NonNull<u8>>>);
+
+thread_local! {
+    static FREE: FreeStacks = const { FreeStacks(RefCell::new(Vec::new())) };
+}
+
+impl Drop for FreeStacks {
+    fn drop(&mut self) {
+        for base in self.0.get_mut().drain(..) {
+            // SAFETY: a dropped `Stack` handed its own mapping over, and
+            // nothing runs on a stack in this list.
+            unsafe { munmap(base.as_ptr().cast(), STACK_BYTES) };
+        }
+    }
+}
+
 impl Stack {
+    /// A stack from this thread's free list, or a new mapping if the list
+    /// is empty; true if it is new.
+    pub fn take() -> (Stack, bool) {
+        match FREE.try_with(|free| free.0.borrow_mut().pop()) {
+            Ok(Some(base)) => (Stack { base }, false),
+            _ => (Stack::map(), true),
+        }
+    }
+
     /// Maps a fresh stack.
     ///
     /// # Panics
     ///
     /// Panics if the kernel refuses the mapping.
-    pub fn new() -> Stack {
+    fn map() -> Stack {
         // SAFETY: an anonymous private mapping at a kernel-chosen address
         // touches no existing memory.
         let base = unsafe {
@@ -101,11 +136,20 @@ impl Stack {
     }
 }
 
+/// Back onto the thread's free list; unmapped if the thread's locals are
+/// already gone.
 impl Drop for Stack {
     fn drop(&mut self) {
-        // SAFETY: the mapping is this `Stack`'s own, and whoever ran on it
-        // has finished: a `Coroutine` holds its stack until its body is done.
-        unsafe { munmap(self.base.as_ptr().cast(), STACK_BYTES) };
+        let base = self.base;
+        if FREE
+            .try_with(|free| free.0.borrow_mut().push(base))
+            .is_err()
+        {
+            // SAFETY: the mapping is this `Stack`'s own, and whoever ran on
+            // it has finished: a `Coroutine` holds its stack until its body
+            // is done.
+            unsafe { munmap(base.as_ptr().cast(), STACK_BYTES) };
+        }
     }
 }
 
@@ -189,8 +233,9 @@ struct Inner<O> {
 pub(crate) struct Coroutine<O> {
     /// Freed in `Drop`; only ever used through this pointer.
     inner: *mut Inner<O>,
-    /// `None` once [`Coroutine::into_stack`] has taken it back.
-    stack: Option<Stack>,
+    /// Dropped after `Drop` has run the body out, so back to the free list
+    /// with no frame on it.
+    _stack: Stack,
 }
 
 /// The body's handle on its coroutine.
@@ -233,7 +278,7 @@ impl<O> Coroutine<O> {
         }
         Coroutine {
             inner,
-            stack: Some(stack),
+            _stack: stack,
         }
     }
 
@@ -253,26 +298,17 @@ impl<O> Coroutine<O> {
                 "resumed a finished coroutine"
             );
             // SAFETY: `own_sp` was saved by the body's last `switch` (or
-            // laid out by `new`), and its stack is `self.stack`, mapped.
+            // laid out by `new`), and its stack is `self._stack`, mapped.
             switch(&mut (*inner).caller_sp, (*inner).own_sp);
             (*inner).out.take()
         }
     }
 
     /// True once the body has returned or lost a panic.
+    #[cfg(test)]
     fn finished(&self) -> bool {
         // SAFETY: `inner` is live until `Drop` and the body is not running.
         unsafe { (*self.inner).state == State::Finished }
-    }
-
-    /// The stack of a finished coroutine, for the next one to reuse.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the body has not finished: its frames are still on it.
-    pub fn into_stack(mut self) -> Stack {
-        assert!(self.finished(), "a coroutine keeps its stack until done");
-        self.stack.take().expect("the stack is taken once")
     }
 }
 
@@ -354,7 +390,7 @@ mod tests {
     fn values_are_yielded_and_resumed_in_order() {
         let log = Rc::new(std::cell::RefCell::new(Vec::new()));
         let l = log.clone();
-        let mut co = Coroutine::new(Stack::new(), move |y| {
+        let mut co = Coroutine::new(Stack::take().0, move |y| {
             for i in 0..3 {
                 l.borrow_mut().push(format!("body {i}"));
                 assert!(y.suspend(i));
@@ -394,7 +430,7 @@ mod tests {
 
     #[test]
     fn a_body_panic_is_caught_inside_the_coroutine() {
-        let mut co = Coroutine::<u32>::new(Stack::new(), |y| {
+        let mut co = Coroutine::<u32>::new(Stack::take().0, |y| {
             y.suspend(1);
             panic!("body-boom")
         });
@@ -402,7 +438,7 @@ mod tests {
         assert_eq!(co.resume(), None, "a lost body hands nothing over");
         assert!(co.finished());
         // Even a payload that panics on drop stays inside.
-        let mut co = Coroutine::<u32>::new(Stack::new(), |_| std::panic::panic_any(PanicOnDrop));
+        let mut co = Coroutine::<u32>::new(Stack::take().0, |_| std::panic::panic_any(PanicOnDrop));
         assert_eq!(co.resume(), None);
         assert!(co.finished());
         assert!(!std::thread::panicking());
@@ -422,7 +458,7 @@ mod tests {
         let dropped = Rc::new(Cell::new(false));
         let answered = Rc::new(Cell::new(None));
         let (d, a) = (dropped.clone(), answered.clone());
-        let mut co = Coroutine::new(Stack::new(), move |y| {
+        let mut co = Coroutine::new(Stack::take().0, move |y| {
             let _flag = DropFlag(d);
             let resumed = y.suspend(());
             // Running out: a later suspend answers at once.
@@ -437,7 +473,7 @@ mod tests {
         // A never-resumed body is dropped without running.
         let dropped = Rc::new(Cell::new(false));
         let flag = DropFlag(dropped.clone());
-        let co = Coroutine::new(Stack::new(), move |_| drop(flag));
+        let co = Coroutine::new(Stack::take().0, move |_| drop(flag));
         drop(co);
         assert!(dropped.get());
     }
@@ -448,16 +484,25 @@ mod tests {
             let local = 0u8;
             std::hint::black_box(&local) as *const u8 as usize
         }
-        let stack = Stack::new();
-        let (low, high) = (stack.base.as_ptr() as usize, stack.top() as usize);
-        let mut first = Coroutine::new(stack, local_address);
-        let first_at = first.resume().unwrap();
-        assert!((low..high).contains(&first_at));
-        let mut second = Coroutine::new(first.into_stack(), local_address);
-        assert_eq!(
-            second.resume(),
-            Some(first_at),
-            "the second body ran on the first one's memory"
-        );
+        // On a thread of its own, whose free list starts empty.
+        std::thread::spawn(|| {
+            let (stack, fresh) = Stack::take();
+            assert!(fresh, "a new thread maps its first stack");
+            let (low, high) = (stack.base.as_ptr() as usize, stack.top() as usize);
+            let mut first = Coroutine::new(stack, local_address);
+            let first_at = first.resume().unwrap();
+            assert!((low..high).contains(&first_at));
+            drop(first);
+            let (stack, fresh) = Stack::take();
+            assert!(!fresh, "the finished coroutine's stack came back");
+            let mut second = Coroutine::new(stack, local_address);
+            assert_eq!(
+                second.resume(),
+                Some(first_at),
+                "the second body ran on the first one's memory"
+            );
+        })
+        .join()
+        .unwrap();
     }
 }

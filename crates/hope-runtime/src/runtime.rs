@@ -240,9 +240,11 @@ impl SimRuntime {
         &self.sched.stats
     }
 
-    /// Coroutine stacks mapped so far. A process takes an idle stack at its
-    /// first resume and returns it when it exits, so this stays at the
-    /// peak number of processes running at once, not the number spawned.
+    /// Coroutine stacks this runtime mapped so far. A process takes a stack
+    /// from its thread's free list at its first resume, mapping one only
+    /// when the list is empty, and returns it when it exits: this stays at
+    /// the peak number of processes running at once, not the number
+    /// spawned, less what the thread's earlier runtimes left in the list.
     pub fn stacks_mapped(&self) -> usize {
         self.sched.stacks_mapped
     }

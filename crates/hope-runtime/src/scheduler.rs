@@ -116,8 +116,8 @@ pub(crate) struct Scheduler<C> {
     pub down: BTreeMap<u64, VirtualTime>,
     /// Processes due a turn, in the order they became due.
     ready: Vec<usize>,
-    /// Stacks whose process exited, ready for the next first turn.
-    idle: Vec<Stack>,
+    /// Stacks this scheduler mapped anew, finding its thread's free list
+    /// empty.
     pub stacks_mapped: usize,
     pub turns: u64,
     pub seed: u64,
@@ -134,7 +134,6 @@ impl<C: Clock> Scheduler<C> {
             n,
             down: BTreeMap::new(),
             ready: Vec::new(),
-            idle: Vec::new(),
             stacks_mapped: 0,
             turns: 0,
             seed,
@@ -349,12 +348,12 @@ impl<C: Clock> Scheduler<C> {
         }
     }
 
-    /// A stack for a first turn: an idle one, or a new mapping.
+    /// A stack for a first turn: from this thread's free list, or a new
+    /// mapping.
     pub fn stack(&mut self) -> Stack {
-        self.idle.pop().unwrap_or_else(|| {
-            self.stacks_mapped += 1;
-            Stack::new()
-        })
+        let (stack, mapped) = Stack::take();
+        self.stacks_mapped += usize::from(mapped);
+        stack
     }
 
     pub fn send(&mut self, src: ProcessId, dst: ProcessId, payload: Payload) {
@@ -372,12 +371,6 @@ impl<C: Clock> Scheduler<C> {
         }
         self.locals.push(Some(local));
         pid
-    }
-
-    /// `pid` is gone; its stack, if it still has one, is free.
-    pub fn exited(&mut self, pid: ProcessId, panic: Option<String>, stack: Option<Stack>) {
-        self.clock.exited(pid, panic);
-        self.idle.extend(stack);
     }
 }
 

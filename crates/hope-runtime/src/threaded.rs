@@ -529,10 +529,11 @@ impl ThreadedRuntime {
         self.inner.shards.len()
     }
 
-    /// Coroutine stacks mapped so far, over all shards. A process takes an
-    /// idle stack of its shard at its first turn and returns it when it
-    /// exits, so this stays at the peak number of processes running at
-    /// once, not the number spawned.
+    /// Coroutine stacks mapped so far, over all shards. A process takes a
+    /// stack from its shard thread's free list at its first turn, mapping
+    /// one only when the list is empty, and returns it when it exits, so
+    /// this stays at the peak number of processes running at once, not the
+    /// number spawned. The lists die with the shard threads.
     pub fn stacks_mapped(&self) -> usize {
         let shards = 0..self.shards();
         shards

@@ -18,9 +18,10 @@
 //! registered at once.
 //!
 //! Stacks are reused. A process gets its stack at its first resume, from
-//! the runtime's idle list or a new mapping, and the stack goes back to
-//! that list when the body exits. Thread-locals and
-//! `std::thread::current()` are the running thread's, not the process's.
+//! the running thread's free list or a new mapping, and the stack goes
+//! back to that list when the body exits, to serve any runtime on the
+//! thread. Thread-locals and `std::thread::current()` are the running
+//! thread's, not the process's.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -138,7 +139,7 @@ pub(crate) struct Shared {
 /// [`YieldMsg`], or `None` if a panic escaped the body and lost the
 /// process. Dropping it resumes a suspended body once, so the body sees the
 /// runtime shut down (its wait returns `None`/`false`) and runs out before
-/// its stack is unmapped.
+/// its stack goes back to the thread's free list.
 type Worker = Coroutine<YieldMsg>;
 
 /// One threaded process as its runtime holds it: the body (and the seed of
@@ -239,23 +240,21 @@ impl Proc {
             }
         }
         self.shared.borrow_mut().outbox = out;
-        self.status = match msg {
-            Some(YieldMsg::Blocked { channel }) => {
+        // A lost body exits without a message.
+        self.status = match msg.unwrap_or(YieldMsg::Exited { panic: None }) {
+            YieldMsg::Blocked { channel } => {
                 self.blocked_channel = channel;
                 ProcessStatus::Blocked
             }
-            Some(YieldMsg::Park) => ProcessStatus::Parked,
-            Some(YieldMsg::Compute { dur }) => {
+            YieldMsg::Park => ProcessStatus::Parked,
+            YieldMsg::Compute { dur } => {
                 sched.push(sched.clock.now() + dur, EventKind::Wake(pid));
                 ProcessStatus::Sleeping
             }
-            Some(YieldMsg::Exited { panic }) => {
-                sched.exited(pid, panic, self.worker.take().map(Worker::into_stack));
-                ProcessStatus::Exited
-            }
-            None => {
+            YieldMsg::Exited { panic } => {
+                // Its stack goes back to this thread's free list.
                 self.worker = None;
-                sched.exited(pid, None, None);
+                sched.clock.exited(pid, panic);
                 ProcessStatus::Exited
             }
         };

@@ -496,50 +496,58 @@ fn sequential_children_reuse_one_stack() {
     }
 }
 
+/// A parent that runs `waves` waves of `size` children, every child of a
+/// wave live at once (blocked in `receive`); each child counts itself
+/// into `done` as it ends.
+fn waves(
+    done: Arc<Mutex<usize>>,
+    waves: usize,
+    size: usize,
+) -> impl FnOnce(&mut dyn SysApi) + Send + 'static {
+    move |ctx| {
+        let parent = ctx.pid();
+        for _ in 0..waves {
+            let children: Vec<ProcessId> = (0..size)
+                .map(|_| {
+                    let d = done.clone();
+                    ctx.spawn_threaded(
+                        "child",
+                        None,
+                        Box::new(move |cctx: &mut dyn SysApi| {
+                            cctx.send(parent, user(b"ready"));
+                            cctx.receive(None, &mut || false).unwrap();
+                            *d.lock().unwrap() += 1;
+                            cctx.send(parent, user(b"done"));
+                        }),
+                    )
+                })
+                .collect();
+            // Every child of the wave is blocked in `receive` at once.
+            for _ in 0..size {
+                ctx.receive(None, &mut || false).unwrap();
+            }
+            for &child in &children {
+                ctx.send(child, user(b"go"));
+            }
+            for _ in 0..size {
+                ctx.receive(None, &mut || false).unwrap();
+            }
+        }
+    }
+}
+
 #[test]
 fn mapped_stacks_never_outnumber_peak_live_processes() {
     // Two waves of 64 children, all of one wave live at once; a stack per
     // process would map 129. On the simulator, and on a threaded runtime
     // whose one shard runs every process.
     const WAVE: usize = 64;
-    fn parent(done: Arc<Mutex<usize>>) -> impl FnOnce(&mut dyn SysApi) + Send + 'static {
-        move |ctx| {
-            let parent = ctx.pid();
-            for _ in 0..2 {
-                let children: Vec<ProcessId> = (0..WAVE)
-                    .map(|_| {
-                        let d = done.clone();
-                        ctx.spawn_threaded(
-                            "child",
-                            None,
-                            Box::new(move |cctx: &mut dyn SysApi| {
-                                cctx.send(parent, user(b"ready"));
-                                cctx.receive(None, &mut || false).unwrap();
-                                *d.lock().unwrap() += 1;
-                                cctx.send(parent, user(b"done"));
-                            }),
-                        )
-                    })
-                    .collect();
-                // Every child of the wave is blocked in `receive` at once.
-                for _ in 0..WAVE {
-                    ctx.receive(None, &mut || false).unwrap();
-                }
-                for &child in &children {
-                    ctx.send(child, user(b"go"));
-                }
-                for _ in 0..WAVE {
-                    ctx.receive(None, &mut || false).unwrap();
-                }
-            }
-        }
-    }
     let (sim_done, threaded_done) = (Arc::new(Mutex::new(0)), Arc::new(Mutex::new(0)));
     let mut sim = SimRuntime::new();
-    sim.spawn_threaded("parent", None, parent(sim_done.clone()));
+    sim.spawn_threaded("parent", None, waves(sim_done.clone(), 2, WAVE));
     assert!(sim.run().is_clean());
     let threaded = ThreadedRuntime::builder().shards(1).build();
-    threaded.spawn_threaded("parent", None, parent(threaded_done.clone()));
+    threaded.spawn_threaded("parent", None, waves(threaded_done.clone(), 2, WAVE));
     let report = threaded.run_until_quiescent(Duration::from_millis(25), Duration::from_secs(30));
     assert!(report.is_clean(), "{:?}", report.panics);
     for (runtime, done, stacks) in [
@@ -552,6 +560,38 @@ fn mapped_stacks_never_outnumber_peak_live_processes() {
             "{runtime}: two waves of {WAVE} mapped {stacks} stacks"
         );
     }
+}
+
+#[test]
+fn a_runtime_on_a_warm_thread_maps_no_stack() {
+    // Three simulators one after another on one new thread: the stacks the
+    // first leaves behind serve the next, and a larger wave maps only what
+    // the thread's free list lacks.
+    const WAVE: usize = 64;
+    const BIG: usize = 100;
+    std::thread::spawn(|| {
+        let run = |count: usize, size: usize| {
+            let done = Arc::new(Mutex::new(0));
+            let mut rt = SimRuntime::new();
+            rt.spawn_threaded("parent", None, waves(done.clone(), count, size));
+            assert!(rt.run().is_clean());
+            assert_eq!(*done.lock().unwrap(), count * size);
+            rt.stacks_mapped()
+        };
+        let a = run(2, WAVE);
+        assert!(a <= WAVE + 1, "the first runtime mapped {a} stacks");
+        let b = run(2, WAVE);
+        assert_eq!(b, 0, "the second runtime mapped {b} stacks");
+        // The parent and its wave of 100 are live at once.
+        let c = run(1, BIG);
+        assert_eq!(
+            c,
+            BIG + 1 - a,
+            "the third runtime's peak less what it found"
+        );
+    })
+    .join()
+    .unwrap();
 }
 
 /// Runs `f` on another thread and fails if it does not finish in time.
@@ -667,18 +707,24 @@ fn a_reused_stack_reports_panics_per_pid_and_leaks_no_state() {
     assert_eq!(report.panics.len(), 1, "only the first process panicked");
     assert_eq!(rt.stacks_mapped(), 1, "the stack was reused");
 
-    // Same (seed, pid) on a fresh runtime, on a fresh stack.
-    let mut fresh = SimRuntime::builder().seed(SEED).build();
-    fresh.spawn_actor("filler", Box::new(hope_runtime::NullActor));
+    // Same (seed, pid) on a fresh runtime, on a fresh stack: on a new
+    // thread, whose free list is empty.
     let expected = Arc::new(Mutex::new(Vec::new()));
     let e = expected.clone();
-    let same = fresh.spawn_threaded("good", None, move |ctx| {
-        for _ in 0..5 {
-            e.lock().unwrap().push(ctx.random_u64());
-        }
-    });
-    assert_eq!(same, good);
-    assert!(fresh.run().is_clean());
+    std::thread::spawn(move || {
+        let mut fresh = SimRuntime::builder().seed(SEED).build();
+        fresh.spawn_actor("filler", Box::new(hope_runtime::NullActor));
+        let same = fresh.spawn_threaded("good", None, move |ctx| {
+            for _ in 0..5 {
+                e.lock().unwrap().push(ctx.random_u64());
+            }
+        });
+        assert_eq!(same, good);
+        assert!(fresh.run().is_clean());
+        assert_eq!(fresh.stacks_mapped(), 1, "the stack was fresh");
+    })
+    .join()
+    .unwrap();
     assert_eq!(*draws.lock().unwrap(), *expected.lock().unwrap());
 }
 
