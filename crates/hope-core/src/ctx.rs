@@ -304,17 +304,19 @@ impl ProcessCtx<'_> {
             if lib.history.covers(tag) {
                 return;
             }
-            let iid = lib
-                .history
-                .open_interval(IntervalOrigin::ImplicitReceive { op }, tag.iter().copied());
-            let pos = lib.history.intervals().len() - 1;
             // Delta registration: only tag members this process is not
-            // already registered for (DESIGN.md S7).
+            // already registered for (DESIGN.md S7), asked of the records
+            // before the one about to open, before it adds the tag to what
+            // the history holds.
+            let pos = lib.history.intervals().len();
             let delta: IdoSet = tag
                 .iter()
                 .filter(|y| !lib.history.held_before(pos, y))
                 .copied()
                 .collect();
+            let iid = lib
+                .history
+                .open_interval(IntervalOrigin::ImplicitReceive { op }, tag.iter().copied());
             (iid, delta)
         };
         self.register_guesses(iid, &delta);
@@ -462,19 +464,20 @@ impl ProcessCtx<'_> {
         let op = self.log.record(Op::Guess { aid, outcome: true });
         let (iid, delta) = {
             let mut lib = self.lib.borrow_mut();
-            let iid = lib
-                .history
-                .open_interval(IntervalOrigin::ExplicitGuess { op }, [aid]);
-            let pos = lib.history.intervals().len() - 1;
             // Register only the fresh guess, and only when no older live
             // interval already holds it (delta registration — the §6
             // quadratic re-registration of the whole inherited set is
-            // substituted per DESIGN.md S7).
+            // substituted per DESIGN.md S7). Asked before the interval
+            // opens, so a fresh AID is still above everything held.
+            let pos = lib.history.intervals().len();
             let delta = if lib.history.held_before(pos, &aid) {
                 IdoSet::new()
             } else {
                 IdoSet::singleton(aid)
             };
+            let iid = lib
+                .history
+                .open_interval(IntervalOrigin::ExplicitGuess { op }, [aid]);
             (iid, delta)
         };
         self.register_guesses(iid, &delta);

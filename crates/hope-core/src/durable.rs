@@ -443,8 +443,12 @@ fn apply_event(payload: &[u8], ops: &mut OpList) -> bool {
 
 /// A cloneable, lockable handle to one process's [`DurableStore`],
 /// implementing the [`ReplayLog`](crate::replay::ReplayLog) sink/source
-/// traits. Lock ordering: the HOPElib lock is always taken before the
-/// store lock, never the reverse.
+/// traits. A HOPElib has no lock (its `LibState` is a `RefCell` its
+/// process's owner thread borrows), so the owner takes the store lock
+/// from the body's log or from `Control` (finalize, crash, restart)
+/// holding at most that borrow. A driver thread reading snapshots holds
+/// only [`StoreRegistry`]'s list lock, if any. No lock is taken while the
+/// store lock is held, so lock order is registry, then store.
 #[derive(Debug, Clone)]
 pub struct StoreHandle(Arc<Mutex<DurableStore>>);
 

@@ -23,7 +23,7 @@ use hope_runtime::{ControlApi, ControlHandler};
 
 use crate::config::HopeConfig;
 use crate::durable::{StoreHandle, StoreRegistry};
-use crate::interval::History;
+use crate::interval::{History, IntervalRecord};
 use crate::metrics::HopeMetrics;
 
 /// A rollback demanded by `Control`, awaiting execution on the user
@@ -307,6 +307,20 @@ impl LibState {
     /// Likewise, a `Guess` is sent for a newly acquired assumption only
     /// when no older live interval already holds it (the process would
     /// otherwise already be registered at an equal-or-lower floor).
+    ///
+    /// The work is what changes, not what is held (DESIGN.md §2.4).
+    /// Holders inherit their sets from their predecessors, so they come in
+    /// runs of equal `(ido, udo)`. Each run's head is substituted element
+    /// by element, in place: a set is deep-copied only where another owner
+    /// still shares its storage (its run, or a tag in flight). Every
+    /// decision reads only the holder's own two sets, except `held_before`
+    /// — and whatever the head acquired it now holds at a lower position,
+    /// so no `Guess` is sent for a later member either way. So the members
+    /// take clones of the head's result and keep sharing one storage. The
+    /// `UDO` is most often one set shared by every holder: the first head
+    /// to change it leaves a before/after memo, and a later head whose
+    /// `UDO` equals the memo's before takes a clone of its after, so one
+    /// `Replace` copies a shared `UDO` once.
     fn handle_replace(
         &mut self,
         sender: AidId,
@@ -321,42 +335,35 @@ impl LibState {
         if self.history.intervals()[target].definite {
             return;
         }
+        // The registrant applies the substitution unconditionally; later
+        // intervals only when they inherited the sender.
+        let holds = |rec: &IntervalRecord, pos: usize| {
+            !rec.definite && (pos == target || rec.ido.contains(&sender))
+        };
         let mut cycles_broken = 0u64;
         let mut ido_unshares = 0u64;
-        // The last holder substituted element by element: its sets before
-        // and after, and the cycles it broke. Holders inherit their sets
-        // from their predecessors, so they come in runs of equal
-        // `(ido, udo)`, and a holder equal to that one *before* is equal
-        // to it *after*: every decision below reads only the holder's own
-        // two sets, except `held_before` — and whatever the earlier holder
-        // acquired, it now holds at a lower position, so no `Guess` is
-        // sent for the later one either way. Taking clones of the result
-        // keeps the run sharing one storage instead of un-sharing every
-        // member of it.
-        struct Substituted {
-            before: (IdoSet, IdoSet),
-            after: (IdoSet, IdoSet),
-            cycles_broken: u64,
-        }
-        let mut last: Option<Substituted> = None;
-        for pos in target..self.history.intervals().len() {
-            let rec = &self.history.intervals()[pos];
-            // The registrant applies the substitution unconditionally;
-            // later intervals only when they inherited the sender.
-            if rec.definite || (pos > target && !rec.ido.contains(&sender)) {
+        let mut udo_memo: Option<(IdoSet, IdoSet)> = None;
+        let len = self.history.intervals().len();
+        let mut pos = target;
+        while pos < len {
+            let records = self.history.intervals();
+            let head = &records[pos];
+            if !holds(head, pos) {
+                pos += 1;
                 continue;
             }
-            if let Some(run) = &last {
-                if rec.ido == run.before.0 && rec.udo == run.before.1 {
-                    let rec = &mut self.history.intervals_mut()[pos];
-                    (rec.ido, rec.udo) = run.after.clone();
-                    cycles_broken += run.cycles_broken;
-                    continue;
-                }
-            }
-            let before = (rec.ido.clone(), rec.udo.clone());
+            // The run ends at the first later holder whose sets differ
+            // from the head's, found before the head changes.
+            let end = (pos + 1..len)
+                .find(|&at| {
+                    let rec = &records[at];
+                    holds(rec, at) && (rec.ido != head.ido || rec.udo != head.udo)
+                })
+                .unwrap_or(len);
+            let head_iid = head.id;
+            let ido_shared = head.ido.is_shared();
+            let mut ido_changed = false;
             let cycles_before = cycles_broken;
-            let pos_iid = rec.id;
             for &y in replacement.iter() {
                 let rec = &self.history.intervals()[pos];
                 if cycle_detection && rec.udo.contains(&y) {
@@ -369,28 +376,40 @@ impl LibState {
                     continue;
                 }
                 let registered = self.history.held_before(pos, &y);
-                self.history.intervals_mut()[pos].ido.insert(y);
+                self.history.acquire(pos, y);
+                ido_changed = true;
                 if !registered {
                     // First acquisition across the whole history suffix:
                     // this interval becomes Y's registrant.
                     api.send(
                         y.process(),
-                        Payload::Hope(HopeMessage::Guess { iid: pos_iid }),
+                        Payload::Hope(HopeMessage::Guess { iid: head_iid }),
                     );
                 }
             }
             let rec = &mut self.history.intervals_mut()[pos];
-            rec.ido.remove(&sender);
-            rec.udo.insert(sender);
-            // A set on the heap that no longer shares `before`'s storage
-            // was deep-copied to be changed.
-            let on_heap = before.0.shares_storage(&before.0);
-            ido_unshares += u64::from(on_heap && !rec.ido.shares_storage(&before.0));
-            last = Some(Substituted {
-                before,
-                after: (rec.ido.clone(), rec.udo.clone()),
-                cycles_broken: cycles_broken - cycles_before,
-            });
+            ido_changed |= rec.ido.remove(&sender);
+            ido_unshares += u64::from(ido_shared && ido_changed);
+            match &udo_memo {
+                Some((before, after)) if rec.udo == *before => rec.udo = after.clone(),
+                _ => {
+                    let before = rec.udo.clone();
+                    rec.udo.insert(sender);
+                    udo_memo = Some((before, rec.udo.clone()));
+                }
+            }
+            let after = (rec.ido.clone(), rec.udo.clone());
+            let broken = cycles_broken - cycles_before;
+            for (at, rec) in self.history.intervals_mut()[pos + 1..end]
+                .iter_mut()
+                .enumerate()
+            {
+                if holds(rec, pos + 1 + at) {
+                    (rec.ido, rec.udo) = after.clone();
+                    cycles_broken += broken;
+                }
+            }
+            pos = end;
         }
         self.metrics
             .ido_unshares

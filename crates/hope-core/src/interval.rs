@@ -58,8 +58,11 @@
 //!   [`History::fully_definite`], [`History::finalize_ready`], and any
 //!   outside scan, which reads [`History::live`].
 //! * **O(1)**: [`History::current`], [`History::current_deps`],
-//!   [`History::open_interval`]; [`History::covers`] reads the current
-//!   record only.
+//!   [`History::open_interval`], [`History::acquire`]; [`History::covers`]
+//!   reads the current record only; `held_before` on an AID above every
+//!   AID an IDO of this history ever held visits nothing. AIDs are pids,
+//!   handed out in ascending order, so a guess on a fresh `aid_init`
+//!   takes that path.
 //!
 //! [`History::visits`] counts the records those queries examine — a
 //! deterministic probe of local bookkeeping work (experiment E5b), which
@@ -170,8 +173,15 @@ pub struct History {
     /// is definite (module docs).
     live_from: usize,
     /// Records examined by queries so far; a `Cell` only because queries
-    /// take `&self` — the history is always behind its HOPElib's lock.
+    /// take `&self`. The history belongs to one HOPElib, whose owner runs
+    /// on one thread (`LibState`), so nothing else reads or writes it.
     visits: Cell<u64>,
+    /// The largest AID ever put into any IDO of this history (`None`
+    /// before the first). It only grows: an IDO grows only through
+    /// [`open_interval`](History::open_interval) and
+    /// [`acquire`](History::acquire), and a truncation or a finalize
+    /// leaves it as it is, which keeps it an upper bound.
+    max_held: Option<AidId>,
 }
 
 impl History {
@@ -183,6 +193,7 @@ impl History {
             next_index: 1,
             live_from: 1,
             visits: Cell::new(0),
+            max_held: None,
         }
     }
 
@@ -208,7 +219,8 @@ impl History {
     /// Records examined by this history's queries since it was created:
     /// binary-search probes of the id lookups plus the live-window records
     /// walked by `held_before`, [`fully_definite`](History::fully_definite)
-    /// and [`finalize_ready`](History::finalize_ready).
+    /// and [`finalize_ready`](History::finalize_ready). A `held_before`
+    /// on an AID no IDO of this history has held adds nothing.
     pub fn visits(&self) -> u64 {
         self.visits.get()
     }
@@ -219,7 +231,8 @@ impl History {
 
     /// Mutable access to the live intervals (protocol handlers apply a
     /// `Replace` to the target *and* every later interval holding the
-    /// replaced AID).
+    /// replaced AID). An IDO may shrink through it, never grow: use
+    /// [`acquire`](History::acquire).
     pub(crate) fn intervals_mut(&mut self) -> &mut [IntervalRecord] {
         &mut self.intervals
     }
@@ -240,16 +253,41 @@ impl History {
     /// `y` in its IDO — i.e. this process is already registered with `y`
     /// at a rollback floor at or below `pos`, so acquiring `y` at `pos`
     /// needs no new `Guess` (delta registration, DESIGN.md S7).
+    ///
+    /// O(1) for an AID above every AID an IDO of this history ever held:
+    /// no record can hold it, so none is visited.
     pub fn held_before(&self, pos: usize, y: &AidId) -> bool {
-        // Newest first: inheritance makes the predecessor the likeliest
-        // holder, and which holder answers does not matter.
+        if Some(*y) > self.max_held {
+            debug_assert!(
+                !self.scan_before(pos, y).0,
+                "{y} is held above the recorded maximum: an IDO grew outside open_interval/acquire"
+            );
+            return false;
+        }
+        let (hit, examined) = self.scan_before(pos, y);
+        self.visit(examined);
+        hit
+    }
+
+    /// Whether a live record before `pos` holds `y`, and how many records
+    /// the scan examined. Newest first: inheritance makes the predecessor
+    /// the likeliest holder, and which holder answers does not matter.
+    fn scan_before(&self, pos: usize, y: &AidId) -> (bool, usize) {
         let window = &self.intervals[self.live_from.min(pos)..pos];
         let hit = window
             .iter()
             .rev()
             .position(|r| !r.definite && r.ido.contains(y));
-        self.visit(hit.map_or(window.len(), |steps| steps + 1));
-        hit.is_some()
+        (hit.is_some(), hit.map_or(window.len(), |steps| steps + 1))
+    }
+
+    /// Adds `y` to the IDO of the record at position `pos`: a `Replace`
+    /// substituting an assumption in. Besides
+    /// [`open_interval`](History::open_interval) this is the one way an
+    /// IDO grows, so `held_before` can tell a never-held AID at once.
+    pub fn acquire(&mut self, pos: usize, y: AidId) {
+        self.max_held = self.max_held.max(Some(y));
+        self.intervals[pos].ido.insert(y);
     }
 
     /// The youngest (current) interval.
@@ -257,7 +295,8 @@ impl History {
         self.intervals.last().expect("history never empty")
     }
 
-    /// Mutable access to the youngest interval.
+    /// Mutable access to the youngest interval. Its IDO may shrink through
+    /// it, never grow (see [`acquire`](History::acquire)).
     pub fn current_mut(&mut self) -> &mut IntervalRecord {
         self.intervals.last_mut().expect("history never empty")
     }
@@ -267,7 +306,9 @@ impl History {
         self.position_of(id).map(|pos| &self.intervals[pos])
     }
 
-    /// Mutable lookup by id.
+    /// Mutable lookup by id. The record's IDO may shrink through it, never
+    /// grow (see [`acquire`](History::acquire)); debug builds check that
+    /// at every `held_before`.
     pub fn get_mut(&mut self, id: IntervalId) -> Option<&mut IntervalRecord> {
         self.position_of(id).map(|pos| &mut self.intervals[pos])
     }
@@ -310,10 +351,15 @@ impl History {
         let id = IntervalId::new(self.process, self.next_index);
         self.next_index += 1;
         let trigger: IdoSet = extra.into_iter().collect();
-        // O(1): large cumulative sets are Arc-shared until a mutation, and
-        // an extend that adds nothing keeps the sharing.
-        let mut ido = self.current().ido.clone();
-        ido.extend(trigger.iter().copied());
+        self.max_held = self.max_held.max(trigger.as_slice().last().copied());
+        // One merge, or none: large cumulative sets are Arc-shared until a
+        // mutation, so a trigger that adds nothing keeps the sharing.
+        let inherited = &self.current().ido;
+        let ido = if trigger.is_subset(inherited) {
+            inherited.clone()
+        } else {
+            inherited.union(&trigger)
+        };
         self.intervals.push(IntervalRecord {
             id,
             origin,
@@ -457,6 +503,11 @@ mod tests {
             ra.ido.shares_storage(&rb.ido),
             "inheritance must be copy-on-write, not a deep clone"
         );
+        // A trigger the inherited set already holds adds nothing.
+        let c = h.open_interval(IntervalOrigin::ExplicitGuess { op: 2 }, [aid(3), aid(7)]);
+        assert!(h.get(c).unwrap().ido.shares_storage(&h.get(a).unwrap().ido));
+        let d = h.open_interval(IntervalOrigin::ExplicitGuess { op: 3 }, [aid(99)]);
+        assert_eq!(h.get(d).unwrap().ido.len(), 17, "a new member is merged in");
     }
 
     #[test]
@@ -471,6 +522,29 @@ mod tests {
         h.get_mut(a).unwrap().ido.clear();
         h.get_mut(a).unwrap().definite = true;
         assert!(!h.held_before(2, &aid(1)));
+    }
+
+    /// AIDs are pids, handed out in ascending order: a guess on a fresh
+    /// one asks about an AID above everything the history ever held, and
+    /// no record can hold it.
+    #[test]
+    fn held_before_on_a_never_held_aid_visits_nothing() {
+        let mut h = History::new(pid(1));
+        for n in 1..=8 {
+            h.open_interval(IntervalOrigin::ExplicitGuess { op: n }, [aid(n as u64)]);
+        }
+        let end = h.intervals().len();
+        let before = h.visits();
+        assert!(!h.held_before(end, &aid(9)), "never held");
+        assert_eq!(h.visits(), before, "a never-held AID visits no record");
+        // A held AID still scans, newest first.
+        assert!(h.held_before(end, &aid(1)));
+        assert_eq!(h.visits(), before + 1, "the predecessor holds it");
+        assert!(!h.held_before(1, &aid(8)), "aid(8) is held only later");
+        // `acquire` raises the bound: aid(9) is now held, and found.
+        h.acquire(3, aid(9));
+        assert!(h.held_before(end, &aid(9)));
+        assert!(!h.held_before(end, &aid(10)));
     }
 
     #[test]

@@ -278,9 +278,14 @@ proptest! {
                         for y in replacement.iter() {
                             prop_assert_eq!(h.held_before(pos, y), m.held_before(pos, y));
                         }
+                        // An IDO grows only through `acquire`, which keeps
+                        // `held_before`'s never-held bound.
+                        for &y in replacement.iter() {
+                            h.acquire(pos, y);
+                        }
+                        m.records[pos].ido.extend(replacement.iter().copied());
                         let rec = h.get_mut(id).expect("the model holds it");
                         for rec in [rec, &mut m.records[pos]] {
-                            rec.ido.extend(replacement.iter().copied());
                             rec.ido.remove(&sender);
                             rec.udo.insert(sender);
                         }

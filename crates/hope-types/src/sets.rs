@@ -118,6 +118,14 @@ impl<T> IdSet<T> {
             _ => false,
         }
     }
+
+    /// True when the set's heap storage has another owner, so the next
+    /// `insert` or `remove` that changes it deep-copies it first.
+    /// Diagnostic only: the HOPElib counts those copies.
+    #[doc(hidden)]
+    pub fn is_shared(&self) -> bool {
+        matches!(&self.repr, Repr::Shared(v) if Arc::strong_count(v) > 1)
+    }
 }
 
 impl<T: Ord + Copy> IdSet<T> {
@@ -396,7 +404,20 @@ impl<T> Default for IdSet<T> {
 
 impl<T: Ord + Copy> FromIterator<T> for IdSet<T> {
     fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Self {
-        let mut items: Vec<T> = iter.into_iter().collect();
+        // Members go in place until the inline tier is full, so a small
+        // set allocates nothing; a larger one is collected and sorted once.
+        let mut iter = iter.into_iter();
+        let mut set = IdSet::new();
+        while set.len() < INLINE_CAP {
+            match iter.next() {
+                Some(item) => set.insert(item),
+                None => return set,
+            };
+        }
+        let Some(next) = iter.next() else {
+            return set;
+        };
+        let mut items: Vec<T> = set.iter().copied().chain([next]).chain(iter).collect();
         items.sort_unstable();
         items.dedup();
         IdSet::from_sorted_vec(items)
@@ -523,6 +544,12 @@ mod tests {
         let mut s: IdoSet = [aid(3), aid(1)].into_iter().collect();
         s.extend([aid(2), aid(1)]);
         assert_eq!(s.as_slice(), &[aid(1), aid(2), aid(3)]);
+        // Duplicates on both sides of the inline tier's edge.
+        let small: IdSet<u32> = [4, 1, 4, 1, 2, 3, 3].into_iter().collect();
+        assert_eq!(small.as_slice(), &[1, 2, 3, 4]);
+        let large: IdSet<u32> = [5, 1, 5, 1, 2, 3, 3, 4, 0, 2].into_iter().collect();
+        assert_eq!(large.as_slice(), &[0, 1, 2, 3, 4, 5]);
+        assert_eq!(large, (0..6).collect());
     }
 
     #[test]
@@ -562,9 +589,15 @@ mod tests {
         let big: IdSet<u32> = (0..32).collect();
         let cloned = big.clone();
         assert!(big.shares_storage(&cloned), "clone must be O(1) COW");
+        assert!(big.is_shared() && cloned.is_shared());
         let mut mutated = cloned.clone();
         mutated.insert(100);
         assert!(!big.shares_storage(&mutated), "mutation must unshare");
+        assert!(!mutated.is_shared(), "the copy has one owner");
+        drop(cloned);
+        assert!(!big.is_shared(), "the last owner");
+        let small: IdSet<u32> = (0..3).collect();
+        assert!(!small.clone().is_shared(), "inline sets own their members");
         assert_eq!(big.len(), 32);
         assert_eq!(mutated.len(), 33);
     }
