@@ -46,7 +46,7 @@ use crate::config::DenyPolicy;
 use crate::hopelib::LibState;
 use crate::interval::IntervalOrigin;
 use crate::metrics::HopeMetrics;
-use crate::replay::{Op, ReplayLog};
+use crate::replay::Op;
 
 /// Panic payload used to unwind the user closure when one of its intervals
 /// must roll back. Caught by the process wrapper, never observable by user
@@ -131,10 +131,10 @@ impl Delivery {
 /// docs](crate::ctx) for an overview and `examples/` for full programs.
 pub struct ProcessCtx<'a> {
     pub(crate) sys: &'a mut dyn SysApi,
-    /// Borrowed only between `sys` calls, never across one: `Control`
-    /// runs while the body is suspended in one.
+    /// The HOPElib, op log included. Borrowed only between `sys` calls,
+    /// never across one: `Control` runs while the body is suspended in
+    /// one.
     pub(crate) lib: &'a RefCell<LibState>,
-    pub(crate) log: &'a mut ReplayLog,
     pub(crate) metrics: Arc<HopeMetrics>,
 }
 
@@ -171,13 +171,10 @@ impl ProcessCtx<'_> {
             state.next_channel_seq = state.next_channel_seq.max(value.wrapping_add(1));
             return value;
         }
-        let value = {
-            let mut state = self.lib.borrow_mut();
-            let v = state.next_channel_seq;
-            state.next_channel_seq = v.wrapping_add(1);
-            v
-        };
-        self.log.record(Op::ChannelSeq { value });
+        let mut state = self.lib.borrow_mut();
+        let value = state.next_channel_seq;
+        state.next_channel_seq = value.wrapping_add(1);
+        state.log.record(Op::ChannelSeq { value });
         value
     }
 
@@ -190,7 +187,7 @@ impl ProcessCtx<'_> {
     /// rollback (useful for diagnostics; user logic should not branch on
     /// it).
     pub fn is_replaying(&self) -> bool {
-        self.log.is_replaying()
+        self.lib.borrow().log.is_replaying()
     }
 
     /// True if the process currently depends on any unresolved assumption.
@@ -275,14 +272,20 @@ impl ProcessCtx<'_> {
     /// recognises it as the `what` the body is issuing now.
     #[inline]
     fn replayed<T>(&mut self, what: &str, pick: impl FnOnce(&Op) -> Option<T>) -> Option<T> {
-        if !self.log.is_replaying() {
+        let mut lib = self.lib.borrow_mut();
+        if !lib.log.is_replaying() {
             return None;
         }
         self.metrics.replayed_ops.fetch_add(1, Ordering::Relaxed);
-        match self.log.replay_next(what, pick) {
+        match lib.log.replay_next(what, pick) {
             Ok(logged) => Some(logged),
             Err(err) => std::panic::panic_any(err.to_string()),
         }
+    }
+
+    /// Logs a live op, returning its index.
+    fn record(&self, op: Op) -> usize {
+        self.lib.borrow_mut().log.record(op)
     }
 
     /// The receive-side implicit guess: a message logged at `op` whose
@@ -351,7 +354,7 @@ impl ProcessCtx<'_> {
             .sys
             .spawn_actor("aid", Box::new(AidActor::new(metrics)));
         let aid = AidId::from_raw(pid);
-        self.log.record(Op::AidInit { aid });
+        self.record(Op::AidInit { aid });
         self.trace(TraceEventKind::AidInit { aid });
         aid
     }
@@ -366,7 +369,7 @@ impl ProcessCtx<'_> {
             return;
         }
         self.check_rollback();
-        self.log.record(Op::AidRetain { aid });
+        self.record(Op::AidRetain { aid });
         self.sys.send(
             aid.process(),
             hope_types::Payload::Hope(hope_types::HopeMessage::Retain),
@@ -385,7 +388,7 @@ impl ProcessCtx<'_> {
             return;
         }
         self.check_rollback();
-        self.log.record(Op::AidRelease { aid });
+        self.record(Op::AidRelease { aid });
         self.sys.send(
             aid.process(),
             hope_types::Payload::Hope(hope_types::HopeMessage::Release),
@@ -433,7 +436,7 @@ impl ProcessCtx<'_> {
             // doomed on arrival of its own registration. Resolve on the
             // spot with the outcome the rollback would have produced.
             self.metrics.guesses.fetch_add(1, Ordering::Relaxed);
-            self.log.record(Op::Guess {
+            self.record(Op::Guess {
                 aid,
                 outcome: false,
             });
@@ -461,9 +464,9 @@ impl ProcessCtx<'_> {
         // while parked may have flipped the regime.
         let throttled = self.lib.borrow().spec.is_throttled(aid);
         self.metrics.guesses.fetch_add(1, Ordering::Relaxed);
-        let op = self.log.record(Op::Guess { aid, outcome: true });
         let (iid, delta) = {
             let mut lib = self.lib.borrow_mut();
+            let op = lib.log.record(Op::Guess { aid, outcome: true });
             // Register only the fresh guess, and only when no older live
             // interval already holds it (delta registration — the §6
             // quadratic re-registration of the whole inherited set is
@@ -522,6 +525,7 @@ impl ProcessCtx<'_> {
         self.metrics.affirms.fetch_add(1, Ordering::Relaxed);
         let (iid, ido) = {
             let mut lib = self.lib.borrow_mut();
+            lib.log.record(Op::Affirm { aid });
             let cur = lib.history.current_mut();
             let mut ido = cur.ido.clone();
             ido.remove(&aid);
@@ -531,7 +535,6 @@ impl ProcessCtx<'_> {
             }
             (cur.id, ido)
         };
-        self.log.record(Op::Affirm { aid });
         self.sys.send(
             aid.process(),
             hope_types::Payload::Hope(hope_types::HopeMessage::Affirm {
@@ -558,6 +561,7 @@ impl ProcessCtx<'_> {
         self.metrics.denies.fetch_add(1, Ordering::Relaxed);
         let (iid, send_now) = {
             let mut lib = self.lib.borrow_mut();
+            lib.log.record(Op::Deny { aid });
             let deny_policy = lib.config().deny_policy;
             let cur = lib.history.current_mut();
             let send_now = deny_policy == DenyPolicy::Immediate || cur.definite;
@@ -566,7 +570,6 @@ impl ProcessCtx<'_> {
             }
             (cur.id, send_now)
         };
-        self.log.record(Op::Deny { aid });
         if send_now {
             self.sys.send(
                 aid.process(),
@@ -602,12 +605,13 @@ impl ProcessCtx<'_> {
             if !dependent && !ido.is_empty() {
                 cur.iha.insert(aid);
             }
-            (cur.id, dependent, ido)
+            let iid = cur.id;
+            lib.log.record(Op::FreeOf {
+                aid,
+                outcome: !dependent,
+            });
+            (iid, dependent, ido)
         };
-        self.log.record(Op::FreeOf {
-            aid,
-            outcome: !dependent,
-        });
         self.trace(TraceEventKind::FreeOf { aid });
         if dependent {
             self.sys.send(
@@ -643,8 +647,11 @@ impl ProcessCtx<'_> {
             return; // already sent on the original execution
         }
         self.check_rollback();
-        let tag = self.lib.borrow().history.current_deps().clone();
-        self.log.record(Op::Send { dst, channel });
+        let tag = {
+            let mut lib = self.lib.borrow_mut();
+            lib.log.record(Op::Send { dst, channel });
+            lib.history.current_deps().clone()
+        };
         self.sys.send(
             dst,
             hope_types::Payload::User(UserMessage::tagged(channel, data, tag)),
@@ -690,7 +697,7 @@ impl ProcessCtx<'_> {
                         self.discard_doomed(doomed, true);
                         continue;
                     }
-                    let op = self.log.record(Op::Receive {
+                    let op = self.record(Op::Receive {
                         src,
                         msg: msg.clone(),
                     });
@@ -734,7 +741,7 @@ impl ProcessCtx<'_> {
                 None => break None,
             }
         };
-        let op = self.log.record(Op::TryReceive {
+        let op = self.record(Op::TryReceive {
             result: result.clone(),
         });
         result.map(|(src, msg)| {
@@ -754,7 +761,7 @@ impl ProcessCtx<'_> {
             return; // the time was already spent
         }
         self.check_rollback();
-        self.log.record(Op::Compute { dur });
+        self.record(Op::Compute { dur });
         self.sys.compute(dur);
         self.check_rollback();
     }
@@ -770,7 +777,7 @@ impl ProcessCtx<'_> {
             return value;
         }
         let value = self.sys.now();
-        self.log.record(Op::Now { value });
+        self.record(Op::Now { value });
         value
     }
 
@@ -783,7 +790,7 @@ impl ProcessCtx<'_> {
             return value;
         }
         let value = self.sys.random_u64();
-        self.log.record(Op::Random { value });
+        self.record(Op::Random { value });
         value
     }
 
@@ -801,7 +808,7 @@ impl ProcessCtx<'_> {
             return;
         }
         park_until(self.sys, self.lib, |state| state.history.fully_definite()).or_unwind();
-        self.log.record(Op::Barrier);
+        self.record(Op::Barrier);
     }
 
     /// Spawns another HOPE user process running `body` and returns its id.
@@ -822,12 +829,12 @@ impl ProcessCtx<'_> {
         self.check_rollback();
         let (config, registry) = {
             let state = self.lib.borrow();
-            (state.config(), state.registry().cloned())
+            (state.config(), state.registry.clone())
         };
         let runner =
             crate::env::user_runner(config, self.metrics.clone(), registry, Box::new(body));
         let pid = self.sys.spawn_threaded(name, None, runner);
-        self.log.record(Op::SpawnUser { pid });
+        self.record(Op::SpawnUser { pid });
         pid
     }
 }

@@ -2,28 +2,29 @@
 //!
 //! The paper's prototype made rollback survivable by checkpointing whole
 //! UNIX process images to disk. This module is the modern substitute: each
-//! user process's [`ReplayLog`](crate::replay::ReplayLog) mutations are
-//! mirrored into a [`SegmentedLog`] — a CRC32-framed, segmented write-ahead
+//! user process's [`ReplayLog`](crate::replay::ReplayLog) writes its
+//! mutations to a [`SegmentedLog`] — a CRC32-framed, segmented write-ahead
 //! log with periodic checkpoint snapshots — so a *crashed* process recovers
 //! its op log from storage rather than from the conveniently immortal
-//! in-memory copy the runtimes kept until now.
+//! in-memory copy the runtimes keep.
 //!
 //! The moving parts:
 //!
-//! * [`DurableStore`] — one process's WAL plus an in-memory shadow of the
-//!   op list. Appends and rollbacks become event records; a frontier
-//!   notification periodically snapshots the shadow as a checkpoint and
-//!   runs segment GC (checkpoints behind the definite frontier are dead
-//!   weight, exactly like the paper's discarded process images).
-//! * [`StoreHandle`] — a shared handle implementing
-//!   [`LogSink`](crate::replay::LogSink), installed into the process's
-//!   `ReplayLog`; rollback rebuilds a restarted process's log from
-//!   [`StoreHandle::take_recovery`].
-//! * [`StoreRegistry`] — the per-environment collection of stores, plus the
-//!   seeded storage-fault draw: at crash time the unsynced tail of the WAL
-//!   may tear, vanish, or take a bit flip
-//!   ([`StorageFaultPlan`]), and recovery must still produce a valid
-//!   prefix that satisfies Theorem 5.1.
+//! * [`DurableStore`] — one process's WAL and its crash/recovery state,
+//!   owned by that process's `ReplayLog`, which lives in its HOPElib's
+//!   `LibState` (DESIGN.md §2.5): one owner for the history, the op list
+//!   and the WAL. Appends and rollbacks become event records; a frontier
+//!   notification periodically snapshots the log's one op list as a
+//!   checkpoint and runs segment GC (checkpoints behind the definite
+//!   frontier are dead weight, exactly like the paper's discarded process
+//!   images). The store survives a crash with its `LibState`, and
+//!   recovery rebuilds the log from [`DurableStore::take_recovery`].
+//! * [`StoreRegistry`] — the per-environment storage configuration, the
+//!   seeded storage-fault draw, and the pids that opened a store (so
+//!   [`Env::store_stats`](crate::Env::store_stats) can ask each one's
+//!   owner). At crash time the unsynced tail of the WAL may tear, vanish,
+//!   or take a bit flip ([`StorageFaultPlan`]), and recovery must still
+//!   produce a valid prefix that satisfies Theorem 5.1.
 //!
 //! The durability argument: the [`SyncPolicy::Visible`] default fsyncs
 //! after every *externally visible* op (sends, receives, guesses,
@@ -33,9 +34,8 @@
 //! retracts an effect the rest of the system observed, and the definite
 //! frontier at crash time is always at or behind the recovered length.
 
-use std::sync::Arc;
+use std::sync::Mutex;
 
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -44,7 +44,7 @@ use hope_store::{SegmentedLog, StorageFault, StoreConfig, StoreStats};
 use hope_types::codec::read_u32;
 use hope_types::ProcessId;
 
-use crate::replay::{LogSink, Op, OpList};
+use crate::replay::{Op, OpList};
 
 /// When the store fsyncs the WAL.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -69,7 +69,7 @@ pub enum SyncPolicy {
 pub struct DurableConfig {
     /// WAL segment size before rotation (bytes).
     pub segment_bytes: usize,
-    /// Checkpoint the shadow after this many event records.
+    /// Checkpoint the op log after this many event records.
     pub checkpoint_every: usize,
     /// Fsync cadence.
     pub sync_policy: SyncPolicy,
@@ -127,14 +127,12 @@ pub struct DurableSnapshot {
     pub decode_stops: u64,
 }
 
-/// One process's durable op log: WAL + shadow + crash/recovery state.
+/// One process's durable op log: WAL + crash/recovery state. It holds no
+/// op: a checkpoint encodes the owning log's list.
 #[derive(Debug)]
 pub struct DurableStore {
     pid: ProcessId,
     log: SegmentedLog,
-    /// In-memory mirror of the op list the WAL encodes, appended in place
-    /// like the replay log's; snapshotted into checkpoint records.
-    shadow: OpList,
     /// The event record being built, reused so an append allocates no
     /// payload.
     payload: Vec<u8>,
@@ -172,7 +170,6 @@ impl DurableStore {
             log: SegmentedLog::new(StoreConfig {
                 segment_bytes: config.segment_bytes,
             }),
-            shadow: OpList::new(),
             payload: Vec::new(),
             config,
             events_since_checkpoint: 0,
@@ -216,13 +213,12 @@ impl DurableStore {
         }
     }
 
-    /// Mirrors a live append into the WAL.
+    /// Writes a live append to the WAL.
     pub fn append(&mut self, op: &Op) {
         self.payload.clear();
         self.payload.push(event_wire::APPEND);
         op.encode_into(&mut self.payload);
         self.log.append_event(&self.payload);
-        self.shadow.push(op.clone());
         self.events_since_checkpoint += 1;
         self.sync_for(op);
     }
@@ -237,34 +233,32 @@ impl DurableStore {
         self.log.sync();
     }
 
-    /// Mirrors [`ReplayLog::rollback_to_guess`](crate::replay::ReplayLog::rollback_to_guess).
+    /// Records [`ReplayLog::rollback_to_guess`](crate::replay::ReplayLog::rollback_to_guess).
     pub fn rollback_to_guess(&mut self, op_index: usize) {
-        apply_rollback_guess(&mut self.shadow, op_index);
         self.rollback_event(event_wire::ROLLBACK_GUESS, op_index);
     }
 
-    /// Mirrors [`ReplayLog::rollback_to_receive`](crate::replay::ReplayLog::rollback_to_receive).
+    /// Records [`ReplayLog::rollback_to_receive`](crate::replay::ReplayLog::rollback_to_receive).
     pub fn rollback_to_receive(&mut self, op_index: usize) {
-        self.shadow.truncate(op_index);
         self.rollback_event(event_wire::ROLLBACK_RECEIVE, op_index);
     }
 
-    /// Mirrors [`ReplayLog::rollback_before`](crate::replay::ReplayLog::rollback_before).
+    /// Records [`ReplayLog::rollback_before`](crate::replay::ReplayLog::rollback_before).
     pub fn rollback_before(&mut self, op_index: usize) {
-        self.shadow.truncate(op_index);
         self.rollback_event(event_wire::ROLLBACK_BEFORE, op_index);
     }
 
     /// Frontier notification from the HOPElib: intervals became definite.
-    /// Everything so far becomes durable; if enough events accumulated the
-    /// shadow is checkpointed and segments wholly behind the checkpoint
-    /// are compacted away.
-    pub fn on_frontier(&mut self) {
+    /// Everything so far becomes durable; if enough events accumulated,
+    /// `ops` — the owning log's list, which the WAL's records fold to — is
+    /// checkpointed and segments wholly behind the checkpoint are
+    /// compacted away.
+    pub fn on_frontier(&mut self, ops: &OpList) {
         self.log.sync();
         if self.events_since_checkpoint >= self.config.checkpoint_every {
             let mut payload = Vec::new();
-            payload.extend_from_slice(&(self.shadow.len() as u32).to_le_bytes());
-            for op in self.shadow.iter() {
+            payload.extend_from_slice(&(ops.len() as u32).to_le_bytes());
+            for op in ops.iter() {
                 op.encode_into(&mut payload);
             }
             self.log.append_checkpoint(&payload);
@@ -319,9 +313,9 @@ impl DurableStore {
     /// per restart. Scans the WAL's longest valid prefix, replays the
     /// checkpoint + event records into an op list (stopping — never
     /// panicking — at the first semantically invalid record), audits it
-    /// against the definite frontier recorded at crash time, and resets
-    /// the shadow to match.
-    pub fn take_recovery(&mut self) -> Option<Vec<Op>> {
+    /// against the definite frontier recorded at crash time, and hands
+    /// over the list it folded.
+    pub fn take_recovery(&mut self) -> Option<OpList> {
         if !self.recover_pending {
             return None;
         }
@@ -349,10 +343,8 @@ impl DurableStore {
             self.frontier_violations += 1;
         }
         self.recovered_ops += ops.len() as u64;
-        let handed = ops.iter().cloned().collect();
-        self.shadow = ops;
         self.events_since_checkpoint = 0;
-        Some(handed)
+        Some(ops)
     }
 
     /// Per-store contribution to the environment aggregate.
@@ -441,127 +433,52 @@ fn apply_event(payload: &[u8], ops: &mut OpList) -> bool {
     }
 }
 
-/// A cloneable, lockable handle to one process's [`DurableStore`],
-/// implementing the [`ReplayLog`](crate::replay::ReplayLog) sink/source
-/// traits. A HOPElib has no lock (its `LibState` is a `RefCell` its
-/// process's owner thread borrows), so the owner takes the store lock
-/// from the body's log or from `Control` (finalize, crash, restart)
-/// holding at most that borrow. A driver thread reading snapshots holds
-/// only [`StoreRegistry`]'s list lock, if any. No lock is taken while the
-/// store lock is held, so lock order is registry, then store.
-#[derive(Debug, Clone)]
-pub struct StoreHandle(Arc<Mutex<DurableStore>>);
-
-impl StoreHandle {
-    /// Wraps a store in a shared handle.
-    pub fn new(store: DurableStore) -> Self {
-        StoreHandle(Arc::new(Mutex::new(store)))
-    }
-
-    /// Frontier notification (see [`DurableStore::on_frontier`]).
-    pub fn on_frontier(&self) {
-        self.0.lock().on_frontier();
-    }
-
-    /// Crash notification (see [`DurableStore::note_crash`]).
-    pub fn note_crash(&self, definite_floor: usize) {
-        self.0.lock().note_crash(definite_floor);
-    }
-
-    /// Restart notification (see [`DurableStore::mark_restarted`]).
-    pub fn mark_restarted(&self) {
-        self.0.lock().mark_restarted();
-    }
-
-    /// Takes the pending post-crash recovery, if any (see
-    /// [`DurableStore::take_recovery`]).
-    pub fn take_recovery(&self) -> Option<Vec<Op>> {
-        self.0.lock().take_recovery()
-    }
-
-    /// Aggregate counters for this store.
-    pub fn snapshot(&self) -> DurableSnapshot {
-        self.0.lock().snapshot()
-    }
-
-    /// Live WAL segments right now.
-    pub fn live_segments(&self) -> usize {
-        self.0.lock().live_segments()
-    }
-}
-
-impl LogSink for StoreHandle {
-    fn append(&mut self, op: &Op) {
-        self.0.lock().append(op);
-    }
-    fn rollback_to_guess(&mut self, op_index: usize) {
-        self.0.lock().rollback_to_guess(op_index);
-    }
-    fn rollback_to_receive(&mut self, op_index: usize) {
-        self.0.lock().rollback_to_receive(op_index);
-    }
-    fn rollback_before(&mut self, op_index: usize) {
-        self.0.lock().rollback_before(op_index);
-    }
-}
-
-/// One environment's collection of durable stores: created lazily per
-/// user process, persistent across that process's crashes (the WAL *is*
-/// the disk — it survives the process).
+/// One environment's storage: the configuration and seeded fault plan
+/// every store is made with, and the pids that opened one. A store is
+/// owned by its process's op log; it survives that process's crashes with
+/// its HOPElib (the WAL *is* the disk).
 #[derive(Debug)]
 pub struct StoreRegistry {
     config: DurableConfig,
     faults: Option<StorageFaultPlan>,
     seed: u64,
-    stores: Mutex<Vec<(ProcessId, StoreHandle)>>,
+    /// Taken once per process start, and by the observer that lists them.
+    pids: Mutex<Vec<ProcessId>>,
 }
 
 impl StoreRegistry {
-    /// A registry handing out stores configured with `config`; `faults`
-    /// seeds crash-image storage faults, `seed` derives per-process fault
+    /// A registry making stores configured with `config`; `faults` seeds
+    /// crash-image storage faults, `seed` derives per-process fault
     /// streams.
     pub fn new(config: DurableConfig, faults: Option<StorageFaultPlan>, seed: u64) -> Self {
         StoreRegistry {
             config,
             faults,
             seed,
-            stores: Mutex::new(Vec::new()),
+            pids: Mutex::new(Vec::new()),
         }
     }
 
-    /// The store for `pid`, creating it on first open. A restarting
-    /// process gets the *same* store back — its disk survived the crash.
-    pub fn open(&self, pid: ProcessId) -> StoreHandle {
-        let mut stores = self.stores.lock();
-        if let Some((_, handle)) = stores.iter().find(|(p, _)| *p == pid) {
-            return handle.clone();
-        }
-        let handle = StoreHandle::new(DurableStore::new(
-            pid,
-            self.config,
-            self.faults.as_ref(),
-            self.seed,
-        ));
-        stores.push((pid, handle.clone()));
-        handle
+    /// A fresh store for `pid`, which is listed as having one.
+    pub fn open(&self, pid: ProcessId) -> DurableStore {
+        self.pids.lock().expect(HELD_BRIEFLY).push(pid);
+        DurableStore::new(pid, self.config, self.faults.as_ref(), self.seed)
     }
 
-    /// The store for `pid`, if one was opened.
-    pub fn get(&self, pid: ProcessId) -> Option<StoreHandle> {
-        self.stores
-            .lock()
-            .iter()
-            .find(|(p, _)| *p == pid)
-            .map(|(_, h)| h.clone())
+    /// The pids that opened a store, in the order they did.
+    pub(crate) fn pids(&self) -> Vec<ProcessId> {
+        self.pids.lock().expect(HELD_BRIEFLY).clone()
     }
+}
 
-    /// Aggregates every store's counters: sums, except
-    /// `max_live_segments` which is the maximum over stores.
-    pub fn snapshot(&self) -> DurableSnapshot {
-        let stores = self.stores.lock();
-        let mut agg = DurableSnapshot::default();
-        for (_, handle) in stores.iter() {
-            let s = handle.snapshot();
+/// Why the pid list's lock is never poisoned.
+const HELD_BRIEFLY: &str = "the store list is locked only for a push or a copy";
+
+impl DurableSnapshot {
+    /// Sums stores' counters, except `max_live_segments`, which is the
+    /// maximum over stores.
+    pub(crate) fn total(stores: impl Iterator<Item = DurableSnapshot>) -> Self {
+        stores.fold(DurableSnapshot::default(), |mut agg, s| {
             agg.store.events += s.store.events;
             agg.store.checkpoints += s.store.checkpoints;
             agg.store.syncs += s.store.syncs;
@@ -575,8 +492,8 @@ impl StoreRegistry {
             agg.frontier_violations += s.frontier_violations;
             agg.faults_injected += s.faults_injected;
             agg.decode_stops += s.decode_stops;
-        }
-        agg
+            agg
+        })
     }
 }
 
@@ -595,6 +512,12 @@ mod tests {
 
     fn store() -> DurableStore {
         DurableStore::new(pid(1), DurableConfig::default(), None, 42)
+    }
+
+    /// The pending recovery's ops.
+    fn recover(s: &mut DurableStore) -> Vec<Op> {
+        let ops = s.take_recovery().expect("pending recovery");
+        ops.iter().cloned().collect()
     }
 
     fn sample_ops() -> Vec<Op> {
@@ -620,7 +543,7 @@ mod tests {
         }
         s.note_crash(0);
         s.mark_restarted();
-        let recovered = s.take_recovery().expect("pending recovery");
+        let recovered = recover(&mut s);
         assert_eq!(recovered, sample_ops());
         assert!(s.take_recovery().is_none(), "recovery hands off once");
     }
@@ -651,7 +574,7 @@ mod tests {
         lossy.append(&Op::Random { value: 1 });
         lossy.note_crash(1);
         lossy.mark_restarted();
-        let recovered = lossy.take_recovery().unwrap();
+        let recovered = recover(&mut lossy);
         assert_eq!(
             recovered,
             vec![Op::Send {
@@ -678,7 +601,7 @@ mod tests {
         s.rollback_to_guess(1);
         s.note_crash(0);
         s.mark_restarted();
-        let recovered = s.take_recovery().unwrap();
+        let recovered = recover(&mut s);
         assert_eq!(
             recovered,
             vec![
@@ -704,17 +627,20 @@ mod tests {
             None,
             42,
         );
+        let mut ops = OpList::new();
         for i in 0..16 {
-            s.append(&Op::Random { value: i });
-            s.append(&Op::Barrier);
-            s.on_frontier();
+            for op in [Op::Random { value: i }, Op::Barrier] {
+                s.append(&op);
+                ops.push(op);
+            }
+            s.on_frontier(&ops);
         }
         let stats = s.stats();
         assert!(stats.checkpoints >= 2, "checkpoint cadence ran: {stats:?}");
         assert!(stats.gc_segments >= 1, "GC compacted segments: {stats:?}");
         s.note_crash(0);
         s.mark_restarted();
-        let recovered = s.take_recovery().unwrap();
+        let recovered = recover(&mut s);
         assert_eq!(recovered.len(), 32, "checkpoint + tail reconstruct all ops");
         assert_eq!(recovered[0], Op::Random { value: 0 });
         assert_eq!(recovered[31], Op::Barrier);
@@ -739,7 +665,7 @@ mod tests {
         });
         s.note_crash(1);
         s.mark_restarted();
-        let recovered = s.take_recovery().unwrap();
+        let recovered = recover(&mut s);
         assert!(recovered.is_empty());
         assert_eq!(s.snapshot().frontier_violations, 1);
     }
@@ -762,7 +688,7 @@ mod tests {
             }
             s.note_crash(1);
             s.mark_restarted();
-            let recovered = s.take_recovery().unwrap();
+            let recovered = recover(&mut s);
             assert!(
                 !recovered.is_empty(),
                 "synced visible prefix survives a tail flip"
@@ -778,19 +704,41 @@ mod tests {
         }
     }
 
+    /// A parent and the child it spawns with `ProcessCtx::spawn_user`:
+    /// the child is not one of the environment's tracked processes.
+    fn parent_and_child(ctx: &mut crate::ProcessCtx<'_>) {
+        ctx.spawn_user("child", |ctx| {
+            for _ in 0..CHILD_OPS {
+                ctx.random();
+            }
+        });
+        ctx.random();
+    }
+
+    const CHILD_OPS: u64 = 7;
+    /// The parent's `SpawnUser` and `Random`, and the child's ops.
+    const FAMILY_EVENTS: u64 = 2 + CHILD_OPS;
+
     #[test]
-    fn registry_reuses_stores_across_restarts() {
-        let reg = StoreRegistry::new(DurableConfig::default(), None, 11);
-        let mut h1 = reg.open(pid(4));
-        LogSink::append(&mut h1, &Op::Barrier);
-        let h2 = reg.open(pid(4));
-        h2.note_crash(0);
-        h2.mark_restarted();
-        let h3 = reg.open(pid(4));
-        let recovered = h3.take_recovery().expect("same store, same disk");
-        assert_eq!(recovered, vec![Op::Barrier]);
-        assert!(reg.get(pid(5)).is_none());
-        assert_eq!(reg.snapshot().store.recoveries, 1);
+    fn store_stats_count_a_spawned_childs_store() {
+        let mut sim = crate::HopeEnv::builder()
+            .durable(DurableConfig::default())
+            .build();
+        sim.spawn_user("parent", parent_and_child);
+        assert!(sim.run().is_clean());
+        let stats = sim.store_stats().expect("durable storage configured");
+        assert_eq!(stats.store.events, FAMILY_EVENTS, "simulator: {stats:?}");
+
+        let threaded = crate::ThreadedHopeEnv::builder()
+            .shards(2)
+            .durable(DurableConfig::default())
+            .build();
+        threaded.spawn_user("parent", parent_and_child);
+        let wait = std::time::Duration::from_millis;
+        let report = threaded.run_until_quiescent(wait(50), wait(10_000));
+        assert!(report.is_clean(), "quiescent: {report:?}");
+        let stats = threaded.store_stats().expect("durable storage configured");
+        assert_eq!(stats.store.events, FAMILY_EVENTS, "shards(2): {stats:?}");
     }
 
     #[test]

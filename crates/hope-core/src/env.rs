@@ -24,18 +24,19 @@ use hope_types::{
 
 use crate::config::{DenyPolicy, GuessRollbackPolicy, HopeConfig, RetractPolicy};
 use crate::ctx::{park_until, Parked, ProcessCtx, RollbackSignal, ShutdownSignal};
-use crate::durable::{DurableConfig, DurableSnapshot, StoreRegistry};
+use crate::durable::{DurableConfig, DurableSnapshot, DurableStore, StoreRegistry};
 use crate::hopelib::{LibControl, LibState};
 use crate::interval::IntervalOrigin;
 use crate::metrics::{HopeMetrics, MetricsSnapshot};
-use crate::replay::{Op, ReplayLog};
+use crate::replay::{Op, OpList};
 
 /// A HOPE user-process body: called with a fresh context on first execution
 /// and on every rollback-driven re-execution (hence `Fn`, not `FnOnce`).
 pub type UserBody = Box<dyn Fn(&mut ProcessCtx<'_>) + Send>;
 
 /// The runner of one HOPE user process: on its first turn, on the thread
-/// that owns the pid, it makes the process's [`LibState`], attaches the
+/// that owns the pid, it makes the process's [`LibState`] (with its op
+/// log's durable store, when the environment has storage), attaches the
 /// `Control` that shares it, and runs `body`. Used by the environment's
 /// `spawn_user` and by [`ProcessCtx::spawn_user`](crate::ProcessCtx::spawn_user).
 pub(crate) fn user_runner(
@@ -45,10 +46,20 @@ pub(crate) fn user_runner(
     body: UserBody,
 ) -> ProcessBody {
     Box::new(move |sys: &mut dyn SysApi| {
-        let lib = LibState::new(sys.pid(), config, metrics.clone());
+        let mut lib = LibState::new(sys.pid(), config, metrics.clone());
+        if let Some(registry) = registry {
+            // Every op-log mutation is written to this store (DESIGN.md
+            // S6); it survives the process's crashes with its HOPElib.
+            lib.log.store = Some(Box::new(registry.open(sys.pid())));
+            lib.registry = Some(registry);
+        }
         let lib = Rc::new(RefCell::new(lib));
         sys.attach_control(Box::new(LibControl { lib: lib.clone() }));
-        run_user_body(sys, &lib, metrics, registry, body);
+        run_user_body(sys, &lib, metrics, body);
+        // Nothing re-executes the body now, but its `LibState` stays with
+        // the attached `Control` for observers: free the ops' chunks (the
+        // store keeps its WAL and counters).
+        lib.borrow_mut().log.reset_ops(OpList::new());
     })
 }
 
@@ -78,37 +89,26 @@ fn run_user_body(
     sys: &mut dyn SysApi,
     lib: &RefCell<LibState>,
     metrics: Arc<HopeMetrics>,
-    registry: Option<Arc<StoreRegistry>>,
     body: UserBody,
 ) {
     install_silent_signal_hook();
-    let mut log = ReplayLog::new(sys.pid());
-    if let Some(registry) = registry {
-        // Open (or re-open) this process's durable store and mirror every
-        // op-log mutation into it (DESIGN.md S6).
-        let store = registry.open(sys.pid());
-        lib.borrow_mut().attach_store(store.clone(), registry);
-        log.set_sink(Box::new(store));
-    }
     loop {
         let outcome = {
-            let (log, metrics) = (&mut log, metrics.clone());
             let mut ctx = ProcessCtx {
                 sys: &mut *sys,
                 lib,
-                log,
-                metrics,
+                metrics: metrics.clone(),
             };
             catch_unwind(AssertUnwindSafe(|| body(&mut ctx)))
         };
         match outcome {
             Ok(()) => match park_until(sys, lib, |state| state.history.fully_definite()) {
                 Parked::Ready | Parked::Shutdown => return,
-                Parked::Rollback => perform_rollback(sys, lib, &mut log, &metrics),
+                Parked::Rollback => perform_rollback(sys, lib, &metrics),
             },
             Err(payload) => {
                 if payload.is::<RollbackSignal>() {
-                    perform_rollback(sys, lib, &mut log, &metrics);
+                    perform_rollback(sys, lib, &metrics);
                 } else if payload.is::<ShutdownSignal>() {
                     return;
                 } else {
@@ -125,26 +125,17 @@ fn run_user_body(
 /// re-executes the body. A stale rollback (nothing pending, or nothing
 /// live at its floor) only rewinds: the log replays to its end,
 /// reproducing the current state.
-fn perform_rollback(
-    sys: &mut dyn SysApi,
-    lib: &RefCell<LibState>,
-    log: &mut ReplayLog,
-    metrics: &Arc<HopeMetrics>,
-) {
-    // Post-crash recovery: rebuild the op log from the durable store
-    // before unwinding. The in-memory log conveniently survived the crash
-    // in these runtimes; a real process image would not, so when storage
-    // is configured the store's recovered prefix is authoritative (S6).
-    let (store, config) = (lib.borrow().store().cloned(), lib.borrow().config());
-    if let Some(store) = &store {
-        if let Some(ops) = store.take_recovery() {
-            log.reset_ops(ops);
-        }
-    }
-    let (discarded, cause, crash_recovery) = {
+fn perform_rollback(sys: &mut dyn SysApi, lib: &RefCell<LibState>, metrics: &Arc<HopeMetrics>) {
+    let (config, discarded, cause, crash_recovery) = {
         let mut state = lib.borrow_mut();
+        // Post-crash recovery: rebuild the op log from the durable store
+        // before unwinding. The in-memory log conveniently survived the
+        // crash in these runtimes; a real process image would not, so when
+        // storage is configured the store's recovered prefix is
+        // authoritative (S6).
+        state.log.recover();
         let Some(pending) = state.pending_rollback.take() else {
-            log.rewind();
+            state.log.rewind();
             return;
         };
         let target = state
@@ -154,7 +145,7 @@ fn perform_rollback(
             .find(|r| r.id.index() >= pending.floor && !r.definite)
             .map(|r| r.id);
         let Some(target) = target else {
-            log.rewind();
+            state.log.rewind();
             return;
         };
         // `target` was just selected from the live non-definite intervals,
@@ -167,7 +158,7 @@ fn perform_rollback(
                 Vec::new()
             }
         };
-        (discarded, pending.cause, pending.crash)
+        (state.config(), discarded, pending.cause, pending.crash)
     };
     if config.retract_policy == RetractPolicy::Deny {
         for rec in &discarded {
@@ -180,7 +171,7 @@ fn perform_rollback(
         }
     }
     if discarded.is_empty() {
-        log.rewind();
+        lib.borrow_mut().log.rewind();
         return;
     }
     metrics
@@ -212,6 +203,8 @@ fn perform_rollback(
     // A boundary op that did not survive has nothing to truncate: the
     // whole recovered prefix replays and the boundary primitive runs
     // live again.
+    let mut state = lib.borrow_mut();
+    let log = &mut state.log;
     let boundary_survived = |op: usize, want_guess: bool| match log.get(op) {
         Some(Op::Guess { .. }) => want_guess,
         Some(Op::Receive { .. }) | Some(Op::TryReceive { .. }) => !want_guess,
@@ -255,6 +248,7 @@ fn perform_rollback(
         IntervalOrigin::ImplicitReceive { op } => log.rollback_to_receive(op),
         IntervalOrigin::Root => unreachable!("the root interval is definite"),
     };
+    drop(state);
     let wasted = WastedWork {
         intervals_discarded: discarded.len() as u64,
         ops_discarded: removed.len() as u64,
@@ -562,15 +556,15 @@ impl<R: Inspect> Env<R> {
         pid
     }
 
-    /// Runs `f` on a tracked process's HOPElib where it lives — inline on
-    /// the simulator, between turns on its shard — and returns the answer;
-    /// `None` for a pid that is not tracked. A tracked process that has
-    /// not had its first turn reads as fresh state of its own pid.
-    fn ask<T: Send + 'static>(
+    /// Runs `f` on `pid`'s HOPElib where it lives — inline on the
+    /// simulator, between turns on its shard — and returns the answer. A
+    /// process that has not had its first turn reads as fresh state of its
+    /// own pid.
+    fn read_lib<T: Send + 'static>(
         &self,
         pid: ProcessId,
         f: impl FnOnce(&LibState) -> T + Send + 'static,
-    ) -> Option<T> {
+    ) -> T {
         let (config, metrics) = (self.config, self.metrics.clone());
         let read = move |control: Option<&dyn ControlHandler>| match control
             .and_then(|c| c.as_any()?.downcast_ref::<LibControl>())
@@ -578,8 +572,18 @@ impl<R: Inspect> Env<R> {
             Some(control) => f(&control.lib.borrow()),
             None => f(&LibState::new(pid, config, metrics)),
         };
+        self.rt.inspect(pid, read)
+    }
+
+    /// [`read_lib`](Env::read_lib) for a tracked process; `None` for a pid
+    /// that is not tracked.
+    fn ask<T: Send + 'static>(
+        &self,
+        pid: ProcessId,
+        f: impl FnOnce(&LibState) -> T + Send + 'static,
+    ) -> Option<T> {
         let tracked = self.users.lock().unwrap().iter().any(|(p, _)| *p == pid);
-        tracked.then(|| self.rt.inspect(pid, read))
+        tracked.then(|| self.read_lib(pid, f))
     }
 
     /// Pids of the top-level user processes (spawned via `spawn_user` on
@@ -622,9 +626,17 @@ impl<R: Inspect> Env<R> {
     }
 
     /// Aggregate durable-store counters, when the environment was built
-    /// with [`durable`](EnvBuilder::durable) storage.
+    /// with [`durable`](EnvBuilder::durable) storage: every process that
+    /// opened a store is asked, children spawned by
+    /// [`ProcessCtx::spawn_user`](crate::ProcessCtx::spawn_user) included.
     pub fn store_stats(&self) -> Option<DurableSnapshot> {
-        self.registry.as_ref().map(|r| r.snapshot())
+        let registry = self.registry.as_ref()?;
+        let stores = registry.pids().into_iter().filter_map(|pid| {
+            self.read_lib(pid, |lib| {
+                lib.log.store.as_deref().map(DurableStore::snapshot)
+            })
+        });
+        Some(DurableSnapshot::total(stores))
     }
 
     /// Turns on causal trace collection with a ring of `capacity` events

@@ -22,9 +22,10 @@ use hope_types::{
 use hope_runtime::{ControlApi, ControlHandler};
 
 use crate::config::HopeConfig;
-use crate::durable::{StoreHandle, StoreRegistry};
+use crate::durable::StoreRegistry;
 use crate::interval::{History, IntervalRecord};
 use crate::metrics::HopeMetrics;
+use crate::replay::ReplayLog;
 
 /// A rollback demanded by `Control`, awaiting execution on the user
 /// thread.
@@ -54,7 +55,8 @@ fn merge_pending(cur: Option<PendingRollback>, incoming: PendingRollback) -> Pen
 }
 
 /// The bookkeeping state of one user process's HOPElib: its interval
-/// history and any pending rollback. The process's runner makes it on the
+/// history, the op log it is rolled back with (and that log's durable
+/// store), and any pending rollback. The process's runner makes it on the
 /// process's first turn, on the thread that runs the process, and only its
 /// `Control` handler ([`LibControl`]) and the
 /// [`ProcessCtx`](crate::ProcessCtx) running the body hold it. The two take
@@ -71,11 +73,13 @@ pub struct LibState {
     pub pending_rollback: Option<PendingRollback>,
     config: HopeConfig,
     metrics: Arc<HopeMetrics>,
-    /// This process's durable op-log store, when the environment was
-    /// built with [`durable`](crate::EnvBuilder::durable) storage.
-    store: Option<StoreHandle>,
+    /// The operation log (DESIGN.md S2): checkpoint and rollback by
+    /// re-execution. It owns the process's durable store when the
+    /// environment was built with [`durable`](crate::EnvBuilder::durable)
+    /// storage.
+    pub(crate) log: ReplayLog,
     /// The environment's store registry, inherited by spawned children.
-    registry: Option<Arc<StoreRegistry>>,
+    pub(crate) registry: Option<Arc<StoreRegistry>>,
     /// Next [`ProcessCtx::channel_seq`](crate::ProcessCtx::channel_seq)
     /// value. Lives here — not in the per-execution context — so rollback
     /// re-execution continues the sequence instead of re-issuing channels
@@ -122,26 +126,10 @@ impl LibState {
             spec_waiting: false,
             config,
             metrics,
-            store: None,
+            log: ReplayLog::new(pid),
             registry: None,
             next_channel_seq: 0,
         }
-    }
-
-    /// Attaches the durable store and the registry children inherit.
-    pub fn attach_store(&mut self, store: StoreHandle, registry: Arc<StoreRegistry>) {
-        self.store = Some(store);
-        self.registry = Some(registry);
-    }
-
-    /// This process's durable store, if storage is configured.
-    pub fn store(&self) -> Option<&StoreHandle> {
-        self.store.as_ref()
-    }
-
-    /// The environment's store registry, if storage is configured.
-    pub fn registry(&self) -> Option<&Arc<StoreRegistry>> {
-        self.registry.as_ref()
     }
 
     /// The operation-log index up to which this process's history is
@@ -311,11 +299,13 @@ impl LibState {
     /// The work is what changes, not what is held (DESIGN.md §2.4).
     /// Holders inherit their sets from their predecessors, so they come in
     /// runs of equal `(ido, udo)`. Each run's head is substituted element
-    /// by element, in place: a set is deep-copied only where another owner
-    /// still shares its storage (its run, or a tag in flight). Every
-    /// decision reads only the holder's own two sets, except `held_before`
-    /// — and whatever the head acquired it now holds at a lower position,
-    /// so no `Guess` is sent for a later member either way. So the members
+    /// by element, in place, after the run's members let go of their IDOs:
+    /// a set is deep-copied only where an owner outside the run still
+    /// shares its storage (another record's set, the head's own trigger
+    /// included, or a tag in flight). Every decision reads only the
+    /// holder's own two sets, except `held_before` — and whatever the head
+    /// acquired it now holds at a lower position, so no `Guess` is sent
+    /// for a later member either way. So the members
     /// take clones of the head's result and keep sharing one storage. The
     /// `UDO` is most often one set shared by every holder: the first head
     /// to change it leaves a before/after memo, and a later head whose
@@ -361,7 +351,20 @@ impl LibState {
                 })
                 .unwrap_or(len);
             let head_iid = head.id;
-            let ido_shared = head.ido.is_shared();
+            // The members' IDOs are overwritten with the head's result
+            // below, so they let go of their storage first: the head then
+            // copies its IDO only if an owner outside the run shares it.
+            // The sender alone (inline, no allocation) keeps each one a
+            // holder until then.
+            for (at, rec) in self.history.intervals_mut()[pos + 1..end]
+                .iter_mut()
+                .enumerate()
+            {
+                if holds(rec, pos + 1 + at) {
+                    rec.ido = IdoSet::singleton(sender);
+                }
+            }
+            let ido_shared = self.history.intervals()[pos].ido.is_shared();
             let mut ido_changed = false;
             let cycles_before = cycles_broken;
             for &y in replacement.iter() {
@@ -477,11 +480,9 @@ impl LibState {
         if done.is_empty() {
             return;
         }
-        if let Some(store) = &self.store {
-            // The frontier advanced: make the op log durable up to here
-            // and let the store checkpoint + GC dead segments.
-            store.on_frontier();
-        }
+        // The frontier advanced: make the op log durable up to here and
+        // let the store checkpoint + GC dead segments.
+        self.log.on_frontier();
         self.metrics
             .finalized_intervals
             .fetch_add(done.len() as u64, Ordering::Relaxed);
@@ -541,16 +542,17 @@ impl ControlHandler for LibControl {
         // The crash destroys the WAL's unsynced tail (possibly with an
         // injected storage fault) and records the definite frontier the
         // recovery will be audited against.
-        let lib = self.lib.borrow();
-        if let Some(store) = lib.store() {
-            store.note_crash(lib.definite_floor_op().unwrap_or(0));
+        let mut lib = self.lib.borrow_mut();
+        let floor = lib.definite_floor_op().unwrap_or(0);
+        if let Some(store) = lib.log.store.as_mut() {
+            store.note_crash(floor);
         }
     }
 
     fn on_restart(&mut self, api: &mut dyn ControlApi) {
         let mut lib = self.lib.borrow_mut();
         if lib.begin_crash_recovery(api) {
-            if let Some(store) = lib.store() {
+            if let Some(store) = lib.log.store.as_mut() {
                 // The rollback that recovery triggers will rebuild the op
                 // log from storage instead of trusting the in-memory copy.
                 store.mark_restarted();
@@ -827,7 +829,12 @@ mod tests {
         // 1 -> {8, 9}: every holder has 1; 8 and 9 are new to all.
         replace(&mut lib, &mut api, 1, &[8, 9]);
         let unshares = |lib: &LibState| lib.metrics().ido_unshares.load(Ordering::Relaxed);
-        assert_eq!(unshares(&lib), 3, "one deep copy per run, not per holder");
+        // Each run's members let go of the IDO they share with their head
+        // before it changes, so a head's IDO is copied only where an owner
+        // outside the run shares it: the first head's own trigger set,
+        // which its IDO was opened from (3 copies, one per run, when the
+        // members held on).
+        assert_eq!(unshares(&lib), 1, "one set is shared outside its run");
         for (at, iid) in holders.iter().enumerate() {
             let rec = lib.history.get(*iid).unwrap();
             let mut want: Vec<u64> = (2..=5 + (at / RUN) as u64).collect();
@@ -855,7 +862,7 @@ mod tests {
         let broken = lib.metrics().cycles_broken.load(Ordering::Relaxed);
         assert_eq!(broken, 3 * RUN as u64, "counted per holder all the same");
         assert_eq!(guesses(&api), [], "nothing acquired");
-        assert_eq!(unshares(&lib), 6);
+        assert_eq!(unshares(&lib), 1, "every head now owns its IDO alone");
     }
 
     #[test]

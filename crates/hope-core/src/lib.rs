@@ -78,16 +78,14 @@ pub mod replay;
 pub use aid::{AidActor, AidMachine, AidState};
 pub use config::{DenyPolicy, GuessRollbackPolicy, HopeConfig, RetractPolicy};
 pub use ctx::{Delivery, ProcessCtx};
-pub use durable::{
-    DurableConfig, DurableSnapshot, DurableStore, StoreHandle, StoreRegistry, SyncPolicy,
-};
+pub use durable::{DurableConfig, DurableSnapshot, DurableStore, StoreRegistry, SyncPolicy};
 pub use env::{
     Env, EnvBuilder, HopeEnv, HopeEnvBuilder, HopeReport, ThreadedHopeEnv, ThreadedHopeEnvBuilder,
 };
 pub use hopelib::{LibControl, LibState, PendingRollback};
 pub use interval::{History, IntervalOrigin, IntervalRecord};
 pub use metrics::{HopeMetrics, MetricsSnapshot};
-pub use replay::{LogSink, Op, OpList, ReplayLog};
+pub use replay::{Op, OpList, ReplayLog};
 
 // Speculation-control vocabulary (DESIGN.md §9), re-exported so callers
 // configuring a policy need only this crate.

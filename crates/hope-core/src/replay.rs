@@ -32,6 +32,8 @@ use hope_types::codec::{
 };
 use hope_types::{AidId, HopeError, ProcessId, UserMessage, VirtualDuration, VirtualTime};
 
+use crate::durable::DurableStore;
+
 /// One logged interaction between the user closure and the world.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Op {
@@ -338,24 +340,6 @@ impl Op {
     }
 }
 
-/// Where a [`ReplayLog`]'s mutations are mirrored for durability.
-///
-/// The in-memory log stays authoritative for replay; a sink observes every
-/// append and rollback so a durable store (DESIGN.md S6) can reconstruct
-/// the log after a crash. Sink methods are infallible by design: storage
-/// faults are absorbed by the store and surface at *recovery* time as a
-/// shorter valid prefix, never as an error on the hot path.
-pub trait LogSink: Send {
-    /// A live op was appended.
-    fn append(&mut self, op: &Op);
-    /// [`ReplayLog::rollback_to_guess`] ran against `op_index`.
-    fn rollback_to_guess(&mut self, op_index: usize);
-    /// [`ReplayLog::rollback_to_receive`] ran against `op_index`.
-    fn rollback_to_receive(&mut self, op_index: usize);
-    /// [`ReplayLog::rollback_before`] ran against `op_index`.
-    fn rollback_before(&mut self, op_index: usize);
-}
-
 /// The bytes one chunk of an [`OpList`] is sized to: well under glibc's
 /// 128 KiB mmap threshold, so a freed chunk goes back to the heap's free
 /// lists and the next one reuses it instead of mapping and faulting in
@@ -494,22 +478,21 @@ impl std::fmt::Debug for OpList {
 /// Live mode (`cursor == len`): operations execute for real and are
 /// appended. Replay mode (`cursor < len`): operations are validated
 /// against the log and their recorded results returned.
+///
+/// When the environment has durable storage (DESIGN.md S6) the log owns
+/// its process's [`DurableStore`] and writes every append and rollback to
+/// its WAL as it makes it; a checkpoint encodes these same ops. The
+/// in-memory list stays authoritative for replay. Storage faults never
+/// fail a mutation: they surface at *recovery* as a shorter valid prefix.
+#[derive(Debug)]
 pub struct ReplayLog {
     process: ProcessId,
     ops: OpList,
     cursor: usize,
-    sink: Option<Box<dyn LogSink>>,
-}
-
-impl std::fmt::Debug for ReplayLog {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ReplayLog")
-            .field("process", &self.process)
-            .field("ops", &self.ops)
-            .field("cursor", &self.cursor)
-            .field("sink", &self.sink.as_ref().map(|_| "LogSink"))
-            .finish()
-    }
+    /// The durable store, given to the log on its process's first turn.
+    /// Boxed: most environments have no storage, and every process's
+    /// `LibState` carries this field.
+    pub(crate) store: Option<Box<DurableStore>>,
 }
 
 impl ReplayLog {
@@ -519,20 +502,37 @@ impl ReplayLog {
             process,
             ops: OpList::new(),
             cursor: 0,
-            sink: None,
+            store: None,
         }
     }
 
-    /// Attaches a durability sink that mirrors every subsequent mutation.
-    pub fn set_sink(&mut self, sink: Box<dyn LogSink>) {
-        self.sink = Some(sink);
+    /// The definite frontier advanced: makes the WAL durable up to here and
+    /// lets the store checkpoint these ops (see [`DurableStore::on_frontier`]).
+    pub(crate) fn on_frontier(&mut self) {
+        if let Some(store) = &mut self.store {
+            store.on_frontier(&self.ops);
+        }
+    }
+
+    /// After a restart, replaces the ops with what the store recovers
+    /// (the store's prefix is authoritative: a real process image would
+    /// not have kept the in-memory list). Does nothing without a pending
+    /// recovery.
+    pub(crate) fn recover(&mut self) {
+        if let Some(ops) = self
+            .store
+            .as_deref_mut()
+            .and_then(DurableStore::take_recovery)
+        {
+            self.reset_ops(ops);
+        }
     }
 
     /// Replaces the logged ops wholesale (post-crash recovery from a
-    /// durable store) and rewinds the cursor for re-execution. The sink is
-    /// *not* notified: the ops came from it.
-    pub fn reset_ops(&mut self, recovered: Vec<Op>) {
-        self.ops = recovered.into_iter().collect();
+    /// durable store) and rewinds the cursor for re-execution. Nothing is
+    /// written to the store: the ops came from it.
+    pub fn reset_ops(&mut self, recovered: OpList) {
+        self.ops = recovered;
         self.cursor = 0;
     }
 
@@ -564,8 +564,8 @@ impl ReplayLog {
     /// [`ReplayLog::is_replaying`] first.
     pub fn record(&mut self, op: Op) -> usize {
         debug_assert!(!self.is_replaying(), "record during replay");
-        if let Some(sink) = self.sink.as_mut() {
-            sink.append(&op);
+        if let Some(store) = &mut self.store {
+            store.append(&op);
         }
         let index = self.ops.len();
         self.ops.push(op);
@@ -622,8 +622,8 @@ impl ReplayLog {
             Some(Op::Guess { outcome, .. }) => *outcome = false,
             other => panic!("rollback target is not a Guess op: {other:?}"),
         }
-        if let Some(sink) = self.sink.as_mut() {
-            sink.rollback_to_guess(op_index);
+        if let Some(store) = &mut self.store {
+            store.rollback_to_guess(op_index);
         }
         self.cursor = 0;
         removed
@@ -650,8 +650,8 @@ impl ReplayLog {
         );
         let removed = self.ops.split_off(op_index + 1);
         self.ops.truncate(op_index);
-        if let Some(sink) = self.sink.as_mut() {
-            sink.rollback_to_receive(op_index);
+        if let Some(store) = &mut self.store {
+            store.rollback_to_receive(op_index);
         }
         self.cursor = 0;
         removed
@@ -664,8 +664,8 @@ impl ReplayLog {
     /// boundary op.
     pub fn rollback_before(&mut self, op_index: usize) -> Vec<Op> {
         let removed = self.ops.split_off(op_index);
-        if let Some(sink) = self.sink.as_mut() {
-            sink.rollback_before(op_index);
+        if let Some(store) = &mut self.store {
+            store.rollback_before(op_index);
         }
         self.cursor = 0;
         removed
@@ -897,28 +897,20 @@ mod tests {
         assert!(Op::decode(&[200u8], &mut at).is_none());
     }
 
-    struct RecordingSink(std::sync::Arc<parking_lot::Mutex<Vec<String>>>);
+    fn logged_to_a_store() -> ReplayLog {
+        let mut log = ReplayLog::new(pid(1));
+        let store = DurableStore::new(pid(1), crate::DurableConfig::default(), None, 1);
+        log.store = Some(Box::new(store));
+        log
+    }
 
-    impl LogSink for RecordingSink {
-        fn append(&mut self, op: &Op) {
-            self.0.lock().push(format!("append:{}", op.label()));
-        }
-        fn rollback_to_guess(&mut self, op_index: usize) {
-            self.0.lock().push(format!("guess:{op_index}"));
-        }
-        fn rollback_to_receive(&mut self, op_index: usize) {
-            self.0.lock().push(format!("receive:{op_index}"));
-        }
-        fn rollback_before(&mut self, op_index: usize) {
-            self.0.lock().push(format!("before:{op_index}"));
-        }
+    fn wal_events(log: &ReplayLog) -> u64 {
+        log.store.as_ref().expect("a store").stats().events
     }
 
     #[test]
-    fn sink_mirrors_appends_and_rollbacks() {
-        let seen = std::sync::Arc::new(parking_lot::Mutex::new(Vec::new()));
-        let mut log = ReplayLog::new(pid(1));
-        log.set_sink(Box::new(RecordingSink(seen.clone())));
+    fn the_store_receives_every_append_and_rollback() {
+        let mut log = logged_to_a_store();
         log.record(Op::AidInit { aid: aid(5) });
         let g = log.record(Op::Guess {
             aid: aid(5),
@@ -926,24 +918,27 @@ mod tests {
         });
         log.record(Op::Barrier);
         log.rollback_to_guess(g);
+        assert_eq!(wal_events(&log), 4, "three appends and a rollback");
+        let store = log.store.as_mut().expect("a store");
+        store.note_crash(0);
+        store.mark_restarted();
+        log.recover();
+        assert_eq!(log.len(), 2, "the WAL folds to what the log held");
         assert_eq!(
-            *seen.lock(),
-            vec![
-                "append:AidInit",
-                "append:Guess",
-                "append:Barrier",
-                "guess:1"
-            ]
+            log.get(1),
+            Some(&Op::Guess {
+                aid: aid(5),
+                outcome: false,
+            })
         );
+        assert!(log.is_replaying(), "cursor rewound for re-execution");
     }
 
     #[test]
-    fn reset_ops_bypasses_the_sink() {
-        let seen = std::sync::Arc::new(parking_lot::Mutex::new(Vec::new()));
-        let mut log = ReplayLog::new(pid(1));
-        log.set_sink(Box::new(RecordingSink(seen.clone())));
-        log.reset_ops(vec![Op::Barrier, Op::Random { value: 7 }]);
-        assert!(seen.lock().is_empty(), "recovery does not re-emit");
+    fn reset_ops_writes_nothing_to_the_store() {
+        let mut log = logged_to_a_store();
+        log.reset_ops([Op::Barrier, Op::Random { value: 7 }].into_iter().collect());
+        assert_eq!(wal_events(&log), 0, "recovery does not re-emit");
         assert_eq!(log.len(), 2);
         assert!(log.is_replaying(), "cursor rewound for re-execution");
     }

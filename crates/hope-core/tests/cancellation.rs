@@ -18,7 +18,7 @@ use bytes::Bytes;
 use hope_core::{DurableConfig, HopeEnv, MetricsSnapshot, ProcessCtx, ThreadedHopeEnv};
 use hope_runtime::{FaultPlan, MessageStats, NetworkConfig};
 use hope_types::{AidId, ProcessId, TraceCollector, TraceEventKind, VirtualDuration, VirtualTime};
-use parking_lot::Mutex;
+use std::sync::Mutex;
 
 const CH_SETUP: u32 = 0;
 const CH_A: u32 = 1;
@@ -102,7 +102,7 @@ fn consumer(ctx: &mut ProcessCtx, out: &Slot) {
     ctx.send(a.src, CH_Y, encode_aids(&[y]));
     let guessed_y = ctx.guess(y);
     ctx.await_definite();
-    *out.lock() = Some(Outcome {
+    *out.lock().unwrap() = Some(Outcome {
         a: a.data,
         b: b.data,
         guessed_x,
@@ -148,7 +148,7 @@ fn run_sim(configure: impl FnOnce(hope_core::HopeEnvBuilder) -> hope_core::HopeE
     if let Some(store) = env.store_stats() {
         assert_eq!(store.frontier_violations, 0, "{store:?}");
     }
-    let outcome = slot.lock().clone();
+    let outcome = slot.lock().unwrap().clone();
     Run {
         outcome,
         hope: report.hope,
@@ -169,7 +169,7 @@ fn run_threaded() -> Run {
     assert!(report.panics.is_empty(), "{:?}", report.panics);
     assert!(!report.hit_event_limit, "must reach quiescence");
     assert!(report.blocked.is_empty(), "{:?}", report.blocked);
-    let outcome = slot.lock().clone();
+    let outcome = slot.lock().unwrap().clone();
     Run {
         outcome,
         hope: env.metrics(),
@@ -300,7 +300,7 @@ fn an_evicted_aid_still_converges_through_the_rollback_path() {
         let _ = ctx.receive(Some(CH_A));
         let b = ctx.receive(Some(CH_B));
         ctx.await_definite();
-        *out.lock() = Some(b.data);
+        *out.lock().unwrap() = Some(b.data);
     });
     env.spawn_user("producer", move |ctx| {
         let aids: Vec<AidId> = (0..DENIED).map(|_| ctx.aid_init()).collect();
@@ -319,7 +319,7 @@ fn an_evicted_aid_still_converges_through_the_rollback_path() {
     let report = env.run();
     assert!(report.is_clean(), "{:?}", report.run.panics);
     assert!(report.run.blocked.is_empty(), "{:?}", report.run.blocked);
-    assert_eq!(slot.lock().as_deref(), Some(DEF));
+    assert_eq!(slot.lock().unwrap().as_deref(), Some(DEF));
     // Nothing was dropped on sight: the only tagged message that came
     // after a proof named the one AID the set had forgotten, so it was
     // received, registered and rolled back.

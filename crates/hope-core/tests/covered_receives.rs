@@ -33,8 +33,8 @@ use hope_runtime::{ControlApi, FaultPlan, NetworkConfig};
 use hope_types::{
     AidId, HopeMessage, IdoSet, IntervalId, Payload, ProcessId, VirtualDuration, VirtualTime,
 };
-use parking_lot::Mutex;
 use proptest::prelude::*;
+use std::sync::Mutex;
 
 const CH_SETUP: u32 = 0;
 const CH_DATA: u32 = 1;
@@ -183,7 +183,7 @@ fn denying_a_tag_member_drops_the_covered_message_on_re_receive() {
         let first = ctx.receive(Some(CH_DATA)).data;
         let second = ctx.receive(Some(CH_DATA)).data;
         ctx.await_definite();
-        *out.lock() = Some((first, second));
+        *out.lock().unwrap() = Some((first, second));
     });
     let resolver = env.spawn_user("resolver", |ctx| {
         let x = decode_aids(&ctx.receive(Some(CH_SETUP)).data)[0];
@@ -206,7 +206,7 @@ fn denying_a_tag_member_drops_the_covered_message_on_re_receive() {
     assert!(report.is_clean(), "{:?}", report.run.panics);
     assert!(report.run.blocked.is_empty(), "{:?}", report.run.blocked);
     let committed = (Bytes::from_static(DEF1), Bytes::from_static(DEF2));
-    assert_eq!(*seen.lock(), Some(committed));
+    assert_eq!(*seen.lock().unwrap(), Some(committed));
     assert_eq!(
         report.hope.reexecutions, 2,
         "producer and consumer once each"
@@ -240,7 +240,7 @@ fn denying_an_ido_member_outside_the_tag_requeues_the_covered_message() {
         assert!(ctx.try_receive(Some(CH_DATA)).is_none(), "no second copy");
         ctx.affirm(x);
         ctx.await_definite();
-        *out.lock() = Some((first, second));
+        *out.lock().unwrap() = Some((first, second));
     });
     env.spawn_user("producer", move |ctx| {
         let x = ctx.aid_init();
@@ -254,7 +254,7 @@ fn denying_an_ido_member_outside_the_tag_requeues_the_covered_message() {
     assert!(report.is_clean(), "{:?}", report.run.panics);
     assert!(report.run.blocked.is_empty(), "{:?}", report.run.blocked);
     let committed = (Bytes::from_static(SPEC1), Bytes::from_static(SPEC2));
-    assert_eq!(*seen.lock(), Some(committed));
+    assert_eq!(*seen.lock().unwrap(), Some(committed));
     assert_eq!(deliveries.load(Ordering::Relaxed), 2);
     assert_eq!(report.hope.reexecutions, 1, "{:?}", report.hope);
     assert_eq!(report.hope.cancelled_intervals, 0, "{:?}", report.hope);
@@ -272,7 +272,7 @@ fn run_affirmed_pair(
         let first = ctx.receive(Some(CH_DATA)).data;
         let second = ctx.receive(Some(CH_DATA)).data;
         ctx.await_definite();
-        *out.lock() = Some((first, second));
+        *out.lock().unwrap() = Some((first, second));
     });
     let resolver = env.spawn_user("resolver", |ctx| {
         let x = decode_aids(&ctx.receive(Some(CH_SETUP)).data)[0];
@@ -293,7 +293,7 @@ fn run_affirmed_pair(
     if let Some(store) = env.store_stats() {
         assert_eq!(store.frontier_violations, 0, "{store:?}");
     }
-    let outcome = seen.lock().clone();
+    let outcome = seen.lock().unwrap().clone();
     (outcome, report, consumer)
 }
 
@@ -341,7 +341,7 @@ fn a_receive_while_the_udo_is_not_empty_opens_an_interval() {
         let _ = ctx.receive(Some(CH_DATA));
         let after = ctx.current_interval();
         ctx.await_definite();
-        *out.lock() = Some(before != after);
+        *out.lock().unwrap() = Some(before != after);
     });
     let resolver = env.spawn_user("resolver", |ctx| {
         let m = ctx.receive(Some(CH_SETUP));
@@ -367,7 +367,7 @@ fn a_receive_while_the_udo_is_not_empty_opens_an_interval() {
     let report = env.run();
     assert!(report.is_clean(), "{:?}", report.run.panics);
     assert!(report.run.blocked.is_empty(), "{:?}", report.run.blocked);
-    assert_eq!(*opened.lock(), Some(true));
+    assert_eq!(*opened.lock().unwrap(), Some(true));
     let history = env.history_of(consumer).unwrap();
     assert_eq!(history.len(), 3, "root, the first receive, the second");
     assert!(!history[1].udo.is_empty(), "{:?}", history[1]);

@@ -4,7 +4,7 @@
 //! fixed chunks of `OpList::CHUNK`). The log and the model must agree on
 //! every returned index, every removed suffix, `len`, `is_replaying` and
 //! every replayed op. A second property holds `OpList`'s own surface —
-//! what the durable store's shadow uses — to the same model.
+//! what recovery folds a WAL into — to the same model.
 
 use bytes::Bytes;
 use hope_core::{Op, OpList, ReplayLog};
@@ -150,7 +150,7 @@ impl Pair {
             }
             _ => {
                 let recovered = self.fresh_ops(edge_len(pick));
-                self.log.reset_ops(recovered.clone());
+                self.log.reset_ops(recovered.iter().cloned().collect());
                 self.model = recovered;
                 self.cursor = 0;
             }
@@ -159,7 +159,7 @@ impl Pair {
     }
 }
 
-/// What `OpList` offers the durable store's shadow, one op at a time.
+/// What `OpList` offers recovery's fold, one op at a time.
 fn list_step(list: &mut OpList, model: &mut Vec<Op>, next: &mut u64, kind: u8, pick: u64) {
     let pos = aim(pick, model.len());
     match kind % 4 {

@@ -158,3 +158,50 @@ fn a_replace_allocates_the_same_whatever_the_number_of_holders() {
         assert_eq!(unshares, 0, "every IDO has one owner: {figures}");
     }
 }
+
+/// A run whose IDO no one outside it shares: a guess on a new assumption
+/// opens the run's head with a set of its own, and `members` covered
+/// receives open intervals that share the head's storage. A `Replace` of
+/// that assumption reaches the whole run; the members let go of the set
+/// before the head changes it, so it is changed in place and handed back
+/// to them.
+#[test]
+fn a_run_that_owns_its_ido_copies_none_of_it() {
+    let metrics = Arc::new(HopeMetrics::new());
+    let mut lib = LibState::new(ProcessId::from_raw(1), HopeConfig::new(), metrics.clone());
+    // An outer interval on a heap-sized set, then the run's head on one
+    // more assumption: its IDO is a new merged set, its trigger inline.
+    let outer = IntervalOrigin::ExplicitGuess { op: 0 };
+    lib.history.open_interval(outer, (0..8).map(aid));
+    let head = IntervalOrigin::ExplicitGuess { op: 1 };
+    let head = lib.history.open_interval(head, [aid(8)]);
+    let members: Vec<IntervalId> = (2..34)
+        .map(|op| {
+            let origin = IntervalOrigin::ImplicitReceive { op };
+            lib.history.open_interval(origin, [])
+        })
+        .collect();
+    let head_ido = |lib: &LibState| lib.history.get(head).unwrap().ido.clone();
+    for iid in &members {
+        let ido = &lib.history.get(*iid).unwrap().ido;
+        assert!(ido.shares_storage(&head_ido(&lib)), "one run, one set");
+    }
+    let mut api = Quiet { sends: 0 };
+    let replace = HopeMessage::Replace {
+        iid: head,
+        ido: IdoSet::new(),
+    };
+    lib.handle_control(aid(8).process(), replace, &mut api);
+    let unshares = metrics.ido_unshares.load(Ordering::Relaxed);
+    let settled: IdoSet = (0..8).map(aid).collect();
+    assert_eq!(head_ido(&lib), settled, "the head dropped the sender");
+    for iid in &members {
+        let ido = &lib.history.get(*iid).unwrap().ido;
+        assert_eq!(*ido, settled, "member {iid}");
+        assert!(ido.shares_storage(&head_ido(&lib)), "the run shares again");
+    }
+    assert_eq!(
+        unshares, 0,
+        "no owner outside the run shares its IDO, so nothing is copied"
+    );
+}

@@ -19,8 +19,8 @@
 //! * **False-sharing hardened.** The producer cursor, consumer cursor
 //!   and slot array start on separate cache lines ([`CachePadded`]), so
 //!   the two ends ping-pong at most the line they actually share.
-//! * **Safe Rust.** No `unsafe` here (the crate's only `unsafe` is the
-//!   coroutine switch in `coro.rs`). Each slot is a
+//! * **Safe Rust.** No `unsafe` here (the crate's only `unsafe` is in
+//!   `coro.rs`: the coroutine switch and its stacks' mappings). Each slot is a
 //!   `Mutex<Option<T>>` used purely as an interior-mutability cell: the
 //!   head/tail index discipline proves that at most one thread touches a
 //!   given slot at a time, so every `lock()` is uncontended and succeeds
