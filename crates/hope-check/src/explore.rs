@@ -27,10 +27,11 @@
 
 use std::collections::{BTreeSet, HashMap, HashSet};
 
+use hope_core::MetricsSnapshot;
 use hope_runtime::{EventDesc, PendingEvent};
 
 use crate::oracle::{Oracle, Violation};
-use crate::world::RtWorld;
+use crate::world::{RtWorld, WorldView};
 use crate::Builder;
 
 /// How a single schedule replay ended.
@@ -65,6 +66,8 @@ pub struct ReplayOutcome {
     pub fingerprint: u64,
     /// Events fired during this replay.
     pub steps: u64,
+    /// The HOPE counters of the final state.
+    pub metrics: MetricsSnapshot,
 }
 
 /// Re-executes a scenario from scratch, consuming `decisions` at branch
@@ -92,19 +95,19 @@ pub fn replay(
         if candidates.is_empty() {
             for o in oracles.iter_mut() {
                 if let Err(v) = o.check_terminal(&view) {
-                    return done(ReplayEnd::Violated(v), &world);
+                    return done(ReplayEnd::Violated(v), &world, &view);
                 }
             }
-            return done(ReplayEnd::Terminal, &world);
+            return done(ReplayEnd::Terminal, &world, &view);
         }
         if world.steps() >= max_steps {
-            return done(ReplayEnd::Over, &world);
+            return done(ReplayEnd::Over, &world, &view);
         }
         let exhausted = di >= decisions.len();
         if exhausted && !complete_with_zero {
             // Deterministic extension: watch for livelock cycles.
             if !extension_fps.insert(world.fingerprint()) {
-                return done(ReplayEnd::Cycle, &world);
+                return done(ReplayEnd::Cycle, &world, &view);
             }
             if candidates.len() > 1 {
                 return done(
@@ -113,6 +116,7 @@ pub fn replay(
                         extension,
                     },
                     &world,
+                    &view,
                 );
             }
             extension.push(candidates[0].desc);
@@ -135,17 +139,18 @@ pub fn replay(
         view = world.view();
         for o in oracles.iter_mut() {
             if let Err(v) = o.check_step(&view) {
-                return done(ReplayEnd::Violated(v), &world);
+                return done(ReplayEnd::Violated(v), &world, &view);
             }
         }
     }
 }
 
-fn done(end: ReplayEnd, world: &RtWorld) -> ReplayOutcome {
+fn done(end: ReplayEnd, world: &RtWorld, view: &WorldView) -> ReplayOutcome {
     ReplayOutcome {
         end,
         fingerprint: world.fingerprint(),
         steps: world.steps(),
+        metrics: view.metrics.clone(),
     }
 }
 

@@ -313,18 +313,14 @@ fn cmd_replay(args: &[String]) -> Result<(), String> {
     // environment and export its Chrome trace afterwards — the timeline of
     // a shrunken counterexample is usually the fastest way to read it.
     let trace_out = flag(args, "--trace");
-    let handles: std::cell::RefCell<
-        Option<(
-            std::sync::Arc<hope_types::TraceCollector>,
-            std::sync::Arc<hope_core::HopeMetrics>,
-        )>,
-    > = std::cell::RefCell::new(None);
+    let tracer: std::cell::RefCell<Option<std::sync::Arc<hope_types::TraceCollector>>> =
+        std::cell::RefCell::new(None);
     let out = hope_check::explore::replay(
         &|| {
             let env = (s.build)(seed);
             if trace_out.is_some() {
                 env.enable_tracing(1 << 16);
-                *handles.borrow_mut() = Some((env.tracer(), env.hope_metrics()));
+                *tracer.borrow_mut() = Some(env.tracer());
             }
             env
         },
@@ -344,13 +340,13 @@ fn cmd_replay(args: &[String]) -> Result<(), String> {
         }
     );
     if let Some(path) = trace_out {
-        let (tracer, metrics) = handles
+        let tracer = tracer
             .into_inner()
             .expect("replay built the environment under --trace");
         hope_sim::trace_export::write_trace_file(
             std::path::Path::new(&path),
             &tracer,
-            &metrics.attribution(),
+            &out.metrics.attribution,
         )
         .map_err(|e| format!("writing {path}: {e}"))?;
         println!("trace written to {path}");

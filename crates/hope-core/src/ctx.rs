@@ -30,7 +30,6 @@
 //! and it never calls `check_rollback` — a primitive that must, does so.
 
 use std::cell::RefCell;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -43,9 +42,9 @@ use hope_runtime::SysApi;
 
 use crate::aid::AidActor;
 use crate::config::DenyPolicy;
+use crate::env::Shared;
 use crate::hopelib::LibState;
 use crate::interval::IntervalOrigin;
-use crate::metrics::HopeMetrics;
 use crate::replay::Op;
 
 /// Panic payload used to unwind the user closure when one of its intervals
@@ -131,21 +130,22 @@ impl Delivery {
 /// docs](crate::ctx) for an overview and `examples/` for full programs.
 pub struct ProcessCtx<'a> {
     pub(crate) sys: &'a mut dyn SysApi,
-    /// The HOPElib, op log included. Borrowed only between `sys` calls,
-    /// never across one: `Control` runs while the body is suspended in
-    /// one.
+    /// The HOPElib, op log and counters included. Borrowed only between
+    /// `sys` calls, never across one: `Control` runs while the body is
+    /// suspended in one.
     pub(crate) lib: &'a RefCell<LibState>,
-    pub(crate) metrics: Arc<HopeMetrics>,
+    /// What the environment's processes share: a child and an AID are
+    /// made with it.
+    pub(crate) shared: &'a Arc<Shared>,
 }
 
 impl ProcessCtx<'_> {
     /// Emits a causal-trace event when the shared collector is enabled
     /// (a single relaxed atomic load otherwise).
     fn trace(&mut self, kind: TraceEventKind) {
-        if self.metrics.tracer.is_enabled() {
-            let pid = self.sys.pid();
-            let now = self.sys.now();
-            self.metrics.tracer.record(pid, now, kind);
+        let tracer = &self.shared.metrics.tracer;
+        if tracer.is_enabled() {
+            tracer.record(self.sys.pid(), self.sys.now(), kind);
         }
     }
 
@@ -245,9 +245,6 @@ impl ProcessCtx<'_> {
     /// `message` discarded before its implicit guess could open one, or an
     /// explicit guess resolved on the spot.
     fn discard_doomed(&mut self, aid: AidId, message: bool) {
-        self.metrics
-            .cancelled_intervals
-            .fetch_add(1, Ordering::Relaxed);
         self.lib.borrow_mut().spec.count_cancelled();
         self.trace(TraceEventKind::CancelDoomed { aid, message });
     }
@@ -276,7 +273,7 @@ impl ProcessCtx<'_> {
         if !lib.log.is_replaying() {
             return None;
         }
-        self.metrics.replayed_ops.fetch_add(1, Ordering::Relaxed);
+        lib.counts.replayed_ops += 1;
         match lib.log.replay_next(what, pick) {
             Ok(logged) => Some(logged),
             Err(err) => std::panic::panic_any(err.to_string()),
@@ -299,11 +296,9 @@ impl ProcessCtx<'_> {
         if tag.is_empty() {
             return;
         }
-        self.metrics
-            .implicit_guesses
-            .fetch_add(tag.len() as u64, Ordering::Relaxed);
         let (iid, delta) = {
             let mut lib = self.lib.borrow_mut();
+            lib.counts.implicit_guesses += tag.len() as u64;
             if lib.history.covers(tag) {
                 return;
             }
@@ -349,10 +344,8 @@ impl ProcessCtx<'_> {
             return aid;
         }
         self.check_rollback();
-        let metrics = self.metrics.clone();
-        let pid = self
-            .sys
-            .spawn_actor("aid", Box::new(AidActor::new(metrics)));
+        let actor = AidActor::new(self.shared.metrics.clone());
+        let pid = self.sys.spawn_actor("aid", Box::new(actor));
         let aid = AidId::from_raw(pid);
         self.record(Op::AidInit { aid });
         self.trace(TraceEventKind::AidInit { aid });
@@ -435,11 +428,13 @@ impl ProcessCtx<'_> {
             // The AID is provably False: an interval opened on it would be
             // doomed on arrival of its own registration. Resolve on the
             // spot with the outcome the rollback would have produced.
-            self.metrics.guesses.fetch_add(1, Ordering::Relaxed);
-            self.record(Op::Guess {
+            let mut lib = self.lib.borrow_mut();
+            lib.counts.guesses += 1;
+            lib.log.record(Op::Guess {
                 aid,
                 outcome: false,
             });
+            drop(lib);
             self.discard_doomed(aid, false);
             return false;
         }
@@ -463,9 +458,9 @@ impl ProcessCtx<'_> {
         // Read the throttle after any depth wait: resolutions observed
         // while parked may have flipped the regime.
         let throttled = self.lib.borrow().spec.is_throttled(aid);
-        self.metrics.guesses.fetch_add(1, Ordering::Relaxed);
         let (iid, delta) = {
             let mut lib = self.lib.borrow_mut();
+            lib.counts.guesses += 1;
             let op = lib.log.record(Op::Guess { aid, outcome: true });
             // Register only the fresh guess, and only when no older live
             // interval already holds it (delta registration — the §6
@@ -515,16 +510,17 @@ impl ProcessCtx<'_> {
     /// Applying `affirm` or [`deny`](ProcessCtx::deny) to an
     /// already-resolved assumption violates the paper's one-resolution
     /// contract; the violation is counted in
-    /// [`HopeMetrics::aid_contract_violations`] rather than aborting.
+    /// [`HopeMetrics::aid_contract_violations`](crate::HopeMetrics::aid_contract_violations)
+    /// rather than aborting.
     pub fn affirm(&mut self, aid: AidId) {
         let same = |op: &Op| matches!(op, Op::Affirm { aid: a } if *a == aid).then_some(());
         if self.replayed("Affirm", same).is_some() {
             return;
         }
         self.check_rollback();
-        self.metrics.affirms.fetch_add(1, Ordering::Relaxed);
         let (iid, ido) = {
             let mut lib = self.lib.borrow_mut();
+            lib.counts.affirms += 1;
             lib.log.record(Op::Affirm { aid });
             let cur = lib.history.current_mut();
             let mut ido = cur.ido.clone();
@@ -558,9 +554,9 @@ impl ProcessCtx<'_> {
             return;
         }
         self.check_rollback();
-        self.metrics.denies.fetch_add(1, Ordering::Relaxed);
         let (iid, send_now) = {
             let mut lib = self.lib.borrow_mut();
+            lib.counts.denies += 1;
             lib.log.record(Op::Deny { aid });
             let deny_policy = lib.config().deny_policy;
             let cur = lib.history.current_mut();
@@ -595,9 +591,9 @@ impl ProcessCtx<'_> {
             return outcome;
         }
         self.check_rollback();
-        self.metrics.free_ofs.fetch_add(1, Ordering::Relaxed);
         let (iid, dependent, affirm_ido) = {
             let mut lib = self.lib.borrow_mut();
+            lib.counts.free_ofs += 1;
             let cur = lib.history.current_mut();
             let dependent = cur.ido.contains(&aid);
             let mut ido = cur.ido.clone();
@@ -827,12 +823,7 @@ impl ProcessCtx<'_> {
             return pid;
         }
         self.check_rollback();
-        let (config, registry) = {
-            let state = self.lib.borrow();
-            (state.config(), state.registry.clone())
-        };
-        let runner =
-            crate::env::user_runner(config, self.metrics.clone(), registry, Box::new(body));
+        let runner = crate::env::user_runner(self.shared.clone(), Box::new(body));
         let pid = self.sys.spawn_threaded(name, None, runner);
         self.record(Op::SpawnUser { pid });
         pid

@@ -19,9 +19,9 @@
 //!   frontier are dead weight, exactly like the paper's discarded process
 //!   images). The store survives a crash with its `LibState`, and
 //!   recovery rebuilds the log from [`DurableStore::take_recovery`].
-//! * [`StoreRegistry`] — the per-environment storage configuration, the
-//!   seeded storage-fault draw, and the pids that opened a store (so
-//!   [`Env::store_stats`](crate::Env::store_stats) can ask each one's
+//! * [`StoreRegistry`] — the per-environment storage configuration and
+//!   the seeded storage-fault draw
+//!   ([`Env::store_stats`](crate::Env::store_stats) asks each store's
 //!   owner). At crash time the unsynced tail of the WAL may tear, vanish,
 //!   or take a bit flip ([`StorageFaultPlan`]), and recovery must still
 //!   produce a valid prefix that satisfies Theorem 5.1.
@@ -33,8 +33,6 @@
 //! `Compute`, and empty `TryReceive` polls — so the recovered prefix never
 //! retracts an effect the rest of the system observed, and the definite
 //! frontier at crash time is always at or behind the recovered length.
-
-use std::sync::Mutex;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -131,7 +129,6 @@ pub struct DurableSnapshot {
 /// op: a checkpoint encodes the owning log's list.
 #[derive(Debug)]
 pub struct DurableStore {
-    pid: ProcessId,
     log: SegmentedLog,
     /// The event record being built, reused so an append allocates no
     /// payload.
@@ -166,7 +163,6 @@ impl DurableStore {
             ^ pid.as_raw().wrapping_mul(0x9e37_79b9_7f4a_7c15)
             ^ 0x6469_736b_2d63_6821; // "disk-ch!"
         DurableStore {
-            pid,
             log: SegmentedLog::new(StoreConfig {
                 segment_bytes: config.segment_bytes,
             }),
@@ -186,19 +182,9 @@ impl DurableStore {
         }
     }
 
-    /// The process this store belongs to.
-    pub fn pid(&self) -> ProcessId {
-        self.pid
-    }
-
     /// WAL lifecycle counters.
     pub fn stats(&self) -> StoreStats {
         self.log.stats()
-    }
-
-    /// Segments currently alive in the WAL.
-    pub fn live_segments(&self) -> usize {
-        self.log.live_segments()
     }
 
     fn sync_for(&mut self, op: &Op) {
@@ -434,16 +420,14 @@ fn apply_event(payload: &[u8], ops: &mut OpList) -> bool {
 }
 
 /// One environment's storage: the configuration and seeded fault plan
-/// every store is made with, and the pids that opened one. A store is
-/// owned by its process's op log; it survives that process's crashes with
-/// its HOPElib (the WAL *is* the disk).
+/// every store is made with. A store is owned by its process's op log; it
+/// survives that process's crashes with its HOPElib (the WAL *is* the
+/// disk).
 #[derive(Debug)]
 pub struct StoreRegistry {
     config: DurableConfig,
     faults: Option<StorageFaultPlan>,
     seed: u64,
-    /// Taken once per process start, and by the observer that lists them.
-    pids: Mutex<Vec<ProcessId>>,
 }
 
 impl StoreRegistry {
@@ -455,24 +439,14 @@ impl StoreRegistry {
             config,
             faults,
             seed,
-            pids: Mutex::new(Vec::new()),
         }
     }
 
-    /// A fresh store for `pid`, which is listed as having one.
+    /// A fresh store for `pid`.
     pub fn open(&self, pid: ProcessId) -> DurableStore {
-        self.pids.lock().expect(HELD_BRIEFLY).push(pid);
         DurableStore::new(pid, self.config, self.faults.as_ref(), self.seed)
     }
-
-    /// The pids that opened a store, in the order they did.
-    pub(crate) fn pids(&self) -> Vec<ProcessId> {
-        self.pids.lock().expect(HELD_BRIEFLY).clone()
-    }
 }
-
-/// Why the pid list's lock is never poisoned.
-const HELD_BRIEFLY: &str = "the store list is locked only for a push or a copy";
 
 impl DurableSnapshot {
     /// Sums stores' counters, except `max_live_segments`, which is the

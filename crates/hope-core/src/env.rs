@@ -9,7 +9,7 @@
 use std::cell::RefCell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::rc::Rc;
-use std::sync::atomic::Ordering;
+use std::sync::atomic::Ordering::Relaxed;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -34,28 +34,46 @@ use crate::replay::{Op, OpList};
 /// and on every rollback-driven re-execution (hence `Fn`, not `FnOnce`).
 pub type UserBody = Box<dyn Fn(&mut ProcessCtx<'_>) + Send>;
 
-/// The runner of one HOPE user process: on its first turn, on the thread
-/// that owns the pid, it makes the process's [`LibState`] (with its op
-/// log's durable store, when the environment has storage), attaches the
-/// `Control` that shares it, and runs `body`. Used by the environment's
-/// `spawn_user` and by [`ProcessCtx::spawn_user`](crate::ProcessCtx::spawn_user).
-pub(crate) fn user_runner(
+/// What every user process of one environment is made with, and the list
+/// of their HOPElibs that the observers ask.
+pub(crate) struct Shared {
     config: HopeConfig,
-    metrics: Arc<HopeMetrics>,
-    registry: Option<Arc<StoreRegistry>>,
-    body: UserBody,
-) -> ProcessBody {
+    /// The tracer and the AID actors' counts.
+    pub(crate) metrics: Arc<HopeMetrics>,
+    registry: Option<StoreRegistry>,
+    /// The pid of every HOPElib, children included, in the order of their
+    /// first turns: [`Env::metrics`] and [`Env::store_stats`] ask each.
+    libs: Mutex<Vec<ProcessId>>,
+}
+
+impl Shared {
+    fn libs(&self) -> Vec<ProcessId> {
+        self.libs.lock().expect(HELD_BRIEFLY).clone()
+    }
+}
+
+/// Why the HOPElib list's lock is never poisoned.
+const HELD_BRIEFLY: &str = "the HOPElib list is locked only for a push or a copy";
+
+/// The runner of one HOPE user process: on its first turn, on the thread
+/// that owns the pid, it lists the process's HOPElib, makes its
+/// [`LibState`] (with its op log's durable store, when the environment has
+/// storage), attaches the `Control` that shares it, and runs `body`. Used
+/// by the environment's `spawn_user` and by
+/// [`ProcessCtx::spawn_user`](crate::ProcessCtx::spawn_user).
+pub(crate) fn user_runner(shared: Arc<Shared>, body: UserBody) -> ProcessBody {
     Box::new(move |sys: &mut dyn SysApi| {
-        let mut lib = LibState::new(sys.pid(), config, metrics.clone());
-        if let Some(registry) = registry {
+        let pid = sys.pid();
+        shared.libs.lock().expect(HELD_BRIEFLY).push(pid);
+        let mut lib = LibState::new(pid, shared.config, shared.metrics.clone());
+        if let Some(registry) = &shared.registry {
             // Every op-log mutation is written to this store (DESIGN.md
             // S6); it survives the process's crashes with its HOPElib.
-            lib.log.store = Some(Box::new(registry.open(sys.pid())));
-            lib.registry = Some(registry);
+            lib.log.store = Some(Box::new(registry.open(pid)));
         }
         let lib = Rc::new(RefCell::new(lib));
         sys.attach_control(Box::new(LibControl { lib: lib.clone() }));
-        run_user_body(sys, &lib, metrics, body);
+        run_user_body(sys, &lib, &shared, body);
         // Nothing re-executes the body now, but its `LibState` stays with
         // the attached `Control` for observers: free the ops' chunks (the
         // store keeps its WAL and counters).
@@ -88,27 +106,28 @@ fn install_silent_signal_hook() {
 fn run_user_body(
     sys: &mut dyn SysApi,
     lib: &RefCell<LibState>,
-    metrics: Arc<HopeMetrics>,
+    shared: &Arc<Shared>,
     body: UserBody,
 ) {
     install_silent_signal_hook();
+    let tracer = &shared.metrics.tracer;
     loop {
         let outcome = {
             let mut ctx = ProcessCtx {
                 sys: &mut *sys,
                 lib,
-                metrics: metrics.clone(),
+                shared,
             };
             catch_unwind(AssertUnwindSafe(|| body(&mut ctx)))
         };
         match outcome {
             Ok(()) => match park_until(sys, lib, |state| state.history.fully_definite()) {
                 Parked::Ready | Parked::Shutdown => return,
-                Parked::Rollback => perform_rollback(sys, lib, &metrics),
+                Parked::Rollback => perform_rollback(sys, lib, tracer),
             },
             Err(payload) => {
                 if payload.is::<RollbackSignal>() {
-                    perform_rollback(sys, lib, &metrics);
+                    perform_rollback(sys, lib, tracer);
                 } else if payload.is::<ShutdownSignal>() {
                     return;
                 } else {
@@ -124,8 +143,9 @@ fn run_user_body(
 /// affirms per policy and rewind the operation log; the caller then
 /// re-executes the body. A stale rollback (nothing pending, or nothing
 /// live at its floor) only rewinds: the log replays to its end,
-/// reproducing the current state.
-fn perform_rollback(sys: &mut dyn SysApi, lib: &RefCell<LibState>, metrics: &Arc<HopeMetrics>) {
+/// reproducing the current state. The process counts the rollback into
+/// its own attribution table.
+fn perform_rollback(sys: &mut dyn SysApi, lib: &RefCell<LibState>, tracer: &TraceCollector) {
     let (config, discarded, cause, crash_recovery) = {
         let mut state = lib.borrow_mut();
         // Post-crash recovery: rebuild the op log from the durable store
@@ -174,10 +194,6 @@ fn perform_rollback(sys: &mut dyn SysApi, lib: &RefCell<LibState>, metrics: &Arc
         lib.borrow_mut().log.rewind();
         return;
     }
-    metrics
-        .rollbacks
-        .fetch_add(discarded.len() as u64, Ordering::Relaxed);
-    metrics.reexecutions.fetch_add(1, Ordering::Relaxed);
     // Causal attribution: charge this rollback's wasted work to the deny
     // that started the cascade (the AID carried as the Rollback's cause),
     // or to this process's own crash when recovery — not a deny — doomed
@@ -249,6 +265,7 @@ fn perform_rollback(sys: &mut dyn SysApi, lib: &RefCell<LibState>, metrics: &Arc
         IntervalOrigin::Root => unreachable!("the root interval is definite"),
     };
     drop(state);
+    // The attribution is the one count of rollbacks and re-executions.
     let wasted = WastedWork {
         intervals_discarded: discarded.len() as u64,
         ops_discarded: removed.len() as u64,
@@ -258,7 +275,6 @@ fn perform_rollback(sys: &mut dyn SysApi, lib: &RefCell<LibState>, metrics: &Arc
             .count() as u64,
         reexecutions: 1,
     };
-    metrics.charge_rollback(blame, wasted);
     // Adaptive speculation control: a caused rollback on this live path is
     // the one place a deny provably reached this process (replays and
     // crash recoveries never get here with a cause), so feed the deny-rate
@@ -268,15 +284,16 @@ fn perform_rollback(sys: &mut dyn SysApi, lib: &RefCell<LibState>, metrics: &Arc
     let observed = cause.filter(|_| !crash_recovery);
     let now = observed.map(|_| sys.now());
     let mut state = lib.borrow_mut();
+    state.counts.attribution.charge(blame, wasted);
     state.spec_waiting = false;
     if let (Some(cause_aid), Some(now)) = (observed, now) {
         state.observe_resolution(cause_aid, true, now);
     }
     drop(state);
-    if metrics.tracer.is_enabled() {
+    if tracer.is_enabled() {
         let pid = sys.pid();
         let now = sys.now();
-        metrics.tracer.record(
+        tracer.record(
             pid,
             now,
             TraceEventKind::RollbackStart {
@@ -288,7 +305,7 @@ fn perform_rollback(sys: &mut dyn SysApi, lib: &RefCell<LibState>, metrics: &Arc
                 messages_invalidated: wasted.messages_invalidated,
             },
         );
-        metrics.tracer.record(pid, now, TraceEventKind::Reexecution);
+        tracer.record(pid, now, TraceEventKind::Reexecution);
     }
     // Restore messages consumed inside the discarded region to the mailbox
     // in their original order (a process-image restore would restore the
@@ -440,8 +457,8 @@ impl<R> EnvBuilder<R> {
     }
 
     /// The runtime-independent part of `build`: validates the policy,
-    /// creates the shared metrics and the store registry, and builds the
-    /// runtime with `build`, recording into the metrics' tracer.
+    /// creates what the processes share (the store registry among it), and
+    /// builds the runtime with `build`, recording into the shared tracer.
     fn build_on(self, build: impl FnOnce(RuntimeBuilder<R>) -> R) -> Env<R> {
         let config = self.config;
         if let Err(e) = config.spec_policy.validate() {
@@ -449,14 +466,16 @@ impl<R> EnvBuilder<R> {
         }
         let metrics = Arc::new(HopeMetrics::new());
         let (seed, storage) = (self.seed, self.storage);
-        let registry =
-            (self.durable).map(|durable| Arc::new(StoreRegistry::new(durable, storage, seed)));
+        let registry = (self.durable).map(|durable| StoreRegistry::new(durable, storage, seed));
         Env {
             rt: build(self.rt.tracer(metrics.tracer.clone())),
-            config,
-            metrics,
+            shared: Arc::new(Shared {
+                config,
+                metrics,
+                registry,
+                libs: Mutex::new(Vec::new()),
+            }),
             users: Mutex::new(Vec::new()),
-            registry,
         }
     }
 }
@@ -499,19 +518,18 @@ impl EnvBuilder<ThreadedRuntime> {
     }
 }
 
-/// A complete HOPE environment on runtime `R`: the runtime plus the shared
-/// algorithm configuration, metrics and the pids of its top-level user
-/// processes. Each process's HOPElib stays with the process; an observer
-/// asks its owner ([`Inspect`]). One impl block holds everything that does
+/// A complete HOPE environment on runtime `R`: the runtime plus what its
+/// processes share (algorithm configuration, tracer, storage) and the pids
+/// of its top-level user processes. Each process's HOPElib, counters
+/// included, stays with the process; an observer asks its owner
+/// ([`Inspect`]). One impl block holds everything that does
 /// not drive the runtime; [`HopeEnv`] and [`ThreadedHopeEnv`] add spawning
 /// and running. See the crate docs for an example.
 pub struct Env<R> {
     rt: R,
-    config: HopeConfig,
-    metrics: Arc<HopeMetrics>,
+    shared: Arc<Shared>,
     /// The top-level user processes, (pid, name) in spawn order.
     users: Mutex<Vec<(ProcessId, String)>>,
-    registry: Option<Arc<StoreRegistry>>,
 }
 
 /// The environment on the deterministic virtual-time simulator.
@@ -547,8 +565,7 @@ impl<R: Inspect> Env<R> {
     /// The runner of a user process running `body`; the caller spawns it
     /// on its runtime and [`track`](Env::track)s the pid.
     fn runner(&self, body: UserBody) -> ProcessBody {
-        let (config, metrics) = (self.config, self.metrics.clone());
-        user_runner(config, metrics, self.registry.clone(), body)
+        user_runner(self.shared.clone(), body)
     }
 
     fn track(&self, pid: ProcessId, name: &str) -> ProcessId {
@@ -565,7 +582,7 @@ impl<R: Inspect> Env<R> {
         pid: ProcessId,
         f: impl FnOnce(&LibState) -> T + Send + 'static,
     ) -> T {
-        let (config, metrics) = (self.config, self.metrics.clone());
+        let (config, metrics) = (self.shared.config, self.shared.metrics.clone());
         let read = move |control: Option<&dyn ControlHandler>| match control
             .and_then(|c| c.as_any()?.downcast_ref::<LibControl>())
         {
@@ -589,9 +606,11 @@ impl<R: Inspect> Env<R> {
     /// Pids of the top-level user processes (spawned via `spawn_user` on
     /// the environment; children spawned by
     /// [`ProcessCtx::spawn_user`](crate::ProcessCtx::spawn_user) are not
-    /// tracked — here or by any `*_of` observer below). The observers ask
-    /// each process's owner, so on [`ThreadedHopeEnv`] they wait for its
-    /// shard and panic when called from a process body.
+    /// tracked — here or by any `*_of` observer below — but are counted
+    /// by [`metrics`](Env::metrics) and
+    /// [`store_stats`](Env::store_stats)). The observers ask each
+    /// process's owner, so on [`ThreadedHopeEnv`] they wait for its shard
+    /// and panic when called from a process body.
     pub fn user_pids(&self) -> Vec<ProcessId> {
         self.users.lock().unwrap().iter().map(|(p, _)| *p).collect()
     }
@@ -630,8 +649,8 @@ impl<R: Inspect> Env<R> {
     /// opened a store is asked, children spawned by
     /// [`ProcessCtx::spawn_user`](crate::ProcessCtx::spawn_user) included.
     pub fn store_stats(&self) -> Option<DurableSnapshot> {
-        let registry = self.registry.as_ref()?;
-        let stores = registry.pids().into_iter().filter_map(|pid| {
+        self.shared.registry.as_ref()?;
+        let stores = self.shared.libs().into_iter().filter_map(|pid| {
             self.read_lib(pid, |lib| {
                 lib.log.store.as_deref().map(DurableStore::snapshot)
             })
@@ -643,34 +662,35 @@ impl<R: Inspect> Env<R> {
     /// (drop-oldest once full). Tracing is off by default and costs a
     /// single relaxed atomic load per hook while disabled.
     pub fn enable_tracing(&self, capacity: usize) {
-        self.metrics.tracer.enable(capacity);
+        self.shared.metrics.tracer.enable(capacity);
     }
 
     /// The shared trace collector (runtime and library layers both emit
     /// into it).
     pub fn tracer(&self) -> Arc<TraceCollector> {
-        self.metrics.tracer.clone()
+        self.shared.metrics.tracer.clone()
     }
 
-    /// HOPE metrics so far.
+    /// HOPE metrics so far: every user process's counters, children
+    /// spawned by [`ProcessCtx::spawn_user`](crate::ProcessCtx::spawn_user)
+    /// included, each asked of its owner and summed, plus the AID actors'
+    /// two counts.
     pub fn metrics(&self) -> MetricsSnapshot {
-        let mut hope = self.metrics.snapshot();
-        hope.history_visits = (self.user_pids().into_iter())
-            .filter_map(|pid| self.ask(pid, |lib| lib.history.visits()))
-            .sum();
+        let aids = &self.shared.metrics;
+        let mut hope = MetricsSnapshot {
+            aid_contract_violations: aids.aid_contract_violations.load(Relaxed),
+            aids_collected: aids.aids_collected.load(Relaxed),
+            ..MetricsSnapshot::default()
+        };
+        for pid in self.shared.libs() {
+            hope.add(&self.read_lib(pid, LibState::metrics));
+        }
         hope
-    }
-
-    /// The live metrics behind [`metrics`](Env::metrics) snapshots.
-    /// For observers that must read counters after the environment itself
-    /// has been moved (e.g. the model checker's replay trace dump).
-    pub fn hope_metrics(&self) -> Arc<HopeMetrics> {
-        self.metrics.clone()
     }
 
     /// The algorithm configuration.
     pub fn config(&self) -> HopeConfig {
-        self.config
+        self.shared.config
     }
 
     /// Read-only access to the underlying runtime.
@@ -793,5 +813,94 @@ impl Env<ThreadedRuntime> {
     /// means the timeout fired first.
     pub fn run_until_quiescent(&self, grace: Duration, timeout: Duration) -> RunReport {
         self.rt.run_until_quiescent(grace, timeout)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::atomic::AtomicU64;
+
+    use bytes::Bytes;
+
+    /// Messages the parent sends its child while it guesses.
+    const TAGGED: u64 = 5;
+
+    /// A parent that spawns a child, then sends it `TAGGED` messages from
+    /// a guess it denies itself: both roll back, and the parent's
+    /// re-execution sends them untagged. The child's pid lands in `child`.
+    fn parent(child: Arc<AtomicU64>) -> impl Fn(&mut ProcessCtx<'_>) + Send + 'static {
+        move |ctx| {
+            let a = ctx.aid_init();
+            let pid = ctx.spawn_user("child", guessing_child);
+            child.store(pid.as_raw(), Relaxed);
+            let optimistic = ctx.guess(a);
+            for n in 0..TAGGED {
+                ctx.send(pid, 0, Bytes::from(n.to_le_bytes().to_vec()));
+            }
+            if optimistic {
+                ctx.deny(a);
+            }
+        }
+    }
+
+    /// The child guesses and affirms, frees itself of a fresh AID, and
+    /// receives the parent's messages: the tagged ones open an interval
+    /// that the parent's deny rolls back, and the rest are cancelled.
+    fn guessing_child(ctx: &mut ProcessCtx<'_>) {
+        let b = ctx.aid_init();
+        if ctx.guess(b) {
+            ctx.affirm(b);
+        }
+        let c = ctx.aid_init();
+        ctx.free_of(c);
+        for _ in 0..TAGGED {
+            ctx.receive(Some(0));
+        }
+    }
+
+    /// `Env::metrics` is the parent's and the child's counters summed,
+    /// plus the AID actors' counts; the child's are not zero.
+    fn check_family<R: Inspect>(env: &Env<R>, child: &AtomicU64, runtime: &str) {
+        let family = [env.user_pids()[0], ProcessId::from_raw(child.load(Relaxed))];
+        let total = env.metrics();
+        let [mine, childs] = family.map(|pid| env.read_lib(pid, LibState::metrics));
+        let visits = family.map(|pid| env.read_lib(pid, |lib| lib.history.visits()));
+        assert!(visits[1] > 0, "{runtime}: the child walks its history");
+        assert_eq!(
+            total.history_visits,
+            visits[0] + visits[1],
+            "{runtime}: the child's visits are counted"
+        );
+        let mut sum = MetricsSnapshot {
+            aid_contract_violations: total.aid_contract_violations,
+            aids_collected: total.aids_collected,
+            ..mine.clone()
+        };
+        sum.add(&childs);
+        assert_eq!(total, sum, "{runtime}: every counter is the family's sum");
+        assert_eq!((childs.guesses, childs.affirms, childs.free_ofs), (1, 1, 1));
+        assert!(childs.implicit_guesses >= 1, "{runtime}: {childs:?}");
+        assert!(childs.rollbacks >= 1, "{runtime}: {childs:?}");
+        assert_eq!(childs.cancelled_intervals, TAGGED - 1, "{runtime}");
+        assert_eq!((mine.denies, mine.rollbacks), (1, 1), "{runtime}: {mine:?}");
+    }
+
+    #[test]
+    fn a_childs_counters_are_counted() {
+        let child = Arc::new(AtomicU64::new(0));
+        let mut sim = HopeEnv::new();
+        sim.spawn_user("parent", parent(child.clone()));
+        assert!(sim.run().is_clean());
+        check_family(&sim, &child, "simulator");
+
+        for shards in [1, 2] {
+            let env = ThreadedHopeEnv::builder().shards(shards).build();
+            env.spawn_user("parent", parent(child.clone()));
+            let wait = Duration::from_millis;
+            let report = env.run_until_quiescent(wait(50), wait(10_000));
+            assert!(report.is_clean(), "shards({shards}): {report:?}");
+            check_family(&env, &child, &format!("shards({shards})"));
+        }
     }
 }

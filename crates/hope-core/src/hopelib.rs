@@ -11,20 +11,18 @@
 
 use std::cell::RefCell;
 use std::rc::Rc;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use hope_types::{
     AidId, HopeMessage, IdoSet, IntervalId, Payload, ProcessId, SpecController, SpecSnapshot,
-    TraceEventKind, VirtualTime,
+    TraceCollector, TraceEventKind, VirtualTime,
 };
 
 use hope_runtime::{ControlApi, ControlHandler};
 
 use crate::config::HopeConfig;
-use crate::durable::StoreRegistry;
 use crate::interval::{History, IntervalRecord};
-use crate::metrics::HopeMetrics;
+use crate::metrics::{HopeMetrics, MetricsSnapshot};
 use crate::replay::ReplayLog;
 
 /// A rollback demanded by `Control`, awaiting execution on the user
@@ -56,9 +54,9 @@ fn merge_pending(cur: Option<PendingRollback>, incoming: PendingRollback) -> Pen
 
 /// The bookkeeping state of one user process's HOPElib: its interval
 /// history, the op log it is rolled back with (and that log's durable
-/// store), and any pending rollback. The process's runner makes it on the
-/// process's first turn, on the thread that runs the process, and only its
-/// `Control` handler ([`LibControl`]) and the
+/// store), any pending rollback, and its counters. The process's runner
+/// makes it on the process's first turn, on the thread that runs the
+/// process, and only its `Control` handler ([`LibControl`]) and the
 /// [`ProcessCtx`](crate::ProcessCtx) running the body hold it. The two take
 /// turns on that thread (the simulator's, or the process's shard), so it
 /// sits in a `RefCell`, is not `Send`, and no primitive takes a lock on it;
@@ -72,14 +70,16 @@ pub struct LibState {
     /// `Rollback` messages; cleared when the user thread rolls back.
     pub pending_rollback: Option<PendingRollback>,
     config: HopeConfig,
-    metrics: Arc<HopeMetrics>,
+    tracer: Arc<TraceCollector>,
+    /// This process's counts, attribution included. `rollbacks`,
+    /// `reexecutions`, `cancelled_intervals` and `history_visits` stay 0
+    /// here: [`metrics`](LibState::metrics) works them out when asked.
+    pub(crate) counts: MetricsSnapshot,
     /// The operation log (DESIGN.md S2): checkpoint and rollback by
     /// re-execution. It owns the process's durable store when the
     /// environment was built with [`durable`](crate::EnvBuilder::durable)
     /// storage.
     pub(crate) log: ReplayLog,
-    /// The environment's store registry, inherited by spawned children.
-    pub(crate) registry: Option<Arc<StoreRegistry>>,
     /// Next [`ProcessCtx::channel_seq`](crate::ProcessCtx::channel_seq)
     /// value. Lives here — not in the per-execution context — so rollback
     /// re-execution continues the sequence instead of re-issuing channels
@@ -115,7 +115,8 @@ pub struct LibState {
 const KNOWN_DENIED_CAP: usize = 4096;
 
 impl LibState {
-    /// The fresh state of process `pid`: one definite root interval.
+    /// The fresh state of process `pid`: one definite root interval. It
+    /// records into `metrics`' tracer.
     pub fn new(pid: ProcessId, config: HopeConfig, metrics: Arc<HopeMetrics>) -> Self {
         LibState {
             pid,
@@ -125,9 +126,9 @@ impl LibState {
             known_denied: IdoSet::new(),
             spec_waiting: false,
             config,
-            metrics,
+            tracer: metrics.tracer.clone(),
+            counts: MetricsSnapshot::default(),
             log: ReplayLog::new(pid),
-            registry: None,
             next_channel_seq: 0,
         }
     }
@@ -158,9 +159,19 @@ impl LibState {
         self.config
     }
 
-    /// Shared metrics handle.
-    pub fn metrics(&self) -> &Arc<HopeMetrics> {
-        &self.metrics
+    /// This process's counters. Four are worked out here: `rollbacks`
+    /// and `reexecutions` from the attribution's totals,
+    /// `cancelled_intervals` from the speculation controller and
+    /// `history_visits` from the history. The AID actors' two counts read 0.
+    pub fn metrics(&self) -> MetricsSnapshot {
+        let wasted = self.counts.attribution.total();
+        MetricsSnapshot {
+            rollbacks: wasted.intervals_discarded,
+            reexecutions: wasted.reexecutions,
+            cancelled_intervals: self.spec.cancelled(),
+            history_visits: self.history.visits(),
+            ..self.counts.clone()
+        }
     }
 
     /// Plain-value snapshot of the speculation controller.
@@ -192,10 +203,10 @@ impl LibState {
             return;
         }
         let obs = self.spec.observe(aid, denied);
-        if !self.metrics.tracer.is_enabled() {
+        if !self.tracer.is_enabled() {
             return;
         }
-        self.metrics.tracer.record(
+        self.tracer.record(
             self.pid,
             now,
             TraceEventKind::SpecObserve {
@@ -206,7 +217,7 @@ impl LibState {
             },
         );
         if let Some(on) = obs.aid_flip {
-            self.metrics.tracer.record(
+            self.tracer.record(
                 self.pid,
                 now,
                 TraceEventKind::SpecThrottle {
@@ -217,7 +228,7 @@ impl LibState {
             );
         }
         if let Some(on) = obs.process_flip {
-            self.metrics.tracer.record(
+            self.tracer.record(
                 self.pid,
                 now,
                 TraceEventKind::SpecThrottle {
@@ -262,7 +273,7 @@ impl LibState {
             Some(rec) if rec.definite => {
                 // Finalize is a commit point; a rollback arriving for a
                 // definite interval is ignored (see DESIGN.md §3).
-                self.metrics.late_rollbacks.fetch_add(1, Ordering::Relaxed);
+                self.counts.late_rollbacks += 1;
             }
             Some(_) => {
                 let incoming = PendingRollback {
@@ -414,14 +425,8 @@ impl LibState {
             }
             pos = end;
         }
-        self.metrics
-            .ido_unshares
-            .fetch_add(ido_unshares, Ordering::Relaxed);
-        if cycles_broken > 0 {
-            self.metrics
-                .cycles_broken
-                .fetch_add(cycles_broken, Ordering::Relaxed);
-        }
+        self.counts.ido_unshares += ido_unshares;
+        self.counts.cycles_broken += cycles_broken;
         self.finalize_ready(api);
         // A speculation-control waiter may be waiting for its assumption
         // to leave the IDO without the interval finalizing (the affirm was
@@ -456,10 +461,8 @@ impl LibState {
             crash: true,
         };
         self.pending_rollback = Some(merge_pending(self.pending_rollback, incoming));
-        self.metrics
-            .crash_recoveries
-            .fetch_add(1, Ordering::Relaxed);
-        self.metrics.tracer.record(
+        self.counts.crash_recoveries += 1;
+        self.tracer.record(
             self.pid,
             api.now(),
             hope_types::TraceEventKind::CrashRecovery,
@@ -483,9 +486,7 @@ impl LibState {
         // The frontier advanced: make the op log durable up to here and
         // let the store checkpoint + GC dead segments.
         self.log.on_frontier();
-        self.metrics
-            .finalized_intervals
-            .fetch_add(done.len() as u64, Ordering::Relaxed);
+        self.counts.finalized_intervals += done.len() as u64;
         // One clock reading for the whole batch.
         let now = api.now();
         if self.spec.is_active() {
@@ -505,7 +506,7 @@ impl LibState {
             }
         }
         for (iid, iha, ihd) in done {
-            self.metrics.tracer.record(
+            self.tracer.record(
                 self.pid,
                 now,
                 hope_types::TraceEventKind::IntervalFinalized { interval: iid },
@@ -665,7 +666,7 @@ mod tests {
             &mut api,
         );
         assert_eq!(lib.pending_rollback, None);
-        assert_eq!(lib.metrics().late_rollbacks.load(Ordering::Relaxed), 1);
+        assert_eq!(lib.metrics().late_rollbacks, 1);
         assert_eq!(api.wakes, 0);
     }
 
@@ -828,7 +829,7 @@ mod tests {
         };
         // 1 -> {8, 9}: every holder has 1; 8 and 9 are new to all.
         replace(&mut lib, &mut api, 1, &[8, 9]);
-        let unshares = |lib: &LibState| lib.metrics().ido_unshares.load(Ordering::Relaxed);
+        let unshares = |lib: &LibState| lib.metrics().ido_unshares;
         // Each run's members let go of the IDO they share with their head
         // before it changes, so a head's IDO is copied only where an owner
         // outside the run shares it: the first head's own trigger set,
@@ -859,7 +860,7 @@ mod tests {
         // 8 -> {1}: 1 is in every UDO, so each holder breaks the cycle.
         api.sent.clear();
         replace(&mut lib, &mut api, 8, &[1]);
-        let broken = lib.metrics().cycles_broken.load(Ordering::Relaxed);
+        let broken = lib.metrics().cycles_broken;
         assert_eq!(broken, 3 * RUN as u64, "counted per holder all the same");
         assert_eq!(guesses(&api), [], "nothing acquired");
         assert_eq!(unshares(&lib), 1, "every head now owns its IDO alone");
@@ -893,7 +894,7 @@ mod tests {
         );
         let rec = lib.history.get(iid).unwrap();
         assert!(rec.definite, "interval escapes the 2-cycle");
-        assert_eq!(lib.metrics().cycles_broken.load(Ordering::Relaxed), 1);
+        assert_eq!(lib.metrics().cycles_broken, 1);
     }
 
     #[test]
@@ -1026,7 +1027,7 @@ mod tests {
             "recovery rolls back to the first speculative interval"
         );
         assert_eq!(api.wakes, 1);
-        assert_eq!(lib.metrics().crash_recoveries.load(Ordering::Relaxed), 1);
+        assert_eq!(lib.metrics().crash_recoveries, 1);
     }
 
     #[test]

@@ -19,7 +19,6 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use hope_core::{HopeConfig, HopeMetrics, IntervalOrigin, LibState};
@@ -107,7 +106,7 @@ fn aid(n: u64) -> AidId {
 /// deep copies the HOPElib counted over all of them.
 fn settle_nested_guesses(depth: u64) -> (u64, u64) {
     let metrics = Arc::new(HopeMetrics::new());
-    let mut lib = LibState::new(ProcessId::from_raw(1), HopeConfig::new(), metrics.clone());
+    let mut lib = LibState::new(ProcessId::from_raw(1), HopeConfig::new(), metrics);
     // The UDO every interval shares: past the inline tier, on the heap.
     let escaped: IdoSet = (0..8).map(|n| aid(1_000 + n)).collect();
     let iids: Vec<IntervalId> = (0..depth)
@@ -136,7 +135,7 @@ fn settle_nested_guesses(depth: u64) -> (u64, u64) {
     }
     assert!(lib.history.fully_definite(), "every assumption settled");
     assert_eq!(api.sends, 0, "nothing registered, affirmed or denied");
-    (most, metrics.ido_unshares.load(Ordering::Relaxed))
+    (most, lib.metrics().ido_unshares)
 }
 
 #[test]
@@ -168,7 +167,7 @@ fn a_replace_allocates_the_same_whatever_the_number_of_holders() {
 #[test]
 fn a_run_that_owns_its_ido_copies_none_of_it() {
     let metrics = Arc::new(HopeMetrics::new());
-    let mut lib = LibState::new(ProcessId::from_raw(1), HopeConfig::new(), metrics.clone());
+    let mut lib = LibState::new(ProcessId::from_raw(1), HopeConfig::new(), metrics);
     // An outer interval on a heap-sized set, then the run's head on one
     // more assumption: its IDO is a new merged set, its trigger inline.
     let outer = IntervalOrigin::ExplicitGuess { op: 0 };
@@ -192,7 +191,7 @@ fn a_run_that_owns_its_ido_copies_none_of_it() {
         ido: IdoSet::new(),
     };
     lib.handle_control(aid(8).process(), replace, &mut api);
-    let unshares = metrics.ido_unshares.load(Ordering::Relaxed);
+    let unshares = lib.metrics().ido_unshares;
     let settled: IdoSet = (0..8).map(aid).collect();
     assert_eq!(head_ido(&lib), settled, "the head dropped the sender");
     for iid in &members {

@@ -16,7 +16,6 @@
 //! model's, the `Guess` registrations must go to the same AIDs for the
 //! same intervals in the same order, and `cycles_broken` must agree.
 
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use hope_core::{HopeConfig, HopeMetrics, IntervalOrigin, IntervalRecord, LibState};
@@ -156,10 +155,7 @@ fn live_positions(lib: &LibState) -> std::ops::Range<usize> {
 fn check(lib: &LibState, model: &Model, api: &Recorder) {
     prop_assert_eq!(lib.history.intervals(), &model.records[..]);
     prop_assert_eq!(&api.sent, &model.sent);
-    prop_assert_eq!(
-        lib.metrics().cycles_broken.load(Ordering::Relaxed),
-        model.cycles_broken
-    );
+    prop_assert_eq!(lib.metrics().cycles_broken, model.cycles_broken);
     // One past the pool: an AID no interval has held yet.
     for pos in 0..=model.records.len() {
         for y in (100..=100 + AIDS).map(|n| AidId::from_raw(ProcessId::from_raw(n))) {
