@@ -23,6 +23,7 @@
 //! Everything is deterministic given the flags; all run within a small
 //! fixed budget (see EXPERIMENTS.md E-check).
 
+use std::io::{ErrorKind, Write};
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -33,6 +34,21 @@ use hope_check::{
 use hope_core::HopeEnv;
 use hope_core::SpecPolicy::{self, AlwaysOptimistic, Pessimistic};
 use hope_sim::scenarios::{chaos_ring, deny_storm, disk_ring, doomed_stream, ring};
+
+/// `println!` through the locked stdout. A reader that closed its end
+/// (`hope-check … | head -1`) wanted no more output, so that ends the run
+/// quietly; any other failed write ends it with an error.
+macro_rules! say {
+    ($($arg:tt)*) => {
+        if let Err(e) = writeln!(std::io::stdout().lock(), $($arg)*) {
+            if e.kind() == ErrorKind::BrokenPipe {
+                std::process::exit(0);
+            }
+            eprintln!("hope-check: writing to stdout: {e}");
+            std::process::exit(1);
+        }
+    };
+}
 
 /// Builds a scenario from a seed.
 type Builder = fn(u64) -> HopeEnv;
@@ -190,7 +206,7 @@ fn cmd_explore(args: &[String]) -> Result<(), String> {
     let mut oracles = oracles_for(&s, seed, cfg.max_schedule_steps);
     let start = Instant::now();
     let report = dfs(&|| (s.build)(seed), &mut oracles, &cfg);
-    println!(
+    say!(
         "explore {}: {} branch states, {} terminal states, {} replays, {} steps, {:.2?}",
         s.name,
         report.branch_states,
@@ -200,7 +216,7 @@ fn cmd_explore(args: &[String]) -> Result<(), String> {
         start.elapsed()
     );
     if report.truncated {
-        println!("  (budget hit: exploration truncated)");
+        say!("  (budget hit: exploration truncated)");
     }
     if let Some(cx) = &report.violation {
         return Err(format!(
@@ -214,7 +230,7 @@ fn cmd_explore(args: &[String]) -> Result<(), String> {
     match (report.found_cycle, s.expect_livelock) {
         (true, true) => {
             let witness = report.cycle_witness.clone().unwrap_or_default();
-            println!(
+            say!(
                 "  livelock cycle found (expected for Algorithm 1); witness decisions: [{}]",
                 fmt_decisions(&witness)
             );
@@ -256,7 +272,7 @@ fn cmd_walk(args: &[String]) -> Result<(), String> {
     let mut oracles = oracles_for(&s, seed, cfg.max_schedule_steps);
     let start = Instant::now();
     let report = random_walk(&|| (s.build)(seed), &mut oracles, &cfg);
-    println!(
+    say!(
         "walk {}: {} schedules ({} terminal, {} abandoned), {} steps, {} distinct terminal states, {:.2?}",
         s.name,
         report.schedules,
@@ -329,7 +345,7 @@ fn cmd_replay(args: &[String]) -> Result<(), String> {
         num(args, "--max-steps", 10_000),
         true,
     );
-    println!(
+    say!(
         "replay {} decisions=[{}]: {} steps, end = {:?}",
         s.name,
         fmt_decisions(&decisions),
@@ -349,7 +365,7 @@ fn cmd_replay(args: &[String]) -> Result<(), String> {
             &out.metrics.attribution,
         )
         .map_err(|e| format!("writing {path}: {e}"))?;
-        println!("trace written to {path}");
+        say!("trace written to {path}");
     }
     Ok(())
 }
@@ -374,7 +390,7 @@ fn cmd_shrink_demo(args: &[String]) -> Result<(), String> {
     let Some(cx) = walk.violation else {
         return Err("demo oracle never fired — the walk should find an order violation".into());
     };
-    println!(
+    say!(
         "violation after {} steps: {}\n  original decisions ({}): [{}]",
         walk.total_steps,
         cx.violation,
@@ -383,19 +399,19 @@ fn cmd_shrink_demo(args: &[String]) -> Result<(), String> {
     );
     let report = shrink(&build, &mut oracles, &cx.decisions, 2_000, 2_000)
         .ok_or("original counterexample failed to replay")?;
-    println!(
+    say!(
         "shrunk {} -> {} decisions in {} trials",
         report.original.len(),
         report.minimal.len(),
         report.trials
     );
-    println!(
+    say!(
         "minimal counterexample: seed={} decisions=[{}]\n  ({})",
         seed,
         fmt_decisions(&report.minimal),
         report.violation
     );
-    println!(
+    say!(
         "  replay with: hope-check replay ring2 --seed {} --demo-oracle --decisions {}",
         seed,
         fmt_decisions(&report.minimal)
@@ -472,7 +488,7 @@ fn cmd_ci(args: &[String]) -> Result<(), String> {
     }
     // 8. The counterexample pipeline end-to-end.
     cmd_shrink_demo(&["--seed".into(), "42".into()])?;
-    println!("ci suite passed in {:.2?}", start.elapsed());
+    say!("ci suite passed in {:.2?}", start.elapsed());
     Ok(())
 }
 
@@ -491,7 +507,7 @@ fn main() -> ExitCode {
         "--help" | "-h" | "help" => {
             let names = SCENARIOS.iter().map(|row| row.0);
             let names: Vec<&str> = names.chain(COMMITTING.iter().map(|row| row.0)).collect();
-            println!(
+            say!(
                 "usage: hope-check [ci|explore|walk|replay|shrink-demo] [scenario] [flags]\n\
                  scenarios: {}\n\
                  flags: --seed N --decisions 1,0,2 --schedules N --max-states N --max-steps N\n\

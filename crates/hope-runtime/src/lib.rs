@@ -12,8 +12,8 @@
 //!   [`SimRuntime`] is one scheduler on a virtual clock: deterministic per
 //!   seed, and virtual time measures exactly how much latency speculation
 //!   hid. [`ThreadedRuntime`] runs one per shard thread on the wall clock,
-//!   with lanes between the shards; its outcomes match the simulator's at
-//!   every shard count.
+//!   each shard fed by one inbox channel; its outcomes match the
+//!   simulator's at every shard count.
 //! * **User processes** run as coroutines on their scheduler's thread, each
 //!   on a stack of its own, with a blocking, sequential programming model
 //!   ([`SimRuntime::spawn_threaded`]). A process and its scheduler switch

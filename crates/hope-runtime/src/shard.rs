@@ -1,8 +1,8 @@
 //! Shared primitives of the sharded threaded transport (DESIGN.md §10):
-//! the doorbell that parks and wakes a shard without putting locks on
-//! the sender's fast path, and the append-only table that holds the
-//! routing state: a pid's entry is written once, at its spawn, so a spawn
-//! copies nothing and a delivery reads the entry without a lock.
+//! the doorbell a driver thread waits on for quiescence, and the
+//! append-only table that holds the routing state: a pid's entry is
+//! written once, at its spawn, so a spawn copies nothing and a delivery
+//! reads the entry without a lock.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::OnceLock;
@@ -22,11 +22,15 @@ pub(crate) fn shard_of(pid: ProcessId, shards: usize) -> usize {
 }
 
 /// A park/wake rendezvous whose *wake* side is wait-free in the common
-/// case: `notify` is one acquire load when the target is running, and
-/// only the *first* notifier of a park touches the park mutex (held for
-/// the duration of a condvar signal, never across work) — the doorbell
-/// rings once per park, however many senders arrive before the sleeper
-/// is scheduled.
+/// case: `notify` is one acquire load when nobody is parked, and only the
+/// *first* notifier of a park touches the park mutex (held for the
+/// duration of a condvar signal, never across work) — the doorbell rings
+/// once per park, however many notifiers arrive before the sleeper is
+/// scheduled.
+///
+/// Its one use is `ThreadedRuntime`'s quiescence wait: a driver thread
+/// parks on it and the shard that finishes the last queued item rings it
+/// (a shard parks on its inbox instead). No primitive waits on it.
 ///
 /// The lost-wakeup race is closed by ordering, not by locking the fast
 /// path: the sleeper sets `parked` *before* its final re-check of the

@@ -1,28 +1,29 @@
-//! The wall-clock runtime: `n` schedulers, one per shard thread, joined
-//! by wait-free lanes (DESIGN.md §10).
+//! The wall-clock runtime: `n` schedulers, one per shard thread, each fed
+//! by one inbox (DESIGN.md §10).
 //!
 //! Each shard runs the simulator's [`Scheduler`] on the wall clock, for
 //! the pids `pid % n` names: their actors, their processes as coroutines
 //! taking turns with their `Control`, their crash windows. Around it the
-//! shard adds ingress and parking: work for another shard leaves through
-//! its `Lane` (a lazily created SPSC ring to each other shard, with a
-//! mutex overflow behind it, then the doorbell). A link's sender half
+//! shard adds its inbox, a `std::sync::mpsc` channel with the shard as its
+//! one consumer: work for another shard leaves its `Lane` by one send to
+//! that shard's inbox, as do spawns, injections and a driver's asks, and
+//! the shard parks on the inbox's blocking receive. A link's sender half
 //! lives on its sender's shard and its receiver half on its receiver's,
 //! and a step counts into its own scheduler's `MessageStats`, so no link
 //! step takes a lock.
 //!
 //! A shard's state has one owner, its thread: a driver thread asks for it
-//! (a closure run between turns), and a stopped shard fails the ask. The
-//! routing table every thread reads is append-only: a pid's slot is
-//! written once, at its spawn.
+//! (a closure sent to the inbox and run between turns), and a stopped
+//! shard fails the ask. The routing table every thread reads is
+//! append-only: a pid's slot is written once, at its spawn.
 //!
 //! Within a shard there is no preemption: a body that blocks outside
 //! [`SysApi`] (a `std` sleep or channel, a spin on an atomic) stalls its
 //! shard's other processes and timers. Outcomes are the same at every
 //! shard count and match the simulator's.
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -40,15 +41,9 @@ use crate::reliable::CopyKind;
 use crate::runtime::RuntimeBuilder;
 use crate::scheduler::{Clock, Local, Scheduler};
 use crate::shard::{shard_of, AppendTable, Doorbell};
-use crate::spsc;
 use crate::stats::{MessageStats, PartyKind, RunReport};
 use crate::sysapi::SysApi;
 use crate::threadproc::{Live, SpawnKind, SpawnRequest};
-
-/// Slots per lane→shard ingress ring. Ring-full sends overflow to the
-/// shard's mutex-protected queue, so this bounds the fast path, not the
-/// runtime's capacity.
-const INGRESS_RING_CAPACITY: usize = 1024;
 
 /// Park-time backstop: a shard never sleeps longer than this without
 /// re-checking the world.
@@ -77,45 +72,24 @@ enum Slot {
     Gateway(Arc<dyn Fn(Envelope) + Send + Sync>),
 }
 
-/// The cross-thread face of one shard: where lanes register their
-/// ingress rings and park/overflow when a ring is full.
-#[derive(Default)]
-struct ShardHandle {
-    /// Consumers registered by lanes, collected by the shard thread.
-    ingress: Mutex<Vec<spsc::Consumer<Timed>>>,
-    /// Bumped on each registration so the shard knows to collect.
-    epoch: AtomicU64,
-    /// Cold-path queue: ring-full overflow and sends from other threads.
-    overflow: Mutex<VecDeque<Timed>>,
-    overflowed: AtomicBool,
-    bell: Doorbell,
-    /// Questions to the shard's scheduler, answered between turns (see
+/// What reaches a shard from another thread, in the order it was sent.
+enum Inbox {
+    /// Work for a pid the shard owns.
+    Item(Timed),
+    /// A question to the shard's scheduler, answered between turns (see
     /// [`ThreadedRuntime::ask`]).
-    asks: Mutex<Vec<Ask>>,
-    asked: AtomicBool,
-    /// Set under the `asks` lock once the shard has stopped.
-    closed: AtomicBool,
-}
-
-impl ShardHandle {
-    /// Queues `item` on the cold path and rings the doorbell.
-    fn overflow(&self, item: Timed) {
-        self.overflow.lock().push_back(item);
-        self.overflowed.store(true, Ordering::Release);
-        self.bell.notify();
-    }
+    Ask(Ask),
 }
 
 /// A question to one shard, run on its scheduler.
 type Ask = Box<dyn FnOnce(&Scheduler<Lane>) + Send>;
 
-/// One shard's side of its scheduler: the wall clock and a lazily
-/// created ingress ring to each other shard.
+/// One shard's side of its scheduler: the wall clock and the other
+/// shards' inboxes.
 struct Lane {
     inner: Arc<Inner>,
     /// The index of the shard that owns the lane.
     own: usize,
-    rings: Vec<Option<spsc::Producer<Timed>>>,
     /// Items queued on the lane's own shard since the shard's last collect.
     mine: usize,
 }
@@ -130,33 +104,15 @@ impl Clock for Lane {
         self.inner.queued(time, work)
     }
 
-    /// The lane's own shard's queue directly, another's by a wait-free
-    /// ring push, or the mutex overflow when the ring is full; then the
-    /// doorbell.
+    /// The lane's own shard's queue directly, another's by one send to its
+    /// inbox.
     fn queue(&mut self, queue: &mut TimedQueue, item: Timed) {
         let ix = self.inner.shard_for(&item.work);
         if ix == self.own {
             self.mine += 1;
             queue.push(item);
-            return;
-        }
-        let shard = &self.inner.shards[ix];
-        let slot = &mut self.rings[ix];
-        if slot.is_none() {
-            let (tx, rx) = spsc::ring(INGRESS_RING_CAPACITY);
-            shard.ingress.lock().push(rx);
-            shard.epoch.fetch_add(1, Ordering::Release);
-            *slot = Some(tx);
-        }
-        match slot.as_mut().expect("ring created above").push(item) {
-            Ok(()) => shard.bell.notify(),
-            // Order across the two paths is restored by the shard's (due,
-            // seq) queue: an overflow item lands in its heap when it is
-            // earlier than the line's tail. The shard drains the overflow
-            // queue before the rings each cycle (see `Shard::collect`), so
-            // an overflow item and its ring-bound predecessors always land
-            // in the same collect.
-            Err(item) => shard.overflow(item),
+        } else {
+            self.inner.send(ix, item);
         }
     }
 
@@ -206,7 +162,8 @@ impl Clock for Lane {
 struct Inner {
     /// The routing table, at the pid.
     procs: AppendTable<Slot>,
-    shards: Vec<Arc<ShardHandle>>,
+    /// Each shard's inbox.
+    shards: Vec<Sender<Inbox>>,
     in_flight: AtomicU64,
     /// Rung when `in_flight` drops to zero.
     settled: Doorbell,
@@ -253,12 +210,16 @@ impl Inner {
         }
     }
 
-    /// Hands one work item from a thread that never sends in volume (the
-    /// builder arming crash timers, spawns, `inject`) straight to its
-    /// shard's overflow queue.
+    /// Sends `item` to shard `ix`'s inbox. A stopped shard reads no more,
+    /// so there the item is dropped.
+    fn send(&self, ix: usize, item: Timed) {
+        let _ = self.shards[ix].send(Inbox::Item(item));
+    }
+
+    /// Queues `work` on its shard from any thread: the builder arming crash
+    /// timers, spawns, `inject`.
     fn schedule(&self, time: VirtualTime, work: EventKind) {
-        let shard = &self.shards[self.shard_for(&work)];
-        shard.overflow(self.queued(time, work));
+        self.send(self.shard_for(&work), self.queued(time, work));
     }
 
     /// Gives `slot` the next pid.
@@ -272,47 +233,37 @@ impl Inner {
     }
 }
 
-/// One shard thread: its scheduler, and the ingress and parking around it.
+/// One shard thread: its scheduler, and the inbox it is fed by and parks on.
 struct Shard {
     sched: Scheduler<Lane>,
-    handle: Arc<ShardHandle>,
-    /// The shard's end of its ingress: the rings lanes registered with it
-    /// so far.
-    rings: Vec<spsc::Consumer<Timed>>,
-    epoch_seen: u64,
+    inbox: Receiver<Inbox>,
+    /// Asks taken from the inbox, run at the next point between turns.
+    asks: Vec<Ask>,
 }
 
 impl Shard {
-    /// Moves everything queued for the shard into its queue, straight from
-    /// each source; returns how much that was, with what the shard queued
-    /// for itself since, so that it looks again before it parks.
-    ///
-    /// Drains the overflow queue FIRST, then syncs and drains the ingress
-    /// rings: an overflow item exists only because its lane's ring was full
-    /// of its predecessors, so the ring drain after it sees every one of
-    /// them and the (due, seq) queue restores the order. Rings first races
-    /// (DESIGN.md §10 "Ingress lanes").
+    /// Moves everything in the inbox into the shard's queue (an item) or
+    /// its asks; returns how much that was, with what the shard queued for
+    /// itself since, so that it looks again before it parks.
     fn collect(&mut self) -> usize {
-        let (handle, queue) = (&self.handle, &mut self.sched.queue);
-        let before = queue.len();
-        if handle.overflowed.load(Ordering::Acquire) {
-            let mut q = handle.overflow.lock();
-            queue.extend(q.drain(..));
-            handle.overflowed.store(false, Ordering::Release);
+        let mut n = std::mem::take(&mut self.sched.clock.mine);
+        while let Ok(msg) = self.inbox.try_recv() {
+            self.take(msg);
+            n += 1;
         }
-        let epoch = handle.epoch.load(Ordering::Acquire);
-        if epoch != self.epoch_seen {
-            self.rings.append(&mut handle.ingress.lock());
-            self.epoch_seen = epoch;
-        }
-        for ring in self.rings.iter_mut() {
-            ring.drain_into(queue);
-        }
-        queue.len() - before + std::mem::take(&mut self.sched.clock.mine)
+        n
     }
 
-    /// The main loop: collect ingress, run what is due in batches, give
-    /// the batch's ready processes their turns, park on the doorbell.
+    /// Files one message from the inbox.
+    fn take(&mut self, msg: Inbox) {
+        match msg {
+            Inbox::Item(item) => self.sched.queue.push(item),
+            Inbox::Ask(ask) => self.asks.push(ask),
+        }
+    }
+
+    /// The main loop: collect the inbox, run what is due in batches, give
+    /// the batch's ready processes their turns, park on the inbox.
     /// Dropping the shard at shutdown runs its suspended processes out.
     fn run(mut self) {
         let inner = self.sched.clock.inner.clone();
@@ -325,11 +276,8 @@ impl Shard {
             }
             let drained = self.collect();
             // Observers' questions, between turns.
-            let asked = &self.handle.asked;
-            if asked.load(Ordering::Relaxed) && asked.swap(false, Ordering::Acquire) {
-                for ask in std::mem::take(&mut *self.handle.asks.lock()) {
-                    ask(&self.sched);
-                }
+            for ask in std::mem::take(&mut self.asks) {
+                ask(&self.sched);
             }
             // Process everything due. The clock is read once a pass, and
             // again only when the head looks not yet due.
@@ -349,7 +297,7 @@ impl Shard {
                 );
                 // A link timer judges what has arrived by its due time, so
                 // everything due before it comes first, wherever it is
-                // queued: the acks it was owed may still be in the rings.
+                // queued: the acks it was owed may still be in the inbox.
                 let earlier = |next: &Timed| next.key() < item.key();
                 if link_timer && self.collect() > 0 && self.sched.queue.peek().is_some_and(earlier)
                 {
@@ -371,30 +319,22 @@ impl Shard {
                     .min(PARK_BACKSTOP),
                 None => PARK_BACKSTOP,
             };
-            let Shard {
-                handle,
-                rings,
-                epoch_seen,
-                ..
-            } = &mut self;
-            handle.bell.park_for(wait, || {
-                rings.iter_mut().any(|r| !r.is_empty())
-                    || handle.overflowed.load(Ordering::Acquire)
-                    || handle.asked.load(Ordering::Acquire)
-                    || handle.epoch.load(Ordering::Acquire) != *epoch_seen
-                    || inner.shutdown.load(Ordering::Acquire)
-            });
+            // `Inner`, which the shard's own lane holds, keeps every sender,
+            // so the inbox cannot disconnect while the shard runs: an `Err`
+            // is the timeout.
+            if let Ok(msg) = self.inbox.recv_timeout(wait) {
+                self.take(msg);
+            }
         }
     }
 }
 
-/// A shard that stops (at shutdown, or a handler panicked on it) drops the
-/// asks still queued, so that they and every later one fail, not wait.
+/// A shard that stops (at shutdown, or a handler panicked on it) wakes the
+/// quiescence wait, which then finds its thread finished. Its inbox goes
+/// with it, and the asks still queued there: they and every later one fail,
+/// not wait.
 impl Drop for Shard {
     fn drop(&mut self) {
-        let mut asks = self.handle.asks.lock();
-        self.handle.closed.store(true, Ordering::Relaxed);
-        asks.clear();
         self.sched.clock.inner.settled.notify();
     }
 }
@@ -455,9 +395,10 @@ impl RuntimeBuilder<ThreadedRuntime> {
         let nshards = self
             .shards
             .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
+        let (senders, inboxes): (Vec<_>, Vec<_>) = (0..nshards).map(|_| mpsc::channel()).unzip();
         let inner = Arc::new(Inner {
             procs: AppendTable::new(),
-            shards: (0..nshards).map(|_| Arc::default()).collect(),
+            shards: senders,
             in_flight: AtomicU64::new(0),
             settled: Doorbell::default(),
             seq: AtomicU64::new(0),
@@ -466,13 +407,13 @@ impl RuntimeBuilder<ThreadedRuntime> {
             seed: self.seed,
             tracer: self.tracer.clone().unwrap_or_default(),
         });
-        let threads = (0..nshards)
-            .map(|ix| {
-                let handle = inner.shards[ix].clone();
+        let threads = inboxes
+            .into_iter()
+            .enumerate()
+            .map(|(ix, inbox)| {
                 let lane = Lane {
                     inner: inner.clone(),
                     own: ix,
-                    rings: (0..nshards).map(|_| None).collect(),
                     mine: 0,
                 };
                 let links = self.links(ix, &inner.tracer);
@@ -481,15 +422,8 @@ impl RuntimeBuilder<ThreadedRuntime> {
                     .spawn(move || {
                         // Built on its thread: a scheduler's processes stay there.
                         let sched = Scheduler::new(lane, links, nshards, self.seed);
-                        let rings = Vec::new();
-                        let epoch_seen = u64::MAX;
-                        Shard {
-                            sched,
-                            handle,
-                            rings,
-                            epoch_seen,
-                        }
-                        .run()
+                        let asks = Vec::new();
+                        Shard { sched, inbox, asks }.run()
                     })
                     .expect("failed to spawn shard")
             })
@@ -497,8 +431,11 @@ impl RuntimeBuilder<ThreadedRuntime> {
         for c in self.faults.iter().flat_map(FaultPlan::crashes) {
             let up_at = c.at + c.down_for;
             // Every shard holds link halves the crash touches.
-            for shard in &inner.shards {
-                shard.overflow(inner.queued(c.at, EventKind::Crash { pid: c.pid, up_at }));
+            for ix in 0..nshards {
+                inner.send(
+                    ix,
+                    inner.queued(c.at, EventKind::Crash { pid: c.pid, up_at }),
+                );
             }
             inner.schedule(up_at, EventKind::Restart(c.pid));
         }
@@ -606,9 +543,8 @@ impl ThreadedRuntime {
         let mut quiet_since: Option<(Instant, u64)> = None;
         let mut hit_timeout = true;
         let busy = || self.inner.in_flight.load(Ordering::Acquire) > 0;
-        let shards = &self.inner.shards;
         while let Some(left) = deadline.checked_duration_since(Instant::now()) {
-            if shards.iter().any(|s| s.closed.load(Ordering::Relaxed)) {
+            if self.threads.iter().any(|t| t.is_finished()) {
                 break; // the report's ask names the shard
             }
             let scheduled = self.inner.seq.load(Ordering::Acquire);
@@ -693,17 +629,11 @@ impl ThreadedRuntime {
             );
         }
         let stopped = || -> ! { panic!("shard {ix} has stopped: a handler panicked on it") };
-        let (tx, rx) = std::sync::mpsc::channel();
+        let (tx, rx) = mpsc::channel();
         let ask: Ask = Box::new(move |sched| drop(tx.send(f(sched))));
-        let shard = &self.inner.shards[ix];
-        let mut asks = shard.asks.lock();
-        if shard.closed.load(Ordering::Relaxed) {
-            stopped(); // the guard unlocks as the panic unwinds
+        if self.inner.shards[ix].send(Inbox::Ask(ask)).is_err() {
+            stopped();
         }
-        asks.push(ask);
-        drop(asks);
-        shard.asked.store(true, Ordering::Release);
-        shard.bell.notify();
         rx.recv().unwrap_or_else(|_| stopped())
     }
 
@@ -730,10 +660,10 @@ impl Inspect for ThreadedRuntime {
 impl Drop for ThreadedRuntime {
     fn drop(&mut self) {
         self.inner.shutdown.store(true, Ordering::Release);
-        // Wake every shard so it observes the shutdown; a shard runs its
-        // suspended processes out as it exits.
+        // Wake every shard so it observes the shutdown (an empty ask); a
+        // shard runs its suspended processes out as it exits.
         for shard in &self.inner.shards {
-            shard.bell.notify();
+            let _ = shard.send(Inbox::Ask(Box::new(|_| ())));
         }
         for thread in self.threads.drain(..) {
             let _ = thread.join();

@@ -2,9 +2,10 @@
 //! §10): a stalled or panicked consumer must never delay delivery on
 //! unrelated links, whether the victim shares a shard with the healthy
 //! traffic or not, and a flood into a stalled consumer's mailbox must
-//! arrive exactly once and in order, without backpressuring the sender.
+//! arrive exactly once and in order, without backpressuring the sender,
+//! from one sender or from several.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -40,13 +41,13 @@ fn await_flag(flag: &AtomicBool, what: &str) {
 /// stalled consumer — must complete its whole exchange while the flood
 /// victim is still stalled. Afterwards the sleeper drains the flood and
 /// every message must arrive exactly once, in per-link FIFO order,
-/// through a sender's ingress ring overflowing into its shard's queue.
+/// through the sleeper's shard's inbox.
 #[test]
 fn stalled_consumer_never_delays_unrelated_links() {
     const FLOOD: u32 = 5_000;
     const ROUNDS: u32 = 50;
-    // The flood is about five times a 1 024-slot ingress ring, so it
-    // exercises the overflow path.
+    // The flood is sent in one turn, so the sleeper's shard's inbox holds
+    // thousands of items at once.
     let rt = ThreadedRuntime::builder().shards(2).build();
     let gate = Arc::new(AtomicBool::new(false));
     let flooded = Arc::new(AtomicBool::new(false));
@@ -62,8 +63,8 @@ fn stalled_consumer_never_delays_unrelated_links() {
         while !g.load(Ordering::Acquire) {
             ctx.compute(VirtualDuration::from_millis(1));
         }
-        // Stall over: drain the flood. FIFO must hold even though the
-        // messages crossed both a ring and an overflow queue.
+        // Stall over: drain the flood. FIFO must hold across the inbox
+        // between the two shards.
         for expect in 0..FLOOD {
             let got = ctx.receive(None, &mut || false).expect("flood message");
             let value = u32::from_le_bytes(got.msg.data[..4].try_into().unwrap());
@@ -83,7 +84,7 @@ fn stalled_consumer_never_delays_unrelated_links() {
     let e = exchange_done.clone();
     let ping = rt.spawn_threaded("ping", None, move |ctx| {
         // Start only after the flood is fully sent, so the exchange below
-        // demonstrably runs while the sleeper's mailbox is overflowing.
+        // demonstrably runs while the sleeper's mailbox is full of it.
         while !f.load(Ordering::Acquire) {
             ctx.compute(VirtualDuration::from_millis(1));
         }
@@ -119,6 +120,74 @@ fn stalled_consumer_never_delays_unrelated_links() {
         FLOOD,
         "no flood message may be lost"
     );
+    assert_eq!(report.stats.dropped(), 0);
+}
+
+/// Several producers feed one shard: three senders, each on a shard of its
+/// own, flood one gated receiver on the fourth shard with 5 000 messages
+/// apiece, while a driver thread asks every shard for its counts. The ask is
+/// answered with the flood queued, each sender's stream arrives exactly once
+/// and in order, and the run settles.
+#[test]
+fn several_producers_feed_one_shard_in_order() {
+    const FLOOD: u32 = 5_000;
+    const SENDERS: u32 = 3;
+    const BATCH: u32 = 500;
+    let rt = ThreadedRuntime::builder().shards(4).build();
+    let gate = Arc::new(AtomicBool::new(false));
+    let sent = Arc::new(AtomicU32::new(0));
+    let received = Arc::new(AtomicU32::new(0));
+
+    // Spawn order fixes pids and hence shards (pid % 4): the receiver → 0,
+    // sender k → k + 1. Sender k sends on channel k.
+    let (g, r) = (gate.clone(), received.clone());
+    let receiver = rt.spawn_threaded("receiver", None, move |ctx| {
+        while !g.load(Ordering::Acquire) {
+            ctx.compute(VirtualDuration::from_millis(1));
+        }
+        let mut next = [0u32; SENDERS as usize];
+        for _ in 0..SENDERS * FLOOD {
+            let got = ctx.receive(None, &mut || false).expect("flood message");
+            let from = got.msg.channel as usize;
+            let value = u32::from_le_bytes(got.msg.data[..4].try_into().unwrap());
+            assert_eq!(value, next[from], "sender {from}'s stream out of order");
+            next[from] += 1;
+            r.fetch_add(1, Ordering::Release);
+        }
+    });
+    for k in 0..SENDERS {
+        let s = sent.clone();
+        rt.spawn_threaded(&format!("sender-{k}"), None, move |ctx| {
+            for i in 0..FLOOD {
+                ctx.send(receiver, user_u32(k, i));
+                // A batch leaves at the end of the turn, so the senders'
+                // batches reach the receiver's inbox interleaved.
+                if i % BATCH == BATCH - 1 {
+                    ctx.compute(VirtualDuration::from_millis(1));
+                    s.fetch_add(BATCH, Ordering::Release);
+                }
+            }
+        });
+    }
+
+    let start = Instant::now();
+    while sent.load(Ordering::Acquire) == 0 {
+        assert!(start.elapsed() < TIMEOUT, "no sender finished a batch");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let mid = rt.stats();
+    assert_eq!(
+        received.load(Ordering::Acquire),
+        0,
+        "the ask was answered while the receiver was still gated"
+    );
+    gate.store(true, Ordering::Release);
+
+    let report = rt.run_until_quiescent(GRACE, TIMEOUT);
+    assert!(report.panics.is_empty(), "{:?}", report.panics);
+    assert!(!report.hit_event_limit, "must reach quiescence");
+    assert_eq!(received.load(Ordering::Acquire), SENDERS * FLOOD);
+    assert!(mid.total() <= report.stats.total());
     assert_eq!(report.stats.dropped(), 0);
 }
 
