@@ -313,7 +313,7 @@ fn run_disk_chaos(o: &Opts) -> Report {
             t.finalized,
             t.rollbacks,
             t.crash_recoveries,
-            t.store.store.recoveries,
+            t.store.recoveries,
             t.store.frontier_violations
         ),
     ];

@@ -3,10 +3,10 @@
 //! The paper's prototype made rollback survivable by checkpointing whole
 //! UNIX process images to disk. This module is the modern substitute: each
 //! user process's [`ReplayLog`](crate::replay::ReplayLog) writes its
-//! mutations to a [`SegmentedLog`] — a CRC32-framed, segmented write-ahead
-//! log with periodic checkpoint snapshots — so a *crashed* process recovers
-//! its op log from storage rather than from the conveniently immortal
-//! in-memory copy the runtimes keep.
+//! mutations to a write-ahead log (WAL) — CRC32-framed records in
+//! rotating segments, with periodic checkpoint snapshots — so a *crashed*
+//! process recovers its op log from storage rather than from the
+//! conveniently immortal in-memory copy the runtimes keep.
 //!
 //! The moving parts:
 //!
@@ -19,12 +19,12 @@
 //!   frontier are dead weight, exactly like the paper's discarded process
 //!   images). The store survives a crash with its `LibState`, and
 //!   recovery rebuilds the log from [`DurableStore::take_recovery`].
-//! * [`StoreRegistry`] — the per-environment storage configuration and
-//!   the seeded storage-fault draw
-//!   ([`Env::store_stats`](crate::Env::store_stats) asks each store's
-//!   owner). At crash time the unsynced tail of the WAL may tear, vanish,
-//!   or take a bit flip ([`StorageFaultPlan`]), and recovery must still
-//!   produce a valid prefix that satisfies Theorem 5.1.
+//! * The medium (the private `log` submodule) — the record framing and
+//!   an in-memory model of a segmented disk: sync watermark, rotation,
+//!   GC, crash images and longest-valid-prefix recovery. At crash time
+//!   the unsynced tail of the WAL may tear, vanish, or take a bit flip,
+//!   drawn from each store's seeded [`StorageFaultPlan`], and recovery
+//!   must still produce a valid prefix that satisfies Theorem 5.1.
 //!
 //! The durability argument: the [`SyncPolicy::Visible`] default fsyncs
 //! after every *externally visible* op (sends, receives, guesses,
@@ -38,11 +38,15 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use hope_runtime::StorageFaultPlan;
-use hope_store::{SegmentedLog, StorageFault, StoreConfig, StoreStats};
 use hope_types::codec::read_u32;
 use hope_types::ProcessId;
 
-use crate::replay::{Op, OpList};
+use crate::replay::{Op, OpList, Rollback};
+
+mod log;
+
+pub use log::{append_frame, RecordKind, HEADER_BYTES};
+use log::{SegmentedLog, StorageFault};
 
 /// When the store fsyncs the WAL.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -83,12 +87,14 @@ impl Default for DurableConfig {
     }
 }
 
-/// Wire tags for WAL event payloads (one mutation of the op log each).
+/// Wire tags for WAL event payloads (one mutation of the op log each). A
+/// rollback record is its tag and a `u32` op index.
 mod event_wire {
     pub const APPEND: u8 = 1;
-    pub const ROLLBACK_GUESS: u8 = 2;
-    pub const ROLLBACK_RECEIVE: u8 = 3;
-    pub const ROLLBACK_BEFORE: u8 = 4;
+    /// [`Rollback::FlipGuess`](crate::replay::Rollback::FlipGuess).
+    pub const FLIP_GUESS: u8 = 2;
+    /// [`Rollback::CutAt`](crate::replay::Rollback::CutAt).
+    pub const CUT_AT: u8 = 3;
 }
 
 /// True if losing this op in a crash could retract an effect another
@@ -105,13 +111,28 @@ fn is_visible(op: &Op) -> bool {
     )
 }
 
-/// Counters aggregated across one environment's stores, surfaced through
-/// [`HopeEnv::store_stats`](crate::HopeEnv::store_stats).
+/// One store's counters ([`DurableStore::stats`]), or their total over an
+/// environment's stores
+/// ([`HopeEnv::store_stats`](crate::HopeEnv::store_stats)).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DurableSnapshot {
-    /// Per-log lifecycle counters, summed over all stores (except
-    /// `max_live_segments`, which is the maximum over stores).
-    pub store: StoreStats,
+    /// Event records appended.
+    pub events: u64,
+    /// Checkpoint records appended.
+    pub checkpoints: u64,
+    /// Explicit `sync` calls.
+    pub syncs: u64,
+    /// Segment rotations (each seals the outgoing segment).
+    pub rotations: u64,
+    /// Segments compacted away by checkpoint GC.
+    pub gc_segments: u64,
+    /// High-water mark of simultaneously live segments (in a total, the
+    /// maximum over stores).
+    pub max_live_segments: u64,
+    /// Recovery scans performed.
+    pub recoveries: u64,
+    /// Recoveries that hit an invalid frame and dropped a suffix.
+    pub corrupt_recoveries: u64,
     /// Ops reconstructed across all recoveries.
     pub recovered_ops: u64,
     /// Recoveries whose recovered prefix fell short of the definite
@@ -129,9 +150,10 @@ pub struct DurableSnapshot {
 /// op: a checkpoint encodes the owning log's list.
 #[derive(Debug)]
 pub struct DurableStore {
+    /// The WAL; it keeps the store's counters too.
     log: SegmentedLog,
-    /// The event record being built, reused so an append allocates no
-    /// payload.
+    /// The event record being built, reused so an append or a rollback
+    /// allocates no payload.
     payload: Vec<u8>,
     config: DurableConfig,
     events_since_checkpoint: usize,
@@ -144,10 +166,6 @@ pub struct DurableStore {
     definite_floor: usize,
     /// True between a restart and the recovery hand-off.
     recover_pending: bool,
-    recovered_ops: u64,
-    frontier_violations: u64,
-    faults_injected: u64,
-    decode_stops: u64,
 }
 
 impl DurableStore {
@@ -163,9 +181,7 @@ impl DurableStore {
             ^ pid.as_raw().wrapping_mul(0x9e37_79b9_7f4a_7c15)
             ^ 0x6469_736b_2d63_6821; // "disk-ch!"
         DurableStore {
-            log: SegmentedLog::new(StoreConfig {
-                segment_bytes: config.segment_bytes,
-            }),
+            log: SegmentedLog::new(config.segment_bytes),
             payload: Vec::new(),
             config,
             events_since_checkpoint: 0,
@@ -175,28 +191,18 @@ impl DurableStore {
             flip_rate: faults.map_or(0.0, |f| f.bit_flip_rate()),
             definite_floor: 0,
             recover_pending: false,
-            recovered_ops: 0,
-            frontier_violations: 0,
-            faults_injected: 0,
-            decode_stops: 0,
         }
     }
 
-    /// WAL lifecycle counters.
-    pub fn stats(&self) -> StoreStats {
-        self.log.stats()
+    /// The store's counters so far.
+    pub fn stats(&self) -> DurableSnapshot {
+        self.log.stats
     }
 
-    fn sync_for(&mut self, op: &Op) {
-        match self.config.sync_policy {
-            SyncPolicy::EveryRecord => self.log.sync(),
-            SyncPolicy::Visible => {
-                if is_visible(op) {
-                    self.log.sync();
-                }
-            }
-            SyncPolicy::OnFrontier => {}
-        }
+    /// Writes the event record built in `payload` to the WAL.
+    fn write_event(&mut self) {
+        self.log.append_event(&self.payload);
+        self.events_since_checkpoint += 1;
     }
 
     /// Writes a live append to the WAL.
@@ -204,34 +210,29 @@ impl DurableStore {
         self.payload.clear();
         self.payload.push(event_wire::APPEND);
         op.encode_into(&mut self.payload);
-        self.log.append_event(&self.payload);
-        self.events_since_checkpoint += 1;
-        self.sync_for(op);
+        self.write_event();
+        match self.config.sync_policy {
+            SyncPolicy::EveryRecord => self.log.sync(),
+            SyncPolicy::Visible if is_visible(op) => self.log.sync(),
+            SyncPolicy::Visible | SyncPolicy::OnFrontier => {}
+        }
     }
 
-    fn rollback_event(&mut self, tag: u8, op_index: usize) {
-        let mut payload = vec![tag];
-        payload.extend_from_slice(&(op_index as u32).to_le_bytes());
-        self.log.append_event(&payload);
-        self.events_since_checkpoint += 1;
+    /// Writes a live rollback of the op list to the WAL (every
+    /// [`ReplayLog`](crate::replay::ReplayLog) rollback is one).
+    pub fn rollback(&mut self, rollback: Rollback) {
+        let (tag, index) = match rollback {
+            Rollback::FlipGuess(index) => (event_wire::FLIP_GUESS, index),
+            Rollback::CutAt(index) => (event_wire::CUT_AT, index),
+        };
+        self.payload.clear();
+        self.payload.push(tag);
+        self.payload
+            .extend_from_slice(&(index as u32).to_le_bytes());
+        self.write_event();
         // Rollbacks reshape history; they are always made durable at once
         // so a crash mid-rollback cannot resurrect a retracted suffix.
         self.log.sync();
-    }
-
-    /// Records [`ReplayLog::rollback_to_guess`](crate::replay::ReplayLog::rollback_to_guess).
-    pub fn rollback_to_guess(&mut self, op_index: usize) {
-        self.rollback_event(event_wire::ROLLBACK_GUESS, op_index);
-    }
-
-    /// Records [`ReplayLog::rollback_to_receive`](crate::replay::ReplayLog::rollback_to_receive).
-    pub fn rollback_to_receive(&mut self, op_index: usize) {
-        self.rollback_event(event_wire::ROLLBACK_RECEIVE, op_index);
-    }
-
-    /// Records [`ReplayLog::rollback_before`](crate::replay::ReplayLog::rollback_before).
-    pub fn rollback_before(&mut self, op_index: usize) {
-        self.rollback_event(event_wire::ROLLBACK_BEFORE, op_index);
     }
 
     /// Frontier notification from the HOPElib: intervals became definite.
@@ -260,9 +261,7 @@ impl DurableStore {
     /// the process's history was definite at the instant of the crash.
     pub fn note_crash(&mut self, definite_floor: usize) {
         let fault = self.draw_fault();
-        if fault.is_some() {
-            self.faults_injected += 1;
-        }
+        self.log.stats.faults_injected += u64::from(fault.is_some());
         self.log.crash(fault);
         self.definite_floor = definite_floor;
     }
@@ -296,72 +295,31 @@ impl DurableStore {
     }
 
     /// Hands the recovered op list to the restarting process, exactly once
-    /// per restart. Scans the WAL's longest valid prefix, replays the
-    /// checkpoint + event records into an op list (stopping — never
-    /// panicking — at the first semantically invalid record), audits it
-    /// against the definite frontier recorded at crash time, and hands
-    /// over the list it folded.
+    /// per restart. Scans the WAL's longest valid prefix and folds its
+    /// records straight from the segment bytes into an op list: a
+    /// checkpoint replaces the list, an event is applied to it, and the
+    /// first semantically invalid record stops the fold (never a panic)
+    /// until the next checkpoint. The list is audited against the definite
+    /// frontier recorded at crash time and handed over.
     pub fn take_recovery(&mut self) -> Option<OpList> {
-        if !self.recover_pending {
+        if !std::mem::take(&mut self.recover_pending) {
             return None;
         }
-        self.recover_pending = false;
-        let recovered = self.log.recover();
         let mut ops = OpList::new();
         let mut stopped = false;
-        if let Some(snapshot) = recovered.checkpoint.as_deref() {
-            if !decode_checkpoint(snapshot, &mut ops) {
-                stopped = true;
+        self.log.recover(|kind, payload| match kind {
+            RecordKind::Checkpoint => {
+                ops.truncate(0);
+                stopped = !decode_checkpoint(payload, &mut ops);
             }
-        }
-        if !stopped {
-            for event in &recovered.events {
-                if !apply_event(event, &mut ops) {
-                    stopped = true;
-                    break;
-                }
-            }
-        }
-        if stopped {
-            self.decode_stops += 1;
-        }
-        if ops.len() < self.definite_floor {
-            self.frontier_violations += 1;
-        }
-        self.recovered_ops += ops.len() as u64;
+            RecordKind::Event => stopped = stopped || !apply_event(payload, &mut ops),
+        });
+        let stats = &mut self.log.stats;
+        stats.decode_stops += u64::from(stopped);
+        stats.frontier_violations += u64::from(ops.len() < self.definite_floor);
+        stats.recovered_ops += ops.len() as u64;
         self.events_since_checkpoint = 0;
         Some(ops)
-    }
-
-    /// Per-store contribution to the environment aggregate.
-    pub fn snapshot(&self) -> DurableSnapshot {
-        DurableSnapshot {
-            store: self.log.stats(),
-            recovered_ops: self.recovered_ops,
-            frontier_violations: self.frontier_violations,
-            faults_injected: self.faults_injected,
-            decode_stops: self.decode_stops,
-        }
-    }
-}
-
-/// Flips the guess at `op_index` and truncates everything after it —
-/// defensively: malformed input truncates instead of panicking (the data
-/// may come off a recovered WAL).
-fn apply_rollback_guess(ops: &mut OpList, op_index: usize) -> bool {
-    if op_index >= ops.len() {
-        return false;
-    }
-    ops.truncate(op_index + 1);
-    match ops.get_mut(op_index) {
-        Some(Op::Guess { outcome, .. }) => {
-            *outcome = false;
-            true
-        }
-        _ => {
-            ops.truncate(op_index);
-            false
-        }
     }
 }
 
@@ -382,91 +340,52 @@ fn decode_checkpoint(payload: &[u8], ops: &mut OpList) -> bool {
     true
 }
 
-/// Applies one WAL event record to `ops`. Returns false on any malformed
-/// or out-of-range record, leaving `ops` at the last consistent state.
+/// Applies one WAL event record to `ops`, a rollback through the same
+/// [`OpList`] operation the live rollback made. Returns false on any
+/// malformed or out-of-range record, leaving `ops` untouched.
 fn apply_event(payload: &[u8], ops: &mut OpList) -> bool {
     let Some((&tag, rest)) = payload.split_first() else {
         return false;
     };
-    match tag {
-        event_wire::APPEND => {
-            let mut at = 0;
-            match Op::decode(rest, &mut at) {
-                Some(op) if at == rest.len() => {
-                    ops.push(op);
-                    true
-                }
-                _ => false,
+    if tag == event_wire::APPEND {
+        let mut at = 0;
+        return match Op::decode(rest, &mut at) {
+            Some(op) if at == rest.len() => {
+                ops.push(op);
+                true
             }
-        }
-        event_wire::ROLLBACK_GUESS | event_wire::ROLLBACK_RECEIVE | event_wire::ROLLBACK_BEFORE => {
-            let Ok(idx) = <[u8; 4]>::try_from(rest) else {
-                return false;
-            };
-            let idx = u32::from_le_bytes(idx) as usize;
-            match tag {
-                event_wire::ROLLBACK_GUESS => apply_rollback_guess(ops, idx),
-                _ => {
-                    if idx > ops.len() {
-                        return false;
-                    }
-                    ops.truncate(idx);
-                    true
-                }
-            }
-        }
-        _ => false,
+            _ => false,
+        };
     }
-}
-
-/// One environment's storage: the configuration and seeded fault plan
-/// every store is made with. A store is owned by its process's op log; it
-/// survives that process's crashes with its HOPElib (the WAL *is* the
-/// disk).
-#[derive(Debug)]
-pub struct StoreRegistry {
-    config: DurableConfig,
-    faults: Option<StorageFaultPlan>,
-    seed: u64,
-}
-
-impl StoreRegistry {
-    /// A registry making stores configured with `config`; `faults` seeds
-    /// crash-image storage faults, `seed` derives per-process fault
-    /// streams.
-    pub fn new(config: DurableConfig, faults: Option<StorageFaultPlan>, seed: u64) -> Self {
-        StoreRegistry {
-            config,
-            faults,
-            seed,
-        }
-    }
-
-    /// A fresh store for `pid`.
-    pub fn open(&self, pid: ProcessId) -> DurableStore {
-        DurableStore::new(pid, self.config, self.faults.as_ref(), self.seed)
-    }
+    let Ok(index) = <[u8; 4]>::try_from(rest) else {
+        return false;
+    };
+    let index = u32::from_le_bytes(index) as usize;
+    let rollback = match tag {
+        event_wire::FLIP_GUESS => Rollback::FlipGuess(index),
+        event_wire::CUT_AT => Rollback::CutAt(index),
+        _ => return false,
+    };
+    ops.roll_back(rollback, |removed| drop(removed))
 }
 
 impl DurableSnapshot {
     /// Sums stores' counters, except `max_live_segments`, which is the
     /// maximum over stores.
     pub(crate) fn total(stores: impl Iterator<Item = DurableSnapshot>) -> Self {
-        stores.fold(DurableSnapshot::default(), |mut agg, s| {
-            agg.store.events += s.store.events;
-            agg.store.checkpoints += s.store.checkpoints;
-            agg.store.syncs += s.store.syncs;
-            agg.store.rotations += s.store.rotations;
-            agg.store.gc_segments += s.store.gc_segments;
-            agg.store.max_live_segments =
-                agg.store.max_live_segments.max(s.store.max_live_segments);
-            agg.store.recoveries += s.store.recoveries;
-            agg.store.corrupt_recoveries += s.store.corrupt_recoveries;
-            agg.recovered_ops += s.recovered_ops;
-            agg.frontier_violations += s.frontier_violations;
-            agg.faults_injected += s.faults_injected;
-            agg.decode_stops += s.decode_stops;
-            agg
+        stores.fold(DurableSnapshot::default(), |agg, s| DurableSnapshot {
+            events: agg.events + s.events,
+            checkpoints: agg.checkpoints + s.checkpoints,
+            syncs: agg.syncs + s.syncs,
+            rotations: agg.rotations + s.rotations,
+            gc_segments: agg.gc_segments + s.gc_segments,
+            max_live_segments: agg.max_live_segments.max(s.max_live_segments),
+            recoveries: agg.recoveries + s.recoveries,
+            corrupt_recoveries: agg.corrupt_recoveries + s.corrupt_recoveries,
+            recovered_ops: agg.recovered_ops + s.recovered_ops,
+            frontier_violations: agg.frontier_violations + s.frontier_violations,
+            faults_injected: agg.faults_injected + s.faults_injected,
+            decode_stops: agg.decode_stops + s.decode_stops,
         })
     }
 }
@@ -557,7 +476,7 @@ mod tests {
             }],
             "visible op survives, local tail re-draws"
         );
-        assert_eq!(lossy.snapshot().frontier_violations, 0);
+        assert_eq!(lossy.stats().frontier_violations, 0);
     }
 
     #[test]
@@ -572,7 +491,7 @@ mod tests {
             dst: pid(2),
             channel: 0,
         });
-        s.rollback_to_guess(1);
+        s.rollback(Rollback::FlipGuess(1));
         s.note_crash(0);
         s.mark_restarted();
         let recovered = recover(&mut s);
@@ -641,7 +560,7 @@ mod tests {
         s.mark_restarted();
         let recovered = recover(&mut s);
         assert!(recovered.is_empty());
-        assert_eq!(s.snapshot().frontier_violations, 1);
+        assert_eq!(s.stats().frontier_violations, 1);
     }
 
     #[test]
@@ -674,7 +593,7 @@ mod tests {
                     channel: 0,
                 }
             );
-            assert_eq!(s.snapshot().frontier_violations, 0);
+            assert_eq!(s.stats().frontier_violations, 0);
         }
     }
 
@@ -701,7 +620,7 @@ mod tests {
         sim.spawn_user("parent", parent_and_child);
         assert!(sim.run().is_clean());
         let stats = sim.store_stats().expect("durable storage configured");
-        assert_eq!(stats.store.events, FAMILY_EVENTS, "simulator: {stats:?}");
+        assert_eq!(stats.events, FAMILY_EVENTS, "simulator: {stats:?}");
 
         let threaded = crate::ThreadedHopeEnv::builder()
             .shards(2)
@@ -712,7 +631,7 @@ mod tests {
         let report = threaded.run_until_quiescent(wait(50), wait(10_000));
         assert!(report.is_clean(), "quiescent: {report:?}");
         let stats = threaded.store_stats().expect("durable storage configured");
-        assert_eq!(stats.store.events, FAMILY_EVENTS, "shards(2): {stats:?}");
+        assert_eq!(stats.events, FAMILY_EVENTS, "shards(2): {stats:?}");
     }
 
     #[test]
@@ -720,12 +639,9 @@ mod tests {
         let mut ops: OpList = [Op::Barrier].into_iter().collect();
         assert!(!apply_event(&[], &mut ops));
         assert!(!apply_event(&[99, 0, 0, 0, 0], &mut ops));
-        assert!(!apply_event(&[event_wire::ROLLBACK_GUESS, 1], &mut ops));
+        assert!(!apply_event(&[event_wire::FLIP_GUESS, 1], &mut ops));
         // Out-of-range rollback index.
-        assert!(!apply_event(
-            &[event_wire::ROLLBACK_BEFORE, 200, 0, 0, 0],
-            &mut ops
-        ));
+        assert!(!apply_event(&[event_wire::CUT_AT, 200, 0, 0, 0], &mut ops));
         // Trailing bytes after a valid op are malformed.
         let mut appended = vec![event_wire::APPEND];
         appended.extend_from_slice(&Op::Barrier.encode());

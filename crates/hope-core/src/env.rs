@@ -24,7 +24,7 @@ use hope_types::{
 
 use crate::config::{DenyPolicy, GuessRollbackPolicy, HopeConfig, RetractPolicy};
 use crate::ctx::{park_until, Parked, ProcessCtx, RollbackSignal, ShutdownSignal};
-use crate::durable::{DurableConfig, DurableSnapshot, DurableStore, StoreRegistry};
+use crate::durable::{DurableConfig, DurableSnapshot, DurableStore};
 use crate::hopelib::{LibControl, LibState};
 use crate::interval::IntervalOrigin;
 use crate::metrics::{HopeMetrics, MetricsSnapshot};
@@ -40,7 +40,12 @@ pub(crate) struct Shared {
     config: HopeConfig,
     /// The tracer and the AID actors' counts.
     pub(crate) metrics: Arc<HopeMetrics>,
-    registry: Option<StoreRegistry>,
+    /// Every user process's durable store is made with this, when the
+    /// environment has storage, and with the seeded storage-fault plan and
+    /// the seed below.
+    durable: Option<DurableConfig>,
+    storage: Option<StorageFaultPlan>,
+    seed: u64,
     /// The pid of every HOPElib, children included, in the order of their
     /// first turns: [`Env::metrics`] and [`Env::store_stats`] ask each.
     libs: Mutex<Vec<ProcessId>>,
@@ -66,10 +71,11 @@ pub(crate) fn user_runner(shared: Arc<Shared>, body: UserBody) -> ProcessBody {
         let pid = sys.pid();
         shared.libs.lock().expect(HELD_BRIEFLY).push(pid);
         let mut lib = LibState::new(pid, shared.config, shared.metrics.clone());
-        if let Some(registry) = &shared.registry {
+        if let Some(config) = shared.durable {
             // Every op-log mutation is written to this store (DESIGN.md
             // S6); it survives the process's crashes with its HOPElib.
-            lib.log.store = Some(Box::new(registry.open(pid)));
+            let store = DurableStore::new(pid, config, shared.storage.as_ref(), shared.seed);
+            lib.log.store = Some(Box::new(store));
         }
         let lib = Rc::new(RefCell::new(lib));
         sys.attach_control(Box::new(LibControl { lib: lib.clone() }));
@@ -348,7 +354,7 @@ fn perform_rollback(sys: &mut dyn SysApi, lib: &RefCell<LibState>, tracer: &Trac
 pub struct EnvBuilder<R> {
     /// The runtime's own builder: every runtime knob is set on it.
     rt: RuntimeBuilder<R>,
-    /// What the store registry is seeded and faulted with.
+    /// What every durable store is seeded and faulted with.
     seed: u64,
     storage: Option<StorageFaultPlan>,
     config: HopeConfig,
@@ -457,7 +463,7 @@ impl<R> EnvBuilder<R> {
     }
 
     /// The runtime-independent part of `build`: validates the policy,
-    /// creates what the processes share (the store registry among it), and
+    /// creates what the processes share (the storage settings among it), and
     /// builds the runtime with `build`, recording into the shared tracer.
     fn build_on(self, build: impl FnOnce(RuntimeBuilder<R>) -> R) -> Env<R> {
         let config = self.config;
@@ -465,14 +471,14 @@ impl<R> EnvBuilder<R> {
             panic!("{e}");
         }
         let metrics = Arc::new(HopeMetrics::new());
-        let (seed, storage) = (self.seed, self.storage);
-        let registry = (self.durable).map(|durable| StoreRegistry::new(durable, storage, seed));
         Env {
             rt: build(self.rt.tracer(metrics.tracer.clone())),
             shared: Arc::new(Shared {
                 config,
                 metrics,
-                registry,
+                durable: self.durable,
+                storage: self.storage,
+                seed: self.seed,
                 libs: Mutex::new(Vec::new()),
             }),
             users: Mutex::new(Vec::new()),
@@ -649,11 +655,9 @@ impl<R: Inspect> Env<R> {
     /// opened a store is asked, children spawned by
     /// [`ProcessCtx::spawn_user`](crate::ProcessCtx::spawn_user) included.
     pub fn store_stats(&self) -> Option<DurableSnapshot> {
-        self.shared.registry.as_ref()?;
+        self.shared.durable?;
         let stores = self.shared.libs().into_iter().filter_map(|pid| {
-            self.read_lib(pid, |lib| {
-                lib.log.store.as_deref().map(DurableStore::snapshot)
-            })
+            self.read_lib(pid, |lib| lib.log.store.as_deref().map(DurableStore::stats))
         });
         Some(DurableSnapshot::total(stores))
     }
@@ -760,19 +764,26 @@ impl Env<SimRuntime> {
 
     /// Deterministic fingerprint of the environment's protocol-visible
     /// state: the runtime's [`state_hash`](SimRuntime::state_hash) (process
-    /// states and in-flight events) combined with every tracked HOPElib's
-    /// interval history and pending rollback. Virtual time and statistics
-    /// are excluded, so commuting schedules that reach the same state hash
-    /// equal.
+    /// states and in-flight events) combined with every HOPElib's interval
+    /// history and pending rollback — the tracked processes' first, then
+    /// the spawned children's in the order of their first turns. Virtual
+    /// time and statistics are excluded, so commuting schedules that reach
+    /// the same state hash equal.
     pub fn state_hash(&self) -> u64 {
         use std::hash::{Hash, Hasher};
         let mut h = std::collections::hash_map::DefaultHasher::new();
         self.rt.state_hash().hash(&mut h);
-        for pid in self.user_pids() {
+        let users = self.user_pids();
+        let children = self
+            .shared
+            .libs()
+            .into_iter()
+            .filter(|p| !users.contains(p));
+        for pid in users.iter().copied().chain(children) {
             pid.as_raw().hash(&mut h);
             let read = |lib: &LibState| (lib.history.intervals().to_vec(), lib.pending_rollback);
             // (intervals, pending) hashes as the two one after the other.
-            self.ask(pid, read).expect("a tracked pid").hash(&mut h);
+            self.read_lib(pid, read).hash(&mut h);
         }
         h.finish()
     }
@@ -884,6 +895,35 @@ mod tests {
         assert!(childs.rollbacks >= 1, "{runtime}: {childs:?}");
         assert_eq!(childs.cancelled_intervals, TAGGED - 1, "{runtime}");
         assert_eq!((mine.denies, mine.rollbacks), (1, 1), "{runtime}: {mine:?}");
+    }
+
+    /// A child's pending rollback is part of the state: two states that
+    /// differ only there must not hash equal.
+    #[test]
+    fn state_hash_covers_a_spawned_child() {
+        let child = Arc::new(AtomicU64::new(0));
+        let mut env = HopeEnv::new();
+        env.spawn_user("parent", parent(child.clone()));
+        assert!(env.run().is_clean());
+        let child = ProcessId::from_raw(child.load(Relaxed));
+        assert!(
+            !env.user_pids().contains(&child),
+            "the child is not tracked"
+        );
+        let before = env.state_hash();
+        env.rt.inspect(child, |control| {
+            let control = control.and_then(|c| c.as_any()?.downcast_ref::<LibControl>());
+            control
+                .expect("the child's HOPElib")
+                .lib
+                .borrow_mut()
+                .pending_rollback = Some(crate::hopelib::PendingRollback {
+                floor: 0,
+                cause: None,
+                crash: true,
+            });
+        });
+        assert_ne!(env.state_hash(), before, "the child's state is hashed");
     }
 
     #[test]

@@ -56,6 +56,9 @@
 //!   messages (Algorithm 1, and Algorithm 2's cycle detection, Fig. 15),
 //! * [`replay`] — checkpoint/rollback by deterministic re-execution
 //!   (substitute for the paper's UNIX process checkpointing),
+//! * [`durable`] — the op log's write-ahead log on a segmented,
+//!   CRC32-framed medium, which a crashed process recovers its log from
+//!   (substitute for the paper's checkpoints on disk),
 //! * [`ctx`] — the user programming interface,
 //! * [`env` (module)](crate::env) — the one front end gluing everything
 //!   onto a [`hope_runtime`] runtime: [`Env<R>`](Env) and its
@@ -78,14 +81,14 @@ pub mod replay;
 pub use aid::{AidActor, AidMachine, AidState};
 pub use config::{DenyPolicy, GuessRollbackPolicy, HopeConfig, RetractPolicy};
 pub use ctx::{Delivery, ProcessCtx};
-pub use durable::{DurableConfig, DurableSnapshot, DurableStore, StoreRegistry, SyncPolicy};
+pub use durable::{DurableConfig, DurableSnapshot, DurableStore, SyncPolicy};
 pub use env::{
     Env, EnvBuilder, HopeEnv, HopeEnvBuilder, HopeReport, ThreadedHopeEnv, ThreadedHopeEnvBuilder,
 };
 pub use hopelib::{LibControl, LibState, PendingRollback};
 pub use interval::{History, IntervalOrigin, IntervalRecord};
 pub use metrics::{HopeMetrics, MetricsSnapshot};
-pub use replay::{Op, OpList, ReplayLog};
+pub use replay::{Op, OpList, ReplayLog, Rollback};
 
 // Speculation-control vocabulary (DESIGN.md §9), re-exported so callers
 // configuring a policy need only this crate.

@@ -340,6 +340,16 @@ impl Op {
     }
 }
 
+/// A rollback of an op list: the one rule that a [`ReplayLog`] rollback
+/// applies and its WAL records (DESIGN.md S2, S6).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Rollback {
+    /// Flip the guess at this index to `false` and drop every op after it.
+    FlipGuess(usize),
+    /// Drop every op from this index on.
+    CutAt(usize),
+}
+
 /// The bytes one chunk of an [`OpList`] is sized to: well under glibc's
 /// 128 KiB mmap threshold, so a freed chunk goes back to the heap's free
 /// lists and the next one reuses it instead of mapping and faulting in
@@ -416,6 +426,30 @@ impl OpList {
     /// The ops, oldest first.
     pub fn iter(&self) -> impl Iterator<Item = &Op> + '_ {
         self.sealed.iter().flatten().chain(&self.open)
+    }
+
+    /// Applies `rollback`, handing the ops it removes to `removed` in list
+    /// order. Returns false, with the list untouched, when the rollback
+    /// does not fit: its index is past the end, or `FlipGuess` names an op
+    /// that is not a guess (a recovered WAL record may be garbage).
+    pub(crate) fn roll_back(
+        &mut self,
+        rollback: Rollback,
+        removed: impl FnMut(std::vec::Drain<'_, Op>),
+    ) -> bool {
+        let at = match rollback {
+            Rollback::FlipGuess(index) => match self.get_mut(index) {
+                Some(Op::Guess { outcome, .. }) => {
+                    *outcome = false;
+                    index + 1
+                }
+                _ => return false,
+            },
+            Rollback::CutAt(at) if at <= self.len() => at,
+            Rollback::CutAt(_) => return false,
+        };
+        self.cut(at, removed);
+        true
     }
 
     /// Drops every op from index `len` on (nothing if `len` is past the end).
@@ -606,6 +640,21 @@ impl ReplayLog {
         }
     }
 
+    /// Applies `rollback` to the ops and writes it to the store, rewinds
+    /// the cursor for re-execution and returns the removed ops; `None`,
+    /// with nothing changed, if it does not fit the log.
+    fn roll_back(&mut self, rollback: Rollback) -> Option<Vec<Op>> {
+        let mut removed = Vec::new();
+        if !self.ops.roll_back(rollback, |ops| removed.extend(ops)) {
+            return None;
+        }
+        if let Some(store) = &mut self.store {
+            store.rollback(rollback);
+        }
+        self.cursor = 0;
+        Some(removed)
+    }
+
     /// Rolls back to an interval opened by the explicit `guess` logged at
     /// `op_index`: truncates everything after it, flips the guess outcome
     /// to `false`, and rewinds the cursor to the start for re-execution.
@@ -617,16 +666,13 @@ impl ReplayLog {
     ///
     /// Panics if `op_index` does not hold a `Guess` entry.
     pub fn rollback_to_guess(&mut self, op_index: usize) -> Vec<Op> {
-        let removed = self.ops.split_off(op_index + 1);
-        match self.ops.get_mut(op_index) {
-            Some(Op::Guess { outcome, .. }) => *outcome = false,
-            other => panic!("rollback target is not a Guess op: {other:?}"),
+        match self.roll_back(Rollback::FlipGuess(op_index)) {
+            Some(removed) => removed,
+            None => panic!(
+                "rollback target is not a Guess op: {:?}",
+                self.ops.get(op_index)
+            ),
         }
-        if let Some(store) = &mut self.store {
-            store.rollback_to_guess(op_index);
-        }
-        self.cursor = 0;
-        removed
     }
 
     /// Rolls back to an interval opened by the implicit guess of the
@@ -648,12 +694,8 @@ impl ReplayLog {
             ),
             "rollback target is not a Receive op"
         );
-        let removed = self.ops.split_off(op_index + 1);
-        self.ops.truncate(op_index);
-        if let Some(store) = &mut self.store {
-            store.rollback_to_receive(op_index);
-        }
-        self.cursor = 0;
+        let mut removed = self.rollback_before(op_index);
+        removed.remove(0);
         removed
     }
 
@@ -662,13 +704,13 @@ impl ReplayLog {
     /// `Reguess` policy to re-issue a guess, or to re-receive an untainted
     /// boundary message). Returns the removed suffix including the
     /// boundary op.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `op_index` is past the end of the log.
     pub fn rollback_before(&mut self, op_index: usize) -> Vec<Op> {
-        let removed = self.ops.split_off(op_index);
-        if let Some(store) = &mut self.store {
-            store.rollback_before(op_index);
-        }
-        self.cursor = 0;
-        removed
+        self.roll_back(Rollback::CutAt(op_index))
+            .unwrap_or_else(|| panic!("rollback index {op_index} past the end"))
     }
 
     /// Rewinds the cursor without truncating (used when a rollback signal

@@ -6,9 +6,8 @@
 //! peer expects to read.
 
 use bytes::Bytes;
+use hope_core::durable::{append_frame, RecordKind};
 use hope_core::Op;
-use hope_store::frame::append_frame;
-use hope_store::RecordKind;
 use hope_types::net::{Frame, FrameKind};
 use hope_types::{
     AidId, Envelope, IdoSet, Payload, ProcessId, SetCoding, UserMessage, VirtualTime,

@@ -116,7 +116,7 @@ fn second_crash_during_replay_reenters_recovery_cleanly() {
         let store = env.store_stats().expect("durable storage configured");
         assert_eq!(store.frontier_violations, 0, "seed {seed}: {store:?}");
         assert!(
-            store.store.recoveries >= 2,
+            store.recoveries >= 2,
             "seed {seed}: each restart must replay from the store: {store:?}"
         );
         assert_eq!(

@@ -311,12 +311,12 @@ pub fn soak(seeds: u64, cfg_base: DiskChaosConfig) -> SoakOutcome {
         let r = run_ledger(DiskChaosConfig { seed, ..cfg_base });
         out.runs += 1;
         out.correct += u64::from(r.matches_fault_free);
-        out.recoveries += r.store.store.recoveries;
-        out.corrupt_recoveries += r.store.store.corrupt_recoveries;
+        out.recoveries += r.store.recoveries;
+        out.corrupt_recoveries += r.store.corrupt_recoveries;
         out.faults_injected += r.store.faults_injected;
         out.frontier_violations += r.store.frontier_violations;
-        out.gc_segments += r.store.store.gc_segments;
-        out.max_live_segments = out.max_live_segments.max(r.store.store.max_live_segments);
+        out.gc_segments += r.store.gc_segments;
+        out.max_live_segments = out.max_live_segments.max(r.store.max_live_segments);
     }
     out
 }
@@ -386,7 +386,7 @@ mod tests {
         let r = run_ledger(DiskChaosConfig::default());
         assert!(r.matches_fault_free);
         assert!(r.finalized > 0);
-        assert!(r.store.store.events > 0, "the WAL must see traffic");
+        assert!(r.store.events > 0, "the WAL must see traffic");
         assert_eq!(r.store.frontier_violations, 0);
     }
 
@@ -400,17 +400,17 @@ mod tests {
             ..DiskChaosConfig::default()
         });
         assert!(
-            r.store.store.checkpoints > 0,
+            r.store.checkpoints > 0,
             "checkpoint cadence must fire: {:?}",
             r.store
         );
         assert!(
-            r.store.store.gc_segments > 0,
+            r.store.gc_segments > 0,
             "GC must compact dead segments: {:?}",
             r.store
         );
         assert!(
-            r.store.store.max_live_segments < 64,
+            r.store.max_live_segments < 64,
             "GC must bound live segments: {:?}",
             r.store
         );
@@ -438,7 +438,7 @@ mod tests {
         let b = run_ledger(cfg);
         assert_eq!(a.quiescent, b.quiescent);
         assert_eq!(a.rollbacks, b.rollbacks);
-        assert_eq!(a.store.store, b.store.store);
+        assert_eq!(a.store, b.store);
     }
 
     #[test]
@@ -447,6 +447,6 @@ mod tests {
         assert!(r.matches_fault_free);
         assert!(r.finalized > 0);
         assert_eq!(r.store.frontier_violations, 0);
-        assert!(r.store.store.events > 0);
+        assert!(r.store.events > 0);
     }
 }

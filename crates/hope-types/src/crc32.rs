@@ -1,6 +1,7 @@
 //! Table-driven CRC-32 (IEEE 802.3, reflected, polynomial `0xEDB88320`):
 //! the one checksum of every byte format that leaves a process — TCP
-//! frames ([`net`](crate::net)) and `hope-store`'s WAL records.
+//! frames ([`net`](crate::net)) and the WAL records of `hope-core`'s
+//! `durable` module.
 //!
 //! Hand-rolled because the workspace builds offline: no `crc` crate. The
 //! choice of CRC-32 matters for the recovery guarantees — it detects
