@@ -397,6 +397,13 @@ impl ProcessCtx<'_> {
     /// holds the optimistic algorithm, the `false` branch the pessimistic
     /// one.
     ///
+    /// On the threaded runtime a live (not replayed) guess first hands its
+    /// shard over ([`SysApi::hand_over`]): the turn's sends go out and the
+    /// process is runnable again at once, so the process that verifies the
+    /// assumption gets its turn before this one runs ahead. The guess waits
+    /// for nothing — it is not a blocking step (DESIGN.md §2.5) — and the
+    /// simulator, whose turns take no virtual time, keeps its schedule.
+    ///
     /// A guess on an AID this process has already been told is denied (a
     /// caused rollback named it) returns `false` immediately, without
     /// opening an interval — the outcome the rollback would have produced
@@ -419,6 +426,11 @@ impl ProcessCtx<'_> {
         }) {
             return outcome;
         }
+        // Let the verifier run first: on the threaded runtime the turn ends
+        // here, its sends (the request for a verdict among them) go out,
+        // and a rollback that lands meanwhile unwinds below, before the
+        // doomed interval opens. The simulator does not hand over.
+        self.sys.hand_over();
         self.check_rollback();
         let (known_denied, max_depth) = {
             let state = self.lib.borrow();

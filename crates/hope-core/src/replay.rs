@@ -459,18 +459,6 @@ impl OpList {
         }
     }
 
-    /// Removes the ops from index `at` on and returns them, oldest first.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at > len`.
-    pub fn split_off(&mut self, at: usize) -> Vec<Op> {
-        assert!(at <= self.len(), "split index {at} past the end");
-        let mut removed = Vec::with_capacity(self.len() - at);
-        self.cut(at, |ops| removed.extend(ops));
-        removed
-    }
-
     /// Removes the ops from index `at` on, handing them to `removed` in
     /// list order; the chunk that held op `at` becomes the open one.
     fn cut(&mut self, at: usize, mut removed: impl FnMut(std::vec::Drain<'_, Op>)) {

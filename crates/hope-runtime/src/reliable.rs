@@ -557,6 +557,11 @@ impl ReliableState {
         self.link_mut(link).accept(seq)
     }
 
+    /// Whether `link` has no envelope awaiting acknowledgement.
+    pub fn idle(&self, link: LinkId) -> bool {
+        self.links.get(&link).is_none_or(|rec| rec.in_flight() == 0)
+    }
+
     /// Number of envelopes awaiting acknowledgement, over all links.
     pub fn in_flight(&self) -> usize {
         self.links.values().map(LinkRecord::in_flight).sum()

@@ -330,7 +330,8 @@ impl SimRuntime {
             self.sched.stats.link_mut().unroutable += 1;
             return Err(HopeError::UnknownProcess(dst));
         }
-        self.sched.send(src, dst, payload);
+        let now = self.sched.clock.now();
+        self.sched.send(now, src, dst, payload);
         Ok(())
     }
 

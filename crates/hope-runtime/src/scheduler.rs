@@ -172,6 +172,17 @@ impl<C: Clock> Scheduler<C> {
         }
     }
 
+    /// Whether `item` is a retransmit timer whose link has nothing
+    /// unacknowledged here. Firing it resends nothing and leaves the link
+    /// without a timer, whenever it fires: a later send arms a new one,
+    /// due when this one would have found that send due.
+    pub fn idle_timer(&self, item: &Timed) -> bool {
+        match (&item.work, &self.links.rel) {
+            (EventKind::Link(LinkWork::Retransmit { link }), Some(rel)) => rel.idle(*link),
+            _ => false,
+        }
+    }
+
     /// Where `pid`'s entry sits in `locals`, taking it over if need be.
     fn local(&mut self, pid: ProcessId) -> Option<usize> {
         let at = pid.as_raw() as usize / self.n;
@@ -325,13 +336,6 @@ impl<C: Clock> Scheduler<C> {
             let Some(Local::Proc(mut proc)) = self.locals[at].take() else {
                 unreachable!("only a process takes turns")
             };
-            {
-                // A simulated turn runs at the clock's instant, and its
-                // spawns number themselves from the next free slot.
-                let mut shared = proc.shared.borrow_mut();
-                shared.now = self.clock.now();
-                shared.next_pid = self.locals.len() as u64;
-            }
             self.turns += 1;
             proc.turn(self);
             self.locals[at] = Some(Local::Proc(proc));
@@ -356,9 +360,10 @@ impl<C: Clock> Scheduler<C> {
         stack
     }
 
-    pub fn send(&mut self, src: ProcessId, dst: ProcessId, payload: Payload) {
-        let now = self.clock.now();
-        self.step((src, dst), now, |l, out| l.send(src, dst, payload, out));
+    /// Sends `payload` from `src` to `dst` as of `at`, a clock reading
+    /// the caller took.
+    pub fn send(&mut self, at: VirtualTime, src: ProcessId, dst: ProcessId, payload: Payload) {
+        self.step((src, dst), at, |l, out| l.send(src, dst, payload, out));
     }
 
     /// Places `req` at the next pid now, as the simulator spawns (its
@@ -383,6 +388,7 @@ impl<C: Clock> Host for Scheduler<C> {
     }
 
     fn send(&mut self, src: ProcessId, dst: ProcessId, payload: Payload) {
-        Scheduler::send(self, src, dst, payload);
+        let now = self.clock.now();
+        Scheduler::send(self, now, src, dst, payload);
     }
 }

@@ -32,9 +32,11 @@ pub struct Received {
 /// of the runtime. `hope-core` builds the HOPE primitives on top of this
 /// trait, which keeps the algorithm independent of the concrete runtime.
 ///
-/// All operations except [`SysApi::receive`] and [`SysApi::compute`] are
-/// asynchronous and return without waiting — the property HOPE's wait-free
-/// design criterion demands of its primitives.
+/// All operations except [`SysApi::receive`], [`SysApi::park`] and
+/// [`SysApi::compute`] are asynchronous and return without waiting — the
+/// property HOPE's wait-free design criterion demands of its primitives.
+/// [`SysApi::hand_over`] ends the caller's turn on the threaded runtime
+/// but waits for nothing: the process is runnable again at once.
 pub trait SysApi {
     /// This process's identity.
     fn pid(&self) -> ProcessId;
@@ -75,6 +77,14 @@ pub trait SysApi {
     /// intervals resolve, leaving queued messages intact for a possible
     /// rollback re-execution.
     fn park(&mut self, interrupt: &mut dyn FnMut() -> bool) -> bool;
+
+    /// Ends the current turn without waiting for anything: the turn's
+    /// sends go out, the scheduler runs what they made due, and the process
+    /// is runnable again at once. Only the threaded runtime hands over; on
+    /// the simulator, whose turns take no virtual time, it does nothing.
+    /// `hope-core` calls it in `guess`, so that a speculating process does
+    /// not run ahead of the process that verifies its assumption.
+    fn hand_over(&mut self);
 
     /// Spends `dur` of virtual compute time. In the simulator this advances
     /// the virtual clock without consuming wall time.

@@ -280,13 +280,15 @@ impl Shard {
                 ask(&self.sched);
             }
             // Process everything due. The clock is read once a pass, and
-            // again only when the head looks not yet due.
+            // again only when the head looks not yet due. A retransmit
+            // timer with nothing to resend goes early rather than wake
+            // the shard later.
             let mut processed = 0u64;
             let mut now = inner.now();
             while let Some(next) = self.sched.queue.peek() {
                 if next.time > now {
                     now = inner.now();
-                    if next.time > now {
+                    if next.time > now && !self.sched.idle_timer(next) {
                         break;
                     }
                 }

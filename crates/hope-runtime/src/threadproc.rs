@@ -5,17 +5,25 @@
 //! threaded runtime's shard that owns the pid and also runs its `Control`.
 //! The two take strict turns: the scheduler switches into the process,
 //! which runs until it yields (by blocking in `receive`, parking, spending
-//! compute time, or exiting) and switches back. Exactly one party runs at
-//! any instant, so `Control` never runs while the body does, and user code
-//! is still written as ordinary blocking Rust. A scheduler resumes a
-//! process only when what arrived is what it waits for ([`Proc::mail`],
-//! [`Proc::waiting`]) and carries out the turn ([`Proc::turn`]).
+//! compute time, handing over, or exiting) and switches back. Exactly one
+//! party runs at any instant, so `Control` never runs while the body does,
+//! and user code is still written as ordinary blocking Rust. A scheduler
+//! resumes a process only when what arrived is what it waits for
+//! ([`Proc::mail`], [`Proc::waiting`]) and carries out the turn
+//! ([`Proc::turn`]).
 //!
 //! Sends do not yield. They go into the process's ordered outbox, which
-//! the runtime carries out when the turn ends. A spawn does not yield
-//! either: on the simulator it joins the outbox with the next free pid,
-//! handed over with the turn; on the threaded runtime ([`Live`]) it is
-//! registered at once.
+//! the runtime carries out when the turn ends, stamping every send with
+//! one clock reading. A spawn does not yield either: on the simulator it
+//! joins the outbox with the next free pid, handed over with the turn; on
+//! the threaded runtime ([`Live`]) it is registered at once.
+//!
+//! A hand-over ([`SysApi::hand_over`], which `hope-core` calls in a live
+//! `guess`) ends a turn on the threaded runtime only: the outbox goes
+//! out, the shard runs what it made due, and the process, queued a wake
+//! at once, runs again behind that. It waits for nothing. On the
+//! simulator, whose turns take no virtual time, it does nothing, so the
+//! simulator's schedule stays the reference.
 //!
 //! Stacks are reused. A process gets its stack at its first resume, from
 //! the running thread's free list or a new mapping, and the stack goes
@@ -65,7 +73,7 @@ pub(crate) enum YieldMsg {
     },
     /// The process waits for a control wake without consuming messages.
     Park,
-    /// The process spends compute time.
+    /// The process spends compute time (none, when it hands over).
     Compute { dur: VirtualDuration },
     /// The process finished (with a panic message if it unwound).
     Exited { panic: Option<String> },
@@ -212,8 +220,10 @@ impl Proc {
         if let Some((body, seed)) = self.body.take() {
             let (stack, shared) = (sched.stack(), self.shared.clone());
             self.worker = Some(Coroutine::new(stack, move |yielder| {
+                let live = shared.borrow().live.is_some();
                 let mut ctx = ThreadCtx {
                     pid,
+                    live,
                     shared,
                     yielder,
                     rng: StdRng::seed_from_u64(
@@ -228,14 +238,31 @@ impl Proc {
                 YieldMsg::Exited { panic }
             }));
         }
+        {
+            // A simulated turn runs at the clock's instant, and its spawns
+            // number themselves from the next free slot. A live body reads
+            // both at the call instead.
+            let mut shared = self.shared.borrow_mut();
+            if shared.live.is_none() {
+                shared.now = sched.clock.now();
+                shared.next_pid = sched.locals.len() as u64;
+            }
+        }
         let msg = self.worker.as_mut().and_then(Worker::resume);
         if let Some(control) = self.shared.borrow_mut().control.take() {
             self.control = Some(control);
         }
+        // One clock reading stamps every send of the turn, as the
+        // simulator's turn happens at one instant; it is taken only if the
+        // turn needs it.
+        let mut now = None;
         let mut out = std::mem::take(&mut self.shared.borrow_mut().outbox);
         for item in out.drain(..) {
             match item {
-                Outgoing::Send(dst, payload) => sched.send(pid, dst, payload),
+                Outgoing::Send(dst, payload) => {
+                    let at = *now.get_or_insert_with(|| sched.clock.now());
+                    sched.send(at, pid, dst, payload);
+                }
                 Outgoing::Spawn(child, req) => assert_eq!(sched.register(req), child),
             }
         }
@@ -247,8 +274,11 @@ impl Proc {
                 ProcessStatus::Blocked
             }
             YieldMsg::Park => ProcessStatus::Parked,
+            // A hand-over (no compute time) is runnable again at once,
+            // behind what its sends made due.
             YieldMsg::Compute { dur } => {
-                sched.push(sched.clock.now() + dur, EventKind::Wake(pid));
+                let at = now.unwrap_or_else(|| sched.clock.now());
+                sched.push(at + dur, EventKind::Wake(pid));
                 ProcessStatus::Sleeping
             }
             YieldMsg::Exited { panic } => {
@@ -264,6 +294,8 @@ impl Proc {
 /// The [`SysApi`] implementation handed to a threaded process body.
 struct ThreadCtx<'a> {
     pid: ProcessId,
+    /// Whether the process runs on the threaded runtime ([`Live`]).
+    live: bool,
     shared: Rc<RefCell<Shared>>,
     yielder: &'a mut Yielder<YieldMsg>,
     rng: StdRng,
@@ -356,6 +388,15 @@ impl SysApi for ThreadCtx<'_> {
             if !self.yield_and_wait(YieldMsg::Park) {
                 return false;
             }
+        }
+    }
+
+    /// A compute step of no time, which `compute` never yields.
+    fn hand_over(&mut self) {
+        if self.live {
+            self.yield_and_wait(YieldMsg::Compute {
+                dur: VirtualDuration::ZERO,
+            });
         }
     }
 

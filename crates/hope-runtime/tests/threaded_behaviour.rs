@@ -8,7 +8,7 @@ use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use hope_runtime::{
-    Actor, ActorApi, ControlApi, ControlHandler, Inspect, NetworkConfig, ThreadedRuntime,
+    Actor, ActorApi, ControlApi, ControlHandler, FaultPlan, Inspect, NetworkConfig, ThreadedRuntime,
 };
 use hope_types::{
     Envelope, HopeMessage, IntervalId, Payload, ProcessId, UserMessage, VirtualDuration,
@@ -307,6 +307,33 @@ fn a_burst_on_a_clean_reliable_link_is_not_resent() {
         assert!(
             link.rtt_samples == 0 || link.srtt_nanos > 0,
             "shards({shards}): samples but no srtt: {link}"
+        );
+    }
+}
+
+/// A retransmit timer whose link has nothing unacknowledged resends
+/// nothing, so a shard fires it early rather than wake for it later: a
+/// clean reliable exchange settles within its grace, not after the 2 s
+/// initial timeout its one send armed.
+#[test]
+fn an_idle_retransmit_timer_does_not_hold_quiescence() {
+    for shards in [1, 2] {
+        let rt = ThreadedRuntime::builder()
+            .faults(FaultPlan::new().rto(VirtualDuration::from_secs(2)))
+            .shards(shards)
+            .build();
+        let sink = rt.spawn_threaded("sink", None, |ctx| {
+            ctx.receive(None, &mut || false).expect("a message");
+        });
+        rt.spawn_threaded("sender", None, move |ctx| ctx.send(sink, user(b"x")));
+        let started = Instant::now();
+        let report = rt.run_until_quiescent(GRACE, TIMEOUT);
+        let took = started.elapsed();
+        assert!(report.panics.is_empty() && report.blocked.is_empty());
+        assert_eq!(report.stats.link().retransmits, 0, "shards({shards})");
+        assert!(
+            took < Duration::from_secs(1),
+            "shards({shards}): settled after {took:?}: the idle timer held it"
         );
     }
 }
